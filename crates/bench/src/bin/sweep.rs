@@ -204,8 +204,6 @@ fn throughput_phase(
     }
     println!("per-backend serial sweeps, neural controller (all bit-identical)\n{backend_table}");
 
-    let async_cell = async_overlap_cell(base_seed, kernel)?;
-
     let Json::Obj(mut serial_row) = serial.to_json() else {
         unreachable!("to_json returns an object")
     };
@@ -226,12 +224,6 @@ fn throughput_phase(
         ("speedup", speedup.into()),
         ("bit_identical", identical.into()),
         ("kernels", Json::Arr(backend_cells)),
-        // The overlapped-offload win on the bursty channel (see
-        // docs/async.md): one reactor, window 1 (= the blocking cost
-        // model) vs a deep in-flight window, offload waits scaled down to
-        // wall-clock by WallClockPacer so the I/O overlap is measurable in
-        // an offline build.
-        ("async", async_cell),
         (
             // A static design claim, not a runtime measurement (no counting
             // allocator in this offline build): the per-step heap
@@ -247,72 +239,6 @@ fn throughput_phase(
                 ("world_clone_per_run", 1u32.into()),
             ]),
         ),
-    ]))
-}
-
-/// The `throughput.async` BENCH cell: the same bursty-channel grid run
-/// through one reactor at window 1 (pacing every offload wait serially —
-/// the blocking cost model) and at a deep window (waits overlap across the
-/// episodes in flight). Offload waits are virtual time; `WallClockPacer`
-/// converts them to real sleeps at a fixed scale so the overlap win shows
-/// up on the wall clock without inflating the offline bench. Both runs
-/// must stay bit-identical — pacing never touches the completion order.
-fn async_overlap_cell(base_seed: u64, kernel: KernelBackend) -> Result<Json, SeoError> {
-    const SCENARIOS: usize = 12;
-    const IN_FLIGHT: usize = 16;
-    const PACE_SCALE: f64 = 0.01; // 11 ms of simulated offload -> 110 us of wall
-    let plan = SweepPlan::paper(SCENARIOS, base_seed)
-        .with_channels(vec![ChannelKind::Bursty])
-        .with_kernel(kernel)
-        .with_offload(OffloadExec::Async {
-            in_flight: IN_FLIGHT,
-        });
-    let (cell, _) = plan.cells().remove(0);
-    let runtime = cell.runtime(kernel)?;
-    let paced_run = |window: usize| {
-        let reactor = Reactor::new(window);
-        let mut pacer = WallClockPacer::new(PACE_SCALE);
-        let mut reports = Vec::with_capacity(plan.n_specs());
-        let start = Instant::now();
-        let finished = reactor.run_paced(
-            0..plan.n_specs(),
-            |i| cell.spawn_task(&runtime, plan.point_at(i).expect("in grid").spec),
-            &mut pacer,
-            |_, report| {
-                reports.push(report);
-                true
-            },
-        );
-        assert!(finished, "paced reactor run must drain the grid");
-        (start.elapsed().as_secs_f64(), reports)
-    };
-    let (blocking_secs, blocking_reports) = paced_run(1);
-    let (async_secs, async_reports) = paced_run(IN_FLIGHT);
-    let identical = blocking_reports == async_reports;
-    assert!(
-        identical,
-        "async offload must be bit-identical to the blocking run"
-    );
-    let overlap_speedup = blocking_secs / async_secs.max(1e-12);
-    let per_sec = |secs: f64| plan.n_specs() as f64 / secs.max(1e-12);
-    println!(
-        "async offload overlap (bursty channel, paced {PACE_SCALE}x): \
-         window 1 {:.1}/s, window {IN_FLIGHT} {:.1}/s -> {overlap_speedup:.2}x, \
-         bit-identical: {identical}\n",
-        per_sec(blocking_secs),
-        per_sec(async_secs),
-    );
-    Ok(Json::obj(vec![
-        ("scenarios", plan.n_specs().into()),
-        ("in_flight", IN_FLIGHT.into()),
-        ("pace_scale", PACE_SCALE.into()),
-        ("blocking_secs", blocking_secs.into()),
-        ("async_secs", async_secs.into()),
-        ("blocking_scenarios_per_sec", per_sec(blocking_secs).into()),
-        ("async_scenarios_per_sec", per_sec(async_secs).into()),
-        ("overlap_speedup", overlap_speedup.into()),
-        ("bit_identical", identical.into()),
-        ("grid", cell.to_json()),
     ]))
 }
 
@@ -655,13 +581,6 @@ fn check_mode(cli: &Cli) {
     println!(
         "  exec: {}, kernel '{}', timeout {} s, verify {}",
         plan.mode, plan.kernel, plan.timeout_secs, plan.verify
-    );
-    // The resolved offload window: how many episodes each worker keeps in
-    // flight ("1" = blocking, the default).
-    println!(
-        "  offload: {} -> window {}",
-        plan.offload,
-        plan.offload.window()
     );
     // Hosts mode: resolve the lease schedule so plan authors can
     // sanity-check chunking before committing to a run.

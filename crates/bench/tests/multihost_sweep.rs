@@ -258,7 +258,7 @@ fn killed_daemon_mid_stream_is_reissued_and_output_stays_identical() {
     let healthy = Daemon::spawn(&[]);
     // This daemon drops every connection after 1 report, without a done
     // frame — a real process dying mid-stream from the coordinator's view.
-    let doomed = Daemon::spawn(&["--fail-after", "1"]);
+    let doomed = Daemon::spawn(&["--fault", "drop-after=1"]);
     let hosts = write_hosts_file(&[(&healthy.addr, 1), (&doomed.addr, 2)]);
     let (stdout, stderr) = run_sweep_hosts(&hosts);
     let _ = std::fs::remove_file(&hosts);
@@ -282,7 +282,7 @@ fn killed_daemon_mid_stream_is_reissued_and_output_stays_identical() {
 /// readmission backoff, so the healthy host always wins the remnant.)
 #[test]
 fn chunked_hosts_file_reissues_and_steals_a_stranded_lease() {
-    let doomed = Daemon::spawn(&["--fail-after", "1"]);
+    let doomed = Daemon::spawn(&["--fault", "drop-after=1"]);
     let healthy = Daemon::spawn(&[]);
     static NEXT: std::sync::atomic::AtomicUsize = std::sync::atomic::AtomicUsize::new(0);
     let hosts = std::env::temp_dir().join(format!(

@@ -1,9 +1,9 @@
 //! The long-lived `seo-sweepd` service: a persistent, multi-job worker
 //! daemon over the [`crate::transport`] wire protocol.
 //!
-//! [`crate::transport::WorkerServer`] is the minimal building block — an
-//! accept loop that serves one job per connection and nothing else. This
-//! module grows it into a *service*:
+//! Every job runs through [`crate::transport::serve_job`] — one sink over
+//! [`crate::plan::SweepPlan::run_range`] — and this module wraps that job
+//! path in a *service*:
 //!
 //! * **Persistence** — the accept loop survives per-connection errors and
 //!   serves any number of consecutive jobs; a client that disconnects
@@ -26,7 +26,8 @@
 //! v1/v2 job frames from pre-daemon clients are served unchanged — the
 //! first frame of a connection is dispatched by
 //! [`crate::transport::parse_daemon_request`], and anything that is not a
-//! `health`/`shutdown` verb takes the classic job path. A plan job whose
+//! `health`/`shutdown` verb takes the job path (a v1 frame runs the paper
+//! preset its `scenarios`/`seed` name). A plan job whose
 //! report mode is pure `summary` flows through the same path but ships a
 //! single [`crate::transport::summary_frame`] sketch payload instead of
 //! per-episode frames ([`crate::agg`]); the `episodes_emitted` counter
@@ -219,6 +220,9 @@ impl DaemonServer {
     /// job, a `health` probe, or a `shutdown` verb — until a drain is
     /// requested **and** every in-flight job has finished, then returns
     /// `Ok(())` (the binary's cue to exit 0).
+    ///
+    /// Jobs build their own cell runtimes from the plan they carry;
+    /// `runtime` only names the inference kernel backend they run on.
     ///
     /// Per-connection failures are reported to stderr and never stop the
     /// loop; the daemon must survive misbehaving coordinators.

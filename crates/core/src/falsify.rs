@@ -712,7 +712,6 @@ fn replay_plan(plan: &SweepPlan, cell: &CellConfig, scenario: &ScenarioSpec) -> 
         },
     })
     .with_kernel(plan.kernel)
-    .with_offload(plan.offload)
 }
 
 #[cfg(test)]

@@ -2,10 +2,10 @@
 //!
 //! The fleet's recovery paths — retry with backoff, quarantine, lease
 //! re-issue — are only trustworthy if they are *exercised*, and only
-//! debuggable if every exercised failure is **reproducible**. This module
-//! generalizes the old `--fail-after K` knob into a [`FaultPlan`]: a small,
-//! parseable description of which faults a daemon injects and when, as a
-//! pure function of the plan and a connection counter. No randomness leaks
+//! debuggable if every exercised failure is **reproducible**. A
+//! [`FaultPlan`] is a small, parseable description of which faults a daemon
+//! injects and when, as a pure function of the plan and a connection
+//! counter. No randomness leaks
 //! in at injection time; the `seed` field only keys the garble keystream,
 //! so two runs with the same fault plan misbehave byte-for-byte alike.
 //!
@@ -20,8 +20,7 @@
 //! | `garble=K`     | corrupt report frame K into guaranteed non-UTF-8  | **fatal** (frame error) |
 //!
 //! A plan is spelled as comma-separated `key=value` pairs, e.g.
-//! `refuse=2,drop-after=5,seed=7`. The legacy `--fail-after K` flag is kept
-//! as sugar for `drop-after=K`.
+//! `refuse=2,drop-after=5,seed=7`.
 //!
 //! # Example
 //!
@@ -69,7 +68,7 @@ pub struct FaultPlan {
     /// transient fault it retries.
     pub refuse_connects: u64,
     /// Drop each serving connection after emitting K reports, without a
-    /// `done` frame — the classic mid-stream host death (`--fail-after`).
+    /// `done` frame — the classic mid-stream host death.
     pub drop_after: Option<usize>,
     /// Stall for this many milliseconds before emitting report
     /// [`Self::stall_at`] on each serving connection, tripping the
@@ -86,15 +85,6 @@ pub struct FaultPlan {
 }
 
 impl FaultPlan {
-    /// The fault plan equivalent of the legacy `--fail-after K` flag.
-    #[must_use]
-    pub fn fail_after(k: usize) -> Self {
-        Self {
-            drop_after: Some(k),
-            ..Self::default()
-        }
-    }
-
     /// True when the plan injects nothing.
     #[must_use]
     pub fn is_noop(&self) -> bool {
@@ -234,9 +224,9 @@ impl FaultInjector<'_> {
         }
     }
 
-    /// Called before each report is produced. Sleeps through a configured
-    /// stall (once per connection), then decides whether the connection
-    /// dies here.
+    /// Called before each report is emitted (its episode has already run).
+    /// Sleeps through a configured stall (once per connection), then
+    /// decides whether the connection dies here.
     pub fn before_report(&mut self) -> FaultAction {
         let Some(plan) = self.plan else {
             return FaultAction::Continue;
@@ -330,14 +320,6 @@ mod tests {
     }
 
     #[test]
-    fn fail_after_sugar_matches_drop_after() {
-        assert_eq!(
-            FaultPlan::fail_after(3),
-            "drop-after=3,seed=0".parse().unwrap()
-        );
-    }
-
-    #[test]
     fn refusals_count_connections() {
         let plan: FaultPlan = "refuse=2".parse().unwrap();
         assert!(plan.refuses_connection(0));
@@ -348,7 +330,7 @@ mod tests {
 
     #[test]
     fn drop_fires_at_exact_report() {
-        let plan = FaultPlan::fail_after(2);
+        let plan: FaultPlan = "drop-after=2".parse().unwrap();
         let mut inj = plan.injector(0);
         assert_eq!(inj.before_report(), FaultAction::Continue);
         inj.after_report();
@@ -387,6 +369,6 @@ mod tests {
     fn noop_detection() {
         assert!(FaultPlan::default().is_noop());
         assert!("seed=5".parse::<FaultPlan>().unwrap().is_noop());
-        assert!(!FaultPlan::fail_after(0).is_noop());
+        assert!(!"drop-after=0".parse::<FaultPlan>().unwrap().is_noop());
     }
 }

@@ -31,6 +31,13 @@
 
 use std::fmt::Write as _;
 
+/// Deepest container nesting [`Json::parse`] accepts. The parser recurses
+/// once per nested array or object, so an unbounded document (a frame of a
+/// few hundred thousand `[`) would overflow the thread's stack and abort
+/// the process; past this depth it is a [`JsonParseError`] instead. No
+/// frame, plan, or dump this workspace writes nests ten deep.
+pub const MAX_DEPTH: usize = 128;
+
 /// A JSON value tree.
 #[derive(Debug, Clone, PartialEq)]
 pub enum Json {
@@ -85,12 +92,14 @@ impl Json {
     ///
     /// # Errors
     ///
-    /// Returns [`JsonParseError`] (with a byte offset) on malformed input or
-    /// trailing non-whitespace.
+    /// Returns [`JsonParseError`] (with a byte offset) on malformed input,
+    /// trailing non-whitespace, or containers nested deeper than
+    /// [`MAX_DEPTH`].
     pub fn parse(input: &str) -> Result<Self, JsonParseError> {
         let mut p = Parser {
             bytes: input.as_bytes(),
             pos: 0,
+            depth: 0,
         };
         p.skip_ws();
         let value = p.value()?;
@@ -243,6 +252,8 @@ impl std::error::Error for JsonParseError {}
 struct Parser<'a> {
     bytes: &'a [u8],
     pos: usize,
+    /// Containers open around the current position.
+    depth: usize,
 }
 
 impl Parser<'_> {
@@ -287,8 +298,21 @@ impl Parser<'_> {
             Some(b't') => self.literal("true", Json::Bool(true)),
             Some(b'f') => self.literal("false", Json::Bool(false)),
             Some(b'"') => self.string().map(Json::Str),
-            Some(b'[') => self.array(),
-            Some(b'{') => self.object(),
+            Some(open @ (b'[' | b'{')) => {
+                if self.depth == MAX_DEPTH {
+                    return Err(
+                        self.err(&format!("containers nested deeper than {MAX_DEPTH} levels"))
+                    );
+                }
+                self.depth += 1;
+                let value = if open == b'[' {
+                    self.array()
+                } else {
+                    self.object()
+                };
+                self.depth -= 1;
+                value
+            }
             Some(b'-' | b'0'..=b'9') => self.number(),
             Some(_) => Err(self.err("unexpected character")),
             None => Err(self.err("unexpected end of input")),
@@ -569,6 +593,22 @@ mod tests {
         }
         let err = Json::parse("[1,]").expect_err("trailing comma");
         assert!(err.to_string().contains("at byte"), "{err}");
+    }
+
+    #[test]
+    fn nesting_is_capped_instead_of_overflowing_the_stack() {
+        let arrays = |depth: usize| format!("{}{}", "[".repeat(depth), "]".repeat(depth));
+        let objects = |depth: usize| format!("{}0{}", "{\"k\":".repeat(depth), "}".repeat(depth));
+        assert!(Json::parse(&arrays(MAX_DEPTH)).is_ok());
+        assert!(Json::parse(&objects(MAX_DEPTH)).is_ok());
+        for text in [
+            arrays(MAX_DEPTH + 1),
+            objects(MAX_DEPTH + 1),
+            "[".repeat(200_000),
+        ] {
+            let err = Json::parse(&text).expect_err("too deep");
+            assert!(err.to_string().contains("deeper than 128"), "{err}");
+        }
     }
 
     #[test]

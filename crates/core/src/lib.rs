@@ -26,12 +26,8 @@
 //!   plus the always-local baseline.
 //! * [`runtime`] — the closed control loop tying simulator, controller,
 //!   safety filter, deadline table, scheduler, and energy accounting
-//!   together, split at the offload transaction into the resumable
-//!   [`runtime::EpisodeTask`] state machine.
-//! * [`reactor`] — the deterministic poll-loop executor (`exec.offload`):
-//!   many episodes in flight per core, parked at offload await points and
-//!   resumed in `(virtual_completion_time, spec_index)` order, so
-//!   scheduling stays a pure function of the seed.
+//!   together: one episode loop, monomorphized over the inference kernel,
+//!   that every sweep engine runs.
 //! * [`metrics`] — per-episode and per-experiment reports (energy gains,
 //!   δmax histograms, safety evidence).
 //! * [`agg`] — streaming aggregation: exactly-associative per-cell
@@ -103,7 +99,6 @@ pub mod metrics;
 pub mod model;
 pub mod optimizer;
 pub mod plan;
-pub mod reactor;
 pub mod runtime;
 pub mod scheduler;
 pub mod shard;
@@ -133,15 +128,12 @@ pub mod prelude {
         CellConfig, ChannelKind, ControllerKind, ExecMode, GridAxes, GridPoint, PlanError,
         SeedRange, SweepPlan, TrafficKind,
     };
-    pub use crate::reactor::{NoPacer, OffloadExec, Pacer, Reactor, WallClockPacer};
-    pub use crate::runtime::{
-        EpisodeScratch, EpisodeTask, RuntimeLoop, TaskPoll, TaskSource, WorldSource,
-    };
+    pub use crate::runtime::{EpisodeScratch, RuntimeLoop, WorldSource};
     pub use crate::scheduler::{SafeScheduler, SlotKind, StepPlan};
     pub use crate::shard::{Shard, ShardError, ShardPlan, ShardPlanner, StreamingMerge};
     pub use crate::transport::{
         FaultClass, HealthReport, HostPool, HostSpec, RemoteCoordinator, RemoteRunStats,
-        RetryPolicy, TransportError, WorkerServer,
+        RetryPolicy, TransportError,
     };
     pub use seo_nn::kernel::{BlockedKernel, Kernel, KernelBackend, ScalarKernel};
 }

@@ -58,15 +58,13 @@ use crate::json::Json;
 use crate::metrics::EpisodeReport;
 use crate::model::ModelSet;
 use crate::optimizer::OptimizerKind;
-use crate::reactor::{OffloadExec, Reactor};
-use crate::runtime::{EpisodeScratch, EpisodeTask, RuntimeLoop, TaskSource, WorldSource};
-use crate::shard::{self, Shard, ShardPlanner};
+use crate::runtime::{EpisodeScratch, RuntimeLoop, WorldSource};
+use crate::shard::{self, Shard};
 use crate::transport::HostPool;
 use seo_nn::kernel::KernelBackend;
 use seo_platform::units::Seconds;
 use seo_sim::traffic::{TrafficPattern, TrafficProfile};
 use seo_wireless::link::WirelessLink;
-use std::borrow::Cow;
 use std::fmt;
 
 /// Plan schema version stamped on every saved plan (`"v":1`). Bumped
@@ -586,26 +584,6 @@ impl CellConfig {
         }
     }
 
-    /// Builds the **resumable** form of [`Self::run_spec`]: an
-    /// [`EpisodeTask`] owning its world (and, for mover profiles, its
-    /// dynamic timeline), ready to be driven by a
-    /// [`Reactor`]. Polling the task to completion
-    /// yields exactly the `run_spec` report — the two are the same state
-    /// machine.
-    #[must_use]
-    pub fn spawn_task<'rt>(
-        &self,
-        runtime: &'rt RuntimeLoop,
-        spec: ScenarioSpec,
-    ) -> EpisodeTask<'rt> {
-        let world = spec.world();
-        let source = match self.traffic.profile() {
-            None => TaskSource::Static(Cow::Owned(world)),
-            Some(profile) => TaskSource::Dynamic(Cow::Owned(profile.apply(&world))),
-        };
-        EpisodeTask::new(runtime, source, spec.seed, EpisodeScratch::new())
-    }
-
     /// Encodes the cell for provenance records (`BENCH_sweep.json` rows and
     /// tooling that must say which grid point produced a result).
     #[must_use]
@@ -709,10 +687,6 @@ pub struct SweepPlan {
     pub kernel: KernelBackend,
     /// Multi-host connect/read timeout in seconds.
     pub timeout_secs: f64,
-    /// How episodes treat offload I/O (`exec.offload`): blocking, or the
-    /// deterministic async reactor with a per-worker in-flight window.
-    /// Orthogonal to [`Self::mode`] — every engine honors it.
-    pub offload: OffloadExec,
     /// Whether runners should rerun the grid serially in-process and fail
     /// unless the merged output is bit-identical.
     pub verify: bool,
@@ -737,7 +711,6 @@ impl SweepPlan {
             mode: ExecMode::Serial,
             kernel: KernelBackend::default(),
             timeout_secs: 30.0,
-            offload: OffloadExec::default(),
             verify: false,
             falsify: None,
             report: None,
@@ -833,14 +806,6 @@ impl SweepPlan {
     #[must_use]
     pub fn with_timeout_secs(mut self, timeout_secs: f64) -> Self {
         self.timeout_secs = timeout_secs;
-        self
-    }
-
-    /// Sets the offload execution (builder style): `OffloadExec::Async {
-    /// in_flight }` turns the deterministic reactor on for every engine.
-    #[must_use]
-    pub fn with_offload(mut self, offload: OffloadExec) -> Self {
-        self.offload = offload;
         self
     }
 
@@ -1086,14 +1051,6 @@ impl SweepPlan {
                 }
             }
         }
-        if let OffloadExec::Async { in_flight } = self.offload {
-            if in_flight == 0 {
-                problems.push(
-                    "exec.offload.async.in_flight",
-                    "at least one episode must be in flight (use \"blocking\" to disable)",
-                );
-            }
-        }
         if let Some(falsify) = &self.falsify {
             falsify.check(&mut |field, message| problems.push(field, message));
         }
@@ -1180,16 +1137,6 @@ impl SweepPlan {
                     ("mode", mode),
                     ("kernel", self.kernel.name().into()),
                     ("timeout_secs", self.timeout_secs.into()),
-                    (
-                        "offload",
-                        match self.offload {
-                            OffloadExec::Blocking => Json::from("blocking"),
-                            OffloadExec::Async { in_flight } => Json::obj(vec![(
-                                "async",
-                                Json::obj(vec![("in_flight", in_flight.into())]),
-                            )]),
-                        },
-                    ),
                     ("verify", self.verify.into()),
                 ]),
             ),
@@ -1291,10 +1238,6 @@ impl SweepPlan {
     /// of the range (a worker whose output pipe broke must not keep
     /// burning CPU on episodes nobody will read).
     ///
-    /// With `exec.offload` set to async, each cell-overlap segment is
-    /// driven by a [`Reactor`] with the plan's in-flight window instead of
-    /// the blocking scratch loop — same bytes, overlapped await points.
-    ///
     /// # Errors
     ///
     /// [`SeoError::InvalidConfig`] when the range reaches outside the grid,
@@ -1323,26 +1266,12 @@ impl SweepPlan {
                 .cell_at(cell_index)
                 .expect("cell index inside the grid");
             let runtime = cell.runtime(kernel)?;
-            match self.offload {
-                OffloadExec::Blocking => {
-                    let mut scratch = EpisodeScratch::new();
-                    for i in start..end {
-                        let spec = self.spec_within_cell(i % per_cell);
-                        let report = cell.run_spec(&runtime, spec, &mut scratch);
-                        if !sink(i, report) {
-                            return Ok(());
-                        }
-                    }
-                }
-                OffloadExec::Async { in_flight } => {
-                    let finished = Reactor::new(in_flight).run(
-                        start..end,
-                        |i| cell.spawn_task(&runtime, self.spec_within_cell(i % per_cell)),
-                        &mut sink,
-                    );
-                    if !finished {
-                        return Ok(());
-                    }
+            let mut scratch = EpisodeScratch::new();
+            for i in start..end {
+                let spec = self.spec_within_cell(i % per_cell);
+                let report = cell.run_spec(&runtime, spec, &mut scratch);
+                if !sink(i, report) {
+                    return Ok(());
                 }
             }
         }
@@ -1368,19 +1297,10 @@ impl SweepPlan {
     /// Bit-identical to [`Self::run_serial`] for any thread count (the
     /// batch engine's determinism invariant, applied per cell).
     ///
-    /// With async offload each worker thread instead drives a [`Reactor`]
-    /// over one contiguous shard of the grid (planned like the worker
-    /// processes, remainder on the leading shards), so every thread keeps
-    /// its own in-flight window; the shards are stitched back in grid
-    /// order.
-    ///
     /// # Errors
     ///
     /// Same as [`Self::run_range`].
     pub fn run_threads(&self, threads: usize) -> Result<Vec<EpisodeReport>, SeoError> {
-        if self.offload.is_async() {
-            return self.run_threads_async(threads);
-        }
         let mut reports = Vec::with_capacity(self.n_specs());
         let per_cell = self.axes.specs_per_cell();
         for (cell, _) in self.cells() {
@@ -1390,43 +1310,6 @@ impl SweepPlan {
             reports.extend(runner.run_with_episode(&specs, |runtime, spec, scratch| {
                 cell.run_spec(runtime, *spec, scratch)
             }));
-        }
-        Ok(reports)
-    }
-
-    /// The threads engine's async path: one scoped thread per contiguous
-    /// shard, each running [`Self::run_range`] (and therefore a reactor)
-    /// over its own slice of the grid.
-    fn run_threads_async(&self, threads: usize) -> Result<Vec<EpisodeReport>, SeoError> {
-        let shard_plan = ShardPlanner::new(threads)
-            .plan_clamped(self.n_specs())
-            .map_err(|_| SeoError::InvalidConfig {
-                field: "threads",
-                constraint: "partition the expanded grid",
-            })?;
-        let buckets: Vec<Result<Vec<EpisodeReport>, SeoError>> = std::thread::scope(|scope| {
-            let handles: Vec<_> = shard_plan
-                .shards()
-                .iter()
-                .map(|&shard| {
-                    scope.spawn(move || {
-                        let mut local = Vec::with_capacity(shard.len());
-                        self.run_range(shard, self.kernel, |_, report| {
-                            local.push(report);
-                            true
-                        })?;
-                        Ok(local)
-                    })
-                })
-                .collect();
-            handles
-                .into_iter()
-                .map(|h| h.join().expect("sweep worker thread panicked"))
-                .collect()
-        });
-        let mut reports = Vec::with_capacity(self.n_specs());
-        for bucket in buckets {
-            reports.extend(bucket?);
         }
         Ok(reports)
     }
@@ -1643,21 +1526,15 @@ fn parse_exec(exec: &Json, plan: &mut SweepPlan, problems: &mut Problems) {
         return;
     };
     for (key, _) in pairs {
-        if !matches!(
-            key.as_str(),
-            "mode" | "kernel" | "timeout_secs" | "offload" | "verify"
-        ) {
+        if !matches!(key.as_str(), "mode" | "kernel" | "timeout_secs" | "verify") {
             problems.push(
                 &format!("exec.{key}"),
-                "unknown field (expected: mode, kernel, timeout_secs, offload, verify)",
+                "unknown field (expected: mode, kernel, timeout_secs, verify)",
             );
         }
     }
     if let Some(mode) = exec.get("mode") {
         parse_mode(mode, plan, problems);
-    }
-    if let Some(offload) = exec.get("offload") {
-        parse_offload(offload, plan, problems);
     }
     if let Some(kernel) = exec.get("kernel") {
         match kernel.as_str().map(KernelBackend::parse) {
@@ -1677,40 +1554,6 @@ fn parse_exec(exec: &Json, plan: &mut SweepPlan, problems: &mut Problems) {
             Json::Bool(v) => plan.verify = *v,
             _ => problems.push("exec.verify", "expected true or false"),
         }
-    }
-}
-
-fn parse_offload(offload: &Json, plan: &mut SweepPlan, problems: &mut Problems) {
-    const GRAMMAR: &str = r#"expected "blocking" or {"async":{"in_flight":N}}"#;
-    match offload {
-        Json::Str(s) if s == "blocking" => plan.offload = OffloadExec::Blocking,
-        Json::Obj(pairs) if pairs.len() == 1 && pairs[0].0 == "async" => {
-            let value = &pairs[0].1;
-            let Json::Obj(inner) = value else {
-                problems.push("exec.offload.async", "expected an object {in_flight}");
-                return;
-            };
-            for (key, _) in inner {
-                if key != "in_flight" {
-                    problems.push(
-                        &format!("exec.offload.async.{key}"),
-                        "unknown field (expected: in_flight)",
-                    );
-                }
-            }
-            match value
-                .get("in_flight")
-                .map(|n| n.as_i64().and_then(|n| usize::try_from(n).ok()))
-            {
-                Some(Some(in_flight)) => plan.offload = OffloadExec::Async { in_flight },
-                Some(None) => problems.push(
-                    "exec.offload.async.in_flight",
-                    "expected a non-negative integer",
-                ),
-                None => problems.push("exec.offload.async.in_flight", "missing window size"),
-            }
-        }
-        _ => problems.push("exec.offload", GRAMMAR),
     }
 }
 
@@ -1865,60 +1708,6 @@ mod tests {
                 assert_eq!(back, plan, "round trip via {text}");
                 assert_eq!(back.expand(), plan.expand(), "expansion differs");
             }
-        }
-    }
-
-    #[test]
-    fn offload_round_trips_and_validates() {
-        // Both spellings survive the JSON round trip.
-        for offload in [OffloadExec::Blocking, OffloadExec::Async { in_flight: 16 }] {
-            let plan = SweepPlan::paper(6, 2023).with_offload(offload);
-            let back = SweepPlan::parse(&plan.to_json().render()).expect("parses");
-            assert_eq!(back.offload, offload);
-            assert_eq!(back, plan);
-        }
-        // A zero window is a named validation problem, not a parse error.
-        let err = SweepPlan::paper(6, 2023)
-            .with_offload(OffloadExec::Async { in_flight: 0 })
-            .validate()
-            .expect_err("zero window");
-        assert!(err.to_string().contains("exec.offload.async.in_flight"));
-        // Unknown inner keys and malformed shapes are rejected by name.
-        for (text, needle) in [
-            (
-                r#"{"v":1,"exec":{"offload":{"async":{"in_flight":4,"wat":1}}}}"#,
-                "exec.offload.async.wat",
-            ),
-            (
-                r#"{"v":1,"exec":{"offload":{"async":{}}}}"#,
-                "exec.offload.async.in_flight",
-            ),
-            (r#"{"v":1,"exec":{"offload":"eager"}}"#, "exec.offload"),
-        ] {
-            let err = SweepPlan::parse(text).expect_err("rejected");
-            assert!(err.to_string().contains(needle), "{err}");
-        }
-    }
-
-    #[test]
-    fn async_offload_runs_bit_identical_to_blocking() {
-        let blocking =
-            SweepPlan::paper(4, 2023).with_channels(vec![ChannelKind::Clean, ChannelKind::Bursty]);
-        let baseline = blocking.run_serial().expect("blocking serial");
-        for in_flight in [1usize, 7] {
-            let plan = blocking
-                .clone()
-                .with_offload(OffloadExec::Async { in_flight });
-            assert_eq!(
-                plan.run_serial().expect("async serial"),
-                baseline,
-                "serial reactor, window {in_flight}"
-            );
-            assert_eq!(
-                plan.run_threads(3).expect("async threads"),
-                baseline,
-                "threads reactor, window {in_flight}"
-            );
         }
     }
 

@@ -53,12 +53,10 @@ use seo_safety::monitor::SafetyMonitor;
 use seo_sim::dynamics::DynamicWorld;
 use seo_sim::episode::{Episode, EpisodeConfig, EpisodeStatus};
 use seo_sim::sensing::RelativeObservation;
-use seo_sim::vehicle::Control;
-use seo_sim::world::{Road, World};
+use seo_sim::world::World;
 use seo_wireless::link::WirelessLink;
 use seo_wireless::offload::{OffloadTransaction, ResponseEstimator};
 use seo_wireless::server::EdgeServer;
-use std::borrow::Cow;
 
 /// Per-model offload bookkeeping.
 #[derive(Debug, Clone)]
@@ -254,15 +252,9 @@ impl RuntimeLoop {
     }
 
     /// Runs one closed-loop episode from a borrowed [`WorldSource`] with a
-    /// caller-owned [`EpisodeScratch`] — the hot entry point of the batch
-    /// sweep engine. Once the scratch has reached its high-water mark the
+    /// caller-owned [`EpisodeScratch`] — the hot entry point of every sweep
+    /// engine. Once the scratch has reached its high-water mark the
     /// per-control-step loop performs zero heap allocations.
-    ///
-    /// Implemented as an [`EpisodeTask`] polled straight to completion, so
-    /// the blocking engines and the async reactor
-    /// ([`crate::reactor::Reactor`]) execute the *same* state machine —
-    /// which is why overlapping episodes cannot change a single byte of
-    /// output.
     ///
     /// Reports are **bit-identical** across serial and parallel callers —
     /// and across kernel backends ([`Self::with_kernel`]): every stochastic
@@ -275,238 +267,39 @@ impl RuntimeLoop {
         seed: u64,
         scratch: &mut EpisodeScratch,
     ) -> EpisodeReport {
-        let task_source = match source {
-            WorldSource::Static(w) => TaskSource::Static(Cow::Borrowed(w)),
-            WorldSource::Dynamic(d) => TaskSource::Dynamic(Cow::Borrowed(d)),
-        };
-        let mut task = EpisodeTask::new(self, task_source, seed, std::mem::take(scratch));
-        let report = loop {
-            match task.poll() {
-                // Blocking semantics: a parked task resumes immediately —
-                // completion is decided by the episode's virtual clock, so
-                // polling straight through *is* the serial reference run.
-                TaskPoll::Parked { .. } => {}
-                TaskPoll::Complete(report) => break report,
-            }
-        };
-        *scratch = task.into_scratch();
-        report
-    }
-
-    /// Checks whether the newest in-flight offload has completed by `now`;
-    /// consumes it either way and feeds the response estimator.
-    fn resolve_offload(offload: &mut OffloadState, now: Seconds) -> bool {
-        match offload.inflight {
-            Some(tx) if tx.is_complete(now) => {
-                offload.estimator.observe(tx.response_duration());
-                offload.inflight = None;
-                true
-            }
-            _ => false,
+        // The one runtime-to-compile-time hop: the enum chosen at the API
+        // boundary selects a fully monomorphized episode loop, so the
+        // per-control-step code is branch-free on the backend.
+        match self.kernel {
+            KernelBackend::Scalar => self.episode_loop::<ScalarKernel>(source, seed, scratch),
+            KernelBackend::Blocked => self.episode_loop::<BlockedKernel>(source, seed, scratch),
         }
     }
 
-    /// Handles an Ω slot under task offloading: estimates feasibility
-    /// against the interval's fallback deadline, issues the transmission,
-    /// or — when no fallback period exists (`δᵢ <= δ̂`-style check) —
-    /// evaluates locally instead (Section V-A).
-    ///
-    /// Returns the virtual arrival time of the issued transmission — the
-    /// await point an [`EpisodeTask`] parks at — or `None` when the slot
-    /// was served locally.
-    #[allow(clippy::too_many_arguments)]
-    fn offload_slot(
+    /// The closed episode loop, monomorphized over the kernel backend `K`.
+    fn episode_loop<K: Kernel>(
         &self,
-        model_state: &mut ModelState,
-        model: &crate::model::PipelineModel,
-        link: &mut WirelessLink,
-        now: Seconds,
-        interval_start_step: u64,
-        delta_max: u32,
-        tau: Seconds,
-        rng: &mut StdRng,
-    ) -> Option<Seconds> {
-        // The fallback slot for this model sits at interval-relative
-        // delta_max - delta_i; offloading is feasible only if the estimated
-        // response arrives before it.
-        let fallback_step =
-            interval_start_step + u64::from(delta_max.saturating_sub(model_state.delta_i));
-        let fallback_time = Seconds::new(fallback_step as f64 * tau.as_secs());
-        let expected_completion = now + model_state.offload.estimator.estimate();
-        if expected_completion > fallback_time {
-            // No viable fallback period: evaluate locally (paper Section
-            // V-A, the "offloading is not feasible" branch).
-            full_slot_cost(model, &self.config).apply_to(&mut model_state.optimized);
-            model_state.full_invocations += 1;
-            return None;
-        }
-        // Resolve any already-completed transaction first (its result
-        // served a previous period; account its timing for the estimator).
-        let _ = Self::resolve_offload(&mut model_state.offload, now);
-        let tx = OffloadTransaction::issue(link, &self.server, now, rng);
-        model_state
-            .optimized
-            .record(EnergyCategory::Transmission, tx.radio_energy());
-        model_state.offload.inflight = Some(tx);
-        model_state.offload.issued += 1;
-        Some(tx.completes_at())
-    }
-}
-
-// ---------------------------------------------------------------------------
-// The resumable episode state machine
-// ---------------------------------------------------------------------------
-
-/// Where an [`EpisodeTask`]'s world comes from.
-///
-/// Unlike [`WorldSource`] this can **own** its world (`Cow::Owned`), which
-/// is what lets a reactor keep many episodes in flight at once without
-/// tying each task's lifetime to a caller-side world buffer. The blocking
-/// path keeps borrowing (`Cow::Borrowed`) and stays zero-copy.
-#[derive(Debug, Clone)]
-pub enum TaskSource<'a> {
-    /// A fixed world snapshot (the paper's static-obstacle scenarios).
-    Static(Cow<'a, World>),
-    /// A moving-obstacle timeline; each base period the episode's snapshot
-    /// advances in place.
-    Dynamic(Cow<'a, DynamicWorld>),
-}
-
-/// Outcome of one [`EpisodeTask::poll`]: the task either parked at an
-/// offload await point or ran to termination.
-#[derive(Debug, Clone, PartialEq)]
-pub enum TaskPoll {
-    /// The episode issued an offload transmission and parked at its await
-    /// point.
-    Parked {
-        /// Virtual (episode-clock) time the server response arrives — the
-        /// key a deterministic reactor orders its ready-queue by.
-        wake: Seconds,
-        /// Virtual duration between the park point and `wake` — the I/O
-        /// window a paced executor may overlap with other episodes.
-        wait: Seconds,
-    },
-    /// The episode terminated; this task must not be polled again.
-    Complete(EpisodeReport),
-}
-
-/// The task-side view of the episode's world (the owning counterpart of
-/// the borrowed `WorldSource` match in the old monolithic loop).
-#[derive(Debug, Clone)]
-enum TaskWorld<'a> {
-    /// The world lives inside the episode (borrowed or owned).
-    Static,
-    /// The timeline the episode's snapshot is advanced from each period.
-    Dynamic(Cow<'a, DynamicWorld>),
-}
-
-/// Where to resume on the next poll. `Copy` so polling can read it without
-/// borrowing the task.
-#[derive(Debug, Clone, Copy)]
-enum Resume {
-    /// At the top of the control step (Algorithm 1 line 7).
-    StepStart,
-    /// Mid slot execution: models `0..next_model` already ran this step.
-    Slots {
-        /// First model whose slot has not executed yet.
-        next_model: usize,
-        /// The filtered control computed at the top of this step.
-        control: Control,
-    },
-    /// The report was produced; polling again is a caller bug.
-    Finished,
-}
-
-/// One closed-loop episode as a **resumable state machine**: the episode
-/// loop of [`RuntimeLoop::run_with`], split at the offload transaction so
-/// an executor can park the episode while its (simulated or real) server
-/// response is in flight and resume it later.
-///
-/// The task owns everything an episode needs — its [`EpisodeScratch`]
-/// (inference buffers + the pending `StepPlan`), the seeded [`StdRng`], the
-/// per-episode link copy, and the in-flight [`OffloadTransaction`] inside
-/// its model states — so parking is free: no state is recomputed on
-/// resume, and the op-for-op execution order is exactly that of the
-/// blocking loop. That is the determinism argument in one sentence:
-/// *parking changes when code runs, never what it computes* (see
-/// `docs/async.md`).
-///
-/// # Example
-///
-/// ```
-/// use seo_core::prelude::*;
-/// use std::borrow::Cow;
-///
-/// let config = SeoConfig::paper_defaults();
-/// let models = ModelSet::paper_setup(config.tau)?;
-/// let runtime = RuntimeLoop::new(config, models, OptimizerKind::Offloading)?;
-/// let spec = ScenarioSpec::new(0, 7);
-/// // Polling a task to completion reproduces `run_episode` bit-exactly.
-/// let mut task = EpisodeTask::new(
-///     &runtime,
-///     TaskSource::Static(Cow::Owned(spec.world())),
-///     spec.seed,
-///     EpisodeScratch::new(),
-/// );
-/// let report = loop {
-///     match task.poll() {
-///         TaskPoll::Parked { .. } => {} // blocking: resume immediately
-///         TaskPoll::Complete(report) => break report,
-///     }
-/// };
-/// assert_eq!(report, runtime.run_episode(&spec.world(), spec.seed));
-/// # Ok::<(), seo_core::SeoError>(())
-/// ```
-#[derive(Debug, Clone)]
-pub struct EpisodeTask<'a> {
-    runtime: &'a RuntimeLoop,
-    world: TaskWorld<'a>,
-    episode: Episode<'a>,
-    road: Road,
-    rng: StdRng,
-    // The link is copied per task: a bursty channel's Markov state advances
-    // per transmission, and starting every episode from the same state is
-    // what keeps reports a pure function of (world, seed).
-    link: WirelessLink,
-    scheduler: SafeScheduler,
-    monitor: SafetyMonitor,
-    histogram: DeltaMaxHistogram,
-    states: Vec<ModelState>,
-    scratch: EpisodeScratch,
-    step: u64,
-    interval_start_step: u64,
-    resume: Resume,
-}
-
-impl<'a> EpisodeTask<'a> {
-    /// Builds the task in its initial state (nothing runs until the first
-    /// [`Self::poll`]). The scratch is owned because a parked task's
-    /// `StepPlan` must survive until resume; recover it afterwards with
-    /// [`Self::into_scratch`].
-    #[must_use]
-    pub fn new(
-        runtime: &'a RuntimeLoop,
-        source: TaskSource<'a>,
+        source: WorldSource<'_>,
         seed: u64,
-        scratch: EpisodeScratch,
-    ) -> Self {
-        let link = runtime.link;
-        let tau = runtime.config.tau;
+        scratch: &mut EpisodeScratch,
+    ) -> EpisodeReport {
+        let mut rng = StdRng::seed_from_u64(seed);
+        // The link is copied per episode: a bursty channel's Markov state
+        // advances per transmission, and starting every episode from the
+        // same state is what keeps reports a pure function of (world, seed).
+        let mut link = self.link;
+        let tau = self.config.tau;
+        let cap = self.config.delta_max_cap();
         let episode_config = EpisodeConfig::default().with_dt(tau);
-        let (episode, world) = match source {
-            TaskSource::Static(Cow::Borrowed(w)) => {
-                (Episode::borrowed(w, episode_config), TaskWorld::Static)
-            }
-            TaskSource::Static(Cow::Owned(w)) => {
-                (Episode::new(w, episode_config), TaskWorld::Static)
-            }
-            TaskSource::Dynamic(d) => (
-                Episode::new(d.snapshot(Seconds::ZERO), episode_config),
-                TaskWorld::Dynamic(d),
-            ),
+        let mut episode = match source {
+            WorldSource::Static(w) => Episode::borrowed(w, episode_config),
+            WorldSource::Dynamic(d) => Episode::new(d.snapshot(Seconds::ZERO), episode_config),
         };
         let road = episode.world().road();
-        let states = runtime
+        let mut scheduler = SafeScheduler::from_model_set(&self.models, tau);
+        let mut monitor = SafetyMonitor::new(*self.filter.barrier());
+        let mut histogram = DeltaMaxHistogram::new();
+        let mut states: Vec<ModelState> = self
             .models
             .normal()
             .map(|(id, m)| ModelState {
@@ -518,255 +311,146 @@ impl<'a> EpisodeTask<'a> {
                 optimized_slots: 0,
                 offload: OffloadState {
                     inflight: None,
-                    estimator: ResponseEstimator::from_models(&link, &runtime.server),
+                    estimator: ResponseEstimator::from_models(&link, &self.server),
                     issued: 0,
                     successes: 0,
                     fallbacks: 0,
                 },
             })
             .collect();
-        Self {
-            runtime,
-            world,
-            episode,
-            road,
-            rng: StdRng::seed_from_u64(seed),
-            link,
-            scheduler: SafeScheduler::from_model_set(&runtime.models, tau),
-            monitor: SafetyMonitor::new(*runtime.filter.barrier()),
-            histogram: DeltaMaxHistogram::new(),
-            states,
-            scratch,
-            step: 0,
-            interval_start_step: 0,
-            resume: Resume::StepStart,
-        }
-    }
 
-    /// Runs the episode until it either parks at an offload await point or
-    /// terminates. Progress never *requires* an external event — the
-    /// response clock is the episode's own virtual time — so polling a
-    /// parked task again simply resumes it; [`TaskPoll::Parked`] is a
-    /// scheduling hint, not a readiness precondition.
-    ///
-    /// # Panics
-    ///
-    /// Panics when called again after [`TaskPoll::Complete`].
-    pub fn poll(&mut self) -> TaskPoll {
-        // The runtime-to-compile-time hop happens per resume segment; the
-        // per-control-step code stays branch-free on the backend.
-        match self.runtime.kernel {
-            KernelBackend::Scalar => self.poll_with::<ScalarKernel>(),
-            KernelBackend::Blocked => self.poll_with::<BlockedKernel>(),
-        }
-    }
-
-    /// Recovers the scratch for reuse by the next episode.
-    #[must_use]
-    pub fn into_scratch(self) -> EpisodeScratch {
-        self.scratch
-    }
-
-    /// The state-machine body, monomorphized over the kernel backend `K`.
-    fn poll_with<K: Kernel>(&mut self) -> TaskPoll {
-        loop {
-            match self.resume {
-                Resume::Finished => panic!("EpisodeTask polled after completion"),
-                Resume::StepStart => {
-                    if self.episode.status() != EpisodeStatus::Running {
-                        return TaskPoll::Complete(self.finish());
-                    }
-                    let runtime = self.runtime;
-                    let tau = runtime.config.tau;
-                    let cap = runtime.config.delta_max_cap();
-                    let now = Seconds::new(self.step as f64 * tau.as_secs());
-                    // Dynamic worlds advance their obstacles each base
-                    // period, in place (the snapshot buffer is reused).
-                    if let TaskWorld::Dynamic(dynamic) = &self.world {
-                        if self
-                            .episode
-                            .update_world(|w| dynamic.snapshot_into(now, w))
-                            .is_terminal()
-                        {
-                            return TaskPoll::Complete(self.finish());
-                        }
-                    }
-                    let state = self.episode.state();
-                    // 1. Lambda'' state estimation (nearest obstacle overall
-                    // feeds the safety machinery; nearest obstacle *ahead*
-                    // feeds the driving controller).
-                    let observation = RelativeObservation::observe(self.episode.world(), &state);
-                    let ahead = RelativeObservation::observe_ahead(self.episode.world(), &state);
-                    // 2. Main control.
-                    let features = PolicyFeatures::from_observation(
-                        &state,
-                        &ahead,
-                        self.road.length,
-                        self.road.width,
-                    );
-                    let raw = runtime
-                        .controller
-                        .act_scratch_with::<K>(&features, &mut self.scratch.nn);
-                    // 3. Safe control.
-                    let (control, decision) = match runtime.config.control_mode {
-                        ControlMode::Filtered => {
-                            runtime.filter.filter(self.episode.world(), &state, raw)
-                        }
-                        ControlMode::Unfiltered => {
-                            (raw, seo_safety::filter::FilterDecision::Passed)
-                        }
-                    };
-                    self.monitor.record(&observation, decision.is_correction());
-                    // 4. Deadline sampling + slot planning (Algorithm 1
-                    // lines 7-21), planned into the reused scratch buffer.
-                    let world = &self.world;
-                    let histogram = &mut self.histogram;
-                    self.scheduler.plan_step_into(&mut self.scratch.plan, || {
-                        let delta_raw = match world {
-                            TaskWorld::Static => runtime.table.query(&observation),
-                            TaskWorld::Dynamic(dynamic) => runtime
-                                .evaluator
-                                .safe_interval_dynamic(dynamic, now, &state, control),
-                        };
-                        let delta = discretize_deadline(delta_raw, tau).min(cap);
-                        histogram.record(delta);
-                        delta
-                    });
-                    if self.scratch.plan.interval_started {
-                        self.interval_start_step = self.step;
-                    }
-                    self.resume = Resume::Slots {
-                        next_model: 0,
-                        control,
-                    };
-                }
-                Resume::Slots {
-                    next_model,
-                    control,
-                } => {
-                    let runtime = self.runtime;
-                    let tau = runtime.config.tau;
-                    let now = Seconds::new(self.step as f64 * tau.as_secs());
-                    // 5. Execute slots + energy accounting, resuming after
-                    // the last model whose slot already ran this step.
-                    let mut m = next_model;
-                    while m < self.states.len() {
-                        let plan = &self.scratch.plan;
-                        let model_state = &mut self.states[m];
-                        let kind = plan
-                            .slot_for(model_state.id)
-                            .expect("scheduler covers every normal model");
-                        let model = runtime
-                            .models
-                            .get(model_state.id)
-                            .expect("state ids come from the set");
-                        let sampling_instant =
-                            self.step.is_multiple_of(u64::from(model_state.delta_i));
-                        // Baseline: full inference at every sampling instant.
-                        if sampling_instant {
-                            full_slot_cost(model, &runtime.config)
-                                .apply_to(&mut model_state.baseline);
-                        }
-                        m += 1;
-                        if runtime.optimizer == OptimizerKind::LocalBaseline {
-                            // The baseline "optimizer" is exactly the
-                            // baseline schedule: full inference at sampling
-                            // instants, no extra deadline-aligned
-                            // invocations.
-                            if sampling_instant {
-                                full_slot_cost(model, &runtime.config)
-                                    .apply_to(&mut model_state.optimized);
-                                model_state.full_invocations += 1;
-                            }
-                            continue;
-                        }
-                        let mut parked = None;
-                        match kind {
-                            SlotKind::Idle => {}
-                            SlotKind::FullPeriodic => {
-                                full_slot_cost(model, &runtime.config)
-                                    .apply_to(&mut model_state.optimized);
-                                model_state.full_invocations += 1;
-                            }
-                            SlotKind::FullDeadline => {
-                                let response_arrived = runtime.optimizer
-                                    == OptimizerKind::Offloading
-                                    && RuntimeLoop::resolve_offload(&mut model_state.offload, now);
-                                if response_arrived {
-                                    model_state.offload.successes += 1;
-                                }
-                                // Under the strict eq. (7) reading the local
-                                // model runs at the fallback slot regardless
-                                // of whether the response made it.
-                                let served_remotely = response_arrived
-                                    && runtime.config.offload_fallback
-                                        == OffloadFallback::LocalOnTimeout;
-                                if !served_remotely {
-                                    if runtime.optimizer == OptimizerKind::Offloading
-                                        && model_state.offload.inflight.take().is_some()
-                                    {
-                                        model_state.offload.fallbacks += 1;
-                                    }
-                                    full_slot_cost(model, &runtime.config)
-                                        .apply_to(&mut model_state.optimized);
-                                    model_state.full_invocations += 1;
-                                }
-                            }
-                            SlotKind::Optimized => {
-                                model_state.optimized_slots += 1;
-                                optimized_slot_cost(runtime.optimizer, model, &runtime.config)
-                                    .apply_to(&mut model_state.optimized);
-                                if runtime.optimizer == OptimizerKind::Offloading {
-                                    parked = runtime.offload_slot(
-                                        model_state,
-                                        model,
-                                        &mut self.link,
-                                        now,
-                                        self.interval_start_step,
-                                        plan.delta_max,
-                                        tau,
-                                        &mut self.rng,
-                                    );
-                                }
-                            }
-                        }
-                        // The await point: an issued transmission parks the
-                        // episode until (in virtual time) its response
-                        // arrives. Parking stores only *where* to resume —
-                        // every byte of state already lives in the task.
-                        if let Some(wake) = parked {
-                            self.resume = Resume::Slots {
-                                next_model: m,
-                                control,
-                            };
-                            return TaskPoll::Parked {
-                                wake,
-                                wait: wake - now,
-                            };
-                        }
-                    }
-                    // 6. Actuate and advance.
-                    self.episode.step(control);
-                    self.step += 1;
-                    self.resume = Resume::StepStart;
+        let mut step: u64 = 0;
+        let mut interval_start_step: u64 = 0;
+        while episode.status() == EpisodeStatus::Running {
+            let now = Seconds::new(step as f64 * tau.as_secs());
+            // Dynamic worlds advance their obstacles each base period, in
+            // place (the episode's snapshot buffer is reused).
+            if let WorldSource::Dynamic(dynamic) = source {
+                if episode
+                    .update_world(|w| dynamic.snapshot_into(now, w))
+                    .is_terminal()
+                {
+                    break;
                 }
             }
+            let state = episode.state();
+            // 1. Lambda'' state estimation (nearest obstacle overall feeds
+            // the safety machinery; nearest obstacle *ahead* feeds the
+            // driving controller).
+            let observation = RelativeObservation::observe(episode.world(), &state);
+            let ahead = RelativeObservation::observe_ahead(episode.world(), &state);
+            // 2. Main control.
+            let features =
+                PolicyFeatures::from_observation(&state, &ahead, road.length, road.width);
+            let raw = self
+                .controller
+                .act_scratch_with::<K>(&features, &mut scratch.nn);
+            // 3. Safe control.
+            let (control, decision) = match self.config.control_mode {
+                ControlMode::Filtered => self.filter.filter(episode.world(), &state, raw),
+                ControlMode::Unfiltered => (raw, seo_safety::filter::FilterDecision::Passed),
+            };
+            monitor.record(&observation, decision.is_correction());
+            // 4. Deadline sampling + slot planning (Algorithm 1 lines 7-21),
+            // planned into the reused scratch buffer.
+            scheduler.plan_step_into(&mut scratch.plan, || {
+                let delta_raw = match source {
+                    WorldSource::Static(_) => self.table.query(&observation),
+                    WorldSource::Dynamic(dynamic) => self
+                        .evaluator
+                        .safe_interval_dynamic(dynamic, now, &state, control),
+                };
+                let delta = discretize_deadline(delta_raw, tau).min(cap);
+                histogram.record(delta);
+                delta
+            });
+            let plan = &scratch.plan;
+            if plan.interval_started {
+                interval_start_step = step;
+            }
+            // 5. Execute slots + energy accounting.
+            for model_state in &mut states {
+                let kind = plan
+                    .slot_for(model_state.id)
+                    .expect("scheduler covers every normal model");
+                let model = self
+                    .models
+                    .get(model_state.id)
+                    .expect("state ids come from the set");
+                let sampling_instant = step.is_multiple_of(u64::from(model_state.delta_i));
+                // Baseline: full inference at every sampling instant.
+                if sampling_instant {
+                    full_slot_cost(model, &self.config).apply_to(&mut model_state.baseline);
+                }
+                if self.optimizer == OptimizerKind::LocalBaseline {
+                    // The baseline "optimizer" is exactly the baseline
+                    // schedule: full inference at sampling instants, no
+                    // extra deadline-aligned invocations.
+                    if sampling_instant {
+                        full_slot_cost(model, &self.config).apply_to(&mut model_state.optimized);
+                        model_state.full_invocations += 1;
+                    }
+                    continue;
+                }
+                match kind {
+                    SlotKind::Idle => {}
+                    SlotKind::FullPeriodic => {
+                        full_slot_cost(model, &self.config).apply_to(&mut model_state.optimized);
+                        model_state.full_invocations += 1;
+                    }
+                    SlotKind::FullDeadline => {
+                        let response_arrived = self.optimizer == OptimizerKind::Offloading
+                            && Self::resolve_offload(&mut model_state.offload, now);
+                        if response_arrived {
+                            model_state.offload.successes += 1;
+                        }
+                        // Under the strict eq. (7) reading the local model
+                        // runs at the fallback slot regardless of whether
+                        // the response made it.
+                        let served_remotely = response_arrived
+                            && self.config.offload_fallback == OffloadFallback::LocalOnTimeout;
+                        if !served_remotely {
+                            if self.optimizer == OptimizerKind::Offloading
+                                && model_state.offload.inflight.take().is_some()
+                            {
+                                model_state.offload.fallbacks += 1;
+                            }
+                            full_slot_cost(model, &self.config)
+                                .apply_to(&mut model_state.optimized);
+                            model_state.full_invocations += 1;
+                        }
+                    }
+                    SlotKind::Optimized => {
+                        model_state.optimized_slots += 1;
+                        optimized_slot_cost(self.optimizer, model, &self.config)
+                            .apply_to(&mut model_state.optimized);
+                        if self.optimizer == OptimizerKind::Offloading {
+                            self.offload_slot(
+                                model_state,
+                                model,
+                                &mut link,
+                                now,
+                                interval_start_step,
+                                plan.delta_max,
+                                tau,
+                                &mut rng,
+                            );
+                        }
+                    }
+                }
+            }
+            // 6. Actuate and advance.
+            episode.step(control);
+            step += 1;
         }
-    }
 
-    /// Assembles the episode report and retires the task.
-    fn finish(&mut self) -> EpisodeReport {
-        self.resume = Resume::Finished;
-        let states = std::mem::take(&mut self.states);
-        let histogram = std::mem::take(&mut self.histogram);
         EpisodeReport {
-            status: self.episode.status(),
-            steps: self.episode.steps(),
+            status: episode.status(),
+            steps: episode.steps(),
             models: states
                 .into_iter()
                 .map(|s| {
                     let name = self
-                        .runtime
                         .models
                         .get(s.id)
                         .map(|m| m.name().to_owned())
@@ -785,11 +469,67 @@ impl<'a> EpisodeTask<'a> {
                 })
                 .collect(),
             histogram,
-            unsafe_steps: self.monitor.unsafe_steps(),
-            corrections: self.monitor.corrections(),
-            min_barrier: self.monitor.min_barrier(),
-            min_distance: self.monitor.min_distance(),
+            unsafe_steps: monitor.unsafe_steps(),
+            corrections: monitor.corrections(),
+            min_barrier: monitor.min_barrier(),
+            min_distance: monitor.min_distance(),
         }
+    }
+
+    /// Checks whether the newest in-flight offload has completed by `now`;
+    /// consumes it either way and feeds the response estimator.
+    fn resolve_offload(offload: &mut OffloadState, now: Seconds) -> bool {
+        match offload.inflight {
+            Some(tx) if tx.is_complete(now) => {
+                offload.estimator.observe(tx.response_duration());
+                offload.inflight = None;
+                true
+            }
+            _ => false,
+        }
+    }
+
+    /// Handles an Ω slot under task offloading: estimates feasibility
+    /// against the interval's fallback deadline, issues the transmission,
+    /// or — when no fallback period exists (`δᵢ <= δ̂`-style check) —
+    /// evaluates locally instead (Section V-A). The response arrives in
+    /// episode-clock time, so the transaction is settled at the model's
+    /// fallback slot without the loop ever waiting on it.
+    #[allow(clippy::too_many_arguments)]
+    fn offload_slot(
+        &self,
+        model_state: &mut ModelState,
+        model: &crate::model::PipelineModel,
+        link: &mut WirelessLink,
+        now: Seconds,
+        interval_start_step: u64,
+        delta_max: u32,
+        tau: Seconds,
+        rng: &mut StdRng,
+    ) {
+        // The fallback slot for this model sits at interval-relative
+        // delta_max - delta_i; offloading is feasible only if the estimated
+        // response arrives before it.
+        let fallback_step =
+            interval_start_step + u64::from(delta_max.saturating_sub(model_state.delta_i));
+        let fallback_time = Seconds::new(fallback_step as f64 * tau.as_secs());
+        let expected_completion = now + model_state.offload.estimator.estimate();
+        if expected_completion > fallback_time {
+            // No viable fallback period: evaluate locally (paper Section
+            // V-A, the "offloading is not feasible" branch).
+            full_slot_cost(model, &self.config).apply_to(&mut model_state.optimized);
+            model_state.full_invocations += 1;
+            return;
+        }
+        // Resolve any already-completed transaction first (its result
+        // served a previous period; account its timing for the estimator).
+        let _ = Self::resolve_offload(&mut model_state.offload, now);
+        let tx = OffloadTransaction::issue(link, &self.server, now, rng);
+        model_state
+            .optimized
+            .record(EnergyCategory::Transmission, tx.radio_energy());
+        model_state.offload.inflight = Some(tx);
+        model_state.offload.issued += 1;
     }
 }
 

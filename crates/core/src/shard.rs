@@ -53,12 +53,11 @@
 use crate::batch::ScenarioSpec;
 use crate::json::Json;
 use crate::metrics::{DeltaMaxHistogram, EpisodeReport, ModelEnergyReport};
-use crate::runtime::{EpisodeScratch, RuntimeLoop, WorldSource};
 use seo_platform::energy::{EnergyCategory, EnergyLedger};
 use seo_platform::units::Joules;
 use seo_sim::episode::EpisodeStatus;
 use std::fmt;
-use std::io::{BufRead, BufReader, Read, Write};
+use std::io::{BufRead, BufReader, Read};
 use std::path::PathBuf;
 use std::process::{Command, Stdio};
 use std::str::FromStr;
@@ -214,58 +213,6 @@ impl Shard {
     /// The covered spec indices.
     pub fn indices(&self) -> std::ops::Range<usize> {
         self.start..self.end
-    }
-
-    /// Splits this shard into `weights.len()` contiguous sub-ranges whose
-    /// lengths are proportional to the weights (cumulative rounding), in
-    /// order and covering `[start, end)` exactly. Entries may come back
-    /// empty when the range holds fewer specs than there are weights — or
-    /// when a weight is zero. A zero weight **never** receives specs.
-    ///
-    /// This was the assignment primitive of the wave-era multi-host
-    /// transport (host capacities as weights); the coordinator has since
-    /// moved to pull-based lease scheduling ([`crate::lease`]), which
-    /// balances load dynamically instead of by up-front proportional
-    /// split. The primitive is kept for capacity-weighted partitioning in
-    /// general. It is a pure function of `(self, weights)`, so every
-    /// participant derives the same split.
-    ///
-    /// An all-zero (or empty) weight list yields no sub-ranges; callers
-    /// validate capacities before planning ([`crate::transport::HostPool`]
-    /// rejects zero-capacity hosts up front).
-    ///
-    /// # Example
-    ///
-    /// ```
-    /// use seo_core::shard::Shard;
-    ///
-    /// let parts = Shard::new(0, 9).split_weighted(&[2, 1]);
-    /// assert_eq!(parts, [Shard::new(0, 6), Shard::new(6, 9)]);
-    /// ```
-    #[must_use]
-    pub fn split_weighted(&self, weights: &[u64]) -> Vec<Shard> {
-        let total: u128 = weights.iter().map(|&w| u128::from(w)).sum();
-        if total == 0 {
-            return Vec::new();
-        }
-        let len = self.len() as u128;
-        let mut parts = Vec::with_capacity(weights.len());
-        let mut cumulative: u128 = 0;
-        let mut prev_boundary = self.start;
-        for &w in weights {
-            cumulative += u128::from(w);
-            // round(len * cumulative / total) with integer math; monotonic
-            // in `cumulative`, and exactly `len` when cumulative == total.
-            #[allow(clippy::cast_possible_truncation)]
-            let boundary = self.start + ((len * cumulative * 2 + total) / (total * 2)) as usize;
-            parts.push(Shard::new(prev_boundary, boundary));
-            prev_boundary = boundary;
-        }
-        debug_assert_eq!(
-            prev_boundary, self.end,
-            "weighted split must cover the range"
-        );
-        parts
     }
 }
 
@@ -931,45 +878,6 @@ impl StreamingMerge {
 }
 
 // ---------------------------------------------------------------------------
-// Worker
-// ---------------------------------------------------------------------------
-
-/// Runs one shard of a spec grid and streams one [`report_line`] per episode
-/// to `out` (flushed per line, so the coordinator sees progress
-/// incrementally). Episodes run serially through the zero-allocation scratch
-/// path — exactly the loop [`crate::batch::BatchRunner::run_serial`] uses — so the
-/// concatenation of all shards' output is bit-identical to a serial sweep of
-/// the whole grid.
-///
-/// # Errors
-///
-/// [`ShardError::IndexOutOfRange`] when the shard reaches outside the grid,
-/// [`ShardError::Wire`] when `out` rejects a write (e.g. a closed pipe).
-pub fn run_worker_shard(
-    runtime: &RuntimeLoop,
-    specs: &[ScenarioSpec],
-    shard: Shard,
-    out: &mut dyn Write,
-) -> Result<(), ShardError> {
-    if shard.end > specs.len() {
-        return Err(ShardError::IndexOutOfRange {
-            index: shard.end.saturating_sub(1),
-            total: specs.len(),
-        });
-    }
-    let mut scratch = EpisodeScratch::new();
-    for i in shard.indices() {
-        let spec = specs[i];
-        let world = spec.world();
-        let report = runtime.run_with(WorldSource::Static(&world), spec.seed, &mut scratch);
-        writeln!(out, "{}", report_line(i, &report))
-            .and_then(|()| out.flush())
-            .map_err(|e| wire_err(format!("writing report {i}: {e}")))?;
-    }
-    Ok(())
-}
-
-// ---------------------------------------------------------------------------
 // Coordinator
 // ---------------------------------------------------------------------------
 
@@ -1304,6 +1212,8 @@ mod tests {
     use crate::config::SeoConfig;
     use crate::model::ModelSet;
     use crate::optimizer::OptimizerKind;
+    use crate::plan::SweepPlan;
+    use crate::runtime::RuntimeLoop;
 
     fn runner() -> BatchRunner {
         let config = SeoConfig::paper_defaults();
@@ -1390,50 +1300,6 @@ mod tests {
         assert!(ShardPlan::from_shards(vec![Shard::new(0, 1)], 0).is_err());
         // Exact cover is accepted.
         assert!(ShardPlan::from_shards(vec![Shard::new(0, 2), Shard::new(2, 3)], 3).is_ok());
-    }
-
-    #[test]
-    fn split_weighted_covers_range_proportionally() {
-        // Capacity 2:1 over 9 specs → 6 + 3.
-        assert_eq!(
-            Shard::new(0, 9).split_weighted(&[2, 1]),
-            [Shard::new(0, 6), Shard::new(6, 9)]
-        );
-        // Non-zero-based ranges split in place (a partially-consumed range).
-        assert_eq!(
-            Shard::new(10, 14).split_weighted(&[1, 1]),
-            [Shard::new(10, 12), Shard::new(12, 14)]
-        );
-        // Tiny ranges may leave later entries empty, never uncovered.
-        let parts = Shard::new(0, 1).split_weighted(&[1, 1, 1]);
-        assert_eq!(parts.iter().map(Shard::len).sum::<usize>(), 1);
-        // Zero weights receive nothing.
-        let parts = Shard::new(0, 8).split_weighted(&[3, 0, 1]);
-        assert!(parts[1].is_empty());
-        assert_eq!(parts.iter().map(Shard::len).sum::<usize>(), 8);
-        // Degenerate weight lists yield no parts.
-        assert!(Shard::new(0, 5).split_weighted(&[]).is_empty());
-        assert!(Shard::new(0, 5).split_weighted(&[0, 0]).is_empty());
-    }
-
-    #[test]
-    fn split_weighted_is_deterministic_and_contiguous() {
-        for (len, weights) in [
-            (97usize, vec![1u64, 2, 3]),
-            (5, vec![7, 11]),
-            (1000, vec![1, 1, 1, 1, 1]),
-            (13, vec![u64::MAX / 2, u64::MAX / 2]),
-        ] {
-            let range = Shard::new(3, 3 + len);
-            let a = range.split_weighted(&weights);
-            assert_eq!(a, range.split_weighted(&weights), "pure function");
-            let mut expected_start = range.start;
-            for part in &a {
-                assert_eq!(part.start, expected_start, "contiguous in order");
-                expected_start = part.end;
-            }
-            assert_eq!(expected_start, range.end, "exact coverage");
-        }
     }
 
     #[test]
@@ -1554,15 +1420,21 @@ mod tests {
 
     #[test]
     fn worker_shard_output_matches_serial_slice() {
-        let runner = runner();
+        let plan = SweepPlan::paper(2, 2023)
+            .with_obstacles(vec![0, 2])
+            .with_seeds(2023, 2);
         let specs = ScenarioSpec::grid(&[0, 2], 2, 2023);
-        let serial = runner.run_serial(&specs);
+        let serial = runner().run_serial(&specs);
         let shard = Shard::new(1, 3);
-        let mut buf = Vec::new();
-        run_worker_shard(runner.runtime(), &specs, shard, &mut buf).expect("runs");
-        let text = String::from_utf8(buf).expect("utf8");
-        let parsed: Vec<(usize, EpisodeReport)> = text
-            .lines()
+        // A worker's stdout: one wire line per episode of its shard.
+        let mut lines = Vec::new();
+        plan.run_range(shard, plan.kernel, |i, report| {
+            lines.push(report_line(i, &report));
+            true
+        })
+        .expect("runs");
+        let parsed: Vec<(usize, EpisodeReport)> = lines
+            .iter()
             .map(|l| parse_report_line(l).expect("valid line"))
             .collect();
         assert_eq!(parsed.len(), shard.len());
@@ -1582,13 +1454,16 @@ mod tests {
 
     #[test]
     fn worker_shard_rejects_out_of_grid_shard() {
-        let runner = runner();
-        let specs = ScenarioSpec::grid(&[0], 2, 1);
-        let mut buf = Vec::new();
-        assert!(matches!(
-            run_worker_shard(runner.runtime(), &specs, Shard::new(1, 5), &mut buf),
-            Err(ShardError::IndexOutOfRange { .. })
-        ));
+        let plan = SweepPlan::paper(2, 1).with_obstacles(vec![0]);
+        assert_eq!(plan.n_specs(), 1);
+        let mut ran = 0;
+        assert!(plan
+            .run_range(Shard::new(0, 5), plan.kernel, |_, _| {
+                ran += 1;
+                true
+            })
+            .is_err());
+        assert_eq!(ran, 0, "an out-of-grid shard runs nothing");
     }
 
     #[test]

@@ -39,11 +39,10 @@
 //!    and quarantined hosts whose probes keep failing while the fleet
 //!    makes no progress, are declared dead permanently — that "progress
 //!    or death" rule is what guarantees termination.
-//! 4. **[`crate::daemon::DaemonServer`]** / [`WorkerServer`] — the accept
-//!    loops behind the `seo-sweepd` binary. `DaemonServer` is the
-//!    long-lived multi-job service (admission control, `health`,
-//!    graceful drain); `WorkerServer` is the minimal
-//!    one-job-per-connection building block it grew from.
+//! 4. **[`crate::daemon::DaemonServer`]** — the accept loop behind the
+//!    `seo-sweepd` binary: a long-lived multi-job service (admission
+//!    control, `health`, graceful drain) whose every job runs through
+//!    [`serve_job`], one sink over [`SweepPlan::run_range`].
 //!
 //! Deterministic fault injection for all of the above lives in
 //! [`crate::fault`]; `docs/sweepd.md` is the service book.
@@ -59,7 +58,7 @@
 //!         {"addr":"10.0.0.2:7641","capacity":2}
 //!     ]}"#,
 //! )?;
-//! assert_eq!(pool.total_capacity(), 6);
+//! assert_eq!(pool.hosts().len(), 2);
 //! // Zero-capacity or duplicate hosts never reach the network layer.
 //! assert!(HostPool::parse(
 //!     r#"{"v":1,"hosts":[{"addr":"10.0.0.1:7641","capacity":0}]}"#
@@ -68,20 +67,18 @@
 //! ```
 
 use crate::agg::{CellSketch, RunSummary};
-use crate::batch::ScenarioSpec;
-use crate::fault::{FaultAction, FaultInjector, FaultPlan};
+use crate::fault::{FaultAction, FaultInjector};
 use crate::json::Json;
 use crate::lease::{ChunkPolicy, Lease, LeaseQueue};
 use crate::metrics::EpisodeReport;
-use crate::plan::{CellConfig, SweepPlan};
-use crate::reactor::{OffloadExec, Reactor};
-use crate::runtime::{EpisodeScratch, RuntimeLoop, WorldSource};
+use crate::plan::SweepPlan;
+use crate::runtime::RuntimeLoop;
 use crate::shard::{self, Shard, ShardError, StreamingMerge};
 use std::fmt;
 use std::io::{Read, Write};
-use std::net::{SocketAddr, TcpListener, TcpStream, ToSocketAddrs};
+use std::net::{SocketAddr, TcpStream, ToSocketAddrs};
 use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::{Arc, Mutex};
+use std::sync::Mutex;
 use std::time::Duration;
 
 /// Upper bound on a single frame's payload, rejecting absurd length
@@ -283,19 +280,19 @@ fn check_version(obj: &Json) -> Result<(), TransportError> {
 /// `[start, end)` of the shared grid and stream one report frame per
 /// episode, **in ascending index order**, followed by a `done` frame.
 ///
-/// The grid is either the legacy paper grid
-/// `ScenarioSpec::paper_grid(scenarios, seed)` or — when the optional
-/// `plan` payload is present — the expanded multi-axis grid of a
-/// [`SweepPlan`] shipped inline with the job, so a daemon needs no local
-/// plan file to serve one.
+/// The grid is the expanded multi-axis grid of a [`SweepPlan`] shipped
+/// inline with the job, so a daemon needs no local plan file to serve one.
+/// A legacy v1 frame carries no plan; it names the paper preset
+/// `SweepPlan::paper(scenarios, seed)` instead, which expands
+/// byte-identically to the paper grid such frames always meant.
 ///
 /// The ascending-order requirement is load-bearing for fault tolerance: it
 /// makes a lost host's unreported work a contiguous tail, which is what
 /// [`RemoteCoordinator`] re-queues for the surviving hosts to steal.
 #[derive(Debug, Clone, PartialEq)]
 pub struct JobRequest {
-    /// Grid size parameter (see [`ScenarioSpec::paper_grid`]); ignored by
-    /// receivers when `plan` is present.
+    /// Paper-preset grid size ([`SweepPlan::paper`]); ignored by receivers
+    /// when `plan` is present.
     pub scenarios: usize,
     /// Grid base seed; ignored by receivers when `plan` is present.
     pub seed: u64,
@@ -307,16 +304,6 @@ pub struct JobRequest {
 }
 
 impl JobRequest {
-    /// The full grid this job's shard indexes into — identical on every
-    /// participating machine by construction.
-    #[must_use]
-    pub fn specs(&self) -> Vec<ScenarioSpec> {
-        match &self.plan {
-            Some(plan) => plan.expand().iter().map(|p| p.spec).collect(),
-            None => ScenarioSpec::paper_grid(self.scenarios, self.seed),
-        }
-    }
-
     /// Job-frame version for **plan-bearing** jobs. Legacy paper-grid jobs
     /// keep speaking [`shard::WIRE_VERSION`] (1) byte-for-byte; a plan job
     /// bumps the frame's `"v"` to 2 so a pre-plan daemon — which only
@@ -547,7 +534,8 @@ pub struct HealthReport {
     pub jobs_served: u64,
     /// Episode reports emitted across all jobs since start.
     pub episodes_emitted: u64,
-    /// Faults deliberately injected by the daemon's [`FaultPlan`].
+    /// Faults deliberately injected by the daemon's
+    /// [`FaultPlan`](crate::fault::FaultPlan).
     pub faults_injected: u64,
     /// Whole seconds the daemon has been up.
     pub uptime_ticks: u64,
@@ -1003,12 +991,6 @@ impl HostPool {
     pub fn hosts(&self) -> &[HostSpec] {
         &self.hosts
     }
-
-    /// Sum of all capacity weights.
-    #[must_use]
-    pub fn total_capacity(&self) -> u64 {
-        self.hosts.iter().map(|h| h.capacity).sum()
-    }
 }
 
 // ---------------------------------------------------------------------------
@@ -1228,11 +1210,10 @@ impl DriveError {
 /// the survivors.
 ///
 /// The output contract is identical to the single-machine engines: the
-/// merged reports are **bit-identical** to
-/// [`crate::batch::BatchRunner::run_serial`] over
-/// [`ScenarioSpec::paper_grid`]`(scenarios, seed)` — host count, chunk
-/// size, and mid-stream host deaths included, because every episode is a
-/// pure function of its spec and the merge orders by spec index.
+/// merged reports are **bit-identical** to [`SweepPlan::run_serial`] —
+/// host count, chunk size, and mid-stream host deaths included, because
+/// every episode is a pure function of its spec and the merge orders by
+/// spec index.
 ///
 /// Work is **pulled**, not assigned: the grid is carved into chunk-sized
 /// leases (the pool's [`ChunkPolicy`], `exec.hosts.chunk` in a plan) held
@@ -1286,24 +1267,6 @@ impl RemoteCoordinator {
         &self.pool
     }
 
-    /// Runs the grid and returns the merged reports in spec order plus the
-    /// run's fault record.
-    ///
-    /// # Errors
-    ///
-    /// [`TransportError::NoSurvivors`] when every host died with work
-    /// outstanding; [`TransportError::Merge`] on an unfillable hole (a
-    /// protocol violation the lease re-issue could not paper over).
-    pub fn run(
-        &self,
-        scenarios: usize,
-        seed: u64,
-    ) -> Result<(Vec<EpisodeReport>, RemoteRunStats), TransportError> {
-        let mut merged = Vec::new();
-        let stats = self.run_streaming(scenarios, seed, |_, report| merged.push(report))?;
-        Ok((merged, stats))
-    }
-
     /// Runs a [`SweepPlan`]'s expanded grid across the pool, shipping the
     /// plan inline with every job (a daemon needs no local plan file), and
     /// returns the merged reports in spec order plus the run's fault
@@ -1311,7 +1274,9 @@ impl RemoteCoordinator {
     ///
     /// # Errors
     ///
-    /// Same as [`Self::run`].
+    /// [`TransportError::NoSurvivors`] when every host died with work
+    /// outstanding; [`TransportError::Merge`] on an unfillable hole (a
+    /// protocol violation the lease re-issue could not paper over).
     pub fn run_plan(
         &self,
         plan: &SweepPlan,
@@ -1322,29 +1287,19 @@ impl RemoteCoordinator {
     }
 
     /// Like [`Self::run_plan`], but delivers each report to `sink` while
-    /// hosts are still streaming, strictly in spec order.
+    /// hosts are still streaming: `sink(spec_index, report)` is invoked
+    /// strictly in spec order as soon as the contiguous prefix up to that
+    /// index is complete.
     ///
     /// # Errors
     ///
-    /// Same as [`Self::run`].
+    /// Same as [`Self::run_plan`].
     pub fn run_plan_streaming(
         &self,
         plan: &SweepPlan,
         sink: impl FnMut(usize, EpisodeReport) + Send,
     ) -> Result<RemoteRunStats, TransportError> {
-        let n_specs = plan.n_specs();
-        self.stream_grid(
-            n_specs,
-            &|shard| JobRequest {
-                scenarios: n_specs,
-                seed: plan.axes.seeds.base,
-                plan: Some(plan.clone()),
-                shard,
-            },
-            sink,
-            false,
-        )
-        .map(|(stats, _)| stats)
+        self.stream_grid(plan, sink, false).map(|(stats, _)| stats)
     }
 
     /// Runs a pure-`summary` plan across the pool: each lease comes back
@@ -1362,7 +1317,7 @@ impl RemoteCoordinator {
     ///
     /// [`TransportError::Config`] when the plan's report mode still
     /// streams episodes (fold a [`Self::run_plan_streaming`] sink
-    /// instead); otherwise the same as [`Self::run`].
+    /// instead); otherwise the same as [`Self::run_plan`].
     pub fn run_plan_summary(
         &self,
         plan: &SweepPlan,
@@ -1374,18 +1329,7 @@ impl RemoteCoordinator {
                     .to_owned(),
             });
         }
-        let n_specs = plan.n_specs();
-        let (stats, fragments) = self.stream_grid(
-            n_specs,
-            &|shard| JobRequest {
-                scenarios: n_specs,
-                seed: plan.axes.seeds.base,
-                plan: Some(plan.clone()),
-                shard,
-            },
-            |_, _| {},
-            true,
-        )?;
+        let (stats, fragments) = self.stream_grid(plan, |_, _| {}, true)?;
         let mut summary = plan.run_summary();
         summary
             .fold_fragments(fragments)
@@ -1393,49 +1337,18 @@ impl RemoteCoordinator {
         Ok((summary, stats))
     }
 
-    /// Like [`Self::run`], but delivers each report to `sink` while hosts
-    /// are still streaming: `sink(spec_index, report)` is invoked strictly
-    /// in spec order as soon as the contiguous prefix up to that index is
-    /// complete.
-    ///
-    /// # Errors
-    ///
-    /// Same as [`Self::run`].
-    pub fn run_streaming(
-        &self,
-        scenarios: usize,
-        seed: u64,
-        sink: impl FnMut(usize, EpisodeReport) + Send,
-    ) -> Result<RemoteRunStats, TransportError> {
-        let n_specs = ScenarioSpec::paper_grid(scenarios, seed).len();
-        self.stream_grid(
-            n_specs,
-            &|shard| JobRequest {
-                scenarios,
-                seed,
-                plan: None,
-                shard,
-            },
-            sink,
-            false,
-        )
-        .map(|(stats, _)| stats)
-    }
-
-    /// The shared dispatch loop: carves `n_specs` grid indices into
-    /// chunk-sized leases and runs one pull loop per host, building each
-    /// lease's request through `make_request` (which fixes the grid
-    /// encoding — legacy paper-grid parameters or an inline plan). With
-    /// `expect_summary` the streamed merge is bypassed: hosts ship one
-    /// sketch fragment per lease instead of episode frames, and the
-    /// collected fragments are returned for the caller to fold.
+    /// The shared dispatch loop: carves the plan's grid into chunk-sized
+    /// leases and runs one pull loop per host, each lease shipping the plan
+    /// inline. With `expect_summary` the streamed merge is bypassed: hosts
+    /// ship one sketch fragment per lease instead of episode frames, and
+    /// the collected fragments are returned for the caller to fold.
     fn stream_grid(
         &self,
-        n_specs: usize,
-        make_request: &(dyn Fn(Shard) -> JobRequest + Sync),
+        plan: &SweepPlan,
         mut sink: impl FnMut(usize, EpisodeReport) + Send,
         expect_summary: bool,
     ) -> Result<(RemoteRunStats, SummaryFragments), TransportError> {
+        let n_specs = plan.n_specs();
         let n_hosts = self.pool.hosts().len();
         let chunk = self.pool.chunk().resolve(n_specs, n_hosts);
         let addr_counts = || {
@@ -1478,7 +1391,7 @@ impl RemoteCoordinator {
             std::thread::scope(|scope| {
                 for host_index in 0..n_hosts {
                     scope.spawn(move || {
-                        self.host_loop(host_index, queue, make_request, state, shared);
+                        self.host_loop(host_index, queue, plan, state, shared);
                     });
                 }
             });
@@ -1535,7 +1448,7 @@ impl RemoteCoordinator {
         &self,
         host_index: usize,
         queue: &LeaseQueue,
-        make_request: &(dyn Fn(Shard) -> JobRequest + Sync),
+        plan: &SweepPlan,
         state: &Mutex<MergeState<'_>>,
         shared: &SchedulerShared,
     ) {
@@ -1546,7 +1459,7 @@ impl RemoteCoordinator {
         let mut admitted_at = state.lock().expect("merge mutex poisoned").accepted;
         while let Some(lease) = queue.pop() {
             shared.jobs.fetch_add(1, Ordering::Relaxed);
-            match self.run_lease(host_index, &lease, make_request, state, &shared.retries) {
+            match self.run_lease(host_index, &lease, plan, state, &shared.retries) {
                 Ok(()) => {
                     shared.leases_by_host[host_index].fetch_add(1, Ordering::Relaxed);
                     if lease.reissued_from.is_some_and(|from| from != host_index) {
@@ -1654,20 +1567,21 @@ impl RemoteCoordinator {
         &self,
         host_index: usize,
         lease: &Lease,
-        make_request: &(dyn Fn(Shard) -> JobRequest + Sync),
+        plan: &SweepPlan,
         state: &Mutex<MergeState<'_>>,
         retries: &AtomicUsize,
     ) -> Result<(), LeaseFailure> {
-        let request = make_request(lease.shard);
         let retry = self.pool.retry();
         let budget = retry.attempts.max(1);
-        let end = request.shard.end;
-        let mut next = request.shard.start;
+        let end = lease.shard.end;
+        let mut next = lease.shard.start;
         let mut attempt = 0u32;
         loop {
             let job = JobRequest {
+                scenarios: plan.n_specs(),
+                seed: plan.axes.seeds.base,
+                plan: Some(plan.clone()),
                 shard: Shard::new(next, end),
-                ..request.clone()
             };
             match self.drive_connection(host_index, &job, state, &mut next) {
                 Ok(()) => return Ok(()),
@@ -1873,293 +1787,90 @@ fn connect(addr: &str, timeout: Duration) -> Result<TcpStream, String> {
 }
 
 // ---------------------------------------------------------------------------
-// Worker server
+// Job server
 // ---------------------------------------------------------------------------
 
-/// Serves one coordinator connection end to end: reads the job frame, runs
-/// the requested shard through the same serial scratch loop every other
-/// sweep mode uses, streams one report frame per episode in ascending index
-/// order, and finishes with a `done` frame.
+/// Runs one already-parsed [`JobRequest`] over `stream`, the daemon's job
+/// path. A v2 job runs its inline plan; a v1 job runs the paper preset
+/// [`SweepPlan::paper`]`(scenarios, seed)`, which expands byte-identically
+/// to the legacy paper grid. Either way every episode goes through
+/// [`SweepPlan::run_range`] on **this daemon's** kernel backend — backends
+/// are bit-identical, so a mixed fleet still merges correctly — and
+/// streams back as one report frame, in ascending index order, followed
+/// by a `done` frame.
 ///
-/// `fail_after` is the fault-injection hook the loopback tests and the
-/// `seo-sweepd --fail-after` flag use: after emitting that many reports the
-/// connection is dropped **without** a `done` frame, exactly like a host
-/// dying mid-stream. `None` disables it.
+/// When the plan's report mode is pure `summary`, no episode frame is
+/// written at all: every report folds into a local [`RunSummary`] and the
+/// shard ships as **one** [`summary_frame`] right before `done`. An
+/// injected drop at any point means the connection dies with *nothing*
+/// shipped — all-or-nothing, so a re-issued lease folds each episode
+/// exactly once.
 ///
-/// The connection gets the [`DEFAULT_TIMEOUT`] for reads and writes, so a
-/// coordinator that connects and goes silent (or stops draining its
-/// socket) cannot pin a daemon thread forever — the connection errors out
-/// and the thread exits.
-///
-/// # Errors
-///
-/// [`TransportError`] on a malformed job frame (an `error` frame is sent
-/// back best-effort), a shard outside the grid, or a socket failure.
-pub fn serve_connection(
-    mut stream: TcpStream,
-    runtime: &RuntimeLoop,
-    fail_after: Option<usize>,
-) -> Result<(), TransportError> {
-    stream
-        .set_read_timeout(Some(DEFAULT_TIMEOUT))
-        .and_then(|()| stream.set_write_timeout(Some(DEFAULT_TIMEOUT)))
-        .and_then(|()| stream.set_nodelay(true))
-        .map_err(|e| io_err("worker socket setup", &e))?;
-    let request = match read_frame(&mut stream)? {
-        Some(payload) => match JobRequest::from_frame(&payload) {
-            Ok(request) => request,
-            Err(e) => {
-                let _ = write_frame(&mut stream, &error_frame(&e.to_string()));
-                return Err(e);
-            }
-        },
-        None => return Ok(()), // peer connected and left; nothing to do
-    };
-    let faults = fail_after.map(FaultPlan::fail_after);
-    let mut injector = match &faults {
-        Some(plan) => plan.injector(0),
-        None => FaultInjector::none(),
-    };
-    serve_job(&mut stream, &request, runtime, &mut injector).map(|_| ())
-}
-
-/// Runs one already-parsed [`JobRequest`] over `stream`: bounds-checks the
-/// shard against the grid, runs the episode loop, streams the reports, and
-/// — unless the injector killed the connection first — finishes with a
-/// `done` frame. Returns the number of reports emitted, or `None` when the
-/// fault injector dropped the connection mid-stream.
-///
-/// This is the daemon's job path; [`serve_connection`] wraps it for the
-/// legacy one-job-per-connection server.
+/// The fault injector's hooks fire after each episode is computed, in the
+/// same order in both report modes, so a chaos schedule is independent of
+/// what the job emits. Returns the number of episodes run, or `None` when
+/// the injector dropped the connection mid-stream.
 ///
 /// # Errors
 ///
-/// [`TransportError`] on a shard outside the grid (an `error` frame is
-/// sent back best-effort) or a socket failure.
+/// [`TransportError`] on a shard outside the grid (checked by `run_range`
+/// before any episode runs) or a runtime that cannot be built (an `error`
+/// frame is sent back best-effort), or a socket failure.
 pub fn serve_job(
     stream: &mut TcpStream,
     request: &JobRequest,
     runtime: &RuntimeLoop,
     injector: &mut FaultInjector<'_>,
 ) -> Result<Option<usize>, TransportError> {
-    let specs = request.specs();
-    if request.shard.end > specs.len() {
-        let e = frame_err(format!(
-            "job shard {} reaches outside the {}-spec grid",
-            request.shard,
-            specs.len()
-        ));
+    let paper;
+    let plan = match &request.plan {
+        Some(plan) => plan,
+        None => {
+            paper = SweepPlan::paper(request.scenarios, request.seed);
+            &paper
+        }
+    };
+    let shard = request.shard;
+    let mut summary = (!plan.emits_episodes()).then(|| plan.run_summary());
+    let mut emitted = 0usize;
+    let mut dropped = false;
+    let mut write_error = None;
+    let ran = plan.run_range(shard, runtime.kernel(), |i, report| {
+        if injector.before_report() == FaultAction::Drop {
+            dropped = true;
+            return false;
+        }
+        match summary.as_mut() {
+            Some(fold) => fold.record(i, &report),
+            None => {
+                let line = injector.garble(shard::report_line(i, &report).into_bytes());
+                if let Err(e) = write_frame(stream, &line) {
+                    write_error = Some(e);
+                    return false;
+                }
+            }
+        }
+        injector.after_report();
+        emitted += 1;
+        true
+    });
+    if let Some(e) = write_error {
+        return Err(e);
+    }
+    if let Err(e) = ran {
+        let e = frame_err(format!("running job shard {shard}: {e}"));
         let _ = write_frame(stream, &error_frame(&e.to_string()));
         return Err(e);
     }
-    match &request.plan {
-        Some(plan) => serve_plan_shard(stream, plan, request.shard, runtime, injector),
-        None => serve_paper_shard(stream, &specs, request.shard, runtime, injector),
-    }
-    .and_then(|emitted| match emitted {
-        Some(count) => write_frame(stream, &done_frame(count)).map(|()| Some(count)),
-        None => Ok(None), // injected mid-stream death: vanish without `done`
-    })
-}
-
-/// The legacy paper-grid episode loop: one runtime for the whole shard.
-/// Returns `Ok(None)` when the fault injector killed the connection.
-fn serve_paper_shard(
-    stream: &mut TcpStream,
-    specs: &[ScenarioSpec],
-    shard: Shard,
-    runtime: &RuntimeLoop,
-    injector: &mut FaultInjector<'_>,
-) -> Result<Option<usize>, TransportError> {
-    let mut scratch = EpisodeScratch::new();
-    let mut emitted = 0usize;
-    for i in shard.indices() {
-        if injector.before_report() == FaultAction::Drop {
-            return Ok(None);
-        }
-        let spec = specs[i];
-        let world = spec.world();
-        let report = runtime.run_with(WorldSource::Static(&world), spec.seed, &mut scratch);
-        let line = injector.garble(shard::report_line(i, &report).into_bytes());
-        write_frame(stream, &line)?;
-        injector.after_report();
-        emitted += 1;
-    }
-    if injector.before_report() == FaultAction::Drop {
-        return Ok(None);
-    }
-    Ok(Some(emitted))
-}
-
-/// The plan-job episode loop: a runtime is rebuilt at each cell boundary
-/// the shard crosses (same serial scratch loop as [`SweepPlan::run_range`]),
-/// on **this daemon's** kernel backend — backends are bit-identical, so a
-/// mixed fleet still merges correctly. With async offload the inner loop
-/// is a [`Reactor`] per cell segment instead; the reactor delivers reports
-/// in index order, so the fault-injector hook sequence per emitted report
-/// is exactly the blocking one. Returns `Ok(None)` when the fault injector
-/// killed the connection.
-///
-/// When the plan's report mode is pure `summary`, no episode frame is
-/// written at all: every report folds into a local [`RunSummary`] and the
-/// shard ships as **one** [`summary_frame`] right before `done`. The
-/// per-episode fault-injector hook sequence is unchanged (the chaos
-/// schedule stays engine-agnostic), and an injected drop at any point
-/// means the connection dies with *nothing* shipped — all-or-nothing, so
-/// a re-issued lease folds each episode exactly once.
-fn serve_plan_shard(
-    stream: &mut TcpStream,
-    plan: &SweepPlan,
-    shard: Shard,
-    runtime: &RuntimeLoop,
-    injector: &mut FaultInjector<'_>,
-) -> Result<Option<usize>, TransportError> {
-    let points = plan.expand();
-    let reactor = match plan.offload {
-        OffloadExec::Blocking => None,
-        OffloadExec::Async { in_flight } => Some(Reactor::new(in_flight)),
-    };
-    let mut summary = (!plan.emits_episodes()).then(|| plan.run_summary());
-    let mut scratch = EpisodeScratch::new();
-    let mut cell: Option<(CellConfig, RuntimeLoop)> = None;
-    let mut emitted = 0usize;
-    let mut next = shard.indices().start;
-    let end = shard.indices().end;
-    while next < end {
-        let point = &points[next];
-        if cell.as_ref().is_none_or(|(c, _)| *c != point.cell) {
-            match point.cell.runtime(runtime.kernel()) {
-                Ok(built) => cell = Some((point.cell, built)),
-                Err(e) => {
-                    let e = frame_err(format!("building cell runtime: {e}"));
-                    let _ = write_frame(stream, &error_frame(&e.to_string()));
-                    return Err(e);
-                }
-            }
-        }
-        let (cell_config, cell_runtime) = cell.as_ref().expect("cell runtime just built");
-        // The contiguous run of indices sharing this cell.
-        let mut seg_end = next + 1;
-        while seg_end < end && points[seg_end].cell == *cell_config {
-            seg_end += 1;
-        }
-        match &reactor {
-            None => {
-                for (i, point) in points.iter().enumerate().take(seg_end).skip(next) {
-                    if injector.before_report() == FaultAction::Drop {
-                        return Ok(None);
-                    }
-                    let report = cell_config.run_spec(cell_runtime, point.spec, &mut scratch);
-                    match summary.as_mut() {
-                        Some(fold) => fold.record(i, &report),
-                        None => {
-                            let line = injector.garble(shard::report_line(i, &report).into_bytes());
-                            write_frame(stream, &line)?;
-                        }
-                    }
-                    injector.after_report();
-                    emitted += 1;
-                }
-            }
-            Some(reactor) => {
-                let mut outcome: Result<(), TransportError> = Ok(());
-                let mut dropped = false;
-                let finished = reactor.run(
-                    next..seg_end,
-                    |i| cell_config.spawn_task(cell_runtime, points[i].spec),
-                    |i, report| {
-                        if injector.before_report() == FaultAction::Drop {
-                            dropped = true;
-                            return false;
-                        }
-                        match summary.as_mut() {
-                            Some(fold) => fold.record(i, &report),
-                            None => {
-                                let line =
-                                    injector.garble(shard::report_line(i, &report).into_bytes());
-                                if let Err(e) = write_frame(stream, &line) {
-                                    outcome = Err(e);
-                                    return false;
-                                }
-                            }
-                        }
-                        injector.after_report();
-                        emitted += 1;
-                        true
-                    },
-                );
-                outcome?;
-                if dropped || !finished {
-                    return Ok(None);
-                }
-            }
-        }
-        next = seg_end;
-    }
-    if injector.before_report() == FaultAction::Drop {
-        return Ok(None);
+    if dropped || injector.before_report() == FaultAction::Drop {
+        return Ok(None); // injected mid-stream death: vanish without `done`
     }
     if let Some(fold) = &summary {
-        let frame = injector.garble(summary_frame(shard, &fold.fragment()));
-        write_frame(stream, &frame)?;
+        write_frame(
+            stream,
+            &injector.garble(summary_frame(shard, &fold.fragment())),
+        )?;
     }
+    write_frame(stream, &done_frame(emitted))?;
     Ok(Some(emitted))
-}
-
-/// The accept loop behind `seo-sweepd`: binds a listener and serves each
-/// incoming connection (= one [`JobRequest`], typically one lease) on its
-/// own thread, so a coordinator can land several lease jobs on the same
-/// host concurrently.
-#[derive(Debug)]
-pub struct WorkerServer {
-    listener: TcpListener,
-}
-
-impl WorkerServer {
-    /// Binds the listener. Use port `0` to let the OS pick (then read the
-    /// actual address back via [`Self::local_addr`]).
-    ///
-    /// # Errors
-    ///
-    /// [`TransportError::Io`] when the address cannot be bound.
-    pub fn bind(addr: &str) -> Result<Self, TransportError> {
-        Ok(Self {
-            listener: TcpListener::bind(addr).map_err(|e| io_err(&format!("bind {addr}"), &e))?,
-        })
-    }
-
-    /// The bound address (the one to put in `hosts.json`).
-    ///
-    /// # Errors
-    ///
-    /// [`TransportError::Io`] when the socket cannot report its address.
-    pub fn local_addr(&self) -> Result<SocketAddr, TransportError> {
-        self.listener
-            .local_addr()
-            .map_err(|e| io_err("local_addr", &e))
-    }
-
-    /// Accepts and serves connections until the process exits, one thread
-    /// per connection. Per-connection failures are reported to stderr and
-    /// do not stop the loop — a daemon must survive a misbehaving
-    /// coordinator.
-    ///
-    /// # Errors
-    ///
-    /// [`TransportError::Io`] when `accept` itself fails.
-    pub fn serve(
-        &self,
-        runtime: Arc<RuntimeLoop>,
-        fail_after: Option<usize>,
-    ) -> Result<(), TransportError> {
-        loop {
-            let (stream, peer) = self.listener.accept().map_err(|e| io_err("accept", &e))?;
-            let runtime = Arc::clone(&runtime);
-            std::thread::spawn(move || {
-                if let Err(e) = serve_connection(stream, &runtime, fail_after) {
-                    eprintln!("seo-sweepd: connection from {peer}: {e}");
-                }
-            });
-        }
-    }
 }

@@ -6,17 +6,16 @@
 #![forbid(unsafe_code)]
 
 use seo_core::prelude::*;
-use seo_core::reactor::OffloadExec;
 use seo_core::shard::{
     parse_report_line, parse_summary_line, report_line, summary_line, ShardPlanner, StreamingMerge,
 };
-use seo_core::transport::{HostPool, HostSpec, RemoteCoordinator, WorkerServer};
 use std::net::SocketAddr;
 use std::sync::Arc;
 
-/// Starts an in-process `seo-sweepd`-style worker on an OS-assigned
-/// loopback port and returns its address. Plan jobs ship the plan inline,
-/// so the legacy runtime handed to `serve` is never consulted by them.
+/// Starts an in-process `seo-sweepd` daemon ([`DaemonServer`]) on an
+/// OS-assigned loopback port and returns its address. Jobs carry their
+/// plan (or name the paper preset), so the runtime handed to `serve` only
+/// picks the kernel backend.
 ///
 /// # Panics
 ///
@@ -24,50 +23,54 @@ use std::sync::Arc;
 /// cannot be built — both unconditional test-environment failures.
 #[must_use]
 pub fn spawn_loopback_worker() -> SocketAddr {
-    spawn_loopback_worker_with(None)
+    spawn_loopback_daemon(DaemonConfig::default())
 }
 
-/// Like [`spawn_loopback_worker`], but every connection the worker serves
-/// dies after `fail_after` fault-injector hooks — a host that reliably
-/// drops mid-shard, for exercising lease re-issue and the summary-mode
-/// all-or-nothing contract.
+/// Like [`spawn_loopback_worker`], but every job the daemon serves drops
+/// its connection after `drop_after` reports (`--fault drop-after=K`) — a
+/// host that reliably dies mid-shard, for exercising lease re-issue and
+/// the summary-mode all-or-nothing contract. It still answers `health`,
+/// so the coordinator may readmit it after a quarantine.
 ///
 /// # Panics
 ///
 /// Same conditions as [`spawn_loopback_worker`].
 #[must_use]
-pub fn spawn_failing_loopback_worker(fail_after: usize) -> SocketAddr {
-    spawn_loopback_worker_with(Some(fail_after))
+pub fn spawn_failing_loopback_worker(drop_after: usize) -> SocketAddr {
+    spawn_loopback_daemon(DaemonConfig {
+        faults: Some(FaultPlan {
+            drop_after: Some(drop_after),
+            ..FaultPlan::default()
+        }),
+        ..DaemonConfig::default()
+    })
 }
 
-fn spawn_loopback_worker_with(fail_after: Option<usize>) -> SocketAddr {
-    let server = WorkerServer::bind("127.0.0.1:0").expect("bind loopback");
+fn spawn_loopback_daemon(config: DaemonConfig) -> SocketAddr {
+    let server = Arc::new(DaemonServer::bind("127.0.0.1:0", config).expect("bind loopback"));
     let addr = server.local_addr().expect("local addr");
     let config = SeoConfig::paper_defaults();
     let models = ModelSet::paper_setup(config.tau).expect("paper models");
     let runtime =
         Arc::new(RuntimeLoop::new(config, models, OptimizerKind::Offloading).expect("runtime"));
     std::thread::spawn(move || {
-        let _ = server.serve(runtime, fail_after);
+        let _ = server.serve(runtime);
     });
     addr
 }
 
 /// The determinism invariant as one assertion: the plan's merged NDJSON is
-/// byte-identical to the **blocking serial** run in all four engines —
-/// serial, in-process threads, the sharded worker/merge composition (the
-/// process engine's core, with shards merged in worst-case reversed
-/// order), and loopback TCP hosts. The plan is run exactly as given (in
-/// particular with its `exec.offload` setting), while the baseline is the
-/// same grid forced to `OffloadExec::Blocking` — so calling this with an
-/// async plan asserts the reactor changes nothing but the overlap.
+/// byte-identical to its serial run in all four engines — serial,
+/// in-process threads, the sharded worker/merge composition (the process
+/// engine's core, with shards merged in worst-case reversed order), and
+/// loopback TCP hosts.
 ///
-/// Returns the baseline reports so callers can chain further assertions.
+/// Returns the serial reports so callers can chain further assertions.
 ///
 /// # Panics
 ///
 /// Panics when any engine fails to run or any engine's wire bytes diverge
-/// from the blocking serial baseline.
+/// from the serial run.
 pub fn assert_all_engines_bit_identical(plan: &SweepPlan) -> Vec<EpisodeReport> {
     let wire = |reports: &[EpisodeReport]| -> Vec<String> {
         reports
@@ -76,21 +79,14 @@ pub fn assert_all_engines_bit_identical(plan: &SweepPlan) -> Vec<EpisodeReport> 
             .map(|(i, r)| report_line(i, r))
             .collect()
     };
-    let baseline = plan
-        .clone()
-        .with_offload(OffloadExec::Blocking)
-        .run_serial()
-        .expect("blocking serial baseline");
-    assert_eq!(baseline.len(), plan.n_specs());
-    let expected = wire(&baseline);
-
-    // Engine 1: the serial loop (a reactor when the plan is async).
+    // Engine 1: the serial loop, the reference.
     let serial = plan.run_serial().expect("serial engine");
-    assert_eq!(wire(&serial), expected, "serial vs blocking baseline");
+    assert_eq!(serial.len(), plan.n_specs());
+    let expected = wire(&serial);
 
     // Engine 2: the in-process thread pool.
     let threads = plan.run_threads(3).expect("threads engine");
-    assert_eq!(wire(&threads), expected, "threads vs blocking baseline");
+    assert_eq!(wire(&threads), expected, "threads vs serial");
 
     // Engine 3: the sharded worker path — every shard rendered to wire
     // lines, fed to the streaming merge in worst-case (reversed) order.
@@ -112,11 +108,7 @@ pub fn assert_all_engines_bit_identical(plan: &SweepPlan) -> Vec<EpisodeReport> 
         }
     }
     drained.extend(merge.finish().expect("merge completes"));
-    assert_eq!(
-        wire(&drained),
-        expected,
-        "worker merge vs blocking baseline"
-    );
+    assert_eq!(wire(&drained), expected, "worker merge vs serial");
 
     // Engine 4: loopback TCP hosts pulling plan-inline jobs.
     let pool = HostPool::new(
@@ -132,9 +124,9 @@ pub fn assert_all_engines_bit_identical(plan: &SweepPlan) -> Vec<EpisodeReport> 
         .run_plan(plan)
         .expect("hosts engine");
     assert!(stats.hosts_lost.is_empty(), "no host losses expected");
-    assert_eq!(wire(&merged), expected, "hosts vs blocking baseline");
+    assert_eq!(wire(&merged), expected, "hosts vs serial");
 
-    baseline
+    serial
 }
 
 /// The summary-mode sibling of [`assert_all_engines_bit_identical`]: folds

@@ -16,12 +16,7 @@ use seo_platform::units::{Bits, BitsPerSecond, Joules, Seconds, Watts};
 /// step per draw), which is why [`WirelessLink::transmit`] takes `&mut
 /// self`. Episode engines copy the link at episode start (`WirelessLink` is
 /// `Copy`), so every episode begins from the same channel state and reports
-/// stay a pure function of `(world, seed)` — including under the async
-/// executor, where each in-flight `EpisodeTask` owns its own link copy and
-/// the latencies it prices become the virtual wake times of the reactor's
-/// ready queue (`docs/async.md`). Bursty fades are exactly the case where
-/// overlapping those waits pays: deep-fade latencies arrive in correlated
-/// runs, idling a blocking worker for whole bursts at a time.
+/// stay a pure function of `(world, seed)`.
 ///
 /// # Example
 ///

@@ -11,13 +11,10 @@
 //!    slot and re-invokes the local model when the response is still in
 //!    flight (the `I[n == δmax − δ_i]` term of eq. 7).
 //!
-//! A transaction is also the episode engine's **await point**: issuing one
-//! records its virtual completion time ([`OffloadTransaction::completes_at`]),
-//! and the async executor (`seo_core::reactor`, `docs/async.md`) parks the
-//! episode there, keying its deterministic ready queue on that time. The
-//! wait is purely virtual — completion depends only on the episode clock —
-//! so polling a parked episode always makes progress and blocking vs async
-//! execution is a scheduling choice, never a semantic one.
+//! Completion is decided by the episode clock alone
+//! ([`OffloadTransaction::completes_at`]): the episode loop issues a
+//! transaction at an Ω slot and settles it at the model's fallback slot,
+//! so it never waits on a response in wall-clock time.
 
 use crate::link::WirelessLink;
 use crate::server::EdgeServer;

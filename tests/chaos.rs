@@ -36,6 +36,11 @@ fn serial_reports() -> Vec<EpisodeReport> {
     BatchRunner::new(paper_runtime()).run_serial(&ScenarioSpec::paper_grid(SCENARIOS, SEED))
 }
 
+/// The paper-preset plan over the legacy grid `serial_reports` runs.
+fn paper() -> SweepPlan {
+    SweepPlan::paper(SCENARIOS, SEED)
+}
+
 /// An in-process daemon plus the channel its `serve` result arrives on
 /// (so drain tests can assert the loop actually returned, and cleanly).
 struct Daemon {
@@ -130,7 +135,7 @@ fn daemon_serves_consecutive_jobs_answers_health_and_drains() {
     let daemon = spawn_daemon(DaemonConfig::default());
     let coordinator = RemoteCoordinator::new(pool_of(&[(daemon.addr, 1)], RetryPolicy::default()));
     for run in 0..3 {
-        let (merged, stats) = coordinator.run(SCENARIOS, SEED).expect("daemon serves");
+        let (merged, stats) = coordinator.run_plan(&paper()).expect("daemon serves");
         assert_eq!(merged, serial, "run {run} must be bit-identical");
         assert!(stats.hosts_lost.is_empty(), "run {run} lost a host");
         assert_eq!(stats.reissues, 0, "run {run} needed a lease re-issue");
@@ -147,7 +152,7 @@ fn daemon_serves_consecutive_jobs_answers_health_and_drains() {
         // Dropping the stream here aborts the job server-side.
     }
     let (merged, _) = coordinator
-        .run(SCENARIOS, SEED)
+        .run_plan(&paper())
         .expect("still serving after the disconnect");
     assert_eq!(merged, serial);
     // Health: liveness plus cumulative stats over everything above.
@@ -219,9 +224,7 @@ fn dead_on_arrival_daemon_recovering_within_budget_finishes_its_lease() {
     };
     let coordinator = RemoteCoordinator::new(pool_of(&[(late_addr, 1), (healthy.addr, 1)], retry))
         .with_timeout(Duration::from_secs(5));
-    let (merged, stats) = coordinator
-        .run(SCENARIOS, SEED)
-        .expect("recovers in budget");
+    let (merged, stats) = coordinator.run_plan(&paper()).expect("recovers in budget");
     assert_eq!(merged, serial);
     assert!(
         stats.hosts_lost.is_empty(),
@@ -244,7 +247,9 @@ fn dead_on_arrival_daemon_recovering_within_budget_finishes_its_lease() {
 /// A host that exhausts its retry budget while the fleet is still making
 /// progress is quarantined, not killed: once a clean `health` probe passes
 /// after fresh fleet progress it rejoins the pull loop mid-run and serves
-/// leases again.
+/// leases again. A fleet mixing a stalling daemon with one that drops
+/// every job after its first report churns through the same quarantine
+/// path and still merges bit-identically, with every loss transient.
 #[test]
 fn quarantined_daemon_is_probed_and_readmitted_mid_run() {
     let serial = serial_reports();
@@ -259,7 +264,7 @@ fn quarantined_daemon_is_probed_and_readmitted_mid_run() {
         base_delay_ms: 50,
     };
     let coordinator = RemoteCoordinator::new(pool_of(&[(flaky.addr, 1), (healthy.addr, 1)], retry));
-    let (merged, stats) = coordinator.run(SCENARIOS, SEED).expect("readmission run");
+    let (merged, stats) = coordinator.run_plan(&paper()).expect("readmission run");
     assert_eq!(merged, serial);
     assert!(stats.retries >= 1, "the refusals must burn retries");
     assert!(stats.quarantines >= 1, "budget exhaustion quarantines");
@@ -273,6 +278,28 @@ fn quarantined_daemon_is_probed_and_readmitted_mid_run() {
         "a re-admitted host must serve leases mid-run: {:?}",
         stats.episodes_by_host
     );
+
+    // Stall + drop in one fleet, on the bursty channel. Leases are pinned
+    // to 2 specs so the dropper genuinely strands work.
+    let plan = paper().with_channels(vec![ChannelKind::Bursty]);
+    let serial = plan.run_serial().expect("serial baseline");
+    let stalling = spawn_daemon(faulty("stall-ms=100"));
+    let dropping = spawn_daemon(faulty("drop-after=1"));
+    let healthy = spawn_daemon(DaemonConfig::default());
+    let pool = pool_of(
+        &[(stalling.addr, 1), (dropping.addr, 1), (healthy.addr, 1)],
+        RetryPolicy::default(),
+    )
+    .with_chunk(ChunkPolicy::Fixed(2));
+    let (merged, stats) = RemoteCoordinator::new(pool)
+        .run_plan(&plan)
+        .expect("survivable chaos");
+    assert_eq!(merged, serial, "chaos merge must reproduce serial");
+    assert!(stats.quarantines >= 1, "the dropper exhausts its budget");
+    for lost in &stats.hosts_lost {
+        assert_eq!(lost.addr, dropping.addr.to_string(), "{lost:?}");
+        assert_eq!(lost.class, FaultClass::Transient, "{lost:?}");
+    }
 }
 
 /// Drain semantics under load: a daemon with one slot and one stalled job
@@ -336,105 +363,39 @@ fn draining_daemon_refuses_new_jobs_while_finishing_the_old_one() {
 /// A garbled report frame is a protocol violation, not a flaky
 /// connection: the host dies immediately — no retry, no quarantine, no
 /// probe — and its lease remnant is re-queued for the survivor to steal.
+/// Same outcome on the clean and the bursty channel.
 #[test]
 fn garbled_report_is_fatal_and_never_retried() {
-    let serial = serial_reports();
-    // Garble the second report of every job; the seed keys the keystream.
-    // Leases are pinned to 2 specs so every lease reaches a second report
-    // (the auto chunk would resolve to 1 and never trip the fault).
-    let corrupt = spawn_daemon(faulty("garble=1,seed=7"));
-    let healthy = spawn_daemon(DaemonConfig::default());
-    let pool = pool_of(
-        &[(corrupt.addr, 2), (healthy.addr, 1)],
-        RetryPolicy::default(),
-    )
-    .with_chunk(ChunkPolicy::Fixed(2));
-    let coordinator = RemoteCoordinator::new(pool);
-    let (merged, stats) = coordinator
-        .run(SCENARIOS, SEED)
-        .expect("survives the garble");
-    assert_eq!(merged, serial);
-    assert_eq!(stats.hosts_lost.len(), 1);
-    assert_eq!(stats.hosts_lost[0].addr, corrupt.addr.to_string());
-    assert_eq!(stats.hosts_lost[0].class, FaultClass::Fatal);
-    assert_eq!(stats.retries, 0, "fatal faults must never be retried");
-    assert_eq!(stats.quarantines, 0, "fatal faults skip quarantine");
-    assert_eq!(stats.readmissions, 0, "dead hosts are never probed");
-    assert!(stats.reissues >= 1, "the stranded remnant needs a re-issue");
-}
-
-/// The async executor under the chaos layer: a plan with
-/// `exec.offload.async` served by daemons injecting connection stalls and
-/// mid-job drops still merges bit-identically to the blocking serial run,
-/// and every loss stays inside the existing transient taxonomy — no new
-/// failure class leaks from the reactor.
-#[test]
-fn async_plan_survives_stalls_and_drops_with_a_bit_identical_merge() {
-    let plan = SweepPlan::paper(SCENARIOS, SEED)
-        .with_channels(vec![ChannelKind::Bursty])
-        .with_offload(OffloadExec::Async { in_flight: 4 });
-    let serial = plan
-        .clone()
-        .with_offload(OffloadExec::Blocking)
-        .run_serial()
-        .expect("blocking serial baseline");
-
-    // One host stalls every report, one drops each job after its first
-    // report (stranding remnants for re-issue), one behaves. Leases are
-    // pinned to 2 specs so the dropper genuinely strands work.
-    let stalling = spawn_daemon(faulty("stall-ms=100"));
-    let dropping = spawn_daemon(faulty("drop-after=1"));
-    let healthy = spawn_daemon(DaemonConfig::default());
-    let pool = pool_of(
-        &[(stalling.addr, 1), (dropping.addr, 1), (healthy.addr, 1)],
-        RetryPolicy::default(),
-    )
-    .with_chunk(ChunkPolicy::Fixed(2));
-    let (merged, stats) = RemoteCoordinator::new(pool)
-        .run_plan(&plan)
-        .expect("survivable chaos");
-    assert_eq!(merged, serial, "chaos merge must reproduce serial");
-    for lost in &stats.hosts_lost {
-        assert_eq!(
-            lost.class,
-            FaultClass::Transient,
-            "drops and stalls are transient, never a new class: {lost:?}"
-        );
+    for plan in [paper(), paper().with_channels(vec![ChannelKind::Bursty])] {
+        let serial = plan.run_serial().expect("serial baseline");
+        // Garble the second report of every job; the seed keys the
+        // keystream. Leases are pinned to 2 specs so every lease reaches a
+        // second report (the auto chunk would resolve to 1 and never trip
+        // the fault).
+        let corrupt = spawn_daemon(faulty("garble=1,seed=7"));
+        let healthy = spawn_daemon(DaemonConfig::default());
+        let pool = pool_of(
+            &[(corrupt.addr, 2), (healthy.addr, 1)],
+            RetryPolicy::default(),
+        )
+        .with_chunk(ChunkPolicy::Fixed(2));
+        let coordinator = RemoteCoordinator::new(pool);
+        let (merged, stats) = coordinator.run_plan(&plan).expect("survives the garble");
+        assert_eq!(merged, serial);
+        assert_eq!(stats.hosts_lost.len(), 1);
+        assert_eq!(stats.hosts_lost[0].addr, corrupt.addr.to_string());
+        assert_eq!(stats.hosts_lost[0].class, FaultClass::Fatal);
+        assert_eq!(stats.retries, 0, "fatal faults must never be retried");
+        assert_eq!(stats.quarantines, 0, "fatal faults skip quarantine");
+        assert_eq!(stats.readmissions, 0, "dead hosts are never probed");
+        assert!(stats.reissues >= 1, "the stranded remnant needs a re-issue");
     }
-}
-
-/// A garbled frame under the async executor is exactly as fatal as under
-/// the blocking loop: the host dies unretried, the remnant is re-issued,
-/// and the merged stream still reproduces the blocking serial bytes.
-#[test]
-fn async_plan_garble_stays_fatal_and_the_survivor_completes_the_merge() {
-    let plan = SweepPlan::paper(SCENARIOS, SEED).with_offload(OffloadExec::Async { in_flight: 4 });
-    let serial = plan
-        .clone()
-        .with_offload(OffloadExec::Blocking)
-        .run_serial()
-        .expect("blocking serial baseline");
-
-    let corrupt = spawn_daemon(faulty("garble=1,seed=7"));
-    let healthy = spawn_daemon(DaemonConfig::default());
-    let pool = pool_of(
-        &[(corrupt.addr, 2), (healthy.addr, 1)],
-        RetryPolicy::default(),
-    )
-    .with_chunk(ChunkPolicy::Fixed(2));
-    let (merged, stats) = RemoteCoordinator::new(pool)
-        .run_plan(&plan)
-        .expect("survives the garble");
-    assert_eq!(merged, serial);
-    assert_eq!(stats.hosts_lost.len(), 1);
-    assert_eq!(stats.hosts_lost[0].class, FaultClass::Fatal);
-    assert_eq!(stats.retries, 0, "fatal faults must never be retried");
-    assert!(stats.reissues >= 1, "the stranded remnant needs a re-issue");
 }
 
 /// Wire compatibility: the daemon serves a hand-assembled v1 (legacy
 /// paper-grid) job frame and a v2 (plan-bearing) frame, answering each
 /// with report payloads byte-for-byte identical to the serial wire lines.
+/// The v1 frame runs the paper preset, so its bytes are the legacy grid's.
 #[test]
 fn daemon_speaks_legacy_v1_and_plan_v2_frames() {
     let daemon = spawn_daemon(DaemonConfig::default());
@@ -485,6 +446,34 @@ fn daemon_speaks_legacy_v1_and_plan_v2_frames() {
         WorkerMsg::Done { count } => assert_eq!(count, plan_serial.len()),
         other => panic!("expected done, got {other:?}"),
     }
+}
+
+/// A frame nested far past the JSON depth cap is answered with an `error`
+/// frame instead of overflowing the connection thread's stack (which would
+/// abort the whole daemon), as is a job whose shard reaches past its grid;
+/// the daemon keeps serving afterwards.
+#[test]
+fn over_deep_frame_gets_an_error_frame_and_the_daemon_keeps_serving() {
+    let daemon = spawn_daemon(DaemonConfig::default());
+    let past_the_grid = format!(
+        r#"{{"v":1,"type":"job","scenarios":{SCENARIOS},"seed":{SEED},"start":0,"end":99}}"#
+    );
+    for (frame, needle) in [
+        ("[".repeat(200_000), "deeper than"),
+        (past_the_grid, "inside the expanded grid"),
+    ] {
+        let mut stream = open(daemon.addr);
+        write_frame(&mut stream, frame.as_bytes()).expect("send bad frame");
+        match next_msg(&mut stream) {
+            WorkerMsg::Error { message } => assert!(message.contains(needle), "{message}"),
+            other => panic!("expected an error frame, got {other:?}"),
+        }
+    }
+    let mut probe = open(daemon.addr);
+    write_frame(&mut probe, &health_request_frame()).expect("send health");
+    let payload = read_frame(&mut probe).expect("read frame").expect("reply");
+    let health = HealthReport::from_frame(&payload).expect("health report");
+    assert!(health.accepting, "the daemon survived: {health:?}");
 }
 
 /// The retry and chunk policies ride the plan file: `exec.mode.hosts.retry`

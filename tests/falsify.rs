@@ -6,11 +6,9 @@
 
 use seo_core::falsify::falsify;
 use seo_core::prelude::*;
-use seo_core::shard::{parse_report_line, report_line};
-use seo_core::transport::{HostPool, HostSpec, RemoteCoordinator, WorkerServer};
-use std::net::SocketAddr;
+use seo_core::shard::report_line;
+use seo_integration::assert_all_engines_bit_identical;
 use std::path::Path;
-use std::sync::Arc;
 
 /// The committed falsify preset, with the search budget overridden so test
 /// runs stay cheap.
@@ -28,22 +26,6 @@ fn demo_plan(budget: usize, search_seed: u64) -> SweepPlan {
         ..spec
     });
     plan
-}
-
-/// Starts an in-process worker server on an OS-assigned loopback port. Plan
-/// jobs ship the plan inline, so the legacy runtime passed to `serve` is
-/// never consulted here.
-fn spawn_worker() -> SocketAddr {
-    let server = WorkerServer::bind("127.0.0.1:0").expect("bind loopback");
-    let addr = server.local_addr().expect("local addr");
-    let config = SeoConfig::paper_defaults();
-    let models = ModelSet::paper_setup(config.tau).expect("paper models");
-    let runtime =
-        Arc::new(RuntimeLoop::new(config, models, OptimizerKind::Offloading).expect("runtime"));
-    std::thread::spawn(move || {
-        let _ = server.serve(runtime, None);
-    });
-    addr
 }
 
 /// The determinism tentpole: two falsification runs of the same plan with
@@ -153,47 +135,9 @@ fn committed_counterexample_corpus_replays_to_the_recorded_bytes() {
     }
 }
 
-/// Async offload must not perturb the falsification search: the same
-/// violations fall out in the same order with a byte-identical evaluation
-/// trace, and every emitted replay plan inherits the async exec section so
-/// its regression replay exercises the reactor path.
-#[test]
-fn falsify_search_is_identical_with_async_offload_on_and_off() {
-    let blocking = demo_plan(12, 7);
-    let with_async = blocking
-        .clone()
-        .with_offload(OffloadExec::Async { in_flight: 8 });
-    let off = falsify(&blocking).expect("blocking search");
-    let on = falsify(&with_async).expect("async search");
-
-    assert_eq!(
-        off.stats.to_json().render(),
-        on.stats.to_json().render(),
-        "async offload must not steer the search"
-    );
-    assert!(!off.counterexamples.is_empty(), "preset exposes violations");
-    assert_eq!(off.counterexamples.len(), on.counterexamples.len());
-    for (a, b) in off.counterexamples.iter().zip(&on.counterexamples) {
-        assert_eq!(a.expected_line(), b.expected_line(), "violating episode");
-        assert_eq!(a.value.to_bits(), b.value.to_bits(), "objective value");
-        assert_eq!((a.obstacles, a.seed), (b.obstacles, b.seed), "scenario");
-        assert_eq!(
-            b.plan.offload,
-            OffloadExec::Async { in_flight: 8 },
-            "replay plan must inherit the async exec"
-        );
-        let replayed = b.plan.run_serial().expect("async replay runs");
-        assert_eq!(
-            report_line(0, &replayed[0]),
-            b.expected_line(),
-            "async replay must be bit-identical"
-        );
-    }
-}
-
 /// The four-engine property with the new axes in play: a grid over the
 /// bursty Gilbert–Elliott channel and moving-obstacle traffic merges
-/// bit-identically — field-wise and on the wire — through the serial loop,
+/// byte-identically on the wire through the serial loop,
 /// the thread pool, the sharded worker/merge composition (the process
 /// engine's in-process core), and loopback TCP hosts.
 #[test]
@@ -209,48 +153,5 @@ fn bursty_traffic_grid_merges_bit_identically_across_all_four_engines() {
                 speed_mps: 3.0,
             },
         ]);
-    let serial = plan.run_serial().expect("serial runs");
-    assert_eq!(serial.len(), plan.n_specs());
-
-    // Engine 2: the in-process thread pool.
-    assert_eq!(plan.run_threads(3).expect("threads run"), serial);
-
-    // Engine 3: the sharded worker path — every shard rendered to wire
-    // lines, fed to the streaming merge in worst-case (reversed) order.
-    let n = plan.n_specs();
-    let shard_plan = ShardPlanner::new(3).plan(n).expect("shard plan");
-    let mut merge = StreamingMerge::new(n);
-    let mut drained = Vec::new();
-    for &shard in shard_plan.shards().iter().rev() {
-        let mut lines = Vec::new();
-        plan.run_range(shard, plan.kernel, |i, report| {
-            lines.push(report_line(i, &report));
-            true
-        })
-        .expect("shard runs");
-        for line in &lines {
-            let (index, report) = parse_report_line(line).expect("valid wire line");
-            merge.accept(index, report).expect("accepted");
-            drained.extend(merge.drain_ready());
-        }
-    }
-    drained.extend(merge.finish().expect("complete"));
-    assert_eq!(drained, serial, "sharded merge must reproduce serial");
-
-    // Engine 4: loopback TCP hosts pulling plan-inline jobs.
-    let pool = HostPool::new(
-        (0..2)
-            .map(|_| HostSpec {
-                addr: spawn_worker().to_string(),
-                capacity: 1,
-            })
-            .collect(),
-    )
-    .expect("valid pool");
-    let (merged, stats) = RemoteCoordinator::new(pool).run_plan(&plan).expect("runs");
-    assert!(stats.hosts_lost.is_empty(), "no losses expected");
-    assert_eq!(merged, serial, "hosts merge must reproduce serial");
-    for (i, (m, s)) in merged.iter().zip(&serial).enumerate() {
-        assert_eq!(report_line(i, m), report_line(i, s), "wire line {i}");
-    }
+    assert_all_engines_bit_identical(&plan);
 }

@@ -122,6 +122,16 @@ fn validation_rejection_table_names_every_field() {
     let text = err.to_string();
     assert!(text.contains("exec.kernel"), "{text}");
     assert!(text.contains("scalar, blocked"), "{text}");
+    // Offload is not an execution knob: a plan that still carries the old
+    // async-offload window is rejected, with the field path named.
+    let err = SweepPlan::parse(r#"{"v":1,"exec":{"offload":{"async":{"in_flight":8}}}}"#)
+        .expect_err("offload field");
+    let fields: Vec<_> = err
+        .problems
+        .iter()
+        .map(|p| p.field.split_once('.'))
+        .collect();
+    assert_eq!(fields, [Some(("exec", "offload"))], "{err}");
 }
 
 /// Sweeping a runtime axis must agree with configuring the experiment

@@ -6,14 +6,29 @@ use seo_core::batch::{BatchRunner, ScenarioSpec};
 use seo_core::prelude::*;
 use seo_core::runtime::RuntimeLoop;
 use seo_core::shard::{
-    parse_report_line, parse_spec_line, report_line, run_worker_shard, spec_line, Shard,
-    ShardError, ShardPlan, ShardPlanner, StreamingMerge,
+    parse_report_line, parse_spec_line, report_line, spec_line, Shard, ShardError, ShardPlan,
+    ShardPlanner, StreamingMerge,
 };
 
 fn runner(optimizer: OptimizerKind) -> BatchRunner {
     let config = SeoConfig::paper_defaults();
     let models = ModelSet::paper_setup(config.tau).expect("paper models");
     BatchRunner::new(RuntimeLoop::new(config, models, optimizer).expect("valid runtime"))
+}
+
+/// One worker's stdout for `shard` of the paper preset over `obstacles` ×
+/// `runs` seeds from `seed`: a wire line per episode, in index order.
+fn worker_lines(obstacles: Vec<usize>, runs: usize, seed: u64, shard: Shard) -> Vec<String> {
+    let plan = SweepPlan::paper(1, seed)
+        .with_obstacles(obstacles)
+        .with_seeds(seed, runs);
+    let mut lines = Vec::new();
+    plan.run_range(shard, plan.kernel, |i, report| {
+        lines.push(report_line(i, &report));
+        true
+    })
+    .expect("worker runs");
+    lines
 }
 
 #[test]
@@ -118,18 +133,17 @@ fn planner_merge_composition_reproduces_serial_sweep() {
     for workers in [1usize, 2, 4] {
         let plan = ShardPlanner::new(workers).plan(specs.len()).expect("plan");
         // Collect every shard's wire output…
-        let mut outputs: Vec<String> = Vec::new();
-        for &shard in plan.shards() {
-            let mut buf = Vec::new();
-            run_worker_shard(runner.runtime(), &specs, shard, &mut buf).expect("worker runs");
-            outputs.push(String::from_utf8(buf).expect("utf8"));
-        }
+        let outputs: Vec<Vec<String>> = plan
+            .shards()
+            .iter()
+            .map(|&shard| worker_lines(vec![0, 2, 4], 2, 2023, shard))
+            .collect();
         // …and feed the lines in a worst-case arrival order: shards
         // reversed, so high indices land before low ones.
         let mut merge = StreamingMerge::new(specs.len());
         let mut drained = Vec::new();
         for output in outputs.iter().rev() {
-            for line in output.lines() {
+            for line in output {
                 let (index, report) = parse_report_line(line).expect("valid line");
                 merge.accept(index, report).expect("accepted");
                 drained.extend(merge.drain_ready());
@@ -210,17 +224,12 @@ fn merge_rejects_out_of_range_index_without_corrupting_state() {
 fn duplicate_wire_lines_surface_as_protocol_violations() {
     // End to end through the wire format: a worker stream that repeats an
     // index must fail the merge loudly, never overwrite silently.
-    let runner = runner(OptimizerKind::Offloading);
-    let specs = ScenarioSpec::grid(&[0, 2], 1, 2023);
-    let mut buf = Vec::new();
-    run_worker_shard(runner.runtime(), &specs, Shard::new(0, 2), &mut buf).expect("runs");
-    let text = String::from_utf8(buf).expect("utf8");
-    let mut lines: Vec<&str> = text.lines().collect();
-    lines.push(lines[0]); // replayed line, as a buggy transport might
+    let mut lines = worker_lines(vec![0, 2], 1, 2023, Shard::new(0, 2));
+    lines.push(lines[0].clone()); // replayed line, as a buggy transport might
 
-    let mut merge = StreamingMerge::new(specs.len());
+    let mut merge = StreamingMerge::new(2);
     let mut violation = None;
-    for line in lines {
+    for line in &lines {
         let (index, report) = parse_report_line(line).expect("valid line");
         if let Err(e) = merge.accept(index, report) {
             violation = Some(e);

@@ -1,8 +1,9 @@
 //! Loopback-TCP properties of the multi-host sweep transport: host-pool
 //! validation, frame round-trips, pull-based lease scheduling, and the
-//! tentpole guarantee — the remote merge is bit-identical to
-//! `BatchRunner::run_serial` under 1/2/3 hosts, every chunk size, and
-//! injected mid-stream host failures (kills, dead hosts, stalls).
+//! tentpole guarantee — the remote merge over in-process `seo-sweepd`
+//! daemons is bit-identical to `BatchRunner::run_serial` under 1/2/3
+//! hosts, every chunk size, and injected mid-stream host failures (kills,
+//! dead hosts, stalls).
 
 use seo_core::batch::{BatchRunner, ScenarioSpec};
 use seo_core::prelude::*;
@@ -10,11 +11,11 @@ use seo_core::runtime::RuntimeLoop;
 use seo_core::shard::report_line;
 use seo_core::transport::{
     done_frame, error_frame, parse_worker_frame, read_frame, write_frame, HostPool, HostSpec,
-    JobRequest, RemoteCoordinator, TransportError, WorkerMsg, WorkerServer,
+    JobRequest, RemoteCoordinator, TransportError, WorkerMsg,
 };
+use seo_integration::{spawn_failing_loopback_worker, spawn_loopback_worker};
 use std::io::Cursor;
 use std::net::{SocketAddr, TcpListener};
-use std::sync::Arc;
 use std::time::Duration;
 
 const SCENARIOS: usize = 6;
@@ -30,17 +31,9 @@ fn serial_reports() -> Vec<EpisodeReport> {
     BatchRunner::new(paper_runtime()).run_serial(&ScenarioSpec::paper_grid(SCENARIOS, SEED))
 }
 
-/// Starts an in-process worker server on an OS-assigned loopback port and
-/// returns its address. `fail_after` injects a mid-stream connection drop
-/// after that many reports on **every** job the host serves.
-fn spawn_worker(fail_after: Option<usize>) -> SocketAddr {
-    let server = WorkerServer::bind("127.0.0.1:0").expect("bind loopback");
-    let addr = server.local_addr().expect("local addr");
-    let runtime = Arc::new(paper_runtime());
-    std::thread::spawn(move || {
-        let _ = server.serve(runtime, fail_after);
-    });
-    addr
+/// The paper-preset plan over the legacy grid `serial_reports` runs.
+fn paper() -> SweepPlan {
+    SweepPlan::paper(SCENARIOS, SEED)
 }
 
 fn pool_of(hosts: &[(SocketAddr, u64)]) -> HostPool {
@@ -91,7 +84,7 @@ fn host_pool_json_round_trips_and_validates() {
     ]}"#;
     let pool = HostPool::parse(text).expect("valid pool");
     assert_eq!(pool.hosts().len(), 2);
-    assert_eq!(pool.total_capacity(), 5);
+    assert_eq!(pool.hosts()[0].capacity, 4);
     let reparsed = HostPool::parse(&pool.to_json().render()).expect("round-trips");
     assert_eq!(reparsed, pool);
 
@@ -217,8 +210,8 @@ fn protocol_frames_round_trip() {
     let back = JobRequest::from_frame(&request.to_frame()).expect("round-trips");
     assert_eq!(back, request);
     assert_eq!(
-        back.specs().len(),
-        12,
+        back.plan.as_ref().map(SweepPlan::n_specs),
+        Some(12),
         "plan grid overrides (scenarios, seed)"
     );
     // Plan jobs bump the frame version so a pre-plan daemon rejects them
@@ -285,10 +278,10 @@ fn multi_host_merge_is_bit_identical_to_serial() {
     for capacities in [vec![1u64], vec![3, 1], vec![1, 2, 1]] {
         let hosts: Vec<(SocketAddr, u64)> = capacities
             .iter()
-            .map(|&c| (spawn_worker(None), c))
+            .map(|&c| (spawn_loopback_worker(), c))
             .collect();
         let coordinator = RemoteCoordinator::new(pool_of(&hosts));
-        let (merged, stats) = coordinator.run(SCENARIOS, SEED).expect("runs");
+        let (merged, stats) = coordinator.run_plan(&paper()).expect("runs");
         assert!(stats.hosts_lost.is_empty(), "no losses expected");
         assert_eq!(stats.reissues, 0, "no lease should need re-issue");
         assert_eq!(
@@ -319,10 +312,10 @@ fn every_chunk_size_merges_bit_identical_to_serial() {
     ] {
         for n_hosts in 1..=3usize {
             let hosts: Vec<(SocketAddr, u64)> =
-                (0..n_hosts).map(|_| (spawn_worker(None), 1)).collect();
+                (0..n_hosts).map(|_| (spawn_loopback_worker(), 1)).collect();
             let pool = pool_of(&hosts).with_chunk(policy);
             let (merged, stats) = RemoteCoordinator::new(pool)
-                .run(SCENARIOS, SEED)
+                .run_plan(&paper())
                 .expect("runs");
             let chunk = policy.resolve(SCENARIOS, n_hosts);
             assert_eq!(stats.chunk, chunk, "{policy:?} over {n_hosts} host(s)");
@@ -347,48 +340,17 @@ fn every_chunk_size_merges_bit_identical_to_serial() {
 #[test]
 fn streaming_sink_sees_reports_strictly_in_spec_order() {
     let serial = serial_reports();
-    let hosts = [(spawn_worker(None), 1), (spawn_worker(None), 1)];
+    let hosts = [(spawn_loopback_worker(), 1), (spawn_loopback_worker(), 1)];
     let coordinator = RemoteCoordinator::new(pool_of(&hosts));
     let mut seen = Vec::new();
     coordinator
-        .run_streaming(SCENARIOS, SEED, |i, report| seen.push((i, report)))
+        .run_plan_streaming(&paper(), |i, report| seen.push((i, report)))
         .expect("streams");
     assert_eq!(seen.len(), serial.len());
     for (k, (i, report)) in seen.iter().enumerate() {
         assert_eq!(*i, k, "sink called strictly in spec order");
         assert_eq!(*report, serial[k]);
     }
-}
-
-/// Injected mid-stream host kill: the victim drops its connection after one
-/// report on every lease it pulls. A 2-attempt retry budget on 3-spec
-/// leases delivers two reports and strands one, so the remnant must be
-/// re-queued, stolen by the survivor, and the merge stay bit-identical.
-#[test]
-fn mid_stream_host_kill_reissues_to_survivors() {
-    let serial = serial_reports();
-    let healthy = spawn_worker(None);
-    let doomed = spawn_worker(Some(1));
-    let pool = pool_of(&[(healthy, 1), (doomed, 1)])
-        .with_chunk(ChunkPolicy::Fixed(3))
-        .with_retry(RetryPolicy {
-            attempts: 2,
-            base_delay_ms: 10,
-        });
-    let coordinator = RemoteCoordinator::new(pool);
-    let (merged, stats) = coordinator.run(SCENARIOS, SEED).expect("survives the kill");
-    assert_eq!(merged, serial, "re-issued merge must stay bit-identical");
-    assert_eq!(stats.hosts_lost.len(), 1, "exactly one host lost");
-    assert_eq!(stats.hosts_lost[0].addr, doomed.to_string());
-    assert!(stats.reissues >= 1, "the remnant needs a re-issue");
-    assert!(
-        stats.steals >= 1,
-        "the survivor steals the re-queued remnant"
-    );
-    assert!(
-        stats.hosts_lost[0].reassigned > 0,
-        "the kill must strand specs for re-issue"
-    );
 }
 
 /// A host that is down from the start (nothing listening) is just another
@@ -401,10 +363,10 @@ fn dead_on_arrival_host_is_stolen_around() {
         let listener = TcpListener::bind("127.0.0.1:0").expect("bind");
         listener.local_addr().expect("addr")
     };
-    let healthy = spawn_worker(None);
+    let healthy = spawn_loopback_worker();
     let coordinator = RemoteCoordinator::new(pool_of(&[(dead_addr, 2), (healthy, 1)]))
         .with_timeout(Duration::from_secs(5));
-    let (merged, stats) = coordinator.run(SCENARIOS, SEED).expect("survives");
+    let (merged, stats) = coordinator.run_plan(&paper()).expect("survives");
     assert_eq!(merged, serial);
     assert_eq!(stats.hosts_lost.len(), 1);
     assert_eq!(stats.hosts_lost[0].addr, dead_addr.to_string());
@@ -428,12 +390,10 @@ fn stalled_host_times_out_and_is_stolen_around() {
         });
         addr
     };
-    let healthy = spawn_worker(None);
+    let healthy = spawn_loopback_worker();
     let coordinator = RemoteCoordinator::new(pool_of(&[(stall_addr, 1), (healthy, 1)]))
         .with_timeout(Duration::from_millis(400));
-    let (merged, stats) = coordinator
-        .run(SCENARIOS, SEED)
-        .expect("survives the stall");
+    let (merged, stats) = coordinator.run_plan(&paper()).expect("survives the stall");
     assert_eq!(merged, serial);
     assert_eq!(stats.hosts_lost.len(), 1);
     assert_eq!(stats.hosts_lost[0].addr, stall_addr.to_string());
@@ -441,13 +401,16 @@ fn stalled_host_times_out_and_is_stolen_around() {
 
 /// When every host dies with work outstanding there is nobody left to pull
 /// the queue: the run must fail loudly, naming the stranded spec count.
+/// Both daemons drop every job before its first report, so the fleet never
+/// progresses: their `health` probes pass, but a quarantined host is only
+/// readmitted after fresh fleet progress, and an idle fleet sheds them.
 #[test]
 fn losing_every_host_fails_with_no_survivors() {
     let coordinator = RemoteCoordinator::new(pool_of(&[
-        (spawn_worker(Some(0)), 1),
-        (spawn_worker(Some(1)), 1),
+        (spawn_failing_loopback_worker(0), 1),
+        (spawn_failing_loopback_worker(0), 1),
     ]));
-    match coordinator.run(SCENARIOS, SEED) {
+    match coordinator.run_plan(&paper()) {
         Err(TransportError::NoSurvivors { remaining, .. }) => {
             assert!(remaining > 0, "stranded specs must be counted");
         }
@@ -464,7 +427,7 @@ fn empty_grid_completes_without_touching_the_network() {
     }])
     .expect("valid pool");
     let (merged, stats) = RemoteCoordinator::new(pool)
-        .run(0, SEED)
+        .run_plan(&SweepPlan::paper(0, SEED))
         .expect("empty run");
     assert!(merged.is_empty());
     assert_eq!(stats.jobs, 0);
@@ -483,7 +446,7 @@ fn plan_dispatch_is_bit_identical_to_plan_serial() {
     for capacities in [vec![1u64], vec![2, 1]] {
         let hosts: Vec<(SocketAddr, u64)> = capacities
             .iter()
-            .map(|&c| (spawn_worker(None), c))
+            .map(|&c| (spawn_loopback_worker(), c))
             .collect();
         let coordinator = RemoteCoordinator::new(pool_of(&hosts));
         let (merged, stats) = coordinator.run_plan(&plan).expect("plan runs");
@@ -498,29 +461,55 @@ fn plan_dispatch_is_bit_identical_to_plan_serial() {
     }
 }
 
-/// Lease re-issue works for plan jobs exactly as for legacy jobs: a host
-/// injected to die mid-stream burns its retry budget one report at a
-/// time, strands its lease tail, and the survivor steals the re-queued
-/// remnant — the merge still reproduces the plan's serial output. (The
-/// lease must be bigger than the retry budget: a lease small enough to
-/// finish within the budget would simply complete, which is the retry
-/// layer's whole point.)
-#[test]
-fn plan_dispatch_survives_a_mid_stream_kill() {
-    let plan = SweepPlan::paper(SCENARIOS, SEED);
-    let serial = plan.run_serial().expect("plan serial runs");
-    let dying = spawn_worker(Some(1));
-    let healthy = spawn_worker(None);
-    let pool = pool_of(&[(dying, 1), (healthy, 1)])
+/// Injected mid-stream host kill: the doomed daemon drops its connection
+/// after one report on every job. A 2-attempt retry budget on 3-spec
+/// leases delivers two reports and strands one, so the remnant must be
+/// re-queued, stolen by the survivor, and the merge must still reproduce
+/// `serial`. (The lease must be bigger than the retry budget: a lease
+/// small enough to finish within the budget would simply complete, which
+/// is the retry layer's whole point.) The doomed daemon still answers
+/// `health`, so the backoff is long enough that the idle survivor steals
+/// the remnant before a readmission could race it.
+fn assert_kill_is_reissued_to_the_survivor(plan: &SweepPlan, serial: &[EpisodeReport]) {
+    let doomed = spawn_failing_loopback_worker(1);
+    let healthy = spawn_loopback_worker();
+    let pool = pool_of(&[(doomed, 1), (healthy, 1)])
         .with_chunk(ChunkPolicy::Fixed(3))
         .with_retry(RetryPolicy {
             attempts: 2,
-            base_delay_ms: 10,
+            base_delay_ms: 200,
         });
     let coordinator = RemoteCoordinator::new(pool);
-    let (merged, stats) = coordinator.run_plan(&plan).expect("survives the kill");
-    assert_eq!(merged, serial);
-    assert_eq!(stats.hosts_lost.len(), 1);
+    let (merged, stats) = coordinator.run_plan(plan).expect("survives the kill");
+    assert_eq!(merged, serial, "re-issued merge must stay bit-identical");
     assert!(stats.retries > 0, "mid-stream EOFs are transient: retried");
     assert!(stats.reissues >= 1, "the kill forces a lease re-issue");
+    assert!(
+        stats.steals >= 1,
+        "the survivor steals the re-queued remnant"
+    );
+    assert!(!stats.hosts_lost.is_empty(), "the kill is recorded");
+    for loss in &stats.hosts_lost {
+        assert_eq!(loss.addr, doomed.to_string(), "only the doomed host fails");
+    }
+    assert!(
+        stats.hosts_lost[0].reassigned > 0,
+        "the kill must strand specs for re-issue"
+    );
+}
+
+/// A mid-stream kill on the paper preset: the survivor's re-issued merge
+/// reproduces the legacy paper grid's serial bytes.
+#[test]
+fn mid_stream_host_kill_reissues_to_survivors() {
+    assert_kill_is_reissued_to_the_survivor(&paper(), &serial_reports());
+}
+
+/// Lease re-issue works the same for a plan job no v1 frame can express
+/// (the bursty channel): the merge reproduces the plan's serial output.
+#[test]
+fn plan_dispatch_survives_a_mid_stream_kill() {
+    let plan = paper().with_channels(vec![ChannelKind::Bursty]);
+    let serial = plan.run_serial().expect("plan serial runs");
+    assert_kill_is_reissued_to_the_survivor(&plan, &serial);
 }
