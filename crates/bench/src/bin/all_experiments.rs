@@ -2,12 +2,12 @@
 //! tables and a machine-readable JSON dump (`seo_experiments.json` in the
 //! current directory) for downstream analysis.
 
-use seo_bench::json::Json;
 use seo_bench::report::runs_from_env;
 use seo_bench::{
     fig1_rows, fig5_rows, fig6_rows, table1_rows, table2_rows, table3_rows, Fig1Row, Fig5Row,
     Fig6Row, Table1Row, Table2Row, Table3Row,
 };
+use seo_core::json::Json;
 
 fn fig1_json(rows: &[Fig1Row]) -> Json {
     Json::Arr(

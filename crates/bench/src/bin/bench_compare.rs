@@ -18,8 +18,8 @@
 //! from newer sweeps, e.g. `report_stats`) are skipped with a warning —
 //! never a failure — so the gate stays forward-compatible.
 
-use seo_bench::json::Json;
 use seo_bench::report::Table;
+use seo_core::json::Json;
 
 struct Throughput {
     threads: i64,

@@ -1,54 +1,51 @@
-//! The scenario-sweep harness: every run mode is sugar over one declarative
-//! [`SweepPlan`] (see `seo_core::plan` and `docs/plans.md`).
+//! The scenario-sweep harness. Every engine run starts from one
+//! declarative [`SweepPlan`] file (see `seo_core::plan` and
+//! `docs/plans.md`).
 //!
-//! **Plan mode** (the primary entry point): `--plan plan.json` loads a
-//! versioned, validated plan file describing the multi-axis grid
-//! (obstacles × τ × gating × control mode × optimizer × controller × seeds)
-//! and the execution machinery (serial / threads / worker processes / TCP
-//! hosts), runs it, and streams the merged NDJSON report lines to stdout.
-//! A plan with a `report` section additionally folds exactly-associative
-//! per-cell sketches (`seo_core::agg`): mode `summary` replaces the
-//! episode stream with per-cell summary NDJSON (byte-identical across all
-//! four engines — no per-episode line crosses a process or host
-//! boundary), `both` appends it after the episode stream, and
-//! `report.book` upserts a named-run row into the committed results book
-//! (see `docs/reporting.md`). `--check` validates and summarizes a plan
-//! without running anything. Committed presets live in `examples/plans/`.
+//! **Plan mode**: `--plan plan.json` loads a versioned, validated plan file
+//! describing the multi-axis grid (obstacles × τ × gating × control mode ×
+//! optimizer × controller × channel × traffic × seeds) and the execution
+//! machinery (serial / threads / worker processes / TCP hosts), runs it,
+//! and streams the merged NDJSON report lines to stdout. A plan with a
+//! `report` section additionally folds exactly-associative per-cell
+//! sketches (`seo_core::agg`): mode `summary` replaces the episode stream
+//! with per-cell summary NDJSON (byte-identical across all four engines —
+//! no per-episode line crosses a process or host boundary), `both` appends
+//! it after the episode stream, and `report.book` upserts a named-run row
+//! into the committed results book (see `docs/reporting.md`). `--check`
+//! validates and summarizes a plan without running anything, and
+//! `--worker START..END` runs one shard of it (what a processes plan
+//! spawns). Committed presets live in `examples/plans/`.
 //!
-//! **Legacy flags desugar into plans**: `--workers N` / `--hosts FILE` /
-//! `--worker START..END` with `--scenarios`/`--seed` build the paper-preset
-//! plan (`SweepPlan::paper`) and run it through the same engines, so their
-//! output is byte-identical to what they produced before plans existed.
-//!
-//! **Harness mode** (no mode flag) keeps the original two phases:
+//! **Harness mode** (no arguments) runs the paper preset
+//! (`SEO_SWEEP_SCENARIOS` specs, seed 2023) in two phases:
 //!
 //! Phase 1 — **throughput**: fans the paper-preset grid through
 //! [`BatchRunner`] serially and on all cores, verifies the parallel output
 //! is bit-identical to the serial loop, and writes `BENCH_sweep.json`
-//! (scenarios/sec, ns/step, speedup, grid-point provenance) so later PRs
-//! have a perf trajectory to compare against.
+//! (scenarios/sec, ns/step, speedup, grid-point provenance) so later
+//! changes have a perf trajectory to compare against.
 //!
 //! Phase 2 — **sensitivity**: channel quality, offload payload size, and
-//! gating level, each printed as one series.
+//! gating level, each printed as one series (`SEO_RUNS` runs per point).
 //!
 //! ```sh
 //! sweep --plan examples/plans/paper.json --verify > merged.ndjson
-//! sweep --workers 4 --verify --scenarios 60 > merged.ndjson
-//! sweep --hosts hosts.json --verify --scenarios 60 > merged.ndjson
+//! sweep --plan examples/plans/two-process.json --kernel blocked > merged.ndjson
 //! SEO_RUNS=5 cargo run --release -p seo-bench --bin sweep
 //! ```
 //!
 //! `--verify` (or `"verify": true` in the plan) reruns the grid serially
 //! in-process and exits non-zero unless the merged output is bit-identical.
 //! `--kernel NAME` selects the inference kernel backend (default: the
-//! plan's `exec.kernel` in plan mode, else `SEO_KERNEL`, then `scalar`);
+//! plan's `exec.kernel` with `--plan`, else `SEO_KERNEL`, then `scalar`);
 //! backends are bit-identical by the `seo_nn::kernel` contract, so this is
 //! a pure speed knob (see `docs/kernels.md`).
 
-use seo_bench::json::Json;
 use seo_bench::report::{pct, runs_from_env, Table};
 use seo_core::batch::{BatchRunner, ScenarioSpec};
 use seo_core::falsify;
+use seo_core::json::Json;
 use seo_core::plan::{ExecMode, SweepPlan};
 use seo_core::prelude::*;
 use seo_core::runtime::RuntimeLoop;
@@ -121,16 +118,12 @@ fn timed_sweep(
     )
 }
 
-fn throughput_phase(
-    scenarios: usize,
-    base_seed: u64,
-    kernel: KernelBackend,
-) -> Result<Json, SeoError> {
+fn throughput_phase(plan: &SweepPlan) -> Result<Json, SeoError> {
     // The throughput grid is the paper-preset plan; its JSON rides along in
     // BENCH_sweep.json as grid-point provenance for every row below.
-    let plan = SweepPlan::paper(scenarios, base_seed).with_kernel(kernel);
+    let kernel = plan.kernel;
     let runner = BatchRunner::new(paper_runtime(OptimizerKind::Offloading, kernel)?);
-    let specs = ScenarioSpec::paper_grid(scenarios, base_seed);
+    let specs: Vec<ScenarioSpec> = plan.expand().into_iter().map(|p| p.spec).collect();
     let per_count = specs.len() / 3;
     println!(
         "sweep throughput: {} scenarios ({} per obstacle count) on {} worker(s), \
@@ -268,75 +261,60 @@ fn gains_with_link(
     Ok(optimized.gain_over(&baseline)?)
 }
 
-/// Which of the binary's entry points to run. Every variant except
-/// `Harness` executes through the effective [`SweepPlan`].
+/// Which of the binary's entry points to run.
 enum Mode {
-    /// The original throughput + sensitivity harness.
+    /// The throughput + sensitivity harness over the paper preset.
     Harness,
-    /// One shard of the effective plan's grid, streaming wire lines to
-    /// stdout.
+    /// `--check`: validate and summarize the plan, run nothing.
+    Check,
+    /// One shard of the plan's grid, streaming wire lines to stdout.
     Worker(Shard),
-    /// Run the effective plan (loaded from `--plan`, or desugared from
-    /// `--workers` / `--hosts`).
-    Plan,
+    /// Run the plan loaded from this file per its execution section.
+    Plan(String),
     /// Falsification: search the plan's grid for violating episodes per its
-    /// `falsify` section, streaming counterexamples as NDJSON.
-    Falsify,
+    /// `falsify` section, streaming counterexamples as NDJSON and writing
+    /// replay plans into this directory (`--falsify-dir`).
+    Falsify(String),
 }
 
 struct Cli {
     mode: Mode,
-    /// The effective plan every mode executes (or validates).
+    /// The plan every mode executes or validates: the `--plan` file with
+    /// `--kernel`/`--verify` applied, or the paper preset in harness mode.
     plan: SweepPlan,
-    /// Where the plan file lives when loaded via `--plan` (worker processes
-    /// reload it from here).
-    plan_path: Option<String>,
-    /// Validate and summarize the plan, run nothing.
-    check: bool,
-    verify: bool,
-    kernel: KernelBackend,
-    scenarios: usize,
-    base_seed: u64,
-    /// Where `--falsify` writes counterexample replay plans.
-    falsify_dir: String,
 }
 
 /// The CLI grammar template, printed with exit code 0 on `--help` and exit
 /// code 2 on any argument error; `%KERNELS%` is filled from
 /// [`KernelBackend::valid_names`] so the usage text can never go stale
 /// against the enum.
-const USAGE_TEMPLATE: &str = "usage: sweep [MODE] [OPTIONS]\n\
+const USAGE_TEMPLATE: &str = "usage: sweep [--plan FILE [MODE]] [OPTIONS]\n\
     modes:\n  \
-    (none)                  throughput + sensitivity harness, writes BENCH_sweep.json\n  \
+    (none)                  throughput + sensitivity harness over the paper preset\n                          \
+    (SEO_SWEEP_SCENARIOS specs, seed 2023, SEO_RUNS runs per\n                          \
+    sensitivity point), writes BENCH_sweep.json\n  \
     --plan FILE             run the sweep plan in FILE (serial / threads / processes /\n                          \
     hosts per its exec section); a report section switches\n                          \
     stdout to per-cell summary NDJSON and can name a results\n                          \
     book (docs/reporting.md); see docs/plans.md and\n                          \
     examples/plans/\n  \
-    --workers N [--verify]  multi-process coordinator over N local worker processes\n  \
-    --hosts FILE [--verify] multi-host coordinator over the seo-sweepd pool in FILE\n                          \
-    (JSON: {\"v\":1,\"hosts\":[{\"addr\":\"host:port\",\"capacity\":N},...]})\n  \
-    --worker START..END     run one shard; the range is half-open, decimal,\n                          \
-    START < END (e.g. --worker 0..15)\n\
+    --plan FILE --check     validate and summarize the plan, run nothing (exit 0\n                          \
+    when valid, 2 with every problem named otherwise)\n  \
+    --plan FILE --worker START..END\n                          \
+    run one shard of the plan's grid; the range is half-open,\n                          \
+    decimal, START < END (e.g. --worker 0..15)\n  \
     --plan FILE --falsify   adversarial search for violating episodes per the\n                          \
     plan's falsify section; counterexamples stream as NDJSON\n                          \
     and replay plans land in --falsify-dir (see\n                          \
     docs/falsification.md)\n\
     options:\n  \
-    --check                 validate and summarize the plan, run nothing (exit 0\n                          \
-    when valid, 2 with every problem named otherwise)\n  \
     --falsify-dir DIR       where --falsify writes cx-N.json replay plans and\n                          \
     cx-N.expected.ndjson wire lines (default: counterexamples)\n  \
-    --scenarios N           paper-grid size for flag modes (default 60, or\n                          \
-    SEO_SWEEP_SCENARIOS; ignored with --plan)\n  \
-    --seed S                paper-grid base seed for flag modes (default 2023)\n  \
     --kernel NAME           inference kernel backend: %KERNELS%\n                          \
     (default: the plan's exec.kernel with --plan, else SEO_KERNEL,\n                          \
     then scalar; bit-identical output, see docs/kernels.md)\n  \
-    --timeout-secs T        multi-host connect/read timeout (default 30, or the\n                          \
-    plan's exec.timeout_secs)\n  \
-    --verify                rerun the grid serially in-process and fail unless\n                          \
-    the merged output is bit-identical\n  \
+    --verify                with --plan: rerun the grid serially in-process and\n                          \
+    fail unless the merged output is bit-identical\n  \
     --help, -h              print this usage and exit 0";
 
 fn usage() -> String {
@@ -349,28 +327,14 @@ enum CliOutcome {
     Help,
 }
 
-#[allow(clippy::too_many_lines)]
 fn parse_cli() -> Result<CliOutcome, String> {
-    enum ModeFlag {
-        None,
-        Worker(Shard),
-        Workers(usize),
-        Hosts(String),
-    }
-    let mut mode_flag = ModeFlag::None;
-    let mut verify = false;
-    let mut check = false;
-    let mut falsify_flag = false;
-    let mut falsify_dir = "counterexamples".to_owned();
     let mut plan_path: Option<String> = None;
-    let mut timeout_flag: Option<f64> = None;
+    let mut worker: Option<Shard> = None;
+    let mut check = false;
+    let mut falsify = false;
+    let mut verify = false;
+    let mut falsify_dir = "counterexamples".to_owned();
     let mut kernel_flag: Option<KernelBackend> = None;
-    // `--scenarios` defaults to the env knob the CI smoke already uses.
-    let mut scenarios = std::env::var("SEO_SWEEP_SCENARIOS")
-        .ok()
-        .and_then(|v| v.parse::<usize>().ok())
-        .unwrap_or(60);
-    let mut base_seed = 2023u64;
 
     let mut args = std::env::args().skip(1);
     while let Some(arg) = args.next() {
@@ -382,43 +346,14 @@ fn parse_cli() -> Result<CliOutcome, String> {
             "--help" | "-h" => return Ok(CliOutcome::Help),
             "--plan" => plan_path = Some(value("--plan")?),
             "--check" => check = true,
-            "--falsify" => falsify_flag = true,
+            "--falsify" => falsify = true,
             "--falsify-dir" => falsify_dir = value("--falsify-dir")?,
-            "--workers" => {
-                let n = value("--workers")?
-                    .parse::<usize>()
-                    .map_err(|e| format!("--workers: {e}"))?;
-                mode_flag = ModeFlag::Workers(n);
-            }
             "--worker" => {
-                let shard = value("--worker")?.parse::<Shard>().map_err(|e| {
+                worker = Some(value("--worker")?.parse::<Shard>().map_err(|e| {
                     format!("--worker: {e} (expected a half-open decimal range START..END with START < END)")
-                })?;
-                mode_flag = ModeFlag::Worker(shard);
-            }
-            "--hosts" => mode_flag = ModeFlag::Hosts(value("--hosts")?),
-            "--timeout-secs" => {
-                // try_from_secs_f64 also rules out values Duration cannot
-                // represent, which would otherwise panic at use.
-                timeout_flag = Some(
-                    value("--timeout-secs")?
-                        .parse::<f64>()
-                        .ok()
-                        .filter(|t| *t > 0.0 && std::time::Duration::try_from_secs_f64(*t).is_ok())
-                        .ok_or("--timeout-secs: expected a positive number of seconds")?,
-                );
+                })?);
             }
             "--verify" => verify = true,
-            "--scenarios" => {
-                scenarios = value("--scenarios")?
-                    .parse::<usize>()
-                    .map_err(|e| format!("--scenarios: {e}"))?;
-            }
-            "--seed" => {
-                base_seed = value("--seed")?
-                    .parse::<u64>()
-                    .map_err(|e| format!("--seed: {e}"))?;
-            }
             "--kernel" => {
                 kernel_flag = Some(
                     value("--kernel")?
@@ -426,91 +361,74 @@ fn parse_cli() -> Result<CliOutcome, String> {
                         .map_err(|e| format!("--kernel: {e}"))?,
                 );
             }
-            other => return Err(format!("unknown argument '{other}'")),
+            other => {
+                return Err(format!(
+                    "unknown argument '{other}' (the grid and its engine come from \
+                     --plan FILE; see docs/plans.md)"
+                ))
+            }
         }
     }
-    scenarios = scenarios.max(3);
-    // An unknown SEO_KERNEL value is as much an argument error as an
-    // unknown flag value — never silently fall back. Plans are
-    // self-contained, so with --plan the env default is not consulted
-    // (the explicit --kernel flag still overrides either source).
-    let env_kernel =
-        || KernelBackend::from_env().map_err(|e| format!("{}: {e}", KernelBackend::ENV_VAR));
 
-    // Build the effective plan: loaded from --plan, or the paper preset the
-    // legacy flags have always described.
-    let (mut plan, mode) = if let Some(path) = &plan_path {
-        if matches!(mode_flag, ModeFlag::Workers(_) | ModeFlag::Hosts(_)) {
-            return Err(
-                "--plan carries its own execution mode; drop --workers / --hosts".to_owned(),
-            );
-        }
-        let text = std::fs::read_to_string(path).map_err(|e| format!("--plan {path}: {e}"))?;
-        let plan = SweepPlan::parse(&text).map_err(|e| format!("--plan {path}: {e}"))?;
-        let mode = match mode_flag {
-            ModeFlag::Worker(_) if falsify_flag => {
-                return Err("--falsify runs the search in-process; drop --worker".to_owned());
-            }
-            ModeFlag::Worker(shard) => Mode::Worker(shard),
-            _ if falsify_flag => {
-                if plan.falsify.is_none() {
-                    return Err(format!(
-                        "--falsify: plan {path} has no falsify section (see docs/falsification.md)"
-                    ));
-                }
-                Mode::Falsify
-            }
-            _ => Mode::Plan,
-        };
-        (plan, mode)
-    } else if falsify_flag {
-        return Err(
-            "--falsify requires --plan FILE (the falsify section lives in the plan)".to_owned(),
-        );
-    } else {
-        let paper = SweepPlan::paper(scenarios, base_seed).with_kernel(env_kernel()?);
-        match mode_flag {
-            ModeFlag::None if check => (paper, Mode::Plan),
-            ModeFlag::None => (paper, Mode::Harness),
-            ModeFlag::Worker(shard) => (paper, Mode::Worker(shard)),
-            ModeFlag::Workers(n) => (paper.with_mode(ExecMode::Processes(n)), Mode::Plan),
-            ModeFlag::Hosts(path) => {
-                let text = std::fs::read_to_string(&path).map_err(|e| format!("{path}: {e}"))?;
-                let pool = HostPool::parse(&text).map_err(|e| format!("{path}: {e}"))?;
-                (paper.with_mode(ExecMode::Hosts(pool)), Mode::Plan)
+    let Some(path) = plan_path else {
+        for (given, flag) in [
+            (check, "--check"),
+            (worker.is_some(), "--worker"),
+            (falsify, "--falsify"),
+            (verify, "--verify"),
+        ] {
+            if given {
+                return Err(format!("{flag} requires --plan FILE"));
             }
         }
+        // An unknown SEO_KERNEL value is as much an argument error as an
+        // unknown flag value — never silently fall back.
+        let env_kernel =
+            KernelBackend::from_env().map_err(|e| format!("{}: {e}", KernelBackend::ENV_VAR))?;
+        let scenarios = std::env::var("SEO_SWEEP_SCENARIOS")
+            .ok()
+            .and_then(|v| v.parse::<usize>().ok())
+            .unwrap_or(60)
+            .max(3);
+        let plan = SweepPlan::paper(scenarios, 2023).with_kernel(kernel_flag.unwrap_or(env_kernel));
+        plan.validate().map_err(|e| e.to_string())?;
+        return Ok(CliOutcome::Run(Box::new(Cli {
+            mode: Mode::Harness,
+            plan,
+        })));
     };
-    // Explicit flags override the plan's execution section.
+
+    // Plans are self-contained: SEO_KERNEL is not consulted, and only the
+    // explicit flags override the plan's execution section.
+    let text = std::fs::read_to_string(&path).map_err(|e| format!("--plan {path}: {e}"))?;
+    let mut plan = SweepPlan::parse(&text).map_err(|e| format!("--plan {path}: {e}"))?;
     if let Some(kernel) = kernel_flag {
         plan = plan.with_kernel(kernel);
-    }
-    if let Some(timeout) = timeout_flag {
-        plan = plan.with_timeout_secs(timeout);
     }
     if verify {
         plan = plan.with_verify(true);
     }
-    if matches!(mode, Mode::Harness | Mode::Worker(_)) && verify {
-        return Err("--verify only applies to plan / --workers / --hosts modes".to_owned());
-    }
-    plan.validate().map_err(|e| e.to_string())?;
-    let kernel = plan.kernel;
-    let verify = plan.verify;
-    Ok(CliOutcome::Run(Box::new(Cli {
-        mode,
-        plan,
-        plan_path,
-        check,
-        verify,
-        kernel,
-        scenarios,
-        base_seed,
-        falsify_dir,
-    })))
+    let mode = match (check, worker, falsify) {
+        (true, _, _) => Mode::Check,
+        (_, Some(_), true) => {
+            return Err("--falsify runs the search in-process; drop --worker".to_owned())
+        }
+        (_, Some(_), _) if verify => {
+            return Err("--verify applies to whole-plan runs; drop --worker".to_owned())
+        }
+        (_, Some(shard), _) => Mode::Worker(shard),
+        (_, None, true) if plan.falsify.is_none() => {
+            return Err(format!(
+                "--falsify: plan {path} has no falsify section (see docs/falsification.md)"
+            ))
+        }
+        (_, None, true) => Mode::Falsify(falsify_dir),
+        (_, None, false) => Mode::Plan(path),
+    };
+    Ok(CliOutcome::Run(Box::new(Cli { mode, plan })))
 }
 
-/// `--worker START..END`: run one shard of the effective plan's grid
+/// `--worker START..END`: run one shard of the plan's grid
 /// through the same serial scratch loop every mode uses, streaming one wire
 /// line per episode. Stdout carries **only** protocol lines; anything human
 /// goes to stderr.
@@ -519,12 +437,12 @@ fn parse_cli() -> Result<CliOutcome, String> {
 /// and stdout carries exactly **one** [`shard::summary_line`] — per-episode
 /// NDJSON never crosses the process boundary (the coordinator rejects a
 /// summary-mode worker that prints more than one line).
-fn worker_mode(cli: &Cli, shard: Shard) -> Result<(), Box<dyn std::error::Error>> {
+fn worker_mode(plan: &SweepPlan, shard: Shard) -> Result<(), Box<dyn std::error::Error>> {
     let stdout = std::io::stdout();
     let mut out = stdout.lock();
-    if !cli.plan.emits_episodes() {
-        let mut summary = cli.plan.run_summary();
-        cli.plan.run_range(shard, cli.kernel, |i, report| {
+    if !plan.emits_episodes() {
+        let mut summary = plan.run_summary();
+        plan.run_range(shard, plan.kernel, |i, report| {
             summary.record(i, &report);
             true
         })?;
@@ -535,7 +453,7 @@ fn worker_mode(cli: &Cli, shard: Shard) -> Result<(), Box<dyn std::error::Error>
     let mut write_error: Option<std::io::Error> = None;
     // A failed write (e.g. the coordinator died and the pipe broke) stops
     // the shard immediately — no point computing episodes nobody reads.
-    cli.plan.run_range(shard, cli.kernel, |i, report| {
+    plan.run_range(shard, plan.kernel, |i, report| {
         let result = writeln!(out, "{}", shard::report_line(i, &report)).and_then(|()| out.flush());
         match result {
             Ok(()) => true,
@@ -552,8 +470,7 @@ fn worker_mode(cli: &Cli, shard: Shard) -> Result<(), Box<dyn std::error::Error>
 }
 
 /// `--check`: validate (already done at parse time) and summarize the plan.
-fn check_mode(cli: &Cli) {
-    let plan = &cli.plan;
+fn check_mode(plan: &SweepPlan) {
     println!("plan OK: {plan}");
     println!(
         "  grid: {} spec(s) in {} cell(s)",
@@ -593,26 +510,6 @@ fn check_mode(cli: &Cli) {
             n_specs.div_ceil(chunk)
         );
     }
-}
-
-/// The argv that re-invokes this binary as a worker process for the
-/// effective plan: a file-loaded plan travels by path (workers reload the
-/// identical grid — and with it the report section), the desugared paper
-/// plan as the legacy grid flags it came from. Either way the effective
-/// kernel is forwarded so workers run the backend the operator chose.
-fn worker_invocation(cli: &Cli) -> std::io::Result<(std::path::PathBuf, Vec<String>)> {
-    let program = std::env::current_exe()?;
-    let mut args: Vec<String> = match &cli.plan_path {
-        Some(path) => vec!["--plan".to_owned(), path.clone()],
-        None => vec![
-            "--scenarios".to_owned(),
-            cli.scenarios.to_string(),
-            "--seed".to_owned(),
-            cli.base_seed.to_string(),
-        ],
-    };
-    args.extend(["--kernel".to_owned(), cli.plan.kernel.name().to_owned()]);
-    Ok((program, args))
 }
 
 /// Prints the fleet's loss record and structured stats to stderr, records
@@ -657,25 +554,30 @@ fn engine_name(mode: &ExecMode) -> &'static str {
     }
 }
 
-/// Runs the effective plan per its execution mode, streaming merged wire
-/// lines to stdout, then verifies against the in-process serial rerun when
-/// asked. One function, four engines — the tentpole of the plan API.
+/// Runs the plan per its execution mode and verifies against the
+/// in-process serial rerun when asked. One function, four engines.
 ///
-/// Report routing: pure `summary` mode diverts to
-/// [`run_summary_plan_mode`] (no episode line is ever written, and the
-/// distributed engines ship sketches instead of episodes); `both` keeps
-/// the episode stream and folds a [`RunSummary`] from it locally, emitting
-/// the per-cell summary lines after the episode stream ends.
-fn run_plan_mode(cli: &Cli) -> Result<(), Box<dyn std::error::Error>> {
-    let plan = &cli.plan;
-    if !plan.emits_episodes() {
-        return run_summary_plan_mode(cli);
-    }
+/// Every engine feeds one sink, which streams the merged wire lines to
+/// stdout unless the report mode is pure `summary`, and folds a
+/// [`RunSummary`] when the report mode includes one (`summary` or `both`).
+/// In pure `summary` mode the distributed engines ship sketches instead of
+/// episodes: each worker process prints exactly one [`shard::summary_line`]
+/// for its shard ([`Coordinator::run_summaries`] rejects anything more),
+/// and each host ships one all-or-nothing summary frame per lease
+/// ([`RemoteCoordinator::run_plan_summary`]). The folded per-cell lines are
+/// byte-identical across all four engines because every sketch operation
+/// is exactly associative and fragments fold in spec-index order (see
+/// `docs/reporting.md`); they follow the episode stream, if any.
+fn run_plan_mode(plan: &SweepPlan, path: &str) -> Result<(), Box<dyn std::error::Error>> {
+    let episodes = plan.emits_episodes();
     let start = Instant::now();
     let stdout = std::io::stdout();
     let mut fold = plan.emits_summary().then(|| plan.run_summary());
-    let mut merged: Vec<EpisodeReport> =
-        Vec::with_capacity(if cli.verify { plan.n_specs() } else { 0 });
+    let mut merged: Vec<EpisodeReport> = Vec::with_capacity(if plan.verify && episodes {
+        plan.n_specs()
+    } else {
+        0
+    });
     let mut streamed = 0usize;
     let mut write_error: Option<std::io::Error> = None;
     // Returns the keep-going flag `run_range` understands: the serial path
@@ -683,7 +585,7 @@ fn run_plan_mode(cli: &Cli) -> Result<(), Box<dyn std::error::Error>> {
     // must not run the whole grid); the distributed paths drain their
     // merges but stop writing.
     let mut sink = |i: usize, report: EpisodeReport| -> bool {
-        if write_error.is_none() {
+        if episodes && write_error.is_none() {
             let result = writeln!(&stdout, "{}", shard::report_line(i, &report))
                 .and_then(|()| (&stdout).flush());
             if let Err(e) = result {
@@ -694,7 +596,7 @@ fn run_plan_mode(cli: &Cli) -> Result<(), Box<dyn std::error::Error>> {
         if let Some(summary) = fold.as_mut() {
             summary.record(i, &report);
         }
-        if cli.verify {
+        if plan.verify && episodes {
             merged.push(report);
         }
         write_error.is_none()
@@ -714,21 +616,39 @@ fn run_plan_mode(cli: &Cli) -> Result<(), Box<dyn std::error::Error>> {
             format!("over {threads} thread(s)")
         }
         ExecMode::Processes(workers) => {
-            // Re-invoke this binary as worker processes.
+            // Re-invoke this binary as worker processes; they reload the
+            // plan from its file and run this process's kernel.
             let shard_plan = ShardPlanner::new(*workers).plan(plan.n_specs())?;
-            let (program, args) = worker_invocation(cli)?;
-            let coordinator = Coordinator::new(program).with_args(args);
-            coordinator.run_streaming(&shard_plan, |i, report| {
-                sink(i, report);
-            })?;
+            let coordinator = Coordinator::new(std::env::current_exe()?).with_args([
+                "--plan",
+                path,
+                "--kernel",
+                plan.kernel.name(),
+            ]);
+            if episodes {
+                coordinator.run_streaming(&shard_plan, |i, report| {
+                    sink(i, report);
+                })?;
+            } else {
+                let fragments = coordinator.run_summaries(&shard_plan)?;
+                fold.as_mut()
+                    .expect("pure summary mode folds a summary")
+                    .fold_fragments(fragments)?;
+            }
             format!("over {} worker process(es)", shard_plan.shards().len())
         }
         ExecMode::Hosts(pool) => {
             let coordinator = RemoteCoordinator::new(pool.clone())
                 .with_timeout(std::time::Duration::from_secs_f64(plan.timeout_secs));
-            let stats = coordinator.run_plan_streaming(plan, |i, report| {
-                sink(i, report);
-            })?;
+            let stats = if episodes {
+                coordinator.run_plan_streaming(plan, |i, report| {
+                    sink(i, report);
+                })?
+            } else {
+                let (folded, stats) = coordinator.run_plan_summary(plan)?;
+                fold = Some(folded);
+                stats
+            };
             report_fleet(pool, &stats)
         }
     };
@@ -736,74 +656,31 @@ fn run_plan_mode(cli: &Cli) -> Result<(), Box<dyn std::error::Error>> {
         return Err(Box::new(e));
     }
     let elapsed = start.elapsed().as_secs_f64();
-    eprintln!(
-        "plan sweep: {streamed} scenario(s) {label} in {elapsed:.2} s ({:.1}/s)",
-        streamed as f64 / elapsed.max(1e-12),
-    );
+    let summary_only = fold.as_ref().filter(|_| !episodes);
+    match summary_only {
+        None => eprintln!(
+            "plan sweep: {streamed} scenario(s) {label} in {elapsed:.2} s ({:.1}/s)",
+            streamed as f64 / elapsed.max(1e-12),
+        ),
+        Some(summary) => eprintln!(
+            "plan sweep: {} scenario(s) {label} in {elapsed:.2} s ({:.1}/s), \
+             summary mode ({} cell line(s), no episode stream)",
+            summary.episodes(),
+            summary.episodes() as f64 / elapsed.max(1e-12),
+            summary.cells().len(),
+        ),
+    }
 
-    if cli.verify {
-        verify_against_plan_serial(plan, &merged)?;
+    if plan.verify {
+        match summary_only {
+            Some(summary) => verify_against_serial_summary(plan, summary)?,
+            None => verify_against_plan_serial(plan, &merged)?,
+        }
     }
     if let Some(summary) = &fold {
-        emit_summary(cli, summary, elapsed)?;
+        emit_summary(plan, path, summary, elapsed)?;
     }
     Ok(())
-}
-
-/// Pure `summary` report mode: no per-episode NDJSON leaves any engine.
-/// Serial and threads fold in-process; worker processes each print exactly
-/// one [`shard::summary_line`] for their shard
-/// ([`Coordinator::run_summaries`] rejects anything more); hosts ship one
-/// all-or-nothing summary wire frame per lease
-/// ([`RemoteCoordinator::run_plan_summary`]). Stdout carries only the
-/// folded per-cell summary lines — byte-identical across all four engines
-/// because every sketch operation is exactly associative and fragments
-/// fold in spec-index order (see `docs/reporting.md`).
-fn run_summary_plan_mode(cli: &Cli) -> Result<(), Box<dyn std::error::Error>> {
-    let plan = &cli.plan;
-    let start = Instant::now();
-    let mut summary = plan.run_summary();
-    let label: String = match &plan.mode {
-        ExecMode::Serial => {
-            plan.run_range(Shard::new(0, plan.n_specs()), plan.kernel, |i, report| {
-                summary.record(i, &report);
-                true
-            })?;
-            "serially".to_owned()
-        }
-        ExecMode::Threads(threads) => {
-            for (i, report) in plan.run_threads(*threads)?.into_iter().enumerate() {
-                summary.record(i, &report);
-            }
-            format!("over {threads} thread(s)")
-        }
-        ExecMode::Processes(workers) => {
-            let shard_plan = ShardPlanner::new(*workers).plan(plan.n_specs())?;
-            let (program, args) = worker_invocation(cli)?;
-            let coordinator = Coordinator::new(program).with_args(args);
-            summary.fold_fragments(coordinator.run_summaries(&shard_plan)?)?;
-            format!("over {} worker process(es)", shard_plan.shards().len())
-        }
-        ExecMode::Hosts(pool) => {
-            let coordinator = RemoteCoordinator::new(pool.clone())
-                .with_timeout(std::time::Duration::from_secs_f64(plan.timeout_secs));
-            let (folded, stats) = coordinator.run_plan_summary(plan)?;
-            summary = folded;
-            report_fleet(pool, &stats)
-        }
-    };
-    let elapsed = start.elapsed().as_secs_f64();
-    let episodes = summary.episodes();
-    eprintln!(
-        "plan sweep: {episodes} scenario(s) {label} in {elapsed:.2} s ({:.1}/s), \
-         summary mode ({} cell line(s), no episode stream)",
-        episodes as f64 / elapsed.max(1e-12),
-        summary.cells().len(),
-    );
-    if cli.verify {
-        verify_against_serial_summary(plan, &summary)?;
-    }
-    emit_summary(cli, &summary, elapsed)
 }
 
 /// Writes the folded per-cell summary NDJSON to stdout, upserts the
@@ -812,12 +689,12 @@ fn run_summary_plan_mode(cli: &Cli) -> Result<(), Box<dyn std::error::Error>> {
 /// present. Timing feeds only the book and provenance — never the
 /// byte-compared summary stream.
 fn emit_summary(
-    cli: &Cli,
+    plan: &SweepPlan,
+    path: &str,
     summary: &RunSummary,
     elapsed_secs: f64,
 ) -> Result<(), Box<dyn std::error::Error>> {
-    let report = cli
-        .plan
+    let report = plan
         .report
         .as_ref()
         .expect("summary emission requires a report section");
@@ -828,27 +705,21 @@ fn emit_summary(
     }
     out.flush()?;
     drop(out);
-    let engine = engine_name(&cli.plan.mode);
+    let engine = engine_name(&plan.mode);
     let scenarios_per_sec = summary.episodes() as f64 / elapsed_secs.max(1e-12);
     if let Some(book) = &report.book {
         let overall = summary.overall();
-        let stem = cli.plan_path.as_deref().map_or("paper", |p| {
-            std::path::Path::new(p)
-                .file_stem()
-                .and_then(|s| s.to_str())
-                .unwrap_or("plan")
-        });
+        let stem = std::path::Path::new(path)
+            .file_stem()
+            .and_then(|s| s.to_str())
+            .unwrap_or("plan");
         let row = seo_bench::book::BookRow {
-            run_id: format!("{stem}/{engine}/{}", cli.plan.kernel.name()),
+            run_id: format!("{stem}/{engine}/{}", plan.kernel.name()),
             timestamp_secs: std::time::SystemTime::now()
                 .duration_since(std::time::UNIX_EPOCH)
                 .map(|d| d.as_secs())
                 .unwrap_or(0),
-            grid: format!(
-                "{} specs / {} cells",
-                cli.plan.n_specs(),
-                cli.plan.cells().len()
-            ),
+            grid: format!("{} specs / {} cells", plan.n_specs(), plan.axes.n_cells()),
             scenarios_per_sec,
             energy_gain_mean: overall.energy_gain.mean(),
             delta_max_p50: overall.delta_max.quantile(0.5),
@@ -906,20 +777,18 @@ fn verify_against_serial_summary(
 /// `--verify` replays every emitted plan in-process and fails unless the
 /// replay is bit-identical to the recorded episode. Search provenance is
 /// patched into `BENCH_sweep.json` when a harness run left one behind.
-fn run_falsify_mode(cli: &Cli) -> Result<(), Box<dyn std::error::Error>> {
-    let plan = &cli.plan;
+fn run_falsify_mode(plan: &SweepPlan, dir: &str) -> Result<(), Box<dyn std::error::Error>> {
     let start = Instant::now();
     let outcome = falsify::falsify(plan)?;
     let stdout = std::io::stdout();
-    std::fs::create_dir_all(&cli.falsify_dir)
-        .map_err(|e| format!("--falsify-dir {}: {e}", cli.falsify_dir))?;
+    std::fs::create_dir_all(dir).map_err(|e| format!("--falsify-dir {dir}: {e}"))?;
     for (i, cx) in outcome.counterexamples.iter().enumerate() {
         writeln!(&stdout, "{}", cx.line(i))?;
-        let plan_path = format!("{}/cx-{i}.json", cli.falsify_dir);
-        let expected_path = format!("{}/cx-{i}.expected.ndjson", cli.falsify_dir);
+        let plan_path = format!("{dir}/cx-{i}.json");
+        let expected_path = format!("{dir}/cx-{i}.expected.ndjson");
         std::fs::write(&plan_path, cx.plan.to_json().render_pretty())?;
         std::fs::write(&expected_path, format!("{}\n", cx.expected_line()))?;
-        if cli.verify {
+        if plan.verify {
             let replay = cx.plan.run_serial()?;
             if replay.len() != 1 || shard::report_line(0, &replay[0]) != cx.expected_line() {
                 return Err(format!(
@@ -930,7 +799,7 @@ fn run_falsify_mode(cli: &Cli) -> Result<(), Box<dyn std::error::Error>> {
             }
         }
     }
-    if cli.verify {
+    if plan.verify {
         eprintln!(
             "verify: {} counterexample replay(s) bit-identical",
             outcome.counterexamples.len()
@@ -997,15 +866,12 @@ fn verify_against_plan_serial(
     Ok(())
 }
 
-fn run_harness(
-    scenarios: usize,
-    base_seed: u64,
-    kernel: KernelBackend,
-) -> Result<(), Box<dyn std::error::Error>> {
+fn run_harness(plan: &SweepPlan) -> Result<(), Box<dyn std::error::Error>> {
     let runs = runs_from_env().min(10);
+    let kernel = plan.kernel;
 
     // Phase 1: sweep throughput + BENCH_sweep.json.
-    let throughput = throughput_phase(scenarios, base_seed, kernel)?;
+    let throughput = throughput_phase(plan)?;
     let dump = Json::obj(vec![
         ("schema", "seo-bench-sweep/v1".into()),
         ("throughput", throughput),
@@ -1076,15 +942,15 @@ fn main() {
             std::process::exit(2);
         }
     };
-    if cli.check {
-        check_mode(&cli);
-        return;
-    }
-    let result = match cli.mode {
-        Mode::Harness => run_harness(cli.scenarios, cli.base_seed, cli.kernel),
-        Mode::Worker(shard) => worker_mode(&cli, shard),
-        Mode::Plan => run_plan_mode(&cli),
-        Mode::Falsify => run_falsify_mode(&cli),
+    let result = match &cli.mode {
+        Mode::Harness => run_harness(&cli.plan),
+        Mode::Check => {
+            check_mode(&cli.plan);
+            Ok(())
+        }
+        Mode::Worker(shard) => worker_mode(&cli.plan, *shard),
+        Mode::Plan(path) => run_plan_mode(&cli.plan, path),
+        Mode::Falsify(dir) => run_falsify_mode(&cli.plan, dir),
     };
     if let Err(e) = result {
         eprintln!("sweep: {e}");

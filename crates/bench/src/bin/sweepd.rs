@@ -7,15 +7,15 @@
 //! `shutdown` frame or SIGTERM. Episodes run through the same serial
 //! scratch loop every other sweep mode uses and stream back one report
 //! frame per episode, in ascending index order, ending with a `done`
-//! frame. The `sweep --hosts hosts.json` coordinator on any machine can
-//! then merge several daemons' streams into output bit-identical to a
-//! serial sweep. The service book is `docs/sweepd.md`.
+//! frame. `sweep --plan` on any machine, with a plan whose `exec.mode` is
+//! `{"hosts": …}`, then merges several daemons' streams into output
+//! bit-identical to a serial sweep. The service book is `docs/sweepd.md`.
 //!
 //! ```sh
 //! # On each worker host:
 //! seo-sweepd --listen 0.0.0.0:7641 --jobs 4
-//! # On the coordinator (hosts.json lists the workers):
-//! sweep --hosts hosts.json --verify --scenarios 60 > merged.ndjson
+//! # On the coordinator (the plan's exec.mode.hosts lists the workers):
+//! sweep --plan fleet.json --verify > merged.ndjson
 //! # Operations:
 //! seo-sweepd --health 10.0.0.1:7641     # liveness + cumulative stats
 //! seo-sweepd --shutdown 10.0.0.1:7641   # drain: finish jobs, exit 0

@@ -9,10 +9,10 @@
 //! `SEO_RUNS` to trade fidelity for speed (the binaries honor it).
 //!
 //! The distributed sweep surface lives next door: the `sweep` binary runs
-//! declarative `seo_core::plan::SweepPlan` files (`--plan plan.json`; the
-//! legacy `--workers` / `--hosts` flags desugar into plans), and the
-//! `seo-sweepd` worker daemon serves plan-bearing jobs over
-//! `seo_core::transport` (see `ARCHITECTURE.md` at the repository root,
+//! declarative `seo_core::plan::SweepPlan` files (`--plan plan.json`, the
+//! only way to start an engine run), and the `seo-sweepd` worker daemon
+//! serves plan-bearing jobs over `seo_core::transport` (see
+//! `ARCHITECTURE.md` at the repository root,
 //! `docs/plans.md` for the plan schema, and `docs/benchmarks.md` for the
 //! `BENCH_sweep.json` schema and CI perf gate). Sweeps whose plan carries
 //! a `report` section additionally fold per-cell sketches and upsert a
@@ -35,7 +35,6 @@
 
 pub mod book;
 pub mod cells;
-pub mod json;
 pub mod report;
 pub mod timing;
 

@@ -1,10 +1,14 @@
 //! Multi-host determinism tests against the real binaries: `seo-sweepd`
-//! daemons on loopback TCP ports plus the `sweep --hosts` coordinator CLI —
-//! actual OS processes speaking the length-delimited frame protocol — with
-//! the merged output asserted **bit-identical** to an in-process
-//! `BatchRunner::run_serial`, clean runs and injected mid-stream host kills
-//! alike. This is the same shape the CI loopback smoke runs.
+//! daemons on loopback TCP ports plus the `sweep --plan` coordinator CLI
+//! running a hosts plan — actual OS processes speaking the
+//! length-delimited frame protocol — with the merged output asserted
+//! **bit-identical** to an in-process `BatchRunner::run_serial`, clean runs
+//! and injected mid-stream host kills alike. This is the same shape the CI
+//! loopback smoke runs.
 
+mod common;
+
+use common::PlanFile;
 use seo_core::batch::{BatchRunner, ScenarioSpec};
 use seo_core::prelude::*;
 use seo_core::runtime::RuntimeLoop;
@@ -97,40 +101,38 @@ impl Drop for Daemon {
     }
 }
 
-fn write_hosts_file(hosts: &[(&str, u64)]) -> std::path::PathBuf {
-    let entries: Vec<String> = hosts
-        .iter()
-        .map(|(addr, capacity)| format!(r#"{{"addr":"{addr}","capacity":{capacity}}}"#))
-        .collect();
-    static NEXT: std::sync::atomic::AtomicUsize = std::sync::atomic::AtomicUsize::new(0);
-    let path = std::env::temp_dir().join(format!(
-        "seo-hosts-{}-{}.json",
-        std::process::id(),
-        NEXT.fetch_add(1, std::sync::atomic::Ordering::Relaxed)
-    ));
-    std::fs::write(
-        &path,
-        format!(r#"{{"v":1,"hosts":[{}]}}"#, entries.join(",")),
+/// A pool over `hosts` given as `(addr, capacity)` pairs.
+fn pool(hosts: &[(&str, u64)]) -> HostPool {
+    HostPool::new(
+        hosts
+            .iter()
+            .map(|&(addr, capacity)| HostSpec {
+                addr: addr.to_owned(),
+                capacity,
+            })
+            .collect(),
     )
-    .expect("hosts file written");
-    path
+    .expect("valid pool")
 }
 
-/// Runs `sweep --hosts <file> --verify` and returns (stdout, stderr).
-fn run_sweep_hosts(hosts_path: &std::path::Path) -> (String, String) {
+/// The paper preset over `pool`, with a 60 s timeout and `verify` on, in a
+/// per-test plan file.
+fn hosts_plan(name: &str, pool: HostPool) -> PlanFile {
+    let plan = SweepPlan::paper(SCENARIOS, SEED)
+        .with_mode(ExecMode::Hosts(pool))
+        .with_timeout_secs(60.0)
+        .with_verify(true);
+    PlanFile::new(name, plan.to_json().render())
+}
+
+/// Runs `sweep --plan <file>` and returns (stdout, stderr).
+fn run_sweep_hosts(plan_file: &PlanFile) -> (String, String) {
     let output = Command::new(SWEEP_BIN)
-        .args([
-            "--scenarios",
-            &SCENARIOS.to_string(),
-            "--seed",
-            &SEED.to_string(),
-        ])
-        .args(["--hosts".as_ref(), hosts_path.as_os_str()])
-        .args(["--verify", "--timeout-secs", "60"])
+        .args(["--plan", plan_file.path()])
         .output()
-        .expect("sweep --hosts runs");
+        .expect("sweep --plan runs");
     let stderr = String::from_utf8_lossy(&output.stderr).into_owned();
-    assert!(output.status.success(), "sweep --hosts failed: {stderr}");
+    assert!(output.status.success(), "sweep --plan failed: {stderr}");
     (
         String::from_utf8(output.stdout).expect("utf8 stdout"),
         stderr,
@@ -152,9 +154,8 @@ fn assert_stdout_matches_serial(stdout: &str) {
 fn two_daemon_hosts_merge_bit_identical_to_serial() {
     let a = Daemon::spawn(&[]);
     let b = Daemon::spawn(&[]);
-    let hosts = write_hosts_file(&[(&a.addr, 2), (&b.addr, 1)]);
-    let (stdout, stderr) = run_sweep_hosts(&hosts);
-    let _ = std::fs::remove_file(&hosts);
+    let plan_file = hosts_plan("two", pool(&[(&a.addr, 2), (&b.addr, 1)]));
+    let (stdout, stderr) = run_sweep_hosts(&plan_file);
     assert!(
         stderr.contains("bit-identical"),
         "verify note missing: {stderr}"
@@ -167,15 +168,15 @@ fn two_daemon_hosts_merge_bit_identical_to_serial() {
 }
 
 /// The daemon service contract end to end with real processes: one
-/// `seo-sweepd` serves three consecutive `sweep --hosts` runs (with a raw
+/// `seo-sweepd` serves three consecutive `sweep --plan` runs (with a raw
 /// client disconnecting mid-job in between), answers a `--health` probe
 /// with cumulative stats, and exits 0 after a `--shutdown` drain.
 #[test]
 fn one_sweepd_serves_consecutive_sweeps_and_drains_on_shutdown() {
     let mut daemon = Daemon::spawn(&["--jobs", "2"]);
-    let hosts = write_hosts_file(&[(&daemon.addr, 1)]);
+    let plan_file = hosts_plan("consecutive", pool(&[(&daemon.addr, 1)]));
     for _ in 0..2 {
-        let (stdout, _) = run_sweep_hosts(&hosts);
+        let (stdout, _) = run_sweep_hosts(&plan_file);
         assert_stdout_matches_serial(&stdout);
     }
     // A raw client that sends a job, reads one frame, and vanishes: the
@@ -194,8 +195,7 @@ fn one_sweepd_serves_consecutive_sweeps_and_drains_on_shutdown() {
             .expect("read frame")
             .expect("first report");
     }
-    let (stdout, _) = run_sweep_hosts(&hosts);
-    let _ = std::fs::remove_file(&hosts);
+    let (stdout, _) = run_sweep_hosts(&plan_file);
     assert_stdout_matches_serial(&stdout);
     // Health: the cumulative counters cover the three completed jobs.
     let health = daemon.probe("--health");
@@ -215,29 +215,17 @@ fn one_sweepd_serves_consecutive_sweeps_and_drains_on_shutdown() {
 }
 
 /// A daemon that refuses its first connection but recovers is absorbed by
-/// the coordinator's retry budget (carried in the hosts file): no loss, no
+/// the coordinator's retry budget (carried in the plan's pool): no loss, no
 /// lease re-issue, and the retry shows up in the structured stats summary.
 #[test]
 fn refuse_then_recover_daemon_is_absorbed_by_the_retry_budget() {
     let flaky = Daemon::spawn(&["--fault", "refuse=1"]);
     let healthy = Daemon::spawn(&[]);
-    static NEXT: std::sync::atomic::AtomicUsize = std::sync::atomic::AtomicUsize::new(0);
-    let hosts = std::env::temp_dir().join(format!(
-        "seo-hosts-retry-{}-{}.json",
-        std::process::id(),
-        NEXT.fetch_add(1, std::sync::atomic::Ordering::Relaxed)
-    ));
-    std::fs::write(
-        &hosts,
-        format!(
-            r#"{{"v":1,"hosts":[{{"addr":"{}","capacity":1}},{{"addr":"{}","capacity":1}}],
-               "retry":{{"attempts":3,"base_delay_ms":50}}}}"#,
-            flaky.addr, healthy.addr
-        ),
-    )
-    .expect("hosts file written");
-    let (stdout, stderr) = run_sweep_hosts(&hosts);
-    let _ = std::fs::remove_file(&hosts);
+    let fleet = pool(&[(&flaky.addr, 1), (&healthy.addr, 1)]).with_retry(RetryPolicy {
+        attempts: 3,
+        base_delay_ms: 50,
+    });
+    let (stdout, stderr) = run_sweep_hosts(&hosts_plan("retry", fleet));
     assert_stdout_matches_serial(&stdout);
     assert!(
         stderr.contains(r#""hosts_lost":[]"#),
@@ -259,9 +247,8 @@ fn killed_daemon_mid_stream_is_reissued_and_output_stays_identical() {
     // This daemon drops every connection after 1 report, without a done
     // frame — a real process dying mid-stream from the coordinator's view.
     let doomed = Daemon::spawn(&["--fault", "drop-after=1"]);
-    let hosts = write_hosts_file(&[(&healthy.addr, 1), (&doomed.addr, 2)]);
-    let (stdout, stderr) = run_sweep_hosts(&hosts);
-    let _ = std::fs::remove_file(&hosts);
+    let fleet = pool(&[(&healthy.addr, 1), (&doomed.addr, 2)]);
+    let (stdout, stderr) = run_sweep_hosts(&hosts_plan("killed", fleet));
     assert!(
         stderr.contains("lost") && stderr.contains("re-queued"),
         "host loss must be reported on stderr: {stderr}"
@@ -273,7 +260,7 @@ fn killed_daemon_mid_stream_is_reissued_and_output_stays_identical() {
     assert_stdout_matches_serial(&stdout);
 }
 
-/// A chunked hosts file end to end with real processes: `"chunk":3` carves
+/// A chunked hosts plan end to end with real processes: `"chunk":3` carves
 /// the 6-spec grid into two leases; the doomed daemon burns its 2-attempt
 /// retry budget one report at a time and strands one spec, which the
 /// healthy daemon steals off the queue. The stats summary on stderr must
@@ -284,23 +271,13 @@ fn killed_daemon_mid_stream_is_reissued_and_output_stays_identical() {
 fn chunked_hosts_file_reissues_and_steals_a_stranded_lease() {
     let doomed = Daemon::spawn(&["--fault", "drop-after=1"]);
     let healthy = Daemon::spawn(&[]);
-    static NEXT: std::sync::atomic::AtomicUsize = std::sync::atomic::AtomicUsize::new(0);
-    let hosts = std::env::temp_dir().join(format!(
-        "seo-hosts-chunk-{}-{}.json",
-        std::process::id(),
-        NEXT.fetch_add(1, std::sync::atomic::Ordering::Relaxed)
-    ));
-    std::fs::write(
-        &hosts,
-        format!(
-            r#"{{"v":1,"hosts":[{{"addr":"{}","capacity":1}},{{"addr":"{}","capacity":1}}],
-               "retry":{{"attempts":2,"base_delay_ms":400}},"chunk":3}}"#,
-            doomed.addr, healthy.addr
-        ),
-    )
-    .expect("hosts file written");
-    let (stdout, stderr) = run_sweep_hosts(&hosts);
-    let _ = std::fs::remove_file(&hosts);
+    let fleet = pool(&[(&doomed.addr, 1), (&healthy.addr, 1)])
+        .with_retry(RetryPolicy {
+            attempts: 2,
+            base_delay_ms: 400,
+        })
+        .with_chunk(ChunkPolicy::Fixed(3));
+    let (stdout, stderr) = run_sweep_hosts(&hosts_plan("chunk", fleet));
     assert_stdout_matches_serial(&stdout);
     assert!(
         stderr.contains(r#""chunk":3"#),
@@ -328,61 +305,11 @@ fn multi_host_verify_sweep_is_kernel_backend_invariant() {
     // lines, so this is the full multi-host backend-invariance check.
     let scalar_host = Daemon::spawn(&["--kernel", "scalar"]);
     let blocked_host = Daemon::spawn(&["--kernel", "blocked"]);
-    let hosts = write_hosts_file(&[(&scalar_host.addr, 1), (&blocked_host.addr, 1)]);
-    let (stdout, stderr) = run_sweep_hosts(&hosts);
-    let _ = std::fs::remove_file(&hosts);
+    let fleet = pool(&[(&scalar_host.addr, 1), (&blocked_host.addr, 1)]);
+    let (stdout, stderr) = run_sweep_hosts(&hosts_plan("mixed", fleet));
     assert!(
         stderr.contains("bit-identical"),
         "verify note missing: {stderr}"
-    );
-    assert_stdout_matches_serial(&stdout);
-}
-
-#[test]
-fn hosts_plan_file_matches_the_legacy_hosts_flags_byte_for_byte() {
-    // The hosts run mode described *inside a plan file* must reproduce the
-    // legacy `--hosts` flag run exactly — the plan is the description, the
-    // engines are shared. The daemons here receive the plan inline over
-    // the wire (no plan file on the "remote" side).
-    let a = Daemon::spawn(&[]);
-    let b = Daemon::spawn(&["--kernel", "blocked"]); // mixed fleet stays legal
-    let hosts = write_hosts_file(&[(&a.addr, 2), (&b.addr, 1)]);
-    let (legacy_stdout, _) = run_sweep_hosts(&hosts);
-    let _ = std::fs::remove_file(&hosts);
-
-    let plan = seo_core::plan::SweepPlan::paper(SCENARIOS, SEED)
-        .with_mode(seo_core::plan::ExecMode::Hosts(
-            seo_core::transport::HostPool::new(vec![
-                HostSpec {
-                    addr: a.addr.clone(),
-                    capacity: 2,
-                },
-                HostSpec {
-                    addr: b.addr.clone(),
-                    capacity: 1,
-                },
-            ])
-            .expect("valid pool"),
-        ))
-        .with_timeout_secs(60.0)
-        .with_verify(true);
-    let path = std::env::temp_dir().join(format!("seo-hosts-plan-{}.json", std::process::id()));
-    std::fs::write(&path, plan.to_json().render_pretty()).expect("plan written");
-    let output = Command::new(SWEEP_BIN)
-        .args(["--plan".as_ref(), path.as_os_str()])
-        .output()
-        .expect("sweep --plan runs");
-    let _ = std::fs::remove_file(&path);
-    let stderr = String::from_utf8_lossy(&output.stderr);
-    assert!(output.status.success(), "plan hosts run failed: {stderr}");
-    assert!(
-        stderr.contains("bit-identical"),
-        "verify note missing: {stderr}"
-    );
-    let stdout = String::from_utf8(output.stdout).expect("utf8 stdout");
-    assert_eq!(
-        stdout, legacy_stdout,
-        "plan-file hosts mode must stream byte-identical merged lines"
     );
     assert_stdout_matches_serial(&stdout);
 }
@@ -450,35 +377,17 @@ fn sweepd_rejects_bad_flags_with_exit_2_and_usage() {
 }
 
 #[test]
-fn unrepresentable_timeout_is_an_argument_error_not_a_panic() {
-    // 1e30 s parses as f64 but exceeds what Duration can hold; it must be
-    // rejected at the CLI (exit 2 + usage) instead of panicking at use.
-    for bad in ["1e30", "0", "-5", "inf", "nan"] {
-        let output = Command::new(SWEEP_BIN)
-            .args(["--hosts", "unused.json", "--timeout-secs", bad])
-            .output()
-            .expect("sweep runs");
-        assert_eq!(
-            output.status.code(),
-            Some(2),
-            "timeout '{bad}' must be an argument error"
-        );
-        let stderr = String::from_utf8_lossy(&output.stderr);
-        assert!(
-            stderr.contains("--timeout-secs") && stderr.contains("usage:"),
-            "'{bad}': {stderr}"
-        );
-    }
-}
-
-#[test]
 fn invalid_hosts_file_fails_before_any_connection() {
-    let hosts = write_hosts_file(&[("127.0.0.1:1", 0)]); // zero capacity
+    // A zero-capacity host: the pool API refuses to build it, so the plan
+    // is written by hand.
+    let plan_file = PlanFile::new(
+        "zero-capacity",
+        r#"{"v":1,"exec":{"mode":{"hosts":{"v":1,"hosts":[{"addr":"127.0.0.1:1","capacity":0}]}}}}"#,
+    );
     let output = Command::new(SWEEP_BIN)
-        .args(["--hosts".as_ref(), hosts.as_os_str()])
+        .args(["--plan", plan_file.path()])
         .output()
         .expect("sweep runs");
-    let _ = std::fs::remove_file(&hosts);
     assert!(!output.status.success());
     let stderr = String::from_utf8_lossy(&output.stderr);
     assert!(

@@ -1,25 +1,19 @@
 //! CLI-level properties of the unified plan surface: `--help` exits 0 on
-//! both binaries, `--plan --check` validates with field-named errors,
-//! legacy flags desugar into plans with byte-identical output, and the
-//! paper-preset plan reproduces the legacy grid across run modes (the
-//! multi-host mode is covered against real daemons in
-//! `multihost_sweep.rs` / `tests/transport.rs`).
+//! both binaries, every engine run starts from `--plan`, `--plan --check`
+//! validates with field-named errors, and plans run end to end through
+//! the CLI (the process and multi-host modes are covered against real
+//! workers and daemons in `sharded_sweep.rs`, `multihost_sweep.rs` and
+//! `tests/transport.rs`).
 
+mod common;
+
+use common::PlanFile;
 use seo_core::plan::{ExecMode, SweepPlan};
 use seo_core::prelude::*;
-use std::path::PathBuf;
 use std::process::Command;
 
 const SWEEP_BIN: &str = env!("CARGO_BIN_EXE_sweep");
 const SWEEPD_BIN: &str = env!("CARGO_BIN_EXE_sweepd");
-
-/// Writes a plan to a unique temp file and returns its path.
-fn write_plan(name: &str, plan: &SweepPlan) -> PathBuf {
-    let path =
-        std::env::temp_dir().join(format!("seo-plan-cli-{}-{name}.json", std::process::id()));
-    std::fs::write(&path, plan.to_json().render_pretty()).expect("plan written");
-    path
-}
 
 #[test]
 fn help_prints_usage_and_exits_zero_on_both_binaries() {
@@ -42,92 +36,74 @@ fn help_prints_usage_and_exits_zero_on_both_binaries() {
     }
 }
 
+/// Every engine run starts from a plan file: each removed flag-mode
+/// argument, and `--worker` or `--check` without `--plan`, is an argument
+/// error (exit 2, usage shown) whose message points at `--plan`.
+#[test]
+fn engine_runs_require_a_plan_file() {
+    for args in [
+        &["--worker", "0..1"][..],
+        &["--check"],
+        &["--workers", "2"],
+        &["--hosts", "hosts.json"],
+        &["--scenarios", "6"],
+        &["--seed", "2023"],
+        &["--timeout-secs", "60"],
+    ] {
+        let output = Command::new(SWEEP_BIN)
+            .args(args)
+            .output()
+            .expect("sweep runs");
+        assert_eq!(output.status.code(), Some(2), "{args:?} must exit 2");
+        let stderr = String::from_utf8_lossy(&output.stderr);
+        // The usage lists --plan too, so look at the message line alone.
+        let message = stderr.lines().next().unwrap_or_default();
+        assert!(
+            message.contains(args[0]) && message.contains("--plan"),
+            "{args:?}: the message must name the argument and --plan: {stderr}"
+        );
+        assert!(stderr.contains("usage:"), "{args:?}: {stderr}");
+    }
+}
+
 #[test]
 fn plan_check_validates_and_summarizes() {
-    let path = write_plan("check-ok", &SweepPlan::paper(6, 2023));
+    let plan_file = PlanFile::new("check-ok", SweepPlan::paper(6, 2023).to_json().render());
     let output = Command::new(SWEEP_BIN)
-        .args(["--plan", path.to_str().expect("utf8 path"), "--check"])
+        .args(["--plan", plan_file.path(), "--check"])
         .output()
         .expect("sweep runs");
     assert_eq!(output.status.code(), Some(0));
     let stdout = String::from_utf8_lossy(&output.stdout);
     assert!(stdout.contains("plan OK"), "{stdout}");
     assert!(stdout.contains("6 spec(s)"), "{stdout}");
-    let _ = std::fs::remove_file(path);
 }
 
 #[test]
 fn invalid_plan_exits_2_naming_every_offending_field() {
-    let path = std::env::temp_dir().join(format!("seo-plan-cli-{}-bad.json", std::process::id()));
-    std::fs::write(
-        &path,
-        r#"{"v":1,"axes":{"gating_levels":[1.5],"obstacles":[]},"exec":{"kernel":"warp9"}}"#,
-    )
-    .expect("plan written");
-    let output = Command::new(SWEEP_BIN)
-        .args(["--plan", path.to_str().expect("utf8 path"), "--check"])
-        .output()
-        .expect("sweep runs");
-    assert_eq!(output.status.code(), Some(2), "invalid plan must exit 2");
-    let stderr = String::from_utf8_lossy(&output.stderr);
-    for field in ["axes.gating_levels", "axes.obstacles", "exec.kernel"] {
-        assert!(stderr.contains(field), "'{field}' missing from: {stderr}");
-    }
-    assert!(stderr.contains("usage:"), "{stderr}");
-    let _ = std::fs::remove_file(path);
-}
-
-/// The desugaring equivalence: `--workers 2 --kernel blocked` produces
-/// byte-for-byte the stdout of running the corresponding plan file, and
-/// both match the serial plan run.
-#[test]
-fn legacy_flags_are_equivalent_to_the_corresponding_plan_file() {
-    let flags = Command::new(SWEEP_BIN)
-        .args(["--scenarios", "6", "--seed", "2023"])
-        .args(["--workers", "2", "--kernel", "blocked", "--verify"])
-        .output()
-        .expect("sweep runs");
-    assert!(
-        flags.status.success(),
-        "flags run failed: {}",
-        String::from_utf8_lossy(&flags.stderr)
-    );
-
-    let plan = SweepPlan::paper(6, 2023)
-        .with_mode(ExecMode::Processes(2))
-        .with_kernel(KernelBackend::Blocked)
-        .with_verify(true);
-    let path = write_plan("desugar", &plan);
-    let from_plan = Command::new(SWEEP_BIN)
-        .args(["--plan", path.to_str().expect("utf8 path")])
-        .output()
-        .expect("sweep runs");
-    assert!(
-        from_plan.status.success(),
-        "plan run failed: {}",
-        String::from_utf8_lossy(&from_plan.stderr)
-    );
-    assert_eq!(
-        String::from_utf8_lossy(&flags.stdout),
-        String::from_utf8_lossy(&from_plan.stdout),
-        "flag and plan runs must stream identical merged lines"
-    );
-
-    let serial = write_plan(
-        "desugar-serial",
-        &SweepPlan::paper(6, 2023).with_verify(true),
-    );
-    let serial_out = Command::new(SWEEP_BIN)
-        .args(["--plan", serial.to_str().expect("utf8 path")])
-        .output()
-        .expect("sweep runs");
-    assert!(serial_out.status.success());
-    assert_eq!(
-        from_plan.stdout, serial_out.stdout,
-        "process mode must be byte-identical to the serial plan run"
-    );
-    for p in [path, serial] {
-        let _ = std::fs::remove_file(p);
+    for (text, fields) in [
+        (
+            r#"{"v":1,"axes":{"gating_levels":[1.5],"obstacles":[]},"exec":{"kernel":"warp9"}}"#,
+            &["axes.gating_levels", "axes.obstacles", "exec.kernel"][..],
+        ),
+        // 1e30 s parses as f64 but exceeds what a Duration can hold: it
+        // must be rejected up front instead of panicking at use.
+        (
+            r#"{"v":1,"exec":{"timeout_secs":1e30}}"#,
+            &["exec.timeout_secs"],
+        ),
+    ] {
+        let plan_file = PlanFile::new("bad", text);
+        let output = Command::new(SWEEP_BIN)
+            .args(["--plan", plan_file.path(), "--check"])
+            .output()
+            .expect("sweep runs");
+        assert_eq!(output.status.code(), Some(2), "invalid plan must exit 2");
+        let stderr = String::from_utf8_lossy(&output.stderr);
+        for field in fields {
+            assert!(stderr.contains(field), "'{field}' missing from: {stderr}");
+        }
+        assert!(stderr.contains("usage:"), "{stderr}");
     }
 }
 
@@ -140,9 +116,9 @@ fn multi_axis_plan_runs_and_verifies_in_threads_mode() {
         .with_optimizers(vec![OptimizerKind::Offloading, OptimizerKind::ModelGating])
         .with_mode(ExecMode::Threads(2))
         .with_verify(true);
-    let path = write_plan("threads", &plan);
+    let plan_file = PlanFile::new("threads", plan.to_json().render());
     let output = Command::new(SWEEP_BIN)
-        .args(["--plan", path.to_str().expect("utf8 path")])
+        .args(["--plan", plan_file.path()])
         .output()
         .expect("sweep runs");
     let stderr = String::from_utf8_lossy(&output.stderr);
@@ -155,7 +131,6 @@ fn multi_axis_plan_runs_and_verifies_in_threads_mode() {
         let (index, _) = seo_core::shard::parse_report_line(line).expect("valid wire line");
         assert_eq!(index, i, "merged lines come out in spec order");
     }
-    let _ = std::fs::remove_file(path);
 }
 
 /// `--plan` with `--worker START..END` runs one shard of the plan's grid —
@@ -164,14 +139,9 @@ fn multi_axis_plan_runs_and_verifies_in_threads_mode() {
 fn plan_worker_mode_emits_exactly_its_shard() {
     let plan = SweepPlan::paper(6, 2023);
     let serial = plan.run_serial().expect("plan runs");
-    let path = write_plan("worker", &plan);
+    let plan_file = PlanFile::new("worker", plan.to_json().render());
     let output = Command::new(SWEEP_BIN)
-        .args([
-            "--plan",
-            path.to_str().expect("utf8 path"),
-            "--worker",
-            "2..5",
-        ])
+        .args(["--plan", plan_file.path(), "--worker", "2..5"])
         .output()
         .expect("sweep runs");
     assert!(output.status.success());
@@ -185,7 +155,6 @@ fn plan_worker_mode_emits_exactly_its_shard() {
         assert_eq!(*index, 2 + offset);
         assert_eq!(*report, serial[*index]);
     }
-    let _ = std::fs::remove_file(path);
 }
 
 /// The committed example plans validate through the real CLI (`--check`),

@@ -2,10 +2,15 @@
 //!
 //! These spawn the real `sweep` binary (via `CARGO_BIN_EXE_sweep`) as
 //! coordinator and workers — actual OS processes talking the line-delimited
-//! JSON wire format — and assert the merged output is **bit-identical** to
-//! an in-process [`BatchRunner::run_serial`] over the same grid.
+//! JSON wire format — over the paper preset written to a temp plan file,
+//! and assert the merged output is **bit-identical** to an in-process
+//! [`BatchRunner::run_serial`] over the same grid.
 
+mod common;
+
+use common::PlanFile;
 use seo_core::batch::{BatchRunner, ScenarioSpec};
+use seo_core::plan::{ExecMode, SweepPlan};
 use seo_core::prelude::*;
 use seo_core::runtime::RuntimeLoop;
 use seo_core::shard::{parse_report_line, report_line, Coordinator, ShardError, ShardPlanner};
@@ -15,9 +20,14 @@ const SWEEP_BIN: &str = env!("CARGO_BIN_EXE_sweep");
 const SCENARIOS: usize = 6;
 const SEED: u64 = 2023;
 
-/// The grid the sweep binary builds for `--scenarios 6 --seed 2023`.
+/// The grid of the paper preset `SweepPlan::paper(6, 2023)`.
 fn grid() -> Vec<ScenarioSpec> {
     ScenarioSpec::grid(&[0, 2, 4], SCENARIOS.div_ceil(3), SEED)
+}
+
+/// The paper preset `SweepPlan::paper(6, 2023)` in a per-test plan file.
+fn paper_plan(name: &str) -> PlanFile {
+    PlanFile::new(name, SweepPlan::paper(SCENARIOS, SEED).to_json().render())
 }
 
 fn serial_reports() -> Vec<EpisodeReport> {
@@ -28,21 +38,13 @@ fn serial_reports() -> Vec<EpisodeReport> {
     BatchRunner::new(runtime).run_serial(&grid())
 }
 
-fn common_args() -> [String; 4] {
-    [
-        "--scenarios".to_owned(),
-        SCENARIOS.to_string(),
-        "--seed".to_owned(),
-        SEED.to_string(),
-    ]
-}
-
 #[test]
 fn multiprocess_merge_is_bit_identical_to_serial() {
     let serial = serial_reports();
+    let plan_file = paper_plan("merge");
     // 4 workers over 6 specs forces uneven shard sizes ([2, 2, 1, 1]).
     for workers in [1usize, 2, 4] {
-        let coordinator = Coordinator::new(SWEEP_BIN).with_args(common_args());
+        let coordinator = Coordinator::new(SWEEP_BIN).with_args(["--plan", plan_file.path()]);
         let plan = ShardPlanner::new(workers).plan(grid().len()).expect("plan");
         let merged = coordinator.run(&plan).expect("coordinator succeeds");
         assert_eq!(
@@ -59,7 +61,8 @@ fn multiprocess_merge_is_bit_identical_to_serial() {
 #[test]
 fn run_streaming_delivers_in_spec_order() {
     let serial = serial_reports();
-    let coordinator = Coordinator::new(SWEEP_BIN).with_args(common_args());
+    let plan_file = paper_plan("streaming");
+    let coordinator = Coordinator::new(SWEEP_BIN).with_args(["--plan", plan_file.path()]);
     let plan = ShardPlanner::new(2).plan(grid().len()).expect("plan");
     let mut seen = Vec::new();
     coordinator
@@ -74,54 +77,41 @@ fn run_streaming_delivers_in_spec_order() {
 
 #[test]
 fn coordinator_cli_verify_mode_passes_and_streams_lines() {
-    let output = Command::new(SWEEP_BIN)
-        .args(common_args())
-        .args(["--workers", "2", "--verify"])
-        .output()
-        .expect("sweep --workers runs");
-    let stderr = String::from_utf8_lossy(&output.stderr);
-    assert!(output.status.success(), "coordinator CLI failed: {stderr}");
-    assert!(
-        stderr.contains("bit-identical"),
-        "verify note missing: {stderr}"
-    );
-
-    let stdout = String::from_utf8(output.stdout).expect("utf8");
+    let plan = SweepPlan::paper(SCENARIOS, SEED)
+        .with_mode(ExecMode::Processes(2))
+        .with_verify(true);
+    let plan_file = PlanFile::new("verify", plan.to_json().render());
     let serial = serial_reports();
-    let lines: Vec<&str> = stdout.lines().collect();
-    assert_eq!(lines.len(), serial.len(), "one wire line per scenario");
-    for (i, line) in lines.iter().enumerate() {
-        let (index, report) = parse_report_line(line).expect("valid wire line");
-        assert_eq!(index, i, "merged lines come out in spec order");
-        assert_eq!(report, serial[i]);
-    }
-}
+    // The coordinator forwards --kernel to its workers; both backends must
+    // merge to the (scalar) serial bytes.
+    for kernel in ["scalar", "blocked"] {
+        let output = Command::new(SWEEP_BIN)
+            .args(["--plan", plan_file.path(), "--kernel", kernel])
+            .output()
+            .expect("sweep --plan runs");
+        let stderr = String::from_utf8_lossy(&output.stderr);
+        assert!(output.status.success(), "coordinator CLI failed: {stderr}");
+        assert!(
+            stderr.contains("bit-identical"),
+            "verify note missing: {stderr}"
+        );
 
-#[test]
-fn worker_cli_emits_exactly_its_shard() {
-    let output = Command::new(SWEEP_BIN)
-        .args(common_args())
-        .args(["--worker", "2..5"])
-        .output()
-        .expect("sweep --worker runs");
-    assert!(output.status.success());
-    let stdout = String::from_utf8(output.stdout).expect("utf8");
-    let serial = serial_reports();
-    let parsed: Vec<(usize, EpisodeReport)> = stdout
-        .lines()
-        .map(|l| parse_report_line(l).expect("valid wire line"))
-        .collect();
-    assert_eq!(parsed.len(), 3);
-    for (offset, (index, report)) in parsed.iter().enumerate() {
-        assert_eq!(*index, 2 + offset);
-        assert_eq!(*report, serial[*index]);
+        let stdout = String::from_utf8(output.stdout).expect("utf8");
+        let lines: Vec<&str> = stdout.lines().collect();
+        assert_eq!(lines.len(), serial.len(), "one wire line per scenario");
+        for (i, line) in lines.iter().enumerate() {
+            let (index, report) = parse_report_line(line).expect("valid wire line");
+            assert_eq!(index, i, "merged lines come out in spec order");
+            assert_eq!(report, serial[i], "{kernel}: line {i}");
+        }
     }
 }
 
 #[test]
 fn coordinator_reports_failing_worker_shard() {
-    // "--seed x" makes every worker exit non-zero while parsing its CLI.
-    let coordinator = Coordinator::new(SWEEP_BIN).with_args(["--scenarios", "6", "--seed", "x"]);
+    // A missing plan file makes every worker exit non-zero while parsing
+    // its CLI.
+    let coordinator = Coordinator::new(SWEEP_BIN).with_args(["--plan", "no-such-plan.json"]);
     let plan = ShardPlanner::new(2).plan(6).expect("plan");
     match coordinator.run(&plan) {
         Err(ShardError::WorkerFailed { shard, message, .. }) => {
@@ -140,10 +130,10 @@ fn worker_cli_malformed_range_exits_2_with_usage() {
     // Reversed, empty, and non-numeric ranges are argument errors: exit
     // code 2 (not a generic failure), the offending spec named, and the
     // expected grammar shown.
+    let plan_file = paper_plan("bad-range");
     for bad in ["7..3", "3..3", "3-7", "a..b", ".."] {
         let output = Command::new(SWEEP_BIN)
-            .args(common_args())
-            .args(["--worker", bad])
+            .args(["--plan", plan_file.path(), "--worker", bad])
             .output()
             .expect("sweep runs");
         assert_eq!(
@@ -172,10 +162,10 @@ fn unknown_kernel_flag_exits_2_with_valid_names() {
     // Same error grammar as the malformed `--worker` ranges: exit code 2,
     // the offending value echoed, the valid names listed, and the usage
     // shown.
+    let plan_file = paper_plan("bad-kernel");
     for bad in ["simd", "SCALAR", "avx512", ""] {
         let output = Command::new(SWEEP_BIN)
-            .args(common_args())
-            .args(["--kernel", bad])
+            .args(["--plan", plan_file.path(), "--kernel", bad])
             .output()
             .expect("sweep runs");
         assert_eq!(
@@ -202,11 +192,10 @@ fn unknown_kernel_flag_exits_2_with_valid_names() {
 #[test]
 fn unknown_kernel_env_exits_2_and_names_the_variable() {
     // An unparsable SEO_KERNEL must be rejected as loudly as the flag —
-    // never silently fall back to a default backend.
+    // never silently fall back to a default backend. Only the harness
+    // reads it: plans carry their own kernel.
     let output = Command::new(SWEEP_BIN)
         .env("SEO_KERNEL", "warp9")
-        .args(common_args())
-        .args(["--worker", "0..2"])
         .output()
         .expect("sweep runs");
     assert_eq!(output.status.code(), Some(2), "bad SEO_KERNEL must exit 2");
@@ -219,16 +208,6 @@ fn unknown_kernel_env_exits_2_and_names_the_variable() {
         stderr.contains("scalar, blocked"),
         "valid names missing from: {stderr}"
     );
-
-    // The flag still wins over a valid env value, and a valid env value
-    // works on its own.
-    let output = Command::new(SWEEP_BIN)
-        .env("SEO_KERNEL", "blocked")
-        .args(common_args())
-        .args(["--worker", "0..2"])
-        .output()
-        .expect("sweep runs");
-    assert!(output.status.success(), "valid SEO_KERNEL must run");
 }
 
 #[test]
@@ -237,9 +216,16 @@ fn blocked_kernel_worker_output_is_bit_identical_on_the_wire() {
     // lines as the (scalar) in-process serial reference — the cross-backend
     // half of the determinism invariant, at the process level.
     let serial = serial_reports();
+    let plan_file = paper_plan("blocked");
     let output = Command::new(SWEEP_BIN)
-        .args(common_args())
-        .args(["--worker", "0..6", "--kernel", "blocked"])
+        .args([
+            "--plan",
+            plan_file.path(),
+            "--worker",
+            "0..6",
+            "--kernel",
+            "blocked",
+        ])
         .output()
         .expect("sweep --worker runs");
     assert!(output.status.success());
@@ -257,9 +243,10 @@ fn blocked_kernel_worker_output_is_bit_identical_on_the_wire() {
 
 #[test]
 fn coordinator_cli_rejects_too_many_workers() {
+    let plan = SweepPlan::paper(SCENARIOS, SEED).with_mode(ExecMode::Processes(99));
+    let plan_file = PlanFile::new("too-many", plan.to_json().render());
     let output = Command::new(SWEEP_BIN)
-        .args(common_args())
-        .args(["--workers", "99"])
+        .args(["--plan", plan_file.path()])
         .output()
         .expect("sweep runs");
     assert!(

@@ -185,7 +185,7 @@ impl DaemonServer {
         })
     }
 
-    /// The bound address (the one to put in `hosts.json`).
+    /// The bound address (the one to list in a plan's `exec.mode.hosts`).
     ///
     /// # Errors
     ///

@@ -28,8 +28,7 @@
 //! [`CellConfig`] owns one contiguous index range and a runtime is built
 //! once per cell, never per episode. With every runtime axis left at its
 //! single paper-default value, the expansion is **byte-identical** to
-//! [`ScenarioSpec::paper_grid`] — that invariant is what lets every legacy
-//! CLI flag desugar into a plan.
+//! [`ScenarioSpec::paper_grid`].
 //!
 //! # Example
 //!
@@ -71,6 +70,16 @@ use std::fmt;
 /// whenever the JSON shape changes so a host never silently runs a plan
 /// written by an incompatible build.
 pub const PLAN_VERSION: u64 = 1;
+
+/// The largest grid, in specs, that [`SweepPlan::validate`] accepts. Plans
+/// arrive from outside (plan files, daemon job frames), and the engines
+/// allocate grid-sized state before the first episode runs: a `CellSketch`
+/// (368 B) per cell for a summary fold and a `StreamingMerge` slot (104 B)
+/// per spec for a merge. Without a cap, one small frame describing a
+/// 10⁹-cell grid aborts the process in the allocator. 2²⁰ specs is far
+/// above the largest grid the repository runs (the benchmark's 288-spec
+/// `grid-hosts`).
+const MAX_GRID_SPECS: usize = 1 << 20;
 
 // ---------------------------------------------------------------------------
 // Errors
@@ -719,7 +728,7 @@ impl SweepPlan {
 
     /// The named paper preset: [`GridAxes::paper`] run serially. Expands
     /// byte-identically to [`ScenarioSpec::paper_grid`]`(scenarios,
-    /// base_seed)` — the invariant every legacy CLI flag desugars through.
+    /// base_seed)`.
     #[must_use]
     pub fn paper(scenarios: usize, base_seed: u64) -> Self {
         Self::new(GridAxes::paper(scenarios, base_seed))
@@ -870,36 +879,12 @@ impl SweepPlan {
     #[must_use]
     pub fn cells(&self) -> Vec<(CellConfig, Shard)> {
         let per_cell = self.axes.specs_per_cell();
-        let mut cells = Vec::with_capacity(self.axes.n_cells());
-        let mut start = 0usize;
-        for &tau_ms in &self.axes.tau_ms {
-            for &gating_level in &self.axes.gating_levels {
-                for &control_mode in &self.axes.control_modes {
-                    for &optimizer in &self.axes.optimizers {
-                        for &controller in &self.axes.controllers {
-                            for &channel in &self.axes.channels {
-                                for &traffic in &self.axes.traffic {
-                                    cells.push((
-                                        CellConfig {
-                                            tau_ms,
-                                            gating_level,
-                                            control_mode,
-                                            optimizer,
-                                            controller,
-                                            channel,
-                                            traffic,
-                                        },
-                                        Shard::new(start, start + per_cell),
-                                    ));
-                                    start += per_cell;
-                                }
-                            }
-                        }
-                    }
-                }
-            }
-        }
-        cells
+        (0..self.axes.n_cells())
+            .map(|c| {
+                let cell = self.cell_at(c).expect("cell index inside the grid");
+                (cell, Shard::new(c * per_cell, (c + 1) * per_cell))
+            })
+            .collect()
     }
 
     /// The runtime cell at a cell index (mixed-radix decomposition of the
@@ -960,25 +945,16 @@ impl SweepPlan {
     /// preset's spec stream equals [`ScenarioSpec::paper_grid`] exactly.
     #[must_use]
     pub fn expand(&self) -> Vec<GridPoint> {
-        let mut points = Vec::with_capacity(self.n_specs());
-        for (cell, _) in self.cells() {
-            for &obstacle in &self.axes.obstacles {
-                for k in 0..self.axes.seeds.runs as u64 {
-                    points.push(GridPoint {
-                        index: points.len(),
-                        spec: ScenarioSpec::new(obstacle, self.axes.seeds.base.wrapping_add(k)),
-                        cell,
-                    });
-                }
-            }
-        }
-        points
+        (0..self.n_specs())
+            .map(|i| self.point_at(i).expect("index inside the grid"))
+            .collect()
     }
 
     // -- validation ----------------------------------------------------------
 
     /// Validates every field, collecting **all** problems (each naming its
-    /// field) instead of stopping at the first.
+    /// field) instead of stopping at the first. A grid of more than 2²⁰
+    /// specs is rejected under `axes`.
     ///
     /// # Errors
     ///
@@ -1020,13 +996,26 @@ impl SweepPlan {
         if axes.seeds.runs == 0 {
             problems.push("axes.seeds.runs", "a plan must run at least one seed");
         }
-        let n_specs = self.n_specs();
-        if n_specs == 0 {
-            problems.push("axes", "the plan expands to zero runs");
+        // Checked multiplication: `n_cells`, `n_specs` and the engines
+        // multiply the axis lengths unchecked, which is sound only for
+        // plans that pass this.
+        let n_specs = axes
+            .cardinalities()
+            .iter()
+            .try_fold(1usize, |n, &(_, k)| n.checked_mul(k))
+            .filter(|&n| n <= MAX_GRID_SPECS);
+        match n_specs {
+            Some(0) => problems.push("axes", "the plan expands to zero runs"),
+            Some(_) => {}
+            None => problems.push(
+                "axes",
+                format!("the grid expands to more than {MAX_GRID_SPECS} specs"),
+            ),
         }
         match &self.mode {
             ExecMode::Serial => {}
             ExecMode::Threads(workers) | ExecMode::Processes(workers) => {
+                let n_specs = n_specs.unwrap_or(0);
                 if *workers == 0 {
                     problems.push("exec.workers", "at least one worker is required");
                 } else if n_specs > 0 && *workers > n_specs {
@@ -1688,6 +1677,8 @@ mod tests {
                 .with_kernel(KernelBackend::Blocked)
                 .with_verify(true),
             SweepPlan::paper(12, 99).with_mode(ExecMode::Processes(2)),
+            // A seed above i64::MAX rides the wire as a decimal string.
+            SweepPlan::paper(6, u64::MAX),
             SweepPlan::paper(6, 1)
                 .with_mode(ExecMode::Hosts(pool))
                 .with_timeout_secs(2.5),

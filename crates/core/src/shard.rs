@@ -4,10 +4,10 @@
 //! this module scales the same grid across **processes** (the stepping stone
 //! to multi-host sharding) without changing a single output bit:
 //!
-//! 1. [`ShardPlanner`] partitions a [`ScenarioSpec`] grid into contiguous,
-//!    near-even shards. The plan depends only on `(specs, workers)`, never
-//!    on timing, and every spec carries its own seed — so shard boundaries
-//!    cannot perturb results ("seed-stable").
+//! 1. [`ShardPlanner`] partitions a [`crate::batch::ScenarioSpec`] grid
+//!    into contiguous, near-even shards. The plan depends only on
+//!    `(specs, workers)`, never on timing, and every spec carries its own
+//!    seed — so shard boundaries cannot perturb results ("seed-stable").
 //! 2. The **wire format** is line-delimited JSON: each worker writes one
 //!    [`report_line`] per episode (`{"v":1,"index":…,"report":{…}}`) to
 //!    stdout as soon as the episode finishes. Floats travel through the
@@ -26,31 +26,33 @@
 //!    (empty shards, overlaps, gaps, more workers than specs) **before**
 //!    anything is spawned.
 //!
-//! The `sweep` binary in `seo-bench` wires this to a CLI: `--workers N`
-//! runs the coordinator, `--worker START..END` runs one shard. The
-//! multi-host layer ([`crate::transport`]) ships the same wire lines over
-//! TCP instead of a child process's stdout.
+//! The `sweep` binary in `seo-bench` wires this to a CLI: a plan whose
+//! `exec.mode` is `{"processes": N}` runs the coordinator, which re-invokes
+//! `sweep --plan FILE --worker START..END` once per shard. The multi-host
+//! layer ([`crate::transport`]) ships the same wire lines over TCP instead
+//! of a child process's stdout.
 //!
 //! # Example
 //!
-//! Plan a grid, push each shard's lines through the wire format, and merge —
-//! the composition every distributed mode is built from:
+//! Plan a grid's shards and push one shard's episodes through the wire
+//! format — the composition every distributed mode is built from:
 //!
 //! ```
-//! use seo_core::shard::{parse_spec_line, spec_line, Shard, ShardPlanner};
-//! use seo_core::batch::ScenarioSpec;
+//! use seo_core::plan::SweepPlan;
+//! use seo_core::shard::{parse_report_line, report_line, Shard, ShardPlanner};
 //!
-//! let specs = ScenarioSpec::grid(&[0, 2, 4], 2, 2023); // 6 specs
-//! let plan = ShardPlanner::new(2).plan(specs.len())?;
-//! assert_eq!(plan.shards(), [Shard::new(0, 3), Shard::new(3, 6)]);
-//! // Every spec survives the line-delimited wire format exactly.
-//! for spec in &specs {
-//!     assert_eq!(parse_spec_line(&spec_line(spec))?, *spec);
-//! }
-//! # Ok::<(), seo_core::shard::ShardError>(())
+//! let plan = SweepPlan::paper(6, 2023);
+//! let shards = ShardPlanner::new(2).plan(plan.n_specs())?;
+//! assert_eq!(shards.shards(), [Shard::new(0, 3), Shard::new(3, 6)]);
+//! // Every report survives the line-delimited wire format exactly.
+//! plan.run_range(shards.shards()[0], plan.kernel, |i, report| {
+//!     let line = report_line(i, &report);
+//!     assert_eq!(parse_report_line(&line).expect("valid wire line"), (i, report));
+//!     true
+//! })?;
+//! # Ok::<(), Box<dyn std::error::Error>>(())
 //! ```
 
-use crate::batch::ScenarioSpec;
 use crate::json::Json;
 use crate::metrics::{DeltaMaxHistogram, EpisodeReport, ModelEnergyReport};
 use seo_platform::energy::{EnergyCategory, EnergyLedger};
@@ -474,43 +476,6 @@ pub(crate) fn u64_from_wire(v: &Json, field: &str) -> Result<u64, ShardError> {
     }
 }
 
-/// Encodes a spec as a wire object.
-#[must_use]
-pub fn spec_to_json(spec: &ScenarioSpec) -> Json {
-    Json::obj(vec![
-        ("n_obstacles", spec.n_obstacles.into()),
-        ("seed", u64_to_wire(spec.seed)),
-    ])
-}
-
-/// Decodes a spec from its wire object.
-///
-/// # Errors
-///
-/// [`ShardError::Wire`] on missing or mistyped fields.
-pub fn spec_from_json(json: &Json) -> Result<ScenarioSpec, ShardError> {
-    Ok(ScenarioSpec::new(
-        get_usize(json, "n_obstacles")?,
-        u64_from_wire(get(json, "seed")?, "seed")?,
-    ))
-}
-
-/// One spec as a wire line (line-delimited JSON).
-#[must_use]
-pub fn spec_line(spec: &ScenarioSpec) -> String {
-    spec_to_json(spec).render()
-}
-
-/// Parses one spec wire line.
-///
-/// # Errors
-///
-/// [`ShardError::Wire`] on malformed JSON or fields.
-pub fn parse_spec_line(line: &str) -> Result<ScenarioSpec, ShardError> {
-    let json = Json::parse(line).map_err(|e| wire_err(e.to_string()))?;
-    spec_from_json(&json)
-}
-
 fn ledger_to_json(ledger: &EnergyLedger) -> Json {
     Json::obj(vec![
         (
@@ -911,7 +876,8 @@ impl Coordinator {
     }
 
     /// Arguments passed to every worker before `--worker` (builder style) —
-    /// the grid parameters, so every worker reconstructs the same spec list.
+    /// for the `sweep` binary, `--plan FILE`, so every worker expands the
+    /// same grid.
     #[must_use]
     pub fn with_args<I, S>(mut self, args: I) -> Self
     where
@@ -1208,7 +1174,7 @@ impl Coordinator {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::batch::BatchRunner;
+    use crate::batch::{BatchRunner, ScenarioSpec};
     use crate::config::SeoConfig;
     use crate::model::ModelSet;
     use crate::optimizer::OptimizerKind;
@@ -1310,27 +1276,6 @@ mod tests {
         assert!("3..3".parse::<Shard>().is_err(), "empty range");
         assert!("3-7".parse::<Shard>().is_err());
         assert!("a..b".parse::<Shard>().is_err());
-    }
-
-    #[test]
-    fn spec_wire_round_trip() {
-        for spec in ScenarioSpec::grid(&[0, 2, 4], 3, u64::MAX - 1) {
-            let line = spec_line(&spec);
-            assert_eq!(parse_spec_line(&line).expect("parses"), spec, "{line}");
-            // Seeds above i64::MAX ride a decimal string, never a
-            // sign-wrapped negative integer a non-Rust peer would misread.
-            assert!(!line.contains('-'), "negative number leaked: {line}");
-        }
-        assert_eq!(
-            spec_line(&ScenarioSpec::new(1, u64::MAX)),
-            format!(r#"{{"n_obstacles":1,"seed":"{}"}}"#, u64::MAX)
-        );
-        assert!(parse_spec_line("{}").is_err());
-        assert!(parse_spec_line("not json").is_err());
-        assert!(
-            parse_spec_line(r#"{"n_obstacles":1,"seed":-2}"#).is_err(),
-            "negative seeds are rejected, not wrapped"
-        );
     }
 
     #[test]

@@ -18,8 +18,8 @@
 //!    one whole-shard sketch payload a job ships instead of episode
 //!    frames when its plan's report mode is pure `summary`
 //!    ([`crate::agg`]).
-//! 2. **[`HostPool`]** — the `--hosts hosts.json` configuration, parsed and
-//!    validated by [`crate::json`]: duplicate addresses, zero capacities,
+//! 2. **[`HostPool`]** — the fleet a plan's `exec.mode.hosts` section
+//!    names, parsed and validated: duplicate addresses, zero capacities,
 //!    blank addresses, and empty pools are rejected **before** any
 //!    connection is attempted. The pool also carries the fleet's
 //!    [`RetryPolicy`] (`exec.hosts.retry` in a [`SweepPlan`]).
@@ -713,9 +713,8 @@ pub struct HostSpec {
 /// connection, `busy` backpressure). Fatal faults — protocol violations —
 /// are never retried.
 ///
-/// Carried by the [`HostPool`] so every surface that names a fleet gets it
-/// for free: a `--hosts hosts.json` file and a [`SweepPlan`]'s
-/// `exec.mode.hosts` section both accept an optional `"retry"` object
+/// Carried by the [`HostPool`], so a [`SweepPlan`]'s `exec.mode.hosts`
+/// section accepts an optional `"retry"` object
 /// (`{"attempts":N,"base_delay_ms":M}`).
 ///
 /// Attempt `k` (0-based) of a job that keeps failing transiently is
@@ -814,7 +813,7 @@ impl RetryPolicy {
     }
 }
 
-/// A validated set of worker hosts (the `--hosts hosts.json` file).
+/// A validated set of worker hosts (a plan's `exec.mode.hosts` section).
 ///
 /// Construction rejects misconfigurations — an empty pool, a blank or
 /// duplicate address, a zero capacity — so a bad fleet fails loudly before

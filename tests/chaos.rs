@@ -448,22 +448,14 @@ fn daemon_speaks_legacy_v1_and_plan_v2_frames() {
     }
 }
 
-/// A frame nested far past the JSON depth cap is answered with an `error`
-/// frame instead of overflowing the connection thread's stack (which would
-/// abort the whole daemon), as is a job whose shard reaches past its grid;
-/// the daemon keeps serving afterwards.
-#[test]
-fn over_deep_frame_gets_an_error_frame_and_the_daemon_keeps_serving() {
+/// Sends each frame on a connection of its own to one fresh daemon and
+/// expects an `error` frame containing the paired needle back for each;
+/// the daemon must still answer `health` afterwards.
+fn assert_error_frames_and_the_daemon_keeps_serving(cases: &[(Vec<u8>, &str)]) {
     let daemon = spawn_daemon(DaemonConfig::default());
-    let past_the_grid = format!(
-        r#"{{"v":1,"type":"job","scenarios":{SCENARIOS},"seed":{SEED},"start":0,"end":99}}"#
-    );
-    for (frame, needle) in [
-        ("[".repeat(200_000), "deeper than"),
-        (past_the_grid, "inside the expanded grid"),
-    ] {
+    for (frame, needle) in cases {
         let mut stream = open(daemon.addr);
-        write_frame(&mut stream, frame.as_bytes()).expect("send bad frame");
+        write_frame(&mut stream, frame).expect("send bad frame");
         match next_msg(&mut stream) {
             WorkerMsg::Error { message } => assert!(message.contains(needle), "{message}"),
             other => panic!("expected an error frame, got {other:?}"),
@@ -474,6 +466,39 @@ fn over_deep_frame_gets_an_error_frame_and_the_daemon_keeps_serving() {
     let payload = read_frame(&mut probe).expect("read frame").expect("reply");
     let health = HealthReport::from_frame(&payload).expect("health report");
     assert!(health.accepting, "the daemon survived: {health:?}");
+}
+
+/// A frame nested far past the JSON depth cap is answered with an `error`
+/// frame instead of overflowing the connection thread's stack (which would
+/// abort the whole daemon), as is a job whose shard reaches past its grid;
+/// the daemon keeps serving afterwards.
+#[test]
+fn over_deep_frame_gets_an_error_frame_and_the_daemon_keeps_serving() {
+    let past_the_grid = format!(
+        r#"{{"v":1,"type":"job","scenarios":{SCENARIOS},"seed":{SEED},"start":0,"end":99}}"#
+    );
+    assert_error_frames_and_the_daemon_keeps_serving(&[
+        ("[".repeat(200_000).into_bytes(), "deeper than"),
+        (past_the_grid.into_bytes(), "inside the expanded grid"),
+    ]);
+}
+
+/// An ~11 kB job frame whose plan describes 1.2e9 summary-mode cells is
+/// answered with an `error` frame naming `axes`, instead of aborting the
+/// daemon in the allocator while it sizes the job's summary fold.
+#[test]
+fn oversized_grid_frame_gets_an_error_frame_and_the_daemon_keeps_serving() {
+    let frame = JobRequest {
+        scenarios: SCENARIOS,
+        seed: SEED,
+        plan: Some(seo_integration::oversized_grid_plan()),
+        shard: Shard::new(0, 1),
+    }
+    .to_frame();
+    assert_error_frames_and_the_daemon_keeps_serving(&[(
+        frame,
+        "axes: the grid expands to more than",
+    )]);
 }
 
 /// The retry and chunk policies ride the plan file: `exec.mode.hosts.retry`

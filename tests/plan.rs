@@ -97,6 +97,9 @@ fn validation_rejection_table_names_every_field() {
         // Parses as a finite positive f64 but exceeds what Duration can
         // represent — must be a validation error, not a panic at use.
         ("exec.timeout_secs", base().with_timeout_secs(1e30)),
+        // 1.2e9 cells: over the grid cap, so no engine ever allocates
+        // grid-sized state for it.
+        ("axes", seo_integration::oversized_grid_plan()),
     ];
     for (field, plan) in cases {
         let err = plan.validate().expect_err(field);
@@ -122,6 +125,10 @@ fn validation_rejection_table_names_every_field() {
     let text = err.to_string();
     assert!(text.contains("exec.kernel"), "{text}");
     assert!(text.contains("scalar, blocked"), "{text}");
+    // A negative seed is rejected, never sign-wrapped into a huge one.
+    let err =
+        SweepPlan::parse(r#"{"v":1,"axes":{"seeds":{"base":-2}}}"#).expect_err("negative seed");
+    assert!(err.to_string().contains("axes.seeds.base"), "{err}");
     // Offload is not an execution knob: a plan that still carries the old
     // async-offload window is rejected, with the field path named.
     let err = SweepPlan::parse(r#"{"v":1,"exec":{"offload":{"async":{"in_flight":8}}}}"#)

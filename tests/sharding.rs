@@ -6,8 +6,7 @@ use seo_core::batch::{BatchRunner, ScenarioSpec};
 use seo_core::prelude::*;
 use seo_core::runtime::RuntimeLoop;
 use seo_core::shard::{
-    parse_report_line, parse_spec_line, report_line, spec_line, Shard, ShardError, ShardPlan,
-    ShardPlanner, StreamingMerge,
+    parse_report_line, report_line, Shard, ShardError, ShardPlan, ShardPlanner, StreamingMerge,
 };
 
 fn runner(optimizer: OptimizerKind) -> BatchRunner {
@@ -98,13 +97,6 @@ fn explicit_plan_validation_catches_misconfigurations() {
     ));
     let short = vec![Shard::new(0, 2)];
     assert!(ShardPlan::from_shards(short, 4).is_err(), "uncovered tail");
-}
-
-#[test]
-fn spec_wire_round_trips_across_the_paper_grid() {
-    for spec in ScenarioSpec::grid(&[0, 2, 4], 5, 2023) {
-        assert_eq!(parse_spec_line(&spec_line(&spec)).expect("parses"), spec);
-    }
 }
 
 #[test]
