@@ -20,11 +20,11 @@
 //! **Harness mode** (no arguments) runs the paper preset
 //! (`SEO_SWEEP_SCENARIOS` specs, seed 2023) in two phases:
 //!
-//! Phase 1 — **throughput**: fans the paper-preset grid through
-//! [`BatchRunner`] serially and on all cores, verifies the parallel output
-//! is bit-identical to the serial loop, and writes `BENCH_sweep.json`
-//! (scenarios/sec, ns/step, speedup, grid-point provenance) so later
-//! changes have a perf trajectory to compare against.
+//! Phase 1 — **throughput**: runs the paper-preset plan serially
+//! ([`SweepPlan::run_serial`]) and on all cores ([`SweepPlan::run_threads`]),
+//! verifies the parallel output is bit-identical to the serial run, and
+//! writes `BENCH_sweep.json` (scenarios/sec, ns/step, speedup, grid-point
+//! provenance) so later changes have a perf trajectory to compare against.
 //!
 //! Phase 2 — **sensitivity**: channel quality, offload payload size, and
 //! gating level, each printed as one series (`SEO_RUNS` runs per point).
@@ -43,7 +43,7 @@
 //! a pure speed knob (see `docs/kernels.md`).
 
 use seo_bench::report::{pct, runs_from_env, Table};
-use seo_core::batch::{BatchRunner, ScenarioSpec};
+use seo_core::batch::{run_ordered, ScenarioSpec};
 use seo_core::falsify;
 use seo_core::json::Json;
 use seo_core::plan::{ExecMode, SweepPlan};
@@ -53,7 +53,6 @@ use seo_core::shard::{self, Coordinator, ShardPlanner};
 use seo_core::transport::RemoteCoordinator;
 use seo_platform::units::Bits;
 use seo_platform::units::BitsPerSecond;
-use seo_sim::scenario::ScenarioConfig;
 use seo_wireless::channel::RayleighChannel;
 use seo_wireless::link::WirelessLink;
 use std::io::Write as _;
@@ -93,48 +92,54 @@ impl SweepTiming {
     }
 }
 
+/// Times one plan run; `run` returns the run's reports in index order.
 fn timed_sweep(
     label: &str,
-    runner: &BatchRunner,
-    specs: &[ScenarioSpec],
-    serial: bool,
-) -> (SweepTiming, Vec<EpisodeReport>) {
+    run: impl FnOnce() -> Result<Vec<EpisodeReport>, SeoError>,
+) -> Result<(SweepTiming, Vec<EpisodeReport>), SeoError> {
     let start = Instant::now();
-    let reports = if serial {
-        runner.run_serial(specs)
-    } else {
-        runner.run(specs)
-    };
+    let reports = run()?;
     let elapsed_secs = start.elapsed().as_secs_f64();
     let steps: usize = reports.iter().map(|r| r.steps).sum();
-    (
+    Ok((
         SweepTiming {
             label: label.to_owned(),
-            scenarios: specs.len(),
+            scenarios: reports.len(),
             steps,
             elapsed_secs,
         },
         reports,
-    )
+    ))
+}
+
+/// Every core this process may run on (`available_parallelism` honours
+/// `taskset` and cgroup limits).
+fn cores() -> usize {
+    std::thread::available_parallelism().map_or(1, std::num::NonZeroUsize::get)
 }
 
 fn throughput_phase(plan: &SweepPlan) -> Result<Json, SeoError> {
     // The throughput grid is the paper-preset plan; its JSON rides along in
-    // BENCH_sweep.json as grid-point provenance for every row below.
+    // BENCH_sweep.json as grid-point provenance for every row below. Each
+    // row is a whole plan run, runtime construction included.
     let kernel = plan.kernel;
-    let runner = BatchRunner::new(paper_runtime(OptimizerKind::Offloading, kernel)?);
-    let specs: Vec<ScenarioSpec> = plan.expand().into_iter().map(|p| p.spec).collect();
-    let per_count = specs.len() / 3;
+    let threads = cores();
     println!(
-        "sweep throughput: {} scenarios ({} per obstacle count) on {} worker(s), \
+        "sweep throughput: {} scenarios ({} per obstacle count) on {threads} worker(s), \
          kernel backend '{kernel}'\n",
-        specs.len(),
-        per_count,
-        runner.threads()
+        plan.n_specs(),
+        plan.n_specs() / 3,
     );
 
-    let (serial, serial_reports) = timed_sweep("serial", &runner, &specs, true);
-    let (parallel, parallel_reports) = timed_sweep("parallel", &runner, &specs, false);
+    let (serial, serial_reports) = timed_sweep("serial", || plan.run_serial())?;
+    let (parallel, parallel_reports) = timed_sweep("parallel", || {
+        let mut reports = Vec::with_capacity(plan.n_specs());
+        plan.run_threads(threads, |_, report| {
+            reports.push(report);
+            true
+        })?;
+        Ok(reports)
+    })?;
     let identical = serial_reports == parallel_reports;
     assert!(
         identical,
@@ -163,17 +168,17 @@ fn throughput_phase(plan: &SweepPlan) -> Result<Json, SeoError> {
     // fail-fast crashes. The first backend (scalar) is the bit-exactness
     // reference; the gated serial/parallel rows above keep the chosen
     // backend. Each cell records the grid cell it ran as provenance.
-    let neural_cell = seo_core::plan::CellConfig {
-        controller: ControllerKind::SeededNeural(0),
-        ..plan.cells()[0].0
-    };
+    let neural = plan
+        .clone()
+        .with_controllers(vec![ControllerKind::SeededNeural(0)]);
+    let neural_cell = neural.cells()[0].0;
     let mut backend_cells = Vec::new();
     let mut backend_table = Table::new(vec!["kernel", "scenarios/s", "ns/step", "elapsed"]);
     let mut reference: Option<Vec<EpisodeReport>> = None;
     for backend in KernelBackend::ALL {
-        let backend_runner = BatchRunner::new(neural_cell.runtime(backend)?);
         let label = format!("neural/{}", backend.name());
-        let (timing, reports) = timed_sweep(&label, &backend_runner, &specs, true);
+        let (timing, reports) =
+            timed_sweep(&label, || neural.clone().with_kernel(backend).run_serial())?;
         match &reference {
             None => reference = Some(reports),
             Some(expected) => assert!(
@@ -207,7 +212,7 @@ fn throughput_phase(plan: &SweepPlan) -> Result<Json, SeoError> {
     parallel_row.push(("grid".to_owned(), plan.cells()[0].0.to_json()));
 
     Ok(Json::obj(vec![
-        ("threads", runner.threads().into()),
+        ("threads", threads.into()),
         ("kernel", kernel.name().into()),
         // The plan whose expanded grid produced every row in this dump —
         // grid-point provenance for the perf trajectory.
@@ -243,21 +248,26 @@ fn gains_with_link(
     let runtime = paper_runtime(OptimizerKind::Offloading, kernel)?.with_link(link);
     let mut optimized = seo_platform::energy::EnergyLedger::new();
     let mut baseline = seo_platform::energy::EnergyLedger::new();
-    let mut scratch = EpisodeScratch::new();
     let mut collected = 0usize;
-    let mut seed = 0u64;
-    while collected < runs && seed < 200 {
-        let world = ScenarioConfig::new(2).with_seed(seed).generate();
-        let report = runtime.run_with(WorldSource::Static(&world), seed, &mut scratch);
-        if report.is_success() {
-            for m in &report.models {
-                optimized.merge(&m.optimized);
-                baseline.merge(&m.baseline);
+    // The first `runs` successes among seeds 0..200, merged in seed order.
+    run_ordered(
+        cores(),
+        0..200,
+        |seed, scratch| {
+            let spec = ScenarioSpec::new(2, seed as u64);
+            runtime.run_with(WorldSource::Static(&spec.world()), spec.seed, scratch)
+        },
+        |_, report| {
+            if report.is_success() {
+                for m in &report.models {
+                    optimized.merge(&m.optimized);
+                    baseline.merge(&m.baseline);
+                }
+                collected += 1;
             }
-            collected += 1;
-        }
-        seed += 1;
-    }
+            collected < runs
+        },
+    );
     Ok(optimized.gain_over(&baseline)?)
 }
 
@@ -580,10 +590,10 @@ fn run_plan_mode(plan: &SweepPlan, path: &str) -> Result<(), Box<dyn std::error:
     });
     let mut streamed = 0usize;
     let mut write_error: Option<std::io::Error> = None;
-    // Returns the keep-going flag `run_range` understands: the serial path
-    // stops computing as soon as stdout breaks (`sweep --plan … | head`
-    // must not run the whole grid); the distributed paths drain their
-    // merges but stop writing.
+    // Returns the keep-going flag `run_range` understands: the serial and
+    // threads paths stop computing as soon as stdout breaks (`sweep --plan
+    // … | head` must not run the whole grid); the distributed paths drain
+    // their merges but stop writing.
     let mut sink = |i: usize, report: EpisodeReport| -> bool {
         if episodes && write_error.is_none() {
             let result = writeln!(&stdout, "{}", shard::report_line(i, &report))
@@ -608,11 +618,7 @@ fn run_plan_mode(plan: &SweepPlan, path: &str) -> Result<(), Box<dyn std::error:
             "serially".to_owned()
         }
         ExecMode::Threads(threads) => {
-            for (i, report) in plan.run_threads(*threads)?.into_iter().enumerate() {
-                if !sink(i, report) {
-                    break;
-                }
-            }
+            plan.run_threads(*threads, &mut sink)?;
             format!("over {threads} thread(s)")
         }
         ExecMode::Processes(workers) => {
@@ -917,7 +923,7 @@ fn run_harness(plan: &SweepPlan) -> Result<(), Box<dyn std::error::Error>> {
             .with_optimizer(OptimizerKind::ModelGating)
             .with_gating_level(level)
             .with_runs(runs)
-            .run_auto()?;
+            .run()?;
         table.push_row(vec![
             format!("{:.0}%", level * 100.0),
             pct(result.summary.combined_gain),

@@ -54,7 +54,7 @@ pub fn fig1_rows(runs: usize) -> Result<Vec<Fig1Row>, SeoError> {
             n_obstacles,
             runs,
         )
-        .run_auto()?;
+        .run()?;
         rows.push(Fig1Row {
             n_obstacles,
             normalized_50hz: 1.0 - result.gain_for_model(0)?,
@@ -89,7 +89,7 @@ pub fn fig5_rows(runs: usize) -> Result<Vec<Fig5Row>, SeoError> {
     let mut rows = Vec::new();
     for optimizer in [OptimizerKind::Offloading, OptimizerKind::ModelGating] {
         for control in [ControlMode::Unfiltered, ControlMode::Filtered] {
-            let result = cell(optimizer, control, 2, runs).run_auto()?;
+            let result = cell(optimizer, control, 2, runs).run()?;
             rows.push(Fig5Row {
                 optimizer,
                 control,
@@ -127,7 +127,7 @@ pub fn table1_rows(runs: usize) -> Result<Vec<Table1Row>, SeoError> {
     for optimizer in [OptimizerKind::Offloading, OptimizerKind::ModelGating] {
         for control in [ControlMode::Unfiltered, ControlMode::Filtered] {
             let config = cell(optimizer, control, 2, runs).with_tau(Seconds::from_millis(25.0));
-            let result = config.run_auto()?;
+            let result = config.run()?;
             let gain_p1 = result.gain_for_model(0)?;
             let gain_p2 = result.gain_for_model(1)?;
             rows.push(Table1Row {
@@ -168,7 +168,7 @@ pub fn fig6_rows(runs: usize) -> Result<Vec<Fig6Row>, SeoError> {
     let mut rows = Vec::new();
     for optimizer in [OptimizerKind::Offloading, OptimizerKind::ModelGating] {
         for n_obstacles in [0usize, 2, 4] {
-            let result = cell(optimizer, ControlMode::Unfiltered, n_obstacles, runs).run_auto()?;
+            let result = cell(optimizer, ControlMode::Unfiltered, n_obstacles, runs).run()?;
             rows.push(Fig6Row {
                 optimizer,
                 n_obstacles,
@@ -211,8 +211,8 @@ pub fn table2_rows(runs: usize) -> Result<Vec<Table2Row>, SeoError> {
     let mut rows = Vec::new();
     for control in [ControlMode::Unfiltered, ControlMode::Filtered] {
         for n_obstacles in [0usize, 2, 4] {
-            let offload = cell(OptimizerKind::Offloading, control, n_obstacles, runs).run_auto()?;
-            let gating = cell(OptimizerKind::ModelGating, control, n_obstacles, runs).run_auto()?;
+            let offload = cell(OptimizerKind::Offloading, control, n_obstacles, runs).run()?;
+            let gating = cell(OptimizerKind::ModelGating, control, n_obstacles, runs).run()?;
             rows.push(Table2Row {
                 control,
                 n_obstacles,
@@ -299,7 +299,7 @@ pub fn table3_rows(runs: usize) -> Result<Vec<Table3Row>, SeoError> {
             .with_accounting(EnergyAccounting::WithSensor);
         let seo = config.seo;
         let config = config.with_models(sensor_model_set(&sensor, seo.tau)?);
-        let result = config.run_auto()?;
+        let result = config.run()?;
         for (index, p_multiple) in [(0usize, 1u32), (1, 2)] {
             rows.push(Table3Row {
                 sensor: sensor.name().to_owned(),

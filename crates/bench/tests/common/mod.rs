@@ -1,7 +1,25 @@
-//! The plan-file helper shared by the CLI test targets: every engine run
-//! of the `sweep` binary starts from a plan file.
+//! Helpers shared by the CLI test targets: the plan file every engine run
+//! of the `sweep` binary starts from, and the serial reference its merged
+//! output is compared against.
 
+use seo_core::batch::ScenarioSpec;
+use seo_core::prelude::*;
 use std::path::PathBuf;
+
+/// The serial reference for the paper preset `SweepPlan::paper(scenarios,
+/// seed)`: a plain `RuntimeLoop::run_episode` loop over its grid, sharing
+/// no code with the engines or the episode pool.
+#[allow(dead_code)] // not every target that includes this module compares
+pub fn serial_reports(scenarios: usize, seed: u64) -> Vec<EpisodeReport> {
+    let config = SeoConfig::paper_defaults();
+    let models = ModelSet::paper_setup(config.tau).expect("paper models");
+    let runtime =
+        RuntimeLoop::new(config, models, OptimizerKind::Offloading).expect("valid runtime");
+    ScenarioSpec::paper_grid(scenarios, seed)
+        .iter()
+        .map(|spec| runtime.run_episode(&spec.world(), spec.seed))
+        .collect()
+}
 
 /// A plan written to a temp file unique to this test process and `name`,
 /// removed again on drop.

@@ -2,16 +2,14 @@
 //! daemons on loopback TCP ports plus the `sweep --plan` coordinator CLI
 //! running a hosts plan — actual OS processes speaking the
 //! length-delimited frame protocol — with the merged output asserted
-//! **bit-identical** to an in-process `BatchRunner::run_serial`, clean runs
+//! **bit-identical** to an in-process serial episode loop, clean runs
 //! and injected mid-stream host kills alike. This is the same shape the CI
 //! loopback smoke runs.
 
 mod common;
 
-use common::PlanFile;
-use seo_core::batch::{BatchRunner, ScenarioSpec};
+use common::{serial_reports, PlanFile};
 use seo_core::prelude::*;
-use seo_core::runtime::RuntimeLoop;
 use seo_core::shard::parse_report_line;
 use std::io::{BufRead, BufReader};
 use std::process::{Child, Command, Stdio};
@@ -20,14 +18,6 @@ const SWEEP_BIN: &str = env!("CARGO_BIN_EXE_sweep");
 const SWEEPD_BIN: &str = env!("CARGO_BIN_EXE_sweepd");
 const SCENARIOS: usize = 6;
 const SEED: u64 = 2023;
-
-fn serial_reports() -> Vec<EpisodeReport> {
-    let config = SeoConfig::paper_defaults();
-    let models = ModelSet::paper_setup(config.tau).expect("paper models");
-    let runtime =
-        RuntimeLoop::new(config, models, OptimizerKind::Offloading).expect("valid runtime");
-    BatchRunner::new(runtime).run_serial(&ScenarioSpec::paper_grid(SCENARIOS, SEED))
-}
 
 /// A running `seo-sweepd` child, killed on drop so failed assertions never
 /// leak daemons.
@@ -140,7 +130,7 @@ fn run_sweep_hosts(plan_file: &PlanFile) -> (String, String) {
 }
 
 fn assert_stdout_matches_serial(stdout: &str) {
-    let serial = serial_reports();
+    let serial = serial_reports(SCENARIOS, SEED);
     let lines: Vec<&str> = stdout.lines().collect();
     assert_eq!(lines.len(), serial.len(), "one wire line per scenario");
     for (i, line) in lines.iter().enumerate() {

@@ -4,15 +4,13 @@
 //! coordinator and workers — actual OS processes talking the line-delimited
 //! JSON wire format — over the paper preset written to a temp plan file,
 //! and assert the merged output is **bit-identical** to an in-process
-//! [`BatchRunner::run_serial`] over the same grid.
+//! plain serial episode loop over the same grid.
 
 mod common;
 
-use common::PlanFile;
-use seo_core::batch::{BatchRunner, ScenarioSpec};
+use common::{serial_reports, PlanFile};
+use seo_core::batch::ScenarioSpec;
 use seo_core::plan::{ExecMode, SweepPlan};
-use seo_core::prelude::*;
-use seo_core::runtime::RuntimeLoop;
 use seo_core::shard::{parse_report_line, report_line, Coordinator, ShardError, ShardPlanner};
 use std::process::Command;
 
@@ -30,17 +28,9 @@ fn paper_plan(name: &str) -> PlanFile {
     PlanFile::new(name, SweepPlan::paper(SCENARIOS, SEED).to_json().render())
 }
 
-fn serial_reports() -> Vec<EpisodeReport> {
-    let config = SeoConfig::paper_defaults();
-    let models = ModelSet::paper_setup(config.tau).expect("paper models");
-    let runtime =
-        RuntimeLoop::new(config, models, OptimizerKind::Offloading).expect("valid runtime");
-    BatchRunner::new(runtime).run_serial(&grid())
-}
-
 #[test]
 fn multiprocess_merge_is_bit_identical_to_serial() {
-    let serial = serial_reports();
+    let serial = serial_reports(SCENARIOS, SEED);
     let plan_file = paper_plan("merge");
     // 4 workers over 6 specs forces uneven shard sizes ([2, 2, 1, 1]).
     for workers in [1usize, 2, 4] {
@@ -60,7 +50,7 @@ fn multiprocess_merge_is_bit_identical_to_serial() {
 
 #[test]
 fn run_streaming_delivers_in_spec_order() {
-    let serial = serial_reports();
+    let serial = serial_reports(SCENARIOS, SEED);
     let plan_file = paper_plan("streaming");
     let coordinator = Coordinator::new(SWEEP_BIN).with_args(["--plan", plan_file.path()]);
     let plan = ShardPlanner::new(2).plan(grid().len()).expect("plan");
@@ -81,7 +71,7 @@ fn coordinator_cli_verify_mode_passes_and_streams_lines() {
         .with_mode(ExecMode::Processes(2))
         .with_verify(true);
     let plan_file = PlanFile::new("verify", plan.to_json().render());
-    let serial = serial_reports();
+    let serial = serial_reports(SCENARIOS, SEED);
     // The coordinator forwards --kernel to its workers; both backends must
     // merge to the (scalar) serial bytes.
     for kernel in ["scalar", "blocked"] {
@@ -215,7 +205,7 @@ fn blocked_kernel_worker_output_is_bit_identical_on_the_wire() {
     // A worker on the blocked backend must stream byte-for-byte the same
     // lines as the (scalar) in-process serial reference — the cross-backend
     // half of the determinism invariant, at the process level.
-    let serial = serial_reports();
+    let serial = serial_reports(SCENARIOS, SEED);
     let plan_file = paper_plan("blocked");
     let output = Command::new(SWEEP_BIN)
         .args([

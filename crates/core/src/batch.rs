@@ -1,41 +1,47 @@
-//! The parallel scenario-sweep engine.
+//! The episode pool, and the scenario specs it runs.
 //!
-//! Every paper table and figure is produced by pushing many
-//! scenario × seed configurations through the same closed control loop, so
-//! sweep throughput is the reproduction's bottleneck. [`BatchRunner`] fans a
-//! list of [`ScenarioSpec`]s out over a pool of worker threads, each worker
-//! holding one reusable [`EpisodeScratch`] so the per-control-step hot path
-//! never touches the heap.
-//!
-//! Determinism is a hard guarantee, not best-effort: each episode's entire
-//! stochastic stream derives from its spec's seed, worlds are generated
-//! per-spec, and results are returned in spec order — so
-//! [`BatchRunner::run`] is **bit-identical** to [`BatchRunner::run_serial`]
-//! regardless of thread count or scheduling.
+//! Every paper table and figure pushes many scenario × seed configurations
+//! through the same closed control loop. [`run_ordered`] is the one pool
+//! every engine and the experiment protocol run episodes through. Each
+//! worker holds one reusable [`EpisodeScratch`], so the per-control-step
+//! hot path never touches the heap, and results reach the caller's sink in
+//! index order. Each episode's stochastic stream derives from its spec's
+//! seed, so the delivered sequence is **bit-identical** for every thread
+//! count.
 //!
 //! # Example
 //!
 //! ```
-//! use seo_core::batch::{BatchRunner, ScenarioSpec};
+//! use seo_core::batch::{run_ordered, ScenarioSpec};
 //! use seo_core::prelude::*;
 //!
 //! let config = SeoConfig::paper_defaults();
 //! let models = ModelSet::paper_setup(config.tau)?;
-//! let runner = BatchRunner::new(RuntimeLoop::new(
-//!     config, models, OptimizerKind::Offloading,
-//! )?);
+//! let runtime = RuntimeLoop::new(config, models, OptimizerKind::Offloading)?;
 //! let specs = ScenarioSpec::grid(&[0], 2, 2023); // two obstacle-free cells
-//! let reports = runner.run(&specs);
-//! assert_eq!(reports, runner.run_serial(&specs)); // the determinism invariant
+//! let episode = |i: usize, scratch: &mut EpisodeScratch| {
+//!     runtime.run_with(WorldSource::Static(&specs[i].world()), specs[i].seed, scratch)
+//! };
+//! let collect = |threads| {
+//!     let mut reports = Vec::new();
+//!     run_ordered(threads, 0..specs.len(), episode, |_, report| {
+//!         reports.push(report);
+//!         true // `false` would stop the pool
+//!     });
+//!     reports
+//! };
+//! assert_eq!(collect(2), collect(1)); // the determinism invariant
 //! # Ok::<(), seo_core::SeoError>(())
 //! ```
 
-use crate::metrics::EpisodeReport;
-use crate::runtime::{EpisodeScratch, RuntimeLoop, WorldSource};
+use crate::runtime::EpisodeScratch;
 use seo_sim::scenario::ScenarioConfig;
 use seo_sim::world::World;
+use std::collections::BTreeMap;
 use std::fmt;
+use std::ops::Range;
 use std::sync::atomic::{AtomicUsize, Ordering};
+use std::sync::mpsc;
 
 /// One cell of a sweep: which world to generate and which seed drives the
 /// episode's stochastic machinery (wireless channel, server latency).
@@ -96,188 +102,109 @@ impl fmt::Display for ScenarioSpec {
     }
 }
 
-/// Fans scenario sweeps out over a worker pool.
+/// Runs `episode` once per index of `indices` over `threads` workers and
+/// hands every result to `sink` in ascending index order, on the calling
+/// thread (so the sink needs no `Send`). Returns `true` when the whole range
+/// was delivered and `false` when the sink stopped it.
 ///
-/// # Example
+/// * Each worker owns one [`EpisodeScratch`] and pulls the next index from
+///   an atomic cursor, so stragglers never idle the pool.
+/// * A `false` from the sink stops the pool: nothing more is delivered, and
+///   each worker quits at its next hand-off, after at most one more
+///   episode. The channel between workers and the caller is bounded, so a
+///   slow sink backs the workers up instead of buffering the grid.
+/// * With `threads <= 1` (or at most one index) this is a plain loop on the
+///   calling thread: no thread, channel, lock or reorder buffer.
 ///
-/// ```
-/// use seo_core::batch::{BatchRunner, ScenarioSpec};
-/// use seo_core::prelude::*;
+/// Delivery is bit-identical for every thread count *provided* `episode` is
+/// a pure function of its index: the scratch must never influence results.
 ///
-/// let config = SeoConfig::paper_defaults();
-/// let models = ModelSet::paper_setup(config.tau)?;
-/// let runtime = RuntimeLoop::new(config, models, OptimizerKind::ModelGating)?;
-/// let runner = BatchRunner::new(runtime);
-/// let specs = ScenarioSpec::grid(&[0, 2], 3, 2023);
-/// let reports = runner.run(&specs);
-/// assert_eq!(reports.len(), 6);
-/// // Parallel output is bit-identical to the serial loop.
-/// assert_eq!(reports, runner.run_serial(&specs));
-/// # Ok::<(), seo_core::SeoError>(())
-/// ```
-#[derive(Debug, Clone)]
-pub struct BatchRunner {
-    runtime: RuntimeLoop,
-    threads: usize,
-}
-
-impl BatchRunner {
-    /// Wraps a runtime; the pool sizes itself to [`Self::default_threads`].
-    #[must_use]
-    pub fn new(runtime: RuntimeLoop) -> Self {
-        Self {
-            runtime,
-            threads: Self::default_threads(),
-        }
-    }
-
-    /// The worker count used when none is given explicitly: the
-    /// `SEO_THREADS` environment variable when set to a positive integer,
-    /// otherwise the machine's available parallelism. Every sweep entry
-    /// point (this runner, [`crate::experiment::ExperimentConfig::run_auto`],
-    /// the bench binaries) resolves its pool through here so one knob
-    /// governs them all.
-    #[must_use]
-    pub fn default_threads() -> usize {
-        Self::threads_override(std::env::var("SEO_THREADS").ok().as_deref()).unwrap_or_else(|| {
-            std::thread::available_parallelism()
-                .map(std::num::NonZeroUsize::get)
-                .unwrap_or(1)
-        })
-    }
-
-    /// Interprets an `SEO_THREADS`-style override: `Some(n)` for a positive
-    /// integer value, `None` (fall back to available parallelism) for
-    /// absent, unparsable, or zero values.
-    fn threads_override(value: Option<&str>) -> Option<usize> {
-        value
-            .and_then(|v| v.trim().parse::<usize>().ok())
-            .filter(|&t| t > 0)
-    }
-
-    /// Overrides the worker count (builder style; clamped to at least 1).
-    #[must_use]
-    pub fn with_threads(mut self, threads: usize) -> Self {
-        self.threads = threads.max(1);
-        self
-    }
-
-    /// The wrapped runtime.
-    #[must_use]
-    pub fn runtime(&self) -> &RuntimeLoop {
-        &self.runtime
-    }
-
-    /// The worker count episodes fan out over.
-    #[must_use]
-    pub fn threads(&self) -> usize {
-        self.threads
-    }
-
-    /// The default episode body: generate the spec's static world and run
-    /// it through the runtime. [`Self::run`] and [`Self::run_serial`] are
-    /// exactly the generic loops applied to this function.
-    fn static_episode(
-        runtime: &RuntimeLoop,
-        spec: &ScenarioSpec,
-        scratch: &mut EpisodeScratch,
-    ) -> EpisodeReport {
-        let world = spec.world();
-        runtime.run_with(WorldSource::Static(&world), spec.seed, scratch)
-    }
-
-    /// Runs every spec and returns reports **in spec order**, fanned out
-    /// over the worker pool. Work is distributed dynamically (an atomic
-    /// cursor), so stragglers never idle the pool, while per-spec seeding
-    /// keeps the output independent of which worker ran what.
-    #[must_use]
-    pub fn run(&self, specs: &[ScenarioSpec]) -> Vec<EpisodeReport> {
-        self.run_with_episode(specs, Self::static_episode)
-    }
-
-    /// Reference serial loop over the same specs — one scratch, one thread.
-    /// [`Self::run`] must (and does) produce bit-identical output.
-    #[must_use]
-    pub fn run_serial(&self, specs: &[ScenarioSpec]) -> Vec<EpisodeReport> {
-        self.run_serial_with_episode(specs, Self::static_episode)
-    }
-
-    /// [`Self::run`] with a caller-supplied episode body — how the plan
-    /// layer fans out cells whose episodes are not plain static worlds
-    /// (e.g. a `traffic` axis value that lifts each world into a
-    /// [`seo_sim::dynamics::DynamicWorld`]). The determinism contract is
-    /// unchanged *provided* `episode` is a pure function of
-    /// `(runtime, spec)` — the scratch must never influence results.
-    #[must_use]
-    pub fn run_with_episode<F>(&self, specs: &[ScenarioSpec], episode: F) -> Vec<EpisodeReport>
-    where
-        F: Fn(&RuntimeLoop, &ScenarioSpec, &mut EpisodeScratch) -> EpisodeReport + Sync,
-    {
-        let workers = self.threads.min(specs.len()).max(1);
-        if workers == 1 {
-            return self.run_serial_with_episode(specs, episode);
-        }
-        let cursor = AtomicUsize::new(0);
-        let mut results: Vec<Option<EpisodeReport>> = Vec::new();
-        results.resize_with(specs.len(), || None);
-        std::thread::scope(|scope| {
-            let mut handles = Vec::with_capacity(workers);
-            for _ in 0..workers {
-                let cursor = &cursor;
-                let runtime = &self.runtime;
-                let episode = &episode;
-                handles.push(scope.spawn(move || {
-                    let mut scratch = EpisodeScratch::new();
-                    let mut local: Vec<(usize, EpisodeReport)> = Vec::new();
-                    loop {
-                        let i = cursor.fetch_add(1, Ordering::Relaxed);
-                        let Some(spec) = specs.get(i) else { break };
-                        local.push((i, episode(runtime, spec, &mut scratch)));
-                    }
-                    local
-                }));
-            }
-            for handle in handles {
-                for (i, report) in handle.join().expect("sweep worker panicked") {
-                    results[i] = Some(report);
-                }
-            }
-        });
-        results
-            .into_iter()
-            .map(|r| r.expect("every spec index visited"))
-            .collect()
-    }
-
-    /// [`Self::run_serial`] with a caller-supplied episode body.
-    #[must_use]
-    pub fn run_serial_with_episode<F>(
-        &self,
-        specs: &[ScenarioSpec],
-        episode: F,
-    ) -> Vec<EpisodeReport>
-    where
-        F: Fn(&RuntimeLoop, &ScenarioSpec, &mut EpisodeScratch) -> EpisodeReport,
-    {
+/// # Panics
+///
+/// Panics if `episode` panics.
+pub fn run_ordered<T, E, S>(threads: usize, indices: Range<usize>, episode: E, mut sink: S) -> bool
+where
+    T: Send,
+    E: Fn(usize, &mut EpisodeScratch) -> T + Sync,
+    S: FnMut(usize, T) -> bool,
+{
+    let workers = threads.min(indices.len());
+    if workers <= 1 {
         let mut scratch = EpisodeScratch::new();
-        specs
-            .iter()
-            .map(|spec| episode(&self.runtime, spec, &mut scratch))
-            .collect()
+        return indices
+            .into_iter()
+            .all(|i| sink(i, episode(i, &mut scratch)));
     }
+    // The cursor only hands out distinct indices; results travel through
+    // the channel, so `Relaxed` publishes nothing it must order.
+    let cursor = AtomicUsize::new(indices.start);
+    std::thread::scope(|scope| {
+        let (tx, rx) = mpsc::sync_channel(workers);
+        for _ in 0..workers {
+            let (tx, cursor, episode, end) = (tx.clone(), &cursor, &episode, indices.end);
+            scope.spawn(move || {
+                let mut scratch = EpisodeScratch::new();
+                loop {
+                    let i = cursor.fetch_add(1, Ordering::Relaxed);
+                    // A failed send means the caller stopped listening.
+                    if i >= end || tx.send((i, episode(i, &mut scratch))).is_err() {
+                        break;
+                    }
+                }
+            });
+        }
+        drop(tx);
+        // Returning drops the receiver, which is what stops the workers.
+        let mut pending = BTreeMap::new();
+        let mut next = indices.start;
+        for (i, result) in rx {
+            pending.insert(i, result);
+            while let Some(result) = pending.remove(&next) {
+                if !sink(next, result) {
+                    return false;
+                }
+                next += 1;
+            }
+        }
+        true
+    })
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::config::SeoConfig;
+    use crate::metrics::EpisodeReport;
     use crate::model::ModelSet;
     use crate::optimizer::OptimizerKind;
+    use crate::runtime::{RuntimeLoop, WorldSource};
+    use std::sync::atomic::AtomicBool;
 
-    fn runner(optimizer: OptimizerKind) -> BatchRunner {
+    fn runtime(optimizer: OptimizerKind) -> RuntimeLoop {
         let config = SeoConfig::paper_defaults();
         let models = ModelSet::paper_setup(config.tau).expect("valid");
-        BatchRunner::new(RuntimeLoop::new(config, models, optimizer).expect("valid runtime"))
+        RuntimeLoop::new(config, models, optimizer).expect("valid runtime")
+    }
+
+    /// Every spec through the pool at `threads`, checking that indices
+    /// arrive in ascending order.
+    fn pooled(runtime: &RuntimeLoop, specs: &[ScenarioSpec], threads: usize) -> Vec<EpisodeReport> {
+        let mut reports = Vec::new();
+        let finished = run_ordered(
+            threads,
+            0..specs.len(),
+            |i, scratch| {
+                let spec = specs[i];
+                runtime.run_with(WorldSource::Static(&spec.world()), spec.seed, scratch)
+            },
+            |i, report| {
+                assert_eq!(i, reports.len(), "indices arrive in ascending order");
+                reports.push(report);
+                true
+            },
+        );
+        assert!(finished, "a sink that never says stop sees the whole range");
+        reports
     }
 
     #[test]
@@ -292,13 +219,17 @@ mod tests {
 
     #[test]
     fn parallel_is_bit_identical_to_serial() {
-        let runner = runner(OptimizerKind::Offloading);
+        let runtime = runtime(OptimizerKind::Offloading);
         let specs = ScenarioSpec::grid(&[0, 2, 4], 3, 2023);
-        let serial = runner.run_serial(&specs);
-        for threads in [2usize, 3, 8] {
-            let parallel = runner.clone().with_threads(threads).run(&specs);
+        // The reference shares no code with the pool.
+        let serial: Vec<EpisodeReport> = specs
+            .iter()
+            .map(|spec| runtime.run_episode(&spec.world(), spec.seed))
+            .collect();
+        for threads in [0usize, 1, 2, 3, 8] {
             assert_eq!(
-                parallel, serial,
+                pooled(&runtime, &specs, threads),
+                serial,
                 "{threads} workers must reproduce the serial sweep"
             );
         }
@@ -306,63 +237,99 @@ mod tests {
 
     #[test]
     fn reports_come_back_in_spec_order() {
-        let runner = runner(OptimizerKind::ModelGating).with_threads(4);
+        let runtime = runtime(OptimizerKind::ModelGating);
         let specs = ScenarioSpec::grid(&[0, 4], 4, 7);
-        let reports = runner.run(&specs);
+        let reports = pooled(&runtime, &specs, 4);
         assert_eq!(reports.len(), specs.len());
-        // Spot-check order: reports for the same spec must match a direct
-        // run regardless of which worker produced them.
         for (spec, report) in specs.iter().zip(&reports) {
-            let direct = runner.runtime().run_episode(&spec.world(), spec.seed);
+            let direct = runtime.run_episode(&spec.world(), spec.seed);
             assert_eq!(*report, direct, "out-of-order report for {spec}");
         }
     }
 
     #[test]
     fn empty_spec_list_is_empty_result() {
-        let runner = runner(OptimizerKind::ModelGating);
-        assert!(runner.run(&[]).is_empty());
-        assert!(runner.run_serial(&[]).is_empty());
+        for threads in [1usize, 4] {
+            for range in [0..0, 5..5] {
+                let finished = run_ordered(
+                    threads,
+                    range,
+                    |_, _| unreachable!("an empty range runs no episode"),
+                    |_, ()| unreachable!("an empty range delivers nothing"),
+                );
+                assert!(finished);
+            }
+        }
     }
 
     #[test]
-    fn thread_overrides_clamp() {
-        let runner = runner(OptimizerKind::ModelGating).with_threads(0);
-        assert_eq!(runner.threads(), 1);
-        assert!(BatchRunner::new(runner.runtime().clone()).threads() >= 1);
-    }
-
-    #[test]
-    fn sweeps_are_kernel_backend_invariant() {
-        use crate::controller::Controller;
-        use seo_nn::kernel::KernelBackend;
-        // Neural controller so the kernel backend is actually exercised.
-        let config = SeoConfig::paper_defaults();
-        let models = ModelSet::paper_setup(config.tau).expect("valid");
-        let runtime = RuntimeLoop::new(config, models, OptimizerKind::Offloading)
-            .expect("valid runtime")
-            .with_controller(Controller::seeded_neural(5));
-        let specs = ScenarioSpec::grid(&[0, 2], 3, 2023);
-        let reference = BatchRunner::new(runtime.clone()).run_serial(&specs);
-        for backend in KernelBackend::ALL {
-            let runner = BatchRunner::new(runtime.clone().with_kernel(backend)).with_threads(3);
-            assert_eq!(
-                runner.run(&specs),
-                reference,
-                "{backend} sweep diverged from the scalar serial loop"
+    fn pool_stops_at_the_sinks_first_false() {
+        const N: usize = 64;
+        for threads in [1usize, 3] {
+            let computed = AtomicUsize::new(0);
+            let stopped = AtomicBool::new(false);
+            let mut delivered = Vec::new();
+            let finished = run_ordered(
+                threads,
+                0..N,
+                |i, _| {
+                    // Indices past the first few wait for the stop, so no
+                    // worker can race through the range before the sink
+                    // has answered.
+                    while i >= 8 && !stopped.load(Ordering::SeqCst) {
+                        std::thread::yield_now();
+                    }
+                    computed.fetch_add(1, Ordering::SeqCst);
+                    i * 10
+                },
+                |i, value| {
+                    delivered.push((i, value));
+                    let more = delivered.len() < 3;
+                    stopped.store(!more, Ordering::SeqCst);
+                    more
+                },
+            );
+            assert!(!finished, "{threads} thread(s): the sink stopped the range");
+            assert_eq!(delivered, [(0, 0), (1, 10), (2, 20)], "{threads} thread(s)");
+            let computed = computed.load(Ordering::SeqCst);
+            assert!(
+                computed < N,
+                "{threads} thread(s): {computed} of {N} episodes ran; the stop never reached the workers"
             );
         }
     }
 
     #[test]
-    fn seo_threads_override_parsing() {
-        // Pure-function test: mutating the process environment would race
-        // with every other test that constructs a BatchRunner.
-        assert_eq!(BatchRunner::threads_override(Some("3")), Some(3));
-        assert_eq!(BatchRunner::threads_override(Some(" 8 ")), Some(8));
-        assert_eq!(BatchRunner::threads_override(Some("0")), None);
-        assert_eq!(BatchRunner::threads_override(Some("not a number")), None);
-        assert_eq!(BatchRunner::threads_override(None), None);
-        assert!(BatchRunner::default_threads() >= 1);
+    fn sweeps_are_kernel_backend_invariant() {
+        use crate::plan::{ControllerKind, SweepPlan};
+        use seo_nn::kernel::KernelBackend;
+        // Neural controller so the kernel backend is actually exercised.
+        let plan = SweepPlan::paper(3, 2023)
+            .with_obstacles(vec![0, 2])
+            .with_seeds(2023, 3)
+            .with_controllers(vec![ControllerKind::SeededNeural(5)]);
+        let runtime = plan.cells()[0]
+            .0
+            .runtime(KernelBackend::Scalar)
+            .expect("valid runtime");
+        let reference: Vec<EpisodeReport> = plan
+            .expand()
+            .iter()
+            .map(|p| runtime.run_episode(&p.spec.world(), p.spec.seed))
+            .collect();
+        for backend in KernelBackend::ALL {
+            let mut reports = Vec::new();
+            plan.clone()
+                .with_kernel(backend)
+                .run_threads(3, |_, report| {
+                    reports.push(report);
+                    true
+                })
+                .expect("threads run");
+            assert_eq!(
+                reports, reference,
+                "{backend} sweep diverged from the scalar serial loop"
+            );
+        }
     }
 }

@@ -21,17 +21,16 @@
 //! # Ok::<(), seo_core::SeoError>(())
 //! ```
 
-use crate::batch::{BatchRunner, ScenarioSpec};
+use crate::batch::{self, ScenarioSpec};
 use crate::config::{ControlMode, EnergyAccounting, SeoConfig};
 use crate::controller::Controller;
 use crate::error::SeoError;
 use crate::metrics::{EpisodeReport, ExperimentSummary};
 use crate::model::ModelSet;
 use crate::optimizer::OptimizerKind;
-use crate::runtime::{EpisodeScratch, RuntimeLoop, WorldSource};
+use crate::runtime::{RuntimeLoop, WorldSource};
 use seo_nn::kernel::KernelBackend;
 use seo_platform::units::Seconds;
-use seo_sim::scenario::ScenarioConfig;
 use std::fmt;
 
 /// Complete description of one experiment cell (one bar/row of a paper
@@ -200,8 +199,13 @@ impl ExperimentConfig {
         self
     }
 
-    /// Runs the experiment: collects `runs` successful episodes and
-    /// aggregates them.
+    /// Runs the experiment: collects the first `runs` successful episodes
+    /// in seed order (attempt `k` runs seed `base_seed + k`) and aggregates
+    /// them. Attempts fan out over every available core through
+    /// [`batch::run_ordered`], which delivers them in seed order and stops
+    /// once enough successes are in, so the selected runs, the failure
+    /// count and the summary are those of the one-attempt-at-a-time
+    /// protocol.
     ///
     /// # Errors
     ///
@@ -212,23 +216,30 @@ impl ExperimentConfig {
         let runtime = RuntimeLoop::new(self.seo, self.models.clone(), self.optimizer)?
             .with_controller(self.controller.clone())
             .with_kernel(self.kernel);
-        let mut scratch = EpisodeScratch::new();
+        let cores = std::thread::available_parallelism().map_or(1, std::num::NonZeroUsize::get);
+        // Nothing to collect means nothing to attempt.
+        let budget = if self.runs == 0 { 0 } else { self.max_attempts };
         let mut successes: Vec<EpisodeReport> = Vec::with_capacity(self.runs);
         let mut attempts = 0usize;
         let mut failures = 0usize;
-        while successes.len() < self.runs && attempts < self.max_attempts {
-            let seed = self.base_seed.wrapping_add(attempts as u64);
-            let world = ScenarioConfig::new(self.n_obstacles)
-                .with_seed(seed)
-                .generate();
-            let report = runtime.run_with(WorldSource::Static(&world), seed, &mut scratch);
-            if report.is_success() {
-                successes.push(report);
-            } else {
-                failures += 1;
-            }
-            attempts += 1;
-        }
+        batch::run_ordered(
+            cores,
+            0..budget,
+            |k, scratch| {
+                let spec =
+                    ScenarioSpec::new(self.n_obstacles, self.base_seed.wrapping_add(k as u64));
+                runtime.run_with(WorldSource::Static(&spec.world()), spec.seed, scratch)
+            },
+            |_, report| {
+                attempts += 1;
+                if report.is_success() {
+                    successes.push(report);
+                } else {
+                    failures += 1;
+                }
+                successes.len() < self.runs
+            },
+        );
         if successes.len() < self.runs {
             return Err(SeoError::InsufficientSuccessfulRuns {
                 collected: successes.len(),
@@ -243,80 +254,6 @@ impl ExperimentConfig {
             summary,
             failures,
         })
-    }
-
-    /// Parallel variant of [`Self::run`]: fans episode attempts out over a
-    /// [`BatchRunner`] worker pool, in waves so a mostly-successful
-    /// configuration does not burn the whole `max_attempts` budget.
-    /// Episodes are independent (seeded per attempt) and each wave is
-    /// consumed in seed order, so the selected successful-run set — and
-    /// therefore the summary — is **identical** to the sequential
-    /// protocol's.
-    ///
-    /// # Errors
-    ///
-    /// Same as [`Self::run`].
-    pub fn run_parallel(&self, threads: usize) -> Result<ExperimentResult, SeoError> {
-        let runtime = RuntimeLoop::new(self.seo, self.models.clone(), self.optimizer)?
-            .with_controller(self.controller.clone())
-            .with_kernel(self.kernel);
-        let runner = BatchRunner::new(runtime).with_threads(threads);
-        // Slightly over-provision each wave for expected failures so most
-        // experiments finish in a single wave.
-        let wave = (self.runs + self.runs / 4 + runner.threads()).max(1);
-
-        let mut successes = Vec::with_capacity(self.runs);
-        let mut failures = 0usize;
-        let mut attempts_used = 0usize;
-        let mut offset = 0usize;
-        while successes.len() < self.runs && offset < self.max_attempts {
-            let n = wave.min(self.max_attempts - offset);
-            let specs: Vec<ScenarioSpec> = (0..n as u64)
-                .map(|k| {
-                    ScenarioSpec::new(
-                        self.n_obstacles,
-                        self.base_seed.wrapping_add(offset as u64 + k),
-                    )
-                })
-                .collect();
-            for report in runner.run(&specs) {
-                if successes.len() >= self.runs {
-                    break;
-                }
-                attempts_used += 1;
-                if report.is_success() {
-                    successes.push(report);
-                } else {
-                    failures += 1;
-                }
-            }
-            offset += n;
-        }
-        if successes.len() < self.runs {
-            return Err(SeoError::InsufficientSuccessfulRuns {
-                collected: successes.len(),
-                requested: self.runs,
-                attempts: attempts_used,
-            });
-        }
-        let summary = ExperimentSummary::from_reports(&successes)?;
-        Ok(ExperimentResult {
-            config: self.clone(),
-            reports: successes,
-            summary,
-            failures,
-        })
-    }
-
-    /// [`Self::run_parallel`] on the default pool size
-    /// ([`BatchRunner::default_threads`]: `SEO_THREADS` or all available
-    /// cores) — what the experiment binaries and benches call.
-    ///
-    /// # Errors
-    ///
-    /// Same as [`Self::run`].
-    pub fn run_auto(&self) -> Result<ExperimentResult, SeoError> {
-        self.run_parallel(BatchRunner::default_threads())
     }
 }
 
@@ -466,14 +403,33 @@ mod tests {
 
     #[test]
     fn parallel_run_matches_sequential() {
-        let config = quick(OptimizerKind::Offloading, 2, ControlMode::Filtered);
-        let seq = config.run().expect("sequential runs");
-        let par = config.run_parallel(4).expect("parallel runs");
-        assert_eq!(
-            seq.summary, par.summary,
-            "parallel must reproduce the protocol"
-        );
-        assert_eq!(seq.failures, par.failures);
+        // The protocol written out one attempt at a time, sharing no code
+        // with the pool: the first `runs` successes in seed order. Seed
+        // 1032 times out under the potential-field agent, so the failure
+        // count is tested too.
+        let config = quick(OptimizerKind::Offloading, 4, ControlMode::Filtered)
+            .with_controller(Controller::default())
+            .with_seed(1030)
+            .with_runs(4);
+        let runtime = RuntimeLoop::new(config.seo, config.models.clone(), config.optimizer)
+            .expect("valid runtime")
+            .with_controller(config.controller.clone());
+        let mut successes = Vec::new();
+        let mut failures = 0usize;
+        let mut seed = config.base_seed;
+        while successes.len() < config.runs {
+            let report = runtime.run_episode(&ScenarioSpec::new(4, seed).world(), seed);
+            if report.is_success() {
+                successes.push(report);
+            } else {
+                failures += 1;
+            }
+            seed += 1;
+        }
+        assert!(failures > 0, "the reference loop met no failure");
+        let result = config.run().expect("experiment runs");
+        assert_eq!(result.reports, successes, "the same runs, in seed order");
+        assert_eq!(result.failures, failures);
     }
 
     #[test]

@@ -111,7 +111,7 @@ pub mod prelude {
     pub use crate::agg::{
         CellSketch, QuantileSketch, ReportMode, ReportSpec, RunSummary, StatSketch,
     };
-    pub use crate::batch::{BatchRunner, ScenarioSpec};
+    pub use crate::batch::ScenarioSpec;
     pub use crate::config::{ControlMode, EnergyAccounting, OffloadFallback, SeoConfig};
     pub use crate::controller::Controller;
     pub use crate::daemon::{DaemonConfig, DaemonServer, DaemonStats};

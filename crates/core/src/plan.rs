@@ -48,7 +48,7 @@
 //! ```
 
 use crate::agg::{ReportSpec, RunSummary};
-use crate::batch::{BatchRunner, ScenarioSpec};
+use crate::batch::{self, ScenarioSpec};
 use crate::config::{ControlMode, SeoConfig};
 use crate::controller::Controller;
 use crate::error::SeoError;
@@ -649,7 +649,7 @@ pub struct GridPoint {
 pub enum ExecMode {
     /// One thread, one scratch — the reference loop.
     Serial,
-    /// [`BatchRunner`] worker threads in this process.
+    /// Worker threads in this process ([`SweepPlan::run_threads`]).
     Threads(
         /// Worker thread count.
         usize,
@@ -1235,6 +1235,51 @@ impl SweepPlan {
         &self,
         range: Shard,
         kernel: KernelBackend,
+        sink: impl FnMut(usize, EpisodeReport) -> bool,
+    ) -> Result<(), SeoError> {
+        self.run_cells(1, range, kernel, sink)
+    }
+
+    /// Runs the whole grid serially — the reference output every other mode
+    /// must (and does) reproduce bit-identically.
+    ///
+    /// # Errors
+    ///
+    /// Same as [`Self::run_range`].
+    pub fn run_serial(&self) -> Result<Vec<EpisodeReport>, SeoError> {
+        let mut reports = Vec::with_capacity(self.n_specs());
+        self.run_range(Shard::new(0, self.n_specs()), self.kernel, |_, report| {
+            reports.push(report);
+            true
+        })?;
+        Ok(reports)
+    }
+
+    /// The threads engine: runs the whole grid over `threads` in-process
+    /// workers and streams `(index, report)` pairs to `sink` in ascending
+    /// index order, with the same stop signal as [`Self::run_range`]. The
+    /// workers of a cell share its one runtime. Bit-identical to
+    /// [`Self::run_serial`] for any thread count.
+    ///
+    /// # Errors
+    ///
+    /// Same as [`Self::run_range`].
+    pub fn run_threads(
+        &self,
+        threads: usize,
+        sink: impl FnMut(usize, EpisodeReport) -> bool,
+    ) -> Result<(), SeoError> {
+        self.run_cells(threads, Shard::new(0, self.n_specs()), self.kernel, sink)
+    }
+
+    /// The one per-cell loop under [`Self::run_range`] and
+    /// [`Self::run_threads`]: builds each overlapped cell's runtime once and
+    /// runs the cell's slice of `range` through [`batch::run_ordered`].
+    fn run_cells(
+        &self,
+        threads: usize,
+        range: Shard,
+        kernel: KernelBackend,
         mut sink: impl FnMut(usize, EpisodeReport) -> bool,
     ) -> Result<(), SeoError> {
         if range.end > self.n_specs() {
@@ -1255,52 +1300,14 @@ impl SweepPlan {
                 .cell_at(cell_index)
                 .expect("cell index inside the grid");
             let runtime = cell.runtime(kernel)?;
-            let mut scratch = EpisodeScratch::new();
-            for i in start..end {
-                let spec = self.spec_within_cell(i % per_cell);
-                let report = cell.run_spec(&runtime, spec, &mut scratch);
-                if !sink(i, report) {
-                    return Ok(());
-                }
+            let episode = |i: usize, scratch: &mut EpisodeScratch| {
+                cell.run_spec(&runtime, self.spec_within_cell(i % per_cell), scratch)
+            };
+            if !batch::run_ordered(threads, start..end, episode, &mut sink) {
+                break;
             }
         }
         Ok(())
-    }
-
-    /// Runs the whole grid serially — the reference output every other mode
-    /// must (and does) reproduce bit-identically.
-    ///
-    /// # Errors
-    ///
-    /// Same as [`Self::run_range`].
-    pub fn run_serial(&self) -> Result<Vec<EpisodeReport>, SeoError> {
-        let mut reports = Vec::with_capacity(self.n_specs());
-        self.run_range(Shard::new(0, self.n_specs()), self.kernel, |_, report| {
-            reports.push(report);
-            true
-        })?;
-        Ok(reports)
-    }
-
-    /// Runs the grid on an in-process [`BatchRunner`] pool, cell by cell.
-    /// Bit-identical to [`Self::run_serial`] for any thread count (the
-    /// batch engine's determinism invariant, applied per cell).
-    ///
-    /// # Errors
-    ///
-    /// Same as [`Self::run_range`].
-    pub fn run_threads(&self, threads: usize) -> Result<Vec<EpisodeReport>, SeoError> {
-        let mut reports = Vec::with_capacity(self.n_specs());
-        let per_cell = self.axes.specs_per_cell();
-        for (cell, _) in self.cells() {
-            let specs: Vec<ScenarioSpec> =
-                (0..per_cell).map(|w| self.spec_within_cell(w)).collect();
-            let runner = BatchRunner::new(cell.runtime(self.kernel)?).with_threads(threads);
-            reports.extend(runner.run_with_episode(&specs, |runtime, spec, scratch| {
-                cell.run_spec(runtime, *spec, scratch)
-            }));
-        }
-        Ok(reports)
     }
 }
 
@@ -1750,6 +1757,18 @@ mod tests {
         assert!(ControllerKind::parse("pid").is_err());
     }
 
+    /// The threads engine's output, collected in delivery order.
+    fn run_threads(plan: &SweepPlan, threads: usize) -> Vec<EpisodeReport> {
+        let mut reports = Vec::new();
+        plan.run_threads(threads, |i, report| {
+            assert_eq!(i, reports.len(), "indices arrive in ascending order");
+            reports.push(report);
+            true
+        })
+        .expect("threads run");
+        reports
+    }
+
     #[test]
     fn serial_matches_batch_runner_on_the_paper_preset() {
         let plan = SweepPlan::paper(6, 2023);
@@ -1757,7 +1776,11 @@ mod tests {
         let models = ModelSet::paper_setup(config.tau).expect("paper models");
         let runtime =
             RuntimeLoop::new(config, models, OptimizerKind::Offloading).expect("valid runtime");
-        let reference = BatchRunner::new(runtime).run_serial(&ScenarioSpec::paper_grid(6, 2023));
+        // A plain episode loop, sharing no code with the engines.
+        let reference: Vec<EpisodeReport> = ScenarioSpec::paper_grid(6, 2023)
+            .iter()
+            .map(|spec| runtime.run_episode(&spec.world(), spec.seed))
+            .collect();
         assert_eq!(plan.run_serial().expect("runs"), reference);
     }
 
@@ -1769,7 +1792,7 @@ mod tests {
         assert_eq!(serial.len(), 6);
         for threads in [2usize, 4] {
             assert_eq!(
-                plan.run_threads(threads).expect("threads run"),
+                run_threads(&plan, threads),
                 serial,
                 "{threads}-thread run diverged"
             );
@@ -1790,6 +1813,23 @@ mod tests {
         assert!(plan
             .run_range(Shard::new(0, 7), plan.kernel, |_, _| true)
             .is_err());
+    }
+
+    #[test]
+    fn run_threads_honours_the_stop_signal() {
+        // Two cells of three specs: stopping inside the first cell must
+        // neither deliver another report nor start the second cell.
+        let plan = SweepPlan::paper(3, 2023)
+            .with_optimizers(vec![OptimizerKind::Offloading, OptimizerKind::ModelGating]);
+        for threads in [1usize, 3] {
+            let mut delivered = Vec::new();
+            plan.run_threads(threads, |i, _| {
+                delivered.push(i);
+                delivered.len() < 2
+            })
+            .expect("threads run");
+            assert_eq!(delivered, [0, 1], "{threads} thread(s)");
+        }
     }
 
     #[test]
@@ -1907,7 +1947,7 @@ mod tests {
             ]);
         let serial = plan.run_serial().expect("serial runs");
         assert_eq!(serial.len(), 12);
-        assert_eq!(plan.run_threads(3).expect("threads"), serial);
+        assert_eq!(run_threads(&plan, 3), serial);
         // The bursty channel actually changes outcomes relative to clean
         // (same seeds, different rate draws): cell 0 is clean/static,
         // cell 2 is bursty/static over the same specs.

@@ -159,7 +159,8 @@ impl RuntimeLoop {
             models,
             optimizer,
             controller: Controller::default(),
-            filter: SafetyFilter::default(),
+            // Ψ looks ahead at the period the plant steps at.
+            filter: SafetyFilter::default().with_step(config.tau),
             evaluator,
             table,
             link: WirelessLink::paper_default()?,

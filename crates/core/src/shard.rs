@@ -1,8 +1,9 @@
 //! Multi-process sharded scenario sweeps.
 //!
-//! [`crate::batch::BatchRunner`] parallelizes a sweep within one process;
-//! this module scales the same grid across **processes** (the stepping stone
-//! to multi-host sharding) without changing a single output bit:
+//! [`crate::plan::SweepPlan::run_threads`] parallelizes a sweep within one
+//! process; this module scales the same grid across **processes** (the
+//! stepping stone to multi-host sharding) without changing a single output
+//! bit:
 //!
 //! 1. [`ShardPlanner`] partitions a [`crate::batch::ScenarioSpec`] grid
 //!    into contiguous, near-even shards. The plan depends only on
@@ -17,8 +18,8 @@
 //!    an obstacle-free route) are encoded as the strings `"inf"`/`"-inf"`.
 //! 3. [`StreamingMerge`] consumes reports **incrementally in arrival order**
 //!    but releases them **in spec-index order**, so the coordinator's merged
-//!    output is bit-identical to [`crate::batch::BatchRunner::run_serial`] over the whole
-//!    grid no matter how workers interleave.
+//!    output is bit-identical to [`crate::plan::SweepPlan::run_serial`] over
+//!    the whole grid no matter how workers interleave.
 //! 4. [`Coordinator`] spawns one OS process per shard
 //!    (`std::process::Command`), streams each child's stdout into the merge,
 //!    and turns a crashed / non-zero-exit / protocol-violating worker into a
@@ -1174,24 +1175,22 @@ impl Coordinator {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::batch::{BatchRunner, ScenarioSpec};
+    use crate::batch::ScenarioSpec;
     use crate::config::SeoConfig;
     use crate::model::ModelSet;
     use crate::optimizer::OptimizerKind;
     use crate::plan::SweepPlan;
     use crate::runtime::RuntimeLoop;
 
-    fn runner() -> BatchRunner {
+    fn runtime() -> RuntimeLoop {
         let config = SeoConfig::paper_defaults();
         let models = ModelSet::paper_setup(config.tau).expect("valid");
-        BatchRunner::new(
-            RuntimeLoop::new(config, models, OptimizerKind::Offloading).expect("valid runtime"),
-        )
+        RuntimeLoop::new(config, models, OptimizerKind::Offloading).expect("valid runtime")
     }
 
     fn sample_report(n_obstacles: usize, seed: u64) -> EpisodeReport {
         let spec = ScenarioSpec::new(n_obstacles, seed);
-        runner().runtime().run_episode(&spec.world(), spec.seed)
+        runtime().run_episode(&spec.world(), spec.seed)
     }
 
     #[test]
@@ -1369,7 +1368,10 @@ mod tests {
             .with_obstacles(vec![0, 2])
             .with_seeds(2023, 2);
         let specs = ScenarioSpec::grid(&[0, 2], 2, 2023);
-        let serial = runner().run_serial(&specs);
+        let serial: Vec<EpisodeReport> = specs
+            .iter()
+            .map(|spec| sample_report(spec.n_obstacles, spec.seed))
+            .collect();
         let shard = Shard::new(1, 3);
         // A worker's stdout: one wire line per episode of its shard.
         let mut lines = Vec::new();

@@ -5,8 +5,8 @@
 //! [`crate::shard`] scales a sweep across **processes** on one machine; this
 //! module scales the same grid across **hosts** while keeping the same
 //! invariant: the merged output is bit-identical to
-//! [`crate::batch::BatchRunner::run_serial`] over the whole grid, no matter
-//! how many hosts participate or which of them die mid-stream.
+//! [`SweepPlan::run_serial`] over the whole grid, no matter how many hosts
+//! participate or which of them die mid-stream.
 //!
 //! 1. **Framing** — each message travels as a 4-byte big-endian length
 //!    prefix followed by that many payload bytes ([`write_frame`] /

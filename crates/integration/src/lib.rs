@@ -12,6 +12,31 @@ use seo_core::shard::{
 use std::net::SocketAddr;
 use std::sync::Arc;
 
+/// The runtime of the paper preset's single cell: paper defaults with the
+/// offloading optimizer.
+///
+/// # Panics
+///
+/// Never panics: the paper defaults are statically valid.
+#[must_use]
+pub fn paper_runtime() -> RuntimeLoop {
+    let config = SeoConfig::paper_defaults();
+    let models = ModelSet::paper_setup(config.tau).expect("paper models");
+    RuntimeLoop::new(config, models, OptimizerKind::Offloading).expect("valid runtime")
+}
+
+/// The serial reference the engine tests compare against: a plain
+/// [`RuntimeLoop::run_episode`] loop over `specs`, sharing no code with
+/// [`SweepPlan::run_range`] or the episode pool
+/// ([`seo_core::batch::run_ordered`]).
+#[must_use]
+pub fn serial_reference(runtime: &RuntimeLoop, specs: &[ScenarioSpec]) -> Vec<EpisodeReport> {
+    specs
+        .iter()
+        .map(|spec| runtime.run_episode(&spec.world(), spec.seed))
+        .collect()
+}
+
 /// Starts an in-process `seo-sweepd` daemon ([`DaemonServer`]) on an
 /// OS-assigned loopback port and returns its address. Jobs carry their
 /// plan (or name the paper preset), so the runtime handed to `serve` only
@@ -67,10 +92,7 @@ pub fn oversized_grid_plan() -> SweepPlan {
 fn spawn_loopback_daemon(config: DaemonConfig) -> SocketAddr {
     let server = Arc::new(DaemonServer::bind("127.0.0.1:0", config).expect("bind loopback"));
     let addr = server.local_addr().expect("local addr");
-    let config = SeoConfig::paper_defaults();
-    let models = ModelSet::paper_setup(config.tau).expect("paper models");
-    let runtime =
-        Arc::new(RuntimeLoop::new(config, models, OptimizerKind::Offloading).expect("runtime"));
+    let runtime = Arc::new(paper_runtime());
     std::thread::spawn(move || {
         let _ = server.serve(runtime);
     });
@@ -103,7 +125,12 @@ pub fn assert_all_engines_bit_identical(plan: &SweepPlan) -> Vec<EpisodeReport> 
     let expected = wire(&serial);
 
     // Engine 2: the in-process thread pool.
-    let threads = plan.run_threads(3).expect("threads engine");
+    let mut threads = Vec::new();
+    plan.run_threads(3, |_, report| {
+        threads.push(report);
+        true
+    })
+    .expect("threads engine");
     assert_eq!(wire(&threads), expected, "threads vs serial");
 
     // Engine 3: the sharded worker path — every shard rendered to wire
@@ -191,14 +218,11 @@ pub fn assert_summary_bit_identical(plan: &SweepPlan) -> Vec<String> {
 
     // Engine 2: the in-process thread pool, folded from its merged output.
     let mut threads = plan.run_summary();
-    for (i, report) in plan
-        .run_threads(3)
-        .expect("threads engine")
-        .into_iter()
-        .enumerate()
-    {
+    plan.run_threads(3, |i, report| {
         threads.record(i, &report);
-    }
+        true
+    })
+    .expect("threads engine");
     assert_eq!(render(&threads), expected, "threads fold vs serial fold");
 
     // Engine 3: the process-engine composition — each shard's fragment

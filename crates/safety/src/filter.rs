@@ -105,6 +105,20 @@ impl SafetyFilter {
         self
     }
 
+    /// Returns a copy that integrates the look-ahead at `step` (builder
+    /// style). Set it to the plant's control period, so Ψ certifies the
+    /// states the plant actually visits.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `step` is non-positive.
+    #[must_use]
+    pub fn with_step(mut self, step: Seconds) -> Self {
+        assert!(step.as_secs() > 0.0, "step must be positive");
+        self.step = step;
+        self
+    }
+
     /// Worst-case barrier value over the look-ahead under frozen `control`.
     #[must_use]
     pub fn worst_case_barrier(&self, world: &World, state: &VehicleState, control: Control) -> f64 {

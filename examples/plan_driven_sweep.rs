@@ -26,9 +26,14 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     println!("plan: {plan}");
     println!("as a file:\n{}", plan.to_json().render_pretty());
 
-    // Threaded execution is bit-identical to the serial reference — the
-    // same invariant every distributed mode is held to.
-    let reports = plan.run_threads(4)?;
+    // Threaded execution streams reports in index order and is
+    // bit-identical to the serial reference — the same invariant every
+    // distributed mode is held to.
+    let mut reports = Vec::with_capacity(plan.n_specs());
+    plan.run_threads(4, |_, report| {
+        reports.push(report);
+        true
+    })?;
     assert_eq!(reports, plan.run_serial()?);
 
     println!("grid results (mean combined gain per cell):");
@@ -45,7 +50,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     // Zoom one grid cell into the paper's successful-runs protocol.
     let (cell, _) = plan.cells()[1]; // gating 0.25, model-gating
     let experiment = ExperimentConfig::from_cell(&cell)?.with_runs(3);
-    let result = experiment.run_auto()?;
+    let result = experiment.run()?;
     println!(
         "cell [{cell}] under the experiment protocol: {} over {} successful runs",
         seo_bench_free_pct(result.summary.combined_gain),

@@ -12,13 +12,14 @@
 //! flag or a `shutdown` frame, never [`seo_core::daemon::request_drain`]
 //! (which is process-global and would drain the other tests' daemons).
 
-use seo_core::batch::{BatchRunner, ScenarioSpec};
+use seo_core::batch::ScenarioSpec;
 use seo_core::prelude::*;
 use seo_core::shard::report_line;
 use seo_core::transport::{
     health_request_frame, parse_worker_frame, read_frame, shutdown_request_frame, write_frame,
     JobRequest, WorkerMsg,
 };
+use seo_integration::{paper_runtime, serial_reference};
 use std::net::{SocketAddr, TcpListener, TcpStream};
 use std::sync::{mpsc, Arc};
 use std::time::Duration;
@@ -26,14 +27,8 @@ use std::time::Duration;
 const SCENARIOS: usize = 6;
 const SEED: u64 = 2023;
 
-fn paper_runtime() -> RuntimeLoop {
-    let config = SeoConfig::paper_defaults();
-    let models = ModelSet::paper_setup(config.tau).expect("paper models");
-    RuntimeLoop::new(config, models, OptimizerKind::Offloading).expect("valid runtime")
-}
-
 fn serial_reports() -> Vec<EpisodeReport> {
-    BatchRunner::new(paper_runtime()).run_serial(&ScenarioSpec::paper_grid(SCENARIOS, SEED))
+    serial_reference(&paper_runtime(), &ScenarioSpec::paper_grid(SCENARIOS, SEED))
 }
 
 /// The paper-preset plan over the legacy grid `serial_reports` runs.

@@ -1,6 +1,6 @@
 //! Integration tests for the beyond-the-paper extensions: dynamic worlds,
-//! range impact, bursty channels, fallback semantics, and the parallel
-//! experiment runner — exercised together, across crates.
+//! range impact, bursty channels, fallback semantics, and the pooled
+//! experiment protocol — exercised together, across crates.
 
 use seo_core::prelude::*;
 use seo_core::runtime::RuntimeLoop;
@@ -63,18 +63,35 @@ fn dynamic_world_with_faster_oncoming_traffic_is_riskier() {
 
 #[test]
 fn parallel_experiment_is_protocol_identical() {
+    // `run` fans attempts out over every core; what it returns must be the
+    // paper's protocol taken one attempt at a time: the first `runs`
+    // successes in seed order, and the failures met on the way.
     let config = ExperimentConfig::paper_defaults()
         .with_optimizer(OptimizerKind::ModelGating)
         .with_obstacles(2)
         .with_runs(4);
-    let sequential = config.run().expect("sequential");
-    for threads in [1usize, 2, 8] {
-        let parallel = config.run_parallel(threads).expect("parallel");
-        assert_eq!(
-            sequential.summary, parallel.summary,
-            "summary must be identical at {threads} threads"
-        );
+    let rt = RuntimeLoop::new(config.seo, config.models.clone(), config.optimizer)
+        .expect("runtime builds")
+        .with_controller(config.controller.clone());
+    let mut successes = Vec::new();
+    let mut failures = 0usize;
+    let mut seed = config.base_seed;
+    while successes.len() < config.runs {
+        let report = rt.run_episode(&ScenarioSpec::new(2, seed).world(), seed);
+        if report.is_success() {
+            successes.push(report);
+        } else {
+            failures += 1;
+        }
+        seed += 1;
     }
+    let result = config.run().expect("experiment runs");
+    assert_eq!(result.reports, successes, "the same runs, in seed order");
+    assert_eq!(result.failures, failures);
+    assert_eq!(
+        result.summary,
+        seo_core::metrics::ExperimentSummary::from_reports(&successes).expect("summary")
+    );
 }
 
 #[test]

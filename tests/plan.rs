@@ -4,22 +4,16 @@
 //! each naming the field), and the multi-axis grid's agreement with the
 //! experiment harness's single-cell semantics.
 
-use seo_core::batch::{BatchRunner, ScenarioSpec};
+use seo_core::batch::ScenarioSpec;
 use seo_core::plan::PLAN_VERSION;
 use seo_core::prelude::*;
 use seo_core::runtime::RuntimeLoop;
 use seo_core::shard::report_line;
-
-fn paper_runtime() -> RuntimeLoop {
-    let config = SeoConfig::paper_defaults();
-    let models = ModelSet::paper_setup(config.tau).expect("paper models");
-    RuntimeLoop::new(config, models, OptimizerKind::Offloading).expect("valid runtime")
-}
+use seo_integration::{paper_runtime, serial_reference};
 
 /// The acceptance invariant: the paper preset expands to exactly the specs
 /// of `ScenarioSpec::paper_grid` and its serial run is bit-identical —
-/// field-wise and on the wire — to `BatchRunner::run_serial` over that
-/// grid.
+/// field-wise and on the wire — to a plain episode loop over that grid.
 #[test]
 fn paper_preset_is_bit_identical_to_the_legacy_grid() {
     let plan = SweepPlan::paper(6, 2023);
@@ -27,14 +21,20 @@ fn paper_preset_is_bit_identical_to_the_legacy_grid() {
     let specs: Vec<ScenarioSpec> = plan.expand().iter().map(|p| p.spec).collect();
     assert_eq!(specs, legacy);
 
-    let reference = BatchRunner::new(paper_runtime()).run_serial(&legacy);
+    let reference = serial_reference(&paper_runtime(), &legacy);
     let serial = plan.run_serial().expect("plan runs");
     assert_eq!(serial, reference);
     for (i, (p, r)) in serial.iter().zip(&reference).enumerate() {
         assert_eq!(report_line(i, p), report_line(i, r), "wire line {i}");
     }
     // Threads mode is held to the same output.
-    assert_eq!(plan.run_threads(3).expect("threads run"), reference);
+    let mut threads = Vec::new();
+    plan.run_threads(3, |_, report| {
+        threads.push(report);
+        true
+    })
+    .expect("threads run");
+    assert_eq!(threads, reference);
 }
 
 /// Save → load → expand is index- and bit-identical: the reloaded plan is

@@ -38,6 +38,34 @@ fn filtered_runs_never_violate_the_barrier() {
     }
 }
 
+/// Ψ's look-ahead steps at the plant's τ. With a fixed 20 ms look-ahead,
+/// these three filtered episodes of an obstacles {2, 4} × τ {25, 33} ×
+/// {potential-field, tight-margin} × 20-seed grid (base 1000) each ended
+/// with one unsafe step.
+#[test]
+fn filtered_runs_stay_safe_off_the_paper_tau() {
+    let plan = SweepPlan::paper(3, 1000)
+        .with_obstacles(vec![2, 4])
+        .with_tau_ms(vec![25.0, 33.0])
+        .with_controllers(vec![
+            ControllerKind::PotentialField,
+            ControllerKind::TightMargin,
+        ])
+        .with_seeds(1000, 20);
+    for index in [0usize, 77, 108] {
+        let point = plan.point_at(index).expect("inside the grid");
+        plan.run_range(Shard::new(index, index + 1), plan.kernel, |_, report| {
+            assert_eq!(
+                report.unsafe_steps, 0,
+                "[{}] {}: min h = {}",
+                point.cell, point.spec, report.min_barrier
+            );
+            true
+        })
+        .expect("episode runs");
+    }
+}
+
 #[test]
 fn deadline_slot_always_reinvokes_full_model() {
     // Pure scheduler property over many random-ish deadline sequences: in

@@ -2,17 +2,20 @@
 //! edge cases, wire-format round-trips, and the planner × merge composition
 //! reproducing a serial sweep bit-for-bit.
 
-use seo_core::batch::{BatchRunner, ScenarioSpec};
+use seo_core::batch::ScenarioSpec;
 use seo_core::prelude::*;
 use seo_core::runtime::RuntimeLoop;
 use seo_core::shard::{
     parse_report_line, report_line, Shard, ShardError, ShardPlan, ShardPlanner, StreamingMerge,
 };
+use seo_integration::serial_reference;
 
-fn runner(optimizer: OptimizerKind) -> BatchRunner {
+/// The serial reference over `specs` on the paper runtime with `optimizer`.
+fn serial_reports(optimizer: OptimizerKind, specs: &[ScenarioSpec]) -> Vec<EpisodeReport> {
     let config = SeoConfig::paper_defaults();
     let models = ModelSet::paper_setup(config.tau).expect("paper models");
-    BatchRunner::new(RuntimeLoop::new(config, models, optimizer).expect("valid runtime"))
+    let runtime = RuntimeLoop::new(config, models, optimizer).expect("valid runtime");
+    serial_reference(&runtime, specs)
 }
 
 /// One worker's stdout for `shard` of the paper preset over `obstacles` ×
@@ -101,11 +104,11 @@ fn explicit_plan_validation_catches_misconfigurations() {
 
 #[test]
 fn report_wire_round_trip_is_exact_for_real_episodes() {
-    let runner = runner(OptimizerKind::Offloading);
     // 0-obstacle episodes carry min_distance = +inf; 2/4-obstacle episodes
     // carry dense finite floats. Both must survive the wire exactly.
-    for (i, spec) in ScenarioSpec::grid(&[0, 2, 4], 2, 7).iter().enumerate() {
-        let report = runner.runtime().run_episode(&spec.world(), spec.seed);
+    let specs = ScenarioSpec::grid(&[0, 2, 4], 2, 7);
+    let reports = serial_reports(OptimizerKind::Offloading, &specs);
+    for (i, (spec, report)) in specs.iter().zip(reports).enumerate() {
         let line = report_line(i, &report);
         let (index, back) = parse_report_line(&line).expect("parses");
         assert_eq!(index, i);
@@ -119,9 +122,8 @@ fn report_wire_round_trip_is_exact_for_real_episodes() {
 /// and uneven shard sizes.
 #[test]
 fn planner_merge_composition_reproduces_serial_sweep() {
-    let runner = runner(OptimizerKind::Offloading);
     let specs = ScenarioSpec::grid(&[0, 2, 4], 2, 2023); // 6 specs
-    let serial = runner.run_serial(&specs);
+    let serial = serial_reports(OptimizerKind::Offloading, &specs);
     for workers in [1usize, 2, 4] {
         let plan = ShardPlanner::new(workers).plan(specs.len()).expect("plan");
         // Collect every shard's wire output…
@@ -153,9 +155,8 @@ fn planner_merge_composition_reproduces_serial_sweep() {
 
 #[test]
 fn merge_rejects_duplicate_index_and_keeps_the_original() {
-    let runner = runner(OptimizerKind::Offloading);
     let specs = ScenarioSpec::grid(&[0, 2], 1, 5);
-    let reports = runner.run_serial(&specs);
+    let reports = serial_reports(OptimizerKind::Offloading, &specs);
     assert_ne!(reports[0], reports[1], "distinct reports for the test");
 
     let mut merge = StreamingMerge::new(specs.len());
@@ -175,9 +176,8 @@ fn merge_rejects_duplicate_index_and_keeps_the_original() {
 
 #[test]
 fn merge_rejects_duplicates_even_after_draining() {
-    let runner = runner(OptimizerKind::Offloading);
     let specs = ScenarioSpec::grid(&[0], 2, 9);
-    let reports = runner.run_serial(&specs);
+    let reports = serial_reports(OptimizerKind::Offloading, &specs);
     let mut merge = StreamingMerge::new(specs.len());
     merge.accept(0, reports[0].clone()).expect("ok");
     assert_eq!(merge.drain_ready().len(), 1, "prefix released");
@@ -190,9 +190,8 @@ fn merge_rejects_duplicates_even_after_draining() {
 
 #[test]
 fn merge_rejects_out_of_range_index_without_corrupting_state() {
-    let runner = runner(OptimizerKind::Offloading);
     let specs = ScenarioSpec::grid(&[0], 2, 3);
-    let reports = runner.run_serial(&specs);
+    let reports = serial_reports(OptimizerKind::Offloading, &specs);
     let mut merge = StreamingMerge::new(specs.len());
     // One-past-the-end and far-out indices are both named violations.
     for bad in [specs.len(), specs.len() + 100] {
@@ -232,9 +231,8 @@ fn duplicate_wire_lines_surface_as_protocol_violations() {
 
 #[test]
 fn merge_streams_prefixes_incrementally() {
-    let runner = runner(OptimizerKind::ModelGating);
     let specs = ScenarioSpec::grid(&[0, 2], 2, 11);
-    let reports = runner.run_serial(&specs);
+    let reports = serial_reports(OptimizerKind::ModelGating, &specs);
     let mut merge = StreamingMerge::new(specs.len());
     // Arrival order 1, 0, 3, 2 — prefixes release as soon as contiguous.
     merge.accept(1, reports[1].clone()).expect("ok");

@@ -1,19 +1,20 @@
 //! Loopback-TCP properties of the multi-host sweep transport: host-pool
 //! validation, frame round-trips, pull-based lease scheduling, and the
 //! tentpole guarantee — the remote merge over in-process `seo-sweepd`
-//! daemons is bit-identical to `BatchRunner::run_serial` under 1/2/3
+//! daemons is bit-identical to a plain serial episode loop under 1/2/3
 //! hosts, every chunk size, and injected mid-stream host failures (kills,
 //! dead hosts, stalls).
 
-use seo_core::batch::{BatchRunner, ScenarioSpec};
+use seo_core::batch::ScenarioSpec;
 use seo_core::prelude::*;
-use seo_core::runtime::RuntimeLoop;
 use seo_core::shard::report_line;
 use seo_core::transport::{
     done_frame, error_frame, parse_worker_frame, read_frame, write_frame, HostPool, HostSpec,
     JobRequest, RemoteCoordinator, TransportError, WorkerMsg,
 };
-use seo_integration::{spawn_failing_loopback_worker, spawn_loopback_worker};
+use seo_integration::{
+    paper_runtime, serial_reference, spawn_failing_loopback_worker, spawn_loopback_worker,
+};
 use std::io::Cursor;
 use std::net::{SocketAddr, TcpListener};
 use std::time::Duration;
@@ -21,14 +22,8 @@ use std::time::Duration;
 const SCENARIOS: usize = 6;
 const SEED: u64 = 2023;
 
-fn paper_runtime() -> RuntimeLoop {
-    let config = SeoConfig::paper_defaults();
-    let models = ModelSet::paper_setup(config.tau).expect("paper models");
-    RuntimeLoop::new(config, models, OptimizerKind::Offloading).expect("valid runtime")
-}
-
 fn serial_reports() -> Vec<EpisodeReport> {
-    BatchRunner::new(paper_runtime()).run_serial(&ScenarioSpec::paper_grid(SCENARIOS, SEED))
+    serial_reference(&paper_runtime(), &ScenarioSpec::paper_grid(SCENARIOS, SEED))
 }
 
 /// The paper-preset plan over the legacy grid `serial_reports` runs.
