@@ -25,10 +25,10 @@
 //! the actual address as its first stdout line
 //! (`seo-sweepd listening on ADDR`) so scripts and tests can scrape it.
 //!
-//! `--kernel NAME` (default `SEO_KERNEL`, then `scalar`) selects the
-//! inference kernel backend the daemon runs episodes with. Backends are
-//! bit-identical by the `seo_nn::kernel` contract, so hosts in one pool may
-//! run different backends without breaking the merge (see `docs/kernels.md`).
+//! `--kernel NAME` (default `scalar`) selects the inference kernel backend
+//! the daemon runs episodes with. Backends are bit-identical by the
+//! `seo_nn::kernel` contract, so hosts in one pool may run different
+//! backends without breaking the merge (see `docs/kernels.md`).
 //!
 //! `--fault SPEC` arms deterministic fault injection (the
 //! [`FaultPlan`] grammar: `refuse=N,drop-after=K,stall-ms=T,garble=K,seed=S`)
@@ -47,8 +47,8 @@ use std::time::Duration;
 const USAGE_TEMPLATE: &str = "usage: sweepd [--listen HOST:PORT] [--kernel NAME] [--jobs N] \
     [--timeout-secs T]\n              [--fault SPEC] [--health ADDR] [--shutdown ADDR]\n  \
     --listen       address to accept coordinator connections on (default 127.0.0.1:7641)\n  \
-    --kernel       inference kernel backend: %KERNELS% (default scalar, or\n                 \
-    SEO_KERNEL; bit-identical output, see docs/kernels.md)\n  \
+    --kernel       inference kernel backend: %KERNELS% (default scalar;\n                 \
+    bit-identical output, see docs/kernels.md)\n  \
     --jobs         max concurrently running jobs; extra jobs get a busy frame (default 4)\n  \
     --timeout-secs per-connection read/write timeout in seconds (default 30)\n  \
     --fault        deterministic fault injection, e.g. refuse=2,drop-after=5,seed=7\n                 \
@@ -88,9 +88,7 @@ fn parse_cli() -> Result<CliOutcome, String> {
     let mut timeout = seo_core::transport::DEFAULT_TIMEOUT;
     let mut faults: Option<FaultPlan> = None;
     let mut probe: Option<(String, ProbeVerb)> = None;
-    // An unknown SEO_KERNEL value is an argument error, same as --kernel.
-    let mut kernel =
-        KernelBackend::from_env().map_err(|e| format!("{}: {e}", KernelBackend::ENV_VAR))?;
+    let mut kernel = KernelBackend::default();
     let mut args = std::env::args().skip(1);
     while let Some(arg) = args.next() {
         let mut value = |flag: &str| {

@@ -3,7 +3,9 @@
 //! Experiment-cell runners that regenerate **every table and figure** of the
 //! SEO paper (DAC 2023, arXiv:2302.12493), shared between the printable
 //! harness binaries (`fig1`, `fig5`, `fig6`, `table1`, `table2`, `table3`,
-//! `all_experiments`) and the Criterion benches.
+//! `all_experiments`) and the Criterion benches. The `sensitivity` binary
+//! prints the channel, payload and gating-level series around the paper's
+//! operating point.
 //!
 //! Run counts default to the paper's 25 successful runs per cell; set
 //! `SEO_RUNS` to trade fidelity for speed (the binaries honor it).
@@ -12,9 +14,10 @@
 //! declarative `seo_core::plan::SweepPlan` files (`--plan plan.json`, the
 //! only way to start an engine run), and the `seo-sweepd` worker daemon
 //! serves plan-bearing jobs over `seo_core::transport` (see
-//! `ARCHITECTURE.md` at the repository root,
-//! `docs/plans.md` for the plan schema, and `docs/benchmarks.md` for the
-//! `BENCH_sweep.json` schema and CI perf gate). Sweeps whose plan carries
+//! `ARCHITECTURE.md` at the repository root and `docs/plans.md` for the
+//! plan schema). The `bench_compare` binary runs the repository's
+//! benchmark and gates it against the committed trajectory
+//! (`docs/benchmarks.md`). Sweeps whose plan carries
 //! a `report` section additionally fold per-cell sketches and upsert a
 //! named-run row into the committed results book via [`book`] (see
 //! `docs/reporting.md`).

@@ -36,13 +36,15 @@ fn help_prints_usage_and_exits_zero_on_both_binaries() {
     }
 }
 
-/// Every engine run starts from a plan file: each removed flag-mode
-/// argument, and `--worker` or `--check` without `--plan`, is an argument
+/// Every run starts from a plan file: no arguments at all, each removed
+/// flag-mode argument, and any plan option without `--plan` is an argument
 /// error (exit 2, usage shown) whose message points at `--plan`.
 #[test]
 fn engine_runs_require_a_plan_file() {
     for args in [
-        &["--worker", "0..1"][..],
+        &[][..],
+        &["--kernel", "blocked"],
+        &["--worker", "0..1"],
         &["--check"],
         &["--workers", "2"],
         &["--hosts", "hosts.json"],
@@ -59,11 +61,79 @@ fn engine_runs_require_a_plan_file() {
         // The usage lists --plan too, so look at the message line alone.
         let message = stderr.lines().next().unwrap_or_default();
         assert!(
-            message.contains(args[0]) && message.contains("--plan"),
+            args.first().is_none_or(|arg| message.contains(arg)) && message.contains("--plan"),
             "{args:?}: the message must name the argument and --plan: {stderr}"
         );
         assert!(stderr.contains("usage:"), "{args:?}: {stderr}");
     }
+}
+
+/// A run writes nothing but its streams, the `--falsify-dir` artifacts and
+/// a plan's `report.book`: a summary-mode run without a book and a
+/// falsification search leave a `BENCH_sweep.json` in their working
+/// directory byte-for-byte alone. The search's stats close its stderr as
+/// one structured line instead.
+#[test]
+fn plan_runs_leave_the_working_directory_alone() {
+    let dir = std::env::temp_dir().join(format!("seo-sweep-cli-{}-cwd", std::process::id()));
+    let _ = std::fs::remove_dir_all(&dir);
+    std::fs::create_dir_all(&dir).expect("temp dir");
+    let sentinel = "{\"sentinel\": \"this file is not the sweep's\"}\n";
+    std::fs::write(dir.join("BENCH_sweep.json"), sentinel).expect("sentinel written");
+    std::fs::write(
+        dir.join("summary.json"),
+        r#"{"v":1,"axes":{"obstacles":[0,2],"seeds":{"base":2023,"runs":2}},
+            "report":{"mode":"summary"}}"#,
+    )
+    .expect("plan written");
+    std::fs::write(
+        dir.join("search.json"),
+        r#"{"v":1,"axes":{"obstacles":[2,4],"controllers":["tight-margin"],
+            "seeds":{"base":2023,"runs":1}},
+            "falsify":{"objective":"gating-margin","budget":6,"search_seed":7,"threshold":2.0}}"#,
+    )
+    .expect("plan written");
+
+    for args in [
+        &["--plan", "summary.json"][..],
+        &["--plan", "search.json", "--falsify", "--falsify-dir", "cx"],
+    ] {
+        let output = Command::new(SWEEP_BIN)
+            .args(args)
+            .current_dir(&dir)
+            .output()
+            .expect("sweep runs");
+        let stderr = String::from_utf8_lossy(&output.stderr);
+        assert!(output.status.success(), "{args:?}: {stderr}");
+        let bytes = std::fs::read(dir.join("BENCH_sweep.json")).expect("sentinel kept");
+        assert_eq!(String::from_utf8_lossy(&bytes), sentinel, "{args:?}");
+        if args.contains(&"--falsify") {
+            let stats = stderr
+                .lines()
+                .find_map(|l| l.strip_prefix("sweep: falsify stats "))
+                .unwrap_or_else(|| panic!("no falsify stats line: {stderr}"));
+            let stats = seo_core::json::Json::parse(stats).expect("stats are one JSON object");
+            for key in ["evaluations", "violations", "trace"] {
+                assert!(stats.get(key).is_some(), "'{key}' missing: {stderr}");
+            }
+        }
+    }
+
+    let mut entries: Vec<String> = std::fs::read_dir(&dir)
+        .expect("temp dir")
+        .map(|e| {
+            e.expect("dir entry")
+                .file_name()
+                .to_string_lossy()
+                .into_owned()
+        })
+        .collect();
+    entries.sort();
+    assert_eq!(
+        entries,
+        ["BENCH_sweep.json", "cx", "search.json", "summary.json"]
+    );
+    let _ = std::fs::remove_dir_all(&dir);
 }
 
 #[test]

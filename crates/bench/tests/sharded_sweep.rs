@@ -180,27 +180,6 @@ fn unknown_kernel_flag_exits_2_with_valid_names() {
 }
 
 #[test]
-fn unknown_kernel_env_exits_2_and_names_the_variable() {
-    // An unparsable SEO_KERNEL must be rejected as loudly as the flag —
-    // never silently fall back to a default backend. Only the harness
-    // reads it: plans carry their own kernel.
-    let output = Command::new(SWEEP_BIN)
-        .env("SEO_KERNEL", "warp9")
-        .output()
-        .expect("sweep runs");
-    assert_eq!(output.status.code(), Some(2), "bad SEO_KERNEL must exit 2");
-    let stderr = String::from_utf8_lossy(&output.stderr);
-    assert!(
-        stderr.contains("SEO_KERNEL") && stderr.contains("'warp9'"),
-        "variable and value must be named: {stderr}"
-    );
-    assert!(
-        stderr.contains("scalar, blocked"),
-        "valid names missing from: {stderr}"
-    );
-}
-
-#[test]
 fn blocked_kernel_worker_output_is_bit_identical_on_the_wire() {
     // A worker on the blocked backend must stream byte-for-byte the same
     // lines as the (scalar) in-process serial reference — the cross-backend

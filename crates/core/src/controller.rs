@@ -41,8 +41,8 @@ impl Controller {
     }
 
     /// A deterministic fixed-seed neural policy (no training run): the
-    /// controller kernel benches and the sweep harness's per-backend cells
-    /// use this when they need the dense-kernel hot path in the loop — the
+    /// controller kernel benches and `neural:N` plan cells use this when
+    /// they need the dense-kernel hot path in the loop — the
     /// potential-field controllers contain no dense kernels, so they cannot
     /// exercise a [`Kernel`] backend.
     #[must_use]

@@ -508,8 +508,9 @@ impl Counterexample {
     }
 }
 
-/// Search provenance: how the budget was spent. Serialized into
-/// `BENCH_sweep.json` so a falsification run's effort is auditable.
+/// Search provenance: how the budget was spent. `sweep --falsify` prints it
+/// as one `sweep: falsify stats {…}` stderr line so a falsification run's
+/// effort is auditable.
 #[derive(Debug, Clone, PartialEq)]
 pub struct FalsifyStats {
     /// Random restarts taken.
@@ -525,7 +526,7 @@ pub struct FalsifyStats {
 }
 
 impl FalsifyStats {
-    /// Encodes the stats for `BENCH_sweep.json`.
+    /// Encodes the stats as one JSON object (the `falsify stats` line).
     #[must_use]
     pub fn to_json(&self) -> Json {
         Json::obj(vec![

@@ -593,8 +593,9 @@ impl CellConfig {
         }
     }
 
-    /// Encodes the cell for provenance records (`BENCH_sweep.json` rows and
-    /// tooling that must say which grid point produced a result).
+    /// Encodes the cell for provenance records (a counterexample line's
+    /// `cell` field, and tooling that must say which grid point produced a
+    /// result).
     #[must_use]
     pub fn to_json(&self) -> Json {
         Json::obj(vec![

@@ -1079,8 +1079,8 @@ pub struct RemoteRunStats {
 
 impl RemoteRunStats {
     /// Renders the stats as one JSON object — the structured summary
-    /// `sweep --plan` prints to stderr and records in `BENCH_sweep.json`
-    /// provenance after a hosts-mode run.
+    /// `sweep --plan` prints to stderr (`sweep: remote stats {…}`) after a
+    /// hosts-mode run.
     #[must_use]
     pub fn to_json(&self) -> Json {
         Json::obj(vec![

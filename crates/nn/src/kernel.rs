@@ -95,8 +95,8 @@ pub const NR: usize = 4;
 /// `debug_assert!` here and by the `assert!`s of the public `Matrix`/`Dense`
 /// wrappers above this layer.
 pub trait Kernel: Copy + Default + Send + Sync + 'static {
-    /// Backend name as it appears in `--kernel` flags, `SEO_KERNEL`, bench
-    /// labels, and `BENCH_sweep.json`.
+    /// Backend name as it appears in `--kernel` flags, plan files
+    /// (`exec.kernel`), and bench labels.
     const NAME: &'static str;
 
     /// Dense matrix–vector product: `out[r] = Σ_k data[r·cols + k] · x[k]`,
@@ -301,8 +301,8 @@ impl Kernel for BlockedKernel {
 }
 
 /// Runtime-chosen kernel backend — the enum form of the [`Kernel`]
-/// implementations, used at API boundaries (CLI flags, `SEO_KERNEL`,
-/// `BENCH_sweep.json`, `RuntimeLoop::with_kernel`).
+/// implementations, used at API boundaries (CLI flags, plan files,
+/// `RuntimeLoop::with_kernel`).
 ///
 /// Hot loops never branch on this: callers `match` once (per episode, per
 /// bench cell) and enter a monomorphized path.
@@ -320,10 +320,6 @@ impl KernelBackend {
     /// benchmarked. Tests iterate this to hold all backends to the
     /// bit-exactness contract.
     pub const ALL: [Self; 2] = [Self::Scalar, Self::Blocked];
-
-    /// The environment variable consulted by [`Self::from_env`] (and every
-    /// binary's `--kernel` default): `SEO_KERNEL`.
-    pub const ENV_VAR: &'static str = "SEO_KERNEL";
 
     /// The backend's canonical name (what [`Self::parse`] accepts).
     #[must_use]
@@ -345,8 +341,8 @@ impl KernelBackend {
             .join(", ")
     }
 
-    /// Parses a backend name (as passed to `--kernel` or `SEO_KERNEL`).
-    /// Matching is exact on the canonical lower-case names.
+    /// Parses a backend name (as passed to `--kernel` or a plan's
+    /// `exec.kernel`). Matching is exact on the canonical lower-case names.
     ///
     /// # Errors
     ///
@@ -359,22 +355,6 @@ impl KernelBackend {
             .ok_or_else(|| UnknownKernelError {
                 value: value.to_owned(),
             })
-    }
-
-    /// Resolves the backend from the `SEO_KERNEL` environment variable:
-    /// the default ([`Self::Scalar`]) when unset or empty, otherwise the
-    /// parsed value.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`UnknownKernelError`] when the variable is set to an
-    /// unknown name — callers must reject loudly (the sweep binaries exit
-    /// 2 with the valid names), never fall back silently.
-    pub fn from_env() -> Result<Self, UnknownKernelError> {
-        match std::env::var(Self::ENV_VAR) {
-            Ok(value) if !value.is_empty() => Self::parse(&value),
-            _ => Ok(Self::default()),
-        }
     }
 }
 
