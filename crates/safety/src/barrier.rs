@@ -15,11 +15,22 @@
 //! vehicle is heading at the obstacle (`cos theta`, clamped at zero), and
 //! `a_brake` the maximum braking deceleration. `h >= 0` defines the safe set
 //! (`S = 1` in the paper).
+//!
+//! [`DistanceBarrier::reachably_safe`] bounds `h` from below over every
+//! state a frozen control can reach in a given time, without a rollout:
+//! the safety filter and both φ evaluators ask it first and roll out only
+//! when it proves nothing.
 
 use crate::error::SafetyError;
+use seo_platform::units::Seconds;
 use seo_sim::sensing::RelativeObservation;
-use seo_sim::vehicle::VehicleState;
+use seo_sim::vehicle::{BicycleModel, Control, VehicleState};
 use seo_sim::world::World;
+
+/// The margin, in meters, by which the reachability bound must clear zero:
+/// it absorbs the rounding of a rollout's positions and distances, which is
+/// many orders of magnitude smaller.
+const REACH_SLACK: f64 = 1e-6;
 
 /// Barrier over (distance, bearing, speed) relative to the nearest obstacle.
 ///
@@ -118,6 +129,81 @@ impl DistanceBarrier {
     #[must_use]
     pub fn is_safe(&self, observation: &RelativeObservation) -> bool {
         self.value(observation) >= 0.0
+    }
+
+    /// Proves, without a rollout, that `h > 0` at every state `model` can
+    /// reach from `state` under the frozen `control` within `reach`, while
+    /// every obstacle moves at no more than `mover_speed` m/s (0 for a
+    /// static world). `false` means "not proven", never "unsafe".
+    ///
+    /// With `d₀` the nearest surface distance now, `T = reach` and
+    /// `w = mover_speed`, the bound is
+    ///
+    /// ```text
+    /// d₀ − (v̄ + w)·T − r_safe − k·v̄² / (2 a_brake) > ε,
+    /// v̄ = min(v + a⁺·T, max(v, v_max))
+    /// ```
+    ///
+    /// where `a⁺` is the acceleration at `control`'s throttle (0 when
+    /// braking) and `v̄` bounds the speed of every reachable state, the
+    /// start included. It is sound because the surface distance is
+    /// 1-Lipschitz in position (vehicle and obstacle each close at most
+    /// their speed), `towardness` is at most 1, and the model caps speed
+    /// while drag only slows it; `ε` absorbs rounding.
+    ///
+    /// It proves nothing on a non-finite input (state, control, mover
+    /// speed, or an obstacle distance — a `NaN` is never dropped), for a
+    /// negative speed, or for a model with negative drag, acceleration or
+    /// braking. A rollout over horizon `H` at step `dt` runs `⌈H / dt⌉`
+    /// steps, so it reaches at most `H + dt`: callers pass that as `reach`.
+    #[must_use]
+    pub fn reachably_safe(
+        &self,
+        world: &World,
+        state: &VehicleState,
+        control: Control,
+        model: &BicycleModel,
+        reach: Seconds,
+        mover_speed: f64,
+    ) -> bool {
+        let finite = [
+            state.x,
+            state.y,
+            state.heading,
+            state.speed,
+            control.steering,
+            control.throttle,
+            mover_speed,
+        ]
+        .iter()
+        .all(|v| v.is_finite());
+        let premises = state.speed >= 0.0
+            && mover_speed >= 0.0
+            && model.drag >= 0.0
+            && model.max_acceleration >= 0.0
+            && model.max_braking >= 0.0
+            && self.kinetic_gain >= 0.0
+            && self.max_braking > 0.0;
+        if !(finite && premises) {
+            return false;
+        }
+        let mut nearest = f64::INFINITY;
+        for obstacle in world.obstacles() {
+            let distance = obstacle.surface_distance(state.x, state.y);
+            if !distance.is_finite() {
+                return false;
+            }
+            nearest = nearest.min(distance);
+        }
+        let t = reach.as_secs();
+        let accel = control.throttle.clamp(-1.0, 1.0).max(0.0) * model.max_acceleration;
+        let v_bar = (state.speed + accel * t).min(state.speed.max(model.max_speed));
+        let margin = nearest
+            - (v_bar + mover_speed) * t
+            - self.safe_radius
+            - self.kinetic_gain * v_bar.powi(2) / (2.0 * self.max_braking);
+        // With no obstacle, `nearest` stays +∞ and so does `h`.
+        margin > REACH_SLACK
     }
 
     /// Minimum distance at which a vehicle at `speed` heading straight at
@@ -228,6 +314,58 @@ mod tests {
         }
         .validate()
         .is_ok());
+    }
+
+    #[test]
+    fn reachability_bound_proves_far_obstacles_and_nothing_on_bad_input() {
+        let b = DistanceBarrier::default();
+        let model = BicycleModel::default();
+        let far = World::new(Road::default(), vec![Obstacle::new(60.0, 0.0, 1.0)]);
+        let state = VehicleState::new(0.0, 0.0, 0.0, 10.0);
+        let control = Control::new(0.0, 1.0);
+        let reach = Seconds::from_millis(620.0);
+        let proves = |world: &World, state: VehicleState, control, model: &BicycleModel, w| {
+            b.reachably_safe(world, &state, control, model, reach, w)
+        };
+        assert!(proves(&far, state, control, &model, 0.0));
+        assert!(proves(&World::empty(), state, control, &model, 0.0));
+        let near = World::new(Road::default(), vec![Obstacle::new(12.0, 0.0, 1.0)]);
+        assert!(!proves(&near, state, control, &model, 0.0));
+        assert!(!proves(&far, state, control, &model, 80.0), "a fast mover");
+
+        let nan = f64::NAN;
+        let bad_states = [
+            VehicleState::new(nan, 0.0, 0.0, 10.0),
+            VehicleState::new(0.0, 0.0, f64::INFINITY, 10.0),
+            VehicleState::new(0.0, 0.0, 0.0, nan),
+            VehicleState::new(0.0, 0.0, 0.0, -1.0),
+        ];
+        for bad in bad_states {
+            assert!(!proves(&far, bad, control, &model, 0.0), "{bad}");
+        }
+        for bad in [Control::new(nan, 1.0), Control::new(0.0, nan)] {
+            assert!(!proves(&far, state, bad, &model, 0.0), "{bad}");
+        }
+        assert!(
+            !proves(&far, state, control, &model, nan),
+            "NaN mover speed"
+        );
+        let with_nan = World::new(
+            Road::default(),
+            vec![Obstacle::new(60.0, 0.0, 1.0), Obstacle::new(nan, 0.0, 1.0)],
+        );
+        assert!(
+            !proves(&with_nan, state, control, &model, 0.0),
+            "NaN obstacle"
+        );
+        let pushing = BicycleModel {
+            drag: -0.05,
+            ..model
+        };
+        assert!(
+            !proves(&far, state, control, &pushing, 0.0),
+            "negative drag"
+        );
     }
 
     #[test]

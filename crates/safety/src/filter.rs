@@ -7,6 +7,23 @@
 //! `ψ(x; U)` picks, from a finite admissible control set `U`, the correction
 //! that maximizes the worst-case barrier value, tie-breaking toward the
 //! original control (the ShieldNN behaviour of minimally modifying steering).
+//!
+//! The look-ahead stops at the first negative `h`
+//! ([`SafetyFilter::worst_case_barrier`]), so an unsafe control is ranked by
+//! `h` at its first unsafe look-ahead step, not by the look-ahead minimum.
+//! Every decision below is exactly that of a plain scan over `U`; two fast
+//! paths only skip work whose answer is already known:
+//!
+//! * a control the reachability bound
+//!   ([`DistanceBarrier::reachably_safe`]) proves safe passes, and a
+//!   candidate it proves safe counts as safe, without a rollout;
+//! * the corrective search visits `U` from the highest safe score down
+//!   and stops at the first safe candidate, which is the scan's argmax.
+//!   Only when no candidate is safe does it rank the stored values of the
+//!   unsafe ones, in enumeration order, as the scan does.
+//!
+//! A control with a non-finite channel is never passed: its rollout reaches
+//! `NaN` positions, whose distance the barrier reads as "no obstacle".
 
 use crate::barrier::DistanceBarrier;
 use seo_platform::units::Seconds;
@@ -58,9 +75,13 @@ pub struct SafetyFilter {
     lookahead: Seconds,
     /// Integration step for the look-ahead.
     step: Seconds,
-    /// Steering candidates per side in `U`.
-    steering_candidates: usize,
 }
+
+/// Steering candidates per side in `U`.
+const STEERING_CANDIDATES: usize = 4;
+
+/// The size of `U`: each steering candidate at three throttles.
+const CANDIDATES: usize = 3 * (2 * STEERING_CANDIDATES + 1);
 
 impl Default for SafetyFilter {
     /// Default barrier/bicycle, 600 ms look-ahead at 20 ms steps, 4
@@ -71,7 +92,6 @@ impl Default for SafetyFilter {
             model: BicycleModel::default(),
             lookahead: Seconds::from_millis(600.0),
             step: Seconds::from_millis(20.0),
-            steering_candidates: 4,
         }
     }
 }
@@ -119,7 +139,13 @@ impl SafetyFilter {
         self
     }
 
-    /// Worst-case barrier value over the look-ahead under frozen `control`.
+    /// Worst-case barrier value over the look-ahead under frozen `control`:
+    /// the running minimum of `h` from the current state on, which stops at
+    /// the first negative value. For a control that starts safe and turns
+    /// unsafe it is therefore `h` at the first unsafe look-ahead step, not
+    /// the look-ahead minimum; from an already unsafe state it is the
+    /// smaller of `h` now and one step ahead. The least-unsafe fallback of
+    /// the corrective search ranks candidates by exactly this value.
     #[must_use]
     pub fn worst_case_barrier(&self, world: &World, state: &VehicleState, control: Control) -> f64 {
         let mut worst = self.barrier.value_in_world(world, state);
@@ -137,7 +163,9 @@ impl SafetyFilter {
     /// Ψ(x, u): returns the filtered control `u'` and what happened.
     ///
     /// Matches eq. (2): `u` when the look-ahead stays safe, otherwise the
-    /// best corrective action from the admissible set.
+    /// best corrective action from the admissible set. A control with a
+    /// non-finite channel is always corrected, ranked as though each such
+    /// channel were 0; the result is finite.
     #[must_use]
     pub fn filter(
         &self,
@@ -145,28 +173,115 @@ impl SafetyFilter {
         state: &VehicleState,
         control: Control,
     ) -> (Control, FilterDecision) {
-        if self.worst_case_barrier(world, state, control) >= 0.0 {
+        let finite = control.steering.is_finite() && control.throttle.is_finite();
+        if finite && self.screened_worst(world, state, control) >= 0.0 {
             return (control, FilterDecision::Passed);
         }
-        let corrected = self.corrective_action(world, state, control);
+        let or_zero = |v: f64| if v.is_finite() { v } else { 0.0 };
+        let ranked_against = Control {
+            steering: or_zero(control.steering),
+            throttle: or_zero(control.throttle),
+        };
+        let corrected = self.corrective_action(world, state, ranked_against);
         (corrected, FilterDecision::Corrected { original: control })
     }
 
+    /// [`Self::worst_case_barrier`], or `+∞` without a rollout when the
+    /// reachability bound proves it non-negative. Its sign is always exact,
+    /// and so is a negative value: the only ones Ψ reads.
+    fn screened_worst(&self, world: &World, state: &VehicleState, control: Control) -> f64 {
+        let reach = self.lookahead + self.step;
+        if self
+            .barrier
+            .reachably_safe(world, state, control, &self.model, reach, 0.0)
+        {
+            f64::INFINITY
+        } else {
+            self.worst_case_barrier(world, state, control)
+        }
+    }
+
     /// ψ(x; U): the corrective behaviour — pick from the admissible set the
-    /// action with the best worst-case barrier, tie-breaking toward the
-    /// original control. Candidates stream from [`Self::candidates`] so the
-    /// corrective path stays allocation-free inside the control loop.
+    /// action with the best score, where a safe candidate scores
+    /// `100 + proximity` to the original control and an unsafe one its
+    /// worst-case barrier; the first best in enumeration order wins, and
+    /// full braking stands when no score beats `-∞`.
+    ///
+    /// When every `100 + proximity` is non-negative (any original with
+    /// channels in `[-1, 1]`), each safe score beats each unsafe one, so
+    /// the candidates are visited by descending safe score (a stable sort:
+    /// ties keep enumeration order) and the first safe one is the argmax.
+    /// The worst-case values of the unsafe ones are kept, and only when no
+    /// candidate is safe are they ranked in enumeration order. Any other
+    /// original runs that plain scan from the start. Allocation-free.
     fn corrective_action(&self, world: &World, state: &VehicleState, original: Control) -> Control {
+        let candidates = Self::candidates(original);
+        let safe_scores = candidates.map(|candidate| {
+            let proximity = -((candidate.steering - original.steering).abs()
+                + 0.25 * (candidate.throttle - original.throttle).abs());
+            100.0 + proximity
+        });
+        let mut worst = [None::<f64>; CANDIDATES];
+        if safe_scores.iter().all(|&score| score >= 0.0) {
+            let mut order: [usize; CANDIDATES] = std::array::from_fn(|i| i);
+            order.sort_by(|&a, &b| safe_scores[b].total_cmp(&safe_scores[a]));
+            for i in order {
+                let value = self.screened_worst(world, state, candidates[i]);
+                if value >= 0.0 {
+                    return candidates[i];
+                }
+                worst[i] = Some(value);
+            }
+        }
+        // ShieldNN-style minimal correction: among *safe* candidates,
+        // prefer the one closest to the original control (keeps making
+        // progress); if none is safe, fall back to the least-unsafe one.
         let mut best = Control::new(0.0, -1.0); // full brake fallback
         let mut best_score = f64::NEG_INFINITY;
-        for candidate in self.candidates(original) {
+        for (i, &candidate) in candidates.iter().enumerate() {
+            let value = worst[i].unwrap_or_else(|| self.screened_worst(world, state, candidate));
+            let score = if value >= 0.0 { safe_scores[i] } else { value };
+            if score > best_score {
+                best_score = score;
+                best = candidate;
+            }
+        }
+        best
+    }
+
+    /// The admissible set `U`: a steering sweep at the original throttle,
+    /// at half throttle, and under full braking — each steering value at
+    /// the three throttles in turn. The single source of candidates for
+    /// both the allocation-free corrective search and the materialized
+    /// [`Self::admissible_set`].
+    fn candidates(original: Control) -> [Control; CANDIDATES] {
+        let k = STEERING_CANDIDATES as i32;
+        std::array::from_fn(|j| {
+            let steering = f64::from(j as i32 / 3 - k) / f64::from(k);
+            let throttle = [original.throttle, original.throttle * 0.5, -1.0][j % 3];
+            Control::new(steering, throttle)
+        })
+    }
+
+    /// The finite admissible set `U`, materialized for inspection
+    /// (the private `corrective_action` step iterates the same set without
+    /// allocating).
+    #[must_use]
+    pub fn admissible_set(&self, original: Control) -> Vec<Control> {
+        Self::candidates(original).to_vec()
+    }
+
+    /// The corrective search before its fast paths: every candidate rolled
+    /// out, scored, and scanned in enumeration order. The reference the
+    /// ordered search must match.
+    #[cfg(test)]
+    fn reference_scan(&self, world: &World, state: &VehicleState, original: Control) -> Control {
+        let mut best = Control::new(0.0, -1.0);
+        let mut best_score = f64::NEG_INFINITY;
+        for candidate in Self::candidates(original) {
             let worst = self.worst_case_barrier(world, state, candidate);
             let proximity = -((candidate.steering - original.steering).abs()
                 + 0.25 * (candidate.throttle - original.throttle).abs());
-            // ShieldNN-style minimal correction: among *safe* candidates,
-            // prefer the one closest to the original control (keeps making
-            // progress); if none is safe, fall back to the least-unsafe
-            // one.
             let score = if worst >= 0.0 {
                 100.0 + proximity
             } else {
@@ -179,35 +294,16 @@ impl SafetyFilter {
         }
         best
     }
-
-    /// Streams the admissible set `U`: a steering sweep at the original
-    /// throttle, at half throttle, and under full braking. The single
-    /// source of candidates for both the allocation-free corrective search
-    /// and the materialized [`Self::admissible_set`].
-    fn candidates(&self, original: Control) -> impl Iterator<Item = Control> {
-        let k = self.steering_candidates as i32;
-        (-k..=k).flat_map(move |i| {
-            let steering = f64::from(i) / f64::from(k);
-            [original.throttle, original.throttle * 0.5, -1.0]
-                .into_iter()
-                .map(move |throttle| Control::new(steering, throttle))
-        })
-    }
-
-    /// The finite admissible set `U`, materialized for inspection
-    /// (the private `corrective_action` step iterates the same set without
-    /// allocating).
-    #[must_use]
-    pub fn admissible_set(&self, original: Control) -> Vec<Control> {
-        self.candidates(original).collect()
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use rand::rngs::StdRng;
+    use rand::{Rng, SeedableRng};
     use seo_sim::episode::{Episode, EpisodeConfig, EpisodeStatus};
     use seo_sim::scenario::ScenarioConfig;
+    use seo_sim::traffic::{TrafficPattern, TrafficProfile};
     use seo_sim::world::{Obstacle, Road};
 
     fn obstacle_world(x: f64) -> World {
@@ -246,6 +342,104 @@ mod tests {
             FilterDecision::Corrected { original } => assert_eq!(original, raw),
             FilterDecision::Passed => panic!("expected correction"),
         }
+    }
+
+    #[test]
+    fn non_finite_controls_are_corrected_to_finite_actions() {
+        // 12 m/s head-on at an obstacle surface 11 m away: full throttle is
+        // corrected, and so is either channel being NaN.
+        let filter = SafetyFilter::default();
+        let world = obstacle_world(12.0);
+        let state = VehicleState::new(0.0, 0.0, 0.0, 12.0);
+        let (full_throttle, decision) = filter.filter(&world, &state, Control::new(0.0, 1.0));
+        assert!(decision.is_correction());
+        for raw in [Control::new(f64::NAN, 1.0), Control::new(0.0, f64::NAN)] {
+            let (safe, decision) = filter.filter(&world, &state, raw);
+            assert!(
+                safe.steering.is_finite() && safe.throttle.is_finite(),
+                "{safe}"
+            );
+            match decision {
+                FilterDecision::Corrected { original } => {
+                    assert!(original.steering.is_nan() || original.throttle.is_nan());
+                }
+                FilterDecision::Passed => panic!("{raw} must not pass"),
+            }
+        }
+        // A NaN channel is ranked as 0, so NaN steering corrects like 0.
+        let (nan_steering, _) = filter.filter(&world, &state, Control::new(f64::NAN, 1.0));
+        assert_eq!(nan_steering, full_throttle);
+    }
+
+    /// Drives one filtered episode (static when `traffic` is `None`) with
+    /// an agent that ignores obstacles: it steers back toward the
+    /// centerline at a forward throttle, with seeded jitter so the
+    /// corrections see varied originals. Asserts that the ordered search
+    /// picks the reference scan's control at every corrected step, and
+    /// returns how many steps were corrected.
+    fn ordered_search_matches_scan(
+        world: &World,
+        traffic: Option<TrafficProfile>,
+        tau_ms: f64,
+    ) -> usize {
+        let tau = Seconds::from_millis(tau_ms);
+        let filter = SafetyFilter::default().with_step(tau);
+        let dynamic = traffic.map(|profile| profile.apply(world));
+        let config = EpisodeConfig::default().with_dt(tau).with_max_steps(600);
+        let mut episode = match &dynamic {
+            Some(d) => Episode::new(d.snapshot(Seconds::ZERO), config),
+            None => Episode::borrowed(world, config),
+        };
+        let mut rng = StdRng::seed_from_u64(tau_ms.to_bits());
+        let mut corrected = 0;
+        while episode.status() == EpisodeStatus::Running {
+            if let Some(d) = &dynamic {
+                let now = Seconds::new(episode.steps() as f64 * tau.as_secs());
+                if episode
+                    .update_world(|w| d.snapshot_into(now, w))
+                    .is_terminal()
+                {
+                    break;
+                }
+            }
+            let state = episode.state();
+            // Eighths of steering and quarters of throttle put many
+            // candidates at equal proximity, so ties must break the
+            // scan's way.
+            let steering = -0.3 * state.y - state.heading + rng.gen_range(-0.5..0.5);
+            let raw = Control::new(
+                (steering * 8.0).round() / 8.0,
+                f64::from(rng.gen_range(1..=4u32)) / 4.0,
+            );
+            let (control, decision) = filter.filter(episode.world(), &state, raw);
+            if decision.is_correction() {
+                corrected += 1;
+                let reference = filter.reference_scan(episode.world(), &state, raw);
+                assert_eq!(control, reference, "at {state} for {raw}");
+            }
+            episode.step(control);
+        }
+        corrected
+    }
+
+    #[test]
+    fn ordered_search_picks_the_reference_scans_control() {
+        let traffic = [
+            None,
+            Some(TrafficProfile::new(TrafficPattern::Crossing, 2, 1.5)),
+            Some(TrafficProfile::new(TrafficPattern::Oncoming, 1, 5.0)),
+        ];
+        let mut corrected = 0;
+        for tau_ms in [20.0, 25.0, 100.0 / 3.0] {
+            for (seed, profile) in traffic.iter().enumerate() {
+                let world = ScenarioConfig::new(4).with_seed(seed as u64).generate();
+                corrected += ordered_search_matches_scan(&world, *profile, tau_ms);
+            }
+        }
+        assert!(
+            corrected >= 1000,
+            "only {corrected} corrected steps compared"
+        );
     }
 
     #[test]

@@ -7,9 +7,15 @@
 //! frozen-control dynamics and watching for the barrier's zero crossing —
 //! the same construction EnergyShield \[20\] derives in closed form for the
 //! ShieldNN dynamics.
+//!
+//! Both evaluators first ask the reachability bound
+//! ([`DistanceBarrier::reachably_safe`]) whether `h` can cross zero before
+//! the rollout ends; when it cannot, they return the horizon without
+//! rolling out, which is what the rollout would return.
 
 use crate::barrier::DistanceBarrier;
 use seo_platform::units::Seconds;
+use seo_sim::dynamics::DynamicWorld;
 use seo_sim::sensing::RelativeObservation;
 use seo_sim::vehicle::{BicycleModel, Control, VehicleState};
 use seo_sim::world::World;
@@ -139,6 +145,13 @@ impl SafeIntervalEvaluator {
         // Roll out far enough that, after dividing by kappa, the horizon is
         // still reachable.
         let raw_horizon = self.horizon * self.conservatism;
+        let reach = raw_horizon + self.step;
+        if self
+            .barrier
+            .reachably_safe(world, state, control, &self.model, reach, 0.0)
+        {
+            return self.horizon;
+        }
         let mut crossing: Option<Seconds> = None;
         self.model
             .rollout(*state, control, self.step, raw_horizon, |t, s| {
@@ -168,19 +181,29 @@ impl SafeIntervalEvaluator {
     #[must_use]
     pub fn safe_interval_dynamic(
         &self,
-        world: &seo_sim::dynamics::DynamicWorld,
+        world: &DynamicWorld,
         now: Seconds,
         state: &VehicleState,
         control: Control,
     ) -> Seconds {
-        if self.barrier.value_in_world(&world.snapshot(now), state) < 0.0 {
+        // One snapshot per call, refilled in place at each rollout step.
+        let mut snapshot = world.snapshot(now);
+        if self.barrier.value_in_world(&snapshot, state) < 0.0 {
             return Seconds::ZERO;
         }
         let raw_horizon = self.horizon * self.conservatism;
+        let reach = raw_horizon + self.step;
+        if fastest_mover(world).is_some_and(|speed| {
+            self.barrier
+                .reachably_safe(&snapshot, state, control, &self.model, reach, speed)
+        }) {
+            return self.horizon;
+        }
         let mut crossing: Option<Seconds> = None;
         self.model
             .rollout(*state, control, self.step, raw_horizon, |t, s| {
-                if self.barrier.value_in_world(&world.snapshot(now + t), &s) < 0.0 {
+                world.snapshot_into(now + t, &mut snapshot);
+                if self.barrier.value_in_world(&snapshot, &s) < 0.0 {
                     crossing = Some(t);
                     false
                 } else {
@@ -221,6 +244,15 @@ impl SafeIntervalEvaluator {
         );
         self.safe_interval(&world, &state, control)
     }
+}
+
+/// The speed of the fastest mover, or `None` when any velocity is
+/// non-finite (`f64::max` would silently drop a `NaN`).
+fn fastest_mover(world: &DynamicWorld) -> Option<f64> {
+    world.movers().iter().try_fold(0.0_f64, |fastest, mover| {
+        let speed = mover.vx.hypot(mover.vy);
+        speed.is_finite().then(|| fastest.max(speed))
+    })
 }
 
 #[cfg(test)]
@@ -392,6 +424,47 @@ mod tests {
             t_oncoming < t_parked,
             "oncoming traffic must shorten the deadline: {t_oncoming} vs {t_parked}"
         );
+    }
+
+    #[test]
+    fn a_closing_mover_is_not_bounded_away() {
+        use seo_sim::dynamics::MovingObstacle;
+        // Parked 30 m out, the obstacle is out of reach for the whole raw
+        // horizon, and the bound says so; closing at 20 m/s, `h` crosses
+        // zero within it, so the dynamic φ must roll out.
+        let eval = SafeIntervalEvaluator::default();
+        let state = VehicleState::new(0.0, 0.0, 0.0, 10.0);
+        let control = Control::new(0.0, 0.5);
+        assert_eq!(
+            eval.safe_interval(&world_at(30.0), &state, control),
+            eval.horizon()
+        );
+        let oncoming = DynamicWorld::new(
+            Road::new(1000.0, 100.0),
+            vec![MovingObstacle::new(
+                Obstacle::new(30.0, 0.0, 1.0),
+                -20.0,
+                0.0,
+            )],
+        );
+        let closing = eval.safe_interval_dynamic(&oncoming, Seconds::ZERO, &state, control);
+        assert!(closing < eval.horizon(), "{closing}");
+    }
+
+    #[test]
+    fn fastest_mover_keeps_a_nan_velocity() {
+        use seo_sim::dynamics::MovingObstacle;
+        let world = |velocities: &[(f64, f64)]| {
+            let movers = velocities
+                .iter()
+                .map(|&(vx, vy)| MovingObstacle::new(Obstacle::new(40.0, 0.0, 1.0), vx, vy))
+                .collect();
+            DynamicWorld::new(Road::default(), movers)
+        };
+        assert_eq!(fastest_mover(&world(&[])), Some(0.0));
+        assert_eq!(fastest_mover(&world(&[(3.0, 4.0), (0.0, 1.0)])), Some(5.0));
+        assert_eq!(fastest_mover(&world(&[(f64::NAN, 0.0), (3.0, 4.0)])), None);
+        assert_eq!(fastest_mover(&world(&[(3.0, 4.0), (0.0, f64::NAN)])), None);
     }
 
     #[test]

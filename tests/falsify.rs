@@ -1,8 +1,9 @@
 //! Workspace-level properties of the falsification engine: the search is a
 //! pure function of its `search_seed`, every emitted counterexample plan
 //! replays bit-identically through the plain sweep path, the committed
-//! regression corpus stays pinned to the byte, and a bursty-channel grid
-//! merges bit-identically across all four execution engines.
+//! regression corpus and the pinned example plans stay pinned to the byte,
+//! and a bursty-channel grid merges bit-identically across all four
+//! execution engines.
 
 use seo_core::falsify::falsify;
 use seo_core::prelude::*;
@@ -96,6 +97,31 @@ fn every_emitted_counterexample_replays_bit_identically() {
     }
 }
 
+/// Replays `plan` serially and renders its stream exactly as `sweep --plan`
+/// prints it: one newline-terminated `report_line` per spec.
+fn replayed_stream(plan: &SweepPlan) -> String {
+    plan.run_serial()
+        .expect("replays")
+        .iter()
+        .enumerate()
+        .map(|(i, report)| report_line(i, report) + "\n")
+        .collect()
+}
+
+/// Asserts that the plan at `path` replays to exactly the bytes of the
+/// `.expected.ndjson` file next to it, and returns the parsed plan.
+fn assert_replays_to_recorded_bytes(path: &Path) -> SweepPlan {
+    let text = std::fs::read_to_string(path).expect("committed plan");
+    let plan = SweepPlan::parse(&text).expect("committed plan parses");
+    let expected =
+        std::fs::read_to_string(path.with_extension("expected.ndjson")).expect("recorded stream");
+    assert!(
+        replayed_stream(&plan) == expected,
+        "{path:?} must replay to its recorded bytes"
+    );
+    plan
+}
+
 /// The committed regression corpus: each `examples/plans/counterexamples/`
 /// plan replays to exactly the bytes of its `.expected.ndjson` — the
 /// recorded violating metric is pinned to the bit across refactors.
@@ -108,10 +134,7 @@ fn committed_counterexample_corpus_replays_to_the_recorded_bytes() {
     let mut plans: Vec<_> = std::fs::read_dir(dir)
         .expect("corpus directory")
         .map(|e| e.expect("dir entry").path())
-        .filter(|p| {
-            p.extension().is_some_and(|e| e == "json")
-                && !p.to_string_lossy().ends_with(".expected.ndjson")
-        })
+        .filter(|p| p.extension().is_some_and(|e| e == "json"))
         .collect();
     plans.sort();
     assert!(
@@ -120,18 +143,21 @@ fn committed_counterexample_corpus_replays_to_the_recorded_bytes() {
     );
 
     for path in plans {
-        let text = std::fs::read_to_string(&path).expect("corpus plan");
-        let plan = SweepPlan::parse(&text).expect("corpus plan parses");
+        let plan = assert_replays_to_recorded_bytes(&path);
         assert_eq!(plan.n_specs(), 1, "{path:?} must be a one-cell plan");
+    }
+}
 
-        let expected_path = path.with_extension("expected.ndjson");
-        let expected = std::fs::read_to_string(&expected_path).expect("recorded episode");
-        let replayed = plan.run_serial().expect("replays");
-        assert_eq!(
-            report_line(0, &replayed[0]),
-            expected.trim_end(),
-            "{path:?} must replay to its recorded bytes"
-        );
+/// Absolute pins on whole grids: the paper preset, filtered static cells at
+/// τ 25 and 33 ms under both driving controllers, and crossing and oncoming
+/// traffic on the bursty link each replay to the stream recorded before Ψ
+/// and φ gained their fast paths. Engine byte-compare tests compare the
+/// code with itself; these catch a change to what Ψ or φ decide.
+#[test]
+fn pinned_example_plans_replay_to_the_recorded_bytes() {
+    let dir = Path::new(concat!(env!("CARGO_MANIFEST_DIR"), "/../../examples/plans"));
+    for name in ["paper", "tau-controllers", "traffic-bursty"] {
+        assert_replays_to_recorded_bytes(&dir.join(format!("{name}.json")));
     }
 }
 
