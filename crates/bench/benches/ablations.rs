@@ -1,4 +1,5 @@
-//! Ablation benches for the design choices DESIGN.md calls out:
+//! Ablation benches for the repository's design choices (ARCHITECTURE.md,
+//! "Divergences from the paper", for the last one):
 //!
 //! * lookup-table resolution vs direct φ integration;
 //! * deadline-table build cost at several grid resolutions;
@@ -87,7 +88,8 @@ fn main() {
         black_box(scheduler8.plan_step(|| 4))
     });
 
-    // Eq. (7) strict vs Fig. 3 semantics (see DESIGN.md §Divergences).
+    // Eq. (7) strict vs Fig. 3 semantics (see ARCHITECTURE.md, "Divergences
+    // from the paper").
     for fallback in [
         OffloadFallback::LocalOnTimeout,
         OffloadFallback::AlwaysLocal,

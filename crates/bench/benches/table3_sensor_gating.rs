@@ -1,9 +1,10 @@
 //! Bench for the Table III cells: sensor-gating episodes for each industry
 //! sensor preset, plus the closed-form 4τ gain kernel.
 
-use seo_bench::cells::{four_tau_sensor_gain, sensor_model_set};
+use seo_bench::cells::four_tau_sensor_gain;
 use seo_bench::timing::bench;
 use seo_core::config::{EnergyAccounting, SeoConfig};
+use seo_core::model::ModelSet;
 use seo_core::optimizer::OptimizerKind;
 use seo_core::runtime::{EpisodeScratch, RuntimeLoop, WorldSource};
 use seo_platform::sensor::SensorSpec;
@@ -19,7 +20,7 @@ fn main() {
     ];
     let world = ScenarioConfig::new(2).with_seed(1).generate();
     for sensor in &sensors {
-        let models = sensor_model_set(sensor, config.tau).expect("valid models");
+        let models = ModelSet::sensor_setup(sensor, config.tau).expect("valid models");
         let runtime =
             RuntimeLoop::new(config, models, OptimizerKind::SensorGating).expect("valid runtime");
         let mut scratch = EpisodeScratch::new();

@@ -9,6 +9,9 @@ use seo_bench::{
 };
 use seo_core::json::Json;
 
+/// Where the dump goes, relative to the current directory.
+const RESULTS_FILE: &str = "seo_experiments.json";
+
 fn fig1_json(rows: &[Fig1Row]) -> Json {
     Json::Arr(
         rows.iter()
@@ -137,14 +140,15 @@ fn main() {
             ("table3", table3_json(&table3)),
         ]))
     })();
-    match result {
-        Ok(dump) => {
-            let json = dump.render_pretty();
-            std::fs::write("seo_experiments.json", &json).expect("write results file");
-            println!(
-                "\nall experiments complete -> seo_experiments.json ({} bytes)",
-                json.len()
-            );
+    let written = result.and_then(|dump| {
+        let json = dump.render_pretty();
+        std::fs::write(RESULTS_FILE, &json)
+            .map_err(|e| format!("cannot write {RESULTS_FILE}: {e}"))?;
+        Ok(json.len())
+    });
+    match written {
+        Ok(bytes) => {
+            println!("\nall experiments complete -> {RESULTS_FILE} ({bytes} bytes)");
         }
         Err(e) => {
             eprintln!("experiment suite failed: {e}");

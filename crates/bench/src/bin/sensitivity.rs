@@ -7,51 +7,30 @@
 //!   as the channel shrinks below the paper's 20 Mbps.
 //! - **Payload** (10–100 kB): bigger offload payloads eat the radio budget
 //!   and miss more deadlines.
-//! - **Gating level** (0–75 %): the Fig. 1 knob under model gating.
+//! - **Gating level** (0–75 %): the Fig. 1 knob under model gating, from
+//!   the committed `examples/plans/paper/sensitivity-gating.json`.
 //!
 //! ```sh
 //! SEO_RUNS=5 cargo run --release -p seo-bench --bin sensitivity
 //! ```
 
+use seo_bench::cells::{paper_plan, plans, run_plan};
 use seo_bench::report::{pct, runs_from_env, Table};
-use seo_core::batch::{run_ordered, ScenarioSpec};
 use seo_core::prelude::*;
-use seo_core::runtime::RuntimeLoop;
-use seo_platform::energy::EnergyLedger;
 use seo_platform::units::{Bits, BitsPerSecond, Seconds, Watts};
 use seo_wireless::channel::RayleighChannel;
 use seo_wireless::link::WirelessLink;
 
 /// The offloading gain over the first `runs` successes among seeds 0..200
-/// (two obstacles, paper setup, potential-field controller), merged in
-/// seed order on every core this process may run on.
+/// (two obstacles, paper setup, potential-field controller) on `link`.
 fn gains_with_link(link: WirelessLink, runs: usize) -> Result<f64, SeoError> {
     let config = SeoConfig::paper_defaults();
     let models = ModelSet::paper_setup(config.tau)?;
     let runtime = RuntimeLoop::new(config, models, OptimizerKind::Offloading)?.with_link(link);
-    let threads = std::thread::available_parallelism().map_or(1, std::num::NonZeroUsize::get);
-    let mut optimized = EnergyLedger::new();
-    let mut baseline = EnergyLedger::new();
-    let mut collected = 0usize;
-    run_ordered(
-        threads,
-        0..200,
-        |seed, scratch| {
-            let spec = ScenarioSpec::new(2, seed as u64);
-            runtime.run_with(WorldSource::Static(&spec.world()), spec.seed, scratch)
-        },
-        |_, report| {
-            if report.is_success() {
-                for m in &report.models {
-                    optimized.merge(&m.optimized);
-                    baseline.merge(&m.baseline);
-                }
-                collected += 1;
-            }
-            collected < runs
-        },
-    );
-    Ok(optimized.gain_over(&baseline)?)
+    let seeds = SeedRange { base: 0, runs: 200 };
+    Ok(first_successes(&runtime, 2, seeds, runs)?
+        .summary
+        .combined_gain)
 }
 
 fn run() -> Result<(), SeoError> {
@@ -84,15 +63,10 @@ fn run() -> Result<(), SeoError> {
     println!("{table}");
 
     let mut table = Table::new(vec!["gating level", "gating gain"]);
-    for level in [0.0, 0.25, 0.5, 0.75] {
-        let result = ExperimentConfig::paper_defaults()
-            .with_optimizer(OptimizerKind::ModelGating)
-            .with_gating_level(level)
-            .with_runs(runs)
-            .run()?;
+    for c in run_plan(&paper_plan(plans::SENSITIVITY_GATING), runs)? {
         table.push_row(vec![
-            format!("{:.0}%", level * 100.0),
-            pct(result.summary.combined_gain),
+            format!("{:.0}%", c.cell.gating_level * 100.0),
+            pct(c.result.summary.combined_gain),
         ]);
     }
     println!("{table}");

@@ -1,30 +1,85 @@
-//! Experiment cells: one function per paper figure/table, returning
-//! structured rows that the binaries print and the benches execute.
+//! The paper's figures and tables: one function per figure or table, each
+//! running the committed plan in `examples/plans/paper/` through the
+//! paper's protocol ([`first_successes`]) and returning structured rows
+//! that the binaries print.
 
 use seo_core::config::{ControlMode, EnergyAccounting, SeoConfig};
+use seo_core::controller::Controller;
 use seo_core::error::SeoError;
-use seo_core::experiment::ExperimentConfig;
-use seo_core::model::{Criticality, ModelSet, PipelineModel};
+use seo_core::experiment::{first_successes, ExperimentResult};
+use seo_core::model::{ModelSet, PipelineModel};
 use seo_core::optimizer::{full_slot_cost, optimized_slot_cost, OptimizerKind};
-use seo_platform::compute::ComputeProfile;
+use seo_core::plan::{CellConfig, SeedRange, SweepPlan};
+use seo_core::runtime::RuntimeLoop;
 use seo_platform::sensor::SensorSpec;
-use seo_platform::units::{Seconds, Watts};
 
-/// Base seed for all experiment cells (runs use `seed + attempt`).
-const BASE_SEED: u64 = 2023;
+/// The committed plans behind the paper's figures and tables, compiled in
+/// so that the binaries and tests run the bytes `sweep --plan` reads. Each
+/// carries the tight-margin controller and seeds 2023–2222: the protocol
+/// collects its successes from that 200-attempt window.
+pub mod plans {
+    /// Fig. 1: model gating, unfiltered, over obstacles 0–4.
+    pub const FIG1: &str = include_str!("../../../examples/plans/paper/fig1.json");
+    /// Fig. 5: both optimizers, both control modes, two obstacles.
+    pub const FIG5: &str = include_str!("../../../examples/plans/paper/fig5.json");
+    /// Fig. 6: both optimizers, unfiltered, over obstacles {0, 2, 4}.
+    pub const FIG6: &str = include_str!("../../../examples/plans/paper/fig6.json");
+    /// Table I: Fig. 5's grid at τ = 25 ms.
+    pub const TABLE1: &str = include_str!("../../../examples/plans/paper/table1.json");
+    /// Table II: both optimizers, both control modes, over obstacles
+    /// {0, 2, 4}.
+    pub const TABLE2: &str = include_str!("../../../examples/plans/paper/table2.json");
+    /// The `sensitivity` binary's gating-level series: model gating,
+    /// filtered, two obstacles, gating levels {0, 0.25, 0.5, 0.75}.
+    pub const SENSITIVITY_GATING: &str =
+        include_str!("../../../examples/plans/paper/sensitivity-gating.json");
+}
 
-fn cell(
-    optimizer: OptimizerKind,
-    control: ControlMode,
-    n_obstacles: usize,
-    runs: usize,
-) -> ExperimentConfig {
-    ExperimentConfig::paper_defaults()
-        .with_optimizer(optimizer)
-        .with_control_mode(control)
-        .with_obstacles(n_obstacles)
-        .with_runs(runs)
-        .with_seed(BASE_SEED)
+/// Parses one of the committed [`plans`].
+///
+/// # Panics
+///
+/// Panics if `text` is not a valid plan; the committed plans are checked
+/// by the test suite.
+#[must_use]
+pub fn paper_plan(text: &str) -> SweepPlan {
+    SweepPlan::parse(text).unwrap_or_else(|e| panic!("committed paper plan: {e}"))
+}
+
+/// The protocol's result on one (cell, obstacle count) group of a plan.
+#[derive(Debug, Clone, PartialEq)]
+pub struct CellResult {
+    /// The plan's runtime cell.
+    pub cell: CellConfig,
+    /// Obstacles on the route.
+    pub n_obstacles: usize,
+    /// The first successes in the plan's seed window.
+    pub result: ExperimentResult,
+}
+
+/// Runs the paper's protocol on every cell × obstacle count of `plan`, in
+/// expansion order: one runtime per cell, and the first `runs` successes
+/// in the plan's seed window for each obstacle count.
+///
+/// # Errors
+///
+/// Any runtime-construction error, or
+/// [`SeoError::InsufficientSuccessfulRuns`] from the first group whose
+/// window runs short.
+pub fn run_plan(plan: &SweepPlan, runs: usize) -> Result<Vec<CellResult>, SeoError> {
+    let mut results = Vec::new();
+    for (cell, _) in plan.cells() {
+        let runtime = cell.runtime(plan.kernel)?;
+        for &n_obstacles in &plan.axes.obstacles {
+            let result = first_successes(&runtime, n_obstacles, plan.axes.seeds, runs)?;
+            results.push(CellResult {
+                cell,
+                n_obstacles,
+                result,
+            });
+        }
+    }
+    Ok(results)
 }
 
 /// One series point of Fig. 1: normalized gating energy per detector at a
@@ -46,22 +101,16 @@ pub struct Fig1Row {
 ///
 /// Propagates [`SeoError`] from the experiment harness.
 pub fn fig1_rows(runs: usize) -> Result<Vec<Fig1Row>, SeoError> {
-    let mut rows = Vec::new();
-    for n_obstacles in 0..=4 {
-        let result = cell(
-            OptimizerKind::ModelGating,
-            ControlMode::Unfiltered,
-            n_obstacles,
-            runs,
-        )
-        .run()?;
-        rows.push(Fig1Row {
-            n_obstacles,
-            normalized_50hz: 1.0 - result.gain_for_model(0)?,
-            normalized_25hz: 1.0 - result.gain_for_model(1)?,
-        });
-    }
-    Ok(rows)
+    run_plan(&paper_plan(plans::FIG1), runs)?
+        .iter()
+        .map(|c| {
+            Ok(Fig1Row {
+                n_obstacles: c.n_obstacles,
+                normalized_50hz: 1.0 - c.result.gain_for_model(0)?,
+                normalized_25hz: 1.0 - c.result.gain_for_model(1)?,
+            })
+        })
+        .collect()
 }
 
 /// One bar group of Fig. 5: per-detector gains for one (optimizer, control)
@@ -86,18 +135,27 @@ pub struct Fig5Row {
 ///
 /// Propagates [`SeoError`] from the experiment harness.
 pub fn fig5_rows(runs: usize) -> Result<Vec<Fig5Row>, SeoError> {
-    let mut rows = Vec::new();
-    for optimizer in [OptimizerKind::Offloading, OptimizerKind::ModelGating] {
-        for control in [ControlMode::Unfiltered, ControlMode::Filtered] {
-            let result = cell(optimizer, control, 2, runs).run()?;
-            rows.push(Fig5Row {
-                optimizer,
-                control,
-                gain_p1: result.gain_for_model(0)?,
-                gain_p2: result.gain_for_model(1)?,
-            });
-        }
-    }
+    detector_gains(plans::FIG5, runs)
+}
+
+/// Per-detector gains of every group of a committed plan, grouped by
+/// optimizer in the plan's optimizer order (a plan varies the control
+/// mode outside the optimizer; Fig. 5 and Table I group the other way
+/// round).
+fn detector_gains(plan: &str, runs: usize) -> Result<Vec<Fig5Row>, SeoError> {
+    let plan = paper_plan(plan);
+    let mut rows = run_plan(&plan, runs)?
+        .iter()
+        .map(|c| {
+            Ok(Fig5Row {
+                optimizer: c.cell.optimizer,
+                control: c.cell.control_mode,
+                gain_p1: c.result.gain_for_model(0)?,
+                gain_p2: c.result.gain_for_model(1)?,
+            })
+        })
+        .collect::<Result<Vec<_>, SeoError>>()?;
+    rows.sort_by_key(|r| plan.axes.optimizers.iter().position(|&o| o == r.optimizer));
     Ok(rows)
 }
 
@@ -108,9 +166,9 @@ pub struct Table1Row {
     pub optimizer: OptimizerKind,
     /// Filtered or unfiltered control.
     pub control: ControlMode,
-    /// Gain of the p = 20 ms detector (δᵢ = 1 at τ = 25 ms via eq. 4).
+    /// Gain of the p = τ detector (δᵢ = 1 via eq. 4).
     pub gain_p1: f64,
-    /// Gain of the p = 40 ms detector (δᵢ = 2).
+    /// Gain of the p = 2τ detector (δᵢ = 2).
     pub gain_p2: f64,
     /// Unweighted average of the two (the paper's "Average gains").
     pub average: f64,
@@ -123,23 +181,16 @@ pub struct Table1Row {
 ///
 /// Propagates [`SeoError`] from the experiment harness.
 pub fn table1_rows(runs: usize) -> Result<Vec<Table1Row>, SeoError> {
-    let mut rows = Vec::new();
-    for optimizer in [OptimizerKind::Offloading, OptimizerKind::ModelGating] {
-        for control in [ControlMode::Unfiltered, ControlMode::Filtered] {
-            let config = cell(optimizer, control, 2, runs).with_tau(Seconds::from_millis(25.0));
-            let result = config.run()?;
-            let gain_p1 = result.gain_for_model(0)?;
-            let gain_p2 = result.gain_for_model(1)?;
-            rows.push(Table1Row {
-                optimizer,
-                control,
-                gain_p1,
-                gain_p2,
-                average: (gain_p1 + gain_p2) / 2.0,
-            });
-        }
-    }
-    Ok(rows)
+    Ok(detector_gains(plans::TABLE1, runs)?
+        .into_iter()
+        .map(|r| Table1Row {
+            optimizer: r.optimizer,
+            control: r.control,
+            gain_p1: r.gain_p1,
+            gain_p2: r.gain_p2,
+            average: (r.gain_p1 + r.gain_p2) / 2.0,
+        })
+        .collect())
 }
 
 /// One histogram panel of Fig. 6.
@@ -165,25 +216,22 @@ pub struct Fig6Row {
 ///
 /// Propagates [`SeoError`] from the experiment harness.
 pub fn fig6_rows(runs: usize) -> Result<Vec<Fig6Row>, SeoError> {
-    let mut rows = Vec::new();
-    for optimizer in [OptimizerKind::Offloading, OptimizerKind::ModelGating] {
-        for n_obstacles in [0usize, 2, 4] {
-            let result = cell(optimizer, ControlMode::Unfiltered, n_obstacles, runs).run()?;
-            rows.push(Fig6Row {
-                optimizer,
-                n_obstacles,
-                frequencies: result
-                    .summary
-                    .histogram
+    Ok(run_plan(&paper_plan(plans::FIG6), runs)?
+        .into_iter()
+        .map(|c| {
+            let histogram = &c.result.summary.histogram;
+            Fig6Row {
+                optimizer: c.cell.optimizer,
+                n_obstacles: c.n_obstacles,
+                frequencies: histogram
                     .iter()
-                    .map(|(v, _)| (v, result.summary.histogram.frequency(v)))
+                    .map(|(v, _)| (v, histogram.frequency(v)))
                     .collect(),
-                mean_delta_max: result.mean_delta_max(),
-                avg_gain: result.summary.combined_gain,
-            });
-        }
-    }
-    Ok(rows)
+                mean_delta_max: c.result.mean_delta_max(),
+                avg_gain: c.result.summary.combined_gain,
+            }
+        })
+        .collect())
 }
 
 /// One row of Table II.
@@ -208,21 +256,29 @@ pub struct Table2Row {
 ///
 /// Propagates [`SeoError`] from the experiment harness.
 pub fn table2_rows(runs: usize) -> Result<Vec<Table2Row>, SeoError> {
-    let mut rows = Vec::new();
-    for control in [ControlMode::Unfiltered, ControlMode::Filtered] {
-        for n_obstacles in [0usize, 2, 4] {
-            let offload = cell(OptimizerKind::Offloading, control, n_obstacles, runs).run()?;
-            let gating = cell(OptimizerKind::ModelGating, control, n_obstacles, runs).run()?;
-            rows.push(Table2Row {
-                control,
-                n_obstacles,
-                offloading_gain: offload.summary.combined_gain,
-                gating_gain: gating.summary.combined_gain,
-                mean_delta_max: offload.mean_delta_max(),
-            });
-        }
-    }
-    Ok(rows)
+    let results = run_plan(&paper_plan(plans::TABLE2), runs)?;
+    // Each half keeps the plan's order (control mode, then obstacle count),
+    // so the offloading and gating halves pair up row by row.
+    let (offloading, gating): (Vec<&CellResult>, Vec<&CellResult>) = results
+        .iter()
+        .partition(|c| c.cell.optimizer == OptimizerKind::Offloading);
+    Ok(offloading
+        .iter()
+        .zip(&gating)
+        .map(|(offload, gate)| {
+            debug_assert_eq!(
+                (offload.cell.control_mode, offload.n_obstacles),
+                (gate.cell.control_mode, gate.n_obstacles)
+            );
+            Table2Row {
+                control: offload.cell.control_mode,
+                n_obstacles: offload.n_obstacles,
+                offloading_gain: offload.result.summary.combined_gain,
+                gating_gain: gate.result.summary.combined_gain,
+                mean_delta_max: offload.result.mean_delta_max(),
+            }
+        })
+        .collect())
 }
 
 /// One row of Table III.
@@ -241,25 +297,6 @@ pub struct Table3Row {
     /// Closed-form gain of one full δmax = 4 interval (the paper's "4τ
     /// Gains" column).
     pub four_tau_gain: f64,
-}
-
-/// Builds the Table III model set: the critical VAE plus two detectors
-/// (p = τ, p = 2τ) both bound to the given physical sensor.
-///
-/// # Errors
-///
-/// Propagates [`SeoError`] from model construction.
-pub fn sensor_model_set(sensor: &SensorSpec, tau: Seconds) -> Result<ModelSet, SeoError> {
-    let vae = PipelineModel::new(
-        "shieldnn-vae",
-        tau,
-        ComputeProfile::new("vae-encoder", Seconds::from_millis(3.0), Watts::new(2.0))?,
-        SensorSpec::zero_power("vae-camera"),
-        Criticality::Critical,
-    )?;
-    let d1 = PipelineModel::paper_detector(1, tau)?.with_sensor(sensor.clone());
-    let d2 = PipelineModel::paper_detector(2, tau)?.with_sensor(sensor.clone());
-    Ok(ModelSet::new(vec![vae, d1, d2]))
 }
 
 /// Closed-form sensor-gating gain of one δmax = 4 interval for a detector
@@ -293,13 +330,19 @@ pub fn table3_rows(runs: usize) -> Result<Vec<Table3Row>, SeoError> {
         SensorSpec::navtech_cts350x(),
         SensorSpec::velodyne_hdl32e(),
     ];
+    // No plan axis carries a sensor model set or sensor accounting, so the
+    // runtime is built by hand, on the paper plans' controller and seeds.
+    let seo = SeoConfig::paper_defaults().with_accounting(EnergyAccounting::WithSensor);
+    let seeds = SeedRange {
+        base: 2023,
+        runs: 200,
+    };
     let mut rows = Vec::new();
     for sensor in sensors {
-        let config = cell(OptimizerKind::SensorGating, ControlMode::Filtered, 2, runs)
-            .with_accounting(EnergyAccounting::WithSensor);
-        let seo = config.seo;
-        let config = config.with_models(sensor_model_set(&sensor, seo.tau)?);
-        let result = config.run()?;
+        let models = ModelSet::sensor_setup(&sensor, seo.tau)?;
+        let runtime = RuntimeLoop::new(seo, models, OptimizerKind::SensorGating)?
+            .with_controller(Controller::tight_margin_potential_field());
+        let result = first_successes(&runtime, 2, seeds, runs)?;
         for (index, p_multiple) in [(0usize, 1u32), (1, 2)] {
             rows.push(Table3Row {
                 sensor: sensor.name().to_owned(),
@@ -317,6 +360,7 @@ pub fn table3_rows(runs: usize) -> Result<Vec<Table3Row>, SeoError> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use seo_platform::units::Seconds;
 
     const QUICK: usize = 2;
 
@@ -386,11 +430,14 @@ mod tests {
 
     #[test]
     fn sensor_model_set_shape() {
-        let set = sensor_model_set(&SensorSpec::velodyne_hdl32e(), Seconds::from_millis(20.0))
-            .expect("valid");
+        let tau = Seconds::from_millis(20.0);
+        let set = ModelSet::sensor_setup(&SensorSpec::velodyne_hdl32e(), tau).expect("valid");
         assert_eq!(set.normal().count(), 2);
         for (_, m) in set.normal() {
             assert_eq!(m.sensor().name(), "velodyne-hdl32e-lidar");
         }
+        // Only the detectors change: the critical VAE is the paper's.
+        let paper = ModelSet::paper_setup(tau).expect("valid");
+        assert!(set.critical().eq(paper.critical()));
     }
 }

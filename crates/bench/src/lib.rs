@@ -1,14 +1,17 @@
 //! # seo-bench
 //!
-//! Experiment-cell runners that regenerate **every table and figure** of the
-//! SEO paper (DAC 2023, arXiv:2302.12493), shared between the printable
-//! harness binaries (`fig1`, `fig5`, `fig6`, `table1`, `table2`, `table3`,
-//! `all_experiments`) and the Criterion benches. The `sensitivity` binary
-//! prints the channel, payload and gating-level series around the paper's
-//! operating point.
+//! Runners that regenerate **every table and figure** of the SEO paper
+//! (DAC 2023, arXiv:2302.12493) for the printable binaries (`fig1`, `fig5`,
+//! `fig6`, `table1`, `table2`, `table3`, `all_experiments`). Each figure
+//! and table is a committed plan under `examples/plans/paper/`, scored by
+//! the paper's first-successes protocol ([`cells`]). The `sensitivity`
+//! binary prints the channel, payload and gating-level series around the
+//! paper's operating point. The benches under `benches/` are std-timing
+//! `harness = false` binaries that time the episodes behind each cell.
 //!
 //! Run counts default to the paper's 25 successful runs per cell; set
-//! `SEO_RUNS` to trade fidelity for speed (the binaries honor it).
+//! `SEO_RUNS` to a positive integer to trade fidelity for speed (the
+//! binaries honor it, and exit 2 on any other value).
 //!
 //! The distributed sweep surface lives next door: the `sweep` binary runs
 //! declarative `seo_core::plan::SweepPlan` files (`--plan plan.json`, the

@@ -2,15 +2,22 @@
 
 use std::fmt::Write as _;
 
-/// Reads the per-cell successful-run budget from `SEO_RUNS` (default 25,
-/// the paper's protocol; clamped to at least 1).
+/// Reads the per-cell successful-run budget from `SEO_RUNS`; unset means
+/// 25, the paper's protocol. Any other value but a positive integer is an
+/// argument error: the process exits 2 naming the variable and the value.
 #[must_use]
 pub fn runs_from_env() -> usize {
-    std::env::var("SEO_RUNS")
-        .ok()
-        .and_then(|v| v.parse::<usize>().ok())
-        .unwrap_or(25)
-        .max(1)
+    let Some(value) = std::env::var_os("SEO_RUNS") else {
+        return 25;
+    };
+    let value = value.to_string_lossy();
+    match value.parse::<usize>() {
+        Ok(runs) if runs > 0 => runs,
+        _ => {
+            eprintln!("error: SEO_RUNS must be a positive integer, got '{value}'");
+            std::process::exit(2)
+        }
+    }
 }
 
 /// A fixed-width text table.
@@ -125,7 +132,7 @@ mod tests {
     #[test]
     fn runs_from_env_default() {
         // Do not set the variable here (tests run in parallel); just check
-        // the default path when unset or the parse fallback.
+        // the path the test environment takes.
         let runs = runs_from_env();
         assert!(runs >= 1);
     }

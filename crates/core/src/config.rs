@@ -48,10 +48,10 @@ impl fmt::Display for EnergyAccounting {
 
 /// What happens at the offload fallback slot `n == δmax − δᵢ`.
 ///
-/// The paper is ambiguous here (see DESIGN.md §Divergences): eq. (7)'s
-/// indicator term reads as an unconditional local re-invocation, while
-/// Fig. 3 and the 89.9 % headline imply the local model runs only when the
-/// server response missed the deadline.
+/// The paper is ambiguous here (ARCHITECTURE.md, "Divergences from the
+/// paper"): eq. (7)'s indicator term reads as an unconditional local
+/// re-invocation, while Fig. 3 and the 89.9 % headline imply the local
+/// model runs only when the server response missed the deadline.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum OffloadFallback {
     /// Fig. 3 reading (default): re-invoke the local model only when the

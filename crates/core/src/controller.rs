@@ -27,9 +27,12 @@ pub enum Controller {
 }
 
 impl Controller {
-    /// The experiment-harness default: a tight-margin potential-field
-    /// tuning (see
-    /// [`ExperimentConfig::paper_defaults`](crate::experiment::ExperimentConfig::paper_defaults)).
+    /// The paper plans' controller (`tight-margin`): a potential-field
+    /// tuning with a 10 m influence radius and an 11 m/s cruise. Like the
+    /// paper's RL agent, it passes obstacles closer than the shield would,
+    /// so the filtered case measurably increases distances, and thus
+    /// sampled δmax, over the unfiltered case (the paper's second key
+    /// observation on Fig. 5).
     #[must_use]
     pub fn tight_margin_potential_field() -> Self {
         Self::PotentialField(PotentialFieldController {

@@ -35,8 +35,9 @@
 //!   [`agg::RunSummary`] fold, configured by the `report` plan section —
 //!   merged summary output is bit-identical regardless of which engine,
 //!   shard, or lease produced each fragment.
-//! * [`experiment`] — paper-experiment harness: builds the exact setups of
-//!   Figures 1/5/6 and Tables I/II/III.
+//! * [`experiment`] — the paper's evaluation protocol: the first N
+//!   successful episodes in seed order over one runtime. The paper's
+//!   figures and tables are committed plans (`examples/plans/paper/`).
 //! * [`plan`] — the unified [`plan::SweepPlan`]: one declarative, validated,
 //!   versioned description of a run (multi-axis scenario grid + execution
 //!   section) that every sweep mode — serial, threads, worker processes,
@@ -69,14 +70,12 @@
 //! use seo_core::prelude::*;
 //!
 //! // Two ResNet-152 detectors at p = tau and p = 2 tau, offloading enabled,
-//! // safety filter active, over one 2-obstacle scenario.
-//! let config = ExperimentConfig::paper_defaults()
-//!     .with_optimizer(OptimizerKind::Offloading)
-//!     .with_obstacles(2)
-//!     .with_runs(1);
-//! let result = config.run()?;
-//! let gains = result.mean_gain_over_models()?;
-//! assert!(gains > 0.0, "offloading should save energy");
+//! // safety filter active: the paper preset's grid cell, over the first
+//! // successful 2-obstacle scenario from seed 2023.
+//! let plan = SweepPlan::paper(3, 2023);
+//! let runtime = plan.cells()[0].0.runtime(plan.kernel)?;
+//! let result = first_successes(&runtime, 2, SeedRange { base: 2023, runs: 10 }, 1)?;
+//! assert!(result.summary.combined_gain > 0.0, "offloading should save energy");
 //! # Ok::<(), seo_core::SeoError>(())
 //! ```
 
@@ -117,7 +116,7 @@ pub mod prelude {
     pub use crate::daemon::{DaemonConfig, DaemonServer, DaemonStats};
     pub use crate::discretize::{discretize_deadline, discretize_period};
     pub use crate::error::SeoError;
-    pub use crate::experiment::{ExperimentConfig, ExperimentResult};
+    pub use crate::experiment::{first_successes, ExperimentResult};
     pub use crate::falsify::{falsify, Counterexample, FalsifyOutcome, FalsifySpec, Objective};
     pub use crate::fault::{FaultAction, FaultInjector, FaultPlan};
     pub use crate::lease::{ChunkPolicy, Lease, LeaseQueue};

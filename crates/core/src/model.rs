@@ -207,6 +207,25 @@ impl ModelSet {
         ]))
     }
 
+    /// Table III's setup: [`Self::paper_setup`] with both detectors (Λ′)
+    /// bound to one physical sensor, so sensor gating has measurement and
+    /// mechanical power to act on.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`SeoError::InvalidConfig`] for a non-positive `tau`.
+    pub fn sensor_setup(sensor: &SensorSpec, tau: Seconds) -> Result<Self, SeoError> {
+        let models = Self::paper_setup(tau)?
+            .models
+            .into_iter()
+            .map(|m| match m.criticality() {
+                Criticality::Normal => m.with_sensor(sensor.clone()),
+                Criticality::Critical => m,
+            })
+            .collect();
+        Ok(Self::new(models))
+    }
+
     /// Number of models (`N` in the paper).
     #[must_use]
     pub fn len(&self) -> usize {

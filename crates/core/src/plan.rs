@@ -1,7 +1,7 @@
 //! The unified sweep plan: one declarative, validated description of a run.
 //!
 //! Before this module, "what does this sweep run, and how?" was smeared
-//! across four surfaces: [`crate::experiment::ExperimentConfig`] builders,
+//! across four surfaces: an experiment-configuration builder,
 //! [`ScenarioSpec::paper_grid`] (hard-coded to obstacles × seed), the
 //! `sweep` / `seo-sweepd` CLI flags, and environment variables. A
 //! [`SweepPlan`] replaces all of them with a single typed, versioned value:
@@ -425,9 +425,11 @@ pub struct SeedRange {
 /// preset pins every runtime axis and sweeps obstacles × seeds, which is
 /// exactly [`ScenarioSpec::paper_grid`].
 ///
-/// The first five axes were previously buried as `ExperimentConfig`
+/// The first five axes were previously buried as experiment-builder
 /// defaults (τ, gating level, control mode) or CLI-only choices (optimizer,
-/// controller); promoting them here is what lets one plan sweep them.
+/// controller); promoting them here is what lets one plan sweep them. The
+/// paper's figures and tables are plans over them
+/// (`examples/plans/paper/`).
 #[derive(Debug, Clone, PartialEq)]
 pub struct GridAxes {
     /// Obstacle counts on the route (the paper sweeps {0, 2, 4}).
@@ -1609,6 +1611,31 @@ mod tests {
             }
             assert!(plan.point_at(plan.n_specs()).is_none());
         }
+    }
+
+    #[test]
+    fn runtime_mirrors_the_grid_cell() {
+        let cell = CellConfig {
+            tau_ms: 25.0,
+            gating_level: 0.25,
+            control_mode: ControlMode::Unfiltered,
+            optimizer: OptimizerKind::ModelGating,
+            controller: ControllerKind::TightMargin,
+            channel: ChannelKind::Clean,
+            traffic: TrafficKind::Static,
+        };
+        let runtime = cell.runtime(KernelBackend::Blocked).expect("valid cell");
+        let tau = Seconds::from_millis(25.0);
+        assert_eq!(runtime.config().tau, tau);
+        assert_eq!(runtime.config().gating_level, 0.25);
+        assert_eq!(runtime.config().control_mode, ControlMode::Unfiltered);
+        assert_eq!(runtime.optimizer(), OptimizerKind::ModelGating);
+        assert_eq!(runtime.kernel(), KernelBackend::Blocked);
+        // The model set is rebuilt on the cell's tau, not the paper's.
+        assert_eq!(
+            *runtime.models(),
+            ModelSet::paper_setup(tau).expect("models")
+        );
     }
 
     #[test]

@@ -17,9 +17,10 @@
 //! **optimized** otherwise.
 //!
 //! One deliberate divergence from the paper's pseudocode is documented in
-//! DESIGN.md: models with `δᵢ >= δmax` are marked `done` at interval start,
-//! because Algorithm 1 as printed never sets their flags (line 18 can only
-//! fire when `n == δmax − δᵢ >= 0`), which would deadlock the interval.
+//! ARCHITECTURE.md ("Divergences from the paper"): models with
+//! `δᵢ >= δmax` are marked `done` at interval start, because Algorithm 1
+//! as printed never sets their flags (line 18 can only fire when
+//! `n == δmax − δᵢ >= 0`), which would deadlock the interval.
 //!
 //! # Example
 //!

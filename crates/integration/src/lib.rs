@@ -25,6 +25,29 @@ pub fn paper_runtime() -> RuntimeLoop {
     RuntimeLoop::new(config, models, OptimizerKind::Offloading).expect("valid runtime")
 }
 
+/// One (optimizer, control mode) cell of a committed paper plan
+/// (`seo_bench::cells::plans`): its runtime and the plan's seed window,
+/// ready for [`first_successes`].
+///
+/// # Panics
+///
+/// Panics when the plan has no such cell.
+#[must_use]
+pub fn paper_cell(
+    plan: &str,
+    optimizer: OptimizerKind,
+    mode: ControlMode,
+) -> (RuntimeLoop, SeedRange) {
+    let plan = seo_bench::cells::paper_plan(plan);
+    let (cell, _) = plan
+        .cells()
+        .into_iter()
+        .find(|(c, _)| c.optimizer == optimizer && c.control_mode == mode)
+        .unwrap_or_else(|| panic!("no {optimizer} {mode} cell in the plan"));
+    let runtime = cell.runtime(plan.kernel).expect("valid runtime");
+    (runtime, plan.axes.seeds)
+}
+
 /// The serial reference the engine tests compare against: a plain
 /// [`RuntimeLoop::run_episode`] loop over `specs`, sharing no code with
 /// [`SweepPlan::run_range`] or the episode pool

@@ -4,7 +4,8 @@
 //! static obstacles x′ never changes between samples. This module provides
 //! constant-velocity movers (crossing pedestrians, oncoming traffic) so the
 //! safe-interval machinery can be exercised under genuinely evolving risk —
-//! listed as an extension experiment in DESIGN.md.
+//! an extension beyond the paper (ARCHITECTURE.md, "Divergences from the
+//! paper").
 
 use crate::world::{Obstacle, Road, World};
 use seo_platform::units::Seconds;

@@ -2,17 +2,16 @@
 //! RL-agent role) and run it inside the SEO safety-aware optimization loop.
 //!
 //! ```sh
-//! cargo run --release -p seo-core --example neural_controller
+//! cargo run --release -p seo-integration --example neural_controller
 //! ```
 //!
 //! Training budget defaults to a few hundred episodes for a quick demo; the
 //! paper trains for 2000 — pass a number to match it:
 //!
 //! ```sh
-//! cargo run --release -p seo-core --example neural_controller -- 2000
+//! cargo run --release -p seo-integration --example neural_controller -- 2000
 //! ```
 
-use seo_core::controller::Controller;
 use seo_core::prelude::*;
 use seo_nn::policy::train_driving_policy;
 use seo_nn::train::CemConfig;
@@ -39,12 +38,17 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
 
     // Drive the SEO loop with the trained policy. The safety filter stays
     // in the loop, so even an imperfectly trained policy cannot crash —
-    // exactly the controller-shielding story of the paper.
-    let mut config = ExperimentConfig::paper_defaults()
-        .with_optimizer(OptimizerKind::Offloading)
-        .with_runs(5);
-    config.controller = Controller::Neural(policy);
-    match config.run() {
+    // exactly the controller-shielding story of the paper. A trained policy
+    // is no plan axis, so the runtime is built by hand.
+    let config = SeoConfig::paper_defaults();
+    let models = ModelSet::paper_setup(config.tau)?;
+    let runtime = RuntimeLoop::new(config, models, OptimizerKind::Offloading)?
+        .with_controller(Controller::Neural(policy));
+    let seeds = SeedRange {
+        base: 2023,
+        runs: 200,
+    };
+    match first_successes(&runtime, 2, seeds, 5) {
         Ok(result) => {
             println!(
                 "\nneural controller under SEO: combined gain {:.1}%, mean dmax {:.2}, all safe: {}",

@@ -1,10 +1,12 @@
 //! Side-by-side comparison of the two Ω instantiations (task offloading vs
-//! model gating) across risk levels — a miniature of the paper's Table II.
+//! model gating) across risk levels — a miniature of the paper's Table II,
+//! on the filtered cells of its committed plan.
 //!
 //! ```sh
-//! cargo run -p seo-core --example offload_vs_gating
+//! cargo run -p seo-integration --example offload_vs_gating
 //! ```
 
+use seo_bench::cells::{paper_plan, plans, run_plan};
 use seo_core::prelude::*;
 
 fn main() -> Result<(), SeoError> {
@@ -14,23 +16,17 @@ fn main() -> Result<(), SeoError> {
         "{:>10} {:>18} {:>18} {:>10}",
         "#obstacles", "offloading gain", "gating gain", "mean dmax"
     );
-    for n_obstacles in [0usize, 2, 4] {
-        let offload = ExperimentConfig::paper_defaults()
-            .with_optimizer(OptimizerKind::Offloading)
-            .with_obstacles(n_obstacles)
-            .with_runs(runs)
-            .run()?;
-        let gating = ExperimentConfig::paper_defaults()
-            .with_optimizer(OptimizerKind::ModelGating)
-            .with_obstacles(n_obstacles)
-            .with_runs(runs)
-            .run()?;
+    let plan = paper_plan(plans::TABLE2).with_control_modes(vec![ControlMode::Filtered]);
+    let results = run_plan(&plan, runs)?;
+    // Offloading's groups come first, gating's next, in obstacle order.
+    let (offloading, gating) = results.split_at(plan.axes.obstacles.len());
+    for (offload, gating) in offloading.iter().zip(gating) {
         println!(
             "{:>10} {:>17.1}% {:>17.1}% {:>10.2}",
-            n_obstacles,
-            offload.summary.combined_gain * 100.0,
-            gating.summary.combined_gain * 100.0,
-            offload.mean_delta_max(),
+            offload.n_obstacles,
+            offload.result.summary.combined_gain * 100.0,
+            gating.result.summary.combined_gain * 100.0,
+            offload.result.mean_delta_max(),
         );
     }
     println!(

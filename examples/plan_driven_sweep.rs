@@ -3,9 +3,9 @@
 //! One plan value describes the whole run — grid axes *and* execution — and
 //! the same plan can be saved as JSON, handed to `sweep --plan`, or run
 //! in-process as done here. The grid below sweeps gating level × optimizer
-//! on top of the paper's obstacle × seed axes, then narrows one interesting
-//! grid cell into the full successful-runs experiment protocol via
-//! `ExperimentConfig::from_cell`.
+//! on top of the paper's obstacle × seed axes, then scores one interesting
+//! grid cell with the paper's successful-runs protocol (`first_successes`)
+//! on the cell's runtime.
 //!
 //! ```sh
 //! cargo run --release -p seo-integration --example plan_driven_sweep
@@ -47,10 +47,14 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         println!("  {cell}: {:.1}%", mean * 100.0);
     }
 
-    // Zoom one grid cell into the paper's successful-runs protocol.
+    // Zoom one grid cell into the paper's successful-runs protocol: the
+    // first 3 successes on two obstacles within 200 seeds from 2023.
     let (cell, _) = plan.cells()[1]; // gating 0.25, model-gating
-    let experiment = ExperimentConfig::from_cell(&cell)?.with_runs(3);
-    let result = experiment.run()?;
+    let seeds = SeedRange {
+        base: 2023,
+        runs: 200,
+    };
+    let result = first_successes(&cell.runtime(plan.kernel)?, 2, seeds, 3)?;
     println!(
         "cell [{cell}] under the experiment protocol: {} over {} successful runs",
         seo_bench_free_pct(result.summary.combined_gain),

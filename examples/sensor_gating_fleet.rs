@@ -4,30 +4,11 @@
 //! rotating sensors worse gating citizens.
 //!
 //! ```sh
-//! cargo run -p seo-core --example sensor_gating_fleet
+//! cargo run -p seo-integration --example sensor_gating_fleet
 //! ```
 
-use seo_core::config::EnergyAccounting;
-use seo_core::model::{Criticality, PipelineModel};
 use seo_core::prelude::*;
-use seo_platform::compute::ComputeProfile;
 use seo_platform::sensor::SensorSpec;
-use seo_platform::units::{Seconds, Watts};
-
-fn fleet_model_set(sensor: &SensorSpec, tau: Seconds) -> Result<ModelSet, SeoError> {
-    let vae = PipelineModel::new(
-        "shieldnn-vae",
-        tau,
-        ComputeProfile::new("vae-encoder", Seconds::from_millis(3.0), Watts::new(2.0))?,
-        SensorSpec::zero_power("vae-camera"),
-        Criticality::Critical,
-    )?;
-    Ok(ModelSet::new(vec![
-        vae,
-        PipelineModel::paper_detector(1, tau)?.with_sensor(sensor.clone()),
-        PipelineModel::paper_detector(2, tau)?.with_sensor(sensor.clone()),
-    ]))
-}
 
 fn main() -> Result<(), SeoError> {
     let runs = 5;
@@ -41,12 +22,17 @@ fn main() -> Result<(), SeoError> {
         SensorSpec::navtech_cts350x(),
         SensorSpec::velodyne_hdl32e(),
     ] {
-        let base = ExperimentConfig::paper_defaults()
-            .with_optimizer(OptimizerKind::SensorGating)
-            .with_accounting(EnergyAccounting::WithSensor)
-            .with_runs(runs);
-        let tau = base.seo.tau;
-        let result = base.with_models(fleet_model_set(&sensor, tau)?).run()?;
+        // No plan axis carries a sensor model set, so the runtime is built
+        // by hand on Table III's setting.
+        let config = SeoConfig::paper_defaults().with_accounting(EnergyAccounting::WithSensor);
+        let models = ModelSet::sensor_setup(&sensor, config.tau)?;
+        let runtime = RuntimeLoop::new(config, models, OptimizerKind::SensorGating)?
+            .with_controller(Controller::tight_margin_potential_field());
+        let seeds = SeedRange {
+            base: 2023,
+            runs: 200,
+        };
+        let result = first_successes(&runtime, 2, seeds, runs)?;
         println!(
             "{:<26} {:>6.1}W {:>6.1}W {:>13.1}% {:>13.1}%",
             sensor.name(),

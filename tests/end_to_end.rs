@@ -2,8 +2,10 @@
 //! shield + deadline table + scheduler + optimizers + accounting) wired
 //! exactly as the experiment harness uses it.
 
+use seo_bench::cells::plans;
 use seo_core::prelude::*;
 use seo_core::runtime::RuntimeLoop;
+use seo_integration::paper_cell;
 use seo_sim::episode::EpisodeStatus;
 use seo_sim::scenario::ScenarioConfig;
 
@@ -34,11 +36,12 @@ fn full_stack_completes_paper_scenarios_for_all_optimizers() {
 
 #[test]
 fn experiment_harness_aggregates_over_runs() {
-    let result = ExperimentConfig::paper_defaults()
-        .with_optimizer(OptimizerKind::Offloading)
-        .with_runs(4)
-        .run()
-        .expect("harness collects runs");
+    let (runtime, seeds) = paper_cell(
+        plans::TABLE2,
+        OptimizerKind::Offloading,
+        ControlMode::Filtered,
+    );
+    let result = first_successes(&runtime, 2, seeds, 4).expect("harness collects runs");
     assert_eq!(result.reports.len(), 4);
     assert_eq!(result.summary.runs, 4);
     assert!(result.summary.histogram.total() > 0);

@@ -2,8 +2,10 @@
 //! range impact, bursty channels, fallback semantics, and the pooled
 //! experiment protocol — exercised together, across crates.
 
+use seo_bench::cells::plans;
 use seo_core::prelude::*;
 use seo_core::runtime::RuntimeLoop;
+use seo_integration::paper_cell;
 use seo_platform::range::RangeModel;
 use seo_platform::units::Seconds;
 use seo_sim::dynamics::{DynamicWorld, MovingObstacle};
@@ -63,20 +65,19 @@ fn dynamic_world_with_faster_oncoming_traffic_is_riskier() {
 
 #[test]
 fn parallel_experiment_is_protocol_identical() {
-    // `run` fans attempts out over every core; what it returns must be the
-    // paper's protocol taken one attempt at a time: the first `runs`
-    // successes in seed order, and the failures met on the way.
-    let config = ExperimentConfig::paper_defaults()
-        .with_optimizer(OptimizerKind::ModelGating)
-        .with_obstacles(2)
-        .with_runs(4);
-    let rt = RuntimeLoop::new(config.seo, config.models.clone(), config.optimizer)
-        .expect("runtime builds")
-        .with_controller(config.controller.clone());
+    // `first_successes` fans attempts out over every core; what it returns
+    // must be the paper's protocol taken one attempt at a time: the first
+    // `runs` successes in seed order, and the failures met on the way.
+    let (rt, seeds) = paper_cell(
+        plans::FIG5,
+        OptimizerKind::ModelGating,
+        ControlMode::Filtered,
+    );
+    let runs = 4;
     let mut successes = Vec::new();
     let mut failures = 0usize;
-    let mut seed = config.base_seed;
-    while successes.len() < config.runs {
+    let mut seed = seeds.base;
+    while successes.len() < runs {
         let report = rt.run_episode(&ScenarioSpec::new(2, seed).world(), seed);
         if report.is_success() {
             successes.push(report);
@@ -85,7 +86,7 @@ fn parallel_experiment_is_protocol_identical() {
         }
         seed += 1;
     }
-    let result = config.run().expect("experiment runs");
+    let result = first_successes(&rt, 2, seeds, runs).expect("experiment runs");
     assert_eq!(result.reports, successes, "the same runs, in seed order");
     assert_eq!(result.failures, failures);
     assert_eq!(

@@ -1,25 +1,32 @@
 //! Reproduction-shape tests: the qualitative claims of every paper figure
-//! and table, checked with reduced run counts so CI stays fast. The full
-//! 25-run numbers come from `cargo run -p seo-bench --bin all_experiments`.
+//! and table, checked on the committed paper plans' cells with reduced run
+//! counts so CI stays fast. The full 25-run numbers come from
+//! `cargo run -p seo-bench --bin all_experiments`.
 
+use seo_bench::cells::plans;
 use seo_core::prelude::*;
+use seo_integration::paper_cell;
+use ControlMode::{Filtered, Unfiltered};
+use OptimizerKind::{ModelGating, Offloading};
 
 const RUNS: usize = 3;
 
-fn run_cell(optimizer: OptimizerKind, mode: ControlMode, obstacles: usize) -> ExperimentResult {
-    ExperimentConfig::paper_defaults()
-        .with_optimizer(optimizer)
-        .with_control_mode(mode)
-        .with_obstacles(obstacles)
-        .with_runs(RUNS)
-        .run()
-        .expect("cell runs")
+/// The protocol on one (optimizer, control mode, obstacle count) group of
+/// a committed paper plan.
+fn run_cell(
+    plan: &str,
+    optimizer: OptimizerKind,
+    mode: ControlMode,
+    obstacles: usize,
+) -> ExperimentResult {
+    let (runtime, seeds) = paper_cell(plan, optimizer, mode);
+    first_successes(&runtime, obstacles, seeds, RUNS).expect("cell runs")
 }
 
 #[test]
 fn fig1_shape_energy_rises_with_risk() {
-    let free = run_cell(OptimizerKind::ModelGating, ControlMode::Unfiltered, 0);
-    let risky = run_cell(OptimizerKind::ModelGating, ControlMode::Unfiltered, 4);
+    let free = run_cell(plans::FIG1, ModelGating, Unfiltered, 0);
+    let risky = run_cell(plans::FIG1, ModelGating, Unfiltered, 4);
     // Normalized energy = 1 - gain: rises toward full operation with risk.
     assert!(
         1.0 - risky.summary.combined_gain > 1.0 - free.summary.combined_gain,
@@ -31,7 +38,7 @@ fn fig1_shape_energy_rises_with_risk() {
 fn fig5_shape_faster_detector_gains_more() {
     // Under gating the ordering is structural (the slower detector has no
     // optimization room whenever delta_max <= 2), so it must hold strictly.
-    let gating = run_cell(OptimizerKind::ModelGating, ControlMode::Filtered, 4);
+    let gating = run_cell(plans::TABLE2, ModelGating, Filtered, 4);
     let g1 = gating.gain_for_model(0).expect("p=tau");
     let g2 = gating.gain_for_model(1).expect("p=2tau");
     assert!(
@@ -41,7 +48,7 @@ fn fig5_shape_faster_detector_gains_more() {
 
     // Under offloading the ordering holds on average but sits within noise
     // at CI-sized run counts: allow a small tolerance.
-    let offload = run_cell(OptimizerKind::Offloading, ControlMode::Filtered, 4);
+    let offload = run_cell(plans::TABLE2, Offloading, Filtered, 4);
     let g1 = offload.gain_for_model(0).expect("p=tau");
     let g2 = offload.gain_for_model(1).expect("p=2tau");
     assert!(
@@ -52,8 +59,8 @@ fn fig5_shape_faster_detector_gains_more() {
 
 #[test]
 fn fig5_shape_offloading_beats_gating() {
-    let offload = run_cell(OptimizerKind::Offloading, ControlMode::Filtered, 2);
-    let gating = run_cell(OptimizerKind::ModelGating, ControlMode::Filtered, 2);
+    let offload = run_cell(plans::FIG5, Offloading, Filtered, 2);
+    let gating = run_cell(plans::FIG5, ModelGating, Filtered, 2);
     assert!(
         offload.summary.combined_gain > gating.summary.combined_gain,
         "offloading ({:.3}) should beat 50% gating ({:.3})",
@@ -64,26 +71,21 @@ fn fig5_shape_offloading_beats_gating() {
 
 #[test]
 fn table1_shape_gains_positive_at_tau_25ms() {
-    use seo_platform::units::Seconds;
-    let result = ExperimentConfig::paper_defaults()
-        .with_optimizer(OptimizerKind::Offloading)
-        .with_tau(Seconds::from_millis(25.0))
-        .with_runs(RUNS)
-        .run()
-        .expect("tau sweep runs");
+    let result = run_cell(plans::TABLE1, Offloading, Filtered, 2);
     assert!(
         result.summary.combined_gain > 0.0,
         "considerable gains should remain at tau = 25 ms"
     );
-    // eq. (4) at tau = 25 ms: the 20 ms sensor still occupies one slot.
+    // eq. (4) at tau = 25 ms: the detectors' periods (25 and 50 ms) occupy
+    // one and two slots.
     assert_eq!(result.reports[0].models[0].delta_i, 1);
     assert_eq!(result.reports[0].models[1].delta_i, 2);
 }
 
 #[test]
 fn fig6_shape_low_deadlines_dominate_under_risk() {
-    let free = run_cell(OptimizerKind::Offloading, ControlMode::Unfiltered, 0);
-    let risky = run_cell(OptimizerKind::Offloading, ControlMode::Unfiltered, 4);
+    let free = run_cell(plans::FIG6, Offloading, Unfiltered, 0);
+    let risky = run_cell(plans::FIG6, Offloading, Unfiltered, 4);
     let cap = 4u32;
     assert!(
         risky.summary.histogram.frequency(cap) < free.summary.histogram.frequency(cap),
@@ -94,8 +96,8 @@ fn fig6_shape_low_deadlines_dominate_under_risk() {
 
 #[test]
 fn table2_shape_gains_fall_with_obstacles_and_headline_holds() {
-    let g0 = run_cell(OptimizerKind::Offloading, ControlMode::Filtered, 0);
-    let g4 = run_cell(OptimizerKind::Offloading, ControlMode::Filtered, 4);
+    let g0 = run_cell(plans::TABLE2, Offloading, Filtered, 0);
+    let g4 = run_cell(plans::TABLE2, Offloading, Filtered, 4);
     assert!(g0.summary.combined_gain > g4.summary.combined_gain);
     // The paper's headline: gains up to 89.9 % under formal guarantees. Our
     // substrate should land in the same region on the free road.
@@ -109,8 +111,8 @@ fn table2_shape_gains_fall_with_obstacles_and_headline_holds() {
 
 #[test]
 fn table2_shape_filtered_gains_at_least_unfiltered() {
-    let filt = run_cell(OptimizerKind::Offloading, ControlMode::Filtered, 2);
-    let unf = run_cell(OptimizerKind::Offloading, ControlMode::Unfiltered, 2);
+    let filt = run_cell(plans::TABLE2, Offloading, Filtered, 2);
+    let unf = run_cell(plans::TABLE2, Offloading, Unfiltered, 2);
     assert!(
         filt.mean_delta_max() >= unf.mean_delta_max() - 0.2,
         "the shield should not reduce sampled deadlines: {} vs {}",
@@ -121,23 +123,14 @@ fn table2_shape_filtered_gains_at_least_unfiltered() {
 
 #[test]
 fn table3_shape_camera_beats_radar_beats_lidar() {
-    use seo_core::config::{EnergyAccounting, SeoConfig};
+    use seo_bench::cells::four_tau_sensor_gain;
     use seo_platform::sensor::SensorSpec;
 
     // The closed-form 4-tau column (validated against the paper to <1 %):
     // gains order camera > radar > lidar because mechanical power is dead
     // weight under gating.
     let config = SeoConfig::paper_defaults().with_accounting(EnergyAccounting::WithSensor);
-    let gain = |sensor: &SensorSpec| {
-        let model = seo_core::model::PipelineModel::paper_detector(1, config.tau)
-            .expect("valid")
-            .with_sensor(sensor.clone());
-        let full = seo_core::optimizer::full_slot_cost(&model, &config).total();
-        let gated =
-            seo_core::optimizer::optimized_slot_cost(OptimizerKind::SensorGating, &model, &config)
-                .total();
-        1.0 - (3.0 * gated.as_joules() + full.as_joules()) / (4.0 * full.as_joules())
-    };
+    let gain = |sensor: &SensorSpec| four_tau_sensor_gain(sensor, 1, &config);
     let camera = gain(&SensorSpec::zed_camera());
     let radar = gain(&SensorSpec::navtech_cts350x());
     let lidar = gain(&SensorSpec::velodyne_hdl32e());

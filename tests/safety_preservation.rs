@@ -4,10 +4,12 @@
 //! collision occurs under any optimizer, and the optimization schedule
 //! always re-invokes the full model by the safety deadline.
 
+use seo_bench::cells::plans;
 use seo_core::model::ModelId;
 use seo_core::prelude::*;
 use seo_core::runtime::RuntimeLoop;
 use seo_core::scheduler::SafeScheduler;
+use seo_integration::paper_cell;
 use seo_sim::episode::EpisodeStatus;
 use seo_sim::scenario::ScenarioConfig;
 
@@ -142,12 +144,12 @@ fn unfiltered_runs_report_violations_when_they_happen() {
 
 #[test]
 fn safety_evidence_is_reported_per_experiment() {
-    let result = ExperimentConfig::paper_defaults()
-        .with_optimizer(OptimizerKind::Offloading)
-        .with_obstacles(4)
-        .with_runs(3)
-        .run()
-        .expect("harness runs");
+    let (runtime, seeds) = paper_cell(
+        plans::TABLE2,
+        OptimizerKind::Offloading,
+        ControlMode::Filtered,
+    );
+    let result = first_successes(&runtime, 4, seeds, 3).expect("harness runs");
     assert!(
         result.all_runs_safe(),
         "filtered experiment must preserve S = 1"
