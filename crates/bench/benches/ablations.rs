@@ -2,7 +2,7 @@
 //! "Divergences from the paper", for the last one):
 //!
 //! * lookup-table resolution vs direct φ integration;
-//! * deadline-table build cost at several grid resolutions;
+//! * deadline-table build cost (a full fill) at several grid resolutions;
 //! * gating-level sweep (the Fig. 1 "50 % gating" knob);
 //! * safety-filter step cost (pass-through vs corrective search);
 //! * scheduler step throughput (the pure Algorithm 1 state machine);
@@ -39,15 +39,26 @@ fn main() {
         evaluator.safe_interval_relative(black_box(&observation), Control::new(0.0, 0.5))
     });
 
+    // The table fills on first query, so a build is timed with one query
+    // per grid point: φ over the whole grid.
     for points in [9usize, 17, 25] {
+        let distance = Axis::new(0.0, 60.0, points).expect("valid");
+        let bearing = Axis::new(-3.2, 3.2, 9).expect("valid");
+        let speed = Axis::new(0.0, 15.0, 6).expect("valid");
+        let queries = cell_queries(distance, bearing, speed);
+        let fill = || {
+            let table =
+                DeadlineTable::build(&evaluator, distance, bearing, speed, Control::new(0.0, 0.5));
+            for query in &queries {
+                black_box(table.query(query));
+            }
+            table
+        };
+        let filled = fill();
+        assert_eq!(filled.evaluated(), filled.len(), "every grid point queried");
         bench(
             &format!("ablation_table_build/distance_points_{points}"),
-            || {
-                let distance = Axis::new(0.0, 60.0, points).expect("valid");
-                let bearing = Axis::new(-3.2, 3.2, 9).expect("valid");
-                let speed = Axis::new(0.0, 15.0, 6).expect("valid");
-                DeadlineTable::build(&evaluator, distance, bearing, speed, Control::new(0.0, 0.5))
-            },
+            fill,
         );
     }
 
@@ -117,4 +128,24 @@ fn main() {
     bench("ablation_ttc_vs_phi/phi_rollout", || {
         evaluator.safe_interval_relative(black_box(&obs2), Control::new(0.0, 0.5))
     });
+}
+
+/// One query per grid point, each inside the point's cell: half a cell
+/// above it in distance and bearing (which floor) and half a cell below it
+/// in speed (which rounds up).
+fn cell_queries(distance: Axis, bearing: Axis, speed: Axis) -> Vec<RelativeObservation> {
+    let half_cell = |axis: Axis| (axis.max - axis.min) / (axis.points - 1) as f64 / 2.0;
+    let mut queries = Vec::with_capacity(distance.points * bearing.points * speed.points);
+    for di in 0..distance.points {
+        for bi in 0..bearing.points {
+            for si in 0..speed.points {
+                queries.push(RelativeObservation {
+                    distance: distance.value(di) + half_cell(distance),
+                    bearing: bearing.value(bi) + half_cell(bearing),
+                    speed: speed.value(si) - half_cell(speed),
+                });
+            }
+        }
+    }
+    queries
 }

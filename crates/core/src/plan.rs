@@ -1986,6 +1986,50 @@ mod tests {
         );
     }
 
+    /// Runs every spec of `plan`, one runtime per cell as the engines do,
+    /// and returns each cell's deadline-table entries evaluated, of all.
+    fn table_entries_evaluated(plan: &SweepPlan) -> Vec<(usize, usize)> {
+        let mut scratch = EpisodeScratch::new();
+        plan.cells()
+            .into_iter()
+            .map(|(cell, range)| {
+                let runtime = cell.runtime(KernelBackend::Scalar).expect("valid cell");
+                for within in 0..range.end - range.start {
+                    let _ = cell.run_spec(&runtime, plan.spec_within_cell(within), &mut scratch);
+                }
+                let table = runtime.deadline_table();
+                (table.evaluated(), table.len())
+            })
+            .collect()
+    }
+
+    #[test]
+    fn runtimes_evaluate_only_the_deadline_entries_their_episodes_read() {
+        // Traffic cells take every deadline from the dynamic φ.
+        let traffic = SweepPlan::paper(3, 2023)
+            .with_obstacles(vec![2, 4])
+            .with_traffic(vec![
+                TrafficKind::Crossing {
+                    count: 2,
+                    speed_mps: 1.5,
+                },
+                TrafficKind::Oncoming {
+                    count: 1,
+                    speed_mps: 5.0,
+                },
+            ]);
+        let cells = table_entries_evaluated(&traffic);
+        assert!(matches!(cells[..], [(0, _), (0, _)]), "{cells:?}");
+        // The paper preset's 150 static episodes read 190 of the 4 675.
+        let [(evaluated, len)] = table_entries_evaluated(&SweepPlan::paper(150, 2023))[..] else {
+            panic!("the paper preset is one cell");
+        };
+        assert!(
+            evaluated > 0 && evaluated * 10 < len,
+            "{evaluated} of {len} entries evaluated"
+        );
+    }
+
     #[test]
     fn display_summarizes_shape() {
         let text = SweepPlan::paper(6, 2023)

@@ -83,8 +83,11 @@ struct ModelState {
 /// The assembled SEO runtime: simulator-facing closed loop with safety-aware
 /// optimization.
 ///
-/// Construct once per configuration (the deadline table build is the
-/// expensive part) and reuse across episodes via [`Self::run_episode`].
+/// Construct once per configuration and reuse across episodes via
+/// [`Self::run_episode`]. Construction is cheap: the deadline table
+/// evaluates each grid point on the first query that lands on it, so the
+/// runtime's episodes, on every thread that shares it, fill one table
+/// together.
 #[derive(Debug, Clone)]
 pub struct RuntimeLoop {
     config: SeoConfig,
@@ -139,7 +142,7 @@ impl EpisodeScratch {
 
 impl RuntimeLoop {
     /// Builds the runtime: validates the configuration and model partition,
-    /// and constructs the deadline lookup table offline.
+    /// and defines the deadline lookup table (filled on first query).
     ///
     /// # Errors
     ///

@@ -18,7 +18,8 @@ use seo_platform::units::Seconds;
 use seo_sim::dynamics::DynamicWorld;
 use seo_sim::sensing::RelativeObservation;
 use seo_sim::vehicle::{BicycleModel, Control, VehicleState};
-use seo_sim::world::World;
+use seo_sim::world::{Obstacle, Road, World};
+use std::cell::RefCell;
 
 /// Numerically evaluates φ over the simulated dynamics.
 ///
@@ -218,15 +219,20 @@ impl SafeIntervalEvaluator {
 
     /// Same as [`Self::safe_interval`] but against a *virtual* obstacle
     /// described by a relative observation instead of a world — this is the
-    /// kernel used to build the offline lookup table, where the table axes
-    /// are exactly the paper's state features (distance, orientation angle,
-    /// speed).
+    /// kernel that fills the lookup table, where the table axes are exactly
+    /// the paper's state features (distance, orientation angle, speed).
+    ///
+    /// Allocation-free once the calling thread has made its first call: the
+    /// canonical scene is refilled in one per-thread buffer.
     #[must_use]
     pub fn safe_interval_relative(
         &self,
         observation: &RelativeObservation,
         control: Control,
     ) -> Seconds {
+        thread_local! {
+            static SCENE: RefCell<World> = RefCell::new(World::empty());
+        }
         if !observation.distance.is_finite() {
             return self.horizon;
         }
@@ -234,15 +240,15 @@ impl SafeIntervalEvaluator {
         // point obstacle placed at the observed distance/bearing.
         let state = VehicleState::new(0.0, 0.0, 0.0, observation.speed);
         let d = observation.distance;
-        let world = seo_sim::world::World::new(
-            seo_sim::world::Road::new(1e6, 1e6),
-            vec![seo_sim::world::Obstacle::new(
-                d * observation.bearing.cos(),
-                d * observation.bearing.sin(),
-                0.0,
-            )],
+        let obstacle = Obstacle::new(
+            d * observation.bearing.cos(),
+            d * observation.bearing.sin(),
+            0.0,
         );
-        self.safe_interval(&world, &state, control)
+        SCENE.with_borrow_mut(|scene| {
+            scene.refill(Road::new(1e6, 1e6), std::iter::once(obstacle));
+            self.safe_interval(scene, &state, control)
+        })
     }
 }
 

@@ -4,9 +4,19 @@
 //! proxy lookup table T(x, u) is constructed to enable real-time sampling of
 //! Δmax values at runtime." The table is gridded over the paper's state
 //! features — distance to obstacle, relative orientation angle — plus speed,
-//! and stores the φ evaluation at each grid point. Runtime queries use
-//! nearest-lower-cell lookup, which is conservative in distance (a query
-//! between grid points returns the Δmax of the *closer* distance row).
+//! and holds the φ evaluation at each grid point. Runtime queries use
+//! nearest-lower-cell lookup in distance and bearing, which is conservative
+//! in distance (a query between grid points returns the Δmax of the *closer*
+//! distance row), and round speed up.
+//!
+//! The table is filled on first query: a grid point's φ is evaluated the
+//! first time a query lands on it and stored for every later one. φ at a
+//! grid point is a pure function of the point, so each answer is the value
+//! an eager build over the whole grid would have stored there. Episodes read
+//! a few hundred of the default grid's 4 675 points, and traffic episodes,
+//! which take their deadlines from the dynamic φ, read none. A first touch
+//! costs one `safe_interval_relative` call (the reachability bound, then a
+//! rollout only when the bound proves nothing); a later one costs a load.
 
 use crate::error::SafetyError;
 use crate::interval::SafeIntervalEvaluator;
@@ -14,6 +24,11 @@ use seo_platform::units::Seconds;
 use seo_sim::sensing::RelativeObservation;
 use seo_sim::vehicle::Control;
 use std::fmt;
+use std::sync::atomic::{AtomicU64, Ordering};
+
+/// The bits of an entry no query has filled yet. φ never returns `NaN`; if
+/// it did, that entry would only be evaluated again on its next query.
+const UNFILLED: u64 = f64::NAN.to_bits();
 
 /// A uniform grid axis.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -67,7 +82,13 @@ impl Axis {
     }
 }
 
-/// Offline-built table mapping (distance, bearing, speed) to Δmax.
+/// Table mapping (distance, bearing, speed) to Δmax, filled on first query.
+///
+/// It is `Sync`: threads sharing one table fill it together. Each entry is
+/// one atomic `f64` slot; a race on an unfilled entry costs a duplicate
+/// evaluation of the same value, never a different answer. Two tables of
+/// one definition (evaluator, axes, control) answer every query alike, so
+/// `==` compares the definitions, however far each is filled.
 ///
 /// # Example
 ///
@@ -84,25 +105,29 @@ impl Axis {
 ///     Axis::new(0.0, 15.0, 6)?,
 ///     Control::new(0.0, 0.5),
 /// );
+/// assert_eq!(table.evaluated(), 0);
 /// let obs = RelativeObservation { distance: 50.0, bearing: 0.0, speed: 5.0 };
 /// assert!(table.query(&obs).as_secs() > 0.0);
+/// assert_eq!(table.evaluated(), 1);
 /// # Ok::<(), seo_safety::SafetyError>(())
 /// ```
-#[derive(Debug, Clone, PartialEq)]
+#[derive(Debug)]
 pub struct DeadlineTable {
+    evaluator: SafeIntervalEvaluator,
     distance: Axis,
     bearing: Axis,
     speed: Axis,
-    /// Row-major `[distance][bearing][speed]` Δmax values, seconds.
-    values: Vec<Seconds>,
     /// The control assumption baked into the table.
     control: Control,
-    horizon: Seconds,
+    /// Row-major `[distance][bearing][speed]` Δmax bits, seconds;
+    /// [`UNFILLED`] until a query lands on the entry.
+    values: Box<[AtomicU64]>,
 }
 
 impl DeadlineTable {
-    /// Builds the table by evaluating φ at every grid point with the
-    /// canonical relative-scene kernel
+    /// Defines the table over the given axes. No grid point is evaluated
+    /// here: each is evaluated by the first [`query`](Self::query) that
+    /// lands on it, with the canonical relative-scene kernel
     /// ([`SafeIntervalEvaluator::safe_interval_relative`]).
     #[must_use]
     pub fn build(
@@ -112,26 +137,14 @@ impl DeadlineTable {
         speed: Axis,
         control: Control,
     ) -> Self {
-        let mut values = Vec::with_capacity(distance.points * bearing.points * speed.points);
-        for di in 0..distance.points {
-            for bi in 0..bearing.points {
-                for si in 0..speed.points {
-                    let obs = RelativeObservation {
-                        distance: distance.value(di),
-                        bearing: bearing.value(bi),
-                        speed: speed.value(si),
-                    };
-                    values.push(evaluator.safe_interval_relative(&obs, control));
-                }
-            }
-        }
+        let len = distance.points * bearing.points * speed.points;
         Self {
+            evaluator: *evaluator,
             distance,
             bearing,
             speed,
-            values,
             control,
-            horizon: evaluator.horizon(),
+            values: (0..len).map(|_| AtomicU64::new(UNFILLED)).collect(),
         }
     }
 
@@ -147,7 +160,7 @@ impl DeadlineTable {
         Self::build(evaluator, distance, bearing, speed, Control::new(0.0, 0.5))
     }
 
-    /// Number of stored grid points.
+    /// Number of grid points.
     #[must_use]
     pub fn len(&self) -> usize {
         self.values.len()
@@ -159,25 +172,35 @@ impl DeadlineTable {
         self.values.is_empty()
     }
 
+    /// Number of grid points evaluated so far.
+    #[must_use]
+    pub fn evaluated(&self) -> usize {
+        self.values
+            .iter()
+            .filter(|slot| slot.load(Ordering::Relaxed) != UNFILLED)
+            .count()
+    }
+
     /// The horizon (Δmax cap) the table was built with.
     #[must_use]
     pub fn horizon(&self) -> Seconds {
-        self.horizon
+        self.evaluator.horizon()
     }
 
-    /// T(x, u): O(1) Δmax lookup for an observation.
+    /// T(x, u): O(1) Δmax lookup for an observation, evaluating φ at the
+    /// grid point the first time a query lands on it.
     ///
     /// Out-of-range queries clamp to the grid; an infinite distance (no
     /// obstacle) returns the horizon directly.
     #[must_use]
     pub fn query(&self, observation: &RelativeObservation) -> Seconds {
         if !observation.distance.is_finite() {
-            return self.horizon;
+            return self.horizon();
         }
         let di = self.distance.floor_index(observation.distance);
-        // Bearing is safest near ±π and most dangerous at 0; nearest index
-        // keeps the cell's sign symmetry, floor is fine for the monotone
-        // distance axis.
+        // Bearing floors too. For b ≥ 0 the lower row is nearer head-on
+        // (b = 0), where φ is smallest, so that is conservative; for b < 0
+        // it is farther from head-on and can overstate Δmax.
         let bi = self.bearing.floor_index(observation.bearing);
         // Conservative in speed: faster is less safe, so round *up*.
         let si_floor = self.speed.floor_index(observation.speed);
@@ -186,7 +209,48 @@ impl DeadlineTable {
         } else {
             si_floor
         };
-        self.values[(di * self.bearing.points + bi) * self.speed.points + si]
+        let slot = &self.values[(di * self.bearing.points + bi) * self.speed.points + si];
+        // `Relaxed` suffices: a slot publishes nothing but its own bits, and
+        // every store to it writes the same bits.
+        let bits = slot.load(Ordering::Relaxed);
+        if bits != UNFILLED {
+            return Seconds::new(f64::from_bits(bits));
+        }
+        let grid_point = RelativeObservation {
+            distance: self.distance.value(di),
+            bearing: self.bearing.value(bi),
+            speed: self.speed.value(si),
+        };
+        let value = self
+            .evaluator
+            .safe_interval_relative(&grid_point, self.control);
+        slot.store(value.as_secs().to_bits(), Ordering::Relaxed);
+        value
+    }
+}
+
+impl Clone for DeadlineTable {
+    /// Copies the definition and every entry filled so far.
+    fn clone(&self) -> Self {
+        Self {
+            values: self
+                .values
+                .iter()
+                .map(|slot| AtomicU64::new(slot.load(Ordering::Relaxed)))
+                .collect(),
+            ..*self
+        }
+    }
+}
+
+impl PartialEq for DeadlineTable {
+    /// Compares the definitions, which fix what every query returns.
+    fn eq(&self, other: &Self) -> bool {
+        self.evaluator == other.evaluator
+            && self.distance == other.distance
+            && self.bearing == other.bearing
+            && self.speed == other.speed
+            && self.control == other.control
     }
 }
 
@@ -199,7 +263,7 @@ impl fmt::Display for DeadlineTable {
             self.bearing.points,
             self.speed.points,
             self.len(),
-            self.horizon
+            self.horizon()
         )
     }
 }

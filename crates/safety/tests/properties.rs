@@ -13,6 +13,7 @@ use seo_sim::dynamics::{DynamicWorld, MovingObstacle};
 use seo_sim::sensing::RelativeObservation;
 use seo_sim::vehicle::{BicycleModel, Control, VehicleState};
 use seo_sim::world::{Obstacle, Road, World};
+use std::sync::Barrier;
 
 const CASES: usize = 300;
 
@@ -157,6 +158,162 @@ fn table_query_is_always_in_range() {
         assert!(t >= Seconds::ZERO);
         assert!(t <= table.horizon());
     }
+}
+
+/// Every grid point of the three axes in the table's row-major order,
+/// each with a query that lands on it: half a cell above the point in
+/// distance and bearing, which floor, and half a cell below it in speed,
+/// which rounds up.
+fn grid_points(
+    distance: Axis,
+    bearing: Axis,
+    speed: Axis,
+) -> Vec<(RelativeObservation, RelativeObservation)> {
+    let half_cell = |axis: Axis| (axis.max - axis.min) / (axis.points - 1) as f64 / 2.0;
+    let mut points = Vec::new();
+    for di in 0..distance.points {
+        for bi in 0..bearing.points {
+            for si in 0..speed.points {
+                let point = RelativeObservation {
+                    distance: distance.value(di),
+                    bearing: bearing.value(bi),
+                    speed: speed.value(si),
+                };
+                let query = RelativeObservation {
+                    distance: point.distance + half_cell(distance),
+                    bearing: point.bearing + half_cell(bearing),
+                    speed: point.speed - half_cell(speed),
+                };
+                points.push((point, query));
+            }
+        }
+    }
+    points
+}
+
+/// `0..len` in a seeded Fisher–Yates order.
+fn shuffled(len: usize, seed: u64) -> Vec<usize> {
+    let mut rng = StdRng::seed_from_u64(seed);
+    let mut order: Vec<usize> = (0..len).collect();
+    for i in (1..len).rev() {
+        order.swap(i, rng.gen_range(0..i + 1));
+    }
+    order
+}
+
+#[test]
+fn lazy_table_answers_phi_at_every_grid_point_bit_for_bit() {
+    const THREADS: usize = 4;
+    let control = Control::new(0.0, 0.5);
+    let default_axes = (
+        Axis::new(0.0, 60.0, 25).expect("valid"),
+        Axis::new(-std::f64::consts::PI, std::f64::consts::PI, 17).expect("valid"),
+        Axis::new(0.0, 15.0, 11).expect("valid"),
+    );
+    let other_axes = (
+        Axis::new(0.0, 60.0, 13).expect("valid"),
+        Axis::new(-3.2, 3.2, 9).expect("valid"),
+        Axis::new(0.0, 15.0, 6).expect("valid"),
+    );
+    let default = SafeIntervalEvaluator::default();
+    // The evaluator `RuntimeLoop::new` builds at the paper's 80 ms cap.
+    let runtime = SafeIntervalEvaluator::default().with_horizon(Seconds::from_millis(80.0));
+    let build = |evaluator: &SafeIntervalEvaluator, (d, b, s): (Axis, Axis, Axis)| {
+        DeadlineTable::build(evaluator, d, b, s, control)
+    };
+    let cases = [
+        (
+            default,
+            default_axes,
+            DeadlineTable::build_default(&default),
+        ),
+        (
+            runtime,
+            default_axes,
+            DeadlineTable::build_default(&runtime),
+        ),
+        (default, other_axes, build(&default, other_axes)),
+    ];
+    for (case, (evaluator, (d, b, s), table)) in cases.iter().enumerate() {
+        let points = grid_points(*d, *b, *s);
+        assert_eq!(points.len(), table.len());
+        let exact: Vec<u64> = points
+            .iter()
+            .map(|(p, _)| {
+                evaluator
+                    .safe_interval_relative(p, control)
+                    .as_secs()
+                    .to_bits()
+            })
+            .collect();
+        let check = |table: &DeadlineTable, i: usize| {
+            let (point, query) = &points[i];
+            assert_eq!(
+                table.query(query).as_secs().to_bits(),
+                exact[i],
+                "case {case}: grid point {i} ({point:?})"
+            );
+        };
+        // Each thread queries every point in its own seeded order, so the
+        // threads contend on every slot. They start each half of their
+        // orders together, and the table is cloned between the halves.
+        let orders: Vec<Vec<usize>> = (0..THREADS as u64)
+            .map(|thread| shuffled(points.len(), 40 + 10 * case as u64 + thread))
+            .collect();
+        let start = Barrier::new(THREADS);
+        let fill = |half: usize| {
+            std::thread::scope(|scope| {
+                for order in &orders {
+                    let (start, check) = (&start, &check);
+                    scope.spawn(move || {
+                        let (first, second) = order.split_at(order.len() / 2);
+                        start.wait();
+                        for &i in [first, second][half] {
+                            check(table, i);
+                        }
+                    });
+                }
+            });
+        };
+        fill(0);
+        let mid_fill = table.clone();
+        fill(1);
+        assert_eq!(
+            table.evaluated(),
+            table.len(),
+            "case {case}: every point filled"
+        );
+        let filled = mid_fill.evaluated();
+        assert!(
+            0 < filled && filled < table.len(),
+            "case {case}: {filled} filled"
+        );
+        for i in 0..points.len() {
+            check(&mid_fill, i);
+        }
+        // Equality is the definition, however far each table is filled.
+        let fresh = build(evaluator, (*d, *b, *s));
+        assert_eq!(fresh.evaluated(), 0);
+        assert_eq!(fresh, *table, "case {case}");
+        assert_eq!(mid_fill, *table, "case {case}");
+    }
+    let [(_, _, default_table), (_, _, runtime_table), (_, _, other_table)] = &cases;
+    assert_eq!(
+        default_table, runtime_table,
+        "the runtime's evaluator is the default"
+    );
+    assert_ne!(default_table, other_table, "different axes");
+    let wider = default.with_horizon(Seconds::new(2.0));
+    assert_ne!(
+        *default_table,
+        DeadlineTable::build_default(&wider),
+        "different evaluators"
+    );
+    assert_ne!(
+        *other_table,
+        build(&default.with_conservatism(5.0), other_axes),
+        "different evaluators"
+    );
 }
 
 #[test]

@@ -21,7 +21,7 @@ fn main() -> Result<(), SeoError> {
     println!("model set:  {models}");
 
     // 3. Assemble the runtime with task offloading as the optimization
-    //    method (this builds the Δmax lookup table offline).
+    //    method (its Δmax lookup table fills on first query).
     let runtime = RuntimeLoop::new(config, models, OptimizerKind::Offloading)?;
 
     // 4. A 100 m route with 2 obstacles in the final third.

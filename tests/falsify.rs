@@ -97,28 +97,35 @@ fn every_emitted_counterexample_replays_bit_identically() {
     }
 }
 
-/// Replays `plan` serially and renders its stream exactly as `sweep --plan`
-/// prints it: one newline-terminated `report_line` per spec.
-fn replayed_stream(plan: &SweepPlan) -> String {
-    plan.run_serial()
-        .expect("replays")
-        .iter()
-        .enumerate()
-        .map(|(i, report)| report_line(i, report) + "\n")
-        .collect()
+/// Replays `plan` on `threads` in-process workers (one is the serial loop)
+/// and renders its stream exactly as `sweep --plan` prints it: one
+/// newline-terminated `report_line` per spec.
+fn replayed_stream(plan: &SweepPlan, threads: usize) -> String {
+    let mut stream = String::new();
+    plan.run_threads(threads, |index, report| {
+        stream.push_str(&report_line(index, &report));
+        stream.push('\n');
+        true
+    })
+    .expect("replays");
+    stream
 }
 
 /// Asserts that the plan at `path` replays to exactly the bytes of the
-/// `.expected.ndjson` file next to it, and returns the parsed plan.
+/// `.expected.ndjson` file next to it, serially and on four threads that
+/// share each cell's runtime (and so fill its deadline table together),
+/// and returns the parsed plan.
 fn assert_replays_to_recorded_bytes(path: &Path) -> SweepPlan {
     let text = std::fs::read_to_string(path).expect("committed plan");
     let plan = SweepPlan::parse(&text).expect("committed plan parses");
     let expected =
         std::fs::read_to_string(path.with_extension("expected.ndjson")).expect("recorded stream");
-    assert!(
-        replayed_stream(&plan) == expected,
-        "{path:?} must replay to its recorded bytes"
-    );
+    for threads in [1, 4] {
+        assert!(
+            replayed_stream(&plan, threads) == expected,
+            "{path:?} must replay to its recorded bytes on {threads} thread(s)"
+        );
+    }
     plan
 }
 
@@ -151,8 +158,10 @@ fn committed_counterexample_corpus_replays_to_the_recorded_bytes() {
 /// Absolute pins on whole grids: the paper preset, filtered static cells at
 /// τ 25 and 33 ms under both driving controllers, and crossing and oncoming
 /// traffic on the bursty link each replay to the stream recorded before Ψ
-/// and φ gained their fast paths. Engine byte-compare tests compare the
-/// code with itself; these catch a change to what Ψ or φ decide.
+/// and φ gained their fast paths and before the deadline table filled on
+/// first query, serially and through the threads engine. Engine
+/// byte-compare tests compare the code with itself; these catch a change
+/// to what Ψ, φ or the table decide.
 #[test]
 fn pinned_example_plans_replay_to_the_recorded_bytes() {
     let dir = Path::new(concat!(env!("CARGO_MANIFEST_DIR"), "/../../examples/plans"));
