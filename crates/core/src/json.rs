@@ -418,12 +418,17 @@ impl Parser<'_> {
                     }
                 }
                 _ => {
-                    // Consume one UTF-8 scalar (input is &str, so slicing on
-                    // char boundaries is safe via chars()).
-                    let s = std::str::from_utf8(rest).map_err(|_| self.err("invalid UTF-8"))?;
-                    let c = s.chars().next().ok_or_else(|| self.err("empty string"))?;
-                    out.push(c);
-                    self.pos += c.len_utf8();
+                    // Copy the whole run up to the next '"' or '\\' at once,
+                    // so each byte is validated once and parsing stays
+                    // linear. Both are ASCII, so a run never splits a char.
+                    let run = rest
+                        .iter()
+                        .position(|&b| b == b'"' || b == b'\\')
+                        .unwrap_or(rest.len());
+                    let s =
+                        std::str::from_utf8(&rest[..run]).map_err(|_| self.err("invalid UTF-8"))?;
+                    out.push_str(s);
+                    self.pos += run;
                 }
             }
         }
@@ -575,6 +580,21 @@ mod tests {
     fn parse_string_escapes() {
         let v = Json::parse(r#""a\"b\\c\n\u0041""#).expect("ok");
         assert_eq!(v, Json::from("a\"b\\c\nA"));
+    }
+
+    #[test]
+    fn long_strings_parse_in_linear_time() {
+        let long = "ab\u{e9}\u{1F697}".repeat((1 << 20) / 8);
+        let text = format!("{{\"k\":\"{long}\",\"e\":\"x\\\"y\"}}");
+        let start = std::time::Instant::now();
+        let v = Json::parse(&text).expect("ok");
+        let elapsed = start.elapsed();
+        assert_eq!(v.get("k").and_then(Json::as_str), Some(long.as_str()));
+        assert_eq!(v.get("e").and_then(Json::as_str), Some("x\"y"));
+        assert!(
+            elapsed < std::time::Duration::from_secs(1),
+            "a 1 MiB string took {elapsed:?}"
+        );
     }
 
     #[test]

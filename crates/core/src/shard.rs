@@ -661,7 +661,13 @@ pub fn report_line(index: usize, report: &EpisodeReport) -> String {
 /// report fields.
 pub fn parse_report_line(line: &str) -> Result<(usize, EpisodeReport), ShardError> {
     let json = Json::parse(line).map_err(|e| wire_err(e.to_string()))?;
-    let version = get(&json, "v")?
+    report_line_from_json(&json)
+}
+
+/// [`parse_report_line`] on a line already parsed into a tree, so a frame
+/// decoder that has parsed the payload once need not parse it again.
+pub(crate) fn report_line_from_json(json: &Json) -> Result<(usize, EpisodeReport), ShardError> {
+    let version = get(json, "v")?
         .as_i64()
         .ok_or_else(|| wire_err("v: expected an integer"))?;
     if version != i64::try_from(WIRE_VERSION).unwrap_or(i64::MAX) {
@@ -670,8 +676,8 @@ pub fn parse_report_line(line: &str) -> Result<(usize, EpisodeReport), ShardErro
         )));
     }
     Ok((
-        get_usize(&json, "index")?,
-        report_from_json(get(&json, "report")?)?,
+        get_usize(json, "index")?,
+        report_from_json(get(json, "report")?)?,
     ))
 }
 

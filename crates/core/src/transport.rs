@@ -344,11 +344,15 @@ impl JobRequest {
     /// invalid inline plan (the plan's own collected validation errors are
     /// included).
     pub fn from_frame(payload: &[u8]) -> Result<Self, TransportError> {
-        let json = parse_frame_json(payload)?;
-        let version = get(&json, "v")?
+        Self::from_json(&parse_frame_json(payload)?)
+    }
+
+    /// [`Self::from_frame`] on a payload already parsed into a tree.
+    fn from_json(json: &Json) -> Result<Self, TransportError> {
+        let version = get(json, "v")?
             .as_i64()
             .ok_or_else(|| frame_err("v: expected an integer"))?;
-        let kind = get(&json, "type")?
+        let kind = get(json, "type")?
             .as_str()
             .ok_or_else(|| frame_err("type: expected a string"))?;
         if kind != "job" {
@@ -371,14 +375,13 @@ impl JobRequest {
                 )))
             }
         };
-        let shard = Shard::new(get_usize(&json, "start")?, get_usize(&json, "end")?);
+        let shard = Shard::new(get_usize(json, "start")?, get_usize(json, "end")?);
         if shard.is_empty() {
             return Err(frame_err(format!("job shard {shard} covers no specs")));
         }
         Ok(Self {
-            scenarios: get_usize(&json, "scenarios")?,
-            seed: shard::u64_from_wire(get(&json, "seed")?, "seed")
-                .map_err(TransportError::from)?,
+            scenarios: get_usize(json, "scenarios")?,
+            seed: shard::u64_from_wire(get(json, "seed")?, "seed").map_err(TransportError::from)?,
             plan,
             shard,
         })
@@ -633,9 +636,7 @@ pub fn parse_daemon_request(payload: &[u8]) -> Result<DaemonRequest, TransportEr
             check_version(&json)?;
             Ok(DaemonRequest::Shutdown)
         }
-        _ => Ok(DaemonRequest::Job(Box::new(JobRequest::from_frame(
-            payload,
-        )?))),
+        _ => Ok(DaemonRequest::Job(Box::new(JobRequest::from_json(&json)?))),
     }
 }
 
@@ -654,10 +655,8 @@ fn parse_frame_json(payload: &[u8]) -> Result<Json, TransportError> {
 pub fn parse_worker_frame(payload: &[u8]) -> Result<WorkerMsg, TransportError> {
     let json = parse_frame_json(payload)?;
     let Some(kind) = json.get("type") else {
-        let text =
-            std::str::from_utf8(payload).map_err(|e| frame_err(format!("not UTF-8: {e}")))?;
         let (index, report) =
-            shard::parse_report_line(text.trim()).map_err(|e| frame_err(e.to_string()))?;
+            shard::report_line_from_json(&json).map_err(|e| frame_err(e.to_string()))?;
         return Ok(WorkerMsg::Report { index, report });
     };
     let kind = kind

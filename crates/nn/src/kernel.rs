@@ -1,10 +1,10 @@
 //! Pluggable inference kernel backends — the compute layer under every
 //! `*_into` hot path.
 //!
-//! The SEO runtime spends its per-control-step budget in three dense
-//! primitives: the matrix–vector product, the fused dense layer
-//! (matvec + bias + activation), and `axpy`. This module makes that layer a
-//! *seam*: the [`Kernel`] trait names the three primitives, and every hot
+//! A neural controller spends its per-control-step inference in two dense
+//! primitives: the matrix–vector product and the fused dense layer
+//! (matvec + bias + activation). This module makes that layer a *seam*:
+//! the [`Kernel`] trait names the two primitives, and every hot
 //! entry point above it ([`Matrix::matvec_into_with`](crate::tensor::Matrix::matvec_into_with),
 //! [`Dense::forward_into_with`](crate::layer::Dense::forward_into_with),
 //! [`Mlp::forward_into_with`](crate::mlp::Mlp::forward_into_with),
@@ -79,7 +79,7 @@ pub const MR: usize = 4;
 /// inside a group still applied strictly left-to-right.
 pub const NR: usize = 4;
 
-/// The three dense primitives the inference hot path is built from.
+/// The two dense primitives the inference hot path is built from.
 ///
 /// Implementations are zero-sized marker types; call sites are generic over
 /// the implementation (`fn f<K: Kernel>(…)`) so the backend monomorphizes
@@ -126,9 +126,6 @@ pub trait Kernel: Copy + Default + Send + Sync + 'static {
             *o = act.apply(*o + b);
         }
     }
-
-    /// In-place `a[i] += alpha · b[i]`.
-    fn axpy(a: &mut [f64], b: &[f64], alpha: f64);
 }
 
 #[inline]
@@ -157,13 +154,6 @@ impl Kernel for ScalarKernel {
         }
         for (o, row) in out.iter_mut().zip(data.chunks_exact(cols)) {
             *o = row.iter().zip(x).map(|(a, b)| a * b).sum();
-        }
-    }
-
-    fn axpy(a: &mut [f64], b: &[f64], alpha: f64) {
-        debug_assert_eq!(a.len(), b.len(), "kernel axpy: length mismatch");
-        for (x, &y) in a.iter_mut().zip(b) {
-            *x += alpha * y;
         }
     }
 }
@@ -280,22 +270,6 @@ impl Kernel for BlockedKernel {
         }
         if let Some(last) = o.first_mut() {
             *last = Self::row_dot(leftover, x);
-        }
-    }
-
-    fn axpy(a: &mut [f64], b: &[f64], alpha: f64) {
-        debug_assert_eq!(a.len(), b.len(), "kernel axpy: length mismatch");
-        let mut ac = a.chunks_exact_mut(NR);
-        let mut bc = b.chunks_exact(NR);
-        for (xs, ys) in (&mut ac).zip(&mut bc) {
-            // Elementwise and independent: unrolling cannot change results.
-            xs[0] += alpha * ys[0];
-            xs[1] += alpha * ys[1];
-            xs[2] += alpha * ys[2];
-            xs[3] += alpha * ys[3];
-        }
-        for (x, &y) in ac.into_remainder().iter_mut().zip(bc.remainder()) {
-            *x += alpha * y;
         }
     }
 }
@@ -472,18 +446,6 @@ mod tests {
                 }
                 assert_eq!(out, two_pass, "{name} fused {act:?} diverged");
             }
-        }
-    }
-
-    #[test]
-    fn axpy_backends_agree() {
-        for n in [0usize, 1, 3, 4, 5, 11, 16] {
-            let b = filled(n, |i| (i as f64) * 0.7 - 2.0);
-            let mut scalar = filled(n, |i| (i as f64) * -0.2);
-            let mut blocked = scalar.clone();
-            ScalarKernel::axpy(&mut scalar, &b, 0.37);
-            BlockedKernel::axpy(&mut blocked, &b, 0.37);
-            assert_eq!(scalar, blocked, "axpy length {n} diverged");
         }
     }
 

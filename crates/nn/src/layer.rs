@@ -1,4 +1,4 @@
-//! Dense layers and activations with manual backprop.
+//! Dense layers and activations: forward inference and flat parameters.
 
 use crate::error::NnError;
 use crate::kernel::{Kernel, ScalarKernel};
@@ -29,24 +29,6 @@ impl Activation {
             Self::Sigmoid => 1.0 / (1.0 + (-x).exp()),
         }
     }
-
-    /// Derivative expressed in terms of the *output* `y = f(x)` (all four
-    /// activations admit this form, which is what backprop caches).
-    #[must_use]
-    pub fn derivative_from_output(self, y: f64) -> f64 {
-        match self {
-            Self::Identity => 1.0,
-            Self::Relu => {
-                if y > 0.0 {
-                    1.0
-                } else {
-                    0.0
-                }
-            }
-            Self::Tanh => 1.0 - y * y,
-            Self::Sigmoid => y * (1.0 - y),
-        }
-    }
 }
 
 /// A fully-connected layer `y = f(Wx + b)`.
@@ -55,15 +37,6 @@ pub struct Dense {
     weights: Matrix,
     biases: Vec<f64>,
     activation: Activation,
-}
-
-/// Cached forward pass of one layer, consumed by [`Dense::backward`].
-#[derive(Debug, Clone)]
-pub struct LayerCache {
-    /// The layer input.
-    pub input: Vec<f64>,
-    /// The post-activation output.
-    pub output: Vec<f64>,
 }
 
 impl Dense {
@@ -182,42 +155,6 @@ impl Dense {
         );
     }
 
-    /// Forward pass that also returns the cache needed for backprop.
-    #[must_use]
-    pub fn forward_cached(&self, input: &[f64]) -> LayerCache {
-        LayerCache {
-            input: input.to_vec(),
-            output: self.forward(input),
-        }
-    }
-
-    /// Backward pass: given `d_loss/d_output`, updates weights and biases by
-    /// one SGD step of size `lr` and returns `d_loss/d_input`.
-    ///
-    /// # Panics
-    ///
-    /// Panics on dimension mismatch between `grad_output` and the layer.
-    pub fn backward(&mut self, cache: &LayerCache, grad_output: &[f64], lr: f64) -> Vec<f64> {
-        assert_eq!(
-            grad_output.len(),
-            self.output_dim(),
-            "grad dimension mismatch"
-        );
-        // delta = dL/dy * f'(y)
-        let delta: Vec<f64> = grad_output
-            .iter()
-            .zip(&cache.output)
-            .map(|(&g, &y)| g * self.activation.derivative_from_output(y))
-            .collect();
-        let grad_input = self.weights.matvec_transposed(&delta);
-        // SGD update: W -= lr * delta xᵀ, b -= lr * delta.
-        self.weights.add_outer(&delta, &cache.input, -lr);
-        for (b, &d) in self.biases.iter_mut().zip(&delta) {
-            *b -= lr * d;
-        }
-        grad_input
-    }
-
     /// Copies all parameters (weights row-major, then biases) into `out`,
     /// returning how many values were written.
     ///
@@ -269,19 +206,6 @@ mod tests {
     }
 
     #[test]
-    fn derivatives_from_output() {
-        // tanh'(x) = 1 - tanh(x)^2
-        let y = Activation::Tanh.apply(0.7);
-        assert!((Activation::Tanh.derivative_from_output(y) - (1.0 - y * y)).abs() < 1e-12);
-        // sigmoid'(x) = s(1-s)
-        let s = Activation::Sigmoid.apply(0.3);
-        assert!((Activation::Sigmoid.derivative_from_output(s) - s * (1.0 - s)).abs() < 1e-12);
-        assert_eq!(Activation::Relu.derivative_from_output(0.0), 0.0);
-        assert_eq!(Activation::Relu.derivative_from_output(1.0), 1.0);
-        assert_eq!(Activation::Identity.derivative_from_output(123.0), 1.0);
-    }
-
-    #[test]
     fn forward_shape_and_determinism() {
         let layer = Dense::new(3, 5, Activation::Relu, &mut rng()).expect("valid dims");
         let out = layer.forward(&[0.1, 0.2, 0.3]);
@@ -306,50 +230,6 @@ mod tests {
         assert_ne!(other.forward(&[1.0; 4]), layer.forward(&[1.0; 4]));
         other.read_params(&buf);
         assert_eq!(other.forward(&[1.0; 4]), layer.forward(&[1.0; 4]));
-    }
-
-    #[test]
-    fn backward_reduces_loss_on_linear_target() {
-        // Learn y = 2x with a single identity layer.
-        let mut layer = Dense::new(1, 1, Activation::Identity, &mut rng()).expect("valid dims");
-        let mut last_loss = f64::INFINITY;
-        for _ in 0..200 {
-            let mut loss = 0.0;
-            for x in [-1.0, -0.5, 0.5, 1.0] {
-                let cache = layer.forward_cached(&[x]);
-                let target = 2.0 * x;
-                let err = cache.output[0] - target;
-                loss += err * err;
-                layer.backward(&cache, &[2.0 * err], 0.05);
-            }
-            last_loss = loss;
-        }
-        assert!(last_loss < 1e-6, "loss should converge, got {last_loss}");
-        assert!((layer.forward(&[3.0])[0] - 6.0).abs() < 1e-2);
-    }
-
-    #[test]
-    fn backward_gradient_matches_finite_difference() {
-        let layer = Dense::new(2, 2, Activation::Tanh, &mut rng()).expect("valid dims");
-        let x = [0.3, -0.7];
-        let cache = layer.forward_cached(&x);
-        // Loss = sum(outputs); dL/dy = 1.
-        let grad_in = layer.clone().backward(&cache, &[1.0, 1.0], 0.0);
-        let eps = 1e-6;
-        for i in 0..2 {
-            let mut xp = x;
-            xp[i] += eps;
-            let mut xm = x;
-            xm[i] -= eps;
-            let fp: f64 = layer.forward(&xp).iter().sum();
-            let fm: f64 = layer.forward(&xm).iter().sum();
-            let numeric = (fp - fm) / (2.0 * eps);
-            assert!(
-                (grad_in[i] - numeric).abs() < 1e-6,
-                "analytic {} vs numeric {numeric}",
-                grad_in[i]
-            );
-        }
     }
 
     #[test]

@@ -11,26 +11,23 @@
 //!    Λ″;
 //! 3. two **ResNet-152 object detectors** in the optimizable subset Λ′.
 //!
-//! None of these require GPU-scale networks to reproduce the *scheduling*
-//! behaviour SEO studies — they require components with the same roles. This
-//! crate provides them, built on a small dependency-free NN stack:
+//! SEO schedules Λ′ and Λ″ by their latency and energy, not by their
+//! outputs, so those models are `seo_core::model::PipelineModel`s carrying
+//! the paper's Drive PX2 characterization. The one network an episode
+//! actually runs is the controller, and this crate provides it on a small
+//! dependency-free NN stack:
 //!
-//! * [`tensor`] — dense matrices/vectors with the handful of BLAS-like ops
+//! * [`tensor`] — a dense row-major matrix with the matrix–vector product
 //!   an MLP needs.
 //! * [`kernel`] — pluggable compute backends under every `*_into` hot path:
 //!   the [`Kernel`] trait, the scalar reference, and the
 //!   blocked/unrolled backend, all bit-identical by contract (the backend
 //!   book is `docs/kernels.md`).
 //! * [`layer`] / [`mlp`] — fully-connected layers with activations, forward
-//!   inference, manual backprop, and flat parameter (de)serialization.
-//! * [`train`] — gradient-descent (for the autoencoder) and Cross-Entropy
-//!   Method (for the policy) trainers.
+//!   inference, and flat parameter (de)serialization.
+//! * [`train`] — the Cross-Entropy Method trainer for the policy.
 //! * [`policy`] — the driving policy: observation featurization, action
 //!   decoding, and CEM training against `seo-sim` episodes.
-//! * [`autoencoder`] — a ray-scan autoencoder standing in for the ShieldNN
-//!   VAE in Λ″.
-//! * [`detector`] — simulated object detectors for Λ′, with output staleness
-//!   when the model is gated.
 //!
 //! # Example
 //!
@@ -50,8 +47,6 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-pub mod autoencoder;
-pub mod detector;
 pub mod error;
 pub mod kernel;
 pub mod layer;

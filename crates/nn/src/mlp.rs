@@ -1,10 +1,10 @@
 //! Multi-layer perceptrons: stacked [`Dense`] layers with a shared API for
-//! inference, backprop training, and flat-parameter access (used by the
-//! Cross-Entropy Method trainer).
+//! inference and flat-parameter access (used by the Cross-Entropy Method
+//! trainer).
 
 use crate::error::NnError;
 use crate::kernel::{Kernel, ScalarKernel};
-use crate::layer::{Activation, Dense, LayerCache};
+use crate::layer::{Activation, Dense};
 use rand::Rng;
 use std::fmt;
 
@@ -24,8 +24,8 @@ pub struct Mlp {
 /// Construct once (per thread / per episode runner), then every
 /// [`Mlp::forward_into`] call runs without touching the heap — the buffers
 /// are grown to their high-water mark on first use and reused afterwards.
-/// One scratch can serve many networks (e.g. a policy and an autoencoder)
-/// as long as calls do not overlap.
+/// One scratch can serve networks of any width as long as calls do not
+/// overlap.
 #[derive(Debug, Clone, Default)]
 pub struct InferenceScratch {
     /// Buffer holding the current activation (output lands here).
@@ -177,98 +177,12 @@ impl Mlp {
         );
         scratch.cur.clear();
         scratch.cur.extend_from_slice(input);
-        self.forward_from_cur_with::<K>(scratch)
-    }
-
-    /// Continues a forward pass from whatever activation is already in
-    /// `scratch.cur` — lets same-crate callers chain networks (encoder into
-    /// decoder) without copying the intermediate code.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the resident activation length differs from `input_dim()`.
-    pub(crate) fn forward_from_cur_with<'s, K: Kernel>(
-        &self,
-        scratch: &'s mut InferenceScratch,
-    ) -> &'s [f64] {
-        assert_eq!(
-            scratch.cur.len(),
-            self.input_dim(),
-            "mlp input dimension mismatch"
-        );
         for layer in &self.layers {
             scratch.nxt.resize(layer.output_dim(), 0.0);
             layer.forward_into_with::<K>(&scratch.cur, &mut scratch.nxt);
             std::mem::swap(&mut scratch.cur, &mut scratch.nxt);
         }
         &scratch.cur
-    }
-
-    /// One SGD step on the squared error against `target`; returns the MSE
-    /// *before* the update.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `input`/`target` dimensions do not match the network.
-    pub fn train_step(&mut self, input: &[f64], target: &[f64], lr: f64) -> f64 {
-        assert_eq!(
-            target.len(),
-            self.output_dim(),
-            "mlp target dimension mismatch"
-        );
-        let mut loss = 0.0;
-        let n = target.len() as f64;
-        self.backprop_step(input, lr, |output| {
-            loss = output
-                .iter()
-                .zip(target)
-                .map(|(&y, &t)| (y - t).powi(2))
-                .sum::<f64>()
-                / n;
-            output
-                .iter()
-                .zip(target)
-                .map(|(&y, &t)| 2.0 * (y - t) / n)
-                .collect()
-        });
-        loss
-    }
-
-    /// Generic backprop step: runs a cached forward pass, asks `grad_of` for
-    /// the loss gradient at the output, applies one SGD update of size `lr`,
-    /// and returns the loss gradient with respect to the **input** — which
-    /// lets callers chain networks (e.g. decoder into encoder).
-    ///
-    /// # Panics
-    ///
-    /// Panics if `input` or the gradient produced by `grad_of` has the wrong
-    /// dimension.
-    pub fn backprop_step<F>(&mut self, input: &[f64], lr: f64, grad_of: F) -> Vec<f64>
-    where
-        F: FnOnce(&[f64]) -> Vec<f64>,
-    {
-        assert_eq!(
-            input.len(),
-            self.input_dim(),
-            "mlp input dimension mismatch"
-        );
-        let mut caches: Vec<LayerCache> = Vec::with_capacity(self.layers.len());
-        let mut x = input.to_vec();
-        for layer in &self.layers {
-            let cache = layer.forward_cached(&x);
-            x = cache.output.clone();
-            caches.push(cache);
-        }
-        let mut grad = grad_of(&x);
-        assert_eq!(
-            grad.len(),
-            self.output_dim(),
-            "mlp output gradient dimension mismatch"
-        );
-        for (layer, cache) in self.layers.iter_mut().zip(&caches).rev() {
-            grad = layer.backward(cache, &grad, lr);
-        }
-        grad
     }
 
     /// Copies all parameters into a fresh flat vector
@@ -406,53 +320,6 @@ mod tests {
                 ..
             }
         ));
-    }
-
-    #[test]
-    fn sgd_learns_xor() {
-        let mut net = Mlp::new(
-            &[2, 8, 1],
-            Activation::Tanh,
-            Activation::Sigmoid,
-            &mut rng(),
-        )
-        .expect("valid");
-        let data = [
-            ([0.0, 0.0], [0.0]),
-            ([0.0, 1.0], [1.0]),
-            ([1.0, 0.0], [1.0]),
-            ([1.0, 1.0], [0.0]),
-        ];
-        for _ in 0..3000 {
-            for (x, t) in &data {
-                net.train_step(x, t, 0.5);
-            }
-        }
-        for (x, t) in &data {
-            let y = net.forward(x)[0];
-            assert!(
-                (y - t[0]).abs() < 0.2,
-                "xor({x:?}) = {y}, expected {}",
-                t[0]
-            );
-        }
-    }
-
-    #[test]
-    fn train_step_returns_decreasing_loss() {
-        let mut net = Mlp::new(
-            &[1, 4, 1],
-            Activation::Tanh,
-            Activation::Identity,
-            &mut rng(),
-        )
-        .expect("valid");
-        let first = net.train_step(&[0.5], &[0.3], 0.1);
-        let mut last = first;
-        for _ in 0..100 {
-            last = net.train_step(&[0.5], &[0.3], 0.1);
-        }
-        assert!(last < first, "loss should shrink: {first} -> {last}");
     }
 
     #[test]

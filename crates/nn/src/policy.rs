@@ -113,7 +113,8 @@ pub struct DrivingPolicy {
 
 impl DrivingPolicy {
     /// Creates a randomly initialized policy with the default
-    /// `6 -> 16 -> 16 -> 2` topology and `tanh` heads (bounded actions).
+    /// `7 -> 16 -> 16 -> 2` topology ([`PolicyFeatures::DIM`] inputs) and
+    /// `tanh` heads (bounded actions).
     ///
     /// # Errors
     ///

@@ -1,8 +1,8 @@
 //! Minimal dense linear algebra for MLP workloads.
 //!
-//! A deliberately small surface: row-major [`Matrix`] with matrix–vector
-//! products, outer products, and elementwise helpers — exactly what forward
-//! inference and backprop over dense layers need.
+//! A deliberately small surface: a row-major [`Matrix`] with the
+//! matrix–vector product — exactly what forward inference over dense layers
+//! needs.
 //!
 //! The compute itself lives one layer down in [`crate::kernel`]: the
 //! `*_with::<K>` variants here are generic over a [`Kernel`] backend, and the
@@ -164,113 +164,12 @@ impl Matrix {
         assert_eq!(out.len(), self.rows, "matvec output dimension mismatch");
         K::matvec(self.cols, &self.data, x, out);
     }
-
-    /// Transposed matrix–vector product `Mᵀ * y`.
-    ///
-    /// Allocates the result; backprop hot paths can use
-    /// [`Self::matvec_transposed_into`] with a reused buffer.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `y.len() != rows`.
-    #[must_use]
-    pub fn matvec_transposed(&self, y: &[f64]) -> Vec<f64> {
-        let mut out = vec![0.0; self.cols];
-        self.matvec_transposed_into(y, &mut out);
-        out
-    }
-
-    /// Transposed matrix–vector product `Mᵀ * y` written into a
-    /// caller-provided buffer.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `y.len() != rows` or `out.len() != cols`.
-    pub fn matvec_transposed_into(&self, y: &[f64], out: &mut [f64]) {
-        assert_eq!(y.len(), self.rows, "matvec_transposed dimension mismatch");
-        assert_eq!(
-            out.len(),
-            self.cols,
-            "matvec_transposed output dimension mismatch"
-        );
-        out.fill(0.0);
-        for (row, &yi) in self.data.chunks_exact(self.cols).zip(y) {
-            for (o, &m) in out.iter_mut().zip(row) {
-                *o += m * yi;
-            }
-        }
-    }
-
-    /// Accumulates the outer product `alpha * y xᵀ` into the matrix
-    /// (the weight-gradient update of a dense layer).
-    ///
-    /// # Panics
-    ///
-    /// Panics on dimension mismatch.
-    pub fn add_outer(&mut self, y: &[f64], x: &[f64], alpha: f64) {
-        assert_eq!(y.len(), self.rows, "outer product row mismatch");
-        assert_eq!(x.len(), self.cols, "outer product col mismatch");
-        for (row, &yi) in self.data.chunks_exact_mut(self.cols).zip(y) {
-            for (m, &xj) in row.iter_mut().zip(x) {
-                *m += alpha * yi * xj;
-            }
-        }
-    }
-
-    /// Frobenius norm.
-    #[must_use]
-    pub fn frobenius_norm(&self) -> f64 {
-        self.data.iter().map(|v| v * v).sum::<f64>().sqrt()
-    }
 }
 
 impl fmt::Display for Matrix {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         write!(f, "{}x{} matrix", self.rows, self.cols)
     }
-}
-
-/// Dot product of two equal-length slices.
-///
-/// # Panics
-///
-/// Panics on length mismatch.
-#[must_use]
-pub fn dot(a: &[f64], b: &[f64]) -> f64 {
-    assert_eq!(a.len(), b.len(), "dot length mismatch");
-    a.iter().zip(b).map(|(x, y)| x * y).sum()
-}
-
-/// In-place `a += alpha * b`.
-///
-/// # Panics
-///
-/// Panics on length mismatch.
-pub fn axpy(a: &mut [f64], b: &[f64], alpha: f64) {
-    axpy_with::<ScalarKernel>(a, b, alpha);
-}
-
-/// [`axpy`] over an explicit [`Kernel`] backend (bit-identical across
-/// backends by contract).
-///
-/// # Panics
-///
-/// Panics on length mismatch.
-pub fn axpy_with<K: Kernel>(a: &mut [f64], b: &[f64], alpha: f64) {
-    assert_eq!(a.len(), b.len(), "axpy length mismatch");
-    K::axpy(a, b, alpha);
-}
-
-/// Mean squared error between two equal-length slices.
-///
-/// # Panics
-///
-/// Panics on length mismatch or empty slices.
-#[must_use]
-pub fn mse(a: &[f64], b: &[f64]) -> f64 {
-    assert_eq!(a.len(), b.len(), "mse length mismatch");
-    assert!(!a.is_empty(), "mse of empty slices");
-    a.iter().zip(b).map(|(x, y)| (x - y).powi(2)).sum::<f64>() / a.len() as f64
 }
 
 #[cfg(test)]
@@ -289,24 +188,6 @@ mod tests {
         assert_eq!(m.matvec(&[1.0, 1.0, 1.0]), vec![6.0, 15.0]);
         assert_eq!(m.rows(), 2);
         assert_eq!(m.cols(), 3);
-    }
-
-    #[test]
-    fn transposed_matvec_matches_manual() {
-        let m = Matrix::from_rows(&[&[1.0, 2.0], &[3.0, 4.0], &[5.0, 6.0]]);
-        let out = m.matvec_transposed(&[1.0, 0.0, 1.0]);
-        assert_eq!(out, vec![6.0, 8.0]);
-    }
-
-    #[test]
-    fn add_outer_accumulates() {
-        let mut m = Matrix::zeros(2, 3);
-        m.add_outer(&[1.0, 2.0], &[1.0, 0.0, -1.0], 0.5);
-        assert_eq!(m.get(0, 0), 0.5);
-        assert_eq!(m.get(0, 2), -0.5);
-        assert_eq!(m.get(1, 0), 1.0);
-        m.add_outer(&[1.0, 2.0], &[1.0, 0.0, -1.0], 0.5);
-        assert_eq!(m.get(1, 0), 2.0);
     }
 
     #[test]
@@ -342,21 +223,6 @@ mod tests {
         let m = Matrix::from_flat(2, 2, vec![1.0, 2.0, 3.0, 4.0]);
         assert_eq!(m.get(0, 1), 2.0);
         assert_eq!(m.get(1, 0), 3.0);
-    }
-
-    #[test]
-    fn frobenius() {
-        let m = Matrix::from_rows(&[&[3.0, 0.0], &[0.0, 4.0]]);
-        assert!((m.frobenius_norm() - 5.0).abs() < 1e-12);
-    }
-
-    #[test]
-    fn helper_functions() {
-        assert_eq!(dot(&[1.0, 2.0], &[3.0, 4.0]), 11.0);
-        let mut a = vec![1.0, 1.0];
-        axpy(&mut a, &[2.0, 4.0], 0.5);
-        assert_eq!(a, vec![2.0, 3.0]);
-        assert!((mse(&[0.0, 0.0], &[1.0, 1.0]) - 1.0).abs() < 1e-12);
     }
 
     #[test]

@@ -1,5 +1,4 @@
-//! Trainers: the Cross-Entropy Method for policy search and plain SGD
-//! epochs for reconstruction models.
+//! The Cross-Entropy Method trainer for policy search.
 //!
 //! The paper trains its controller with RL in CARLA for 2000 episodes. The
 //! Cross-Entropy Method (CEM) is a derivative-free policy-search algorithm
@@ -208,21 +207,6 @@ impl CemTrainer {
     }
 }
 
-/// One epoch of SGD over a supervised dataset; returns the mean loss.
-///
-/// Generic over the model's train-step so both [`crate::mlp::Mlp`] and
-/// [`crate::autoencoder::Autoencoder`] reuse it.
-pub fn sgd_epoch<F>(samples: &[(Vec<f64>, Vec<f64>)], mut step: F) -> f64
-where
-    F: FnMut(&[f64], &[f64]) -> f64,
-{
-    if samples.is_empty() {
-        return 0.0;
-    }
-    let total: f64 = samples.iter().map(|(x, t)| step(x, t)).sum();
-    total / samples.len() as f64
-}
-
 /// Standard normal sample via Box–Muller.
 fn gaussian<R: Rng>(rng: &mut R) -> f64 {
     let u1: f64 = rng.gen_range(f64::MIN_POSITIVE..1.0);
@@ -320,14 +304,6 @@ mod tests {
             g.elite_mean
         );
         assert_eq!(g.index, 0);
-    }
-
-    #[test]
-    fn sgd_epoch_averages_losses() {
-        let samples = vec![(vec![1.0], vec![1.0]), (vec![2.0], vec![2.0])];
-        let loss = sgd_epoch(&samples, |x, t| (x[0] - t[0]).abs() + 1.0);
-        assert!((loss - 1.0).abs() < 1e-12);
-        assert_eq!(sgd_epoch(&[], |_, _| 1.0), 0.0);
     }
 
     #[test]

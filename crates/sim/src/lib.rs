@@ -14,8 +14,8 @@
 //!   checks, nearest-obstacle queries.
 //! * [`scenario`] — seeded scenario generation matching the paper's layout
 //!   (obstacles in the final third of the route).
-//! * [`sensing`] — ray-cast range scans and the (distance, relative bearing)
-//!   observation the safety filter consumes.
+//! * [`sensing`] — the (distance, relative bearing) observation the safety
+//!   filter consumes.
 //! * [`episode`] — a steppable episode harness with termination detection.
 //!
 //! # Example
@@ -49,7 +49,7 @@ pub mod world;
 pub mod prelude {
     pub use crate::episode::{Episode, EpisodeConfig, EpisodeStatus};
     pub use crate::scenario::ScenarioConfig;
-    pub use crate::sensing::{RangeScanner, RelativeObservation};
+    pub use crate::sensing::RelativeObservation;
     pub use crate::vehicle::{BicycleModel, Control, VehicleState};
     pub use crate::world::{Obstacle, Road, World};
 }

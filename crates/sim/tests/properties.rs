@@ -71,22 +71,6 @@ fn wrap_angle_idempotent_and_in_range() {
 }
 
 #[test]
-fn scan_is_saturated_and_nonnegative() {
-    let mut rng = StdRng::seed_from_u64(33);
-    let scanner = RangeScanner::new(16, 120.0_f64.to_radians(), 40.0);
-    for _ in 0..CASES {
-        let n = rng.gen_range(1usize..5);
-        let seed = rng.gen_range(0u64..50);
-        let world = ScenarioConfig::new(n).with_seed(seed).generate();
-        let s = state(&mut rng);
-        for d in scanner.scan(&world, &s) {
-            assert!(d >= 0.0);
-            assert!(d <= 40.0);
-        }
-    }
-}
-
-#[test]
 fn observation_distance_matches_world_query() {
     let mut rng = StdRng::seed_from_u64(34);
     for _ in 0..CASES {

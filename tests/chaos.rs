@@ -465,16 +465,23 @@ fn assert_error_frames_and_the_daemon_keeps_serving(cases: &[(Vec<u8>, &str)]) {
 
 /// A frame nested far past the JSON depth cap is answered with an `error`
 /// frame instead of overflowing the connection thread's stack (which would
-/// abort the whole daemon), as is a job whose shard reaches past its grid;
-/// the daemon keeps serving afterwards.
+/// abort the whole daemon), as is a job whose shard reaches past its grid,
+/// and a job frame holding one ~1 MiB string (parsed once, in linear time,
+/// well inside the client's read timeout); the daemon keeps serving
+/// afterwards.
 #[test]
 fn over_deep_frame_gets_an_error_frame_and_the_daemon_keeps_serving() {
     let past_the_grid = format!(
         r#"{{"v":1,"type":"job","scenarios":{SCENARIOS},"seed":{SEED},"start":0,"end":99}}"#
     );
+    let long_string = format!(
+        r#"{{"v":9,"type":"job","pad":"{}","scenarios":{SCENARIOS},"seed":{SEED},"start":0,"end":1}}"#,
+        "x".repeat(1 << 20)
+    );
     assert_error_frames_and_the_daemon_keeps_serving(&[
         ("[".repeat(200_000).into_bytes(), "deeper than"),
         (past_the_grid.into_bytes(), "inside the expanded grid"),
+        (long_string.into_bytes(), "job frame version 9"),
     ]);
 }
 
