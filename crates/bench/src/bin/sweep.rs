@@ -193,45 +193,30 @@ fn parse_cli() -> Result<CliOutcome, String> {
     Ok(CliOutcome::Run(Box::new(Cli { mode, plan })))
 }
 
-/// `--worker START..END`: run one shard of the plan's grid
-/// through the same serial scratch loop every mode uses, streaming one wire
-/// line per episode. Stdout carries **only** protocol lines; anything human
-/// goes to stderr.
-///
-/// When the plan's report mode is pure `summary`, the shard folds locally
-/// and stdout carries exactly **one** [`shard::summary_line`] — per-episode
-/// NDJSON never crosses the process boundary (the coordinator rejects a
-/// summary-mode worker that prints more than one line).
+/// `--worker START..END`: one shard of the plan's grid through
+/// [`shard::serve_shard`], the worker loop daemons run too, with each
+/// payload printed as one stdout line — a report line per episode, or in
+/// pure `summary` report mode the shard's one summary line. Stdout carries
+/// **only** protocol lines; anything human goes to stderr. A failed write
+/// (e.g. the coordinator died and the pipe broke) stops the shard at once.
 fn worker_mode(plan: &SweepPlan, shard: Shard) -> Result<(), Box<dyn std::error::Error>> {
-    let stdout = std::io::stdout();
-    let mut out = stdout.lock();
-    if !plan.emits_episodes() {
-        let mut summary = plan.run_summary();
-        plan.run_range(shard, plan.kernel, |i, report| {
-            summary.record(i, &report);
-            true
-        })?;
-        writeln!(out, "{}", shard::summary_line(shard, &summary.fragment()))?;
-        out.flush()?;
-        return Ok(());
-    }
-    let mut write_error: Option<std::io::Error> = None;
-    // A failed write (e.g. the coordinator died and the pipe broke) stops
-    // the shard immediately — no point computing episodes nobody reads.
-    plan.run_range(shard, plan.kernel, |i, report| {
-        let result = writeln!(out, "{}", shard::report_line(i, &report)).and_then(|()| out.flush());
-        match result {
-            Ok(()) => true,
-            Err(e) => {
-                write_error = Some(e);
-                false
-            }
-        }
-    })?;
-    if let Some(e) = write_error {
-        return Err(Box::new(e));
-    }
-    Ok(())
+    let mut out = std::io::stdout().lock();
+    let mut write_error = None;
+    let mut print = |payload: Vec<u8>| {
+        out.write_all(&payload)
+            .and_then(|()| out.write_all(b"\n"))
+            .and_then(|()| out.flush())
+            .map_err(|e| write_error = Some(e))
+            .is_ok()
+    };
+    shard::serve_shard(
+        plan,
+        shard,
+        plan.kernel,
+        &mut FaultInjector::none(),
+        &mut print,
+    )?;
+    write_error.map_or(Ok(()), |e| Err(e.into()))
 }
 
 /// `--check`: validate (already done at parse time) and summarize the plan.
@@ -321,11 +306,11 @@ fn engine_name(mode: &ExecMode) -> &'static str {
 /// In pure `summary` mode the distributed engines ship sketches instead of
 /// episodes: each worker process prints exactly one [`shard::summary_line`]
 /// for its shard ([`Coordinator::run_summaries`] rejects anything more),
-/// and each host ships one all-or-nothing summary frame per lease
-/// ([`RemoteCoordinator::run_plan_summary`]). The folded per-cell lines are
-/// byte-identical across all four engines because every sketch operation
-/// is exactly associative and fragments fold in spec-index order (see
-/// `docs/reporting.md`); they follow the episode stream, if any.
+/// and each host ships the same payload as one all-or-nothing frame per
+/// lease ([`RemoteCoordinator::run_plan_summary`]). The folded per-cell
+/// lines are byte-identical across all four engines because every sketch
+/// operation is exactly associative and fragments fold in spec-index order
+/// (see `docs/reporting.md`); they follow the episode stream, if any.
 fn run_plan_mode(plan: &SweepPlan, path: &str) -> Result<(), Box<dyn std::error::Error>> {
     let episodes = plan.emits_episodes();
     let start = Instant::now();

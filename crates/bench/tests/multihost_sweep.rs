@@ -177,7 +177,7 @@ fn one_sweepd_serves_consecutive_sweeps_and_drains_on_shutdown() {
         let job = JobRequest {
             scenarios: SCENARIOS,
             seed: SEED,
-            plan: None,
+            plan: Some(SweepPlan::paper(SCENARIOS, SEED)),
             shard: Shard::new(0, SCENARIOS),
         };
         write_frame(&mut stream, &job.to_frame()).expect("send job");

@@ -97,6 +97,45 @@ fn coordinator_cli_verify_mode_passes_and_streams_lines() {
     }
 }
 
+/// The processes engine in summary mode, with real `sweep --worker`
+/// processes: the committed preset prints the serial fold's lines byte for
+/// byte, and its `verify: true` checks the same in-process.
+#[test]
+fn processes_summary_preset_prints_the_serial_fold() {
+    let path = concat!(
+        env!("CARGO_MANIFEST_DIR"),
+        "/../../examples/plans/report-processes.json"
+    );
+    let plan = SweepPlan::parse(&std::fs::read_to_string(path).expect("committed preset"))
+        .expect("valid preset");
+    assert_eq!(plan.mode, ExecMode::Processes(2));
+    let report = plan.report.as_ref().expect("report section");
+    assert_eq!(report.book, None, "a test run must not upsert the book");
+    let output = Command::new(SWEEP_BIN)
+        .args(["--plan", path])
+        .output()
+        .expect("sweep --plan runs");
+    let stderr = String::from_utf8_lossy(&output.stderr);
+    assert!(
+        output.status.success(),
+        "processes summary run failed: {stderr}"
+    );
+    assert!(
+        stderr.contains("bit-identical"),
+        "verify note missing: {stderr}"
+    );
+    let mut serial = plan.run_summary();
+    for (i, r) in plan.run_serial().expect("serial").iter().enumerate() {
+        serial.record(i, r);
+    }
+    let expected: String = serial
+        .lines(&report.quantiles)
+        .iter()
+        .map(|line| format!("{line}\n"))
+        .collect();
+    assert_eq!(String::from_utf8(output.stdout).expect("utf8"), expected);
+}
+
 #[test]
 fn coordinator_reports_failing_worker_shard() {
     // A missing plan file makes every worker exit non-zero while parsing

@@ -815,6 +815,48 @@ pub fn cells_from_json(json: &Json) -> Result<Vec<CellSketch>, ShardError> {
         .collect()
 }
 
+/// Checks that `cells` is exactly the fragment a run of `shard` folds
+/// into on a grid of `specs_per_cell` specs per cell: one sketch per cell
+/// the shard overlaps, in ascending cell order, each holding as many
+/// episodes as that overlap has specs. A worker that ships fewer or more
+/// episodes than its shard holds is caught here instead of folding into a
+/// summary that silently misses (or double-counts) them.
+///
+/// # Errors
+///
+/// [`ShardError::FragmentMismatch`] naming the first discrepancy.
+pub fn check_fragment(
+    shard: Shard,
+    cells: &[CellSketch],
+    specs_per_cell: usize,
+) -> Result<(), ShardError> {
+    let per_cell = specs_per_cell.max(1);
+    let first = shard.start / per_cell;
+    let overlapped = if shard.is_empty() {
+        0
+    } else {
+        (shard.end - 1) / per_cell + 1 - first
+    };
+    let mismatch = |message: String| ShardError::FragmentMismatch { shard, message };
+    if cells.len() != overlapped {
+        return Err(mismatch(format!(
+            "{} cell sketch(es) for the {overlapped} cell(s) it overlaps",
+            cells.len()
+        )));
+    }
+    for (cell, sketch) in (first..).zip(cells) {
+        let overlap =
+            shard.end.min((cell + 1).saturating_mul(per_cell)) - shard.start.max(cell * per_cell);
+        if sketch.cell != cell || sketch.episodes != overlap as u64 {
+            return Err(mismatch(format!(
+                "expected cell {cell} with {overlap} episode(s), found cell {} with {}",
+                sketch.cell, sketch.episodes
+            )));
+        }
+    }
+    Ok(())
+}
+
 // ---------------------------------------------------------------------------
 // Run summary
 // ---------------------------------------------------------------------------
@@ -891,17 +933,21 @@ impl RunSummary {
     /// Folds a batch of `(shard, cells)` fragments in **spec-index order**
     /// (sorted by shard start). The scheduler's lease tiling guarantees
     /// disjoint shards, so after sorting, fragments arrive exactly as a
-    /// serial sweep would have produced them.
+    /// serial sweep would have produced them. Every fragment must account
+    /// for its shard ([`check_fragment`]).
     ///
     /// # Errors
     ///
-    /// [`ShardError::Wire`] when a fragment names a cell outside the grid.
+    /// [`ShardError::FragmentMismatch`] when a fragment does not account
+    /// for its shard, [`ShardError::Wire`] when it names a cell outside the
+    /// grid.
     pub fn fold_fragments(
         &mut self,
         mut fragments: Vec<(Shard, Vec<CellSketch>)>,
     ) -> Result<(), ShardError> {
         fragments.sort_by_key(|(shard, _)| shard.start);
-        for (_, cells) in &fragments {
+        for (shard, cells) in &fragments {
+            check_fragment(*shard, cells, self.specs_per_cell)?;
             self.fold_fragment(cells)?;
         }
         Ok(())
@@ -1180,6 +1226,51 @@ mod tests {
         let mut summary = RunSummary::new(2, 1);
         let bad = vec![CellSketch::new(7)];
         assert!(summary.fold_fragment(&bad).is_err());
+    }
+
+    #[test]
+    fn a_fragment_must_account_for_its_shard() {
+        let reports = sample_reports(6);
+        // Shard 1..4 of 3 cells × 2 specs: one episode of cell 0 and both
+        // of cell 1.
+        let shard = Shard::new(1, 4);
+        let mut local = RunSummary::new(3, 2);
+        for (i, report) in reports.iter().enumerate().take(4).skip(1) {
+            local.record(i, report);
+        }
+        let honest = local.fragment();
+        assert!(check_fragment(shard, &honest, 2).is_ok());
+        // Empty: the shard's episodes are missing altogether.
+        let empty: Vec<CellSketch> = Vec::new();
+        // Short: cell 1 holds one of the shard's two episodes.
+        let mut short = honest.clone();
+        short[1] = CellSketch::new(1);
+        short[1].record(&reports[2]);
+        // Double-counted: cell 0's one episode folded twice.
+        let mut doubled = honest.clone();
+        doubled[0].record(&reports[1]);
+        for (name, cells) in [("empty", empty), ("short", short), ("doubled", doubled)] {
+            assert!(
+                matches!(
+                    check_fragment(shard, &cells, 2),
+                    Err(ShardError::FragmentMismatch { shard: s, .. }) if s == shard
+                ),
+                "{name} fragment accepted"
+            );
+            let mut summary = RunSummary::new(3, 2);
+            assert!(
+                matches!(
+                    summary.fold_fragments(vec![(shard, cells)]),
+                    Err(ShardError::FragmentMismatch { .. })
+                ),
+                "{name} fragment folded"
+            );
+            assert_eq!(summary.episodes(), 0, "{name}: nothing folds");
+        }
+        // A fragment that names a cell its shard does not overlap.
+        let mut shifted = honest;
+        shifted[1].cell = 2;
+        assert!(check_fragment(shard, &shifted, 2).is_err());
     }
 
     #[test]

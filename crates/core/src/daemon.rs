@@ -1,9 +1,10 @@
 //! The long-lived `seo-sweepd` service: a persistent, multi-job worker
 //! daemon over the [`crate::transport`] wire protocol.
 //!
-//! Every job runs through [`crate::transport::serve_job`] — one sink over
-//! [`crate::plan::SweepPlan::run_range`] — and this module wraps that job
-//! path in a *service*:
+//! Every job runs through [`crate::transport::serve_job`] — the worker
+//! loop [`crate::shard::serve_shard`] that `sweep --worker` also runs, with
+//! each payload written as a frame — and this module wraps that job path
+//! in a *service*:
 //!
 //! * **Persistence** — the accept loop survives per-connection errors and
 //!   serves any number of consecutive jobs; a client that disconnects
@@ -23,16 +24,16 @@
 //!   mid-stream drops, stalls, and garbled frames, keyed off a connection
 //!   counter, so every coordinator recovery path is exercisable in CI.
 //!
-//! v1/v2 job frames from pre-daemon clients are served unchanged — the
-//! first frame of a connection is dispatched by
-//! [`crate::transport::parse_daemon_request`], and anything that is not a
-//! `health`/`shutdown` verb takes the job path (a v1 frame runs the paper
-//! preset its `scenarios`/`seed` name). A plan job whose
-//! report mode is pure `summary` flows through the same path but ships a
-//! single [`crate::transport::summary_frame`] sketch payload instead of
-//! per-episode frames ([`crate::agg`]); the `episodes_emitted` counter
-//! still advances by the episodes *run*, so health accounting is
-//! identical across report modes.
+//! The first frame of a connection is dispatched by
+//! [`crate::transport::parse_daemon_request`]: anything that is not a
+//! `health`/`shutdown` verb must be a job frame carrying its plan, and any
+//! other job frame version (the plan-less v1 included) is answered with an
+//! `error` frame naming it. A job whose report mode is pure `summary`
+//! flows through the same path but ships a single
+//! [`crate::shard::summary_line`] sketch payload instead of per-episode
+//! frames ([`crate::agg`]); the `episodes_emitted` counter still advances
+//! by the episodes *run*, so health accounting is identical across report
+//! modes.
 //!
 //! The full lifecycle, frame grammar, and operational notes live in
 //! `docs/sweepd.md`.

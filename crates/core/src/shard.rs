@@ -26,12 +26,17 @@
 //!    [`ShardError`] naming the offending shard. Shard configs are validated
 //!    (empty shards, overlaps, gaps, more workers than specs) **before**
 //!    anything is spawned.
+//! 5. [`serve_shard`] is the worker side: it runs one shard and hands each
+//!    payload — a [`report_line`] per episode, or in pure `summary` report
+//!    mode one [`summary_line`] for the whole shard — to a writer its
+//!    caller supplies.
 //!
 //! The `sweep` binary in `seo-bench` wires this to a CLI: a plan whose
 //! `exec.mode` is `{"processes": N}` runs the coordinator, which re-invokes
-//! `sweep --plan FILE --worker START..END` once per shard. The multi-host
-//! layer ([`crate::transport`]) ships the same wire lines over TCP instead
-//! of a child process's stdout.
+//! `sweep --plan FILE --worker START..END` once per shard, and each worker
+//! prints [`serve_shard`]'s payloads as stdout lines. The multi-host layer
+//! ([`crate::transport`]) ships the same payloads as length-prefixed TCP
+//! frames instead.
 //!
 //! # Example
 //!
@@ -54,8 +59,13 @@
 //! # Ok::<(), Box<dyn std::error::Error>>(())
 //! ```
 
+use crate::agg::{self, CellSketch};
+use crate::error::SeoError;
+use crate::fault::{FaultAction, FaultInjector};
 use crate::json::Json;
 use crate::metrics::{DeltaMaxHistogram, EpisodeReport, ModelEnergyReport};
+use crate::plan::SweepPlan;
+use seo_nn::kernel::KernelBackend;
 use seo_platform::energy::{EnergyCategory, EnergyLedger};
 use seo_platform::units::Joules;
 use seo_sim::episode::EpisodeStatus;
@@ -127,6 +137,15 @@ pub enum ShardError {
         /// Spec index never reported.
         index: usize,
     },
+    /// A summary fragment does not account for its shard: it misses a
+    /// cell the shard overlaps, names one it does not, or holds a different
+    /// number of episodes than the overlap has specs.
+    FragmentMismatch {
+        /// The shard the fragment claims to cover.
+        shard: Shard,
+        /// The first discrepancy.
+        message: String,
+    },
     /// A worker process failed: could not spawn, crashed, exited non-zero,
     /// or violated the wire protocol.
     WorkerFailed {
@@ -167,6 +186,9 @@ impl fmt::Display for ShardError {
             }
             Self::MissingReport { index } => {
                 write!(f, "no report received for spec index {index}")
+            }
+            Self::FragmentMismatch { shard, message } => {
+                write!(f, "summary fragment for shard {shard} does not account for it: {message}")
             }
             Self::WorkerFailed {
                 shard_index,
@@ -681,43 +703,119 @@ pub(crate) fn report_line_from_json(json: &Json) -> Result<(usize, EpisodeReport
     ))
 }
 
-/// One summary-mode worker-output line: the sketch fragment a worker
-/// folded its whole shard into, stamped with
-/// [`crate::agg::SUMMARY_VERSION`]. In `report.mode = "summary"` this is
-/// the **only** stdout a worker produces — no per-episode line crosses
-/// the process boundary.
+/// The summary payload: the sketch fragment a worker folded its whole
+/// shard into, `{"v":1,"type":"summary","shard":"a..b","cells":[…]}`,
+/// stamped with [`agg::SUMMARY_VERSION`]. In `report.mode = "summary"`
+/// this is the **only** payload a worker ships for its shard — one stdout
+/// line from a worker process, one `summary` frame from a daemon — and no
+/// per-episode line crosses the process or host boundary.
 #[must_use]
-pub fn summary_line(shard: Shard, cells: &[crate::agg::CellSketch]) -> String {
+pub fn summary_line(shard: Shard, cells: &[CellSketch]) -> String {
     Json::obj(vec![
-        ("v", crate::agg::SUMMARY_VERSION.into()),
+        ("v", agg::SUMMARY_VERSION.into()),
+        ("type", "summary".into()),
         ("shard", shard.to_string().into()),
-        ("cells", crate::agg::cells_to_json(cells)),
+        ("cells", agg::cells_to_json(cells)),
     ])
     .render()
 }
 
-/// Parses one summary wire line into `(shard, fragment)`.
+/// Parses one summary payload into `(shard, fragment)`.
 ///
 /// # Errors
 ///
-/// [`ShardError::Wire`] on malformed JSON, a version mismatch, or invalid
-/// sketch fields.
-pub fn parse_summary_line(line: &str) -> Result<(Shard, Vec<crate::agg::CellSketch>), ShardError> {
+/// [`ShardError::Wire`] on malformed JSON, a version mismatch, a payload
+/// that is not a summary, or invalid sketch fields.
+pub fn parse_summary_line(line: &str) -> Result<(Shard, Vec<CellSketch>), ShardError> {
     let json = Json::parse(line).map_err(|e| wire_err(e.to_string()))?;
-    let version = get(&json, "v")?
+    summary_from_json(&json)
+}
+
+/// [`parse_summary_line`] on a payload already parsed into a tree.
+pub(crate) fn summary_from_json(json: &Json) -> Result<(Shard, Vec<CellSketch>), ShardError> {
+    let version = get(json, "v")?
         .as_i64()
         .ok_or_else(|| wire_err("v: expected an integer"))?;
-    if version != i64::try_from(crate::agg::SUMMARY_VERSION).unwrap_or(i64::MAX) {
+    if version != i64::try_from(agg::SUMMARY_VERSION).unwrap_or(i64::MAX) {
         return Err(wire_err(format!(
             "summary version {version} (this build speaks {})",
-            crate::agg::SUMMARY_VERSION
+            agg::SUMMARY_VERSION
         )));
     }
-    let shard = get(&json, "shard")?
+    if json.get("type").and_then(Json::as_str) != Some("summary") {
+        return Err(wire_err(
+            "expected a summary payload (\"type\":\"summary\")",
+        ));
+    }
+    let shard = get(json, "shard")?
         .as_str()
         .ok_or_else(|| wire_err("shard: expected a string"))?
         .parse::<Shard>()?;
-    Ok((shard, crate::agg::cells_from_json(get(&json, "cells")?)?))
+    Ok((shard, agg::cells_from_json(get(json, "cells")?)?))
+}
+
+/// Runs one shard of `plan`'s grid on `kernel` — the worker loop behind
+/// both carriers: `sweep --worker` prints each payload as a stdout line,
+/// and [`crate::transport::serve_job`] writes it as a length-prefixed
+/// frame. Every episode goes through [`SweepPlan::run_range`].
+///
+/// When the plan emits episodes, each report becomes one [`report_line`]
+/// payload, in ascending index order. In pure `summary` report mode the
+/// reports fold locally and the shard ships as **one** [`summary_line`]
+/// after its last episode, so a worker that dies mid-shard has shipped
+/// nothing and a re-run folds each episode exactly once.
+///
+/// The injector's hooks fire after each episode is computed, in the same
+/// order in both report modes, so a chaos schedule is independent of what
+/// the shard emits; a worker without faults passes
+/// [`FaultInjector::none`]. `emit` returns `false` when its writer failed,
+/// which stops the shard at once.
+///
+/// Returns the number of episodes run, or `None` when the injector dropped
+/// the shard or `emit` refused a payload.
+///
+/// # Errors
+///
+/// [`SeoError`] when the shard lies outside the grid (checked before any
+/// episode runs) or a cell's runtime cannot be built.
+pub fn serve_shard(
+    plan: &SweepPlan,
+    shard: Shard,
+    kernel: KernelBackend,
+    injector: &mut FaultInjector<'_>,
+    mut emit: impl FnMut(Vec<u8>) -> bool,
+) -> Result<Option<usize>, SeoError> {
+    let mut summary = (!plan.emits_episodes()).then(|| plan.run_summary());
+    let mut emitted = 0usize;
+    let mut stopped = false;
+    plan.run_range(shard, kernel, |i, report| {
+        if injector.before_report() == FaultAction::Drop {
+            stopped = true;
+            return false;
+        }
+        match summary.as_mut() {
+            Some(fold) => fold.record(i, &report),
+            None => {
+                if !emit(injector.garble(report_line(i, &report).into_bytes())) {
+                    stopped = true;
+                    return false;
+                }
+            }
+        }
+        injector.after_report();
+        emitted += 1;
+        true
+    })?;
+    if stopped || injector.before_report() == FaultAction::Drop {
+        return Ok(None);
+    }
+    if let Some(fold) = &summary {
+        let line = summary_line(shard, &fold.fragment());
+        if !emit(injector.garble(line.into_bytes())) {
+            return Ok(None);
+        }
+    }
+    Ok(Some(emitted))
 }
 
 // ---------------------------------------------------------------------------
@@ -811,21 +909,38 @@ impl StreamingMerge {
         Ok(())
     }
 
+    /// Accepts one report and hands `sink` every report it releases, as
+    /// `(spec index, report)` in index order — the accept-then-drain step
+    /// every coordinator runs per arriving report.
+    ///
+    /// # Errors
+    ///
+    /// Same as [`Self::accept`]; nothing is released on error.
+    pub fn accept_into(
+        &mut self,
+        index: usize,
+        report: EpisodeReport,
+        sink: impl FnMut(usize, EpisodeReport),
+    ) -> Result<(), ShardError> {
+        self.accept(index, report)?;
+        self.release(sink);
+        Ok(())
+    }
+
     /// Releases the contiguous run of reports starting at the lowest
     /// unreleased index — the streaming half of the determinism guarantee.
     /// Returns an empty vector while that index is still outstanding.
     pub fn drain_ready(&mut self) -> Vec<EpisodeReport> {
         let mut out = Vec::new();
-        while self.next < self.slots.len() {
-            match self.slots[self.next].take() {
-                Some(report) => {
-                    out.push(report);
-                    self.next += 1;
-                }
-                None => break,
-            }
-        }
+        self.release(|_, report| out.push(report));
         out
+    }
+
+    fn release(&mut self, mut sink: impl FnMut(usize, EpisodeReport)) {
+        while let Some(report) = self.slots.get_mut(self.next).and_then(Option::take) {
+            sink(self.next, report);
+            self.next += 1;
+        }
     }
 
     /// Finishes the merge, returning any not-yet-drained reports in index
@@ -853,23 +968,19 @@ impl StreamingMerge {
 // Coordinator
 // ---------------------------------------------------------------------------
 
-/// Spawns one worker process per shard and merges their streamed reports
+/// Spawns one worker process per shard and merges their streamed output
 /// deterministically.
 ///
 /// The worker command line is `<program> <common_args>… --worker START..END`;
-/// workers must write [`report_line`]s for exactly their shard's spec
-/// indices to stdout. Worker stderr is captured and attached to failures.
+/// workers print [`serve_shard`]'s payloads for exactly their shard to
+/// stdout, one per line: a [`report_line`] per spec index, or in pure
+/// `summary` report mode one [`summary_line`]. Both modes run through one
+/// spawn–read–wait loop per worker. Worker stderr is captured and attached
+/// to failures.
 #[derive(Debug, Clone)]
 pub struct Coordinator {
     program: PathBuf,
     common_args: Vec<String>,
-}
-
-/// Shared coordinator state: the merge plus the streaming sink it feeds.
-/// One lock guards both so reports are sunk in exactly merge order.
-struct MergeState<'a> {
-    merge: StreamingMerge,
-    sink: &'a mut (dyn FnMut(usize, EpisodeReport) + Send),
 }
 
 impl Coordinator {
@@ -930,148 +1041,110 @@ impl Coordinator {
         plan: &ShardPlan,
         mut sink: impl FnMut(usize, EpisodeReport) + Send,
     ) -> Result<(), ShardError> {
-        // Defense in depth: `ShardPlan` construction already validated this,
-        // but the plan may have been built by different code than is about
-        // to fan out processes.
-        ShardPlan::from_shards(plan.shards().to_vec(), plan.n_specs())?;
-        let state = Mutex::new(MergeState {
-            merge: StreamingMerge::new(plan.n_specs()),
-            sink: &mut sink,
-        });
-        let mut failures: Vec<ShardError> = Vec::new();
-        std::thread::scope(|scope| {
-            let mut handles = Vec::with_capacity(plan.shards().len());
-            for (shard_index, &shard) in plan.shards().iter().enumerate() {
-                let state = &state;
-                handles.push(scope.spawn(move || self.drive_worker(shard_index, shard, state)));
+        // One lock guards the merge and the sink it feeds, so reports are
+        // sunk in exactly merge order.
+        let state = Mutex::new((StreamingMerge::new(plan.n_specs()), &mut sink));
+        self.drive_workers(plan, Shard::len, |shard, line| {
+            let (index, report) =
+                parse_report_line(line).map_err(|e| format!("protocol violation: {e}"))?;
+            if !shard.indices().contains(&index) {
+                return Err(format!("reported index {index} outside shard {shard}"));
             }
-            for handle in handles {
-                if let Err(e) = handle.join().expect("coordinator worker thread panicked") {
-                    failures.push(e);
-                }
-            }
-        });
-        if let Some(first) = failures.into_iter().next() {
-            return Err(first);
-        }
+            let mut guard = state.lock().expect("merge mutex poisoned");
+            let (merge, sink) = &mut *guard;
+            merge
+                .accept_into(index, report, &mut **sink)
+                .map_err(|e| e.to_string())
+        })?;
         // Every accepted report was streamed on arrival, so all that can
         // remain is a hole, which finish() names.
-        let leftovers = state
-            .into_inner()
-            .expect("merge mutex poisoned")
-            .merge
-            .finish()?;
+        let (merge, _) = state.into_inner().expect("merge mutex poisoned");
+        let leftovers = merge.finish()?;
         debug_assert!(leftovers.is_empty(), "streamed merge cannot hold a tail");
         Ok(())
     }
 
-    /// Summary-mode counterpart of [`Self::run_streaming`]: spawns every
-    /// worker and collects the **one** summary wire line each must emit
-    /// (its shard's sketch fragment), instead of per-episode report lines.
-    /// No per-episode NDJSON crosses the process boundary — a worker that
-    /// emits an episode line in this mode fails the run as a protocol
-    /// violation. Fragments come back in shard order (spec-index order),
-    /// ready for [`crate::agg::RunSummary::fold_fragments`].
+    /// Summary-mode counterpart of [`Self::run_streaming`], through the
+    /// same spawn–read–wait loop: each worker must print exactly **one**
+    /// [`summary_line`] for its own shard. No per-episode NDJSON crosses
+    /// the process boundary — a worker that prints an episode line, a
+    /// second line, or a summary for another shard fails the run.
+    /// Fragments come back in shard order (spec-index order), ready for
+    /// [`crate::agg::RunSummary::fold_fragments`], which checks that each
+    /// accounts for its shard.
     ///
     /// # Errors
     ///
     /// [`ShardError::WorkerFailed`] naming the offending shard when a
-    /// worker cannot be spawned, crashes, emits malformed output, emits a
-    /// summary for the wrong shard, or emits anything but exactly one
-    /// summary line.
+    /// worker cannot be spawned, crashes, exits non-zero, or breaks the
+    /// one-summary-line protocol.
     pub fn run_summaries(
         &self,
         plan: &ShardPlan,
-    ) -> Result<Vec<(Shard, Vec<crate::agg::CellSketch>)>, ShardError> {
-        ShardPlan::from_shards(plan.shards().to_vec(), plan.n_specs())?;
-        let mut failures: Vec<ShardError> = Vec::new();
-        let mut fragments: Vec<Option<(Shard, Vec<crate::agg::CellSketch>)>> =
-            (0..plan.shards().len()).map(|_| None).collect();
-        std::thread::scope(|scope| {
-            let mut handles = Vec::with_capacity(plan.shards().len());
-            for (shard_index, &shard) in plan.shards().iter().enumerate() {
-                handles.push(scope.spawn(move || self.drive_summary_worker(shard_index, shard)));
-            }
-            for (slot, handle) in fragments.iter_mut().zip(handles) {
-                match handle.join().expect("coordinator worker thread panicked") {
-                    Ok(fragment) => *slot = Some(fragment),
-                    Err(e) => failures.push(e),
+    ) -> Result<Vec<(Shard, Vec<CellSketch>)>, ShardError> {
+        let fragments = Mutex::new(Vec::with_capacity(plan.shards().len()));
+        self.drive_workers(
+            plan,
+            |_| 1,
+            |shard, line| {
+                let (reported, cells) =
+                    parse_summary_line(line).map_err(|e| format!("protocol violation: {e}"))?;
+                if reported != shard {
+                    return Err(format!("summary covers shard {reported}, expected {shard}"));
                 }
-            }
-        });
-        if let Some(first) = failures.into_iter().next() {
-            return Err(first);
-        }
-        Ok(fragments
-            .into_iter()
-            .map(|slot| slot.expect("no failure implies every slot is filled"))
-            .collect())
+                fragments
+                    .lock()
+                    .expect("fragment mutex poisoned")
+                    .push((shard, cells));
+                Ok(())
+            },
+        )?;
+        let mut fragments = fragments.into_inner().expect("fragment mutex poisoned");
+        fragments.sort_by_key(|(shard, _)| shard.start);
+        Ok(fragments)
     }
 
-    /// Spawns one summary-mode worker and collects its single summary line.
-    fn drive_summary_worker(
+    /// Re-validates the plan, runs one [`Self::drive_worker`] per shard on
+    /// its own thread (so slow shards never block fast ones), and returns
+    /// the first failure in shard order once every worker is reaped.
+    fn drive_workers(
         &self,
-        shard_index: usize,
-        shard: Shard,
-    ) -> Result<(Shard, Vec<crate::agg::CellSketch>), ShardError> {
-        let fail = |message: String| ShardError::WorkerFailed {
-            shard_index,
-            shard,
-            message,
-        };
-        let output = Command::new(&self.program)
-            .args(&self.common_args)
-            .arg("--worker")
-            .arg(shard.to_string())
-            .stdin(Stdio::null())
-            .output()
-            .map_err(|e| fail(format!("spawn failed: {e}")))?;
-        let stderr_note = || {
-            let tail = String::from_utf8_lossy(&output.stderr);
-            let trimmed = tail.trim();
-            if trimmed.is_empty() {
-                String::new()
-            } else {
-                let tail_start = trimmed.char_indices().rev().nth(399).map_or(0, |(i, _)| i);
-                format!("; stderr: {}", &trimmed[tail_start..])
-            }
-        };
-        if !output.status.success() {
-            return Err(fail(format!(
-                "exited with {}{}",
-                output.status,
-                stderr_note()
-            )));
-        }
-        let stdout = String::from_utf8_lossy(&output.stdout);
-        let mut lines = stdout.lines().filter(|l| !l.trim().is_empty());
-        let line = lines
-            .next()
-            .ok_or_else(|| fail(format!("emitted no summary line{}", stderr_note())))?;
-        if lines.next().is_some() {
-            return Err(fail(
-                "emitted more than one line in summary mode (per-episode output must not \
-                 cross the process boundary)"
-                    .to_owned(),
-            ));
-        }
-        let (reported_shard, cells) =
-            parse_summary_line(line).map_err(|e| fail(format!("protocol violation: {e}")))?;
-        if reported_shard != shard {
-            return Err(fail(format!(
-                "summary covers shard {reported_shard}, expected {shard}"
-            )));
-        }
-        Ok((shard, cells))
+        plan: &ShardPlan,
+        expected_lines: impl Fn(&Shard) -> usize + Sync,
+        handle: impl Fn(Shard, &str) -> Result<(), String> + Sync,
+    ) -> Result<(), ShardError> {
+        // Defense in depth: `ShardPlan` construction already validated this,
+        // but the plan may have been built by different code than is about
+        // to fan out processes.
+        ShardPlan::from_shards(plan.shards().to_vec(), plan.n_specs())?;
+        let (expected_lines, handle) = (&expected_lines, &handle);
+        std::thread::scope(|scope| {
+            let workers: Vec<_> = plan
+                .shards()
+                .iter()
+                .enumerate()
+                .map(|(shard_index, &shard)| {
+                    scope.spawn(move || {
+                        self.drive_worker(shard_index, shard, expected_lines(&shard), handle)
+                    })
+                })
+                .collect();
+            workers
+                .into_iter()
+                .map(|worker| worker.join().expect("coordinator worker thread panicked"))
+                .fold(Ok(()), Result::and)
+        })
     }
 
-    /// Spawns and fully consumes one worker. Runs on its own coordinator
-    /// thread so slow shards never block fast ones from merging.
+    /// Spawns one worker, hands each non-blank stdout line to `handle`,
+    /// and waits for it; the worker must print exactly `expected_lines`
+    /// lines and exit 0.
     fn drive_worker(
         &self,
         shard_index: usize,
         shard: Shard,
-        state: &Mutex<MergeState<'_>>,
+        expected_lines: usize,
+        handle: &impl Fn(Shard, &str) -> Result<(), String>,
     ) -> Result<(), ShardError> {
         let fail = |message: String| ShardError::WorkerFailed {
             shard_index,
@@ -1090,30 +1163,19 @@ impl Coordinator {
         let stdout = child.stdout.take().expect("stdout was piped");
         let mut stderr = child.stderr.take().expect("stderr was piped");
 
-        let consume = |stdout| -> Result<usize, ShardError> {
+        let consume = |stdout| -> Result<usize, String> {
             let mut lines_seen = 0usize;
             for line in BufReader::new(stdout).lines() {
-                let line = line.map_err(|e| fail(format!("reading stdout: {e}")))?;
+                let line = line.map_err(|e| format!("reading stdout: {e}"))?;
                 if line.trim().is_empty() {
                     continue;
                 }
-                let (index, report) = parse_report_line(&line)
-                    .map_err(|e| fail(format!("protocol violation: {e}")))?;
-                if !shard.indices().contains(&index) {
-                    return Err(fail(format!(
-                        "reported index {index} outside shard {shard}"
-                    )));
+                if lines_seen == expected_lines {
+                    return Err(format!(
+                        "printed more than the {expected_lines} line(s) its shard expects"
+                    ));
                 }
-                let mut guard = state.lock().expect("merge mutex poisoned");
-                let MergeState { merge, sink } = &mut *guard;
-                merge
-                    .accept(index, report)
-                    .map_err(|e| fail(e.to_string()))?;
-                // Stream out whatever prefix this report completed.
-                let next = merge.next_index();
-                for (offset, ready) in merge.drain_ready().into_iter().enumerate() {
-                    sink(next + offset, ready);
-                }
+                handle(shard, &line)?;
                 lines_seen += 1;
             }
             Ok(lines_seen)
@@ -1149,28 +1211,13 @@ impl Coordinator {
         // dropping stdout mid-stream gives the still-writing worker a broken
         // pipe and a non-zero exit, and reporting *that* would bury the
         // actual diagnosis (e.g. a wire version mismatch).
-        let lines_seen = match consumed {
-            Ok(n) => n,
-            Err(ShardError::WorkerFailed {
-                shard_index,
-                shard,
-                message,
-            }) => {
-                return Err(ShardError::WorkerFailed {
-                    shard_index,
-                    shard,
-                    message: format!("{message}{}", stderr_note()),
-                })
-            }
-            Err(other) => return Err(other),
-        };
+        let lines_seen = consumed.map_err(|message| fail(format!("{message}{}", stderr_note())))?;
         if !status.success() {
             return Err(fail(format!("exited with {status}{}", stderr_note())));
         }
-        if lines_seen != shard.len() {
+        if lines_seen != expected_lines {
             return Err(fail(format!(
-                "reported {lines_seen}/{} episodes{}",
-                shard.len(),
+                "printed {lines_seen}/{expected_lines} expected line(s){}",
                 stderr_note()
             )));
         }

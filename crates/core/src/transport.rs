@@ -1,6 +1,6 @@
-//! Multi-host sweep transport: length-delimited TCP framing over the v1
-//! NDJSON episode protocol, validated host-pool configuration, and a
-//! fault-tolerant remote coordinator.
+//! Multi-host sweep transport: length-delimited TCP framing over the
+//! worker payloads [`crate::shard`] defines, validated host-pool
+//! configuration, and a fault-tolerant remote coordinator.
 //!
 //! [`crate::shard`] scales a sweep across **processes** on one machine; this
 //! module scales the same grid across **hosts** while keeping the same
@@ -10,14 +10,13 @@
 //!
 //! 1. **Framing** — each message travels as a 4-byte big-endian length
 //!    prefix followed by that many payload bytes ([`write_frame`] /
-//!    [`read_frame`]). Report payloads are byte-for-byte the
-//!    [`crate::shard::report_line`] NDJSON the process-level protocol
-//!    already speaks; TCP merely carries them. Control frames (`job`,
+//!    [`read_frame`]). A worker's payloads are byte-for-byte the ones a
+//!    worker process prints on stdout: a [`crate::shard::report_line`] per
+//!    episode, or in pure `summary` report mode one
+//!    [`crate::shard::summary_line`] for the whole job shard
+//!    ([`crate::agg`]); TCP merely carries them. Control frames (`job`,
 //!    `done`, `error`, `busy`, `health`, `shutdown`) are JSON objects
-//!    distinguished by a `"type"` field, as is the `summary` frame — the
-//!    one whole-shard sketch payload a job ships instead of episode
-//!    frames when its plan's report mode is pure `summary`
-//!    ([`crate::agg`]).
+//!    distinguished by a `"type"` field.
 //! 2. **[`HostPool`]** — the fleet a plan's `exec.mode.hosts` section
 //!    names, parsed and validated: duplicate addresses, zero capacities,
 //!    blank addresses, and empty pools are rejected **before** any
@@ -42,7 +41,8 @@
 //! 4. **[`crate::daemon::DaemonServer`]** — the accept loop behind the
 //!    `seo-sweepd` binary: a long-lived multi-job service (admission
 //!    control, `health`, graceful drain) whose every job runs through
-//!    [`serve_job`], one sink over [`SweepPlan::run_range`].
+//!    [`serve_job`]: the shared worker loop [`crate::shard::serve_shard`],
+//!    with each payload written as a frame.
 //!
 //! Deterministic fault injection for all of the above lives in
 //! [`crate::fault`]; `docs/sweepd.md` is the service book.
@@ -66,8 +66,8 @@
 //! # Ok::<(), seo_core::transport::TransportError>(())
 //! ```
 
-use crate::agg::{CellSketch, RunSummary};
-use crate::fault::{FaultAction, FaultInjector};
+use crate::agg::{check_fragment, CellSketch, RunSummary};
+use crate::fault::FaultInjector;
 use crate::json::Json;
 use crate::lease::{ChunkPolicy, Lease, LeaseQueue};
 use crate::metrics::EpisodeReport;
@@ -282,45 +282,38 @@ fn check_version(obj: &Json) -> Result<(), TransportError> {
 ///
 /// The grid is the expanded multi-axis grid of a [`SweepPlan`] shipped
 /// inline with the job, so a daemon needs no local plan file to serve one.
-/// A legacy v1 frame carries no plan; it names the paper preset
-/// `SweepPlan::paper(scenarios, seed)` instead, which expands
-/// byte-identically to the paper grid such frames always meant.
+/// Every job frame carries its plan: a frame without one is rejected.
 ///
 /// The ascending-order requirement is load-bearing for fault tolerance: it
 /// makes a lost host's unreported work a contiguous tail, which is what
 /// [`RemoteCoordinator`] re-queues for the surviving hosts to steal.
 #[derive(Debug, Clone, PartialEq)]
 pub struct JobRequest {
-    /// Paper-preset grid size ([`SweepPlan::paper`]); ignored by receivers
-    /// when `plan` is present.
+    /// Grid size, written to the frame for the record; receivers run
+    /// `plan`'s grid.
     pub scenarios: usize,
-    /// Grid base seed; ignored by receivers when `plan` is present.
+    /// Grid base seed, written to the frame for the record; receivers run
+    /// `plan`'s grid.
     pub seed: u64,
-    /// The full sweep plan whose expanded grid the shard indexes into
-    /// (`None` for legacy paper-grid jobs).
+    /// The full sweep plan whose expanded grid the shard indexes into.
+    /// Always `Some` on a decoded job; a request without a plan encodes a
+    /// frame every receiver rejects.
     pub plan: Option<SweepPlan>,
     /// The spec range to run.
     pub shard: Shard,
 }
 
 impl JobRequest {
-    /// Job-frame version for **plan-bearing** jobs. Legacy paper-grid jobs
-    /// keep speaking [`shard::WIRE_VERSION`] (1) byte-for-byte; a plan job
-    /// bumps the frame's `"v"` to 2 so a pre-plan daemon — which only
-    /// understands the legacy grid — rejects it with a version error
-    /// instead of silently running the wrong grid.
+    /// The job-frame version: every job carries its plan. Version 1 was
+    /// the plan-less paper-grid job, which receivers answer with an
+    /// `error` frame naming its version.
     pub const PLAN_JOB_VERSION: u64 = 2;
 
     /// Encodes the request as a control-frame payload.
     #[must_use]
     pub fn to_frame(&self) -> Vec<u8> {
-        let version = if self.plan.is_some() {
-            Self::PLAN_JOB_VERSION
-        } else {
-            shard::WIRE_VERSION
-        };
         let mut fields = vec![
-            ("v", version.into()),
+            ("v", Self::PLAN_JOB_VERSION.into()),
             ("type", "job".into()),
             ("scenarios", self.scenarios.into()),
             ("seed", shard::u64_to_wire(self.seed)),
@@ -333,16 +326,15 @@ impl JobRequest {
         Json::obj(fields).render().into_bytes()
     }
 
-    /// Decodes a request from a control-frame payload. Version 1 frames are
-    /// legacy paper-grid jobs (an inline plan there is a protocol error);
-    /// version 2 frames **must** carry the plan their version promises.
+    /// Decodes a request from a control-frame payload, which must be a
+    /// [`Self::PLAN_JOB_VERSION`] job carrying its plan.
     ///
     /// # Errors
     ///
-    /// [`TransportError::Frame`] on malformed JSON, a version/payload
-    /// mismatch, a wrong `type`, an empty/reversed shard range, or an
-    /// invalid inline plan (the plan's own collected validation errors are
-    /// included).
+    /// [`TransportError::Frame`] on malformed JSON, any other version
+    /// (naming it), a wrong `type`, a missing plan, an empty/reversed shard
+    /// range, or an invalid inline plan (the plan's own collected
+    /// validation errors are included).
     pub fn from_frame(payload: &[u8]) -> Result<Self, TransportError> {
         Self::from_json(&parse_frame_json(payload)?)
     }
@@ -358,23 +350,14 @@ impl JobRequest {
         if kind != "job" {
             return Err(frame_err(format!("expected a job frame, got '{kind}'")));
         }
-        let plan = match (version, json.get("plan")) {
-            (1, None) => None,
-            (2, Some(p)) => {
-                Some(SweepPlan::from_json(p).map_err(|e| frame_err(format!("plan: {e}")))?)
-            }
-            (1, Some(_)) => {
-                return Err(frame_err(
-                    "job frame v1 must not carry a plan (plan jobs speak v2)",
-                ))
-            }
-            (2, None) => return Err(frame_err("job frame v2 is missing its plan")),
-            (v, _) => {
-                return Err(frame_err(format!(
-                    "job frame version {v} (this build speaks 1 and 2)"
-                )))
-            }
-        };
+        if version != i64::try_from(Self::PLAN_JOB_VERSION).unwrap_or(i64::MAX) {
+            return Err(frame_err(format!(
+                "job frame version {version} (this build speaks {}: jobs carry their plan)",
+                Self::PLAN_JOB_VERSION
+            )));
+        }
+        let plan = SweepPlan::from_json(get(json, "plan")?)
+            .map_err(|e| frame_err(format!("plan: {e}")))?;
         let shard = Shard::new(get_usize(json, "start")?, get_usize(json, "end")?);
         if shard.is_empty() {
             return Err(frame_err(format!("job shard {shard} covers no specs")));
@@ -382,7 +365,7 @@ impl JobRequest {
         Ok(Self {
             scenarios: get_usize(json, "scenarios")?,
             seed: shard::u64_from_wire(get(json, "seed")?, "seed").map_err(TransportError::from)?,
-            plan,
+            plan: Some(plan),
             shard,
         })
     }
@@ -421,8 +404,9 @@ pub enum WorkerMsg {
     },
     /// The whole job shard folded into per-cell sketches — the one frame a
     /// worker sends (before `done`) when the job's plan runs in pure
-    /// `summary` report mode. All-or-nothing per connection attempt: a
-    /// worker that dies mid-shard has shipped *nothing*, so the
+    /// `summary` report mode; the payload is byte-for-byte a
+    /// [`crate::shard::summary_line`]. All-or-nothing per connection
+    /// attempt: a worker that dies mid-shard has shipped *nothing*, so the
     /// coordinator re-issues the full remainder and each episode is folded
     /// exactly once.
     Summary {
@@ -440,23 +424,6 @@ pub fn done_frame(count: usize) -> Vec<u8> {
         ("v", shard::WIRE_VERSION.into()),
         ("type", "done".into()),
         ("count", count.into()),
-    ])
-    .render()
-    .into_bytes()
-}
-
-/// Encodes the `summary` frame: one worker's whole-shard sketch fragment,
-/// the only payload (besides `done`) that crosses the wire in pure
-/// `summary` report mode. The `cells` array is byte-for-byte
-/// [`crate::agg::cells_to_json`], so folding at the coordinator is
-/// independent of which host produced the fragment.
-#[must_use]
-pub fn summary_frame(shard: Shard, cells: &[CellSketch]) -> Vec<u8> {
-    Json::obj(vec![
-        ("v", shard::WIRE_VERSION.into()),
-        ("type", "summary".into()),
-        ("shard", shard.to_string().into()),
-        ("cells", crate::agg::cells_to_json(cells)),
     ])
     .render()
     .into_bytes()
@@ -608,8 +575,7 @@ impl HealthReport {
 /// to run, or one of the service control verbs.
 #[derive(Debug, Clone, PartialEq)]
 pub enum DaemonRequest {
-    /// Run a shard (v1 legacy paper-grid or v2 plan-bearing job — both
-    /// wire versions are accepted unchanged).
+    /// Run a shard of the plan the job carries.
     Job(Box<JobRequest>),
     /// Answer a [`HealthReport`].
     Health,
@@ -619,8 +585,7 @@ pub enum DaemonRequest {
 
 /// Decodes the first frame of a daemon conversation. `health` and
 /// `shutdown` requests are distinguished by their `"type"`; everything
-/// else must parse as a [`JobRequest`] (which keeps v1/v2 job frames from
-/// pre-daemon clients working byte-for-byte).
+/// else must parse as a [`JobRequest`].
 ///
 /// # Errors
 ///
@@ -646,8 +611,9 @@ fn parse_frame_json(payload: &[u8]) -> Result<Json, TransportError> {
 }
 
 /// Decodes one worker frame: report payloads are exactly the NDJSON
-/// [`crate::shard::report_line`] (no `"type"` field), control payloads
-/// carry `"type": "done" | "error"`.
+/// [`crate::shard::report_line`] (no `"type"` field), summary payloads
+/// exactly a [`crate::shard::summary_line`], and control payloads carry
+/// `"type": "done" | "error" | "busy"`.
 ///
 /// # Errors
 ///
@@ -678,13 +644,8 @@ pub fn parse_worker_frame(payload: &[u8]) -> Result<WorkerMsg, TransportError> {
             cap: get_usize(&json, "cap")?,
         }),
         "summary" => {
-            let shard = get(&json, "shard")?
-                .as_str()
-                .ok_or_else(|| frame_err("shard: expected a string"))?
-                .parse::<Shard>()
-                .map_err(|e| frame_err(e.to_string()))?;
-            let cells = crate::agg::cells_from_json(get(&json, "cells")?)
-                .map_err(|e| frame_err(e.to_string()))?;
+            let (shard, cells) =
+                shard::summary_from_json(&json).map_err(|e| frame_err(e.to_string()))?;
             Ok(WorkerMsg::Summary { shard, cells })
         }
         other => Err(frame_err(format!("unknown frame type '{other}'"))),
@@ -1134,9 +1095,10 @@ impl RemoteRunStats {
 type SummaryFragments = Vec<(Shard, Vec<CellSketch>)>;
 
 /// Shared merge state: the merge plus the streaming sink it feeds, under
-/// one lock so reports are sunk in exactly merge order (the same discipline
-/// as the process-level coordinator). `accepted`/`by_host` feed the
-/// readmission progress rule and [`RemoteRunStats::episodes_by_host`].
+/// one lock so reports are sunk in exactly merge order
+/// ([`StreamingMerge::accept_into`], as in the process-level coordinator).
+/// `accepted`/`by_host` feed the readmission progress rule and
+/// [`RemoteRunStats::episodes_by_host`].
 struct MergeState<'a> {
     merge: StreamingMerge,
     sink: &'a mut (dyn FnMut(usize, EpisodeReport) + Send),
@@ -1301,7 +1263,7 @@ impl RemoteCoordinator {
     }
 
     /// Runs a pure-`summary` plan across the pool: each lease comes back
-    /// as one all-or-nothing [`summary_frame`] sketch fragment — no
+    /// as one all-or-nothing `summary` frame ([`shard::summary_line`]) — no
     /// per-episode NDJSON crosses the host boundary — and the fragments
     /// are folded into the plan's [`RunSummary`] in spec-index order. The
     /// folded state is bit-identical to folding [`SweepPlan::run_serial`]
@@ -1309,7 +1271,9 @@ impl RemoteCoordinator {
     /// included: a worker that dies before its frame has shipped nothing
     /// (the full remainder re-queues), and a worker whose frame arrived
     /// but whose `done` handshake was lost leaves an empty remainder, so
-    /// every episode is folded exactly once.
+    /// every episode is folded exactly once. A fragment that does not
+    /// account for its lease ([`crate::agg::check_fragment`]) is a fatal
+    /// fault: the host is shed and the lease re-issued.
     ///
     /// # Errors
     ///
@@ -1575,13 +1539,7 @@ impl RemoteCoordinator {
         let mut next = lease.shard.start;
         let mut attempt = 0u32;
         loop {
-            let job = JobRequest {
-                scenarios: plan.n_specs(),
-                seed: plan.axes.seeds.base,
-                plan: Some(plan.clone()),
-                shard: Shard::new(next, end),
-            };
-            match self.drive_connection(host_index, &job, state, &mut next) {
+            match self.drive_connection(host_index, plan, Shard::new(next, end), state, &mut next) {
                 Ok(()) => return Ok(()),
                 Err(fault) => {
                     attempt += 1;
@@ -1605,18 +1563,26 @@ impl RemoteCoordinator {
         }
     }
 
-    /// The per-connection protocol loop. `next` tracks the lowest index of
-    /// the shard not yet accepted into the merge; because workers must
-    /// stream in ascending order, `[next, shard.end)` is exactly the
-    /// remaining work if the connection dies. Every failure is classified
-    /// per [`FaultClass`] for the retry layer above.
+    /// The per-connection protocol loop: sends `shard` of `plan` as one
+    /// job. `next` tracks the lowest index of the shard not yet accepted
+    /// into the merge; because workers must stream in ascending order,
+    /// `[next, shard.end)` is exactly the remaining work if the connection
+    /// dies. Every failure is classified per [`FaultClass`] for the retry
+    /// layer above.
     fn drive_connection(
         &self,
         host_index: usize,
-        request: &JobRequest,
+        plan: &SweepPlan,
+        shard: Shard,
         state: &Mutex<MergeState<'_>>,
         next: &mut usize,
     ) -> Result<(), DriveError> {
+        let request = JobRequest {
+            scenarios: plan.n_specs(),
+            seed: plan.axes.seeds.base,
+            plan: Some(plan.clone()),
+            shard,
+        };
         let host = &self.pool.hosts()[host_index];
         let mut stream = connect(&host.addr, self.timeout).map_err(DriveError::transient)?;
         stream
@@ -1629,7 +1595,7 @@ impl RemoteCoordinator {
         // In pure `summary` report mode the worker folds the whole job
         // shard locally and ships one sketch frame; any per-episode report
         // frame on the wire is a protocol violation (and vice versa).
-        let summary_only = request.plan.as_ref().is_some_and(|p| !p.emits_episodes());
+        let summary_only = !plan.emits_episodes();
         loop {
             let payload = read_frame(&mut stream)
                 .map_err(|e| DriveError::from_transport(&e))?
@@ -1669,14 +1635,10 @@ impl RemoteCoordinator {
                         ..
                     } = &mut *guard;
                     merge
-                        .accept(index, report)
+                        .accept_into(index, report, &mut **sink)
                         .map_err(|e| DriveError::fatal(format!("protocol violation: {e}")))?;
                     *accepted += 1;
                     by_host[host_index] += 1;
-                    let base = merge.next_index();
-                    for (offset, ready) in merge.drain_ready().into_iter().enumerate() {
-                        sink(base + offset, ready);
-                    }
                     drop(guard);
                     *next += 1;
                 }
@@ -1711,6 +1673,8 @@ impl RemoteCoordinator {
                              connection)"
                         )));
                     }
+                    check_fragment(shard, &cells, plan.axes.specs_per_cell())
+                        .map_err(|e| DriveError::fatal(e.to_string()))?;
                     let mut guard = state.lock().expect("merge mutex poisoned");
                     guard.accepted += shard.len();
                     guard.by_host[host_index] += shard.len();
@@ -1789,86 +1753,51 @@ fn connect(addr: &str, timeout: Duration) -> Result<TcpStream, String> {
 // ---------------------------------------------------------------------------
 
 /// Runs one already-parsed [`JobRequest`] over `stream`, the daemon's job
-/// path. A v2 job runs its inline plan; a v1 job runs the paper preset
-/// [`SweepPlan::paper`]`(scenarios, seed)`, which expands byte-identically
-/// to the legacy paper grid. Either way every episode goes through
-/// [`SweepPlan::run_range`] on **this daemon's** kernel backend — backends
-/// are bit-identical, so a mixed fleet still merges correctly — and
-/// streams back as one report frame, in ascending index order, followed
-/// by a `done` frame.
+/// path: [`shard::serve_shard`] runs the job's shard of its plan on **this
+/// daemon's** kernel backend and each payload goes out as one frame — a
+/// report frame per episode in ascending index order, or in pure
+/// `summary` report mode one `summary` frame — followed by a `done` frame.
+/// Backends are bit-identical, so a mixed fleet still merges correctly.
+/// An injected drop at any point means the connection dies without
+/// `done`.
 ///
-/// When the plan's report mode is pure `summary`, no episode frame is
-/// written at all: every report folds into a local [`RunSummary`] and the
-/// shard ships as **one** [`summary_frame`] right before `done`. An
-/// injected drop at any point means the connection dies with *nothing*
-/// shipped — all-or-nothing, so a re-issued lease folds each episode
-/// exactly once.
-///
-/// The fault injector's hooks fire after each episode is computed, in the
-/// same order in both report modes, so a chaos schedule is independent of
-/// what the job emits. Returns the number of episodes run, or `None` when
-/// the injector dropped the connection mid-stream.
+/// Returns the number of episodes run, or `None` when the injector dropped
+/// the connection mid-stream.
 ///
 /// # Errors
 ///
-/// [`TransportError`] on a shard outside the grid (checked by `run_range`
-/// before any episode runs) or a runtime that cannot be built (an `error`
-/// frame is sent back best-effort), or a socket failure.
+/// [`TransportError`] on a job without a plan, a shard outside the grid
+/// (checked by `run_range` before any episode runs) or a runtime that
+/// cannot be built (an `error` frame is sent back best-effort), or a
+/// socket failure.
 pub fn serve_job(
     stream: &mut TcpStream,
     request: &JobRequest,
     runtime: &RuntimeLoop,
     injector: &mut FaultInjector<'_>,
 ) -> Result<Option<usize>, TransportError> {
-    let paper;
-    let plan = match &request.plan {
-        Some(plan) => plan,
-        None => {
-            paper = SweepPlan::paper(request.scenarios, request.seed);
-            &paper
-        }
+    let Some(plan) = &request.plan else {
+        return Err(frame_err("job carries no plan"));
     };
-    let shard = request.shard;
-    let mut summary = (!plan.emits_episodes()).then(|| plan.run_summary());
-    let mut emitted = 0usize;
-    let mut dropped = false;
     let mut write_error = None;
-    let ran = plan.run_range(shard, runtime.kernel(), |i, report| {
-        if injector.before_report() == FaultAction::Drop {
-            dropped = true;
-            return false;
-        }
-        match summary.as_mut() {
-            Some(fold) => fold.record(i, &report),
-            None => {
-                let line = injector.garble(shard::report_line(i, &report).into_bytes());
-                if let Err(e) = write_frame(stream, &line) {
-                    write_error = Some(e);
-                    return false;
-                }
-            }
-        }
-        injector.after_report();
-        emitted += 1;
-        true
+    let served = shard::serve_shard(plan, request.shard, runtime.kernel(), injector, |payload| {
+        write_frame(stream, &payload)
+            .map_err(|e| write_error = Some(e))
+            .is_ok()
     });
     if let Some(e) = write_error {
         return Err(e);
     }
-    if let Err(e) = ran {
-        let e = frame_err(format!("running job shard {shard}: {e}"));
-        let _ = write_frame(stream, &error_frame(&e.to_string()));
-        return Err(e);
+    match served {
+        Ok(Some(count)) => {
+            write_frame(stream, &done_frame(count))?;
+            Ok(Some(count))
+        }
+        Ok(None) => Ok(None), // injected mid-stream death: vanish without `done`
+        Err(e) => {
+            let e = frame_err(format!("running job shard {}: {e}", request.shard));
+            let _ = write_frame(stream, &error_frame(&e.to_string()));
+            Err(e)
+        }
     }
-    if dropped || injector.before_report() == FaultAction::Drop {
-        return Ok(None); // injected mid-stream death: vanish without `done`
-    }
-    if let Some(fold) = &summary {
-        write_frame(
-            stream,
-            &injector.garble(summary_frame(shard, &fold.fragment())),
-        )?;
-    }
-    write_frame(stream, &done_frame(emitted))?;
-    Ok(Some(emitted))
 }

@@ -14,10 +14,10 @@
 
 use seo_core::batch::ScenarioSpec;
 use seo_core::prelude::*;
-use seo_core::shard::report_line;
+use seo_core::shard::{report_line, summary_line};
 use seo_core::transport::{
-    health_request_frame, parse_worker_frame, read_frame, shutdown_request_frame, write_frame,
-    JobRequest, WorkerMsg,
+    done_frame, health_request_frame, parse_worker_frame, read_frame, shutdown_request_frame,
+    write_frame, JobRequest, WorkerMsg,
 };
 use seo_integration::{paper_runtime, serial_reference};
 use std::net::{SocketAddr, TcpListener, TcpStream};
@@ -105,14 +105,25 @@ fn open(addr: SocketAddr) -> TcpStream {
     stream
 }
 
+/// A job frame for `[start, end)` of the paper-preset plan, whose grid is
+/// the one `serial_reports` runs.
 fn job_frame(start: usize, end: usize) -> Vec<u8> {
     JobRequest {
         scenarios: SCENARIOS,
         seed: SEED,
-        plan: None,
+        plan: Some(paper()),
         shard: Shard::new(start, end),
     }
     .to_frame()
+}
+
+/// The exact bytes a plan-less v1 coordinator sends for `[start, end)` of
+/// the paper grid.
+fn v1_job_frame(start: usize, end: usize) -> Vec<u8> {
+    format!(
+        r#"{{"v":1,"type":"job","scenarios":{SCENARIOS},"seed":{SEED},"start":{start},"end":{end}}}"#
+    )
+    .into_bytes()
 }
 
 fn next_msg(stream: &mut TcpStream) -> WorkerMsg {
@@ -355,6 +366,79 @@ fn draining_daemon_refuses_new_jobs_while_finishing_the_old_one() {
     assert_eq!(daemon.server.stats().jobs_served(), 1);
 }
 
+/// A host that answers every job with a summary fragment for exactly the
+/// shard it was sent but no cells in it, then an honest-looking `done`: its
+/// fragment claims the lease and accounts for none of its episodes.
+fn spawn_lying_host() -> SocketAddr {
+    let listener = TcpListener::bind("127.0.0.1:0").expect("bind lying host");
+    let addr = listener.local_addr().expect("local addr");
+    std::thread::spawn(move || {
+        for mut stream in listener.incoming().flatten() {
+            std::thread::spawn(move || {
+                let Ok(Some(payload)) = read_frame(&mut stream) else {
+                    return;
+                };
+                let Ok(job) = JobRequest::from_frame(&payload) else {
+                    return;
+                };
+                let _ = write_frame(&mut stream, summary_line(job.shard, &[]).as_bytes());
+                let _ = write_frame(&mut stream, &done_frame(job.shard.len()));
+            });
+        }
+    });
+    addr
+}
+
+/// A summary fragment must account for its lease: a lying host's empty
+/// fragment is a fatal fault. Beside an honest daemon the liar is shed,
+/// its lease re-issued, and the fold stays byte-identical to the serial
+/// one; alone, it fails the run with `NoSurvivors` instead of an exit-0
+/// summary of zero episodes.
+#[test]
+fn summary_fragment_that_skips_its_episodes_is_fatal() {
+    let plan = paper()
+        .with_tau_ms(vec![20.0, 25.0])
+        .with_report(ReportSpec::new());
+    let quantiles = [0.5, 0.99];
+    let mut serial = plan.run_summary();
+    for (i, report) in plan.run_serial().expect("serial").iter().enumerate() {
+        serial.record(i, report);
+    }
+    let liar = spawn_lying_host();
+    // The honest daemon stalls every connection, so the liar is sure to
+    // pull a lease before the grid is done.
+    let honest = spawn_daemon(faulty("stall-ms=50"));
+    let pool = pool_of(&[(liar, 1), (honest.addr, 1)], RetryPolicy::default());
+    let (summary, stats) = RemoteCoordinator::new(pool)
+        .run_plan_summary(&plan)
+        .expect("the honest host finishes the grid");
+    assert_eq!(summary.lines(&quantiles), serial.lines(&quantiles));
+    assert_eq!(stats.hosts_lost.len(), 1, "{:?}", stats.hosts_lost);
+    let loss = &stats.hosts_lost[0];
+    assert_eq!(loss.addr, liar.to_string());
+    assert_eq!(loss.class, FaultClass::Fatal);
+    assert!(
+        loss.message.contains("does not account"),
+        "{}",
+        loss.message
+    );
+    assert!(stats.reissues >= 1, "the liar's lease is re-issued");
+    assert_eq!(episodes_on(&stats, liar), 0);
+    assert_eq!(episodes_on(&stats, honest.addr), plan.n_specs());
+
+    let alone = pool_of(&[(liar, 1)], RetryPolicy::default());
+    match RemoteCoordinator::new(alone).run_plan_summary(&plan) {
+        Err(TransportError::NoSurvivors {
+            remaining,
+            last_error,
+        }) => {
+            assert_eq!(remaining, plan.n_specs());
+            assert!(last_error.contains("does not account"), "{last_error}");
+        }
+        other => panic!("expected NoSurvivors, got {other:?}"),
+    }
+}
+
 /// A garbled report frame is a protocol violation, not a flaky
 /// connection: the host dies immediately — no retry, no quarantine, no
 /// probe — and its lease remnant is re-queued for the survivor to steal.
@@ -387,20 +471,27 @@ fn garbled_report_is_fatal_and_never_retried() {
     }
 }
 
-/// Wire compatibility: the daemon serves a hand-assembled v1 (legacy
-/// paper-grid) job frame and a v2 (plan-bearing) frame, answering each
-/// with report payloads byte-for-byte identical to the serial wire lines.
-/// The v1 frame runs the paper preset, so its bytes are the legacy grid's.
+/// One job frame: the daemon answers a hand-assembled plan-less v1 job
+/// frame with an `error` frame naming its version, and serves plan-bearing
+/// frames with report payloads byte-for-byte identical to the serial wire
+/// lines — the paper preset's bytes are the legacy grid's.
 #[test]
-fn daemon_speaks_legacy_v1_and_plan_v2_frames() {
+fn daemon_rejects_v1_job_frames_and_serves_plan_frames() {
     let daemon = spawn_daemon(DaemonConfig::default());
-    // v1: the exact bytes a pre-daemon coordinator sends.
+    // v1: the exact bytes a pre-daemon coordinator sends, refused by name.
+    let mut stream = open(daemon.addr);
+    write_frame(&mut stream, &v1_job_frame(0, 2)).expect("send v1 job");
+    match next_msg(&mut stream) {
+        WorkerMsg::Error { message } => {
+            assert!(message.contains("job frame version 1"), "{message}");
+        }
+        other => panic!("expected an error frame, got {other:?}"),
+    }
+    // The same shard as a plan-bearing paper-preset job: the legacy grid's
+    // bytes.
     let serial = serial_reports();
     let mut stream = open(daemon.addr);
-    let v1 = format!(
-        r#"{{"v":1,"type":"job","scenarios":{SCENARIOS},"seed":{SEED},"start":0,"end":2}}"#
-    );
-    write_frame(&mut stream, v1.as_bytes()).expect("send v1 job");
+    write_frame(&mut stream, &job_frame(0, 2)).expect("send paper job");
     for (i, expected) in serial.iter().take(2).enumerate() {
         let payload = read_frame(&mut stream)
             .expect("read frame")
@@ -408,14 +499,15 @@ fn daemon_speaks_legacy_v1_and_plan_v2_frames() {
         assert_eq!(
             String::from_utf8(payload).expect("report is text"),
             report_line(i, expected),
-            "v1 report {i} must be byte-for-byte the serial wire line"
+            "paper-preset report {i} must be byte-for-byte the serial wire line"
         );
     }
     match next_msg(&mut stream) {
         WorkerMsg::Done { count } => assert_eq!(count, 2),
         other => panic!("expected done, got {other:?}"),
     }
-    // v2: a plan-bearing job through the same daemon, same contract.
+    // A plan with more than the paper axes through the same daemon, same
+    // contract.
     let plan = SweepPlan::paper(3, SEED)
         .with_optimizers(vec![OptimizerKind::Offloading, OptimizerKind::ModelGating]);
     let plan_serial = plan.run_serial().expect("plan serial runs");
@@ -466,22 +558,20 @@ fn assert_error_frames_and_the_daemon_keeps_serving(cases: &[(Vec<u8>, &str)]) {
 /// A frame nested far past the JSON depth cap is answered with an `error`
 /// frame instead of overflowing the connection thread's stack (which would
 /// abort the whole daemon), as is a job whose shard reaches past its grid,
-/// and a job frame holding one ~1 MiB string (parsed once, in linear time,
-/// well inside the client's read timeout); the daemon keeps serving
-/// afterwards.
+/// a job frame holding one ~1 MiB string (parsed once, in linear time,
+/// well inside the client's read timeout), and a plan-less v1 job frame;
+/// the daemon keeps serving afterwards.
 #[test]
 fn over_deep_frame_gets_an_error_frame_and_the_daemon_keeps_serving() {
-    let past_the_grid = format!(
-        r#"{{"v":1,"type":"job","scenarios":{SCENARIOS},"seed":{SEED},"start":0,"end":99}}"#
-    );
     let long_string = format!(
         r#"{{"v":9,"type":"job","pad":"{}","scenarios":{SCENARIOS},"seed":{SEED},"start":0,"end":1}}"#,
         "x".repeat(1 << 20)
     );
     assert_error_frames_and_the_daemon_keeps_serving(&[
         ("[".repeat(200_000).into_bytes(), "deeper than"),
-        (past_the_grid.into_bytes(), "inside the expanded grid"),
+        (job_frame(0, 99), "inside the expanded grid"),
         (long_string.into_bytes(), "job frame version 9"),
+        (v1_job_frame(0, 2), "job frame version 1"),
     ]);
 }
 

@@ -1,12 +1,14 @@
-//! In-process properties of the sharded sweep subsystem: shard planning
-//! edge cases, wire-format round-trips, and the planner × merge composition
-//! reproducing a serial sweep bit-for-bit.
+//! Properties of the sharded sweep subsystem: shard planning edge cases,
+//! wire-format round-trips, the planner × merge composition reproducing a
+//! serial sweep bit-for-bit, and the processes engine's summary-mode
+//! protocol against fake `sh` workers.
 
 use seo_core::batch::ScenarioSpec;
 use seo_core::prelude::*;
 use seo_core::runtime::RuntimeLoop;
 use seo_core::shard::{
-    parse_report_line, report_line, Shard, ShardError, ShardPlan, ShardPlanner, StreamingMerge,
+    parse_report_line, report_line, summary_line, Coordinator, Shard, ShardError, ShardPlan,
+    ShardPlanner, StreamingMerge,
 };
 use seo_integration::serial_reference;
 
@@ -243,4 +245,38 @@ fn merge_streams_prefixes_incrementally() {
     assert_eq!(merge.drain_ready().len(), 0);
     merge.accept(2, reports[2].clone()).expect("ok");
     assert_eq!(merge.finish().expect("complete").len(), 2);
+}
+
+/// The processes engine's summary protocol against fake workers
+/// (`sh -c SCRIPT sh --worker START..END`): the worker for shard 0..2
+/// prints its summary line, and the one for 2..4 breaks the protocol in
+/// each way a summary-mode worker can. Every run fails with
+/// `WorkerFailed` naming the second worker and its shard.
+#[test]
+fn summary_worker_protocol_violations_fail_their_shard() {
+    let print = |line: &str| format!("printf '%s\\n' '{line}'");
+    let own = print(&summary_line(Shard::new(2, 4), &[]));
+    let first = print(&summary_line(Shard::new(0, 2), &[]));
+    let episode = print(&worker_lines(vec![0], 3, 2023, Shard::new(2, 3))[0]);
+    let plan = ShardPlanner::new(2).plan(4).expect("two shards");
+    for (case, misbehaviour) in [
+        ("no line", "exit 0".to_owned()),
+        ("two lines", format!("{own}; {own}")),
+        ("another shard's summary", first.clone()),
+        ("an episode line", episode),
+        ("a valid line, then exit 3", format!("{own}; exit 3")),
+    ] {
+        let script = format!("if [ \"$2\" = 0..2 ]; then {first}; else {misbehaviour}; fi");
+        match Coordinator::new("sh")
+            .with_args(["-c", script.as_str(), "sh"])
+            .run_summaries(&plan)
+        {
+            Err(ShardError::WorkerFailed {
+                shard_index: 1,
+                shard,
+                ..
+            }) => assert_eq!(shard, Shard::new(2, 4), "{case}"),
+            other => panic!("{case}: expected the 2..4 worker to fail, got {other:?}"),
+        }
+    }
 }

@@ -7,7 +7,7 @@
 
 use seo_core::batch::ScenarioSpec;
 use seo_core::prelude::*;
-use seo_core::shard::report_line;
+use seo_core::shard::{parse_summary_line, report_line, summary_line};
 use seo_core::transport::{
     done_frame, error_frame, parse_worker_frame, read_frame, write_frame, HostPool, HostSpec,
     JobRequest, RemoteCoordinator, TransportError, WorkerMsg,
@@ -181,17 +181,73 @@ fn frames_round_trip_and_reject_garbage() {
     ));
 }
 
+/// The bytes a plan-bearing job frame and a summary payload put on the
+/// wire are pinned: they were recorded while the TCP carrier still had its
+/// own summary encoder and the daemon still accepted plan-less v1 jobs, and
+/// one job frame version and one summary payload must not move them.
+#[test]
+fn job_frame_and_summary_payload_bytes_are_pinned() {
+    const JOB: &str = r#"{"v":2,"type":"job","scenarios":6,"seed":2023,"start":2,"end":4,"plan":{"v":1,"axes":{"obstacles":[0,2,4],"tau_ms":[20],"gating_levels":[0.5],"control_modes":["filtered"],"optimizers":["offloading"],"controllers":["potential-field"],"channels":["clean"],"traffic":["static"],"seeds":{"base":2023,"runs":2}},"exec":{"mode":"serial","kernel":"scalar","timeout_secs":30,"verify":false}}}"#;
+    const SUMMARY: &str = r#"{"v":1,"type":"summary","shard":"2..4","cells":[{"cell":1,"episodes":2,"successes":1,"unsafe_steps":3,"corrections":4,"energy_gain":{"count":1,"non_finite":1,"min":0.25,"max":0.25,"sum":"274877906944","sum_sq":"68719476736","bins":[["13821547256400052224",1]]},"min_barrier":{"count":2,"non_finite":0,"min":-0.125,"max":1.5,"sum":"1511828488192","sum_sq":"2491081031680","bins":[[4629700416936869887,1],["13832806255468478464",1]]},"steps":{"count":2,"non_finite":0,"min":100,"max":140,"sum":"263882790666240","sum_sq":"32545544182169600","bins":[["13860109328209412096",1],["13862501865511452672",1]]},"delta_max":[[2,5],[3,1]]}]}"#;
+    let shard = Shard::new(2, 4);
+    let job = JobRequest {
+        scenarios: 6,
+        seed: 2023,
+        plan: Some(SweepPlan::paper(6, 2023)),
+        shard,
+    };
+    assert_eq!(String::from_utf8(job.to_frame()).expect("utf8"), JOB);
+
+    let mut cell = CellSketch::new(1);
+    cell.episodes = 2;
+    cell.successes = 1;
+    cell.unsafe_steps = 3;
+    cell.corrections = 4;
+    for v in [0.25, f64::NAN] {
+        cell.energy_gain.record(v);
+    }
+    for v in [-0.125, 1.5] {
+        cell.min_barrier.record(v);
+    }
+    for v in [100.0, 140.0] {
+        cell.steps.record(v);
+    }
+    cell.delta_max.record_n(2, 5);
+    cell.delta_max.record_n(3, 1);
+    let line = summary_line(shard, std::slice::from_ref(&cell));
+    assert_eq!(line, SUMMARY);
+    // Both carriers decode the one payload back to the same fragment.
+    assert_eq!(
+        parse_summary_line(&line).expect("summary line"),
+        (shard, vec![cell.clone()])
+    );
+    match parse_worker_frame(line.as_bytes()).expect("summary frame") {
+        WorkerMsg::Summary { shard: got, cells } => assert_eq!((got, cells), (shard, vec![cell])),
+        other => panic!("expected a summary frame, got {other:?}"),
+    }
+}
+
 #[test]
 fn protocol_frames_round_trip() {
     let request = JobRequest {
         scenarios: 60,
         seed: u64::MAX, // string-encoded seed path included
-        plan: None,
+        plan: Some(SweepPlan::paper(6, 7)),
         shard: seo_core::shard::Shard::new(15, 30),
     };
     assert_eq!(
         JobRequest::from_frame(&request.to_frame()).expect("round-trips"),
         request
+    );
+    // Every job carries its plan: a plan-less request encodes a frame that
+    // no receiver accepts.
+    let planless = JobRequest {
+        plan: None,
+        ..request.clone()
+    };
+    assert!(
+        JobRequest::from_frame(&planless.to_frame()).is_err(),
+        "a job frame must carry its plan"
     );
 
     // Plan-bearing jobs ship the whole plan inline and round-trip it.
@@ -209,13 +265,14 @@ fn protocol_frames_round_trip() {
         Some(12),
         "plan grid overrides (scenarios, seed)"
     );
-    // Plan jobs bump the frame version so a pre-plan daemon rejects them
-    // loudly instead of silently running the legacy paper grid.
+    // Job frames speak version 2, so a pre-plan daemon rejects them
+    // loudly instead of silently running the legacy paper grid, and this
+    // build rejects a v1 frame even when it carries a plan.
     let frame = String::from_utf8(request.to_frame()).expect("utf8");
     assert!(frame.starts_with(r#"{"v":2,"#), "{frame}");
     assert!(
         JobRequest::from_frame(frame.replace(r#"{"v":2,"#, r#"{"v":1,"#).as_bytes()).is_err(),
-        "a v1 frame must not smuggle a plan"
+        "a v1 frame is rejected"
     );
     let v2_missing_plan = br#"{"v":2,"type":"job","scenarios":6,"seed":7,"start":0,"end":6}"#;
     assert!(
