@@ -35,9 +35,8 @@
 //! for exercising coordinator recovery. Never use it in production pools.
 
 use seo_core::prelude::*;
-use seo_core::transport::{health_request_frame, read_frame, shutdown_request_frame, write_frame};
+use seo_core::transport::{exchange, health_request_frame, shutdown_request_frame};
 use std::io::Write as _;
-use std::net::TcpStream;
 use std::sync::Arc;
 use std::time::Duration;
 
@@ -50,7 +49,7 @@ const USAGE_TEMPLATE: &str = "usage: sweepd [--listen HOST:PORT] [--kernel NAME]
     --kernel       inference kernel backend: %KERNELS% (default scalar;\n                 \
     bit-identical output, see docs/kernels.md)\n  \
     --jobs         max concurrently running jobs; extra jobs get a busy frame (default 4)\n  \
-    --timeout-secs per-connection read/write timeout in seconds (default 30)\n  \
+    --timeout-secs per-connection timeout in seconds (default 30; client mode: connect too)\n  \
     --fault        deterministic fault injection, e.g. refuse=2,drop-after=5,seed=7\n                 \
     (keys: refuse, drop-after, stall-ms, stall-at, garble, seed; testing only)\n  \
     --health       client mode: print ADDR's health frame to stdout and exit\n  \
@@ -72,14 +71,9 @@ enum CliOutcome {
     /// Client mode: send one control frame to a daemon and print the reply.
     Probe {
         addr: String,
-        verb: ProbeVerb,
+        request: Vec<u8>,
         timeout: Duration,
     },
-}
-
-enum ProbeVerb {
-    Health,
-    Shutdown,
 }
 
 fn parse_cli() -> Result<CliOutcome, String> {
@@ -87,7 +81,7 @@ fn parse_cli() -> Result<CliOutcome, String> {
     let mut jobs = 4usize;
     let mut timeout = seo_core::transport::DEFAULT_TIMEOUT;
     let mut faults: Option<FaultPlan> = None;
-    let mut probe: Option<(String, ProbeVerb)> = None;
+    let mut probe: Option<(String, Vec<u8>)> = None;
     let mut kernel = KernelBackend::default();
     let mut args = std::env::args().skip(1);
     while let Some(arg) = args.next() {
@@ -111,11 +105,13 @@ fn parse_cli() -> Result<CliOutcome, String> {
                     .ok_or("--jobs: expected a positive integer")?;
             }
             "--timeout-secs" => {
+                // A timeout that rounds to zero is refused by every
+                // socket call, so it is an argument error here.
                 timeout = value("--timeout-secs")?
                     .parse::<f64>()
                     .ok()
-                    .filter(|&t| t > 0.0)
                     .and_then(|t| Duration::try_from_secs_f64(t).ok())
+                    .filter(|t| !t.is_zero())
                     .ok_or("--timeout-secs: expected a positive number of seconds")?;
             }
             "--fault" => {
@@ -125,15 +121,15 @@ fn parse_cli() -> Result<CliOutcome, String> {
                         .map_err(|e| format!("--fault: {e}"))?,
                 );
             }
-            "--health" => probe = Some((value("--health")?, ProbeVerb::Health)),
-            "--shutdown" => probe = Some((value("--shutdown")?, ProbeVerb::Shutdown)),
+            "--health" => probe = Some((value("--health")?, health_request_frame())),
+            "--shutdown" => probe = Some((value("--shutdown")?, shutdown_request_frame())),
             other => return Err(format!("unknown argument '{other}'")),
         }
     }
-    if let Some((addr, verb)) = probe {
+    if let Some((addr, request)) = probe {
         return Ok(CliOutcome::Probe {
             addr,
-            verb,
+            request,
             timeout,
         });
     }
@@ -169,20 +165,8 @@ fn install_drain_on_sigterm() {}
 
 /// Client mode: one control round-trip against a running daemon. Prints
 /// the reply frame (JSON) to stdout.
-fn run_probe(addr: &str, verb: &ProbeVerb, timeout: Duration) -> Result<(), String> {
-    let mut stream = TcpStream::connect(addr).map_err(|e| format!("connect to {addr}: {e}"))?;
-    stream
-        .set_read_timeout(Some(timeout))
-        .and_then(|()| stream.set_write_timeout(Some(timeout)))
-        .map_err(|e| format!("socket setup for {addr}: {e}"))?;
-    let request = match verb {
-        ProbeVerb::Health => health_request_frame(),
-        ProbeVerb::Shutdown => shutdown_request_frame(),
-    };
-    write_frame(&mut stream, &request).map_err(|e| e.to_string())?;
-    let reply = read_frame(&mut stream)
-        .map_err(|e| e.to_string())?
-        .ok_or_else(|| format!("{addr} closed the connection without a reply"))?;
+fn run_probe(addr: &str, request: &[u8], timeout: Duration) -> Result<(), String> {
+    let reply = exchange(addr, request, timeout).map_err(|e| e.to_string())?;
     let text = String::from_utf8(reply).map_err(|e| format!("reply from {addr}: {e}"))?;
     println!("{text}");
     Ok(())
@@ -200,10 +184,10 @@ fn main() {
         }
         Ok(CliOutcome::Probe {
             addr,
-            verb,
+            request,
             timeout,
         }) => {
-            if let Err(e) = run_probe(&addr, &verb, timeout) {
+            if let Err(e) = run_probe(&addr, &request, timeout) {
                 eprintln!("sweepd: {e}");
                 std::process::exit(1);
             }
@@ -243,14 +227,14 @@ fn main() {
             eprintln!("seo-sweepd: fault injection armed: {plan}");
         }
         server.serve(Arc::new(runtime))?;
-        let stats = server.stats();
+        let health = server.health();
         eprintln!(
             "seo-sweepd: drained: {} job(s) served, {} episode(s) emitted, \
              {} fault(s) injected over {} tick(s)",
-            stats.jobs_served(),
-            stats.episodes_emitted(),
-            stats.faults_injected(),
-            stats.uptime_ticks()
+            health.jobs_served,
+            health.episodes_emitted,
+            health.faults_injected,
+            health.uptime_ticks
         );
         Ok(())
     };

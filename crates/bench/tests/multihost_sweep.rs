@@ -10,7 +10,7 @@ mod common;
 
 use common::{serial_reports, PlanFile};
 use seo_core::prelude::*;
-use seo_core::shard::parse_report_line;
+use seo_core::shard::{parse_report_line, report_line};
 use std::io::{BufRead, BufReader};
 use std::process::{Child, Command, Stdio};
 
@@ -293,15 +293,31 @@ fn multi_host_verify_sweep_is_kernel_backend_invariant() {
     // coordinator's --verify rerun uses its own default (scalar) backend.
     // The run only passes if every backend produces byte-identical wire
     // lines, so this is the full multi-host backend-invariance check.
+    // Only the neural controller calls the kernel, so the plan runs it
+    // beside the potential-field one.
     let scalar_host = Daemon::spawn(&["--kernel", "scalar"]);
     let blocked_host = Daemon::spawn(&["--kernel", "blocked"]);
     let fleet = pool(&[(&scalar_host.addr, 1), (&blocked_host.addr, 1)]);
-    let (stdout, stderr) = run_sweep_hosts(&hosts_plan("mixed", fleet));
+    let plan = SweepPlan::paper(SCENARIOS, SEED).with_controllers(vec![
+        ControllerKind::PotentialField,
+        ControllerKind::SeededNeural(0),
+    ]);
+    let serial = plan.run_serial().expect("scalar serial reference");
+    let plan = plan
+        .with_mode(ExecMode::Hosts(fleet))
+        .with_timeout_secs(60.0)
+        .with_verify(true);
+    let (stdout, stderr) = run_sweep_hosts(&PlanFile::new("mixed", plan.to_json().render()));
     assert!(
         stderr.contains("bit-identical"),
         "verify note missing: {stderr}"
     );
-    assert_stdout_matches_serial(&stdout);
+    let expected: Vec<String> = serial
+        .iter()
+        .enumerate()
+        .map(|(i, report)| report_line(i, report))
+        .collect();
+    assert_eq!(stdout.lines().collect::<Vec<_>>(), expected);
 }
 
 #[test]
@@ -331,6 +347,8 @@ fn sweepd_rejects_bad_flags_with_exit_2_and_usage() {
         ["--jobs", "many"],
         ["--timeout-secs", "0"],
         ["--timeout-secs", "1e30"],
+        // Rounds to a zero Duration, which every socket call refuses.
+        ["--timeout-secs", "1e-10"],
         ["--fault", "refuse"],
         ["--fault", "warp=1"],
     ] {

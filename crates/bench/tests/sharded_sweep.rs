@@ -10,7 +10,7 @@ mod common;
 
 use common::{serial_reports, PlanFile};
 use seo_core::batch::ScenarioSpec;
-use seo_core::plan::{ExecMode, SweepPlan};
+use seo_core::plan::{ControllerKind, ExecMode, SweepPlan};
 use seo_core::shard::{parse_report_line, report_line, Coordinator, ShardError, ShardPlanner};
 use std::process::Command;
 
@@ -222,15 +222,21 @@ fn unknown_kernel_flag_exits_2_with_valid_names() {
 fn blocked_kernel_worker_output_is_bit_identical_on_the_wire() {
     // A worker on the blocked backend must stream byte-for-byte the same
     // lines as the (scalar) in-process serial reference — the cross-backend
-    // half of the determinism invariant, at the process level.
-    let serial = serial_reports(SCENARIOS, SEED);
-    let plan_file = paper_plan("blocked");
+    // half of the determinism invariant, at the process level. Only the
+    // neural controller calls the kernel, so the plan runs it beside the
+    // potential-field one.
+    let plan = SweepPlan::paper(SCENARIOS, SEED).with_controllers(vec![
+        ControllerKind::PotentialField,
+        ControllerKind::SeededNeural(0),
+    ]);
+    let serial = plan.run_serial().expect("scalar serial reference");
+    let plan_file = PlanFile::new("blocked", plan.to_json().render());
     let output = Command::new(SWEEP_BIN)
         .args([
             "--plan",
             plan_file.path(),
             "--worker",
-            "0..6",
+            &format!("0..{}", plan.n_specs()),
             "--kernel",
             "blocked",
         ])

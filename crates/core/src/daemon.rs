@@ -15,7 +15,10 @@
 //!   retries on, not a silent hang.
 //! * **Introspection** — a `health` request frame is answered with a
 //!   [`HealthReport`]: liveness plus cumulative counters (jobs served,
-//!   episodes emitted, faults injected, uptime ticks).
+//!   episodes emitted, faults injected, uptime ticks). That report is the
+//!   daemon's one record: admission, drain and the counters all update
+//!   it under one lock, and in-process callers read it through
+//!   [`DaemonServer::health`].
 //! * **Graceful drain** — a `shutdown` control frame (or, in the binary,
 //!   SIGTERM via [`request_drain`]) flips the daemon into draining:
 //!   in-flight shards finish, new jobs get `busy`, and
@@ -42,17 +45,19 @@ use crate::fault::{FaultInjector, FaultPlan};
 use crate::runtime::RuntimeLoop;
 use crate::transport::{
     busy_frame, error_frame, io_err, parse_daemon_request, read_frame, serve_job,
-    shutdown_ack_frame, write_frame, DaemonRequest, HealthReport, TransportError, DEFAULT_TIMEOUT,
+    shutdown_ack_frame, write_frame, DaemonRequest, HealthReport, JobRequest, TransportError,
+    DEFAULT_TIMEOUT,
 };
 use std::net::{SocketAddr, TcpListener, TcpStream};
-use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
-use std::sync::Arc;
+use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
+use std::sync::{Arc, Mutex, MutexGuard};
 use std::time::{Duration, Instant};
 
 /// Process-wide drain request, set by the `seo-sweepd` binary's SIGTERM
 /// handler (an atomic store is async-signal-safe; nothing else here is
 /// called from the handler). Every [`DaemonServer`] in the process honours
-/// it, alongside its own per-instance flag.
+/// it, alongside its own per-instance switch (its health record's
+/// `accepting`).
 static GLOBAL_DRAIN: AtomicBool = AtomicBool::new(false);
 
 /// Asks every daemon in this process to drain: finish in-flight jobs,
@@ -89,72 +94,6 @@ impl Default for DaemonConfig {
     }
 }
 
-/// Cumulative service counters, shared between the accept loop, the
-/// per-connection threads, and anyone holding [`DaemonServer::stats`].
-#[derive(Debug)]
-pub struct DaemonStats {
-    jobs_active: AtomicUsize,
-    jobs_served: AtomicU64,
-    episodes_emitted: AtomicU64,
-    faults_injected: AtomicU64,
-    started: Instant,
-}
-
-impl DaemonStats {
-    fn new() -> Self {
-        Self {
-            jobs_active: AtomicUsize::new(0),
-            jobs_served: AtomicU64::new(0),
-            episodes_emitted: AtomicU64::new(0),
-            faults_injected: AtomicU64::new(0),
-            started: Instant::now(),
-        }
-    }
-
-    /// Jobs running right now.
-    #[must_use]
-    pub fn jobs_active(&self) -> usize {
-        self.jobs_active.load(Ordering::Acquire)
-    }
-
-    /// Jobs served to completion since the daemon started.
-    #[must_use]
-    pub fn jobs_served(&self) -> u64 {
-        self.jobs_served.load(Ordering::Relaxed)
-    }
-
-    /// Episode reports emitted across all completed jobs.
-    #[must_use]
-    pub fn episodes_emitted(&self) -> u64 {
-        self.episodes_emitted.load(Ordering::Relaxed)
-    }
-
-    /// Faults deliberately injected by the configured [`FaultPlan`].
-    #[must_use]
-    pub fn faults_injected(&self) -> u64 {
-        self.faults_injected.load(Ordering::Relaxed)
-    }
-
-    /// Whole seconds since the daemon started.
-    #[must_use]
-    pub fn uptime_ticks(&self) -> u64 {
-        self.started.elapsed().as_secs()
-    }
-
-    /// Snapshot for a `health` response.
-    #[must_use]
-    pub fn health(&self, accepting: bool) -> HealthReport {
-        HealthReport {
-            accepting,
-            jobs_active: self.jobs_active(),
-            jobs_served: self.jobs_served(),
-            episodes_emitted: self.episodes_emitted(),
-            faults_injected: self.faults_injected(),
-            uptime_ticks: self.uptime_ticks(),
-        }
-    }
-}
-
 /// The long-lived multi-job worker daemon (see the module docs for the
 /// service contract). Share it in an [`Arc`] to call
 /// [`Self::request_drain`] from another thread while [`Self::serve`]
@@ -163,9 +102,14 @@ impl DaemonStats {
 pub struct DaemonServer {
     listener: TcpListener,
     config: DaemonConfig,
-    stats: Arc<DaemonStats>,
-    draining: AtomicBool,
     connections: AtomicU64,
+    started: Instant,
+    /// The daemon's one record of what it is doing and has done: the
+    /// counters a `health` request is answered with, `accepting` doubling
+    /// as this instance's drain switch. Admission control claims and
+    /// releases job slots under its lock, so a drain never sees zero
+    /// active jobs while a job is being admitted or recorded.
+    record: Mutex<HealthReport>,
 }
 
 impl DaemonServer {
@@ -180,9 +124,16 @@ impl DaemonServer {
         Ok(Self {
             listener,
             config,
-            stats: Arc::new(DaemonStats::new()),
-            draining: AtomicBool::new(false),
             connections: AtomicU64::new(0),
+            started: Instant::now(),
+            record: Mutex::new(HealthReport {
+                accepting: true,
+                jobs_active: 0,
+                jobs_served: 0,
+                episodes_emitted: 0,
+                faults_injected: 0,
+                uptime_ticks: 0,
+            }),
         })
     }
 
@@ -197,24 +148,32 @@ impl DaemonServer {
             .map_err(|e| io_err("local_addr", &e))
     }
 
-    /// The daemon's live counters.
+    /// The daemon's liveness and cumulative counters since it started:
+    /// exactly the [`HealthReport`] a `health` request is answered with.
     #[must_use]
-    pub fn stats(&self) -> Arc<DaemonStats> {
-        Arc::clone(&self.stats)
+    pub fn health(&self) -> HealthReport {
+        self.served(&self.record())
+    }
+
+    fn record(&self) -> MutexGuard<'_, HealthReport> {
+        self.record.lock().expect("health record mutex poisoned")
+    }
+
+    /// `record` as it is served: the process-wide drain folded into
+    /// `accepting`, and the uptime filled in.
+    fn served(&self, record: &HealthReport) -> HealthReport {
+        HealthReport {
+            accepting: record.accepting && !GLOBAL_DRAIN.load(Ordering::Acquire),
+            uptime_ticks: self.started.elapsed().as_secs(),
+            ..record.clone()
+        }
     }
 
     /// Asks **this** daemon to drain (the per-instance equivalent of a
     /// `shutdown` frame): finish in-flight jobs, answer new ones with
     /// `busy`, then return from [`Self::serve`].
     pub fn request_drain(&self) {
-        self.draining.store(true, Ordering::Release);
-    }
-
-    /// True once a `shutdown` frame, [`Self::request_drain`], or the
-    /// process-wide [`request_drain`] has been seen.
-    #[must_use]
-    pub fn is_draining(&self) -> bool {
-        self.draining.load(Ordering::Acquire) || GLOBAL_DRAIN.load(Ordering::Acquire)
+        self.record().accepting = false;
     }
 
     /// Runs the service: accepts and dispatches connections — each one a
@@ -237,7 +196,8 @@ impl DaemonServer {
             .set_nonblocking(true)
             .map_err(|e| io_err("listener set_nonblocking", &e))?;
         loop {
-            if self.is_draining() && self.stats.jobs_active() == 0 {
+            let health = self.health();
+            if !health.accepting && health.jobs_active == 0 {
                 return Ok(());
             }
             match self.listener.accept() {
@@ -246,7 +206,7 @@ impl DaemonServer {
                     if let Some(faults) = &self.config.faults {
                         if faults.refuses_connection(conn_index) {
                             // Injected refusal: accept, count, slam shut.
-                            self.stats.faults_injected.fetch_add(1, Ordering::Relaxed);
+                            self.record().faults_injected += 1;
                             drop(stream);
                             continue;
                         }
@@ -300,15 +260,12 @@ impl DaemonServer {
             None => return Ok(()), // peer connected and left; nothing to do
         };
         match request {
-            DaemonRequest::Health => {
-                let report = self.stats.health(!self.is_draining());
-                write_frame(&mut stream, &report.to_frame())
-            }
+            DaemonRequest::Health => write_frame(&mut stream, &self.health().to_frame()),
             DaemonRequest::Shutdown => {
                 // Ack first, then flip the flag: the requester learns how
                 // many jobs the daemon will finish before exiting.
-                write_frame(&mut stream, &shutdown_ack_frame(self.stats.jobs_active()))?;
-                self.draining.store(true, Ordering::Release);
+                write_frame(&mut stream, &shutdown_ack_frame(self.health().jobs_active))?;
+                self.request_drain();
                 Ok(())
             }
             DaemonRequest::Job(job) => self.handle_job(&mut stream, &job, runtime, conn_index),
@@ -316,57 +273,38 @@ impl DaemonServer {
     }
 
     /// Admission control plus the episode loop. The active-jobs slot is
-    /// claimed with a compare-exchange so the `--jobs` cap holds under
-    /// concurrent connections.
+    /// claimed under the health record's lock, so the `--jobs` cap holds
+    /// under concurrent connections.
     fn handle_job(
         &self,
         stream: &mut TcpStream,
-        job: &crate::transport::JobRequest,
+        job: &JobRequest,
         runtime: &RuntimeLoop,
         conn_index: u64,
     ) -> Result<(), TransportError> {
         let cap = self.config.jobs.max(1);
-        let admitted = loop {
-            if self.is_draining() {
-                break false;
-            }
-            let active = self.stats.jobs_active.load(Ordering::Acquire);
-            if active >= cap {
-                break false;
-            }
-            if self
-                .stats
-                .jobs_active
-                .compare_exchange(active, active + 1, Ordering::AcqRel, Ordering::Acquire)
-                .is_ok()
-            {
-                break true;
-            }
-        };
-        if !admitted {
-            let active = self.stats.jobs_active();
-            let cap = if self.is_draining() { 0 } else { cap };
-            return write_frame(stream, &busy_frame(active, cap));
+        let mut record = self.record();
+        let health = self.served(&record);
+        if !health.accepting || health.jobs_active >= cap {
+            drop(record);
+            let cap = if health.accepting { cap } else { 0 };
+            return write_frame(stream, &busy_frame(health.jobs_active, cap));
         }
+        record.jobs_active += 1;
+        drop(record);
         let mut injector = match &self.config.faults {
             Some(plan) => plan.injector(conn_index),
             None => FaultInjector::none(),
         };
         let served = serve_job(stream, job, runtime, &mut injector);
-        self.stats.jobs_active.fetch_sub(1, Ordering::AcqRel);
-        self.stats
-            .faults_injected
-            .fetch_add(injector.injected(), Ordering::Relaxed);
-        match served {
-            Ok(Some(count)) => {
-                self.stats.jobs_served.fetch_add(1, Ordering::Relaxed);
-                self.stats
-                    .episodes_emitted
-                    .fetch_add(count as u64, Ordering::Relaxed);
-                Ok(())
-            }
-            Ok(None) => Ok(()), // injected mid-stream death; not "served"
-            Err(e) => Err(e),
+        let mut record = self.record();
+        record.jobs_active -= 1;
+        record.faults_injected += injector.injected();
+        // An injected mid-stream death (`Ok(None)`) is not "served".
+        if let Ok(Some(count)) = served {
+            record.jobs_served += 1;
+            record.episodes_emitted += count as u64;
         }
+        served.map(drop)
     }
 }

@@ -113,7 +113,7 @@ pub mod prelude {
     pub use crate::batch::ScenarioSpec;
     pub use crate::config::{ControlMode, EnergyAccounting, OffloadFallback, SeoConfig};
     pub use crate::controller::Controller;
-    pub use crate::daemon::{DaemonConfig, DaemonServer, DaemonStats};
+    pub use crate::daemon::{DaemonConfig, DaemonServer};
     pub use crate::discretize::{discretize_deadline, discretize_period};
     pub use crate::error::SeoError;
     pub use crate::experiment::{first_successes, ExperimentResult};

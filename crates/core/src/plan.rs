@@ -966,9 +966,14 @@ impl SweepPlan {
         let mut problems = Problems::default();
         let axes = &self.axes;
         check_axis(&mut problems, "axes.obstacles", &axes.obstacles, |_| None);
+        // Every runtime build validates its SeoConfig; asking it here
+        // (τ finite, positive and within Δcap) rejects the plan up front.
         check_axis(&mut problems, "axes.tau_ms", &axes.tau_ms, |&t| {
-            (!t.is_finite() || t <= 0.0)
-                .then(|| format!("value {t} must be a finite, positive number of milliseconds"))
+            let config = SeoConfig::paper_defaults().with_tau(Seconds::from_millis(t));
+            config
+                .validate()
+                .err()
+                .map(|e| format!("value {t} ms: {e}"))
         });
         check_axis(
             &mut problems,
@@ -1050,10 +1055,9 @@ impl SweepPlan {
             report.check(&mut |field, message| problems.push(field, message));
         }
         // try_from_secs_f64 also rules out values a Duration cannot
-        // represent, which would otherwise panic at the point of use.
-        if self.timeout_secs <= 0.0
-            || std::time::Duration::try_from_secs_f64(self.timeout_secs).is_err()
-        {
+        // represent, which would otherwise panic at the point of use, and a
+        // value that rounds to a zero Duration is refused by every socket.
+        if !std::time::Duration::try_from_secs_f64(self.timeout_secs).is_ok_and(|d| !d.is_zero()) {
             problems.push(
                 "exec.timeout_secs",
                 "must be a positive number of seconds representable as a timeout",

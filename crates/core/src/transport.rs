@@ -16,7 +16,9 @@
 //!    [`crate::shard::summary_line`] for the whole job shard
 //!    ([`crate::agg`]); TCP merely carries them. Control frames (`job`,
 //!    `done`, `error`, `busy`, `health`, `shutdown`) are JSON objects
-//!    distinguished by a `"type"` field.
+//!    distinguished by a `"type"` field. Every connection opens one way
+//!    (every resolved address, timeouts, `TCP_NODELAY`), and a one-frame
+//!    control conversation is one [`exchange`].
 //! 2. **[`HostPool`]** — the fleet a plan's `exec.mode.hosts` section
 //!    names, parsed and validated: duplicate addresses, zero capacities,
 //!    blank addresses, and empty pools are rejected **before** any
@@ -25,8 +27,11 @@
 //! 3. **[`RemoteCoordinator`]** — a pull-based work-stealing scheduler:
 //!    the grid is carved into chunk-sized leases ([`crate::lease`],
 //!    `exec.hosts.chunk` in a plan) and each host pulls the next lease
-//!    whenever it is idle, streaming every report into one
-//!    [`StreamingMerge`]. Every lease failure is classified as
+//!    whenever it is idle. The host threads keep one ledger under one
+//!    lock: the [`RemoteRunStats`] the run returns, and the run's output,
+//!    shaped once by the plan's report mode (a [`StreamingMerge`] feeding
+//!    the caller's sink, or the list of summary fragments). Every lease
+//!    failure is classified as
 //!    **transient** (connect refused, timeout, dropped connection, `busy`
 //!    backpressure — retried in place with bounded exponential backoff)
 //!    or **fatal** (protocol violation — never retried). A host that
@@ -77,8 +82,7 @@ use crate::shard::{self, Shard, ShardError, StreamingMerge};
 use std::fmt;
 use std::io::{Read, Write};
 use std::net::{SocketAddr, TcpStream, ToSocketAddrs};
-use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::Mutex;
+use std::sync::{Mutex, MutexGuard};
 use std::time::Duration;
 
 /// Upper bound on a single frame's payload, rejecting absurd length
@@ -417,65 +421,45 @@ pub enum WorkerMsg {
     },
 }
 
+/// Encodes a control frame: the `{"v":1,"type":…}` header every control
+/// frame opens with, then `fields`.
+fn control_frame<const N: usize>(kind: &str, fields: [(&str, Json); N]) -> Vec<u8> {
+    let header = [("v", shard::WIRE_VERSION.into()), ("type", kind.into())];
+    Json::obj(header.into_iter().chain(fields).collect())
+        .render()
+        .into_bytes()
+}
+
 /// Encodes the `done` control frame.
 #[must_use]
 pub fn done_frame(count: usize) -> Vec<u8> {
-    Json::obj(vec![
-        ("v", shard::WIRE_VERSION.into()),
-        ("type", "done".into()),
-        ("count", count.into()),
-    ])
-    .render()
-    .into_bytes()
+    control_frame("done", [("count", count.into())])
 }
 
 /// Encodes the `error` control frame.
 #[must_use]
 pub fn error_frame(message: &str) -> Vec<u8> {
-    Json::obj(vec![
-        ("v", shard::WIRE_VERSION.into()),
-        ("type", "error".into()),
-        ("message", message.into()),
-    ])
-    .render()
-    .into_bytes()
+    control_frame("error", [("message", message.into())])
 }
 
 /// Encodes the `busy` control frame a daemon answers a job with when its
 /// admission control rejects it (cap reached, or draining).
 #[must_use]
 pub fn busy_frame(active: usize, cap: usize) -> Vec<u8> {
-    Json::obj(vec![
-        ("v", shard::WIRE_VERSION.into()),
-        ("type", "busy".into()),
-        ("active", active.into()),
-        ("cap", cap.into()),
-    ])
-    .render()
-    .into_bytes()
+    control_frame("busy", [("active", active.into()), ("cap", cap.into())])
 }
 
 /// Encodes the `health` request frame (no payload beyond the type).
 #[must_use]
 pub fn health_request_frame() -> Vec<u8> {
-    Json::obj(vec![
-        ("v", shard::WIRE_VERSION.into()),
-        ("type", "health".into()),
-    ])
-    .render()
-    .into_bytes()
+    control_frame("health", [])
 }
 
 /// Encodes the `shutdown` request frame asking a daemon to drain: finish
 /// in-flight jobs, refuse new ones, then exit 0.
 #[must_use]
 pub fn shutdown_request_frame() -> Vec<u8> {
-    Json::obj(vec![
-        ("v", shard::WIRE_VERSION.into()),
-        ("type", "shutdown".into()),
-    ])
-    .render()
-    .into_bytes()
+    control_frame("shutdown", [])
 }
 
 /// Encodes the `shutdown` acknowledgement a daemon sends back before it
@@ -483,13 +467,7 @@ pub fn shutdown_request_frame() -> Vec<u8> {
 /// finish first.
 #[must_use]
 pub fn shutdown_ack_frame(jobs_active: usize) -> Vec<u8> {
-    Json::obj(vec![
-        ("v", shard::WIRE_VERSION.into()),
-        ("type", "shutdown".into()),
-        ("jobs_active", jobs_active.into()),
-    ])
-    .render()
-    .into_bytes()
+    control_frame("shutdown", [("jobs_active", jobs_active.into())])
 }
 
 /// A daemon's liveness answer to a [`health_request_frame`]: status plus
@@ -515,24 +493,23 @@ impl HealthReport {
     /// Encodes the `health` response frame.
     #[must_use]
     pub fn to_frame(&self) -> Vec<u8> {
-        Json::obj(vec![
-            ("v", shard::WIRE_VERSION.into()),
-            ("type", "health".into()),
-            (
-                "status",
-                if self.accepting { "ok" } else { "draining" }.into(),
-            ),
-            ("jobs_active", self.jobs_active.into()),
-            ("jobs_served", shard::u64_to_wire(self.jobs_served)),
-            (
-                "episodes_emitted",
-                shard::u64_to_wire(self.episodes_emitted),
-            ),
-            ("faults_injected", shard::u64_to_wire(self.faults_injected)),
-            ("uptime_ticks", shard::u64_to_wire(self.uptime_ticks)),
-        ])
-        .render()
-        .into_bytes()
+        control_frame(
+            "health",
+            [
+                (
+                    "status",
+                    if self.accepting { "ok" } else { "draining" }.into(),
+                ),
+                ("jobs_active", self.jobs_active.into()),
+                ("jobs_served", shard::u64_to_wire(self.jobs_served)),
+                (
+                    "episodes_emitted",
+                    shard::u64_to_wire(self.episodes_emitted),
+                ),
+                ("faults_injected", shard::u64_to_wire(self.faults_injected)),
+                ("uptime_ticks", shard::u64_to_wire(self.uptime_ticks)),
+            ],
+        )
     }
 
     /// Decodes a `health` response frame.
@@ -1000,9 +977,11 @@ pub struct HostLoss {
 }
 
 /// What a [`RemoteCoordinator`] run did: dispatch counts, retry/quarantine
-/// activity, per-host episode tallies, and every host loss it survived. A
-/// run that returns `Ok` produced complete, correct output even when
-/// `hosts_lost` is non-empty.
+/// activity, per-host episode tallies, and every host loss it survived.
+/// The run's host threads write it as things happen, under the lock the
+/// merge takes, and the run returns it as written. A run that returns
+/// `Ok` produced complete, correct output even when `hosts_lost` is
+/// non-empty.
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct RemoteRunStats {
     /// One entry per failed lease (a host failing two leases appears
@@ -1090,47 +1069,80 @@ impl RemoteRunStats {
     }
 }
 
-/// Per-lease sketch fragments collected in pure `summary` report mode, in
-/// arrival order.
-type SummaryFragments = Vec<(Shard, Vec<CellSketch>)>;
+/// Sketch fragments, one per lease, as `(shard, cells)`.
+type Fragments = Vec<(Shard, Vec<CellSketch>)>;
 
-/// Shared merge state: the merge plus the streaming sink it feeds, under
-/// one lock so reports are sunk in exactly merge order
-/// ([`StreamingMerge::accept_into`], as in the process-level coordinator).
-/// `accepted`/`by_host` feed the readmission progress rule and
-/// [`RemoteRunStats::episodes_by_host`].
-struct MergeState<'a> {
-    merge: StreamingMerge,
-    sink: &'a mut (dyn FnMut(usize, EpisodeReport) + Send),
-    accepted: usize,
-    by_host: Vec<usize>,
-    /// Sketch fragments in pure `summary` report mode (arrival order —
-    /// [`RunSummary::fold_fragments`] re-sorts by shard start, so the fold
-    /// is independent of lease scheduling). `accepted` still advances by
-    /// the fragment's episode count, keeping the quarantine-readmission
-    /// progress rule engine-agnostic.
-    summaries: SummaryFragments,
+/// Where a run's results go, fixed once by the plan's report mode.
+enum Output<'a> {
+    /// Episode reports, merged into spec order and handed to the caller's
+    /// sink as soon as their prefix is complete
+    /// ([`StreamingMerge::accept_into`], as in the process-level
+    /// coordinator).
+    Episodes(
+        StreamingMerge,
+        &'a mut (dyn FnMut(usize, EpisodeReport) + Send),
+    ),
+    /// One sketch fragment per lease, in arrival order:
+    /// [`RunSummary::fold_fragments`] re-sorts them by shard start, so the
+    /// fold is independent of lease scheduling.
+    Summary(Fragments),
 }
 
-/// A lease-level failure: what remains of the lease's shard, why, and how
-/// the final error was classified.
-struct LeaseFailure {
-    remaining: Shard,
-    message: String,
-    class: FaultClass,
+/// The one record of a hosts run, kept by all its host threads under one
+/// lock: the [`RemoteRunStats`] the run returns, written as things happen,
+/// and the run's [`Output`], so reports are sunk in exactly merge order.
+struct Ledger<'a> {
+    stats: RemoteRunStats,
+    output: Output<'a>,
 }
 
-/// Scheduler-wide tallies and the loss record, shared across all host
-/// threads of one run.
-struct SchedulerShared {
-    jobs: AtomicUsize,
-    retries: AtomicUsize,
-    quarantines: AtomicUsize,
-    readmissions: AtomicUsize,
-    reissues: AtomicUsize,
-    steals: AtomicUsize,
-    leases_by_host: Vec<AtomicUsize>,
-    losses: Mutex<Vec<HostLoss>>,
+impl Ledger<'_> {
+    /// Episodes merged so far, fleet-wide (a summary fragment counts its
+    /// shard's): the progress a quarantined host's readmission waits on.
+    fn merged(&self) -> usize {
+        self.stats.episodes_by_host.iter().map(|(_, n)| n).sum()
+    }
+
+    /// Merges one episode report that `host` streamed.
+    fn episode(
+        &mut self,
+        host: usize,
+        index: usize,
+        report: EpisodeReport,
+    ) -> Result<(), DriveError> {
+        let Output::Episodes(merge, sink) = &mut self.output else {
+            return Err(DriveError::fatal(format!(
+                "episode report frame for index {index} in summary mode \
+                 (per-episode NDJSON must not cross the host boundary)"
+            )));
+        };
+        merge
+            .accept_into(index, report, &mut **sink)
+            .map_err(|e| DriveError::fatal(format!("protocol violation: {e}")))?;
+        self.stats.episodes_by_host[host].1 += 1;
+        Ok(())
+    }
+
+    /// Keeps the sketch fragment that `host` shipped for `shard`.
+    fn fragment(
+        &mut self,
+        host: usize,
+        shard: Shard,
+        cells: Vec<CellSketch>,
+    ) -> Result<(), DriveError> {
+        let Output::Summary(fragments) = &mut self.output else {
+            return Err(DriveError::fatal(format!(
+                "summary frame for shard {shard} on a job that streams episodes"
+            )));
+        };
+        fragments.push((shard, cells));
+        self.stats.episodes_by_host[host].1 += shard.len();
+        Ok(())
+    }
+}
+
+fn lock<'l, 'a>(ledger: &'l Mutex<Ledger<'a>>) -> MutexGuard<'l, Ledger<'a>> {
+    ledger.lock().expect("ledger mutex poisoned")
 }
 
 /// A classified single-connection failure, before retry handling.
@@ -1221,12 +1233,6 @@ impl RemoteCoordinator {
         self
     }
 
-    /// The pool this coordinator dispatches over.
-    #[must_use]
-    pub fn pool(&self) -> &HostPool {
-        &self.pool
-    }
-
     /// Runs a [`SweepPlan`]'s expanded grid across the pool, shipping the
     /// plan inline with every job (a daemon needs no local plan file), and
     /// returns the merged reports in spec order plus the run's fault
@@ -1234,6 +1240,8 @@ impl RemoteCoordinator {
     ///
     /// # Errors
     ///
+    /// [`TransportError::Config`] when the plan's report mode is pure
+    /// `summary` (use [`Self::run_plan_summary`]);
     /// [`TransportError::NoSurvivors`] when every host died with work
     /// outstanding; [`TransportError::Merge`] on an unfillable hole (a
     /// protocol violation the lease re-issue could not paper over).
@@ -1249,7 +1257,9 @@ impl RemoteCoordinator {
     /// Like [`Self::run_plan`], but delivers each report to `sink` while
     /// hosts are still streaming: `sink(spec_index, report)` is invoked
     /// strictly in spec order as soon as the contiguous prefix up to that
-    /// index is complete.
+    /// index is complete. A pure-`summary` plan is refused before any
+    /// connection is opened, as [`Self::run_plan_summary`] refuses a plan
+    /// that streams episodes.
     ///
     /// # Errors
     ///
@@ -1257,9 +1267,17 @@ impl RemoteCoordinator {
     pub fn run_plan_streaming(
         &self,
         plan: &SweepPlan,
-        sink: impl FnMut(usize, EpisodeReport) + Send,
+        mut sink: impl FnMut(usize, EpisodeReport) + Send,
     ) -> Result<RemoteRunStats, TransportError> {
-        self.stream_grid(plan, sink, false).map(|(stats, _)| stats)
+        if !plan.emits_episodes() {
+            return Err(config_err(
+                "run_plan_streaming needs a report mode that streams episodes; this plan \
+                 is pure 'summary' — use run_plan_summary instead",
+            ));
+        }
+        let merge = StreamingMerge::new(plan.n_specs());
+        self.stream_grid(plan, Output::Episodes(merge, &mut sink))
+            .map(|(stats, _)| stats)
     }
 
     /// Runs a pure-`summary` plan across the pool: each lease comes back
@@ -1273,7 +1291,8 @@ impl RemoteCoordinator {
     /// but whose `done` handshake was lost leaves an empty remainder, so
     /// every episode is folded exactly once. A fragment that does not
     /// account for its lease ([`crate::agg::check_fragment`]) is a fatal
-    /// fault: the host is shed and the lease re-issued.
+    /// fault: the host is shed and the lease re-issued. No per-spec merge
+    /// is allocated.
     ///
     /// # Errors
     ///
@@ -1285,13 +1304,12 @@ impl RemoteCoordinator {
         plan: &SweepPlan,
     ) -> Result<(RunSummary, RemoteRunStats), TransportError> {
         if plan.emits_episodes() {
-            return Err(TransportError::Config {
-                message: "run_plan_summary needs report mode 'summary'; this plan still \
-                          streams episodes — fold a run_plan_streaming sink instead"
-                    .to_owned(),
-            });
+            return Err(config_err(
+                "run_plan_summary needs report mode 'summary'; this plan still \
+                 streams episodes — fold a run_plan_streaming sink instead",
+            ));
         }
-        let (stats, fragments) = self.stream_grid(plan, |_, _| {}, true)?;
+        let (stats, fragments) = self.stream_grid(plan, Output::Summary(Vec::new()))?;
         let mut summary = plan.run_summary();
         summary
             .fold_fragments(fragments)
@@ -1301,73 +1319,35 @@ impl RemoteCoordinator {
 
     /// The shared dispatch loop: carves the plan's grid into chunk-sized
     /// leases and runs one pull loop per host, each lease shipping the plan
-    /// inline. With `expect_summary` the streamed merge is bypassed: hosts
-    /// ship one sketch fragment per lease instead of episode frames, and
-    /// the collected fragments are returned for the caller to fold.
+    /// inline, all of them recording into one [`Ledger`] around `output`.
+    /// Returns the run's stats and, in summary mode, the collected
+    /// fragments for the caller to fold.
     fn stream_grid(
         &self,
         plan: &SweepPlan,
-        mut sink: impl FnMut(usize, EpisodeReport) + Send,
-        expect_summary: bool,
-    ) -> Result<(RemoteRunStats, SummaryFragments), TransportError> {
-        let n_specs = plan.n_specs();
-        let n_hosts = self.pool.hosts().len();
-        let chunk = self.pool.chunk().resolve(n_specs, n_hosts);
-        let addr_counts = || {
-            self.pool
-                .hosts()
-                .iter()
-                .map(|h| (h.addr.clone(), 0))
-                .collect()
-        };
-        let mut stats = RemoteRunStats {
-            chunk,
-            episodes_by_host: addr_counts(),
-            leases_by_host: addr_counts(),
-            ..RemoteRunStats::default()
-        };
-        if n_specs == 0 {
-            return Ok((stats, Vec::new()));
-        }
-        let queue = LeaseQueue::new(Shard::new(0, n_specs), chunk);
-        stats.leases = queue.initial_leases();
-        let state = Mutex::new(MergeState {
-            merge: StreamingMerge::new(n_specs),
-            sink: &mut sink,
-            accepted: 0,
-            by_host: vec![0; n_hosts],
-            summaries: Vec::new(),
+        output: Output<'_>,
+    ) -> Result<(RemoteRunStats, Fragments), TransportError> {
+        let hosts = self.pool.hosts();
+        let chunk = self.pool.chunk().resolve(plan.n_specs(), hosts.len());
+        let queue = LeaseQueue::new(Shard::new(0, plan.n_specs()), chunk);
+        let by_host = || hosts.iter().map(|h| (h.addr.clone(), 0)).collect();
+        let ledger = Mutex::new(Ledger {
+            stats: RemoteRunStats {
+                chunk,
+                leases: queue.initial_leases(),
+                episodes_by_host: by_host(),
+                leases_by_host: by_host(),
+                ..RemoteRunStats::default()
+            },
+            output,
         });
-        let shared = SchedulerShared {
-            jobs: AtomicUsize::new(0),
-            retries: AtomicUsize::new(0),
-            quarantines: AtomicUsize::new(0),
-            readmissions: AtomicUsize::new(0),
-            reissues: AtomicUsize::new(0),
-            steals: AtomicUsize::new(0),
-            leases_by_host: (0..n_hosts).map(|_| AtomicUsize::new(0)).collect(),
-            losses: Mutex::new(Vec::new()),
-        };
-        {
-            let (queue, state, shared) = (&queue, &state, &shared);
-            std::thread::scope(|scope| {
-                for host_index in 0..n_hosts {
-                    scope.spawn(move || {
-                        self.host_loop(host_index, queue, plan, state, shared);
-                    });
-                }
-            });
-        }
-        stats.jobs = shared.jobs.load(Ordering::Relaxed);
-        stats.retries = shared.retries.load(Ordering::Relaxed);
-        stats.quarantines = shared.quarantines.load(Ordering::Relaxed);
-        stats.readmissions = shared.readmissions.load(Ordering::Relaxed);
-        stats.reissues = shared.reissues.load(Ordering::Relaxed);
-        stats.steals = shared.steals.load(Ordering::Relaxed);
-        for (slot, count) in stats.leases_by_host.iter_mut().zip(&shared.leases_by_host) {
-            slot.1 = count.load(Ordering::Relaxed);
-        }
-        stats.hosts_lost = shared.losses.into_inner().expect("loss mutex poisoned");
+        std::thread::scope(|scope| {
+            for host in 0..hosts.len() {
+                let (queue, ledger) = (&queue, &ledger);
+                scope.spawn(move || self.host_loop(host, queue, plan, ledger));
+            }
+        });
+        let Ledger { stats, output } = ledger.into_inner().expect("ledger mutex poisoned");
         if !queue.is_finished() {
             // Every host thread exited (fatal fault or failed readmission)
             // with leases still in the queue: nowhere left to re-issue.
@@ -1380,85 +1360,44 @@ impl RemoteCoordinator {
                     .unwrap_or_default(),
             });
         }
-        // Every accepted report was streamed on arrival; anything left is a
-        // hole, which finish() names.
-        let final_state = state.into_inner().expect("merge mutex poisoned");
-        for (slot, count) in stats.episodes_by_host.iter_mut().zip(&final_state.by_host) {
-            slot.1 = *count;
+        match output {
+            Output::Episodes(merge, _) => {
+                // Every accepted report was streamed on arrival; anything
+                // left is a hole, which finish() names.
+                let leftovers = merge.finish()?;
+                debug_assert!(leftovers.is_empty(), "streamed merge cannot hold a tail");
+                Ok((stats, Vec::new()))
+            }
+            Output::Summary(fragments) => Ok((stats, fragments)),
         }
-        if expect_summary {
-            // No episode ever entered the merge; coverage is structural —
-            // the queue only finishes once every lease completed, and a
-            // lease completes only after its full-shard fragment arrived.
-            debug_assert_eq!(
-                final_state.accepted, n_specs,
-                "a finished lease queue covers the grid"
-            );
-            return Ok((stats, final_state.summaries));
-        }
-        let leftovers = final_state.merge.finish()?;
-        debug_assert!(leftovers.is_empty(), "streamed merge cannot hold a tail");
-        Ok((stats, final_state.summaries))
     }
 
     /// One host's pull loop: pull a lease, run it, repeat until the queue
-    /// is drained. A failed lease's unreported remainder re-queues for
-    /// the survivors to steal; a fatal failure exits the loop (the host
-    /// is dead forever), a transient one parks the host in
+    /// is drained. A fatal failure exits the loop (the host is dead
+    /// forever), a transient one parks the host in
     /// [`Self::await_readmission`] until it may rejoin or gives up.
     fn host_loop(
         &self,
-        host_index: usize,
+        host: usize,
         queue: &LeaseQueue,
         plan: &SweepPlan,
-        state: &Mutex<MergeState<'_>>,
-        shared: &SchedulerShared,
+        ledger: &Mutex<Ledger<'_>>,
     ) {
-        // Global merge progress at (re)admission time: a quarantined host
-        // is only readmitted after the fleet moves past this, so every
-        // readmission consumes fresh progress and quarantine churn is
-        // bounded by the grid size.
-        let mut admitted_at = state.lock().expect("merge mutex poisoned").accepted;
+        // Fleet progress at (re)admission time: a quarantined host is only
+        // readmitted after the fleet moves past this, so every readmission
+        // consumes fresh progress and quarantine churn is bounded by the
+        // grid size.
+        let mut admitted_at = lock(ledger).merged();
         while let Some(lease) = queue.pop() {
-            shared.jobs.fetch_add(1, Ordering::Relaxed);
-            match self.run_lease(host_index, &lease, plan, state, &shared.retries) {
-                Ok(()) => {
-                    shared.leases_by_host[host_index].fetch_add(1, Ordering::Relaxed);
-                    if lease.reissued_from.is_some_and(|from| from != host_index) {
-                        shared.steals.fetch_add(1, Ordering::Relaxed);
-                    }
-                    queue.complete();
+            if let Err(class) = self.run_lease(host, &lease, plan, queue, ledger) {
+                if class == FaultClass::Fatal
+                    || !self.await_readmission(host, queue, ledger, admitted_at)
+                {
+                    return;
                 }
-                Err(failure) => {
-                    let class = failure.class;
-                    shared
-                        .losses
-                        .lock()
-                        .expect("loss mutex poisoned")
-                        .push(HostLoss {
-                            addr: self.pool.hosts()[host_index].addr.clone(),
-                            message: failure.message,
-                            reassigned: failure.remaining.len(),
-                            class,
-                        });
-                    if failure.remaining.is_empty() {
-                        // Every report of the lease merged; only the
-                        // `done` handshake was lost.
-                        queue.complete();
-                    } else {
-                        shared.reissues.fetch_add(1, Ordering::Relaxed);
-                        queue.requeue(failure.remaining, host_index);
-                    }
-                    if class == FaultClass::Fatal {
-                        return;
-                    }
-                    shared.quarantines.fetch_add(1, Ordering::Relaxed);
-                    if !self.await_readmission(host_index, queue, state, admitted_at) {
-                        return;
-                    }
-                    shared.readmissions.fetch_add(1, Ordering::Relaxed);
-                    admitted_at = state.lock().expect("merge mutex poisoned").accepted;
-                }
+                let mut ledger = lock(ledger);
+                ledger.stats.readmissions += 1;
+                admitted_at = ledger.merged();
             }
         }
     }
@@ -1473,18 +1412,18 @@ impl RemoteCoordinator {
     /// bounded by the timeout) is what guarantees termination.
     fn await_readmission(
         &self,
-        host_index: usize,
+        host: usize,
         queue: &LeaseQueue,
-        state: &Mutex<MergeState<'_>>,
+        ledger: &Mutex<Ledger<'_>>,
         admitted_at: usize,
     ) -> bool {
-        let addr = &self.pool.hosts()[host_index].addr;
+        let addr = &self.pool.hosts()[host].addr;
         let retry = self.pool.retry();
         // Probes tolerated with *no* fleet progress in between; the floor
         // keeps tight retry budgets from starving slow-but-live fleets.
         let idle_budget = retry.attempts.max(4);
         let mut idle_probes = 0u32;
-        let mut last_accepted = state.lock().expect("merge mutex poisoned").accepted;
+        let mut last_merged = lock(ledger).merged();
         loop {
             if queue.is_finished() {
                 return false;
@@ -1501,10 +1440,16 @@ impl RemoteCoordinator {
                 std::thread::sleep(slice);
                 slept += slice;
             }
-            let accepted = state.lock().expect("merge mutex poisoned").accepted;
-            let progressed = accepted > last_accepted;
-            last_accepted = accepted;
-            if probe_host(addr, self.timeout) && accepted > admitted_at {
+            let merged = lock(ledger).merged();
+            let progressed = merged > last_merged;
+            last_merged = merged;
+            // The probe passes on a well-formed health reply that says the
+            // host is accepting work; anything else (an `error` frame
+            // included) keeps the host quarantined.
+            let accepting = exchange(addr, &health_request_frame(), self.timeout)
+                .and_then(|reply| HealthReport::from_frame(&reply))
+                .is_ok_and(|health| health.accepting);
+            if accepting && merged > admitted_at {
                 return true;
             }
             if progressed {
@@ -1518,63 +1463,88 @@ impl RemoteCoordinator {
         }
     }
 
-    /// Drives one lease on one host under the pool's [`RetryPolicy`]: a
+    /// Drives one lease on one host under the pool's [`RetryPolicy`], then
+    /// records how it ended and hands the queue what is left of it. A
     /// transient connection failure is retried after a deterministic
     /// backoff, resuming from the first unreported index (progress made
     /// before the fault is kept — the merge never sees an index twice).
     /// The attempt budget is fresh per lease, so a host that keeps
     /// dropping mid-stream still exhausts it and has its remainder
-    /// re-issued to the survivors.
+    /// re-issued to the survivors. Returns the class of a lease failure.
     fn run_lease(
         &self,
-        host_index: usize,
+        host: usize,
         lease: &Lease,
         plan: &SweepPlan,
-        state: &Mutex<MergeState<'_>>,
-        retries: &AtomicUsize,
-    ) -> Result<(), LeaseFailure> {
+        queue: &LeaseQueue,
+        ledger: &Mutex<Ledger<'_>>,
+    ) -> Result<(), FaultClass> {
         let retry = self.pool.retry();
         let budget = retry.attempts.max(1);
         let end = lease.shard.end;
         let mut next = lease.shard.start;
         let mut attempt = 0u32;
-        loop {
-            match self.drive_connection(host_index, plan, Shard::new(next, end), state, &mut next) {
-                Ok(()) => return Ok(()),
-                Err(fault) => {
-                    attempt += 1;
-                    let retryable =
-                        fault.class == FaultClass::Transient && attempt < budget && next < end;
-                    if !retryable {
-                        return Err(LeaseFailure {
-                            remaining: Shard::new(next, end),
-                            message: if attempt > 1 {
-                                format!("{} (attempt {attempt}/{budget})", fault.message)
-                            } else {
-                                fault.message
-                            },
-                            class: fault.class,
-                        });
-                    }
-                    retries.fetch_add(1, Ordering::Relaxed);
-                    std::thread::sleep(retry.backoff(attempt - 1));
-                }
+        let fault = loop {
+            let shard = Shard::new(next, end);
+            let Err(fault) = self.drive_connection(host, plan, shard, ledger, &mut next) else {
+                break None;
+            };
+            attempt += 1;
+            if fault.class == FaultClass::Fatal || attempt >= budget || next >= end {
+                break Some(fault);
             }
+            lock(ledger).stats.retries += 1;
+            std::thread::sleep(retry.backoff(attempt - 1));
+        };
+        let remaining = Shard::new(next, end);
+        let mut ledger = lock(ledger);
+        let stats = &mut ledger.stats;
+        stats.jobs += 1;
+        let outcome = match fault {
+            None => {
+                stats.leases_by_host[host].1 += 1;
+                stats.steals += usize::from(lease.reissued_from.is_some_and(|from| from != host));
+                Ok(())
+            }
+            Some(fault) => {
+                stats.hosts_lost.push(HostLoss {
+                    addr: self.pool.hosts()[host].addr.clone(),
+                    message: if attempt > 1 {
+                        format!("{} (attempt {attempt}/{budget})", fault.message)
+                    } else {
+                        fault.message
+                    },
+                    reassigned: remaining.len(),
+                    class: fault.class,
+                });
+                stats.reissues += usize::from(!remaining.is_empty());
+                stats.quarantines += usize::from(fault.class == FaultClass::Transient);
+                Err(fault.class)
+            }
+        };
+        drop(ledger);
+        if remaining.is_empty() {
+            // Every report of the lease merged (after a failure, only the
+            // `done` handshake was lost).
+            queue.complete();
+        } else {
+            queue.requeue(remaining, host);
         }
+        outcome
     }
 
     /// The per-connection protocol loop: sends `shard` of `plan` as one
     /// job. `next` tracks the lowest index of the shard not yet accepted
-    /// into the merge; because workers must stream in ascending order,
+    /// into the ledger; because workers must stream in ascending order,
     /// `[next, shard.end)` is exactly the remaining work if the connection
     /// dies. Every failure is classified per [`FaultClass`] for the retry
     /// layer above.
     fn drive_connection(
         &self,
-        host_index: usize,
+        host: usize,
         plan: &SweepPlan,
         shard: Shard,
-        state: &Mutex<MergeState<'_>>,
+        ledger: &Mutex<Ledger<'_>>,
         next: &mut usize,
     ) -> Result<(), DriveError> {
         let request = JobRequest {
@@ -1583,19 +1553,10 @@ impl RemoteCoordinator {
             plan: Some(plan.clone()),
             shard,
         };
-        let host = &self.pool.hosts()[host_index];
-        let mut stream = connect(&host.addr, self.timeout).map_err(DriveError::transient)?;
-        stream
-            .set_read_timeout(Some(self.timeout))
-            .and_then(|()| stream.set_write_timeout(Some(self.timeout)))
-            .and_then(|()| stream.set_nodelay(true))
-            .map_err(|e| DriveError::transient(format!("socket setup for {}: {e}", host.addr)))?;
+        let mut stream = open(&self.pool.hosts()[host].addr, self.timeout)
+            .map_err(|e| DriveError::from_transport(&e))?;
         write_frame(&mut stream, &request.to_frame())
             .map_err(|e| DriveError::from_transport(&e))?;
-        // In pure `summary` report mode the worker folds the whole job
-        // shard locally and ships one sketch frame; any per-episode report
-        // frame on the wire is a protocol violation (and vice versa).
-        let summary_only = !plan.emits_episodes();
         loop {
             let payload = read_frame(&mut stream)
                 .map_err(|e| DriveError::from_transport(&e))?
@@ -1608,12 +1569,6 @@ impl RemoteCoordinator {
                 })?;
             match parse_worker_frame(&payload).map_err(|e| DriveError::from_transport(&e))? {
                 WorkerMsg::Report { index, report } => {
-                    if summary_only {
-                        return Err(DriveError::fatal(format!(
-                            "episode report frame for index {index} in summary mode \
-                             (per-episode NDJSON must not cross the host boundary)"
-                        )));
-                    }
                     if *next >= request.shard.end {
                         return Err(DriveError::fatal(format!(
                             "report {index} after shard {} completed",
@@ -1626,20 +1581,7 @@ impl RemoteCoordinator {
                              (workers must stream their shard in ascending order)"
                         )));
                     }
-                    let mut guard = state.lock().expect("merge mutex poisoned");
-                    let MergeState {
-                        merge,
-                        sink,
-                        accepted,
-                        by_host,
-                        ..
-                    } = &mut *guard;
-                    merge
-                        .accept_into(index, report, &mut **sink)
-                        .map_err(|e| DriveError::fatal(format!("protocol violation: {e}")))?;
-                    *accepted += 1;
-                    by_host[host_index] += 1;
-                    drop(guard);
+                    lock(ledger).episode(host, index, report)?;
                     *next += 1;
                 }
                 WorkerMsg::Done { count } => {
@@ -1660,11 +1602,6 @@ impl RemoteCoordinator {
                     return Ok(());
                 }
                 WorkerMsg::Summary { shard, cells } => {
-                    if !summary_only {
-                        return Err(DriveError::fatal(format!(
-                            "summary frame for shard {shard} on a job that streams episodes"
-                        )));
-                    }
                     let expected = Shard::new(*next, request.shard.end);
                     if shard != expected {
                         return Err(DriveError::fatal(format!(
@@ -1675,11 +1612,7 @@ impl RemoteCoordinator {
                     }
                     check_fragment(shard, &cells, plan.axes.specs_per_cell())
                         .map_err(|e| DriveError::fatal(e.to_string()))?;
-                    let mut guard = state.lock().expect("merge mutex poisoned");
-                    guard.accepted += shard.len();
-                    guard.by_host[host_index] += shard.len();
-                    guard.summaries.push((shard, cells));
-                    drop(guard);
+                    lock(ledger).fragment(host, shard, cells)?;
                     *next = shard.end;
                 }
                 WorkerMsg::Error { message } => {
@@ -1697,55 +1630,58 @@ impl RemoteCoordinator {
     }
 }
 
-/// One `health` round-trip against a quarantined host: true when the host
-/// accepts a connection and answers a well-formed [`HealthReport`] that
-/// says it is accepting work. A legacy (pre-daemon) `seo-sweepd` answers
-/// `health` with an `error` frame, so it never passes a probe — it stays
-/// quarantined, which is the conservative choice.
-fn probe_host(addr: &str, timeout: Duration) -> bool {
-    let Ok(mut stream) = connect(addr, timeout) else {
-        return false;
-    };
-    if stream.set_read_timeout(Some(timeout)).is_err()
-        || stream.set_write_timeout(Some(timeout)).is_err()
-    {
-        return false;
-    }
-    if write_frame(&mut stream, &health_request_frame()).is_err() {
-        return false;
-    }
-    match read_frame(&mut stream) {
-        Ok(Some(payload)) => HealthReport::from_frame(&payload).is_ok_and(|h| h.accepting),
-        _ => false,
-    }
-}
-
-/// Connects to `addr`, trying **every** address it resolves to before
-/// giving up — on a dual-stack machine `localhost` may resolve to `::1`
-/// first while the daemon listens on `127.0.0.1`, and one refused family
-/// must not condemn a reachable host. The failure message aggregates
-/// every candidate's error (not just the last one tried), so a
+/// Opens a connection to `addr` for one conversation: tries **every**
+/// address it resolves to before giving up — on a dual-stack machine
+/// `localhost` may resolve to `::1` first while the daemon listens on
+/// `127.0.0.1`, and one refused family must not condemn a reachable host
+/// — with `timeout` bounding the connect and then every read and write,
+/// and `TCP_NODELAY` so each frame leaves at once. The connect failure
+/// aggregates every candidate's error (not just the last one tried), so a
 /// half-reachable host is diagnosable from the loss record alone.
-fn connect(addr: &str, timeout: Duration) -> Result<TcpStream, String> {
+fn open(addr: &str, timeout: Duration) -> Result<TcpStream, TransportError> {
     let resolved: Vec<SocketAddr> = addr
         .to_socket_addrs()
-        .map_err(|e| format!("resolve '{addr}': {e}"))?
+        .map_err(|e| io_err(&format!("resolve '{addr}'"), &e))?
         .collect();
-    if resolved.is_empty() {
-        return Err(format!("'{addr}' resolved to no addresses"));
-    }
-    let mut errors: Vec<String> = Vec::with_capacity(resolved.len());
+    let mut errors = Vec::with_capacity(resolved.len());
     for candidate in &resolved {
         match TcpStream::connect_timeout(candidate, timeout) {
-            Ok(stream) => return Ok(stream),
+            Ok(stream) => {
+                return stream
+                    .set_read_timeout(Some(timeout))
+                    .and_then(|()| stream.set_write_timeout(Some(timeout)))
+                    .and_then(|()| stream.set_nodelay(true))
+                    .map(|()| stream)
+                    .map_err(|e| io_err(&format!("socket setup for {addr}"), &e));
+            }
             Err(e) => errors.push(format!("{candidate}: {e}")),
         }
     }
-    Err(format!(
-        "connect to {addr} failed on all {} resolved address(es): {}",
-        resolved.len(),
-        errors.join("; ")
-    ))
+    Err(TransportError::Io {
+        context: format!(
+            "connect to {addr} failed on all {} resolved address(es)",
+            resolved.len()
+        ),
+        message: errors.join("; "),
+    })
+}
+
+/// One control-frame round trip: opens a connection to `addr` the way
+/// every coordinator connection opens, writes `request` as one frame, and
+/// returns the one frame the peer answers with. The coordinator's
+/// quarantine probe and `seo-sweepd --health/--shutdown` both speak
+/// through it.
+///
+/// # Errors
+///
+/// [`TransportError::Io`] when no connection opens or the socket fails
+/// (timeouts included); [`TransportError::Frame`] on a malformed reply or
+/// when the peer closes without one.
+pub fn exchange(addr: &str, request: &[u8], timeout: Duration) -> Result<Vec<u8>, TransportError> {
+    let mut stream = open(addr, timeout)?;
+    write_frame(&mut stream, request)?;
+    read_frame(&mut stream)?
+        .ok_or_else(|| frame_err(format!("{addr} closed the connection without a reply")))
 }
 
 // ---------------------------------------------------------------------------

@@ -94,16 +94,17 @@ pub fn spawn_failing_loopback_worker(drop_after: usize) -> SocketAddr {
     })
 }
 
-/// A valid-looking summary-mode plan of 1.2 × 10⁹ one-spec cells: 1000 τ ×
-/// 1000 gating levels × 2 control modes × 3 optimizers × 100 neural
-/// controllers × 2 channels. Its job frame is ~11 kB, yet a summary fold
-/// sized for it would need ~440 GB, so it must be rejected by validation
-/// before any engine allocates for it. Building it allocates only the axes.
+/// A valid-looking summary-mode plan of 1.2 × 10⁹ one-spec cells: 1000 τ
+/// (0.08 to 80 ms, each within Δcap) × 1000 gating levels × 2 control
+/// modes × 3 optimizers × 100 neural controllers × 2 channels. Its job
+/// frame is ~11 kB, yet a summary fold sized for it would need ~440 GB, so
+/// it must be rejected by validation before any engine allocates for it.
+/// Building it allocates only the axes.
 #[must_use]
 pub fn oversized_grid_plan() -> SweepPlan {
     SweepPlan::paper(1, 2023)
         .with_obstacles(vec![0])
-        .with_tau_ms((1..=1000).map(f64::from).collect())
+        .with_tau_ms((1..=1000).map(|t| f64::from(t) / 12.5).collect())
         .with_gating_levels((0..1000).map(|g| f64::from(g) / 1000.0).collect())
         .with_control_modes(vec![ControlMode::Filtered, ControlMode::Unfiltered])
         .with_optimizers(OptimizerKind::ALL[..3].to_vec())

@@ -191,16 +191,14 @@ fn daemon_serves_consecutive_jobs_answers_health_and_drains() {
         .recv_timeout(Duration::from_secs(10))
         .expect("serve must return after the drain");
     drained.expect("a drain is a clean exit");
-    assert_eq!(daemon.server.stats().jobs_active(), 0);
-    // All four full jobs are on the books by now (short poll: the served
-    // counter is bumped just after the active counter serve() waits on).
-    let deadline = std::time::Instant::now() + Duration::from_secs(2);
-    while daemon.server.stats().jobs_served() < 4 && std::time::Instant::now() < deadline {
-        std::thread::sleep(Duration::from_millis(10));
-    }
+    // A job leaves the active count in the same record update that counts
+    // it served, and serve() returns only once nothing is active, so all
+    // four full jobs are on the books by now.
+    let health = daemon.server.health();
+    assert_eq!(health.jobs_active, 0);
     assert!(
-        daemon.server.stats().jobs_served() >= 4,
-        "all four full jobs must be recorded after the drain"
+        health.jobs_served >= 4,
+        "all four full jobs must be recorded after the drain: {health:?}"
     );
 }
 
@@ -363,7 +361,7 @@ fn draining_daemon_refuses_new_jobs_while_finishing_the_old_one() {
         .recv_timeout(Duration::from_secs(10))
         .expect("serve must return once the last job finishes");
     drained.expect("a drain is a clean exit");
-    assert_eq!(daemon.server.stats().jobs_served(), 1);
+    assert_eq!(daemon.server.health().jobs_served, 1);
 }
 
 /// A host that answers every job with a summary fragment for exactly the

@@ -79,6 +79,8 @@ fn validation_rejection_table_names_every_field() {
         ("axes.tau_ms", base().with_tau_ms(vec![])),
         ("axes.tau_ms", base().with_tau_ms(vec![0.0])),
         ("axes.tau_ms", base().with_tau_ms(vec![f64::NAN])),
+        // Above the 80 ms Δcap, which every runtime build enforces.
+        ("axes.tau_ms", base().with_tau_ms(vec![100.0])),
         ("axes.gating_levels", base().with_gating_levels(vec![])),
         ("axes.gating_levels", base().with_gating_levels(vec![-0.1])),
         ("axes.gating_levels", base().with_gating_levels(vec![1.1])),
@@ -97,6 +99,8 @@ fn validation_rejection_table_names_every_field() {
         // Parses as a finite positive f64 but exceeds what Duration can
         // represent — must be a validation error, not a panic at use.
         ("exec.timeout_secs", base().with_timeout_secs(1e30)),
+        // Rounds to a zero Duration, which every socket call refuses.
+        ("exec.timeout_secs", base().with_timeout_secs(1e-10)),
         // 1.2e9 cells: over the grid cap, so no engine ever allocates
         // grid-sized state for it.
         ("axes", seo_integration::oversized_grid_plan()),

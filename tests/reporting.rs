@@ -10,7 +10,7 @@ use seo_core::transport::{
     TransportError, WorkerMsg,
 };
 use seo_integration::{assert_summary_bit_identical, spawn_loopback_worker};
-use std::net::TcpStream;
+use std::net::{TcpListener, TcpStream};
 
 const SCENARIOS: usize = 6;
 const SEED: u64 = 2023;
@@ -140,7 +140,9 @@ fn both_mode_keeps_the_episode_wire_protocol() {
 }
 
 /// `run_plan_summary` is only for pure summary plans; an episode-streaming
-/// plan is a configuration error, not a silent downgrade.
+/// plan is a configuration error, not a silent downgrade. The mirror
+/// holds too: `run_plan_streaming` refuses a pure summary plan before it
+/// connects, so a pool with nothing listening still answers `Config`.
 #[test]
 fn run_plan_summary_rejects_episode_streaming_plans() {
     let pool = HostPool::new(vec![HostSpec {
@@ -156,6 +158,26 @@ fn run_plan_summary_rejects_episode_streaming_plans() {
         "expected a config error, got {err:?}"
     );
     assert!(err.to_string().contains("summary"), "{err}");
+
+    // Grab a loopback port and release it, so nothing listens there.
+    let dead_addr = TcpListener::bind("127.0.0.1:0")
+        .and_then(|listener| listener.local_addr())
+        .expect("loopback port");
+    let pool = HostPool::new(vec![HostSpec {
+        addr: dead_addr.to_string(),
+        capacity: 1,
+    }])
+    .expect("valid pool");
+    let err = RemoteCoordinator::new(pool)
+        .run_plan_streaming(&summary_plan(), |i, _| {
+            panic!("a summary plan delivered episode {i}")
+        })
+        .expect_err("summary-mode plan rejected");
+    assert!(
+        matches!(&err, TransportError::Config { .. }),
+        "expected a config error, got {err:?}"
+    );
+    assert!(err.to_string().contains("run_plan_summary"), "{err}");
 }
 
 /// The `report` plan section round-trips through JSON, resolves defaults,

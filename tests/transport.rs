@@ -9,8 +9,9 @@ use seo_core::batch::ScenarioSpec;
 use seo_core::prelude::*;
 use seo_core::shard::{parse_summary_line, report_line, summary_line};
 use seo_core::transport::{
-    done_frame, error_frame, parse_worker_frame, read_frame, write_frame, HostPool, HostSpec,
-    JobRequest, RemoteCoordinator, TransportError, WorkerMsg,
+    busy_frame, done_frame, error_frame, health_request_frame, parse_worker_frame, read_frame,
+    shutdown_ack_frame, shutdown_request_frame, write_frame, HostPool, HostSpec, JobRequest,
+    RemoteCoordinator, TransportError, WorkerMsg,
 };
 use seo_integration::{
     paper_runtime, serial_reference, spawn_failing_loopback_worker, spawn_loopback_worker,
@@ -181,10 +182,11 @@ fn frames_round_trip_and_reject_garbage() {
     ));
 }
 
-/// The bytes a plan-bearing job frame and a summary payload put on the
-/// wire are pinned: they were recorded while the TCP carrier still had its
-/// own summary encoder and the daemon still accepted plan-less v1 jobs, and
-/// one job frame version and one summary payload must not move them.
+/// The bytes a plan-bearing job frame, a summary payload and every control
+/// frame put on the wire are pinned: they were recorded while the TCP
+/// carrier still had its own summary encoder, the daemon still accepted
+/// plan-less v1 jobs and each control encoder wrote its own header, and
+/// none of those simplifications may move them.
 #[test]
 fn job_frame_and_summary_payload_bytes_are_pinned() {
     const JOB: &str = r#"{"v":2,"type":"job","scenarios":6,"seed":2023,"start":2,"end":4,"plan":{"v":1,"axes":{"obstacles":[0,2,4],"tau_ms":[20],"gating_levels":[0.5],"control_modes":["filtered"],"optimizers":["offloading"],"controllers":["potential-field"],"channels":["clean"],"traffic":["static"],"seeds":{"base":2023,"runs":2}},"exec":{"mode":"serial","kernel":"scalar","timeout_secs":30,"verify":false}}}"#;
@@ -224,6 +226,45 @@ fn job_frame_and_summary_payload_bytes_are_pinned() {
     match parse_worker_frame(line.as_bytes()).expect("summary frame") {
         WorkerMsg::Summary { shard: got, cells } => assert_eq!((got, cells), (shard, vec![cell])),
         other => panic!("expected a summary frame, got {other:?}"),
+    }
+
+    // The seven control frames, recorded while each still wrote its own
+    // `{"v":1,"type":…}` header. A count past 2^53 travels as a string.
+    let health = |accepting, jobs_served, episodes_emitted| HealthReport {
+        accepting,
+        jobs_active: 1,
+        jobs_served,
+        episodes_emitted,
+        faults_injected: 4,
+        uptime_ticks: 61,
+    };
+    let control = [
+        (done_frame(7), r#"{"v":1,"type":"done","count":7}"#),
+        (
+            error_frame(r#"no "plan" here"#),
+            r#"{"v":1,"type":"error","message":"no \"plan\" here"}"#,
+        ),
+        (
+            busy_frame(3, 4),
+            r#"{"v":1,"type":"busy","active":3,"cap":4}"#,
+        ),
+        (health_request_frame(), r#"{"v":1,"type":"health"}"#),
+        (
+            health(true, 2, 30).to_frame(),
+            r#"{"v":1,"type":"health","status":"ok","jobs_active":1,"jobs_served":2,"episodes_emitted":30,"faults_injected":4,"uptime_ticks":61}"#,
+        ),
+        (
+            health(false, 9, u64::MAX).to_frame(),
+            r#"{"v":1,"type":"health","status":"draining","jobs_active":1,"jobs_served":9,"episodes_emitted":"18446744073709551615","faults_injected":4,"uptime_ticks":61}"#,
+        ),
+        (shutdown_request_frame(), r#"{"v":1,"type":"shutdown"}"#),
+        (
+            shutdown_ack_frame(2),
+            r#"{"v":1,"type":"shutdown","jobs_active":2}"#,
+        ),
+    ];
+    for (frame, pinned) in control {
+        assert_eq!(String::from_utf8(frame).expect("utf8"), pinned);
     }
 }
 
