@@ -20,6 +20,14 @@
 //! state a frozen control can reach in a given time, without a rollout:
 //! the safety filter and both φ evaluators ask it first and roll out only
 //! when it proves nothing.
+//!
+//! [`DistanceBarrier::screened_value_in_world`] is `h` for callers that read
+//! only its sign and the value of a negative `h`: the look-ahead of the
+//! safety filter and the crossing tests of both φ evaluators. When the
+//! distance-only floor `d − r_safe − v²/(2 a_brake)` (towardness taken as 1)
+//! is non-negative, it returns the floor and skips the bearing. A caller
+//! that reads the value of a non-negative `h` must use
+//! [`DistanceBarrier::value_in_world`].
 
 use crate::error::SafetyError;
 use seo_platform::units::Seconds;
@@ -123,6 +131,43 @@ impl DistanceBarrier {
     #[must_use]
     pub fn value_in_world(&self, world: &World, state: &VehicleState) -> f64 {
         self.value(&RelativeObservation::observe(world, state))
+    }
+
+    /// `h` against the nearest obstacle of `world`, for a caller that reads
+    /// only its sign and the value of a negative `h`. It has
+    /// [`Self::value_in_world`]'s sign (`NaN` when that is `NaN`) and equals
+    /// it whenever either is negative, but a non-negative value may be
+    /// smaller.
+    ///
+    /// When the distance-only floor `d − r_safe − k·v²/(2 a_brake)`, which
+    /// is `h` with towardness taken as 1, is non-negative, the floor is
+    /// returned and the bearing (`atan2`, `cos`) is never computed. The
+    /// floor never exceeds `h` in floating point: towardness is at most 1,
+    /// and with `k ≥ 0` and `a_brake > 0` every rounding step of
+    /// [`Self::value`] is monotone in it. For any other gain or braking the
+    /// exact value is returned.
+    #[must_use]
+    pub fn screened_value_in_world(&self, world: &World, state: &VehicleState) -> f64 {
+        let Some((obstacle, distance)) = world.nearest_obstacle(state) else {
+            return f64::INFINITY;
+        };
+        let monotone = self.kinetic_gain.is_finite()
+            && self.kinetic_gain >= 0.0
+            && self.max_braking.is_finite()
+            && self.max_braking > 0.0;
+        if monotone {
+            let floor = distance
+                - self.safe_radius
+                - self.kinetic_gain * state.speed.powi(2) / (2.0 * self.max_braking);
+            if floor >= 0.0 {
+                return floor;
+            }
+        }
+        self.value(&RelativeObservation {
+            distance,
+            bearing: state.bearing_to(obstacle.x, obstacle.y),
+            speed: state.speed,
+        })
     }
 
     /// The binary safety state `S` of eq. (1): `true` iff `h >= 0`.

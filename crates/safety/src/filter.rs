@@ -11,12 +11,18 @@
 //! The look-ahead stops at the first negative `h`
 //! ([`SafetyFilter::worst_case_barrier`]), so an unsafe control is ranked by
 //! `h` at its first unsafe look-ahead step, not by the look-ahead minimum.
-//! Every decision below is exactly that of a plain scan over `U`; two fast
-//! paths only skip work whose answer is already known:
+//! Every decision below is exactly that of a plain scan over `U`; three
+//! fast paths only skip work whose answer is already known:
 //!
 //! * a control the reachability bound
 //!   ([`DistanceBarrier::reachably_safe`]) proves safe passes, and a
 //!   candidate it proves safe counts as safe, without a rollout;
+//! * the look-ahead of a pass check or a candidate reads `h` through
+//!   [`DistanceBarrier::screened_value_in_world`], which skips the bearing
+//!   while a distance-only floor proves `h ≥ 0`. Ψ reads only the sign
+//!   of a non-negative worst case, so that value may be the floor; a
+//!   negative one is always exact. [`SafetyFilter::worst_case_barrier`]
+//!   stays exact;
 //! * the corrective search visits `U` from the highest safe score down
 //!   and stops at the first safe candidate, which is the scan's argmax.
 //!   Only when no candidate is safe does it rank the stored values of the
@@ -148,10 +154,21 @@ impl SafetyFilter {
     /// the corrective search ranks candidates by exactly this value.
     #[must_use]
     pub fn worst_case_barrier(&self, world: &World, state: &VehicleState, control: Control) -> f64 {
-        let mut worst = self.barrier.value_in_world(world, state);
+        self.look_ahead(state, control, |s| self.barrier.value_in_world(world, s))
+    }
+
+    /// The running minimum of `h_at` from `state` on under frozen
+    /// `control`, stopping at the first negative value.
+    fn look_ahead(
+        &self,
+        state: &VehicleState,
+        control: Control,
+        h_at: impl Fn(&VehicleState) -> f64,
+    ) -> f64 {
+        let mut worst = h_at(state);
         self.model
             .rollout(*state, control, self.step, self.lookahead, |_, s| {
-                let h = self.barrier.value_in_world(world, &s);
+                let h = h_at(&s);
                 if h < worst {
                     worst = h;
                 }
@@ -187,8 +204,12 @@ impl SafetyFilter {
     }
 
     /// [`Self::worst_case_barrier`], or `+∞` without a rollout when the
-    /// reachability bound proves it non-negative. Its sign is always exact,
-    /// and so is a negative value: the only ones Ψ reads.
+    /// reachability bound proves it non-negative, and rolled out on
+    /// [`DistanceBarrier::screened_value_in_world`] otherwise. Its sign is
+    /// always exact, and so is a negative value: the only ones Ψ reads.
+    /// Each screened value has `h`'s sign and is `h` when negative, so the
+    /// running minimum stops at the same step and ends on the same
+    /// negative `h`.
     fn screened_worst(&self, world: &World, state: &VehicleState, control: Control) -> f64 {
         let reach = self.lookahead + self.step;
         if self
@@ -197,7 +218,9 @@ impl SafetyFilter {
         {
             f64::INFINITY
         } else {
-            self.worst_case_barrier(world, state, control)
+            self.look_ahead(state, control, |s| {
+                self.barrier.screened_value_in_world(world, s)
+            })
         }
     }
 

@@ -11,7 +11,10 @@
 //! Both evaluators first ask the reachability bound
 //! ([`DistanceBarrier::reachably_safe`]) whether `h` can cross zero before
 //! the rollout ends; when it cannot, they return the horizon without
-//! rolling out, which is what the rollout would return.
+//! rolling out, which is what the rollout would return. Their safety and
+//! crossing tests read only `h`'s sign, so they evaluate it through
+//! [`DistanceBarrier::screened_value_in_world`], which has that sign and
+//! skips the bearing while a distance-only floor proves `h ≥ 0`.
 
 use crate::barrier::DistanceBarrier;
 use seo_platform::units::Seconds;
@@ -140,7 +143,7 @@ impl SafeIntervalEvaluator {
     /// capacity (`δ_i >= δmax` branch).
     #[must_use]
     pub fn safe_interval(&self, world: &World, state: &VehicleState, control: Control) -> Seconds {
-        if self.barrier.value_in_world(world, state) < 0.0 {
+        if self.barrier.screened_value_in_world(world, state) < 0.0 {
             return Seconds::ZERO;
         }
         // Roll out far enough that, after dividing by kappa, the horizon is
@@ -156,7 +159,7 @@ impl SafeIntervalEvaluator {
         let mut crossing: Option<Seconds> = None;
         self.model
             .rollout(*state, control, self.step, raw_horizon, |t, s| {
-                if self.barrier.value_in_world(world, &s) < 0.0 {
+                if self.barrier.screened_value_in_world(world, &s) < 0.0 {
                     crossing = Some(t);
                     false
                 } else {
@@ -189,7 +192,7 @@ impl SafeIntervalEvaluator {
     ) -> Seconds {
         // One snapshot per call, refilled in place at each rollout step.
         let mut snapshot = world.snapshot(now);
-        if self.barrier.value_in_world(&snapshot, state) < 0.0 {
+        if self.barrier.screened_value_in_world(&snapshot, state) < 0.0 {
             return Seconds::ZERO;
         }
         let raw_horizon = self.horizon * self.conservatism;
@@ -204,7 +207,7 @@ impl SafeIntervalEvaluator {
         self.model
             .rollout(*state, control, self.step, raw_horizon, |t, s| {
                 world.snapshot_into(now + t, &mut snapshot);
-                if self.barrier.value_in_world(&snapshot, &s) < 0.0 {
+                if self.barrier.screened_value_in_world(&snapshot, &s) < 0.0 {
                     crossing = Some(t);
                     false
                 } else {

@@ -447,3 +447,315 @@ fn reachability_bound_never_proves_an_unsafe_rollout_safe() {
     assert!(proven >= REACH_CASES / 10, "proved only {proven} cases");
     assert!(tightest < 0.1, "closest proven case keeps h at {tightest}");
 }
+
+/// Checks the screen at one state: the screened value has `h`'s sign, is
+/// `h` bit for bit whenever either is negative or `NaN`, and never exceeds
+/// it. Returns whether the screen returned something other than `h`.
+fn screen_agrees(barrier: &DistanceBarrier, world: &World, state: &VehicleState) -> bool {
+    let exact = barrier.value_in_world(world, state);
+    let screened = barrier.screened_value_in_world(world, state);
+    let context = || format!("{barrier:?} at {state:?} in {world:?}");
+    if exact.is_nan() || exact < 0.0 || screened.is_nan() || screened < 0.0 {
+        assert_eq!(screened.to_bits(), exact.to_bits(), "{}", context());
+    } else {
+        assert!(screened <= exact, "{screened} > {exact}: {}", context());
+    }
+    screened.to_bits() != exact.to_bits()
+}
+
+/// States that put the nearest obstacle anywhere from inside its radius to
+/// far away, at every bearing and at speeds up to past the model's cap,
+/// plus edge states: `NaN` and infinite coordinates, zero and `NaN` speed.
+fn screen_cases(rng: &mut StdRng) -> Vec<(World, VehicleState)> {
+    let nan = f64::NAN;
+    let inf = f64::INFINITY;
+    let mut cases = Vec::new();
+    for _ in 0..4_000 {
+        let obstacles = (0..rng.gen_range(1..=4usize))
+            .map(|_| {
+                Obstacle::new(
+                    rng.gen_range(-10.0..50.0),
+                    rng.gen_range(-6.0..6.0),
+                    rng.gen_range(0.0..1.5),
+                )
+            })
+            .collect();
+        let state = VehicleState::new(
+            rng.gen_range(0.0..30.0),
+            rng.gen_range(-3.0..3.0),
+            rng.gen_range(-3.5..3.5),
+            rng.gen_range(0.0..20.0),
+        );
+        cases.push((World::new(Road::default(), obstacles), state));
+    }
+    let one = World::new(Road::default(), vec![Obstacle::new(20.0, 0.0, 1.0)]);
+    let with_nan = |first: bool| {
+        let mut obstacles = vec![Obstacle::new(20.0, 0.0, 1.0), Obstacle::new(8.0, 1.0, 1.0)];
+        obstacles.insert(if first { 0 } else { 1 }, Obstacle::new(nan, 0.0, 1.0));
+        World::new(Road::default(), obstacles)
+    };
+    let worlds = [World::empty(), one, with_nan(true), with_nan(false)];
+    let states = [
+        VehicleState::new(0.0, 0.0, 0.0, 10.0),
+        VehicleState::new(16.0, 0.0, 0.0, 10.0),
+        VehicleState::new(0.0, 0.0, 0.0, 0.0),
+        VehicleState::new(16.0, 0.5, 0.3, 0.0),
+        VehicleState::new(0.0, 0.0, 0.0, nan),
+        VehicleState::new(16.0, 0.0, 0.0, nan),
+        VehicleState::new(nan, 0.0, 0.0, 10.0),
+        VehicleState::new(0.0, nan, 0.0, 10.0),
+        VehicleState::new(0.0, 0.0, nan, 10.0),
+        VehicleState::new(inf, 0.0, 0.0, 10.0),
+        VehicleState::new(0.0, -inf, 0.0, 10.0),
+        VehicleState::new(0.0, 0.0, inf, 10.0),
+        VehicleState::new(0.0, 0.0, 0.0, inf),
+        VehicleState::new(19.5, 0.0, std::f64::consts::PI, 3.0),
+    ];
+    for world in &worlds {
+        for state in states {
+            cases.push((world.clone(), state));
+        }
+    }
+    cases
+}
+
+#[test]
+fn screened_barrier_has_the_exact_sign_and_is_exact_when_negative() {
+    let mut rng = StdRng::seed_from_u64(40);
+    let cases = screen_cases(&mut rng);
+    let screenable = [
+        DistanceBarrier::default(),
+        DistanceBarrier {
+            kinetic_gain: 0.0,
+            ..DistanceBarrier::default()
+        },
+        DistanceBarrier {
+            safe_radius: 0.5,
+            max_braking: 3.0,
+            kinetic_gain: 2.5,
+        },
+    ];
+    let (mut floors, mut negatives) = (0usize, 0usize);
+    for barrier in &screenable {
+        for (world, state) in &cases {
+            floors += usize::from(screen_agrees(barrier, world, state));
+            negatives += usize::from(barrier.value_in_world(world, state) < 0.0);
+        }
+    }
+    // Not vacuous: the floor stands in for many values, and many are
+    // negative (and so exact).
+    assert!(
+        floors >= cases.len() / 2,
+        "the floor was used {floors} times"
+    );
+    assert!(
+        negatives >= cases.len() / 4,
+        "only {negatives} negative values"
+    );
+    // Outside `k ≥ 0` and `a_brake > 0`, both finite, the rounding of `h`
+    // need not be monotone in towardness: the screen returns `h` exactly.
+    let exact_only = [
+        DistanceBarrier {
+            max_braking: -8.0,
+            ..DistanceBarrier::default()
+        },
+        DistanceBarrier {
+            kinetic_gain: -1.0,
+            ..DistanceBarrier::default()
+        },
+        DistanceBarrier {
+            max_braking: 0.0,
+            ..DistanceBarrier::default()
+        },
+        DistanceBarrier {
+            kinetic_gain: f64::NAN,
+            ..DistanceBarrier::default()
+        },
+        DistanceBarrier {
+            max_braking: f64::INFINITY,
+            ..DistanceBarrier::default()
+        },
+    ];
+    for barrier in &exact_only {
+        for (world, state) in &cases {
+            assert_eq!(
+                barrier.screened_value_in_world(world, state).to_bits(),
+                barrier.value_in_world(world, state).to_bits(),
+                "{barrier:?} at {state:?} in {world:?}"
+            );
+        }
+    }
+}
+
+/// Ψ as a plain scan on [`SafetyFilter::worst_case_barrier`]: no
+/// reachability bound, no screen and no search order.
+fn reference_filter(
+    filter: &SafetyFilter,
+    world: &World,
+    state: &VehicleState,
+    control: Control,
+) -> (Control, bool) {
+    let finite = control.steering.is_finite() && control.throttle.is_finite();
+    if finite && filter.worst_case_barrier(world, state, control) >= 0.0 {
+        return (control, false);
+    }
+    let or_zero = |v: f64| if v.is_finite() { v } else { 0.0 };
+    let original = Control {
+        steering: or_zero(control.steering),
+        throttle: or_zero(control.throttle),
+    };
+    let mut best = Control::new(0.0, -1.0);
+    let mut best_score = f64::NEG_INFINITY;
+    for candidate in filter.admissible_set(original) {
+        let worst = filter.worst_case_barrier(world, state, candidate);
+        let proximity = -((candidate.steering - original.steering).abs()
+            + 0.25 * (candidate.throttle - original.throttle).abs());
+        let score = if worst >= 0.0 {
+            100.0 + proximity
+        } else {
+            worst
+        };
+        if score > best_score {
+            best_score = score;
+            best = candidate;
+        }
+    }
+    (best, true)
+}
+
+/// φ as a plain rollout that reads `h` through `h_at(t, state)`: no
+/// reachability bound and no screen.
+fn reference_interval(
+    model: &BicycleModel,
+    (step, horizon, kappa): (Seconds, Seconds, f64),
+    state: &VehicleState,
+    control: Control,
+    mut h_at: impl FnMut(Seconds, &VehicleState) -> f64,
+) -> Seconds {
+    if h_at(Seconds::ZERO, state) < 0.0 {
+        return Seconds::ZERO;
+    }
+    let mut crossing = None;
+    model.rollout(*state, control, step, horizon * kappa, |t, s| {
+        if h_at(t, &s) < 0.0 {
+            crossing = Some(t);
+            false
+        } else {
+            true
+        }
+    });
+    match crossing {
+        Some(t) => ((t - step).max(Seconds::ZERO) / kappa).min(horizon),
+        None => horizon,
+    }
+}
+
+/// A world of 1–4 obstacles ahead of the origin, parked or moving.
+fn lookahead_world(rng: &mut StdRng, moving: bool) -> DynamicWorld {
+    let movers = (0..rng.gen_range(1..=4usize))
+        .map(|_| {
+            let shape = Obstacle::new(
+                rng.gen_range(2.0..40.0),
+                rng.gen_range(-5.0..5.0),
+                rng.gen_range(0.0..1.5),
+            );
+            if moving {
+                MovingObstacle::new(shape, rng.gen_range(-10.0..5.0), rng.gen_range(-3.0..3.0))
+            } else {
+                MovingObstacle::parked(shape)
+            }
+        })
+        .collect();
+    DynamicWorld::new(Road::new(1000.0, 100.0), movers)
+}
+
+fn lookahead_state(rng: &mut StdRng) -> VehicleState {
+    VehicleState::new(
+        0.0,
+        rng.gen_range(-2.0..2.0),
+        rng.gen_range(-0.8..0.8),
+        rng.gen_range(0.0..16.0),
+    )
+}
+
+#[test]
+fn screened_psi_and_phi_decide_as_plain_rollouts_on_exact_h() {
+    let mut rng = StdRng::seed_from_u64(41);
+    let model = BicycleModel::default();
+    let barrier = DistanceBarrier::default();
+    let (mut corrected, mut crossed) = (0usize, 0usize);
+    for case in 0..3_000 {
+        let moving = case % 2 == 1;
+        let dynamic = lookahead_world(&mut rng, moving);
+        let now = Seconds::new(rng.gen_range(0.0..2.0));
+        let snapshot = dynamic.snapshot(now);
+        let state = lookahead_state(&mut rng);
+        let tau = Seconds::from_millis([20.0, 25.0, 100.0 / 3.0][case % 3]);
+        let filter = SafetyFilter::new(barrier, model).with_step(tau);
+        let raw = match case % 50 {
+            0 => Control::new(f64::NAN, 1.0),
+            1 => Control::new(0.0, f64::NAN),
+            _ => Control::new(rng.gen_range(-1.0..1.0), rng.gen_range(-1.0..1.0)),
+        };
+        let (control, decision) = filter.filter(&snapshot, &state, raw);
+        let (expected, correction) = reference_filter(&filter, &snapshot, &state, raw);
+        assert_eq!(
+            (control.steering.to_bits(), control.throttle.to_bits()),
+            (expected.steering.to_bits(), expected.throttle.to_bits()),
+            "Ψ at {state} under {raw} in {:?}",
+            dynamic.movers()
+        );
+        assert_eq!(decision.is_correction(), correction);
+        corrected += usize::from(correction);
+
+        let params = [
+            (Seconds::from_millis(5.0), Seconds::from_millis(80.0), 10.0),
+            (tau, Seconds::new(1.0), 1.0),
+        ][case % 2];
+        let (step, horizon, kappa) = params;
+        let evaluator =
+            SafeIntervalEvaluator::new(barrier, model, step, horizon).with_conservatism(kappa);
+        let stat = evaluator.safe_interval(&snapshot, &state, control);
+        let stat_ref = reference_interval(&model, params, &state, control, |_, s| {
+            barrier.value_in_world(&snapshot, s)
+        });
+        assert_eq!(stat.as_secs().to_bits(), stat_ref.as_secs().to_bits());
+        let dyn_phi = evaluator.safe_interval_dynamic(&dynamic, now, &state, control);
+        let dyn_ref = reference_interval(&model, params, &state, control, |t, s| {
+            barrier.value_in_world(&dynamic.snapshot(now + t), s)
+        });
+        assert_eq!(dyn_phi.as_secs().to_bits(), dyn_ref.as_secs().to_bits());
+
+        // The table's kernel: φ in the canonical one-point scene, placed
+        // within reach of the zero contour.
+        let observation = RelativeObservation {
+            distance: barrier.critical_distance(state.speed) + rng.gen_range(-1.0..12.0),
+            bearing: rng.gen_range(-1.6..1.6),
+            speed: state.speed,
+        };
+        let d = observation.distance;
+        let scene = World::new(
+            Road::new(1e6, 1e6),
+            vec![Obstacle::new(
+                d * observation.bearing.cos(),
+                d * observation.bearing.sin(),
+                0.0,
+            )],
+        );
+        let origin = VehicleState::new(0.0, 0.0, 0.0, observation.speed);
+        let relative = evaluator.safe_interval_relative(&observation, control);
+        let relative_ref = reference_interval(&model, params, &origin, control, |_, s| {
+            barrier.value_in_world(&scene, s)
+        });
+        assert_eq!(
+            relative.as_secs().to_bits(),
+            relative_ref.as_secs().to_bits()
+        );
+        for interval in [stat_ref, dyn_ref, relative_ref] {
+            crossed += usize::from(Seconds::ZERO < interval && interval < horizon);
+        }
+    }
+    // Not vacuous: many corrections, and many intervals end at a crossing.
+    assert!(corrected >= 600, "only {corrected} corrections");
+    assert!(crossed >= 400, "only {crossed} crossings");
+}

@@ -27,8 +27,8 @@ impl RelativeObservation {
     #[must_use]
     pub fn observe(world: &World, vehicle: &VehicleState) -> Self {
         match world.nearest_obstacle(vehicle) {
-            Some(o) => Self {
-                distance: o.surface_distance(vehicle.x, vehicle.y),
+            Some((o, distance)) => Self {
+                distance,
                 bearing: vehicle.bearing_to(o.x, o.y),
                 speed: vehicle.speed,
             },
@@ -43,22 +43,24 @@ impl RelativeObservation {
     /// Ground-truth observation of the nearest obstacle **ahead** of the
     /// vehicle (within ±90 degrees of the heading). Driving controllers use
     /// this: an obstacle just passed should no longer steer the vehicle,
-    /// even while it is still the closest one overall.
+    /// even while it is still the closest one overall. Each obstacle is
+    /// measured once, and ties and `NaN` distances resolve as in
+    /// [`World::nearest_obstacle`].
     #[must_use]
     pub fn observe_ahead(world: &World, vehicle: &VehicleState) -> Self {
         let ahead = world
             .obstacles()
             .iter()
-            .filter(|o| vehicle.bearing_to(o.x, o.y).abs() < std::f64::consts::FRAC_PI_2)
-            .min_by(|a, b| {
-                let da = a.surface_distance(vehicle.x, vehicle.y);
-                let db = b.surface_distance(vehicle.x, vehicle.y);
-                da.partial_cmp(&db).unwrap_or(std::cmp::Ordering::Equal)
-            });
+            .filter_map(|o| {
+                let bearing = vehicle.bearing_to(o.x, o.y);
+                (bearing.abs() < std::f64::consts::FRAC_PI_2)
+                    .then(|| (o.surface_distance(vehicle.x, vehicle.y), bearing))
+            })
+            .min_by(|(a, _), (b, _)| a.partial_cmp(b).unwrap_or(std::cmp::Ordering::Equal));
         match ahead {
-            Some(o) => Self {
-                distance: o.surface_distance(vehicle.x, vehicle.y),
-                bearing: vehicle.bearing_to(o.x, o.y),
+            Some((distance, bearing)) => Self {
+                distance,
+                bearing,
                 speed: vehicle.speed,
             },
             None => Self {

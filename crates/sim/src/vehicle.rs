@@ -13,6 +13,10 @@ use std::fmt;
 /// Normalizes an angle into `(-pi, pi]`.
 #[must_use]
 pub fn wrap_angle(theta: f64) -> f64 {
+    // In range, `%` returns `theta` unchanged and neither branch fires.
+    if -std::f64::consts::PI < theta && theta <= std::f64::consts::PI {
+        return theta;
+    }
     let mut a = theta % std::f64::consts::TAU;
     if a <= -std::f64::consts::PI {
         a += std::f64::consts::TAU;
@@ -204,11 +208,9 @@ impl BicycleModel {
         Ok(())
     }
 
-    /// Continuous-time derivative of the state under control `u`.
-    ///
-    /// Returns `(x_dot, y_dot, heading_dot, speed_dot)`.
-    #[must_use]
-    pub fn derivative(&self, state: VehicleState, control: Control) -> (f64, f64, f64, f64) {
+    /// The steering tangent and acceleration of `control`: all a step
+    /// needs of it, so a rollout derives them once.
+    fn frozen(&self, control: Control) -> Frozen {
         let steer = control.steering.clamp(-1.0, 1.0) * self.max_steering_angle;
         let throttle = control.throttle.clamp(-1.0, 1.0);
         let accel = if throttle >= 0.0 {
@@ -216,11 +218,10 @@ impl BicycleModel {
         } else {
             throttle * self.max_braking
         };
-        let x_dot = state.speed * state.heading.cos();
-        let y_dot = state.speed * state.heading.sin();
-        let heading_dot = state.speed * steer.tan() / self.wheelbase;
-        let speed_dot = accel - self.drag * state.speed;
-        (x_dot, y_dot, heading_dot, speed_dot)
+        Frozen {
+            tan_steer: steer.tan(),
+            accel,
+        }
     }
 
     /// Integrates the dynamics forward by `dt` (semi-implicit Euler, which is
@@ -230,12 +231,15 @@ impl BicycleModel {
     /// `(-pi, pi]`.
     #[must_use]
     pub fn step(&self, state: VehicleState, control: Control, dt: Seconds) -> VehicleState {
-        let dt = dt.as_secs();
-        let (_, _, _, speed_dot) = self.derivative(state, control);
+        self.advance(state, self.frozen(control), dt.as_secs())
+    }
+
+    /// One step of [`Self::step`] under an already derived control.
+    fn advance(&self, state: VehicleState, control: Frozen, dt: f64) -> VehicleState {
+        let speed_dot = control.accel - self.drag * state.speed;
         let new_speed = (state.speed + speed_dot * dt).clamp(0.0, self.max_speed);
         // Integrate pose with the updated speed (semi-implicit).
-        let steer = control.steering.clamp(-1.0, 1.0) * self.max_steering_angle;
-        let heading_dot = new_speed * steer.tan() / self.wheelbase;
+        let heading_dot = new_speed * control.tan_steer / self.wheelbase;
         let new_heading = wrap_angle(state.heading + heading_dot * dt);
         let avg_heading = wrap_angle(state.heading + 0.5 * heading_dot * dt);
         VehicleState {
@@ -247,8 +251,10 @@ impl BicycleModel {
     }
 
     /// Integrates the dynamics over `horizon` with fixed substeps of
-    /// `dt`, yielding every intermediate state to `visit`. Used by the
-    /// safe-interval characterization to find when a barrier crosses zero.
+    /// `dt`, yielding every intermediate state to `visit`. Each state is
+    /// the one [`Self::step`] reaches from the one before. Used by the
+    /// safety filter and the safe-interval characterization to find when
+    /// a barrier crosses zero.
     pub fn rollout<F>(
         &self,
         mut state: VehicleState,
@@ -260,13 +266,21 @@ impl BicycleModel {
         F: FnMut(Seconds, VehicleState) -> bool,
     {
         let steps = (horizon.as_secs() / dt.as_secs()).ceil().max(0.0) as usize;
+        let frozen = self.frozen(control);
         for k in 1..=steps {
-            state = self.step(state, control, dt);
+            state = self.advance(state, frozen, dt.as_secs());
             if !visit(Seconds::new(k as f64 * dt.as_secs()), state) {
                 break;
             }
         }
     }
+}
+
+/// What a step reads of a control that is held fixed.
+#[derive(Clone, Copy)]
+struct Frozen {
+    tan_steer: f64,
+    accel: f64,
 }
 
 #[cfg(test)]

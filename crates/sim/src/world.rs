@@ -94,8 +94,8 @@ impl Road {
 ///
 /// let world = World::new(Road::default(), vec![Obstacle::new(80.0, 0.0, 1.0)]);
 /// let vehicle = VehicleState::new(70.0, 0.0, 0.0, 5.0);
-/// let nearest = world.nearest_obstacle(&vehicle).expect("one obstacle");
-/// assert_eq!(nearest.x, 80.0);
+/// let (nearest, distance) = world.nearest_obstacle(&vehicle).expect("one obstacle");
+/// assert_eq!((nearest.x, distance), (80.0, 9.0));
 /// ```
 #[derive(Debug, Clone, PartialEq)]
 pub struct World {
@@ -137,14 +137,16 @@ impl World {
         &self.obstacles
     }
 
-    /// The obstacle whose *surface* is closest to the vehicle, if any.
+    /// The obstacle whose *surface* is closest to the vehicle, with that
+    /// surface distance, if any. Each obstacle is measured once; the first
+    /// of equal distances wins, and an incomparable (`NaN`) distance never
+    /// displaces the obstacle already held, nor is it displaced.
     #[must_use]
-    pub fn nearest_obstacle(&self, vehicle: &VehicleState) -> Option<&Obstacle> {
-        self.obstacles.iter().min_by(|a, b| {
-            let da = a.surface_distance(vehicle.x, vehicle.y);
-            let db = b.surface_distance(vehicle.x, vehicle.y);
-            da.partial_cmp(&db).unwrap_or(std::cmp::Ordering::Equal)
-        })
+    pub fn nearest_obstacle(&self, vehicle: &VehicleState) -> Option<(&Obstacle, f64)> {
+        self.obstacles
+            .iter()
+            .map(|o| (o, o.surface_distance(vehicle.x, vehicle.y)))
+            .min_by(|(_, a), (_, b)| a.partial_cmp(b).unwrap_or(std::cmp::Ordering::Equal))
     }
 
     /// Surface distance to the nearest obstacle, or `f64::INFINITY` when the
@@ -152,7 +154,7 @@ impl World {
     #[must_use]
     pub fn nearest_obstacle_distance(&self, vehicle: &VehicleState) -> f64 {
         self.nearest_obstacle(vehicle)
-            .map_or(f64::INFINITY, |o| o.surface_distance(vehicle.x, vehicle.y))
+            .map_or(f64::INFINITY, |(_, distance)| distance)
     }
 
     /// Whether the vehicle (treated as a point with `margin` radius) overlaps
@@ -223,8 +225,9 @@ mod tests {
         // Big obstacle farther away can still be nearest by surface distance.
         let w = world_with(&[(10.0, 0.0, 0.5), (12.0, 0.0, 5.0)]);
         let v = VehicleState::new(0.0, 0.0, 0.0, 0.0);
-        let nearest = w.nearest_obstacle(&v).expect("two obstacles");
+        let (nearest, distance) = w.nearest_obstacle(&v).expect("two obstacles");
         assert_eq!(nearest.x, 12.0, "surface of the big one is closer");
+        assert_eq!(distance, 7.0);
     }
 
     #[test]
