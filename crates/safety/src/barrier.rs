@@ -17,28 +17,47 @@
 //! (`S = 1` in the paper).
 //!
 //! [`DistanceBarrier::reachably_safe`] bounds `h` from below over every
-//! state a frozen control can reach in a given time, without a rollout:
-//! the safety filter and both φ evaluators ask it first and roll out only
-//! when it proves nothing.
+//! state a frozen control can reach in a given time, without a rollout.
+//! The safety filter and both φ evaluators apply it to each obstacle on
+//! its own, at that obstacle's speed: an obstacle it clears cannot make
+//! `h` negative before the look-ahead ends, so the look-ahead measures
+//! only the others, and when it clears every obstacle there is no
+//! look-ahead at all.
 //!
 //! [`DistanceBarrier::screened_value_in_world`] is `h` for callers that read
 //! only its sign and the value of a negative `h`: the look-ahead of the
-//! safety filter and the crossing tests of both φ evaluators. When the
-//! distance-only floor `d − r_safe − v²/(2 a_brake)` (towardness taken as 1)
-//! is non-negative, it returns the floor and skips the bearing. A caller
-//! that reads the value of a non-negative `h` must use
-//! [`DistanceBarrier::value_in_world`].
+//! safety filter and the crossing tests of both φ evaluators. It computes
+//! the bearing (`atan2`, `cos`) only when two cheaper screens leave the
+//! sign open. When the distance-only floor `d − r_safe − v²/(2 a_brake)`
+//! (towardness taken as 1) is non-negative, it returns the floor. Otherwise
+//! [`towardness_bound`] bounds `cos(bearing)` from above without
+//! trigonometry: below zero, towardness is exactly 0 and `h = d − r_safe`
+//! is returned; at or above zero, `h` taken at the bound is returned when
+//! it is non-negative. A caller that reads the value of a non-negative `h`
+//! must use [`DistanceBarrier::value_in_world`].
 
 use crate::error::SafetyError;
 use seo_platform::units::Seconds;
 use seo_sim::sensing::RelativeObservation;
 use seo_sim::vehicle::{BicycleModel, Control, VehicleState};
-use seo_sim::world::World;
+use seo_sim::world::{Obstacle, World};
+use std::f64::consts::PI;
 
 /// The margin, in meters, by which the reachability bound must clear zero:
 /// it absorbs the rounding of a rollout's positions and distances, which is
 /// many orders of magnitude smaller.
 const REACH_SLACK: f64 = 1e-6;
+
+/// The margin by which [`towardness_bound`] exceeds its real-valued bound.
+/// The computed `cos(bearing)` it must cover is off the true cosine by the
+/// rounding of `atan2`, of the heading subtraction, of `wrap_angle`'s one
+/// `TAU` correction and of `cos`, about 2e-15 in all for headings in
+/// `[−π, π]`; the bound's own arithmetic adds about 1e-14.
+const TOWARDNESS_SLACK: f64 = 1e-9;
+
+/// The smallest center distance, in meters, at which [`towardness_bound`]
+/// bounds anything: below it the squares of the offsets lose precision.
+const MIN_BOUND_RANGE: f64 = 1e-150;
 
 /// Barrier over (distance, bearing, speed) relative to the nearest obstacle.
 ///
@@ -121,9 +140,14 @@ impl DistanceBarrier {
             return f64::INFINITY;
         }
         let towardness = observation.bearing.cos().max(0.0);
-        let kinetic =
-            self.kinetic_gain * towardness * observation.speed.powi(2) / (2.0 * self.max_braking);
-        observation.distance - self.safe_radius - kinetic
+        self.value_at(observation.distance, towardness, observation.speed)
+    }
+
+    /// `h` at a finite surface `distance` and `speed` with the kinetic term
+    /// weighted by `towardness`: [`Self::value`]'s arithmetic, in its order.
+    fn value_at(&self, distance: f64, towardness: f64, speed: f64) -> f64 {
+        let kinetic = self.kinetic_gain * towardness * speed.powi(2) / (2.0 * self.max_braking);
+        distance - self.safe_radius - kinetic
     }
 
     /// Evaluates `h` directly against a world and vehicle state
@@ -139,35 +163,85 @@ impl DistanceBarrier {
     /// it whenever either is negative, but a non-negative value may be
     /// smaller.
     ///
-    /// When the distance-only floor `d − r_safe − k·v²/(2 a_brake)`, which
-    /// is `h` with towardness taken as 1, is non-negative, the floor is
-    /// returned and the bearing (`atan2`, `cos`) is never computed. The
-    /// floor never exceeds `h` in floating point: towardness is at most 1,
-    /// and with `k ≥ 0` and `a_brake > 0` every rounding step of
-    /// [`Self::value`] is monotone in it. For any other gain or braking the
-    /// exact value is returned.
+    /// The bearing (`atan2`, `cos`) is computed only when two screens leave
+    /// the sign open, and only when `k ≥ 0` and `a_brake > 0` are finite
+    /// (for any other gain or braking the exact value is returned):
+    ///
+    /// * when the distance-only floor `d − r_safe − k·v²/(2 a_brake)`, `h`
+    ///   with towardness taken as 1, is non-negative, the floor is returned;
+    /// * otherwise, when [`towardness_bound`] is negative, `cos(bearing)` is
+    ///   too, towardness is exactly 0, and `h = d − r_safe` is returned
+    ///   exactly; when `h` taken at the bound is non-negative, it is
+    ///   returned.
+    ///
+    /// Neither stand-in exceeds `h` in floating point: both weights are at
+    /// least the towardness [`Self::value`] computes, and every rounding
+    /// step of `h` is monotone in it.
     #[must_use]
     pub fn screened_value_in_world(&self, world: &World, state: &VehicleState) -> f64 {
         let Some((obstacle, distance)) = world.nearest_obstacle(state) else {
             return f64::INFINITY;
         };
+        self.screened_value(obstacle.x, obstacle.y, distance, state)
+    }
+
+    /// [`Self::screened_value_in_world`] against an obstacle centered at
+    /// `(x, y)` whose surface is `distance` away.
+    fn screened_value(&self, x: f64, y: f64, distance: f64, state: &VehicleState) -> f64 {
         let monotone = self.kinetic_gain.is_finite()
             && self.kinetic_gain >= 0.0
             && self.max_braking.is_finite()
             && self.max_braking > 0.0;
-        if monotone {
-            let floor = distance
-                - self.safe_radius
-                - self.kinetic_gain * state.speed.powi(2) / (2.0 * self.max_braking);
+        if monotone && distance.is_finite() {
+            let floor = self.value_at(distance, 1.0, state.speed);
             if floor >= 0.0 {
                 return floor;
+            }
+            let bound = towardness_bound(state, x, y);
+            if bound < 0.0 {
+                return self.value_at(distance, 0.0, state.speed);
+            }
+            let at_bound = self.value_at(distance, bound, state.speed);
+            if at_bound >= 0.0 {
+                return at_bound;
             }
         }
         self.value(&RelativeObservation {
             distance,
-            bearing: state.bearing_to(obstacle.x, obstacle.y),
+            bearing: state.bearing_to(x, y),
             speed: state.speed,
         })
+    }
+
+    /// Measures a look-ahead's start state once: writes each obstacle's
+    /// surface distance from `state` to `distances`, in order, and returns
+    /// [`Self::screened_value_in_world`] there. Returns `None` when a
+    /// distance is `NaN` or `−∞` (a `NaN` position, or an infinite radius):
+    /// the nearest obstacle is then undefined, and the safety filter and
+    /// both φ evaluators fail safe.
+    pub(crate) fn measure_start(
+        &self,
+        world: &World,
+        state: &VehicleState,
+        distances: &mut Vec<f64>,
+    ) -> Option<f64> {
+        distances.clear();
+        // Without a `NaN`, `World::nearest_obstacle`'s first of equal
+        // minima is the first strictly smaller distance.
+        let mut nearest: Option<(&Obstacle, f64)> = None;
+        for obstacle in world.obstacles() {
+            let distance = obstacle.surface_distance(state.x, state.y);
+            if distance.is_nan() || distance == f64::NEG_INFINITY {
+                return None;
+            }
+            if nearest.is_none_or(|(_, closest)| distance < closest) {
+                nearest = Some((obstacle, distance));
+            }
+            distances.push(distance);
+        }
+        Some(nearest.map_or(f64::INFINITY, |(obstacle, distance)| {
+            self.screened_value(obstacle.x, obstacle.y, distance, state)
+        }))
     }
 
     /// The binary safety state `S` of eq. (1): `true` iff `h >= 0`.
@@ -188,6 +262,10 @@ impl DistanceBarrier {
     /// d₀ − (v̄ + w)·T − r_safe − k·v̄² / (2 a_brake) > ε,
     /// v̄ = min(v + a⁺·T, max(v, v_max))
     /// ```
+    ///
+    /// It holds exactly when it holds for each obstacle on its own, with
+    /// that obstacle's surface distance in place of `d₀`: the form the
+    /// look-ahead cull applies, one obstacle speed at a time.
     ///
     /// where `a⁺` is the acceleration at `control`'s throttle (0 when
     /// braking) and `v̄` bounds the speed of every reachable state, the
@@ -211,6 +289,30 @@ impl DistanceBarrier {
         reach: Seconds,
         mover_speed: f64,
     ) -> bool {
+        // With no obstacle, `h` stays +∞.
+        mover_speed.is_finite()
+            && mover_speed >= 0.0
+            && self
+                .reach_bound(state, control, model, reach)
+                .is_some_and(|bound| {
+                    world.obstacles().iter().all(|obstacle| {
+                        bound.clears(obstacle.surface_distance(state.x, state.y), mover_speed)
+                    })
+                })
+    }
+
+    /// The obstacle-independent terms of [`Self::reachably_safe`]'s bound
+    /// for one start state, frozen control and reach, or `None` when its
+    /// premises fail (a non-finite state or control, a negative speed, or
+    /// a model or barrier with negative drag, acceleration, braking or
+    /// gain): then it clears no obstacle.
+    pub(crate) fn reach_bound(
+        &self,
+        state: &VehicleState,
+        control: Control,
+        model: &BicycleModel,
+        reach: Seconds,
+    ) -> Option<ReachBound> {
         let finite = [
             state.x,
             state.y,
@@ -218,37 +320,27 @@ impl DistanceBarrier {
             state.speed,
             control.steering,
             control.throttle,
-            mover_speed,
         ]
         .iter()
         .all(|v| v.is_finite());
         let premises = state.speed >= 0.0
-            && mover_speed >= 0.0
             && model.drag >= 0.0
             && model.max_acceleration >= 0.0
             && model.max_braking >= 0.0
             && self.kinetic_gain >= 0.0
             && self.max_braking > 0.0;
         if !(finite && premises) {
-            return false;
-        }
-        let mut nearest = f64::INFINITY;
-        for obstacle in world.obstacles() {
-            let distance = obstacle.surface_distance(state.x, state.y);
-            if !distance.is_finite() {
-                return false;
-            }
-            nearest = nearest.min(distance);
+            return None;
         }
         let t = reach.as_secs();
         let accel = control.throttle.clamp(-1.0, 1.0).max(0.0) * model.max_acceleration;
         let v_bar = (state.speed + accel * t).min(state.speed.max(model.max_speed));
-        let margin = nearest
-            - (v_bar + mover_speed) * t
-            - self.safe_radius
-            - self.kinetic_gain * v_bar.powi(2) / (2.0 * self.max_braking);
-        // With no obstacle, `nearest` stays +∞ and so does `h`.
-        margin > REACH_SLACK
+        Some(ReachBound {
+            v_bar,
+            t,
+            safe_radius: self.safe_radius,
+            kinetic: self.kinetic_gain * v_bar.powi(2) / (2.0 * self.max_braking),
+        })
     }
 
     /// Minimum distance at which a vehicle at `speed` heading straight at
@@ -257,6 +349,82 @@ impl DistanceBarrier {
     pub fn critical_distance(&self, speed: f64) -> f64 {
         self.safe_radius + self.kinetic_gain * speed.powi(2) / (2.0 * self.max_braking)
     }
+}
+
+/// [`DistanceBarrier::reachably_safe`]'s bound for one start state, frozen
+/// control and reach, applied one obstacle at a time.
+#[derive(Debug, Clone, Copy)]
+pub(crate) struct ReachBound {
+    /// `v̄`, the bound on every reachable speed.
+    v_bar: f64,
+    /// `T`, the reach in seconds.
+    t: f64,
+    safe_radius: f64,
+    /// `k·v̄²/(2 a_brake)`.
+    kinetic: f64,
+}
+
+impl ReachBound {
+    /// Whether an obstacle whose surface is `distance` away at the start and
+    /// which moves at no more than `speed` m/s keeps `h > 0` at every
+    /// reachable state: `d − (v̄ + w)·T − r_safe − k·v̄²/(2 a_brake) > ε`.
+    /// Never for a non-finite distance or speed, or a negative speed.
+    pub(crate) fn clears(&self, distance: f64, speed: f64) -> bool {
+        distance.is_finite()
+            && speed.is_finite()
+            && speed >= 0.0
+            && distance - (self.v_bar + speed) * self.t - self.safe_radius - self.kinetic
+                > REACH_SLACK
+    }
+
+    /// The items (obstacles or movers) this bound cannot clear, in their
+    /// original order; `distances` holds each one's start distance and
+    /// `speed` gives its speed.
+    pub(crate) fn survivors<'a, T>(
+        &'a self,
+        items: &'a [T],
+        distances: &'a [f64],
+        speed: impl Fn(&T) -> f64 + 'a,
+    ) -> impl Iterator<Item = &'a T> + 'a {
+        items
+            .iter()
+            .zip(distances)
+            .filter(move |&(item, &distance)| !self.clears(distance, speed(item)))
+            .map(|(item, _)| item)
+    }
+}
+
+/// An upper bound on `cos(state.bearing_to(px, py))` as computed, found
+/// without trigonometry, or `NaN` when the heading is outside `[−π, π]` or
+/// the center distance `ρ` is below 1e-150 m or not finite.
+///
+/// With `(dx, dy)` the offset of the point, `cos(bearing) = (dx·cos θ +
+/// dy·sin θ)/ρ` for heading `θ`. The bound takes each product at its
+/// largest over `1 − θ²/2 ≤ cos θ ≤ 1` and, for `θ ≥ 0`, `θ − θ³/6 ≤
+/// sin θ ≤ θ` (mirrored for `θ < 0`), and adds a slack of 1e-9 that
+/// dwarfs the rounding of both the bound and the computed cosine. Where
+/// it is negative, the towardness [`DistanceBarrier::value`] computes is
+/// exactly 0; elsewhere the bound is at least that towardness.
+#[must_use]
+pub fn towardness_bound(state: &VehicleState, px: f64, py: f64) -> f64 {
+    let theta = state.heading;
+    let (dx, dy) = (px - state.x, py - state.y);
+    let rho = (dx * dx + dy * dy).sqrt();
+    if !(theta.abs() <= PI && rho >= MIN_BOUND_RANGE && rho.is_finite()) {
+        return f64::NAN;
+    }
+    let theta2 = theta * theta;
+    let along = if dx >= 0.0 {
+        dx
+    } else {
+        dx * (1.0 - 0.5 * theta2)
+    };
+    let across = if (dy >= 0.0) == (theta >= 0.0) {
+        dy * theta
+    } else {
+        dy * (theta - theta * theta2 / 6.0)
+    };
+    (along + across) / rho + TOWARDNESS_SLACK
 }
 
 #[cfg(test)]

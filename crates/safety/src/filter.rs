@@ -11,30 +11,39 @@
 //! The look-ahead stops at the first negative `h`
 //! ([`SafetyFilter::worst_case_barrier`]), so an unsafe control is ranked by
 //! `h` at its first unsafe look-ahead step, not by the look-ahead minimum.
-//! Every decision below is exactly that of a plain scan over `U`; three
-//! fast paths only skip work whose answer is already known:
+//! Every decision below is exactly that of a plain scan over `U`; the fast
+//! paths only skip work whose answer is already known:
 //!
-//! * a control the reachability bound
-//!   ([`DistanceBarrier::reachably_safe`]) proves safe passes, and a
-//!   candidate it proves safe counts as safe, without a rollout;
-//! * the look-ahead of a pass check or a candidate reads `h` through
-//!   [`DistanceBarrier::screened_value_in_world`], which skips the bearing
-//!   while a distance-only floor proves `h ≥ 0`. Ψ reads only the sign
-//!   of a non-negative worst case, so that value may be the floor; a
-//!   negative one is always exact. [`SafetyFilter::worst_case_barrier`]
-//!   stays exact;
+//! * each call measures the start state once, every obstacle's distance
+//!   and `h` there, for the pass check and all candidates to share;
+//! * the reachability bound ([`DistanceBarrier::reachably_safe`]) is
+//!   applied to each obstacle: the look-ahead of a control measures only
+//!   the obstacles it cannot clear, kept in their order, and a control
+//!   whose look-ahead it clears of every obstacle passes (a candidate
+//!   counts as safe) without a rollout;
+//! * the look-ahead reads `h` through
+//!   [`DistanceBarrier::screened_value_in_world`], which computes the
+//!   bearing only when neither a distance-only floor nor a trig-free
+//!   towardness bound settles the sign. Ψ reads only the sign of a
+//!   non-negative worst case, so that value may be a stand-in; a negative
+//!   one is always exact. [`SafetyFilter::worst_case_barrier`] stays
+//!   exact: it culls nothing and screens nothing;
 //! * the corrective search visits `U` from the highest safe score down
 //!   and stops at the first safe candidate, which is the scan's argmax.
 //!   Only when no candidate is safe does it rank the stored values of the
 //!   unsafe ones, in enumeration order, as the scan does.
 //!
 //! A control with a non-finite channel is never passed: its rollout reaches
-//! `NaN` positions, whose distance the barrier reads as "no obstacle".
+//! `NaN` positions, whose distance the barrier reads as "no obstacle". A
+//! start state at a `NaN` or `−∞` distance from an obstacle leaves the
+//! nearest obstacle undefined, so Ψ corrects to full braking without a
+//! look-ahead.
 
 use crate::barrier::DistanceBarrier;
 use seo_platform::units::Seconds;
 use seo_sim::vehicle::{BicycleModel, Control, VehicleState};
 use seo_sim::world::World;
+use std::cell::RefCell;
 
 /// What the filter did with the raw control.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -88,6 +97,32 @@ const STEERING_CANDIDATES: usize = 4;
 
 /// The size of `U`: each steering candidate at three throttles.
 const CANDIDATES: usize = 3 * (2 * STEERING_CANDIDATES + 1);
+
+/// The corrective search's last resort, and Ψ's answer when the start
+/// state cannot be measured.
+const FULL_BRAKE: Control = Control {
+    steering: 0.0,
+    throttle: -1.0,
+};
+
+thread_local! {
+    /// The calling thread's start distances and surviving obstacles, reused
+    /// by every Ψ call so that none allocates once they have grown.
+    static SCRATCH: RefCell<(Vec<f64>, World)> = RefCell::new((Vec::new(), World::empty()));
+}
+
+/// One Ψ call's start state, measured once and shared by the pass check
+/// and every candidate.
+struct Start<'a> {
+    world: &'a World,
+    state: &'a VehicleState,
+    /// The screened `h` at `state`.
+    h: f64,
+    /// Each obstacle's surface distance from `state`, in order.
+    distances: &'a [f64],
+    /// Refilled with the obstacles one control can reach.
+    survivors: &'a mut World,
+}
 
 impl Default for SafetyFilter {
     /// Default barrier/bicycle, 600 ms look-ahead at 20 ms steps, 4
@@ -154,18 +189,21 @@ impl SafetyFilter {
     /// the corrective search ranks candidates by exactly this value.
     #[must_use]
     pub fn worst_case_barrier(&self, world: &World, state: &VehicleState, control: Control) -> f64 {
-        self.look_ahead(state, control, |s| self.barrier.value_in_world(world, s))
+        let h = self.barrier.value_in_world(world, state);
+        self.look_ahead(h, state, control, |s| self.barrier.value_in_world(world, s))
     }
 
-    /// The running minimum of `h_at` from `state` on under frozen
-    /// `control`, stopping at the first negative value.
+    /// The running minimum of `h`, which is `h` at `state`, and of `h_at`
+    /// at each state the frozen `control` reaches from `state`, stopping
+    /// at the first negative value.
     fn look_ahead(
         &self,
+        h: f64,
         state: &VehicleState,
         control: Control,
         h_at: impl Fn(&VehicleState) -> f64,
     ) -> f64 {
-        let mut worst = h_at(state);
+        let mut worst = h;
         self.model
             .rollout(*state, control, self.step, self.lookahead, |_, s| {
                 let h = h_at(&s);
@@ -182,7 +220,10 @@ impl SafetyFilter {
     /// Matches eq. (2): `u` when the look-ahead stays safe, otherwise the
     /// best corrective action from the admissible set. A control with a
     /// non-finite channel is always corrected, ranked as though each such
-    /// channel were 0; the result is finite.
+    /// channel were 0; the result is finite. When an obstacle's distance
+    /// from `state` is `NaN` or `−∞` (a `NaN` position or an infinite
+    /// radius), the nearest obstacle is undefined and Ψ fails safe: it
+    /// corrects to full braking without a look-ahead.
     #[must_use]
     pub fn filter(
         &self,
@@ -190,38 +231,68 @@ impl SafetyFilter {
         state: &VehicleState,
         control: Control,
     ) -> (Control, FilterDecision) {
-        let finite = control.steering.is_finite() && control.throttle.is_finite();
-        if finite && self.screened_worst(world, state, control) >= 0.0 {
-            return (control, FilterDecision::Passed);
-        }
-        let or_zero = |v: f64| if v.is_finite() { v } else { 0.0 };
-        let ranked_against = Control {
-            steering: or_zero(control.steering),
-            throttle: or_zero(control.throttle),
-        };
-        let corrected = self.corrective_action(world, state, ranked_against);
-        (corrected, FilterDecision::Corrected { original: control })
+        let corrected = FilterDecision::Corrected { original: control };
+        SCRATCH.with_borrow_mut(|(distances, survivors)| {
+            let Some(h) = self.barrier.measure_start(world, state, distances) else {
+                return (FULL_BRAKE, corrected);
+            };
+            let mut start = Start {
+                world,
+                state,
+                h,
+                distances,
+                survivors,
+            };
+            let finite = control.steering.is_finite() && control.throttle.is_finite();
+            if finite && self.screened_worst(&mut start, control) >= 0.0 {
+                return (control, FilterDecision::Passed);
+            }
+            let or_zero = |v: f64| if v.is_finite() { v } else { 0.0 };
+            let ranked_against = Control {
+                steering: or_zero(control.steering),
+                throttle: or_zero(control.throttle),
+            };
+            (
+                self.corrective_action(&mut start, ranked_against),
+                corrected,
+            )
+        })
     }
 
-    /// [`Self::worst_case_barrier`], or `+∞` without a rollout when the
-    /// reachability bound proves it non-negative, and rolled out on
-    /// [`DistanceBarrier::screened_value_in_world`] otherwise. Its sign is
-    /// always exact, and so is a negative value: the only ones Ψ reads.
-    /// Each screened value has `h`'s sign and is `h` when negative, so the
-    /// running minimum stops at the same step and ends on the same
-    /// negative `h`.
-    fn screened_worst(&self, world: &World, state: &VehicleState, control: Control) -> f64 {
+    /// [`Self::worst_case_barrier`] with only its sign and a negative value
+    /// exact: the only ones Ψ reads. The look-ahead measures only the
+    /// obstacles the reachability bound cannot clear under `control`, and
+    /// reads `h` through [`DistanceBarrier::screened_value_in_world`]; when
+    /// the bound clears every obstacle, it is `+∞` without a rollout.
+    ///
+    /// A cleared obstacle keeps `h > 0` over the whole look-ahead. So at a
+    /// step where `h < 0`, the nearest obstacle survives the cull, and the
+    /// survivors, kept in order, yield it as their first nearest; where
+    /// `h ≥ 0`, the survivors' `h` is too. Each screened value has `h`'s
+    /// sign and is `h` when negative, so the running minimum stops at the
+    /// same step and ends on the same negative `h`.
+    fn screened_worst(&self, start: &mut Start<'_>, control: Control) -> f64 {
         let reach = self.lookahead + self.step;
-        if self
+        let world = match self
             .barrier
-            .reachably_safe(world, state, control, &self.model, reach, 0.0)
+            .reach_bound(start.state, control, &self.model, reach)
         {
-            f64::INFINITY
-        } else {
-            self.look_ahead(state, control, |s| {
-                self.barrier.screened_value_in_world(world, s)
-            })
-        }
+            Some(bound) => {
+                let obstacles = start.world.obstacles();
+                let survivors = bound.survivors(obstacles, start.distances, |_| 0.0);
+                start
+                    .survivors
+                    .refill(start.world.road(), survivors.copied());
+                if start.survivors.obstacles().is_empty() {
+                    return f64::INFINITY;
+                }
+                &*start.survivors
+            }
+            None => start.world,
+        };
+        self.look_ahead(start.h, start.state, control, |s| {
+            self.barrier.screened_value_in_world(world, s)
+        })
     }
 
     /// ψ(x; U): the corrective behaviour — pick from the admissible set the
@@ -237,7 +308,7 @@ impl SafetyFilter {
     /// The worst-case values of the unsafe ones are kept, and only when no
     /// candidate is safe are they ranked in enumeration order. Any other
     /// original runs that plain scan from the start. Allocation-free.
-    fn corrective_action(&self, world: &World, state: &VehicleState, original: Control) -> Control {
+    fn corrective_action(&self, start: &mut Start<'_>, original: Control) -> Control {
         let candidates = Self::candidates(original);
         let safe_scores = candidates.map(|candidate| {
             let proximity = -((candidate.steering - original.steering).abs()
@@ -249,7 +320,7 @@ impl SafetyFilter {
             let mut order: [usize; CANDIDATES] = std::array::from_fn(|i| i);
             order.sort_by(|&a, &b| safe_scores[b].total_cmp(&safe_scores[a]));
             for i in order {
-                let value = self.screened_worst(world, state, candidates[i]);
+                let value = self.screened_worst(start, candidates[i]);
                 if value >= 0.0 {
                     return candidates[i];
                 }
@@ -259,10 +330,10 @@ impl SafetyFilter {
         // ShieldNN-style minimal correction: among *safe* candidates,
         // prefer the one closest to the original control (keeps making
         // progress); if none is safe, fall back to the least-unsafe one.
-        let mut best = Control::new(0.0, -1.0); // full brake fallback
+        let mut best = FULL_BRAKE;
         let mut best_score = f64::NEG_INFINITY;
         for (i, &candidate) in candidates.iter().enumerate() {
-            let value = worst[i].unwrap_or_else(|| self.screened_worst(world, state, candidate));
+            let value = worst[i].unwrap_or_else(|| self.screened_worst(start, candidate));
             let score = if value >= 0.0 { safe_scores[i] } else { value };
             if score > best_score {
                 best_score = score;
@@ -299,7 +370,7 @@ impl SafetyFilter {
     /// ordered search must match.
     #[cfg(test)]
     fn reference_scan(&self, world: &World, state: &VehicleState, original: Control) -> Control {
-        let mut best = Control::new(0.0, -1.0);
+        let mut best = FULL_BRAKE;
         let mut best_score = f64::NEG_INFINITY;
         for candidate in Self::candidates(original) {
             let worst = self.worst_case_barrier(world, state, candidate);
@@ -392,6 +463,30 @@ mod tests {
         // A NaN channel is ranked as 0, so NaN steering corrects like 0.
         let (nan_steering, _) = filter.filter(&world, &state, Control::new(f64::NAN, 1.0));
         assert_eq!(nan_steering, full_throttle);
+    }
+
+    #[test]
+    fn a_non_finite_obstacle_distance_fails_safe() {
+        // 12 m/s at full throttle, an obstacle surface 7 m ahead: a NaN
+        // obstacle listed before or after it, or an obstacle of infinite
+        // radius (distance −∞), gets full braking, flagged as a correction.
+        let filter = SafetyFilter::default();
+        let state = VehicleState::new(0.0, 0.0, 0.0, 12.0);
+        let raw = Control::new(0.0, 1.0);
+        let near = Obstacle::new(8.0, 0.0, 1.0);
+        let nan = Obstacle::new(f64::NAN, 0.0, 1.0);
+        let infinite = Obstacle::new(60.0, 0.0, f64::INFINITY);
+        for obstacles in [vec![nan, near], vec![near, nan], vec![nan], vec![infinite]] {
+            let world = World::new(Road::new(1000.0, 40.0), obstacles);
+            let (control, decision) = filter.filter(&world, &state, raw);
+            assert_eq!(control, FULL_BRAKE, "{world:?}");
+            assert_eq!(decision, FilterDecision::Corrected { original: raw });
+        }
+        // Without the NaN obstacle, the correction is not full braking.
+        let world = World::new(Road::new(1000.0, 40.0), vec![near]);
+        let (control, decision) = filter.filter(&world, &state, raw);
+        assert!(decision.is_correction());
+        assert_ne!(control, FULL_BRAKE);
     }
 
     /// Drives one filtered episode (static when `traffic` is `None`) with

@@ -8,21 +8,49 @@
 //! the same construction EnergyShield \[20\] derives in closed form for the
 //! ShieldNN dynamics.
 //!
-//! Both evaluators first ask the reachability bound
-//! ([`DistanceBarrier::reachably_safe`]) whether `h` can cross zero before
-//! the rollout ends; when it cannot, they return the horizon without
-//! rolling out, which is what the rollout would return. Their safety and
-//! crossing tests read only `h`'s sign, so they evaluate it through
+//! Both evaluators measure the start state once and apply the reachability
+//! bound ([`DistanceBarrier::reachably_safe`]) to each obstacle, at that
+//! obstacle's own speed (0 when parked, `|v|` for a mover): an obstacle it
+//! clears cannot make `h` negative before the rollout ends, so the rollout
+//! measures, and the dynamic φ advances, only the others, in their order.
+//! When it clears every obstacle, they return the horizon without rolling
+//! out, which is what the rollout would return. Their safety and crossing
+//! tests read only `h`'s sign, so they evaluate it through
 //! [`DistanceBarrier::screened_value_in_world`], which has that sign and
-//! skips the bearing while a distance-only floor proves `h ≥ 0`.
+//! computes the bearing only when neither a distance-only floor nor a
+//! trig-free towardness bound settles it. A start state at a `NaN` or
+//! `−∞` distance from an obstacle, or a mover with a non-finite velocity,
+//! gives an interval of 0.
 
 use crate::barrier::DistanceBarrier;
 use seo_platform::units::Seconds;
-use seo_sim::dynamics::DynamicWorld;
+use seo_sim::dynamics::{DynamicWorld, MovingObstacle};
 use seo_sim::sensing::RelativeObservation;
 use seo_sim::vehicle::{BicycleModel, Control, VehicleState};
 use seo_sim::world::{Obstacle, Road, World};
 use std::cell::RefCell;
+
+/// The calling thread's φ buffers, reused by every call so that none
+/// allocates once they have grown.
+struct Scratch {
+    /// Each obstacle's surface distance from the start state, in order.
+    distances: Vec<f64>,
+    /// The dynamic world as of the interval start.
+    snapshot: World,
+    /// The obstacles the rollout measures.
+    survivors: World,
+    /// The movers the dynamic rollout advances.
+    movers: Vec<MovingObstacle>,
+}
+
+thread_local! {
+    static SCRATCH: RefCell<Scratch> = RefCell::new(Scratch {
+        distances: Vec::new(),
+        snapshot: World::empty(),
+        survivors: World::empty(),
+        movers: Vec::new(),
+    });
+}
 
 /// Numerically evaluates φ over the simulated dynamics.
 ///
@@ -140,39 +168,34 @@ impl SafeIntervalEvaluator {
     ///
     /// If the state is *already* unsafe, returns [`Seconds::ZERO`] — the
     /// paper's Algorithm 1 then forces every Λ′ model to run at full
-    /// capacity (`δ_i >= δmax` branch).
+    /// capacity (`δ_i >= δmax` branch). So does a world with an obstacle
+    /// whose distance from `state` is `NaN` or `−∞`, where the nearest
+    /// obstacle is undefined.
     #[must_use]
     pub fn safe_interval(&self, world: &World, state: &VehicleState, control: Control) -> Seconds {
-        if self.barrier.screened_value_in_world(world, state) < 0.0 {
-            return Seconds::ZERO;
-        }
-        // Roll out far enough that, after dividing by kappa, the horizon is
-        // still reachable.
-        let raw_horizon = self.horizon * self.conservatism;
-        let reach = raw_horizon + self.step;
-        if self
-            .barrier
-            .reachably_safe(world, state, control, &self.model, reach, 0.0)
-        {
-            return self.horizon;
-        }
-        let mut crossing: Option<Seconds> = None;
-        self.model
-            .rollout(*state, control, self.step, raw_horizon, |t, s| {
-                if self.barrier.screened_value_in_world(world, &s) < 0.0 {
-                    crossing = Some(t);
-                    false
-                } else {
-                    true
+        SCRATCH.with_borrow_mut(|scratch| {
+            let h = self
+                .barrier
+                .measure_start(world, state, &mut scratch.distances);
+            if h.is_none_or(|h| h < 0.0) {
+                return Seconds::ZERO;
+            }
+            let reach = self.horizon * self.conservatism + self.step;
+            let world = match self.barrier.reach_bound(state, control, &self.model, reach) {
+                Some(bound) => {
+                    let survivors = bound.survivors(world.obstacles(), &scratch.distances, |_| 0.0);
+                    scratch.survivors.refill(world.road(), survivors.copied());
+                    if scratch.survivors.obstacles().is_empty() {
+                        return self.horizon;
+                    }
+                    &scratch.survivors
                 }
-            });
-        match crossing {
-            // The state was safe at t - step and unsafe at t: the crossing
-            // lies in between; report the last provably-safe instant,
-            // shrunk by the conservatism margin.
-            Some(t) => ((t - self.step).max(Seconds::ZERO) / self.conservatism).min(self.horizon),
-            None => self.horizon,
-        }
+                None => world,
+            };
+            self.roll_out(state, control, |_, s| {
+                self.barrier.screened_value_in_world(world, s) < 0.0
+            })
+        })
     }
 
     /// Δmax against a **dynamic** world: both the vehicle (frozen control)
@@ -181,7 +204,8 @@ impl SafeIntervalEvaluator {
     /// φ(x, x′, u) of eq. (3) with a moving x′.
     ///
     /// `now` is the absolute time of `state` within the dynamic world's
-    /// timeline.
+    /// timeline. Returns [`Seconds::ZERO`] where [`Self::safe_interval`]
+    /// would at `now`, and when a mover's velocity is not finite.
     #[must_use]
     pub fn safe_interval_dynamic(
         &self,
@@ -190,24 +214,57 @@ impl SafeIntervalEvaluator {
         state: &VehicleState,
         control: Control,
     ) -> Seconds {
-        // One snapshot per call, refilled in place at each rollout step.
-        let mut snapshot = world.snapshot(now);
-        if self.barrier.screened_value_in_world(&snapshot, state) < 0.0 {
-            return Seconds::ZERO;
-        }
-        let raw_horizon = self.horizon * self.conservatism;
-        let reach = raw_horizon + self.step;
-        if fastest_mover(world).is_some_and(|speed| {
-            self.barrier
-                .reachably_safe(&snapshot, state, control, &self.model, reach, speed)
-        }) {
-            return self.horizon;
-        }
+        SCRATCH.with_borrow_mut(|scratch| {
+            let Scratch {
+                distances,
+                snapshot,
+                survivors,
+                movers,
+            } = scratch;
+            world.snapshot_into(now, snapshot);
+            let h = self.barrier.measure_start(snapshot, state, distances);
+            let finite = |m: &MovingObstacle| m.vx.is_finite() && m.vy.is_finite();
+            if h.is_none_or(|h| h < 0.0) || !world.movers().iter().all(finite) {
+                return Seconds::ZERO;
+            }
+            let reach = self.horizon * self.conservatism + self.step;
+            movers.clear();
+            match self.barrier.reach_bound(state, control, &self.model, reach) {
+                Some(bound) => {
+                    let speed = |m: &MovingObstacle| m.vx.hypot(m.vy);
+                    movers.extend(bound.survivors(world.movers(), distances, speed));
+                    if movers.is_empty() {
+                        return self.horizon;
+                    }
+                }
+                None => movers.extend_from_slice(world.movers()),
+            }
+            self.roll_out(state, control, |t, s| {
+                survivors.refill(world.road(), movers.iter().map(|m| m.at(now + t)));
+                self.barrier.screened_value_in_world(survivors, s) < 0.0
+            })
+        })
+    }
+
+    /// Rolls the frozen `control` out from `state` over the raw horizon
+    /// until `unsafe_at(t, state)` first holds, and reports the interval:
+    /// the horizon without a crossing. With one at `t`, the state was safe
+    /// at `t − step` and unsafe at `t`: the crossing lies in between, so
+    /// report the last provably-safe instant, shrunk by the conservatism
+    /// margin.
+    fn roll_out(
+        &self,
+        state: &VehicleState,
+        control: Control,
+        mut unsafe_at: impl FnMut(Seconds, &VehicleState) -> bool,
+    ) -> Seconds {
         let mut crossing: Option<Seconds> = None;
+        // Far enough that, after dividing by kappa, the horizon is still
+        // reachable.
+        let raw_horizon = self.horizon * self.conservatism;
         self.model
             .rollout(*state, control, self.step, raw_horizon, |t, s| {
-                world.snapshot_into(now + t, &mut snapshot);
-                if self.barrier.screened_value_in_world(&snapshot, &s) < 0.0 {
+                if unsafe_at(t, &s) {
                     crossing = Some(t);
                     false
                 } else {
@@ -253,15 +310,6 @@ impl SafeIntervalEvaluator {
             self.safe_interval(scene, &state, control)
         })
     }
-}
-
-/// The speed of the fastest mover, or `None` when any velocity is
-/// non-finite (`f64::max` would silently drop a `NaN`).
-fn fastest_mover(world: &DynamicWorld) -> Option<f64> {
-    world.movers().iter().try_fold(0.0_f64, |fastest, mover| {
-        let speed = mover.vx.hypot(mover.vy);
-        speed.is_finite().then(|| fastest.max(speed))
-    })
 }
 
 #[cfg(test)]
@@ -461,19 +509,42 @@ mod tests {
     }
 
     #[test]
-    fn fastest_mover_keeps_a_nan_velocity() {
+    fn a_non_finite_obstacle_or_mover_velocity_gives_a_zero_interval() {
         use seo_sim::dynamics::MovingObstacle;
-        let world = |velocities: &[(f64, f64)]| {
-            let movers = velocities
-                .iter()
-                .map(|&(vx, vy)| MovingObstacle::new(Obstacle::new(40.0, 0.0, 1.0), vx, vy))
-                .collect();
-            DynamicWorld::new(Road::default(), movers)
-        };
-        assert_eq!(fastest_mover(&world(&[])), Some(0.0));
-        assert_eq!(fastest_mover(&world(&[(3.0, 4.0), (0.0, 1.0)])), Some(5.0));
-        assert_eq!(fastest_mover(&world(&[(f64::NAN, 0.0), (3.0, 4.0)])), None);
-        assert_eq!(fastest_mover(&world(&[(3.0, 4.0), (0.0, f64::NAN)])), None);
+        // 12 m/s at full throttle, an obstacle surface 7 m ahead: the
+        // interval is 0 with a NaN obstacle listed before or after it, or
+        // an obstacle of infinite radius, whose distance is −∞.
+        let eval = SafeIntervalEvaluator::default();
+        let state = VehicleState::new(0.0, 0.0, 0.0, 12.0);
+        let control = Control::new(0.0, 1.0);
+        let near = Obstacle::new(8.0, 0.0, 1.0);
+        let nan = Obstacle::new(f64::NAN, 0.0, 1.0);
+        let infinite = Obstacle::new(60.0, 0.0, f64::INFINITY);
+        let road = Road::new(1000.0, 100.0);
+        for obstacles in [vec![nan, near], vec![near, nan], vec![infinite]] {
+            let world = World::new(road, obstacles);
+            assert_eq!(eval.safe_interval(&world, &state, control), Seconds::ZERO);
+            let dynamic = DynamicWorld::from_static(&world);
+            assert_eq!(
+                eval.safe_interval_dynamic(&dynamic, Seconds::ZERO, &state, control),
+                Seconds::ZERO
+            );
+        }
+        // A mover with a non-finite velocity, 7 m ahead or 60 m ahead.
+        for (x, vx, vy) in [
+            (8.0, f64::NAN, 0.0),
+            (60.0, 0.0, f64::NAN),
+            (60.0, f64::INFINITY, 0.0),
+        ] {
+            let movers = vec![MovingObstacle::new(Obstacle::new(x, 0.0, 1.0), vx, vy)];
+            let dynamic = DynamicWorld::new(road, movers);
+            let now = Seconds::new(1.0);
+            assert_eq!(
+                eval.safe_interval_dynamic(&dynamic, now, &state, control),
+                Seconds::ZERO,
+                "velocity ({vx}, {vy})"
+            );
+        }
     }
 
     #[test]

@@ -4,7 +4,7 @@
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use seo_platform::units::Seconds;
-use seo_safety::barrier::DistanceBarrier;
+use seo_safety::barrier::{towardness_bound, DistanceBarrier};
 use seo_safety::filter::SafetyFilter;
 use seo_safety::interval::SafeIntervalEvaluator;
 use seo_safety::lookup::{Axis, DeadlineTable};
@@ -13,6 +13,7 @@ use seo_sim::dynamics::{DynamicWorld, MovingObstacle};
 use seo_sim::sensing::RelativeObservation;
 use seo_sim::vehicle::{BicycleModel, Control, VehicleState};
 use seo_sim::world::{Obstacle, Road, World};
+use std::f64::consts::{FRAC_PI_2, PI};
 use std::sync::Barrier;
 
 const CASES: usize = 300;
@@ -351,19 +352,22 @@ fn critical_distance_is_exact_zero_contour() {
 
 /// The reachability bound is sound: whenever it proves a state and control
 /// safe, the full rollout — the start included, no early exit — keeps
-/// `h >= 0`. Cases cover 1–3 obstacles, speeds above the model's
-/// `max_speed`, every integration step Ψ and φ run at, the look-ahead, the
-/// raw φ horizon and horizons that are no multiple of the step, and moving
-/// obstacles (rolled forward as the dynamic φ does). A quarter of the cases
-/// charge head-on at top speed and full throttle, where the bound is
-/// nearly tight, so a term dropped from it shows.
+/// `h >= 0`, and whenever it clears one obstacle at that obstacle's own
+/// speed, as the look-ahead cull does, `h` against that obstacle alone stays
+/// `>= 0`. Cases cover 1–10 obstacles all around the vehicle (behind
+/// included), speeds above the model's `max_speed`, every integration step
+/// Ψ and φ run at, the look-ahead, the raw φ horizon and horizons that are
+/// no multiple of the step, and obstacles moving in any direction (rolled
+/// forward as the dynamic φ does). A quarter of the cases charge head-on at
+/// top speed and full throttle, where the bound is nearly tight, so a term
+/// dropped from it shows.
 #[test]
 fn reachability_bound_never_proves_an_unsafe_rollout_safe() {
     let mut rng = StdRng::seed_from_u64(29);
     let barrier = DistanceBarrier::default();
     let model = BicycleModel::default();
     let steps_ms = [5.0, 20.0, 25.0, 100.0 / 3.0, 50.0];
-    let mut proven = 0usize;
+    let (mut proven, mut cleared) = (0usize, 0usize);
     let mut tightest = f64::INFINITY;
     for case in 0..REACH_CASES {
         let step = Seconds::from_millis(steps_ms[case % steps_ms.len()]);
@@ -377,7 +381,7 @@ fn reachability_bound_never_proves_an_unsafe_rollout_safe() {
         let obstacles = if head_on {
             1
         } else {
-            rng.gen_range(1..=3usize)
+            rng.gen_range(1..=10usize)
         };
         let movers: Vec<MovingObstacle> = (0..obstacles)
             .map(|_| {
@@ -385,7 +389,7 @@ fn reachability_bound_never_proves_an_unsafe_rollout_safe() {
                 let shape = if head_on {
                     Obstacle::new(rng.gen_range(15.0..35.0), 0.0, radius)
                 } else {
-                    Obstacle::new(rng.gen_range(-5.0..45.0), rng.gen_range(-8.0..8.0), radius)
+                    Obstacle::new(rng.gen_range(-30.0..45.0), rng.gen_range(-8.0..8.0), radius)
                 };
                 if moving {
                     MovingObstacle::new(
@@ -398,7 +402,8 @@ fn reachability_bound_never_proves_an_unsafe_rollout_safe() {
                 }
             })
             .collect();
-        let mover_speed = movers.iter().map(|m| m.vx.hypot(m.vy)).fold(0.0, f64::max);
+        let speeds: Vec<f64> = movers.iter().map(|m| m.vx.hypot(m.vy)).collect();
+        let mover_speed = speeds.iter().copied().fold(0.0, f64::max);
         let world = DynamicWorld::new(Road::new(1000.0, 100.0), movers);
         let now = Seconds::new(rng.gen_range(0.0..5.0));
         let (state, control) = if head_on {
@@ -418,34 +423,176 @@ fn reachability_bound_never_proves_an_unsafe_rollout_safe() {
             )
         };
         let snapshot = world.snapshot(now);
-        if !barrier.reachably_safe(
-            &snapshot,
-            &state,
-            control,
-            &model,
-            horizon + step,
-            mover_speed,
-        ) {
+        let reach = horizon + step;
+        let all = barrier.reachably_safe(&snapshot, &state, control, &model, reach, mover_speed);
+        // Each obstacle alone, at its own speed.
+        let alone: Vec<bool> = snapshot
+            .obstacles()
+            .iter()
+            .zip(&speeds)
+            .map(|(&obstacle, &speed)| {
+                let single = World::new(snapshot.road(), vec![obstacle]);
+                barrier.reachably_safe(&single, &state, control, &model, reach, speed)
+            })
+            .collect();
+        if !all && !alone.contains(&true) {
             continue;
         }
-        proven += 1;
-        let mut lowest = barrier.value_in_world(&snapshot, &state);
+        proven += usize::from(all);
+        cleared += alone.iter().filter(|&&c| c).count();
+        // `h` against each obstacle alone, lowest over the rollout.
+        let h_each = |t: Seconds, s: &VehicleState| -> Vec<f64> {
+            world
+                .snapshot(now + t)
+                .obstacles()
+                .iter()
+                .map(|o| {
+                    barrier.value(&RelativeObservation {
+                        distance: o.surface_distance(s.x, s.y),
+                        bearing: s.bearing_to(o.x, o.y),
+                        speed: s.speed,
+                    })
+                })
+                .collect()
+        };
+        let mut lowest = h_each(Seconds::ZERO, &state);
+        let mut lowest_h = barrier.value_in_world(&snapshot, &state);
         model.rollout(state, control, step, horizon, |t, s| {
-            lowest = lowest.min(barrier.value_in_world(&world.snapshot(now + t), &s));
+            for (low, h) in lowest.iter_mut().zip(h_each(t, &s)) {
+                *low = low.min(h);
+            }
+            lowest_h = lowest_h.min(barrier.value_in_world(&world.snapshot(now + t), &s));
             true
         });
-        assert!(
-            lowest >= 0.0,
-            "proved safe, but h reaches {lowest} from {state} under {control} \
-             (step {step}, horizon {horizon}, movers {:?})",
-            world.movers()
-        );
-        tightest = tightest.min(lowest);
+        let context = || {
+            format!(
+                "from {state} under {control} (step {step}, horizon {horizon}, movers {:?})",
+                world.movers()
+            )
+        };
+        if all {
+            assert!(
+                lowest_h >= 0.0,
+                "proved safe, but h reaches {lowest_h} {}",
+                context()
+            );
+            tightest = tightest.min(lowest_h);
+        }
+        for (i, (&low, &clear)) in lowest.iter().zip(&alone).enumerate() {
+            if clear {
+                assert!(
+                    low >= 0.0,
+                    "cleared obstacle {i} reaches h {low} {}",
+                    context()
+                );
+                tightest = tightest.min(low);
+            }
+        }
     }
-    // Not vacuous: the bound proves a share of the cases, some of them
-    // close to the boundary.
-    assert!(proven >= REACH_CASES / 10, "proved only {proven} cases");
+    // Not vacuous: the bound proves a share of the cases and clears many
+    // obstacles, some of them close to the boundary.
+    assert!(proven >= REACH_CASES / 20, "proved only {proven} cases");
+    assert!(cleared >= REACH_CASES, "cleared only {cleared} obstacles");
     assert!(tightest < 0.1, "closest proven case keeps h at {tightest}");
+}
+
+/// Center offsets and headings that corner the towardness bound: bearings
+/// within 1e-12 of ±π/2, headings over all of `(−π, π]` and `−π` itself,
+/// points behind and abeam, center distances from 1e-9 m to 1e6 m, and a
+/// uniform share. Each case is a heading, a bearing and a center distance.
+fn bearing_geometry(rng: &mut StdRng, case: usize) -> (f64, f64, f64) {
+    let heading = match case % 8 {
+        0 => PI,
+        1 => -PI,
+        2 => 0.0,
+        3 => FRAC_PI_2 * if rng.gen_bool(0.5) { 1.0 } else { -1.0 },
+        _ => rng.gen_range(-PI..=PI),
+    };
+    let side = if rng.gen_bool(0.5) { 1.0 } else { -1.0 };
+    let bearing = match case % 5 {
+        0 => side * FRAC_PI_2 + rng.gen_range(-1e-12..1e-12),
+        1 => side * FRAC_PI_2 + rng.gen_range(-1e-6..1e-6),
+        2 => side * rng.gen_range(FRAC_PI_2..=PI),
+        _ => rng.gen_range(-PI..=PI),
+    };
+    let range = if case.is_multiple_of(3) {
+        10f64.powf(rng.gen_range(-9.0..6.0))
+    } else {
+        rng.gen_range(0.5..30.0)
+    };
+    (heading, bearing, range)
+}
+
+/// The towardness bound is never below the `cos(bearing)` that
+/// [`DistanceBarrier::value`] weighs the kinetic term by, so a negative
+/// bound means a towardness of exactly 0, and `h` taken at a non-negative
+/// bound never exceeds `h`.
+#[test]
+fn towardness_bound_is_at_least_the_computed_cosine() {
+    let mut rng = StdRng::seed_from_u64(42);
+    let (mut negative, mut below_one) = (0usize, 0usize);
+    let mut check = |state: &VehicleState, px: f64, py: f64| {
+        let cosine = state.bearing_to(px, py).cos();
+        let bound = towardness_bound(state, px, py);
+        assert!(
+            bound.is_nan() || bound >= cosine,
+            "bound {bound} < cos {cosine} at {state:?} for ({px:e}, {py:e})"
+        );
+        negative += usize::from(bound < 0.0);
+        below_one += usize::from((0.0..1.0).contains(&bound));
+    };
+    let cases = 200_000;
+    for case in 0..cases {
+        let (heading, bearing, range) = bearing_geometry(&mut rng, case);
+        let state = if case.is_multiple_of(2) {
+            VehicleState::new(0.0, 0.0, heading, 10.0)
+        } else {
+            VehicleState::new(
+                rng.gen_range(-100.0..100.0),
+                rng.gen_range(-5.0..5.0),
+                heading,
+                10.0,
+            )
+        };
+        let angle = heading + bearing;
+        check(
+            &state,
+            state.x + range * angle.cos(),
+            state.y + range * angle.sin(),
+        );
+    }
+    // Exactly behind, abeam and ahead on the axes, at every quarter turn.
+    for heading in [-PI, -FRAC_PI_2, 0.0, FRAC_PI_2, PI] {
+        let state = VehicleState::new(0.0, 0.0, heading, 10.0);
+        for (px, py) in [(1.0, 0.0), (-1.0, 0.0), (0.0, 1.0), (0.0, -1.0), (0.0, 0.0)] {
+            check(&state, px, py);
+        }
+    }
+    // Non-finite fields and headings past ±π give NaN or a valid bound.
+    let (nan, inf) = (f64::NAN, f64::INFINITY);
+    for state in [
+        VehicleState::new(nan, 0.0, 0.0, 10.0),
+        VehicleState::new(0.0, inf, 0.0, 10.0),
+        VehicleState::new(0.0, 0.0, nan, 10.0),
+        VehicleState::new(0.0, 0.0, inf, 10.0),
+        VehicleState::new(0.0, 0.0, 3.2, 10.0),
+        VehicleState::new(0.0, 0.0, -7.0, 10.0),
+        VehicleState::new(0.0, 0.0, 0.3, nan),
+    ] {
+        for (px, py) in [
+            (-5.0, 1.0),
+            (5.0, -1.0),
+            (nan, 0.0),
+            (0.0, -inf),
+            (1e300, 1e300),
+        ] {
+            check(&state, px, py);
+        }
+    }
+    // Not vacuous: many bounds prove a zero towardness, and many more
+    // bound it below one.
+    assert!(negative >= cases / 6, "only {negative} negative bounds");
+    assert!(below_one >= cases / 4, "only {below_one} bounds in [0, 1)");
 }
 
 /// Checks the screen at one state: the screened value has `h`'s sign, is
@@ -494,6 +641,28 @@ fn screen_cases(rng: &mut StdRng) -> Vec<(World, VehicleState)> {
         obstacles.insert(if first { 0 } else { 1 }, Obstacle::new(nan, 0.0, 1.0));
         World::new(Road::default(), obstacles)
     };
+    // One or two obstacles around a vehicle at every heading, at speeds
+    // that make the floor negative, so both towardness screens and the
+    // exact bearing all answer.
+    for case in 0..8_000 {
+        let (heading, bearing, range) = bearing_geometry(rng, case);
+        let state = VehicleState::new(0.0, 0.0, heading, rng.gen_range(0.0..25.0));
+        let angle = heading + bearing;
+        let radius = rng.gen_range(0.0..1.5f64).min(0.5 * range);
+        let mut obstacles = vec![Obstacle::new(
+            range * angle.cos(),
+            range * angle.sin(),
+            radius,
+        )];
+        if case.is_multiple_of(2) {
+            obstacles.push(Obstacle::new(
+                rng.gen_range(-30.0..30.0),
+                rng.gen_range(-6.0..6.0),
+                rng.gen_range(0.0..1.5),
+            ));
+        }
+        cases.push((World::new(Road::default(), obstacles), state));
+    }
     let worlds = [World::empty(), one, with_nan(true), with_nan(false)];
     let states = [
         VehicleState::new(0.0, 0.0, 0.0, 10.0),
@@ -509,7 +678,11 @@ fn screen_cases(rng: &mut StdRng) -> Vec<(World, VehicleState)> {
         VehicleState::new(0.0, -inf, 0.0, 10.0),
         VehicleState::new(0.0, 0.0, inf, 10.0),
         VehicleState::new(0.0, 0.0, 0.0, inf),
-        VehicleState::new(19.5, 0.0, std::f64::consts::PI, 3.0),
+        VehicleState::new(19.5, 0.0, PI, 3.0),
+        VehicleState::new(19.5, 0.0, -PI, 3.0),
+        VehicleState::new(19.5, 3.0, FRAC_PI_2, 12.0),
+        VehicleState::new(19.5, -3.0, FRAC_PI_2, 12.0),
+        VehicleState::new(16.0, 0.0, 3.5, 12.0),
     ];
     for world in &worlds {
         for state in states {
@@ -536,14 +709,31 @@ fn screened_barrier_has_the_exact_sign_and_is_exact_when_negative() {
         },
     ];
     let (mut floors, mut negatives) = (0usize, 0usize);
+    let (mut behind, mut bounded) = (0usize, 0usize);
     for barrier in &screenable {
         for (world, state) in &cases {
             floors += usize::from(screen_agrees(barrier, world, state));
-            negatives += usize::from(barrier.value_in_world(world, state) < 0.0);
+            let exact = barrier.value_in_world(world, state);
+            negatives += usize::from(exact < 0.0);
+            // Which screen answers when the floor is negative.
+            let Some((nearest, d)) = world.nearest_obstacle(state) else {
+                continue;
+            };
+            let kinetic = |w: f64| {
+                barrier.kinetic_gain * w * state.speed.powi(2) / (2.0 * barrier.max_braking)
+            };
+            let floor = d - barrier.safe_radius - kinetic(1.0);
+            let bound = towardness_bound(state, nearest.x, nearest.y);
+            if floor < 0.0 && d.is_finite() {
+                behind += usize::from(bound < 0.0);
+                bounded +=
+                    usize::from(bound >= 0.0 && d - barrier.safe_radius - kinetic(bound) >= 0.0);
+            }
         }
     }
     // Not vacuous: the floor stands in for many values, and many are
-    // negative (and so exact).
+    // negative (and so exact); behind a negative floor, each towardness
+    // screen answers many times.
     assert!(
         floors >= cases.len() / 2,
         "the floor was used {floors} times"
@@ -552,6 +742,8 @@ fn screened_barrier_has_the_exact_sign_and_is_exact_when_negative() {
         negatives >= cases.len() / 4,
         "only {negatives} negative values"
     );
+    assert!(behind >= cases.len() / 10, "only {behind} negative bounds");
+    assert!(bounded >= cases.len() / 50, "only {bounded} bounded values");
     // Outside `k ≥ 0` and `a_brake > 0`, both finite, the rounding of `h`
     // need not be monotone in towardness: the screen returns `h` exactly.
     let exact_only = [
@@ -650,17 +842,28 @@ fn reference_interval(
     }
 }
 
-/// A world of 1–4 obstacles ahead of the origin, parked or moving.
+/// A world of 1–10 obstacles, half of them ahead of the origin and half
+/// all around it (behind included), parked or moving in any direction.
 fn lookahead_world(rng: &mut StdRng, moving: bool) -> DynamicWorld {
-    let movers = (0..rng.gen_range(1..=4usize))
+    let movers = (0..rng.gen_range(1..=10usize))
         .map(|_| {
-            let shape = Obstacle::new(
-                rng.gen_range(2.0..40.0),
-                rng.gen_range(-5.0..5.0),
-                rng.gen_range(0.0..1.5),
-            );
+            let shape = if rng.gen_bool(0.5) {
+                Obstacle::new(
+                    rng.gen_range(2.0..40.0),
+                    rng.gen_range(-5.0..5.0),
+                    rng.gen_range(0.0..1.5),
+                )
+            } else {
+                let (angle, range) = (rng.gen_range(-PI..PI), rng.gen_range(2.0..30.0));
+                Obstacle::new(
+                    range * angle.cos(),
+                    range * angle.sin(),
+                    rng.gen_range(0.0..1.5),
+                )
+            };
             if moving {
-                MovingObstacle::new(shape, rng.gen_range(-10.0..5.0), rng.gen_range(-3.0..3.0))
+                let (angle, speed) = (rng.gen_range(-PI..PI), rng.gen_range(0.0..12.0));
+                MovingObstacle::new(shape, speed * angle.cos(), speed * angle.sin())
             } else {
                 MovingObstacle::parked(shape)
             }
@@ -758,4 +961,55 @@ fn screened_psi_and_phi_decide_as_plain_rollouts_on_exact_h() {
     // Not vacuous: many corrections, and many intervals end at a crossing.
     assert!(corrected >= 600, "only {corrected} corrections");
     assert!(crossed >= 400, "only {crossed} crossings");
+}
+
+/// Two obstacles whose surfaces are exactly equally far at the first
+/// look-ahead step, one ahead (`h < 0`) and one behind (`h ≥ 0`), with a
+/// far third obstacle every look-ahead leaves out: `h` there is that of the
+/// one listed first, so a look-ahead that measures a subset of the world
+/// must keep the world's order.
+#[test]
+fn look_aheads_break_distance_ties_in_list_order() {
+    let model = BicycleModel::default();
+    let barrier = DistanceBarrier::default();
+    let step = Seconds::from_millis(20.0);
+    let params = (step, Seconds::new(1.0), 1.0);
+    let state = VehicleState::new(0.0, 0.0, 0.0, 10.0);
+    let control = Control::coast();
+    let first = model.step(state, control, step);
+    let (ahead, behind) = (0..64)
+        .map(|k| {
+            let gap = 3.5 + f64::from(k) * 1e-12;
+            (
+                Obstacle::new(first.x + gap, 0.0, 0.5),
+                Obstacle::new(first.x - gap, 0.0, 0.5),
+            )
+        })
+        .find(|(a, b)| a.x - first.x == first.x - b.x)
+        .expect("an exactly symmetric pair");
+    assert_eq!(
+        ahead.surface_distance(first.x, first.y),
+        behind.surface_distance(first.x, first.y)
+    );
+    let far = Obstacle::new(500.0, 0.0, 1.0);
+    let evaluator =
+        SafeIntervalEvaluator::new(barrier, model, step, params.1).with_conservatism(1.0);
+    let filter = SafetyFilter::new(barrier, model).with_step(step);
+    let mut intervals = Vec::new();
+    for obstacles in [vec![far, ahead, behind], vec![far, behind, ahead]] {
+        let world = World::new(Road::new(1000.0, 100.0), obstacles);
+        let expected = reference_interval(&model, params, &state, control, |_, s| {
+            barrier.value_in_world(&world, s)
+        });
+        let phi = evaluator.safe_interval(&world, &state, control);
+        assert_eq!(phi.as_secs().to_bits(), expected.as_secs().to_bits());
+        let dynamic = DynamicWorld::from_static(&world);
+        let dyn_phi = evaluator.safe_interval_dynamic(&dynamic, Seconds::ZERO, &state, control);
+        assert_eq!(dyn_phi.as_secs().to_bits(), expected.as_secs().to_bits());
+        let (psi, _) = filter.filter(&world, &state, control);
+        assert_eq!(psi, reference_filter(&filter, &world, &state, control).0);
+        intervals.push(expected);
+    }
+    // Not vacuous: the order decides the interval.
+    assert_ne!(intervals[0], intervals[1]);
 }

@@ -159,13 +159,20 @@ fn committed_counterexample_corpus_replays_to_the_recorded_bytes() {
 /// τ 25 and 33 ms under both driving controllers, and crossing and oncoming
 /// traffic on the bursty link each replay to the stream recorded before Ψ
 /// and φ gained their fast paths and before the deadline table filled on
-/// first query, serially and through the threads engine. Engine
-/// byte-compare tests compare the code with itself; these catch a change
-/// to what Ψ, φ or the table decide.
+/// first query, and dense traffic (up to 10 obstacles a world, τ 20 and
+/// 33 ms) to the stream recorded before the look-ahead culled obstacles,
+/// serially and through the threads engine. Engine byte-compare tests
+/// compare the code with itself; these catch a change to what Ψ, φ or the
+/// table decide.
 #[test]
 fn pinned_example_plans_replay_to_the_recorded_bytes() {
     let dir = Path::new(concat!(env!("CARGO_MANIFEST_DIR"), "/../../examples/plans"));
-    for name in ["paper", "tau-controllers", "traffic-bursty"] {
+    for name in [
+        "paper",
+        "tau-controllers",
+        "traffic-bursty",
+        "traffic-dense",
+    ] {
         assert_replays_to_recorded_bytes(&dir.join(format!("{name}.json")));
     }
 }
