@@ -38,11 +38,32 @@
 //! start state at a `NaN` or `−∞` distance from an obstacle leaves the
 //! nearest obstacle undefined, so Ψ corrects to full braking without a
 //! look-ahead.
+//!
+//! A vehicle held at rest asks the same question every period, so each
+//! thread remembers its last at-rest answer. A call from a state with speed
+//! `0.0` is keyed on the bits of the filter's parameters, the start state
+//! and the raw control, and on the obstacles that the reachability bound at
+//! full throttle cannot clear, bit for bit and in list order; an equal key
+//! returns the remembered answer without a search. The search would give
+//! the same answer, since it reads nothing of the world the key leaves out:
+//!
+//! * every control Ψ rolls out has a throttle of at most 1 once clamped, so
+//!   its bound clears every obstacle the full-throttle bound clears, and its
+//!   surviving obstacles are a subsequence of the keyed ones;
+//! * a non-finite distance is never cleared, so the obstacles that make Ψ
+//!   fail safe are keyed too;
+//! * the start `h` is read only by a rollout, so only when some obstacle
+//!   survives; then the keyed list is not empty, and since clearing is
+//!   monotone in distance it holds the first nearest obstacle, from which
+//!   that `h` is measured.
+//!
+//! The road is not read. A state that moves never repeats, so only a call
+//! at rest touches the memo.
 
 use crate::barrier::DistanceBarrier;
 use seo_platform::units::Seconds;
 use seo_sim::vehicle::{BicycleModel, Control, VehicleState};
-use seo_sim::world::World;
+use seo_sim::world::{Obstacle, World};
 use std::cell::RefCell;
 
 /// What the filter did with the raw control.
@@ -105,10 +126,32 @@ const FULL_BRAKE: Control = Control {
     throttle: -1.0,
 };
 
+/// The control whose reachability bound picks the obstacles the at-rest
+/// memo is keyed on: no control Ψ rolls out accelerates harder.
+const FULL_THROTTLE: Control = Control {
+    steering: 0.0,
+    throttle: 1.0,
+};
+
 thread_local! {
     /// The calling thread's start distances and surviving obstacles, reused
     /// by every Ψ call so that none allocates once they have grown.
     static SCRATCH: RefCell<(Vec<f64>, World)> = RefCell::new((Vec::new(), World::empty()));
+    /// The calling thread's last at-rest Ψ call.
+    static AT_REST: RefCell<AtRest> = RefCell::new(AtRest::default());
+}
+
+/// A thread's last at-rest Ψ call: its key, as
+/// [`SafetyFilter::at_rest_key`] writes it, and its answer, with a buffer
+/// for the key of the call being answered.
+#[derive(Default)]
+struct AtRest {
+    key: Vec<u64>,
+    probe: Vec<u64>,
+    answer: Option<(Control, FilterDecision)>,
+    /// Calls answered from the memo.
+    #[cfg(test)]
+    hits: usize,
 }
 
 /// One Ψ call's start state, measured once and shared by the pass check
@@ -224,6 +267,10 @@ impl SafetyFilter {
     /// from `state` is `NaN` or `−∞` (a `NaN` position or an infinite
     /// radius), the nearest obstacle is undefined and Ψ fails safe: it
     /// corrects to full braking without a look-ahead.
+    ///
+    /// From a state at rest, the answer may come from the calling thread's
+    /// memory of its last at-rest call (see the module docs); it is the
+    /// answer the search gives.
     #[must_use]
     pub fn filter(
         &self,
@@ -231,10 +278,9 @@ impl SafetyFilter {
         state: &VehicleState,
         control: Control,
     ) -> (Control, FilterDecision) {
-        let corrected = FilterDecision::Corrected { original: control };
         SCRATCH.with_borrow_mut(|(distances, survivors)| {
             let Some(h) = self.barrier.measure_start(world, state, distances) else {
-                return (FULL_BRAKE, corrected);
+                return (FULL_BRAKE, FilterDecision::Corrected { original: control });
             };
             let mut start = Start {
                 world,
@@ -243,20 +289,117 @@ impl SafetyFilter {
                 distances,
                 survivors,
             };
-            let finite = control.steering.is_finite() && control.throttle.is_finite();
-            if finite && self.screened_worst(&mut start, control) >= 0.0 {
-                return (control, FilterDecision::Passed);
+            if state.speed != 0.0 {
+                return self.shield(&mut start, control);
             }
-            let or_zero = |v: f64| if v.is_finite() { v } else { 0.0 };
-            let ranked_against = Control {
-                steering: or_zero(control.steering),
-                throttle: or_zero(control.throttle),
-            };
-            (
-                self.corrective_action(&mut start, ranked_against),
-                corrected,
-            )
+            AT_REST.with_borrow_mut(|memo| {
+                if !self.at_rest_key(&start, control, &mut memo.probe) {
+                    return self.shield(&mut start, control);
+                }
+                if let Some(answer) = memo.answer.filter(|_| memo.probe == memo.key) {
+                    #[cfg(test)]
+                    {
+                        memo.hits += 1;
+                    }
+                    return answer;
+                }
+                let answer = self.shield(&mut start, control);
+                std::mem::swap(&mut memo.key, &mut memo.probe);
+                memo.answer = Some(answer);
+                answer
+            })
         })
+    }
+
+    /// Ψ from a measured start: `control` when its look-ahead stays safe,
+    /// otherwise the corrective action.
+    fn shield(&self, start: &mut Start<'_>, control: Control) -> (Control, FilterDecision) {
+        let finite = control.steering.is_finite() && control.throttle.is_finite();
+        if finite && self.screened_worst(start, control) >= 0.0 {
+            return (control, FilterDecision::Passed);
+        }
+        let or_zero = |v: f64| if v.is_finite() { v } else { 0.0 };
+        let ranked_against = Control {
+            steering: or_zero(control.steering),
+            throttle: or_zero(control.throttle),
+        };
+        (
+            self.corrective_action(start, ranked_against),
+            FilterDecision::Corrected { original: control },
+        )
+    }
+
+    /// Writes to `key` the at-rest memo's key for a Ψ call from `start`
+    /// with the raw `control`: the bits of this filter's parameters, of the
+    /// start state and of `control`, then the bits of each obstacle the
+    /// reachability bound at full throttle cannot clear, in list order.
+    /// Returns `false`, and writes nothing, when that bound's premises fail
+    /// (a non-finite state, or a model or barrier outside them): such a
+    /// call is not remembered.
+    fn at_rest_key(&self, start: &Start<'_>, control: Control, key: &mut Vec<u64>) -> bool {
+        let reach = self.lookahead + self.step;
+        let Some(bound) = self
+            .barrier
+            .reach_bound(start.state, FULL_THROTTLE, &self.model, reach)
+        else {
+            return false;
+        };
+        // Named field by field, so that a new parameter cannot be left out.
+        let Self {
+            barrier:
+                DistanceBarrier {
+                    safe_radius,
+                    max_braking: barrier_braking,
+                    kinetic_gain,
+                },
+            model:
+                BicycleModel {
+                    wheelbase,
+                    max_steering_angle,
+                    max_acceleration,
+                    max_braking,
+                    max_speed,
+                    drag,
+                },
+            lookahead,
+            step,
+        } = *self;
+        let VehicleState {
+            x,
+            y,
+            heading,
+            speed,
+        } = *start.state;
+        let Control { steering, throttle } = control;
+        key.clear();
+        key.extend(
+            [
+                safe_radius,
+                barrier_braking,
+                kinetic_gain,
+                wheelbase,
+                max_steering_angle,
+                max_acceleration,
+                max_braking,
+                max_speed,
+                drag,
+                lookahead.as_secs(),
+                step.as_secs(),
+                x,
+                y,
+                heading,
+                speed,
+                steering,
+                throttle,
+            ]
+            .map(f64::to_bits),
+        );
+        for &Obstacle { x, y, radius } in
+            bound.survivors(start.world.obstacles(), start.distances, |_| 0.0)
+        {
+            key.extend([x, y, radius].map(f64::to_bits));
+        }
+        true
     }
 
     /// [`Self::worst_case_barrier`] with only its sign and a negative value
@@ -558,6 +701,314 @@ mod tests {
             corrected >= 1000,
             "only {corrected} corrected steps compared"
         );
+    }
+
+    /// Ψ on a thread of its own, whose at-rest memo is empty.
+    fn fresh(
+        filter: &SafetyFilter,
+        world: &World,
+        state: &VehicleState,
+        control: Control,
+    ) -> (Control, FilterDecision) {
+        std::thread::scope(|scope| {
+            scope
+                .spawn(|| filter.filter(world, state, control))
+                .join()
+                .expect("Ψ does not panic")
+        })
+    }
+
+    /// An answer's bits, so that answers to a `NaN` original compare.
+    fn answer_bits((control, decision): (Control, FilterDecision)) -> [Option<u64>; 4] {
+        let original = match decision {
+            FilterDecision::Passed => None,
+            FilterDecision::Corrected { original } => Some(original),
+        };
+        [
+            Some(control.steering.to_bits()),
+            Some(control.throttle.to_bits()),
+            original.map(|o| o.steering.to_bits()),
+            original.map(|o| o.throttle.to_bits()),
+        ]
+    }
+
+    /// Asserts that Ψ on this thread gives the answer a fresh thread gives,
+    /// and that it came from the at-rest memo exactly when `hit`.
+    fn assert_answers_fresh(
+        filter: &SafetyFilter,
+        obstacles: &[Obstacle],
+        state: &VehicleState,
+        control: Control,
+        hit: bool,
+    ) -> (Control, FilterDecision) {
+        let world = World::new(Road::default(), obstacles.to_vec());
+        let hits = || AT_REST.with_borrow(|memo| memo.hits);
+        let before = hits();
+        let answer = filter.filter(&world, state, control);
+        let context = format!("{filter:?} at {state} for {control:?} among {obstacles:?}");
+        assert_eq!(
+            answer_bits(answer),
+            answer_bits(fresh(filter, &world, state, control)),
+            "{context}"
+        );
+        assert_eq!(hits() - before, usize::from(hit), "memo hit: {context}");
+        answer
+    }
+
+    /// An obstacle of `radius` whose surface lies `distance` from `state`,
+    /// `bearing` off its heading.
+    fn obstacle_at(state: &VehicleState, distance: f64, bearing: f64, radius: f64) -> Obstacle {
+        let (sin, cos) = (state.heading + bearing).sin_cos();
+        let center = distance + radius;
+        Obstacle::new(state.x + center * cos, state.y + center * sin, radius)
+    }
+
+    #[test]
+    fn the_at_rest_memo_answers_as_a_fresh_thread_does() {
+        let tau20 = SafetyFilter::default();
+        let tau33 = SafetyFilter::default().with_step(Seconds::from_millis(100.0 / 3.0));
+        // Reaches its 5 m/s top speed within a step, and the barrier brakes
+        // at 1 m/s²: obstacles up to ~17 m away are within the bound's reach.
+        let kinetic = SafetyFilter::new(
+            DistanceBarrier {
+                max_braking: 1.0,
+                ..DistanceBarrier::default()
+            },
+            BicycleModel {
+                max_acceleration: 1000.0,
+                max_speed: 5.0,
+                ..BicycleModel::default()
+            },
+        );
+        // Negative drag is outside the reachability bound's premises.
+        let pushing = SafetyFilter::new(
+            DistanceBarrier::default(),
+            BicycleModel {
+                drag: -0.05,
+                ..BicycleModel::default()
+            },
+        );
+        for seed in 0..48u64 {
+            let mut rng = StdRng::seed_from_u64(seed);
+            let (filter, reach) = match seed % 3 {
+                0 => (tau20, 3.0),
+                1 => (tau33, 3.0),
+                _ => (kinetic, 15.0),
+            };
+            let state = if seed % 4 == 0 {
+                VehicleState::new(rng.gen_range(0.0..100.0), 0.0, 0.0, 0.0)
+            } else {
+                VehicleState::new(
+                    rng.gen_range(0.0..100.0),
+                    rng.gen_range(-3.0..3.0),
+                    rng.gen_range(-3.0..3.0),
+                    0.0,
+                )
+            };
+            // 1–10 obstacles, each within reach or beyond 30 m.
+            let obstacles: Vec<Obstacle> = (0..rng.gen_range(1..=10usize))
+                .map(|_| {
+                    let distance = if rng.gen_bool(0.5) {
+                        rng.gen_range(0.3..reach)
+                    } else {
+                        rng.gen_range(30.0..60.0)
+                    };
+                    let bearing = rng.gen_range(-1.5..1.5);
+                    obstacle_at(&state, distance, bearing, rng.gen_range(0.5..1.5))
+                })
+                .collect();
+            let far = |o: &Obstacle| o.surface_distance(state.x, state.y) >= 30.0;
+            let raw = Control::new(rng.gen_range(-1.0..1.0), 1.0);
+            let check = assert_answers_fresh;
+
+            // A new state searches; the same call again is remembered.
+            check(&filter, &obstacles, &state, raw, false);
+            check(&filter, &obstacles, &state, raw, true);
+            // Unreachable obstacles move, appear and disappear.
+            let mut moved: Vec<Obstacle> = obstacles
+                .iter()
+                .map(|&o| {
+                    if far(&o) {
+                        Obstacle::new(o.x + 4.0, o.y - 3.0, o.radius)
+                    } else {
+                        o
+                    }
+                })
+                .collect();
+            if let Some(i) = moved.iter().position(far) {
+                moved.remove(i);
+            }
+            let appear = obstacle_at(
+                &state,
+                rng.gen_range(30.0..60.0),
+                rng.gen_range(-3.0..3.0),
+                1.0,
+            );
+            moved.insert(rng.gen_range(0..=moved.len()), appear);
+            check(&filter, &moved, &state, raw, true);
+            // A reachable obstacle moves by one ulp, then out of reach.
+            if let Some(i) = obstacles.iter().position(|o| !far(o)) {
+                let mut nudged = obstacles.clone();
+                nudged[i].x = nudged[i].x.next_up();
+                check(&filter, &nudged, &state, raw, false);
+                check(&filter, &nudged, &state, raw, true);
+                nudged[i] = obstacle_at(&state, 40.0, 0.0, 1.0);
+                check(&filter, &nudged, &state, raw, false);
+            }
+            // A `NaN` obstacle fails safe before the memo is read.
+            let with_nan = [&obstacles[..], &[Obstacle::new(f64::NAN, 0.0, 1.0)]].concat();
+            check(&filter, &with_nan, &state, raw, false);
+            // Other raw controls from the same state, non-finite ones too.
+            let nan_steering = Control::new(f64::NAN, 1.0);
+            let infinite_throttle = Control {
+                steering: 0.0,
+                throttle: f64::INFINITY,
+            };
+            check(
+                &filter,
+                &obstacles,
+                &state,
+                Control::new(raw.steering, 0.5),
+                false,
+            );
+            check(&filter, &obstacles, &state, nan_steering, false);
+            check(&filter, &obstacles, &state, nan_steering, true);
+            check(&filter, &obstacles, &state, infinite_throttle, false);
+            // `−0.0` and `+0.0` are different keys.
+            let mut zeros = vec![VehicleState {
+                speed: -0.0,
+                ..state
+            }];
+            if seed % 4 == 0 {
+                zeros.push(VehicleState { y: -0.0, ..state });
+                zeros.push(VehicleState {
+                    heading: -0.0,
+                    ..state
+                });
+            }
+            for signed in zeros {
+                check(&filter, &obstacles, &signed, raw, false);
+                check(&filter, &obstacles, &state, raw, false);
+            }
+            // A model outside the bound's premises is never remembered.
+            check(&pushing, &obstacles, &state, raw, false);
+            check(&pushing, &obstacles, &state, raw, false);
+            // Two filters that differ only in τ, interleaved: only a τ 20 ms
+            // call right after the same call is remembered.
+            let mut last = filter;
+            for tau in [tau20, tau33, tau20, tau33] {
+                let hit = std::mem::replace(&mut last, tau) == tau;
+                check(&tau, &obstacles, &state, raw, hit);
+            }
+        }
+    }
+
+    #[test]
+    fn the_at_rest_memo_keys_the_filter_parameters() {
+        // From rest at full throttle straight ahead, look-aheads at 20 and
+        // 33 ms steps end at different states. An obstacle ahead between
+        // the two places where h turns negative at the last state gets one
+        // filter's look-ahead past it and not the other's.
+        let tau20 = SafetyFilter::default();
+        let tau33 = SafetyFilter::default().with_step(Seconds::from_millis(100.0 / 3.0));
+        let state = VehicleState::new(0.0, 0.0, 0.0, 0.0);
+        let raw = Control::new(0.0, 1.0);
+        let unsafe_from = |filter: &SafetyFilter| {
+            let mut end = state;
+            filter
+                .model
+                .rollout(state, raw, filter.step, filter.lookahead, |_, s| {
+                    end = s;
+                    true
+                });
+            end.x + filter.barrier.critical_distance(end.speed)
+        };
+        let ahead = [Obstacle::new(
+            0.5 * (unsafe_from(&tau20) + unsafe_from(&tau33)),
+            0.0,
+            0.0,
+        )];
+        let world = World::new(Road::default(), ahead.to_vec());
+        assert_ne!(
+            fresh(&tau20, &world, &state, raw).1.is_correction(),
+            fresh(&tau33, &world, &state, raw).1.is_correction()
+        );
+        for filter in [tau20, tau33, tau20, tau33] {
+            assert_answers_fresh(&filter, &ahead, &state, raw, false);
+        }
+    }
+
+    #[test]
+    fn the_at_rest_memo_keys_obstacle_order() {
+        // From rest at full throttle straight ahead, the look-ahead's last
+        // state is exactly as far from A, ahead, as from B, abeam. The
+        // nearest obstacle there is whichever is listed first: against A, h
+        // is just below 0 and full throttle is corrected; against B, h is
+        // positive and it passes.
+        let filter = SafetyFilter::default();
+        let state = VehicleState::new(0.0, 0.0, 0.0, 0.0);
+        let raw = Control::new(0.0, 1.0);
+        let mut end = state;
+        filter
+            .model
+            .rollout(state, raw, filter.step, filter.lookahead, |_, s| {
+                end = s;
+                true
+            });
+        let a = Obstacle::new(
+            end.x + filter.barrier.critical_distance(end.speed) - 1e-6,
+            0.0,
+            0.0,
+        );
+        let b = Obstacle::new(end.x, a.x - end.x, 0.0);
+        assert_eq!(
+            a.surface_distance(end.x, end.y),
+            b.surface_distance(end.x, end.y),
+            "a tie at the last look-ahead state"
+        );
+        let in_world = |obstacles: Vec<Obstacle>| World::new(Road::default(), obstacles);
+        assert!(fresh(&filter, &in_world(vec![a, b]), &state, raw)
+            .1
+            .is_correction());
+        assert!(!fresh(&filter, &in_world(vec![b, a]), &state, raw)
+            .1
+            .is_correction());
+        for obstacles in [[a, b], [b, a], [a, b]] {
+            assert_answers_fresh(&filter, &obstacles, &state, raw, false);
+        }
+    }
+
+    #[test]
+    fn the_at_rest_memo_keys_obstacles_only_the_kinetic_margin_reaches() {
+        // This model reaches 5 m/s within a step and the barrier brakes at
+        // 1 m/s², so the kinetic margin (12.5 m) dwarfs the distance full
+        // throttle covers in the look-ahead (3.1 m). An obstacle surface
+        // 11 m ahead makes full throttle unsafe at the first step.
+        let filter = SafetyFilter::new(
+            DistanceBarrier {
+                max_braking: 1.0,
+                ..DistanceBarrier::default()
+            },
+            BicycleModel {
+                max_acceleration: 1000.0,
+                max_speed: 5.0,
+                ..BicycleModel::default()
+            },
+        );
+        let state = VehicleState::new(0.0, 0.0, 0.0, 0.0);
+        let raw = Control::new(0.0, 1.0);
+        let ahead = [Obstacle::new(12.0, 0.0, 1.0)];
+        let clear = [Obstacle::new(112.0, 0.0, 1.0)];
+        let in_world = |obstacles: &[Obstacle]| World::new(Road::default(), obstacles.to_vec());
+        assert!(fresh(&filter, &in_world(&ahead), &state, raw)
+            .1
+            .is_correction());
+        assert!(!fresh(&filter, &in_world(&clear), &state, raw)
+            .1
+            .is_correction());
+        for obstacles in [ahead, clear, ahead] {
+            assert_answers_fresh(&filter, &obstacles, &state, raw, false);
+        }
     }
 
     #[test]

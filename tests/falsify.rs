@@ -2,13 +2,14 @@
 //! pure function of its `search_seed`, every emitted counterexample plan
 //! replays bit-identically through the plain sweep path, the committed
 //! regression corpus and the pinned example plans stay pinned to the byte,
-//! and a bursty-channel grid merges bit-identically across all four
-//! execution engines.
+//! and a bursty-channel grid and a grid of episodes held at rest merge
+//! bit-identically across all four execution engines.
 
 use seo_core::falsify::falsify;
 use seo_core::prelude::*;
 use seo_core::shard::report_line;
 use seo_integration::assert_all_engines_bit_identical;
+use seo_sim::episode::EpisodeStatus;
 use std::path::Path;
 
 /// The committed falsify preset, with the search budget overridden so test
@@ -159,11 +160,12 @@ fn committed_counterexample_corpus_replays_to_the_recorded_bytes() {
 /// τ 25 and 33 ms under both driving controllers, and crossing and oncoming
 /// traffic on the bursty link each replay to the stream recorded before Ψ
 /// and φ gained their fast paths and before the deadline table filled on
-/// first query, and dense traffic (up to 10 obstacles a world, τ 20 and
-/// 33 ms) to the stream recorded before the look-ahead culled obstacles,
-/// serially and through the threads engine. Engine byte-compare tests
-/// compare the code with itself; these catch a change to what Ψ, φ or the
-/// table decide.
+/// first query, dense traffic (up to 10 obstacles a world, τ 20 and 33 ms)
+/// to the stream recorded before the look-ahead culled obstacles, and the
+/// standstill grid (14 episodes held at rest until the step cap) to the
+/// stream recorded before Ψ remembered its at-rest answers, serially and
+/// through the threads engine. Engine byte-compare tests compare the code
+/// with itself; these catch a change to what Ψ, φ or the table decide.
 #[test]
 fn pinned_example_plans_replay_to_the_recorded_bytes() {
     let dir = Path::new(concat!(env!("CARGO_MANIFEST_DIR"), "/../../examples/plans"));
@@ -172,6 +174,7 @@ fn pinned_example_plans_replay_to_the_recorded_bytes() {
         "tau-controllers",
         "traffic-bursty",
         "traffic-dense",
+        "standstill",
     ] {
         assert_replays_to_recorded_bytes(&dir.join(format!("{name}.json")));
     }
@@ -196,4 +199,30 @@ fn bursty_traffic_grid_merges_bit_identically_across_all_four_engines() {
             },
         ]);
     assert_all_engines_bit_identical(&plan);
+}
+
+/// The four-engine property while Ψ answers from its per-thread at-rest
+/// memo: at 8 obstacles, seeds 3–5 hold two static episodes and one
+/// crossing episode at rest from about step 750 until the 3 000-step cap,
+/// and every engine prints the serial loop's bytes.
+#[test]
+fn standstill_grid_merges_bit_identically_across_all_four_engines() {
+    let plan = SweepPlan::paper(3, 3)
+        .with_obstacles(vec![8])
+        .with_seeds(3, 3)
+        .with_traffic(vec![
+            TrafficKind::Static,
+            TrafficKind::Crossing {
+                count: 2,
+                speed_mps: 1.5,
+            },
+        ]);
+    let reports = assert_all_engines_bit_identical(&plan);
+    let held = |traffic: usize| {
+        reports[traffic * 3..(traffic + 1) * 3]
+            .iter()
+            .filter(|r| r.status == EpisodeStatus::TimedOut)
+            .count()
+    };
+    assert_eq!((held(0), held(1)), (2, 1), "static and crossing timeouts");
 }
