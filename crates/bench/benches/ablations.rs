@@ -17,7 +17,6 @@ use seo_core::scheduler::SafeScheduler;
 use seo_safety::filter::SafetyFilter;
 use seo_safety::interval::SafeIntervalEvaluator;
 use seo_safety::lookup::{Axis, DeadlineTable};
-use seo_safety::ttc::TtcEstimator;
 use seo_sim::scenario::ScenarioConfig;
 use seo_sim::sensing::RelativeObservation;
 use seo_sim::vehicle::{Control, VehicleState};
@@ -115,19 +114,6 @@ fn main() {
             || black_box(runtime.run_with(WorldSource::Static(&world), 21, &mut scratch)),
         );
     }
-
-    let ttc = TtcEstimator::default();
-    let obs2 = RelativeObservation {
-        distance: 18.0,
-        bearing: 0.2,
-        speed: 10.0,
-    };
-    bench("ablation_ttc_vs_phi/ttc_closed_form", || {
-        ttc.deadline(black_box(&obs2))
-    });
-    bench("ablation_ttc_vs_phi/phi_rollout", || {
-        evaluator.safe_interval_relative(black_box(&obs2), Control::new(0.0, 0.5))
-    });
 }
 
 /// One query per grid point, each inside the point's cell: half a cell

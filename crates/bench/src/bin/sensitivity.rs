@@ -20,6 +20,7 @@ use seo_core::prelude::*;
 use seo_platform::units::{Bits, BitsPerSecond, Seconds, Watts};
 use seo_wireless::channel::RayleighChannel;
 use seo_wireless::link::WirelessLink;
+use std::io::Write as _;
 
 /// The offloading gain over the first `runs` successes among seeds 0..200
 /// (two obstacles, paper setup, potential-field controller) on `link`.
@@ -33,9 +34,13 @@ fn gains_with_link(link: WirelessLink, runs: usize) -> Result<f64, SeoError> {
         .combined_gain)
 }
 
-fn run() -> Result<(), SeoError> {
+fn run() -> Result<(), Box<dyn std::error::Error>> {
     let runs = runs_from_env().min(10);
-    println!("sensitivity sweeps ({runs} successful runs per point)\n");
+    let mut out = std::io::stdout().lock();
+    writeln!(
+        out,
+        "sensitivity sweeps ({runs} successful runs per point)\n"
+    )?;
 
     let mut table = Table::new(vec!["rayleigh scale", "offloading gain"]);
     for mbps in [5.0, 10.0, 20.0, 40.0] {
@@ -50,7 +55,7 @@ fn run() -> Result<(), SeoError> {
             pct(gains_with_link(link, runs)?),
         ]);
     }
-    println!("{table}");
+    writeln!(out, "{table}")?;
 
     let mut table = Table::new(vec!["payload", "offloading gain"]);
     for kb in [10.0, 25.0, 50.0, 100.0] {
@@ -60,7 +65,7 @@ fn run() -> Result<(), SeoError> {
             pct(gains_with_link(link, runs)?),
         ]);
     }
-    println!("{table}");
+    writeln!(out, "{table}")?;
 
     let mut table = Table::new(vec!["gating level", "gating gain"]);
     for c in run_plan(&paper_plan(plans::SENSITIVITY_GATING), runs)? {
@@ -69,7 +74,8 @@ fn run() -> Result<(), SeoError> {
             pct(c.result.summary.combined_gain),
         ]);
     }
-    println!("{table}");
+    writeln!(out, "{table}")?;
+    out.flush()?;
     Ok(())
 }
 

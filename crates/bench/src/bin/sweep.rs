@@ -220,13 +220,15 @@ fn worker_mode(plan: &SweepPlan, shard: Shard) -> Result<(), Box<dyn std::error:
 }
 
 /// `--check`: validate (already done at parse time) and summarize the plan.
-fn check_mode(plan: &SweepPlan) {
-    println!("plan OK: {plan}");
-    println!(
+fn check_mode(plan: &SweepPlan) -> std::io::Result<()> {
+    let mut out = std::io::stdout().lock();
+    writeln!(out, "plan OK: {plan}")?;
+    writeln!(
+        out,
         "  grid: {} spec(s) in {} cell(s)",
         plan.n_specs(),
         plan.cells().len()
-    );
+    )?;
     // Per-axis cardinalities, so a grid blow-up is visible at a glance
     // before the resolved schedule scrolls past.
     let cardinalities: Vec<String> = plan
@@ -235,31 +237,34 @@ fn check_mode(plan: &SweepPlan) {
         .iter()
         .map(|(name, n)| format!("{name} x{n}"))
         .collect();
-    println!("  axes: {}", cardinalities.join(", "));
+    writeln!(out, "  axes: {}", cardinalities.join(", "))?;
     for (cell, range) in plan.cells() {
-        println!("    [{}..{}) {cell}", range.start, range.end);
+        writeln!(out, "    [{}..{}) {cell}", range.start, range.end)?;
     }
     if let Some(falsify) = &plan.falsify {
-        println!("  falsify: {falsify}");
+        writeln!(out, "  falsify: {falsify}")?;
     }
     if let Some(report) = &plan.report {
-        println!("  report: {report}");
+        writeln!(out, "  report: {report}")?;
     }
-    println!(
+    writeln!(
+        out,
         "  exec: {}, kernel '{}', timeout {} s, verify {}",
         plan.mode, plan.kernel, plan.timeout_secs, plan.verify
-    );
+    )?;
     // Hosts mode: resolve the lease schedule so plan authors can
     // sanity-check chunking before committing to a run.
     if let ExecMode::Hosts(pool) = &plan.mode {
         let n_specs = plan.n_specs();
         let n_hosts = pool.hosts().len();
         let chunk = pool.chunk().resolve(n_specs, n_hosts);
-        println!(
+        writeln!(
+            out,
             "  schedule: chunk {chunk} -> {} lease(s) over {n_hosts} host(s)",
             n_specs.div_ceil(chunk)
-        );
+        )?;
     }
+    out.flush()
 }
 
 /// Prints the fleet's loss record and structured stats to stderr and
@@ -575,10 +580,7 @@ fn main() {
         }
     };
     let result = match &cli.mode {
-        Mode::Check => {
-            check_mode(&cli.plan);
-            Ok(())
-        }
+        Mode::Check => check_mode(&cli.plan).map_err(Into::into),
         Mode::Worker(shard) => worker_mode(&cli.plan, *shard),
         Mode::Plan(path) => run_plan_mode(&cli.plan, path),
         Mode::Falsify(dir) => run_falsify_mode(&cli.plan, dir),

@@ -1,7 +1,7 @@
 //! The paper's figures and tables: one function per figure or table, each
 //! running the committed plan in `examples/plans/paper/` through the
 //! paper's protocol ([`first_successes`]) and returning structured rows
-//! that the binaries print.
+//! that `all_experiments` prints and dumps.
 
 use seo_core::config::{ControlMode, EnergyAccounting, SeoConfig};
 use seo_core::controller::Controller;

@@ -1,17 +1,19 @@
 //! # seo-bench
 //!
 //! Runners that regenerate **every table and figure** of the SEO paper
-//! (DAC 2023, arXiv:2302.12493) for the printable binaries (`fig1`, `fig5`,
-//! `fig6`, `table1`, `table2`, `table3`, `all_experiments`). Each figure
-//! and table is a committed plan under `examples/plans/paper/`, scored by
-//! the paper's first-successes protocol ([`cells`]). The `sensitivity`
-//! binary prints the channel, payload and gating-level series around the
-//! paper's operating point. The benches under `benches/` are std-timing
-//! `harness = false` binaries that time the episodes behind each cell.
+//! (DAC 2023, arXiv:2302.12493). Each figure and table is a committed plan
+//! under `examples/plans/paper/`, scored by the paper's first-successes
+//! protocol into rows ([`cells`]); the one paper binary,
+//! `all_experiments`, prints every table and dumps them all to
+//! `seo_experiments.json`. The `sensitivity` binary prints the channel,
+//! payload and gating-level series around the paper's operating point.
+//! The benches under `benches/` (`hot_path`, `ablations`) are std-timing
+//! `harness = false` binaries that time the control loop's primitives and
+//! the design ablations.
 //!
 //! Run counts default to the paper's 25 successful runs per cell; set
-//! `SEO_RUNS` to a positive integer to trade fidelity for speed (the
-//! binaries honor it, and exit 2 on any other value).
+//! `SEO_RUNS` to a positive integer to trade fidelity for speed (both
+//! paper binaries honor it, and exit 2 on any other value).
 //!
 //! The distributed sweep surface lives next door: the `sweep` binary runs
 //! declarative `seo_core::plan::SweepPlan` files (`--plan plan.json`, the
@@ -30,7 +32,7 @@
 //! ```
 //! use seo_bench::report::{pct, Table};
 //!
-//! // The aligned-column table every harness binary prints.
+//! // The aligned-column table the paper binaries print.
 //! let mut table = Table::new(vec!["cell", "gain"]);
 //! table.push_row(vec!["offloading".to_owned(), pct(0.31)]);
 //! assert!(table.render().contains("31.0%"));
@@ -44,8 +46,4 @@ pub mod cells;
 pub mod report;
 pub mod timing;
 
-pub use cells::{
-    fig1_rows, fig5_rows, fig6_rows, table1_rows, table2_rows, table3_rows, Fig1Row, Fig5Row,
-    Fig6Row, Table1Row, Table2Row, Table3Row,
-};
 pub use report::{runs_from_env, Table};

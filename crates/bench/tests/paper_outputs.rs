@@ -1,14 +1,14 @@
 //! The paper binaries end to end: `all_experiments` and `sensitivity`
 //! replay to the bytes recorded in `examples/plans/paper/`, and their
-//! outside inputs (`SEO_RUNS`, the results path) fail by name instead of
-//! being guessed at or panicking.
+//! outside inputs (`SEO_RUNS`, the results path, a closed stdout) fail by
+//! name instead of being guessed at or panicking.
 
 use std::path::{Path, PathBuf};
-use std::process::{Command, Output};
+use std::process::{Command, Output, Stdio};
 
 const ALL_EXPERIMENTS_BIN: &str = env!("CARGO_BIN_EXE_all_experiments");
 const SENSITIVITY_BIN: &str = env!("CARGO_BIN_EXE_sensitivity");
-const TABLE2_BIN: &str = env!("CARGO_BIN_EXE_table2");
+const SWEEP_BIN: &str = env!("CARGO_BIN_EXE_sweep");
 
 const PINS: &str = concat!(env!("CARGO_MANIFEST_DIR"), "/../../examples/plans/paper");
 
@@ -50,7 +50,7 @@ fn assert_same_bytes(actual: &[u8], pin: &str) {
 }
 
 /// Every figure and table at the paper's 25 successful runs per cell, as
-/// the `seo_experiments.json` dump.
+/// the printed tables and as the `seo_experiments.json` dump.
 #[test]
 fn all_experiments_replays_to_its_recorded_bytes() {
     let dir = TempDir::new("all");
@@ -61,6 +61,7 @@ fn all_experiments_replays_to_its_recorded_bytes() {
         "{}",
         String::from_utf8_lossy(&output.stderr)
     );
+    assert_same_bytes(&output.stdout, "all_experiments.stdout.expected");
     let dump = std::fs::read(dir.0.join("seo_experiments.json")).expect("results written");
     assert_same_bytes(&dump, "all_experiments.expected");
 }
@@ -85,7 +86,7 @@ fn sensitivity_replays_to_its_recorded_bytes() {
 fn a_malformed_seo_runs_is_an_argument_error() {
     let dir = TempDir::new("runs");
     for value in ["abc", "0", "-1"] {
-        let output = run(TABLE2_BIN, value, &dir.0);
+        let output = run(ALL_EXPERIMENTS_BIN, value, &dir.0);
         assert_eq!(output.status.code(), Some(2), "SEO_RUNS={value}");
         let stderr = String::from_utf8_lossy(&output.stderr);
         assert!(
@@ -109,4 +110,34 @@ fn an_unwritable_results_file_is_named() {
     let stderr = String::from_utf8_lossy(&output.stderr);
     assert!(stderr.contains("seo_experiments.json"), "{stderr}");
     assert!(!stderr.contains("panicked"), "{stderr}");
+}
+
+/// A stdout that closes under a run (`… | head -1`) stops it with exit 1
+/// and the write error on stderr, instead of a panic (exit 101).
+#[test]
+fn a_closed_stdout_is_a_runtime_error() {
+    let dir = TempDir::new("closed-stdout");
+    let plan = concat!(
+        env!("CARGO_MANIFEST_DIR"),
+        "/../../examples/plans/falsify-demo.json"
+    );
+    for (bin, args) in [
+        (SWEEP_BIN, &["--plan", plan, "--check"][..]),
+        (SENSITIVITY_BIN, &[][..]),
+        (ALL_EXPERIMENTS_BIN, &[][..]),
+    ] {
+        let (reader, writer) = std::io::pipe().expect("pipe created");
+        drop(reader);
+        let output = Command::new(bin)
+            .args(args)
+            .env("SEO_RUNS", "1")
+            .current_dir(&dir.0)
+            .stdout(Stdio::from(writer))
+            .output()
+            .expect("binary runs");
+        let stderr = String::from_utf8_lossy(&output.stderr);
+        assert_eq!(output.status.code(), Some(1), "{bin}: {stderr}");
+        assert!(stderr.contains("Broken pipe"), "{bin}: {stderr}");
+        assert!(!stderr.contains("panicked"), "{bin}: {stderr}");
+    }
 }

@@ -39,13 +39,11 @@
 pub mod compute;
 pub mod energy;
 pub mod error;
-pub mod range;
 pub mod sensor;
 pub mod units;
 
 pub use compute::ComputeProfile;
 pub use energy::{EnergyCategory, EnergyLedger};
 pub use error::PlatformError;
-pub use range::RangeModel;
 pub use sensor::SensorSpec;
 pub use units::{Bits, BitsPerSecond, Hertz, Joules, Seconds, Watts};

@@ -49,7 +49,6 @@ pub mod filter;
 pub mod interval;
 pub mod lookup;
 pub mod monitor;
-pub mod ttc;
 
 pub use barrier::DistanceBarrier;
 pub use error::SafetyError;
@@ -57,4 +56,3 @@ pub use filter::{FilterDecision, SafetyFilter};
 pub use interval::SafeIntervalEvaluator;
 pub use lookup::DeadlineTable;
 pub use monitor::SafetyMonitor;
-pub use ttc::TtcEstimator;

@@ -8,7 +8,6 @@ use seo_safety::barrier::{towardness_bound, DistanceBarrier};
 use seo_safety::filter::SafetyFilter;
 use seo_safety::interval::SafeIntervalEvaluator;
 use seo_safety::lookup::{Axis, DeadlineTable};
-use seo_safety::ttc::TtcEstimator;
 use seo_sim::dynamics::{DynamicWorld, MovingObstacle};
 use seo_sim::sensing::RelativeObservation;
 use seo_sim::vehicle::{BicycleModel, Control, VehicleState};
@@ -315,23 +314,6 @@ fn lazy_table_answers_phi_at_every_grid_point_bit_for_bit() {
         build(&default.with_conservatism(5.0), other_axes),
         "different evaluators"
     );
-}
-
-#[test]
-fn ttc_is_at_least_as_optimistic_as_phi() {
-    let mut rng = StdRng::seed_from_u64(27);
-    let eval = SafeIntervalEvaluator::default();
-    let ttc = TtcEstimator::default();
-    for _ in 0..CASES {
-        let d = rng.gen_range(2.0..60.0);
-        let v = rng.gen_range(1.0..14.0);
-        let obs = RelativeObservation {
-            distance: d,
-            bearing: 0.0,
-            speed: v,
-        };
-        assert!(ttc.deadline(&obs) >= eval.safe_interval_relative(&obs, Control::new(0.0, 0.5)));
-    }
 }
 
 #[test]

@@ -1,12 +1,11 @@
 //! Integration tests for the beyond-the-paper extensions: dynamic worlds,
-//! range impact, bursty channels, fallback semantics, and the pooled
-//! experiment protocol — exercised together, across crates.
+//! bursty channels, fallback semantics, and the pooled experiment
+//! protocol — exercised together, across crates.
 
 use seo_bench::cells::plans;
 use seo_core::prelude::*;
 use seo_core::runtime::RuntimeLoop;
 use seo_integration::paper_cell;
-use seo_platform::range::RangeModel;
 use seo_platform::units::Seconds;
 use seo_sim::dynamics::{DynamicWorld, MovingObstacle};
 use seo_sim::episode::EpisodeStatus;
@@ -17,29 +16,6 @@ fn runtime(optimizer: OptimizerKind) -> RuntimeLoop {
     let config = SeoConfig::paper_defaults();
     let models = ModelSet::paper_setup(config.tau).expect("valid");
     RuntimeLoop::new(config, models, optimizer).expect("runtime builds")
-}
-
-#[test]
-fn seo_gains_translate_into_recovered_driving_range() {
-    // Close the loop on the paper's introduction: measured energy gains ->
-    // average platform power reduction -> recovered EV range.
-    let rt = runtime(OptimizerKind::Offloading);
-    let report = rt.run_episode(&ScenarioConfig::new(0).with_seed(1).generate(), 1);
-    assert_eq!(report.status, EpisodeStatus::Completed);
-    let duration = Seconds::new(report.steps as f64 * rt.config().tau.as_secs());
-    let baseline: seo_platform::energy::EnergyLedger =
-        report.models.iter().map(|m| m.baseline).sum();
-    let optimized: seo_platform::energy::EnergyLedger =
-        report.models.iter().map(|m| m.optimized).sum();
-    let ev = RangeModel::compact_ev().expect("valid");
-    let recovered = ev
-        .recovered_range_fraction(baseline.total(), optimized.total(), duration)
-        .expect("positive duration");
-    assert!(recovered > 0.0, "saving energy must recover range");
-    assert!(
-        recovered < 0.01,
-        "a 2-detector platform is a small range factor"
-    );
 }
 
 #[test]
