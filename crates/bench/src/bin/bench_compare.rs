@@ -24,6 +24,7 @@
 
 use seo_bench::report::Table;
 use seo_core::json::Json;
+use std::io::Write as _;
 use std::path::Path;
 use std::process::{Command, Stdio};
 
@@ -198,14 +199,15 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     eprintln!("bench_compare: wrote {}", dump_path.display());
 
     let gate = decide(&benchmark, &baseline, &fresh);
+    let mut out = std::io::stdout().lock();
     if !gate.table.is_empty() {
-        println!("{}", gate.table);
+        writeln!(out, "{}", gate.table)?;
     }
     for failure in &gate.failures {
-        println!("perf gate: {failure}");
+        writeln!(out, "perf gate: {failure}")?;
     }
     if gate.failures.is_empty() {
-        println!("perf gate: OK");
+        writeln!(out, "perf gate: OK")?;
         Ok(())
     } else {
         Err(format!("perf gate FAILED ({} reason(s))", gate.failures.len()).into())

@@ -570,7 +570,10 @@ fn main() {
     let cli = match parse_cli() {
         Ok(CliOutcome::Run(cli)) => cli,
         Ok(CliOutcome::Help) => {
-            println!("{}", usage());
+            if let Err(e) = writeln!(std::io::stdout().lock(), "{}", usage()) {
+                eprintln!("sweep: {e}");
+                std::process::exit(1);
+            }
             return;
         }
         Err(e) => {

@@ -36,6 +36,7 @@
 
 use seo_core::prelude::*;
 use seo_core::transport::{exchange, health_request_frame, shutdown_request_frame};
+use std::error::Error;
 use std::io::Write as _;
 use std::sync::Arc;
 use std::time::Duration;
@@ -163,82 +164,78 @@ fn install_drain_on_sigterm() {
 #[cfg(not(unix))]
 fn install_drain_on_sigterm() {}
 
+/// The usage text with the kernel names filled in.
+fn usage() -> String {
+    USAGE_TEMPLATE.replace("%KERNELS%", &KernelBackend::valid_names())
+}
+
 /// Client mode: one control round-trip against a running daemon. Prints
 /// the reply frame (JSON) to stdout.
-fn run_probe(addr: &str, request: &[u8], timeout: Duration) -> Result<(), String> {
-    let reply = exchange(addr, request, timeout).map_err(|e| e.to_string())?;
+fn run_probe(addr: &str, request: &[u8], timeout: Duration) -> Result<(), Box<dyn Error>> {
+    let reply = exchange(addr, request, timeout)?;
     let text = String::from_utf8(reply).map_err(|e| format!("reply from {addr}: {e}"))?;
-    println!("{text}");
+    writeln!(std::io::stdout().lock(), "{text}")?;
+    Ok(())
+}
+
+/// Serve mode: binds, announces the address, and serves until drained.
+fn run_daemon(cli: &Cli) -> Result<(), Box<dyn Error>> {
+    let config = SeoConfig::paper_defaults();
+    let models = ModelSet::paper_setup(config.tau)?;
+    let runtime =
+        RuntimeLoop::new(config, models, OptimizerKind::Offloading)?.with_kernel(cli.kernel);
+    let server = Arc::new(DaemonServer::bind(
+        &cli.listen,
+        DaemonConfig {
+            jobs: cli.jobs,
+            timeout: cli.timeout,
+            faults: cli.faults.clone(),
+        },
+    )?);
+    install_drain_on_sigterm();
+    // Backends are bit-identical by contract, so a mixed fleet is fine;
+    // the note is purely informational.
+    eprintln!("seo-sweepd: kernel backend '{}'", cli.kernel);
+    // First stdout line is machine-readable: scripts scrape the actual
+    // address (essential with `--listen 127.0.0.1:0`).
+    {
+        let mut stdout = std::io::stdout().lock();
+        writeln!(stdout, "seo-sweepd listening on {}", server.local_addr()?)?;
+        stdout.flush()?;
+    }
+    if let Some(plan) = &cli.faults {
+        eprintln!("seo-sweepd: fault injection armed: {plan}");
+    }
+    server.serve(Arc::new(runtime))?;
+    let health = server.health();
+    eprintln!(
+        "seo-sweepd: drained: {} job(s) served, {} episode(s) emitted, \
+         {} fault(s) injected over {} tick(s)",
+        health.jobs_served, health.episodes_emitted, health.faults_injected, health.uptime_ticks
+    );
     Ok(())
 }
 
 fn main() {
-    let cli = match parse_cli() {
-        Ok(CliOutcome::Run(cli)) => cli,
+    // Argument errors exit 2 with the usage text; --help exits 0; runtime
+    // failures (a closed stdout included) exit 1.
+    let result = match parse_cli() {
         Ok(CliOutcome::Help) => {
-            println!(
-                "{}",
-                USAGE_TEMPLATE.replace("%KERNELS%", &KernelBackend::valid_names())
-            );
-            return;
+            writeln!(std::io::stdout().lock(), "{}", usage()).map_err(Into::into)
         }
         Ok(CliOutcome::Probe {
             addr,
             request,
             timeout,
-        }) => {
-            if let Err(e) = run_probe(&addr, &request, timeout) {
-                eprintln!("sweepd: {e}");
-                std::process::exit(1);
-            }
-            return;
-        }
+        }) => run_probe(&addr, &request, timeout),
+        Ok(CliOutcome::Run(cli)) => run_daemon(&cli),
         Err(e) => {
             eprintln!("sweepd: {e}");
-            eprintln!(
-                "{}",
-                USAGE_TEMPLATE.replace("%KERNELS%", &KernelBackend::valid_names())
-            );
+            eprintln!("{}", usage());
             std::process::exit(2);
         }
     };
-    let run = || -> Result<(), Box<dyn std::error::Error>> {
-        let config = SeoConfig::paper_defaults();
-        let models = ModelSet::paper_setup(config.tau)?;
-        let runtime =
-            RuntimeLoop::new(config, models, OptimizerKind::Offloading)?.with_kernel(cli.kernel);
-        let server = Arc::new(DaemonServer::bind(
-            &cli.listen,
-            DaemonConfig {
-                jobs: cli.jobs,
-                timeout: cli.timeout,
-                faults: cli.faults.clone(),
-            },
-        )?);
-        install_drain_on_sigterm();
-        // Backends are bit-identical by contract, so a mixed fleet is fine;
-        // the note is purely informational.
-        eprintln!("seo-sweepd: kernel backend '{}'", cli.kernel);
-        // First stdout line is machine-readable: scripts scrape the actual
-        // address (essential with `--listen 127.0.0.1:0`).
-        println!("seo-sweepd listening on {}", server.local_addr()?);
-        std::io::stdout().flush()?;
-        if let Some(plan) = &cli.faults {
-            eprintln!("seo-sweepd: fault injection armed: {plan}");
-        }
-        server.serve(Arc::new(runtime))?;
-        let health = server.health();
-        eprintln!(
-            "seo-sweepd: drained: {} job(s) served, {} episode(s) emitted, \
-             {} fault(s) injected over {} tick(s)",
-            health.jobs_served,
-            health.episodes_emitted,
-            health.faults_injected,
-            health.uptime_ticks
-        );
-        Ok(())
-    };
-    if let Err(e) = run() {
+    if let Err(e) = result {
         eprintln!("sweepd: {e}");
         std::process::exit(1);
     }

@@ -11,7 +11,7 @@ mod common;
 use common::{serial_reports, PlanFile};
 use seo_core::prelude::*;
 use seo_core::shard::{parse_report_line, report_line};
-use std::io::{BufRead, BufReader};
+use std::io::{BufRead, BufReader, Read};
 use std::process::{Child, Command, Stdio};
 
 const SWEEP_BIN: &str = env!("CARGO_BIN_EXE_sweep");
@@ -30,12 +30,23 @@ impl Daemon {
     /// Spawns `sweepd --listen 127.0.0.1:0 [extra args…]` and scrapes the
     /// OS-assigned address from its first stdout line.
     fn spawn(extra_args: &[&str]) -> Self {
+        Self::launch(extra_args, Stdio::null())
+    }
+
+    /// [`Self::spawn`] with stderr piped, for [`Self::stderr`] to read
+    /// after the daemon exits. Only for daemons that write a few lines: a
+    /// full pipe would block the daemon.
+    fn spawn_logged(extra_args: &[&str]) -> Self {
+        Self::launch(extra_args, Stdio::piped())
+    }
+
+    fn launch(extra_args: &[&str], stderr: Stdio) -> Self {
         let mut child = Command::new(SWEEPD_BIN)
             .args(["--listen", "127.0.0.1:0"])
             .args(extra_args)
             .stdin(Stdio::null())
             .stdout(Stdio::piped())
-            .stderr(Stdio::null())
+            .stderr(stderr)
             .spawn()
             .expect("sweepd spawns");
         let stdout = child.stdout.take().expect("stdout piped");
@@ -66,6 +77,28 @@ impl Daemon {
             std::thread::sleep(std::time::Duration::from_millis(50));
         }
         panic!("sweepd did not exit within 10 s of the drain request");
+    }
+
+    /// Sends the daemon SIGTERM the way an operator would, with `kill`.
+    fn terminate(&self) {
+        let status = Command::new("kill")
+            .args(["-TERM", &self.child.id().to_string()])
+            .status()
+            .expect("kill runs");
+        assert!(status.success(), "kill -TERM failed: {status}");
+    }
+
+    /// Everything a [`Self::spawn_logged`] daemon wrote to stderr; call
+    /// it after the daemon has exited.
+    fn stderr(&mut self) -> String {
+        let mut text = String::new();
+        self.child
+            .stderr
+            .take()
+            .expect("stderr piped")
+            .read_to_string(&mut text)
+            .expect("stderr readable");
+        text
     }
 
     /// Runs `sweepd --health ADDR` / `--shutdown ADDR` (client mode)
@@ -202,6 +235,55 @@ fn one_sweepd_serves_consecutive_sweeps_and_drains_on_shutdown() {
     assert!(ack.contains("jobs_active"), "unexpected ack: {ack}");
     let status = daemon.wait_for_exit();
     assert_eq!(status.code(), Some(0), "a drain is a clean exit");
+}
+
+/// SIGTERM drains an idle daemon: it exits 0 and says it drained. The
+/// handler only sets a flag and the blocked `accept` restarts after it, so
+/// this exit rests on the drain watcher waking the accept loop.
+#[test]
+fn sigterm_drains_an_idle_sweepd_to_exit_0() {
+    let mut daemon = Daemon::spawn_logged(&[]);
+    assert!(daemon.probe("--health").contains(r#""status":"ok""#));
+    daemon.terminate();
+    let status = daemon.wait_for_exit();
+    let stderr = daemon.stderr();
+    assert_eq!(status.code(), Some(0), "a drain is a clean exit: {stderr}");
+    assert!(stderr.contains("drained"), "{stderr}");
+}
+
+/// SIGTERM during a job lets the job finish: the sweep's one lease, held
+/// in flight by a stall, still merges bit-identically to serial, and the
+/// daemon exits 0 having counted the job it served.
+#[test]
+fn sigterm_finishes_the_job_in_flight_then_exits_0() {
+    let mut daemon = Daemon::spawn_logged(&["--fault", "stall-ms=1500"]);
+    // One lease for the whole grid, so no job arrives after the drain.
+    let fleet = pool(&[(&daemon.addr, 1)]).with_chunk(ChunkPolicy::Fixed(SCENARIOS));
+    let plan_file = hosts_plan("sigterm", fleet);
+    let sweep = Command::new(SWEEP_BIN)
+        .args(["--plan", plan_file.path()])
+        .stdout(Stdio::piped())
+        .stderr(Stdio::piped())
+        .spawn()
+        .expect("sweep --plan spawns");
+    let deadline = std::time::Instant::now() + std::time::Duration::from_secs(10);
+    while !daemon.probe("--health").contains(r#""jobs_active":1"#) {
+        assert!(
+            std::time::Instant::now() < deadline,
+            "the job never went in flight"
+        );
+        std::thread::sleep(std::time::Duration::from_millis(20));
+    }
+    daemon.terminate();
+    let output = sweep.wait_with_output().expect("sweep --plan finishes");
+    let stderr = String::from_utf8_lossy(&output.stderr);
+    assert!(output.status.success(), "sweep --plan failed: {stderr}");
+    assert!(stderr.contains("bit-identical"), "{stderr}");
+    assert_stdout_matches_serial(&String::from_utf8(output.stdout).expect("utf8 stdout"));
+    let status = daemon.wait_for_exit();
+    let stderr = daemon.stderr();
+    assert_eq!(status.code(), Some(0), "a drain is a clean exit: {stderr}");
+    assert!(stderr.contains("drained: 1 job(s) served"), "{stderr}");
 }
 
 /// A daemon that refuses its first connection but recovers is absorbed by

@@ -1,7 +1,8 @@
 //! The paper binaries end to end: `all_experiments` and `sensitivity`
 //! replay to the bytes recorded in `examples/plans/paper/`, and their
 //! outside inputs (`SEO_RUNS`, the results path, a closed stdout) fail by
-//! name instead of being guessed at or panicking.
+//! name instead of being guessed at or panicking. The closed-stdout check
+//! covers `sweep` and `seo-sweepd` too.
 
 use std::path::{Path, PathBuf};
 use std::process::{Command, Output, Stdio};
@@ -9,6 +10,7 @@ use std::process::{Command, Output, Stdio};
 const ALL_EXPERIMENTS_BIN: &str = env!("CARGO_BIN_EXE_all_experiments");
 const SENSITIVITY_BIN: &str = env!("CARGO_BIN_EXE_sensitivity");
 const SWEEP_BIN: &str = env!("CARGO_BIN_EXE_sweep");
+const SWEEPD_BIN: &str = env!("CARGO_BIN_EXE_sweepd");
 
 const PINS: &str = concat!(env!("CARGO_MANIFEST_DIR"), "/../../examples/plans/paper");
 
@@ -113,7 +115,9 @@ fn an_unwritable_results_file_is_named() {
 }
 
 /// A stdout that closes under a run (`… | head -1`) stops it with exit 1
-/// and the write error on stderr, instead of a panic (exit 101).
+/// and the write error on stderr, instead of a panic (exit 101). That
+/// holds for the usage texts and for `seo-sweepd`'s `listening on` line,
+/// which it writes before it serves anything.
 #[test]
 fn a_closed_stdout_is_a_runtime_error() {
     let dir = TempDir::new("closed-stdout");
@@ -125,6 +129,9 @@ fn a_closed_stdout_is_a_runtime_error() {
         (SWEEP_BIN, &["--plan", plan, "--check"][..]),
         (SENSITIVITY_BIN, &[][..]),
         (ALL_EXPERIMENTS_BIN, &[][..]),
+        (SWEEP_BIN, &["--help"][..]),
+        (SWEEPD_BIN, &["--help"][..]),
+        (SWEEPD_BIN, &["--listen", "127.0.0.1:0"][..]),
     ] {
         let (reader, writer) = std::io::pipe().expect("pipe created");
         drop(reader);
@@ -136,8 +143,8 @@ fn a_closed_stdout_is_a_runtime_error() {
             .output()
             .expect("binary runs");
         let stderr = String::from_utf8_lossy(&output.stderr);
-        assert_eq!(output.status.code(), Some(1), "{bin}: {stderr}");
-        assert!(stderr.contains("Broken pipe"), "{bin}: {stderr}");
-        assert!(!stderr.contains("panicked"), "{bin}: {stderr}");
+        assert_eq!(output.status.code(), Some(1), "{bin} {args:?}: {stderr}");
+        assert!(stderr.contains("Broken pipe"), "{bin} {args:?}: {stderr}");
+        assert!(!stderr.contains("panicked"), "{bin} {args:?}: {stderr}");
     }
 }

@@ -19,10 +19,17 @@
 //!   daemon's one record: admission, drain and the counters all update
 //!   it under one lock, and in-process callers read it through
 //!   [`DaemonServer::health`].
+//! * **No wait on accept** — the accept loop blocks in `accept`, so each
+//!   connection (every lease opens one) is read the moment it arrives.
 //! * **Graceful drain** — a `shutdown` control frame (or, in the binary,
 //!   SIGTERM via [`request_drain`]) flips the daemon into draining:
 //!   in-flight shards finish, new jobs get `busy`, and
 //!   [`DaemonServer::serve`] returns `Ok(())` so the process can exit 0.
+//!   A watcher thread, the one poll left, checks every 10 ms whether the
+//!   last job has finished and then wakes the blocked `accept` with a
+//!   connection of its own, which is never counted or served. A signal
+//!   cannot do that itself: `signal()` installs its handler with
+//!   `SA_RESTART`, so `accept` resumes after it.
 //! * **Deterministic chaos** — an optional [`FaultPlan`] injects refusals,
 //!   mid-stream drops, stalls, and garbled frames, keyed off a connection
 //!   counter, so every coordinator recovery path is exercisable in CI.
@@ -48,7 +55,7 @@ use crate::transport::{
     shutdown_ack_frame, write_frame, DaemonRequest, HealthReport, JobRequest, TransportError,
     DEFAULT_TIMEOUT,
 };
-use std::net::{SocketAddr, TcpListener, TcpStream};
+use std::net::{Ipv4Addr, Ipv6Addr, SocketAddr, TcpListener, TcpStream};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{Arc, Mutex, MutexGuard};
 use std::time::{Duration, Instant};
@@ -67,8 +74,10 @@ pub fn request_drain() {
     GLOBAL_DRAIN.store(true, Ordering::Release);
 }
 
-/// How often the accept loop polls for connections and drain progress.
-const ACCEPT_POLL: Duration = Duration::from_millis(10);
+/// How often the drain watcher checks whether a draining daemon has
+/// finished its last job, so [`DaemonServer::serve`] returns about this
+/// long after that job at most. A failed `accept` also backs off this long.
+const DRAIN_POLL: Duration = Duration::from_millis(10);
 
 /// Tuning for a [`DaemonServer`].
 #[derive(Debug, Clone)]
@@ -187,20 +196,39 @@ impl DaemonServer {
     /// Per-connection failures are reported to stderr and never stop the
     /// loop; the daemon must survive misbehaving coordinators.
     ///
+    /// The loop blocks in `accept`. A watcher thread checks every 10 ms
+    /// whether the daemon is drained and then wakes the loop with a
+    /// connection of its own (a SIGTERM handler cannot: `accept` restarts
+    /// after it). A connection accepted once the daemon is drained ends
+    /// the loop and is never counted, faulted or served.
+    ///
     /// # Errors
     ///
-    /// [`TransportError::Io`] when the listener cannot be polled at all
+    /// [`TransportError::Io`] when the listener cannot report its address
     /// (per-connection accept hiccups are logged and survived).
     pub fn serve(self: &Arc<Self>, runtime: Arc<RuntimeLoop>) -> Result<(), TransportError> {
-        self.listener
-            .set_nonblocking(true)
-            .map_err(|e| io_err("listener set_nonblocking", &e))?;
+        let wake = self.wake_addr()?;
+        let stopped = AtomicBool::new(false);
+        std::thread::scope(|scope| {
+            let watcher = scope.spawn(|| self.wake_when_drained(wake, &stopped));
+            let _stop = StopWatcher {
+                stopped: &stopped,
+                watcher: watcher.thread(),
+            };
+            self.accept_until_drained(&runtime);
+        });
+        Ok(())
+    }
+
+    /// The accept loop: dispatches each connection to a thread of its own
+    /// until one is accepted after the daemon is drained.
+    fn accept_until_drained(self: &Arc<Self>, runtime: &Arc<RuntimeLoop>) {
         loop {
-            let health = self.health();
-            if !health.accepting && health.jobs_active == 0 {
-                return Ok(());
+            let accepted = self.listener.accept();
+            if self.drained() {
+                return;
             }
-            match self.listener.accept() {
+            match accepted {
                 Ok((stream, peer)) => {
                     let conn_index = self.connections.fetch_add(1, Ordering::Relaxed);
                     if let Some(faults) = &self.config.faults {
@@ -212,22 +240,56 @@ impl DaemonServer {
                         }
                     }
                     let server = Arc::clone(self);
-                    let runtime = Arc::clone(&runtime);
+                    let runtime = Arc::clone(runtime);
                     std::thread::spawn(move || {
                         if let Err(e) = server.handle_connection(stream, &runtime, conn_index) {
                             eprintln!("seo-sweepd: connection from {peer}: {e}");
                         }
                     });
                 }
-                Err(e) if e.kind() == std::io::ErrorKind::WouldBlock => {
-                    std::thread::sleep(ACCEPT_POLL);
-                }
                 Err(e) => {
                     // A transient accept failure (e.g. the peer aborted
-                    // while queued) must not kill the service.
+                    // while queued) must not kill the service; backing off
+                    // keeps one that repeats (out of descriptors) from
+                    // spinning.
                     eprintln!("seo-sweepd: accept: {e}");
-                    std::thread::sleep(ACCEPT_POLL);
+                    std::thread::sleep(DRAIN_POLL);
                 }
+            }
+        }
+    }
+
+    /// Whether the daemon may exit: a drain was requested (per instance or
+    /// process-wide) and no job is running. Once true it stays true, since
+    /// admission refuses every job while draining.
+    fn drained(&self) -> bool {
+        let health = self.health();
+        !health.accepting && health.jobs_active == 0
+    }
+
+    /// The address the watcher connects to: the listener's own, with a
+    /// wildcard (`0.0.0.0`, `::`) mapped to loopback.
+    fn wake_addr(&self) -> Result<SocketAddr, TransportError> {
+        let mut addr = self.local_addr()?;
+        if addr.ip().is_unspecified() {
+            addr.set_ip(match addr {
+                SocketAddr::V4(_) => Ipv4Addr::LOCALHOST.into(),
+                SocketAddr::V6(_) => Ipv6Addr::LOCALHOST.into(),
+            });
+        }
+        Ok(addr)
+    }
+
+    /// The watcher: once the daemon is drained, wakes the accept loop with
+    /// a connection of its own, retrying each period until one opens or
+    /// the loop has `stopped` anyway.
+    fn wake_when_drained(&self, wake: SocketAddr, stopped: &AtomicBool) {
+        loop {
+            std::thread::park_timeout(DRAIN_POLL);
+            if stopped.load(Ordering::Acquire)
+                || (self.drained() && TcpStream::connect_timeout(&wake, DRAIN_POLL).is_ok())
+            {
+                return;
             }
         }
     }
@@ -240,12 +302,8 @@ impl DaemonServer {
         runtime: &RuntimeLoop,
         conn_index: u64,
     ) -> Result<(), TransportError> {
-        // Accepted sockets may inherit the listener's non-blocking mode on
-        // some platforms; the per-connection protocol is blocking-with-
-        // timeout.
         stream
-            .set_nonblocking(false)
-            .and_then(|()| stream.set_read_timeout(Some(self.config.timeout)))
+            .set_read_timeout(Some(self.config.timeout))
             .and_then(|()| stream.set_write_timeout(Some(self.config.timeout)))
             .and_then(|()| stream.set_nodelay(true))
             .map_err(|e| io_err("daemon socket setup", &e))?;
@@ -306,5 +364,19 @@ impl DaemonServer {
             record.episodes_emitted += count as u64;
         }
         served.map(drop)
+    }
+}
+
+/// Stops the drain watcher when the accept loop ends, however it ends (a
+/// panic included), so the scope that owns the watcher can join it.
+struct StopWatcher<'a> {
+    stopped: &'a AtomicBool,
+    watcher: &'a std::thread::Thread,
+}
+
+impl Drop for StopWatcher<'_> {
+    fn drop(&mut self) {
+        self.stopped.store(true, Ordering::Release);
+        self.watcher.unpark();
     }
 }

@@ -16,13 +16,13 @@ use seo_core::batch::ScenarioSpec;
 use seo_core::prelude::*;
 use seo_core::shard::{report_line, summary_line};
 use seo_core::transport::{
-    done_frame, health_request_frame, parse_worker_frame, read_frame, shutdown_request_frame,
-    write_frame, JobRequest, WorkerMsg,
+    done_frame, exchange, health_request_frame, parse_worker_frame, read_frame,
+    shutdown_request_frame, write_frame, JobRequest, WorkerMsg,
 };
 use seo_integration::{paper_runtime, serial_reference};
 use std::net::{SocketAddr, TcpListener, TcpStream};
 use std::sync::{mpsc, Arc};
-use std::time::Duration;
+use std::time::{Duration, Instant};
 
 const SCENARIOS: usize = 6;
 const SEED: u64 = 2023;
@@ -131,6 +131,15 @@ fn next_msg(stream: &mut TcpStream) -> WorkerMsg {
     parse_worker_frame(&payload).expect("worker frame")
 }
 
+/// Waits for `serve` to return and asserts it returned cleanly.
+fn assert_drained(daemon: &Daemon) {
+    daemon
+        .served
+        .recv_timeout(Duration::from_secs(10))
+        .expect("serve must return after the drain")
+        .expect("a drain is a clean exit");
+}
+
 /// The headline service contract: one daemon serves several consecutive
 /// coordinator jobs (surviving a client that disconnects mid-job in
 /// between), answers `health` with cumulative counters, and drains to a
@@ -186,11 +195,7 @@ fn daemon_serves_consecutive_jobs_answers_health_and_drains() {
     let ack = String::from_utf8(ack).expect("ack is JSON text");
     assert!(ack.contains("shutdown"), "unexpected ack: {ack}");
     assert!(ack.contains("jobs_active"), "unexpected ack: {ack}");
-    let drained = daemon
-        .served
-        .recv_timeout(Duration::from_secs(10))
-        .expect("serve must return after the drain");
-    drained.expect("a drain is a clean exit");
+    assert_drained(&daemon);
     // A job leaves the active count in the same record update that counts
     // it served, and serve() returns only once nothing is active, so all
     // four full jobs are on the books by now.
@@ -200,6 +205,48 @@ fn daemon_serves_consecutive_jobs_answers_health_and_drains() {
         health.jobs_served >= 4,
         "all four full jobs must be recorded after the drain: {health:?}"
     );
+}
+
+/// An idle daemon reads a connection the moment it arrives. Every lease
+/// opens a fresh connection, and so does each of these 20 sequential
+/// `health` exchanges; an accept loop that slept between polls would add
+/// up to a 10 ms poll period to each of them (about 200 ms in all).
+#[test]
+fn an_idle_daemon_answers_sequential_health_exchanges_without_waiting() {
+    let daemon = spawn_daemon(DaemonConfig::default());
+    let addr = daemon.addr.to_string();
+    let timeout = Duration::from_secs(30);
+    let start = Instant::now();
+    for _ in 0..20 {
+        let reply = exchange(&addr, &health_request_frame(), timeout).expect("health answered");
+        let health = HealthReport::from_frame(&reply).expect("health report");
+        assert!(health.accepting, "{health:?}");
+    }
+    let elapsed = start.elapsed();
+    assert!(
+        elapsed < Duration::from_millis(100),
+        "20 sequential health exchanges took {elapsed:?}"
+    );
+    daemon.server.request_drain();
+    assert_drained(&daemon);
+}
+
+/// The connection that wakes a drained daemon's accept loop is not a
+/// connection of the service: a daemon armed to refuse its first three
+/// connections and drained before any arrive returns from `serve` having
+/// refused none and served none. A daemon on the wildcard address is woken
+/// through loopback.
+#[test]
+fn the_drain_wake_is_not_a_connection() {
+    for addr in ["127.0.0.1:0", "0.0.0.0:0"] {
+        let daemon = spawn_daemon_at(addr, faulty("refuse=3"));
+        daemon.server.request_drain();
+        assert_drained(&daemon);
+        let health = daemon.server.health();
+        assert_eq!(health.faults_injected, 0, "{addr}: {health:?}");
+        assert_eq!(health.jobs_served, 0, "{addr}: {health:?}");
+        assert_eq!(health.jobs_active, 0, "{addr}: {health:?}");
+    }
 }
 
 /// A host that is dead on arrival but comes up within the retry budget is
@@ -356,11 +403,7 @@ fn draining_daemon_refuses_new_jobs_while_finishing_the_old_one() {
         WorkerMsg::Done { count } => assert_eq!(count, 1),
         other => panic!("expected done, got {other:?}"),
     }
-    let drained = daemon
-        .served
-        .recv_timeout(Duration::from_secs(10))
-        .expect("serve must return once the last job finishes");
-    drained.expect("a drain is a clean exit");
+    assert_drained(&daemon);
     assert_eq!(daemon.server.health().jobs_served, 1);
 }
 
