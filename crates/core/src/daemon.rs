@@ -208,25 +208,12 @@ impl DaemonServer {
     /// (per-connection accept hiccups are logged and survived).
     pub fn serve(self: &Arc<Self>, runtime: Arc<RuntimeLoop>) -> Result<(), TransportError> {
         let wake = self.wake_addr()?;
-        let stopped = AtomicBool::new(false);
-        std::thread::scope(|scope| {
-            let watcher = scope.spawn(|| self.wake_when_drained(wake, &stopped));
-            let _stop = StopWatcher {
-                stopped: &stopped,
-                watcher: watcher.thread(),
-            };
-            self.accept_until_drained(&runtime);
-        });
-        Ok(())
-    }
-
-    /// The accept loop: dispatches each connection to a thread of its own
-    /// until one is accepted after the daemon is drained.
-    fn accept_until_drained(self: &Arc<Self>, runtime: &Arc<RuntimeLoop>) {
+        let watcher = Arc::clone(self);
+        std::thread::spawn(move || watcher.wake_when_drained(wake));
         loop {
             let accepted = self.listener.accept();
             if self.drained() {
-                return;
+                return Ok(());
             }
             match accepted {
                 Ok((stream, peer)) => {
@@ -240,7 +227,7 @@ impl DaemonServer {
                         }
                     }
                     let server = Arc::clone(self);
-                    let runtime = Arc::clone(runtime);
+                    let runtime = Arc::clone(&runtime);
                     std::thread::spawn(move || {
                         if let Err(e) = server.handle_connection(stream, &runtime, conn_index) {
                             eprintln!("seo-sweepd: connection from {peer}: {e}");
@@ -281,14 +268,13 @@ impl DaemonServer {
     }
 
     /// The watcher: once the daemon is drained, wakes the accept loop with
-    /// a connection of its own, retrying each period until one opens or
-    /// the loop has `stopped` anyway.
-    fn wake_when_drained(&self, wake: SocketAddr, stopped: &AtomicBool) {
+    /// a connection of its own, retrying each period until one opens. It
+    /// holds its own handle on the server, so the listener stays open until
+    /// the wake lands even if the loop has already returned.
+    fn wake_when_drained(&self, wake: SocketAddr) {
         loop {
-            std::thread::park_timeout(DRAIN_POLL);
-            if stopped.load(Ordering::Acquire)
-                || (self.drained() && TcpStream::connect_timeout(&wake, DRAIN_POLL).is_ok())
-            {
+            std::thread::sleep(DRAIN_POLL);
+            if self.drained() && TcpStream::connect_timeout(&wake, DRAIN_POLL).is_ok() {
                 return;
             }
         }
@@ -364,19 +350,5 @@ impl DaemonServer {
             record.episodes_emitted += count as u64;
         }
         served.map(drop)
-    }
-}
-
-/// Stops the drain watcher when the accept loop ends, however it ends (a
-/// panic included), so the scope that owns the watcher can join it.
-struct StopWatcher<'a> {
-    stopped: &'a AtomicBool,
-    watcher: &'a std::thread::Thread,
-}
-
-impl Drop for StopWatcher<'_> {
-    fn drop(&mut self) {
-        self.stopped.store(true, Ordering::Release);
-        self.watcher.unpark();
     }
 }

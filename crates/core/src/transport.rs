@@ -181,9 +181,7 @@ pub(crate) fn io_err(context: &str, e: &std::io::Error) -> TransportError {
 // ---------------------------------------------------------------------------
 
 /// Writes one length-delimited frame (4-byte big-endian payload length,
-/// then the payload) and flushes, so the peer sees it immediately. Prefix
-/// and payload go out in one write: on a `TCP_NODELAY` socket that is one
-/// system call and one segment per frame, not two.
+/// then the payload) and flushes, so the peer sees it immediately.
 ///
 /// # Errors
 ///
@@ -199,10 +197,8 @@ pub fn write_frame(w: &mut dyn Write, payload: &[u8]) -> Result<(), TransportErr
                 payload.len()
             ))
         })?;
-    let mut frame = Vec::with_capacity(4 + payload.len());
-    frame.extend_from_slice(&len.to_be_bytes());
-    frame.extend_from_slice(payload);
-    w.write_all(&frame)
+    w.write_all(&len.to_be_bytes())
+        .and_then(|()| w.write_all(payload))
         .and_then(|()| w.flush())
         .map_err(|e| io_err("writing frame", &e))
 }
