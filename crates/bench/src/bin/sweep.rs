@@ -9,9 +9,9 @@
 //! additionally folds exactly-associative per-cell sketches
 //! (`seo_core::agg`): mode `summary` replaces the episode stream with
 //! per-cell summary NDJSON (byte-identical across all four engines — no
-//! per-episode line crosses a process or host boundary), `both` appends it
-//! after the episode stream, and `report.book` upserts a named-run row into
-//! the committed results book (see `docs/reporting.md`). `--check`
+//! per-episode line crosses a process or host boundary), and `report.book`
+//! upserts a named-run row into the committed results book (see
+//! `docs/reporting.md`). `--check`
 //! validates and summarizes a plan without running anything, `--worker
 //! START..END` runs one shard of it (what a processes plan spawns), and
 //! `--falsify` searches its grid for violating episodes. Committed presets
@@ -20,14 +20,12 @@
 //!
 //! ```sh
 //! sweep --plan examples/plans/paper.json --verify > merged.ndjson
-//! sweep --plan examples/plans/two-process.json --kernel blocked > merged.ndjson
 //! ```
 //!
 //! `--verify` (or `"verify": true` in the plan) reruns the grid serially
 //! in-process and exits non-zero unless the merged output is bit-identical.
-//! `--kernel NAME` overrides the plan's `exec.kernel` inference backend;
-//! backends are bit-identical by the `seo_nn::kernel` contract, so this is
-//! a pure speed knob (see `docs/kernels.md`).
+//! The inference backend is the plan's `exec.kernel`, on every engine (see
+//! `docs/kernels.md`).
 //!
 //! A run writes nothing but stdout, stderr, the `--falsify-dir` artifacts
 //! and the plan's `report.book`. Structured run facts — a hosts fleet's
@@ -59,15 +57,13 @@ enum Mode {
 struct Cli {
     mode: Mode,
     /// The plan every mode executes or validates: the `--plan` file with
-    /// `--kernel`/`--verify` applied.
+    /// `--verify` applied.
     plan: SweepPlan,
 }
 
-/// The CLI grammar template, printed with exit code 0 on `--help` and exit
-/// code 2 on any argument error; `%KERNELS%` is filled from
-/// [`KernelBackend::valid_names`] so the usage text can never go stale
-/// against the enum.
-const USAGE_TEMPLATE: &str = "usage: sweep --plan FILE [MODE] [OPTIONS]\n\
+/// The CLI grammar, printed with exit code 0 on `--help` and exit code 2 on
+/// any argument error.
+const USAGE: &str = "usage: sweep --plan FILE [MODE] [OPTIONS]\n\
     modes:\n  \
     --plan FILE             run the sweep plan in FILE (serial / threads / processes /\n                          \
     hosts per its exec section); a report section switches\n                          \
@@ -86,16 +82,9 @@ const USAGE_TEMPLATE: &str = "usage: sweep --plan FILE [MODE] [OPTIONS]\n\
     options:\n  \
     --falsify-dir DIR       where --falsify writes cx-N.json replay plans and\n                          \
     cx-N.expected.ndjson wire lines (default: counterexamples)\n  \
-    --kernel NAME           inference kernel backend: %KERNELS%\n                          \
-    (default: the plan's exec.kernel; bit-identical output,\n                          \
-    see docs/kernels.md)\n  \
     --verify                with --plan: rerun the grid serially in-process and\n                          \
     fail unless the merged output is bit-identical\n  \
     --help, -h              print this usage and exit 0";
-
-fn usage() -> String {
-    USAGE_TEMPLATE.replace("%KERNELS%", &KernelBackend::valid_names())
-}
 
 /// Everything `parse_cli` can ask `main` to do besides running a mode.
 enum CliOutcome {
@@ -110,7 +99,6 @@ fn parse_cli() -> Result<CliOutcome, String> {
     let mut falsify = false;
     let mut verify = false;
     let mut falsify_dir = "counterexamples".to_owned();
-    let mut kernel_flag: Option<KernelBackend> = None;
 
     let mut args = std::env::args().skip(1);
     while let Some(arg) = args.next() {
@@ -130,13 +118,6 @@ fn parse_cli() -> Result<CliOutcome, String> {
                 })?);
             }
             "--verify" => verify = true,
-            "--kernel" => {
-                kernel_flag = Some(
-                    value("--kernel")?
-                        .parse::<KernelBackend>()
-                        .map_err(|e| format!("--kernel: {e}"))?,
-                );
-            }
             other => {
                 return Err(format!(
                     "unknown argument '{other}' (the grid and its engine come from \
@@ -151,7 +132,6 @@ fn parse_cli() -> Result<CliOutcome, String> {
             (check, "--check"),
             (worker.is_some(), "--worker"),
             (falsify, "--falsify"),
-            (kernel_flag.is_some(), "--kernel"),
             (verify, "--verify"),
         ] {
             if given {
@@ -167,9 +147,6 @@ fn parse_cli() -> Result<CliOutcome, String> {
     // plan's execution section.
     let text = std::fs::read_to_string(&path).map_err(|e| format!("--plan {path}: {e}"))?;
     let mut plan = SweepPlan::parse(&text).map_err(|e| format!("--plan {path}: {e}"))?;
-    if let Some(kernel) = kernel_flag {
-        plan = plan.with_kernel(kernel);
-    }
     if verify {
         plan = plan.with_verify(true);
     }
@@ -196,7 +173,7 @@ fn parse_cli() -> Result<CliOutcome, String> {
 /// `--worker START..END`: one shard of the plan's grid through
 /// [`shard::serve_shard`], the worker loop daemons run too, with each
 /// payload printed as one stdout line — a report line per episode, or in
-/// pure `summary` report mode the shard's one summary line. Stdout carries
+/// `summary` report mode the shard's one summary line. Stdout carries
 /// **only** protocol lines; anything human goes to stderr. A failed write
 /// (e.g. the coordinator died and the pipe broke) stops the shard at once.
 fn worker_mode(plan: &SweepPlan, shard: Shard) -> Result<(), Box<dyn std::error::Error>> {
@@ -209,13 +186,7 @@ fn worker_mode(plan: &SweepPlan, shard: Shard) -> Result<(), Box<dyn std::error:
             .map_err(|e| write_error = Some(e))
             .is_ok()
     };
-    shard::serve_shard(
-        plan,
-        shard,
-        plan.kernel,
-        &mut FaultInjector::none(),
-        &mut print,
-    )?;
+    shard::serve_shard(plan, shard, &mut FaultInjector::none(), &mut print)?;
     write_error.map_or(Ok(()), |e| Err(e.into()))
 }
 
@@ -306,16 +277,15 @@ fn engine_name(mode: &ExecMode) -> &'static str {
 /// in-process serial rerun when asked. One function, four engines.
 ///
 /// Every engine feeds one sink, which streams the merged wire lines to
-/// stdout unless the report mode is pure `summary`, and folds a
-/// [`RunSummary`] when the report mode includes one (`summary` or `both`).
-/// In pure `summary` mode the distributed engines ship sketches instead of
-/// episodes: each worker process prints exactly one [`shard::summary_line`]
-/// for its shard ([`Coordinator::run_summaries`] rejects anything more),
-/// and each host ships the same payload as one all-or-nothing frame per
-/// lease ([`RemoteCoordinator::run_plan_summary`]). The folded per-cell
-/// lines are byte-identical across all four engines because every sketch
-/// operation is exactly associative and fragments fold in spec-index order
-/// (see `docs/reporting.md`); they follow the episode stream, if any.
+/// stdout, or in `summary` report mode folds them into a [`RunSummary`]
+/// instead. In `summary` mode the distributed engines ship sketches
+/// instead of episodes: each worker process prints exactly one
+/// [`shard::summary_line`] for its shard ([`Coordinator::run_summaries`]
+/// rejects anything more), and each host ships the same payload as one
+/// all-or-nothing frame per lease ([`RemoteCoordinator::run_plan_summary`]).
+/// The folded per-cell lines are byte-identical across all four engines
+/// because every sketch operation is exactly associative and fragments fold
+/// in spec-index order (see `docs/reporting.md`).
 fn run_plan_mode(plan: &SweepPlan, path: &str) -> Result<(), Box<dyn std::error::Error>> {
     let episodes = plan.emits_episodes();
     let start = Instant::now();
@@ -333,18 +303,19 @@ fn run_plan_mode(plan: &SweepPlan, path: &str) -> Result<(), Box<dyn std::error:
     // … | head` must not run the whole grid); the distributed paths drain
     // their merges but stop writing.
     let mut sink = |i: usize, report: EpisodeReport| -> bool {
-        if episodes && write_error.is_none() {
+        streamed += 1;
+        if let Some(summary) = fold.as_mut() {
+            summary.record(i, &report);
+            return true;
+        }
+        if write_error.is_none() {
             let result = writeln!(&stdout, "{}", shard::report_line(i, &report))
                 .and_then(|()| (&stdout).flush());
             if let Err(e) = result {
                 write_error = Some(e);
             }
         }
-        streamed += 1;
-        if let Some(summary) = fold.as_mut() {
-            summary.record(i, &report);
-        }
-        if plan.verify && episodes {
+        if plan.verify {
             merged.push(report);
         }
         write_error.is_none()
@@ -361,14 +332,10 @@ fn run_plan_mode(plan: &SweepPlan, path: &str) -> Result<(), Box<dyn std::error:
         }
         ExecMode::Processes(workers) => {
             // Re-invoke this binary as worker processes; they reload the
-            // plan from its file and run this process's kernel.
+            // plan from its file, `exec.kernel` included.
             let shard_plan = ShardPlanner::new(*workers).plan(plan.n_specs())?;
-            let coordinator = Coordinator::new(std::env::current_exe()?).with_args([
-                "--plan",
-                path,
-                "--kernel",
-                plan.kernel.name(),
-            ]);
+            let coordinator =
+                Coordinator::new(std::env::current_exe()?).with_args(["--plan", path]);
             if episodes {
                 coordinator.run_streaming(&shard_plan, |i, report| {
                     sink(i, report);
@@ -376,7 +343,7 @@ fn run_plan_mode(plan: &SweepPlan, path: &str) -> Result<(), Box<dyn std::error:
             } else {
                 let fragments = coordinator.run_summaries(&shard_plan)?;
                 fold.as_mut()
-                    .expect("pure summary mode folds a summary")
+                    .expect("summary mode folds a summary")
                     .fold_fragments(fragments)?;
             }
             format!("over {} worker process(es)", shard_plan.shards().len())
@@ -400,8 +367,7 @@ fn run_plan_mode(plan: &SweepPlan, path: &str) -> Result<(), Box<dyn std::error:
         return Err(Box::new(e));
     }
     let elapsed = start.elapsed().as_secs_f64();
-    let summary_only = fold.as_ref().filter(|_| !episodes);
-    match summary_only {
+    match &fold {
         None => eprintln!(
             "plan sweep: {streamed} scenario(s) {label} in {elapsed:.2} s ({:.1}/s)",
             streamed as f64 / elapsed.max(1e-12),
@@ -416,7 +382,7 @@ fn run_plan_mode(plan: &SweepPlan, path: &str) -> Result<(), Box<dyn std::error:
     }
 
     if plan.verify {
-        match summary_only {
+        match &fold {
             Some(summary) => verify_against_serial_summary(plan, summary)?,
             None => verify_against_plan_serial(plan, &merged)?,
         }
@@ -542,10 +508,9 @@ fn run_falsify_mode(plan: &SweepPlan, dir: &str) -> Result<(), Box<dyn std::erro
     Ok(())
 }
 
-/// Reruns the plan's grid serially in-process and fails unless `merged`
-/// matches it field-for-field **and** byte-for-byte on the wire. The rerun
-/// uses this process's effective kernel backend, so a fleet on a different
-/// backend (or a mixed fleet) is held to cross-backend bit-identity too.
+/// Reruns the plan's grid serially in-process, on the same `exec.kernel`
+/// every engine ran, and fails unless `merged` matches it field-for-field
+/// **and** byte-for-byte on the wire.
 fn verify_against_plan_serial(
     plan: &SweepPlan,
     merged: &[EpisodeReport],
@@ -570,7 +535,7 @@ fn main() {
     let cli = match parse_cli() {
         Ok(CliOutcome::Run(cli)) => cli,
         Ok(CliOutcome::Help) => {
-            if let Err(e) = writeln!(std::io::stdout().lock(), "{}", usage()) {
+            if let Err(e) = writeln!(std::io::stdout().lock(), "{USAGE}") {
                 eprintln!("sweep: {e}");
                 std::process::exit(1);
             }
@@ -578,7 +543,7 @@ fn main() {
         }
         Err(e) => {
             eprintln!("sweep: {e}");
-            eprintln!("{}", usage());
+            eprintln!("{USAGE}");
             std::process::exit(2);
         }
     };

@@ -25,10 +25,9 @@
 //! the actual address as its first stdout line
 //! (`seo-sweepd listening on ADDR`) so scripts and tests can scrape it.
 //!
-//! `--kernel NAME` (default `scalar`) selects the inference kernel backend
-//! the daemon runs episodes with. Backends are bit-identical by the
-//! `seo_nn::kernel` contract, so hosts in one pool may run different
-//! backends without breaking the merge (see `docs/kernels.md`).
+//! Each job runs on the inference kernel backend its plan names
+//! (`exec.kernel`, see `docs/kernels.md`); the daemon has no backend of its
+//! own.
 //!
 //! `--fault SPEC` arms deterministic fault injection (the
 //! [`FaultPlan`] grammar: `refuse=N,drop-after=K,stall-ms=T,garble=K,seed=S`)
@@ -41,18 +40,15 @@ use std::io::Write as _;
 use std::sync::Arc;
 use std::time::Duration;
 
-/// `%KERNELS%` is filled from [`KernelBackend::valid_names`] so the usage
-/// text can never go stale against the enum. Printed with exit code 0 on
-/// `--help` and exit code 2 on any argument error.
-const USAGE_TEMPLATE: &str = "usage: sweepd [--listen HOST:PORT] [--kernel NAME] [--jobs N] \
-    [--timeout-secs T]\n              [--fault SPEC] [--health ADDR] [--shutdown ADDR]\n  \
+/// Printed with exit code 0 on `--help` and exit code 2 on any argument
+/// error.
+const USAGE: &str = "usage: sweepd [--listen HOST:PORT] [--jobs N] [--timeout-secs T]\n              \
+    [--fault SPEC] [--health ADDR] [--shutdown ADDR]\n  \
     --listen       address to accept coordinator connections on (default 127.0.0.1:7641)\n  \
-    --kernel       inference kernel backend: %KERNELS% (default scalar;\n                 \
-    bit-identical output, see docs/kernels.md)\n  \
     --jobs         max concurrently running jobs; extra jobs get a busy frame (default 4)\n  \
     --timeout-secs per-connection timeout in seconds (default 30; client mode: connect too)\n  \
     --fault        deterministic fault injection, e.g. refuse=2,drop-after=5,seed=7\n                 \
-    (keys: refuse, drop-after, stall-ms, stall-at, garble, seed; testing only)\n  \
+    (keys: refuse, drop-after, stall-ms, garble, seed; testing only)\n  \
     --health       client mode: print ADDR's health frame to stdout and exit\n  \
     --shutdown     client mode: ask ADDR to drain (finish jobs, refuse new ones, exit 0)\n  \
     --help, -h     print this usage and exit 0";
@@ -62,7 +58,6 @@ struct Cli {
     jobs: usize,
     timeout: Duration,
     faults: Option<FaultPlan>,
-    kernel: KernelBackend,
 }
 
 /// Everything `parse_cli` can ask `main` to do besides serving.
@@ -83,7 +78,6 @@ fn parse_cli() -> Result<CliOutcome, String> {
     let mut timeout = seo_core::transport::DEFAULT_TIMEOUT;
     let mut faults: Option<FaultPlan> = None;
     let mut probe: Option<(String, Vec<u8>)> = None;
-    let mut kernel = KernelBackend::default();
     let mut args = std::env::args().skip(1);
     while let Some(arg) = args.next() {
         let mut value = |flag: &str| {
@@ -93,11 +87,6 @@ fn parse_cli() -> Result<CliOutcome, String> {
         match arg.as_str() {
             "--help" | "-h" => return Ok(CliOutcome::Help),
             "--listen" => listen = value("--listen")?,
-            "--kernel" => {
-                kernel = value("--kernel")?
-                    .parse::<KernelBackend>()
-                    .map_err(|e| format!("--kernel: {e}"))?;
-            }
             "--jobs" => {
                 jobs = value("--jobs")?
                     .parse::<usize>()
@@ -139,7 +128,6 @@ fn parse_cli() -> Result<CliOutcome, String> {
         jobs,
         timeout,
         faults,
-        kernel,
     }))
 }
 
@@ -164,11 +152,6 @@ fn install_drain_on_sigterm() {
 #[cfg(not(unix))]
 fn install_drain_on_sigterm() {}
 
-/// The usage text with the kernel names filled in.
-fn usage() -> String {
-    USAGE_TEMPLATE.replace("%KERNELS%", &KernelBackend::valid_names())
-}
-
 /// Client mode: one control round-trip against a running daemon. Prints
 /// the reply frame (JSON) to stdout.
 fn run_probe(addr: &str, request: &[u8], timeout: Duration) -> Result<(), Box<dyn Error>> {
@@ -180,10 +163,11 @@ fn run_probe(addr: &str, request: &[u8], timeout: Duration) -> Result<(), Box<dy
 
 /// Serve mode: binds, announces the address, and serves until drained.
 fn run_daemon(cli: &Cli) -> Result<(), Box<dyn Error>> {
+    // `serve` still takes a runtime it no longer reads (jobs build their
+    // own from their plans); ROADMAP direction 3 deletes the argument.
     let config = SeoConfig::paper_defaults();
     let models = ModelSet::paper_setup(config.tau)?;
-    let runtime =
-        RuntimeLoop::new(config, models, OptimizerKind::Offloading)?.with_kernel(cli.kernel);
+    let runtime = RuntimeLoop::new(config, models, OptimizerKind::Offloading)?;
     let server = Arc::new(DaemonServer::bind(
         &cli.listen,
         DaemonConfig {
@@ -193,9 +177,6 @@ fn run_daemon(cli: &Cli) -> Result<(), Box<dyn Error>> {
         },
     )?);
     install_drain_on_sigterm();
-    // Backends are bit-identical by contract, so a mixed fleet is fine;
-    // the note is purely informational.
-    eprintln!("seo-sweepd: kernel backend '{}'", cli.kernel);
     // First stdout line is machine-readable: scripts scrape the actual
     // address (essential with `--listen 127.0.0.1:0`).
     {
@@ -220,9 +201,7 @@ fn main() {
     // Argument errors exit 2 with the usage text; --help exits 0; runtime
     // failures (a closed stdout included) exit 1.
     let result = match parse_cli() {
-        Ok(CliOutcome::Help) => {
-            writeln!(std::io::stdout().lock(), "{}", usage()).map_err(Into::into)
-        }
+        Ok(CliOutcome::Help) => writeln!(std::io::stdout().lock(), "{USAGE}").map_err(Into::into),
         Ok(CliOutcome::Probe {
             addr,
             request,
@@ -231,7 +210,7 @@ fn main() {
         Ok(CliOutcome::Run(cli)) => run_daemon(&cli),
         Err(e) => {
             eprintln!("sweepd: {e}");
-            eprintln!("{}", usage());
+            eprintln!("{USAGE}");
             std::process::exit(2);
         }
     };

@@ -371,25 +371,24 @@ fn chunked_hosts_file_reissues_and_steals_a_stranded_lease() {
 
 #[test]
 fn multi_host_verify_sweep_is_kernel_backend_invariant() {
-    // One daemon per backend — a deliberately *mixed* fleet — while the
-    // coordinator's --verify rerun uses its own default (scalar) backend.
-    // The run only passes if every backend produces byte-identical wire
-    // lines, so this is the full multi-host backend-invariance check.
-    // Only the neural controller calls the kernel, so the plan runs it
-    // beside the potential-field one.
-    let scalar_host = Daemon::spawn(&["--kernel", "scalar"]);
-    let blocked_host = Daemon::spawn(&["--kernel", "blocked"]);
-    let fleet = pool(&[(&scalar_host.addr, 1), (&blocked_host.addr, 1)]);
+    // Two plain daemons run the backend the plan names, blocked here, and
+    // so does the plan's own verify rerun. The comparison with the scalar
+    // serial lines below is what holds one backend to the other. Only the
+    // neural controller calls the kernel, so the plan runs it beside the
+    // potential-field one.
+    let (first, second) = (Daemon::spawn(&[]), Daemon::spawn(&[]));
+    let fleet = pool(&[(&first.addr, 1), (&second.addr, 1)]);
     let plan = SweepPlan::paper(SCENARIOS, SEED).with_controllers(vec![
         ControllerKind::PotentialField,
         ControllerKind::SeededNeural(0),
     ]);
     let serial = plan.run_serial().expect("scalar serial reference");
     let plan = plan
+        .with_kernel(KernelBackend::Blocked)
         .with_mode(ExecMode::Hosts(fleet))
         .with_timeout_secs(60.0)
         .with_verify(true);
-    let (stdout, stderr) = run_sweep_hosts(&PlanFile::new("mixed", plan.to_json().render()));
+    let (stdout, stderr) = run_sweep_hosts(&PlanFile::new("blocked", plan.to_json().render()));
     assert!(
         stderr.contains("bit-identical"),
         "verify note missing: {stderr}"
@@ -400,23 +399,6 @@ fn multi_host_verify_sweep_is_kernel_backend_invariant() {
         .map(|(i, report)| report_line(i, report))
         .collect();
     assert_eq!(stdout.lines().collect::<Vec<_>>(), expected);
-}
-
-#[test]
-fn sweepd_rejects_unknown_kernel_with_exit_2() {
-    // The flag uses the same error grammar as sweep: exit 2, offending
-    // value echoed, valid names listed, usage shown.
-    let output = Command::new(SWEEPD_BIN)
-        .args(["--kernel", "quantum"])
-        .output()
-        .expect("sweepd runs");
-    assert_eq!(output.status.code(), Some(2));
-    let stderr = String::from_utf8_lossy(&output.stderr);
-    assert!(
-        stderr.contains("'quantum'") && stderr.contains("scalar, blocked"),
-        "value and valid names must be shown: {stderr}"
-    );
-    assert!(stderr.contains("usage:"), "usage missing: {stderr}");
 }
 
 #[test]
@@ -433,6 +415,10 @@ fn sweepd_rejects_bad_flags_with_exit_2_and_usage() {
         ["--timeout-secs", "1e-10"],
         ["--fault", "refuse"],
         ["--fault", "warp=1"],
+        // Removed: a stall always precedes report 0, and the backend is
+        // the plan's `exec.kernel`.
+        ["--fault", "stall-ms=50,stall-at=2"],
+        ["--kernel", "blocked"],
     ] {
         let output = Command::new(SWEEPD_BIN)
             .args(args)

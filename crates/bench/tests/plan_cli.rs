@@ -29,21 +29,23 @@ fn help_prints_usage_and_exits_zero_on_both_binaries() {
             let stdout = String::from_utf8_lossy(&output.stdout);
             assert!(stdout.contains(needle), "{bin} {flag}: {stdout}");
             assert!(
-                stdout.contains("scalar, blocked"),
-                "{bin} {flag} must list kernels: {stdout}"
+                !stdout.contains("--kernel"),
+                "{bin} {flag}: the backend is the plan's exec.kernel: {stdout}"
             );
         }
     }
 }
 
 /// Every run starts from a plan file: no arguments at all, each removed
-/// flag-mode argument, and any plan option without `--plan` is an argument
-/// error (exit 2, usage shown) whose message points at `--plan`.
+/// flag-mode argument (with or without `--plan`), and any plan option
+/// without `--plan` is an argument error (exit 2, usage shown) whose
+/// message points at `--plan`.
 #[test]
 fn engine_runs_require_a_plan_file() {
     for args in [
         &[][..],
         &["--kernel", "blocked"],
+        &["--kernel", "blocked", "--plan", "plan.json"],
         &["--worker", "0..1"],
         &["--check"],
         &["--workers", "2"],

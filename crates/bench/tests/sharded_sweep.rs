@@ -11,6 +11,7 @@ mod common;
 use common::{serial_reports, PlanFile};
 use seo_core::batch::ScenarioSpec;
 use seo_core::plan::{ControllerKind, ExecMode, SweepPlan};
+use seo_core::prelude::KernelBackend;
 use seo_core::shard::{parse_report_line, report_line, Coordinator, ShardError, ShardPlanner};
 use std::process::Command;
 
@@ -67,16 +68,17 @@ fn run_streaming_delivers_in_spec_order() {
 
 #[test]
 fn coordinator_cli_verify_mode_passes_and_streams_lines() {
-    let plan = SweepPlan::paper(SCENARIOS, SEED)
-        .with_mode(ExecMode::Processes(2))
-        .with_verify(true);
-    let plan_file = PlanFile::new("verify", plan.to_json().render());
     let serial = serial_reports(SCENARIOS, SEED);
-    // The coordinator forwards --kernel to its workers; both backends must
-    // merge to the (scalar) serial bytes.
-    for kernel in ["scalar", "blocked"] {
+    // The workers reload the plan file, `exec.kernel` included; both
+    // backends must merge to the (scalar) serial bytes.
+    for kernel in KernelBackend::ALL {
+        let plan = SweepPlan::paper(SCENARIOS, SEED)
+            .with_kernel(kernel)
+            .with_mode(ExecMode::Processes(2))
+            .with_verify(true);
+        let plan_file = PlanFile::new(&format!("verify-{kernel}"), plan.to_json().render());
         let output = Command::new(SWEEP_BIN)
-            .args(["--plan", plan_file.path(), "--kernel", kernel])
+            .args(["--plan", plan_file.path()])
             .output()
             .expect("sweep --plan runs");
         let stderr = String::from_utf8_lossy(&output.stderr);
@@ -187,38 +189,6 @@ fn worker_cli_malformed_range_exits_2_with_usage() {
 }
 
 #[test]
-fn unknown_kernel_flag_exits_2_with_valid_names() {
-    // Same error grammar as the malformed `--worker` ranges: exit code 2,
-    // the offending value echoed, the valid names listed, and the usage
-    // shown.
-    let plan_file = paper_plan("bad-kernel");
-    for bad in ["simd", "SCALAR", "avx512", ""] {
-        let output = Command::new(SWEEP_BIN)
-            .args(["--plan", plan_file.path(), "--kernel", bad])
-            .output()
-            .expect("sweep runs");
-        assert_eq!(
-            output.status.code(),
-            Some(2),
-            "unknown kernel '{bad}' must exit 2"
-        );
-        let stderr = String::from_utf8_lossy(&output.stderr);
-        assert!(
-            stderr.contains(&format!("'{bad}'")),
-            "'{bad}': offending value not echoed in: {stderr}"
-        );
-        assert!(
-            stderr.contains("scalar, blocked"),
-            "'{bad}': valid names missing from: {stderr}"
-        );
-        assert!(
-            stderr.contains("usage:"),
-            "'{bad}': usage hint missing from: {stderr}"
-        );
-    }
-}
-
-#[test]
 fn blocked_kernel_worker_output_is_bit_identical_on_the_wire() {
     // A worker on the blocked backend must stream byte-for-byte the same
     // lines as the (scalar) in-process serial reference — the cross-backend
@@ -230,6 +200,7 @@ fn blocked_kernel_worker_output_is_bit_identical_on_the_wire() {
         ControllerKind::SeededNeural(0),
     ]);
     let serial = plan.run_serial().expect("scalar serial reference");
+    let plan = plan.with_kernel(KernelBackend::Blocked);
     let plan_file = PlanFile::new("blocked", plan.to_json().render());
     let output = Command::new(SWEEP_BIN)
         .args([
@@ -237,8 +208,6 @@ fn blocked_kernel_worker_output_is_bit_identical_on_the_wire() {
             plan_file.path(),
             "--worker",
             &format!("0..{}", plan.n_specs()),
-            "--kernel",
-            "blocked",
         ])
         .output()
         .expect("sweep --worker runs");

@@ -70,8 +70,8 @@ fn wire_err(message: impl Into<String>) -> ShardError {
 // The report plan section
 // ---------------------------------------------------------------------------
 
-/// What a sweep emits: the classic per-episode NDJSON stream, per-cell
-/// summary NDJSON, or both.
+/// What a sweep emits: the classic per-episode NDJSON stream or per-cell
+/// summary NDJSON.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum ReportMode {
     /// Per-episode NDJSON only (the behavior of plans without a `report`
@@ -81,16 +81,11 @@ pub enum ReportMode {
     /// crosses a process or host boundary: workers fold locally and ship
     /// one sketch fragment.
     Summary,
-    /// The episode stream followed by the summary block. Workers still
-    /// stream episodes (the coordinator folds sketches from the merged
-    /// in-order stream), so the wire protocol is unchanged from
-    /// [`ReportMode::Episodes`].
-    Both,
 }
 
 impl ReportMode {
     /// All modes, for error messages.
-    pub const ALL: [Self; 3] = [Self::Episodes, Self::Summary, Self::Both];
+    pub const ALL: [Self; 2] = [Self::Episodes, Self::Summary];
 
     /// The plan-file name of this mode.
     #[must_use]
@@ -98,7 +93,6 @@ impl ReportMode {
         match self {
             Self::Episodes => "episodes",
             Self::Summary => "summary",
-            Self::Both => "both",
         }
     }
 
@@ -120,13 +114,13 @@ impl ReportMode {
     /// Whether this mode emits the per-episode stream.
     #[must_use]
     pub fn includes_episodes(&self) -> bool {
-        matches!(self, Self::Episodes | Self::Both)
+        *self == Self::Episodes
     }
 
     /// Whether this mode emits the per-cell summary block.
     #[must_use]
     pub fn includes_summary(&self) -> bool {
-        matches!(self, Self::Summary | Self::Both)
+        *self == Self::Summary
     }
 }
 
@@ -1298,8 +1292,6 @@ mod tests {
         assert!(ReportMode::parse("nope").is_err());
         assert!(ReportMode::Summary.includes_summary());
         assert!(!ReportMode::Summary.includes_episodes());
-        assert!(ReportMode::Both.includes_episodes());
-        assert!(ReportMode::Both.includes_summary());
         assert!(ReportMode::Episodes.includes_episodes());
         assert!(!ReportMode::Episodes.includes_summary());
     }
@@ -1307,7 +1299,7 @@ mod tests {
     #[test]
     fn report_spec_json_round_trip() {
         let spec = ReportSpec::new()
-            .with_mode(ReportMode::Both)
+            .with_mode(ReportMode::Episodes)
             .with_book("results/results.md");
         let mut problems = Vec::new();
         let back = ReportSpec::parse_into(&spec.to_json(), &mut |field, message| {

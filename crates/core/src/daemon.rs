@@ -38,7 +38,7 @@
 //! [`crate::transport::parse_daemon_request`]: anything that is not a
 //! `health`/`shutdown` verb must be a job frame carrying its plan, and any
 //! other job frame version (the plan-less v1 included) is answered with an
-//! `error` frame naming it. A job whose report mode is pure `summary`
+//! `error` frame naming it. A job whose report mode is `summary`
 //! flows through the same path but ships a single
 //! [`crate::shard::summary_line`] sketch payload instead of per-episode
 //! frames ([`crate::agg`]); the `episodes_emitted` counter still advances
@@ -190,8 +190,9 @@ impl DaemonServer {
     /// requested **and** every in-flight job has finished, then returns
     /// `Ok(())` (the binary's cue to exit 0).
     ///
-    /// Jobs build their own cell runtimes from the plan they carry;
-    /// `runtime` only names the inference kernel backend they run on.
+    /// Jobs build their own cell runtimes, on the kernel backend their plan
+    /// names, from the plan they carry: `_runtime` is unused, and ROADMAP
+    /// direction 3 deletes it once the benchmark stops passing one.
     ///
     /// Per-connection failures are reported to stderr and never stop the
     /// loop; the daemon must survive misbehaving coordinators.
@@ -206,7 +207,7 @@ impl DaemonServer {
     ///
     /// [`TransportError::Io`] when the listener cannot report its address
     /// (per-connection accept hiccups are logged and survived).
-    pub fn serve(self: &Arc<Self>, runtime: Arc<RuntimeLoop>) -> Result<(), TransportError> {
+    pub fn serve(self: &Arc<Self>, _runtime: Arc<RuntimeLoop>) -> Result<(), TransportError> {
         let wake = self.wake_addr()?;
         let watcher = Arc::clone(self);
         std::thread::spawn(move || watcher.wake_when_drained(wake));
@@ -227,9 +228,8 @@ impl DaemonServer {
                         }
                     }
                     let server = Arc::clone(self);
-                    let runtime = Arc::clone(&runtime);
                     std::thread::spawn(move || {
-                        if let Err(e) = server.handle_connection(stream, &runtime, conn_index) {
+                        if let Err(e) = server.handle_connection(stream, conn_index) {
                             eprintln!("seo-sweepd: connection from {peer}: {e}");
                         }
                     });
@@ -285,7 +285,6 @@ impl DaemonServer {
     fn handle_connection(
         &self,
         mut stream: TcpStream,
-        runtime: &RuntimeLoop,
         conn_index: u64,
     ) -> Result<(), TransportError> {
         stream
@@ -312,7 +311,7 @@ impl DaemonServer {
                 self.request_drain();
                 Ok(())
             }
-            DaemonRequest::Job(job) => self.handle_job(&mut stream, &job, runtime, conn_index),
+            DaemonRequest::Job(job) => self.handle_job(&mut stream, &job, conn_index),
         }
     }
 
@@ -323,7 +322,6 @@ impl DaemonServer {
         &self,
         stream: &mut TcpStream,
         job: &JobRequest,
-        runtime: &RuntimeLoop,
         conn_index: u64,
     ) -> Result<(), TransportError> {
         let cap = self.config.jobs.max(1);
@@ -340,7 +338,7 @@ impl DaemonServer {
             Some(plan) => plan.injector(conn_index),
             None => FaultInjector::none(),
         };
-        let served = serve_job(stream, job, runtime, &mut injector);
+        let served = serve_job(stream, job, &mut injector);
         let mut record = self.record();
         record.jobs_active -= 1;
         record.faults_injected += injector.injected();

@@ -16,7 +16,7 @@
 //! |----------------|---------------------------------------------------|-------------------------|
 //! | `refuse=N`     | accept + immediately close the first N connects   | transient (EOF)         |
 //! | `drop-after=K` | drop the connection after K reports, no `done`    | transient (EOF)         |
-//! | `stall-ms=T`   | sleep T ms before emitting report `stall-at` (default 0) | transient (timeout) |
+//! | `stall-ms=T`   | sleep T ms before emitting report 0               | transient (timeout)     |
 //! | `garble=K`     | corrupt report frame K into guaranteed non-UTF-8  | **fatal** (frame error) |
 //!
 //! A plan is spelled as comma-separated `key=value` pairs, e.g.
@@ -70,12 +70,10 @@ pub struct FaultPlan {
     /// Drop each serving connection after emitting K reports, without a
     /// `done` frame — the classic mid-stream host death.
     pub drop_after: Option<usize>,
-    /// Stall for this many milliseconds before emitting report
-    /// [`Self::stall_at`] on each serving connection, tripping the
-    /// coordinator's read timeout when larger than it.
+    /// Stall for this many milliseconds before emitting each serving
+    /// connection's first report (report 0), tripping the coordinator's
+    /// read timeout when larger than it.
     pub stall_ms: Option<u64>,
-    /// Which report (0-based, per connection) the stall precedes.
-    pub stall_at: usize,
     /// Garble report frame K (0-based, per connection) into a payload that
     /// is guaranteed invalid UTF-8 — a protocol violation the coordinator
     /// must classify as fatal, not retry.
@@ -112,7 +110,6 @@ impl FaultPlan {
             plan: Some(self),
             conn_index,
             emitted: 0,
-            stalled: false,
             injected: 0,
         }
     }
@@ -147,13 +144,12 @@ impl FromStr for FaultPlan {
                 "refuse" => plan.refuse_connects = number("refuse")?,
                 "drop-after" => plan.drop_after = Some(number("drop-after")? as usize),
                 "stall-ms" => plan.stall_ms = Some(number("stall-ms")?),
-                "stall-at" => plan.stall_at = number("stall-at")? as usize,
                 "garble" => plan.garble_at = Some(number("garble")? as usize),
                 "seed" => plan.seed = number("seed")?,
                 other => {
                     return Err(parse_err(format!(
                         "unknown key '{other}' (valid: refuse, drop-after, stall-ms, \
-                         stall-at, garble, seed)"
+                         garble, seed)"
                     )))
                 }
             }
@@ -176,9 +172,6 @@ impl fmt::Display for FaultPlan {
         }
         if let Some(t) = self.stall_ms {
             clauses.push(format!("stall-ms={t}"));
-            if self.stall_at > 0 {
-                clauses.push(format!("stall-at={}", self.stall_at));
-            }
         }
         if let Some(k) = self.garble_at {
             clauses.push(format!("garble={k}"));
@@ -207,7 +200,6 @@ pub struct FaultInjector<'a> {
     plan: Option<&'a FaultPlan>,
     conn_index: u64,
     emitted: usize,
-    stalled: bool,
     injected: u64,
 }
 
@@ -219,24 +211,20 @@ impl FaultInjector<'_> {
             plan: None,
             conn_index: 0,
             emitted: 0,
-            stalled: false,
             injected: 0,
         }
     }
 
     /// Called before each report is emitted (its episode has already run).
-    /// Sleeps through a configured stall (once per connection), then
-    /// decides whether the connection dies here.
+    /// Sleeps through a configured stall before report 0, then decides
+    /// whether the connection dies here.
     pub fn before_report(&mut self) -> FaultAction {
         let Some(plan) = self.plan else {
             return FaultAction::Continue;
         };
-        if let Some(ms) = plan.stall_ms {
-            if !self.stalled && self.emitted == plan.stall_at {
-                self.stalled = true;
-                self.injected += 1;
-                std::thread::sleep(std::time::Duration::from_millis(ms));
-            }
+        if let Some(ms) = plan.stall_ms.filter(|_| self.emitted == 0) {
+            self.injected += 1;
+            std::thread::sleep(std::time::Duration::from_millis(ms));
         }
         if plan.drop_after == Some(self.emitted) {
             self.injected += 1;
@@ -295,7 +283,6 @@ mod tests {
         for text in [
             "refuse=2,drop-after=5,stall-ms=100,garble=3,seed=9",
             "drop-after=0,seed=0",
-            "stall-ms=50,stall-at=2,seed=1",
             "seed=42",
         ] {
             let plan: FaultPlan = text.parse().expect(text);

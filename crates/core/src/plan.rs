@@ -706,8 +706,8 @@ pub struct SweepPlan {
     /// --falsify` searches this grid for violating episodes instead of
     /// enumerating it (see [`crate::falsify`]).
     pub falsify: Option<FalsifySpec>,
-    /// Optional report section: what the sweep emits (per-episode stream,
-    /// per-cell summary sketches, or both) and where the results-book row
+    /// Optional report section: what the sweep emits (per-episode stream
+    /// or per-cell summary sketches) and where the results-book row
     /// goes (see [`crate::agg`]). Absent means the classic episodes-only
     /// behavior.
     pub report: Option<ReportSpec>,

@@ -197,13 +197,6 @@ impl RuntimeLoop {
         self
     }
 
-    /// Replaces the edge server model (builder style).
-    #[must_use]
-    pub fn with_server(mut self, server: EdgeServer) -> Self {
-        self.server = server;
-        self
-    }
-
     /// The framework configuration.
     #[must_use]
     pub fn config(&self) -> &SeoConfig {

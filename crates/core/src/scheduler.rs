@@ -57,20 +57,6 @@ pub enum SlotKind {
     Idle,
 }
 
-impl SlotKind {
-    /// Whether the full model executes locally this slot.
-    #[must_use]
-    pub fn is_full(self) -> bool {
-        matches!(self, Self::FullDeadline | Self::FullPeriodic)
-    }
-
-    /// Whether anything is scheduled at all.
-    #[must_use]
-    pub fn is_active(self) -> bool {
-        self != Self::Idle
-    }
-}
-
 impl fmt::Display for SlotKind {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         let s = match self {
@@ -203,12 +189,6 @@ impl SafeScheduler {
     #[must_use]
     pub fn delta_max(&self) -> u32 {
         self.delta_max
-    }
-
-    /// Interval-relative index of the *next* slot to plan.
-    #[must_use]
-    pub fn next_slot(&self) -> u32 {
-        self.n
     }
 
     /// Whether the next step will begin a new interval.

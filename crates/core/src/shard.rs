@@ -27,7 +27,7 @@
 //!    (empty shards, overlaps, gaps, more workers than specs) **before**
 //!    anything is spawned.
 //! 5. [`serve_shard`] is the worker side: it runs one shard and hands each
-//!    payload — a [`report_line`] per episode, or in pure `summary` report
+//!    payload — a [`report_line`] per episode, or in `summary` report
 //!    mode one [`summary_line`] for the whole shard — to a writer its
 //!    caller supplies.
 //!
@@ -65,7 +65,6 @@ use crate::fault::{FaultAction, FaultInjector};
 use crate::json::Json;
 use crate::metrics::{DeltaMaxHistogram, EpisodeReport, ModelEnergyReport};
 use crate::plan::SweepPlan;
-use seo_nn::kernel::KernelBackend;
 use seo_platform::energy::{EnergyCategory, EnergyLedger};
 use seo_platform::units::Joules;
 use seo_sim::episode::EpisodeStatus;
@@ -754,13 +753,14 @@ pub(crate) fn summary_from_json(json: &Json) -> Result<(Shard, Vec<CellSketch>),
     Ok((shard, agg::cells_from_json(get(json, "cells")?)?))
 }
 
-/// Runs one shard of `plan`'s grid on `kernel` — the worker loop behind
-/// both carriers: `sweep --worker` prints each payload as a stdout line,
-/// and [`crate::transport::serve_job`] writes it as a length-prefixed
-/// frame. Every episode goes through [`SweepPlan::run_range`].
+/// Runs one shard of `plan`'s grid on the plan's own kernel backend
+/// (`exec.kernel`) — the worker loop behind both carriers: `sweep
+/// --worker` prints each payload as a stdout line, and
+/// [`crate::transport::serve_job`] writes it as a length-prefixed frame.
+/// Every episode goes through [`SweepPlan::run_range`].
 ///
 /// When the plan emits episodes, each report becomes one [`report_line`]
-/// payload, in ascending index order. In pure `summary` report mode the
+/// payload, in ascending index order. In `summary` report mode the
 /// reports fold locally and the shard ships as **one** [`summary_line`]
 /// after its last episode, so a worker that dies mid-shard has shipped
 /// nothing and a re-run folds each episode exactly once.
@@ -781,14 +781,13 @@ pub(crate) fn summary_from_json(json: &Json) -> Result<(Shard, Vec<CellSketch>),
 pub fn serve_shard(
     plan: &SweepPlan,
     shard: Shard,
-    kernel: KernelBackend,
     injector: &mut FaultInjector<'_>,
     mut emit: impl FnMut(Vec<u8>) -> bool,
 ) -> Result<Option<usize>, SeoError> {
     let mut summary = (!plan.emits_episodes()).then(|| plan.run_summary());
     let mut emitted = 0usize;
     let mut stopped = false;
-    plan.run_range(shard, kernel, |i, report| {
+    plan.run_range(shard, plan.kernel, |i, report| {
         if injector.before_report() == FaultAction::Drop {
             stopped = true;
             return false;
@@ -874,12 +873,6 @@ impl StreamingMerge {
     #[must_use]
     pub fn received(&self) -> usize {
         self.received
-    }
-
-    /// The lowest spec index not yet released by [`Self::drain_ready`].
-    #[must_use]
-    pub fn next_index(&self) -> usize {
-        self.next
     }
 
     /// Whether every spec index has reported.

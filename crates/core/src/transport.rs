@@ -12,7 +12,7 @@
 //!    prefix followed by that many payload bytes ([`write_frame`] /
 //!    [`read_frame`]). A worker's payloads are byte-for-byte the ones a
 //!    worker process prints on stdout: a [`crate::shard::report_line`] per
-//!    episode, or in pure `summary` report mode one
+//!    episode, or in `summary` report mode one
 //!    [`crate::shard::summary_line`] for the whole job shard
 //!    ([`crate::agg`]); TCP merely carries them. Control frames (`job`,
 //!    `done`, `error`, `busy`, `health`, `shutdown`) are JSON objects
@@ -77,7 +77,6 @@ use crate::json::Json;
 use crate::lease::{ChunkPolicy, Lease, LeaseQueue};
 use crate::metrics::EpisodeReport;
 use crate::plan::SweepPlan;
-use crate::runtime::RuntimeLoop;
 use crate::shard::{self, Shard, ShardError, StreamingMerge};
 use std::fmt;
 use std::io::{Read, Write};
@@ -1689,13 +1688,12 @@ pub fn exchange(addr: &str, request: &[u8], timeout: Duration) -> Result<Vec<u8>
 // ---------------------------------------------------------------------------
 
 /// Runs one already-parsed [`JobRequest`] over `stream`, the daemon's job
-/// path: [`shard::serve_shard`] runs the job's shard of its plan on **this
-/// daemon's** kernel backend and each payload goes out as one frame — a
-/// report frame per episode in ascending index order, or in pure
-/// `summary` report mode one `summary` frame — followed by a `done` frame.
-/// Backends are bit-identical, so a mixed fleet still merges correctly.
-/// An injected drop at any point means the connection dies without
-/// `done`.
+/// path: [`shard::serve_shard`] runs the job's shard of its plan on the
+/// kernel backend the plan names (`exec.kernel`) and each payload goes out
+/// as one frame — a report frame per episode in ascending index order, or
+/// in `summary` report mode one `summary` frame — followed by a
+/// `done` frame. An injected drop at any point means the connection dies
+/// without `done`.
 ///
 /// Returns the number of episodes run, or `None` when the injector dropped
 /// the connection mid-stream.
@@ -1709,14 +1707,13 @@ pub fn exchange(addr: &str, request: &[u8], timeout: Duration) -> Result<Vec<u8>
 pub fn serve_job(
     stream: &mut TcpStream,
     request: &JobRequest,
-    runtime: &RuntimeLoop,
     injector: &mut FaultInjector<'_>,
 ) -> Result<Option<usize>, TransportError> {
     let Some(plan) = &request.plan else {
         return Err(frame_err("job carries no plan"));
     };
     let mut write_error = None;
-    let served = shard::serve_shard(plan, request.shard, runtime.kernel(), injector, |payload| {
+    let served = shard::serve_shard(plan, request.shard, injector, |payload| {
         write_frame(stream, &payload)
             .map_err(|e| write_error = Some(e))
             .is_ok()

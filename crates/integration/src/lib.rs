@@ -62,8 +62,7 @@ pub fn serial_reference(runtime: &RuntimeLoop, specs: &[ScenarioSpec]) -> Vec<Ep
 
 /// Starts an in-process `seo-sweepd` daemon ([`DaemonServer`]) on an
 /// OS-assigned loopback port and returns its address. Jobs carry their
-/// plan (or name the paper preset), so the runtime handed to `serve` only
-/// picks the kernel backend.
+/// plan and run its `exec.kernel`; the runtime handed to `serve` is unused.
 ///
 /// # Panics
 ///
@@ -225,7 +224,7 @@ pub fn assert_summary_bit_identical(plan: &SweepPlan) -> Vec<String> {
         .expect("plan must carry a report section");
     assert!(
         !plan.emits_episodes(),
-        "summary bit-identity needs pure summary report mode"
+        "summary bit-identity needs summary report mode"
     );
     let quantiles = report.quantiles.clone();
     let render = |summary: &RunSummary| summary.lines(&quantiles);

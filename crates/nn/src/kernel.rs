@@ -59,7 +59,7 @@
 //! assert_eq!(scalar, blocked);
 //!
 //! // Runtime selection happens at the API boundary via the enum:
-//! let backend: KernelBackend = "blocked".parse()?;
+//! let backend = KernelBackend::parse("blocked")?;
 //! assert_eq!(backend.name(), "blocked");
 //! assert!(KernelBackend::parse("sse9").is_err()); // lists the valid names
 //! # Ok::<(), seo_nn::kernel::UnknownKernelError>(())
@@ -67,7 +67,6 @@
 
 use crate::layer::Activation;
 use std::fmt;
-use std::str::FromStr;
 
 /// Rows per register block in [`BlockedKernel`]: four output elements are
 /// accumulated concurrently, giving the CPU four independent dependency
@@ -95,8 +94,8 @@ pub const NR: usize = 4;
 /// `debug_assert!` here and by the `assert!`s of the public `Matrix`/`Dense`
 /// wrappers above this layer.
 pub trait Kernel: Copy + Default + Send + Sync + 'static {
-    /// Backend name as it appears in `--kernel` flags, plan files
-    /// (`exec.kernel`), and bench labels.
+    /// Backend name as it appears in plan files (`exec.kernel`) and bench
+    /// labels.
     const NAME: &'static str;
 
     /// Dense matrix–vector product: `out[r] = Σ_k data[r·cols + k] · x[k]`,
@@ -275,7 +274,7 @@ impl Kernel for BlockedKernel {
 }
 
 /// Runtime-chosen kernel backend — the enum form of the [`Kernel`]
-/// implementations, used at API boundaries (CLI flags, plan files,
+/// implementations, used at API boundaries (plan files,
 /// `RuntimeLoop::with_kernel`).
 ///
 /// Hot loops never branch on this: callers `match` once (per episode, per
@@ -304,8 +303,8 @@ impl KernelBackend {
         }
     }
 
-    /// Comma-separated list of valid names, for error messages and usage
-    /// strings: `"scalar, blocked"`.
+    /// Comma-separated list of valid names, for error messages:
+    /// `"scalar, blocked"`.
     #[must_use]
     pub fn valid_names() -> String {
         Self::ALL
@@ -315,8 +314,8 @@ impl KernelBackend {
             .join(", ")
     }
 
-    /// Parses a backend name (as passed to `--kernel` or a plan's
-    /// `exec.kernel`). Matching is exact on the canonical lower-case names.
+    /// Parses a backend name (a plan's `exec.kernel`). Matching is exact on
+    /// the canonical lower-case names.
     ///
     /// # Errors
     ///
@@ -332,14 +331,6 @@ impl KernelBackend {
     }
 }
 
-impl FromStr for KernelBackend {
-    type Err = UnknownKernelError;
-
-    fn from_str(s: &str) -> Result<Self, Self::Err> {
-        Self::parse(s)
-    }
-}
-
 impl fmt::Display for KernelBackend {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         f.write_str(self.name())
@@ -347,7 +338,7 @@ impl fmt::Display for KernelBackend {
 }
 
 /// An unrecognized kernel backend name; the message lists the valid names
-/// so CLI users can self-correct.
+/// so plan authors can self-correct.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct UnknownKernelError {
     /// The rejected name.
@@ -453,7 +444,6 @@ mod tests {
     fn backend_enum_roundtrips_names() {
         for backend in KernelBackend::ALL {
             assert_eq!(KernelBackend::parse(backend.name()), Ok(backend));
-            assert_eq!(backend.name().parse::<KernelBackend>(), Ok(backend));
             assert_eq!(backend.to_string(), backend.name());
         }
         assert_eq!(KernelBackend::default(), KernelBackend::Scalar);

@@ -181,19 +181,6 @@ impl<'w> Episode<'w> {
         &self.config
     }
 
-    /// Replaces the world (for dynamic scenarios where obstacles move) and
-    /// re-evaluates the termination conditions against it.
-    ///
-    /// Road geometry is expected to stay fixed; only obstacle positions
-    /// should change between snapshots.
-    pub fn set_world(&mut self, world: World) -> EpisodeStatus {
-        self.world = Cow::Owned(world);
-        if !self.status.is_terminal() {
-            self.refresh_status();
-        }
-        self.status
-    }
-
     /// Mutates the world in place (allocation-free snapshot advancement for
     /// dynamic scenarios: `episode.update_world(|w| dynamic.snapshot_into(now, w))`)
     /// and re-evaluates the termination conditions.

@@ -1,7 +1,7 @@
 //! Streaming-results subsystem tests: summary-mode output is byte-identical
 //! across all four engines (including under a mid-lease host kill), the
 //! `report` plan section round-trips and validates, and — at the wire level
-//! — pure `summary` jobs ship exactly one sketch fragment per connection
+//! — `summary` jobs ship exactly one sketch fragment per connection
 //! with **no** per-episode NDJSON crossing the host boundary.
 
 use seo_core::prelude::*;
@@ -16,7 +16,7 @@ const SCENARIOS: usize = 6;
 const SEED: u64 = 2023;
 
 /// A two-cell grid (τ = 20 ms and 25 ms) so the fold order across cells
-/// matters, in pure summary mode.
+/// matters, in summary mode.
 fn summary_plan() -> SweepPlan {
     SweepPlan::paper(SCENARIOS, SEED)
         .with_tau_ms(vec![20.0, 25.0])
@@ -72,7 +72,7 @@ fn summary_is_bit_identical_across_engines_and_mid_lease_kills() {
     );
 }
 
-/// Wire-level statement of the acceptance criterion: in pure `summary`
+/// Wire-level statement of the acceptance criterion: in `summary`
 /// mode no per-episode NDJSON crosses the host boundary — the worker ships
 /// exactly one all-or-nothing `summary` frame for the whole shard, then
 /// `done`.
@@ -113,35 +113,9 @@ fn summary_job_ships_one_fragment_and_no_episode_frames() {
     );
 }
 
-/// `both` mode keeps the episode wire protocol unchanged: the worker
-/// streams reports and never ships a summary frame (the coordinator folds
-/// sketches from the merged in-order stream instead).
-#[test]
-fn both_mode_keeps_the_episode_wire_protocol() {
-    let plan = SweepPlan::paper(6, SEED).with_report(ReportSpec::new().with_mode(ReportMode::Both));
-    assert!(plan.emits_episodes() && plan.emits_summary());
-    let frames = collect_frames(&job_for(&plan));
-
-    assert!(
-        !frames
-            .iter()
-            .any(|f| matches!(f, WorkerMsg::Summary { .. })),
-        "an episode-streaming job must not ship summary frames: {frames:?}"
-    );
-    let reports = frames
-        .iter()
-        .filter(|f| matches!(f, WorkerMsg::Report { .. }))
-        .count();
-    assert_eq!(reports, plan.n_specs(), "every episode streamed");
-    assert!(
-        matches!(frames.last(), Some(WorkerMsg::Done { count }) if *count == plan.n_specs()),
-        "stream ends with done: {frames:?}"
-    );
-}
-
-/// `run_plan_summary` is only for pure summary plans; an episode-streaming
+/// `run_plan_summary` is only for summary plans; an episode-streaming
 /// plan is a configuration error, not a silent downgrade. The mirror
-/// holds too: `run_plan_streaming` refuses a pure summary plan before it
+/// holds too: `run_plan_streaming` refuses a summary plan before it
 /// connects, so a pool with nothing listening still answers `Config`.
 #[test]
 fn run_plan_summary_rejects_episode_streaming_plans() {
@@ -212,6 +186,10 @@ fn report_section_round_trips_and_validates() {
     // Problems are named `report.FIELD`.
     for (body, field) in [
         (r#"{"mode": "sometimes"}"#, "report.mode"),
+        (
+            r#"{"mode": "both"}"#,
+            "report.mode: unknown report mode 'both' (valid: episodes, summary)",
+        ),
         (r#"{"quantiles": [1.5]}"#, "report.quantiles[0]"),
         (r#"{"quantiles": "median"}"#, "report.quantiles"),
         (r#"{"book": ""}"#, "report.book"),
