@@ -290,7 +290,7 @@ fn run_plan_mode(plan: &SweepPlan, path: &str) -> Result<(), Box<dyn std::error:
     let episodes = plan.emits_episodes();
     let start = Instant::now();
     let stdout = std::io::stdout();
-    let mut fold = plan.emits_summary().then(|| plan.run_summary());
+    let mut fold = (!episodes).then(|| plan.run_summary());
     let mut merged: Vec<EpisodeReport> = Vec::with_capacity(if plan.verify && episodes {
         plan.n_specs()
     } else {

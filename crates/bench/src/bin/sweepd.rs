@@ -30,7 +30,7 @@
 //! own.
 //!
 //! `--fault SPEC` arms deterministic fault injection (the
-//! [`FaultPlan`] grammar: `refuse=N,drop-after=K,stall-ms=T,garble=K,seed=S`)
+//! [`FaultPlan`] grammar: `refuse=N,drop-after=K,stall-ms=T,garble=K`)
 //! for exercising coordinator recovery. Never use it in production pools.
 
 use seo_core::prelude::*;
@@ -42,13 +42,14 @@ use std::time::Duration;
 
 /// Printed with exit code 0 on `--help` and exit code 2 on any argument
 /// error.
-const USAGE: &str = "usage: sweepd [--listen HOST:PORT] [--jobs N] [--timeout-secs T]\n              \
+const USAGE: &str =
+    "usage: sweepd [--listen HOST:PORT] [--jobs N] [--timeout-secs T]\n              \
     [--fault SPEC] [--health ADDR] [--shutdown ADDR]\n  \
     --listen       address to accept coordinator connections on (default 127.0.0.1:7641)\n  \
     --jobs         max concurrently running jobs; extra jobs get a busy frame (default 4)\n  \
     --timeout-secs per-connection timeout in seconds (default 30; client mode: connect too)\n  \
-    --fault        deterministic fault injection, e.g. refuse=2,drop-after=5,seed=7\n                 \
-    (keys: refuse, drop-after, stall-ms, garble, seed; testing only)\n  \
+    --fault        deterministic fault injection, e.g. refuse=2,drop-after=5\n                 \
+    (keys: refuse, drop-after, stall-ms, garble; testing only)\n  \
     --health       client mode: print ADDR's health frame to stdout and exit\n  \
     --shutdown     client mode: ask ADDR to drain (finish jobs, refuse new ones, exit 0)\n  \
     --help, -h     print this usage and exit 0";

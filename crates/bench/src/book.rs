@@ -50,7 +50,7 @@ pub struct BookRow {
 impl BookRow {
     /// The markdown table line for this row.
     #[must_use]
-    pub fn line(&self) -> String {
+    pub(crate) fn line(&self) -> String {
         let gain = self
             .energy_gain_mean
             .map_or_else(|| "-".to_owned(), |g| format!("{:.2}%", g * 100.0));
@@ -73,7 +73,7 @@ impl BookRow {
 /// Renders unix seconds as a civil UTC timestamp (`YYYY-MM-DD HH:MM:SSZ`)
 /// without any date dependency (Gregorian era arithmetic).
 #[must_use]
-pub fn civil_utc(secs: u64) -> String {
+pub(crate) fn civil_utc(secs: u64) -> String {
     #[allow(clippy::cast_possible_wrap)]
     let (y, m, d) = civil_from_days((secs / 86_400) as i64);
     let tod = secs % 86_400;

@@ -44,12 +44,6 @@ impl Table {
         self.rows.push(cells);
     }
 
-    /// Number of data rows.
-    #[must_use]
-    pub fn len(&self) -> usize {
-        self.rows.len()
-    }
-
     /// Whether the table has no data rows.
     #[must_use]
     pub fn is_empty(&self) -> bool {
@@ -112,7 +106,7 @@ mod tests {
         assert!(s.contains("p=2tau-long-name"));
         let lines: Vec<&str> = s.lines().collect();
         assert_eq!(lines.len(), 4);
-        assert_eq!(t.len(), 2);
+        assert_eq!(t.rows.len(), 2);
         assert!(!t.is_empty());
     }
 

@@ -25,7 +25,7 @@ pub struct BenchResult {
 impl BenchResult {
     /// Iterations per second implied by the measurement.
     #[must_use]
-    pub fn per_second(&self) -> f64 {
+    pub(crate) fn per_second(&self) -> f64 {
         if self.ns_per_iter > 0.0 {
             1.0e9 / self.ns_per_iter
         } else {
@@ -37,7 +37,7 @@ impl BenchResult {
 /// Measurement window per benchmark, milliseconds (`SEO_BENCH_MS`,
 /// default 200).
 #[must_use]
-pub fn target_ms() -> u64 {
+pub(crate) fn target_ms() -> u64 {
     std::env::var("SEO_BENCH_MS")
         .ok()
         .and_then(|v| v.parse().ok())

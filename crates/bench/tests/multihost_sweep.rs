@@ -415,9 +415,10 @@ fn sweepd_rejects_bad_flags_with_exit_2_and_usage() {
         ["--timeout-secs", "1e-10"],
         ["--fault", "refuse"],
         ["--fault", "warp=1"],
-        // Removed: a stall always precedes report 0, and the backend is
-        // the plan's `exec.kernel`.
+        // Removed: a stall always precedes report 0, a garble is one
+        // fixed corruption, and the backend is the plan's `exec.kernel`.
         ["--fault", "stall-ms=50,stall-at=2"],
+        ["--fault", "seed=7"],
         ["--kernel", "blocked"],
     ] {
         let output = Command::new(SWEEPD_BIN)

@@ -89,7 +89,7 @@ impl ReportMode {
 
     /// The plan-file name of this mode.
     #[must_use]
-    pub fn name(&self) -> &'static str {
+    pub(crate) fn name(&self) -> &'static str {
         match self {
             Self::Episodes => "episodes",
             Self::Summary => "summary",
@@ -101,7 +101,7 @@ impl ReportMode {
     /// # Errors
     ///
     /// Returns a grammar-style message naming the valid modes.
-    pub fn parse(value: &str) -> Result<Self, String> {
+    pub(crate) fn parse(value: &str) -> Result<Self, String> {
         Self::ALL
             .into_iter()
             .find(|m| m.name() == value)
@@ -109,18 +109,6 @@ impl ReportMode {
                 let valid = Self::ALL.map(|m| m.name()).join(", ");
                 format!("unknown report mode '{value}' (valid: {valid})")
             })
-    }
-
-    /// Whether this mode emits the per-episode stream.
-    #[must_use]
-    pub fn includes_episodes(&self) -> bool {
-        *self == Self::Episodes
-    }
-
-    /// Whether this mode emits the per-cell summary block.
-    #[must_use]
-    pub fn includes_summary(&self) -> bool {
-        *self == Self::Summary
     }
 }
 
@@ -163,16 +151,9 @@ impl ReportSpec {
         self
     }
 
-    /// Sets the results-book path (builder style).
-    #[must_use]
-    pub fn with_book(mut self, book: impl Into<String>) -> Self {
-        self.book = Some(book.into());
-        self
-    }
-
     /// Encodes the section for a plan file.
     #[must_use]
-    pub fn to_json(&self) -> Json {
+    pub(crate) fn to_json(&self) -> Json {
         let mut pairs = vec![
             ("mode", Json::from(self.mode.name())),
             (
@@ -362,15 +343,9 @@ impl QuantileSketch {
         self.count += 1;
     }
 
-    /// Total samples recorded.
-    #[must_use]
-    pub fn count(&self) -> u64 {
-        self.count
-    }
-
     /// Merges another sketch into this one (integer bin addition — exactly
     /// associative and commutative).
-    pub fn merge(&mut self, other: &Self) {
+    pub(crate) fn merge(&mut self, other: &Self) {
         for (&key, &c) in &other.bins {
             let slot = self.bins.entry(key).or_insert(0);
             *slot = slot.saturating_add(c);
@@ -404,7 +379,7 @@ impl QuantileSketch {
 
     /// Encodes the exact bin state as `[[key, count], …]` (ascending keys).
     #[must_use]
-    pub fn to_json(&self) -> Json {
+    pub(crate) fn to_json(&self) -> Json {
         Json::Arr(
             self.bins
                 .iter()
@@ -418,7 +393,7 @@ impl QuantileSketch {
     /// # Errors
     ///
     /// [`ShardError::Wire`] on malformed bins.
-    pub fn from_json(json: &Json) -> Result<Self, ShardError> {
+    pub(crate) fn from_json(json: &Json) -> Result<Self, ShardError> {
         let pairs = json
             .as_arr()
             .ok_or_else(|| wire_err("quantile bins: expected an array"))?;
@@ -484,7 +459,7 @@ pub struct StatSketch {
 impl StatSketch {
     /// Creates an empty sketch.
     #[must_use]
-    pub fn new() -> Self {
+    pub(crate) fn new() -> Self {
         Self {
             count: 0,
             non_finite: 0,
@@ -511,7 +486,7 @@ impl StatSketch {
     }
 
     /// Merges another sketch into this one.
-    pub fn merge(&mut self, other: &Self) {
+    pub(crate) fn merge(&mut self, other: &Self) {
         self.count = self.count.saturating_add(other.count);
         self.non_finite = self.non_finite.saturating_add(other.non_finite);
         self.min = self.min.min(other.min);
@@ -535,7 +510,7 @@ impl StatSketch {
     /// Population variance of the finite samples (`None` when there are
     /// none), clamped at zero against fixed-point rounding.
     #[must_use]
-    pub fn variance(&self) -> Option<f64> {
+    pub(crate) fn variance(&self) -> Option<f64> {
         let mean = self.mean()?;
         #[allow(clippy::cast_precision_loss)]
         let mean_sq = self.sum_sq_fx as f64 / FX_SCALE / self.count as f64;
@@ -546,7 +521,7 @@ impl StatSketch {
     /// fixed-point sums travel as decimal strings so no consumer rounds
     /// them through a float.
     #[must_use]
-    pub fn to_json(&self) -> Json {
+    pub(crate) fn to_json(&self) -> Json {
         Json::obj(vec![
             ("count", shard::u64_to_wire(self.count)),
             ("non_finite", shard::u64_to_wire(self.non_finite)),
@@ -563,7 +538,7 @@ impl StatSketch {
     /// # Errors
     ///
     /// [`ShardError::Wire`] on missing or mistyped fields.
-    pub fn from_json(json: &Json) -> Result<Self, ShardError> {
+    pub(crate) fn from_json(json: &Json) -> Result<Self, ShardError> {
         let field = |name: &str| {
             json.get(name)
                 .ok_or_else(|| wire_err(format!("stat sketch: missing field '{name}'")))
@@ -583,7 +558,7 @@ impl StatSketch {
     /// count, non-finite count, mean, variance, min/max, and the requested
     /// quantiles keyed by their shortest-round-trip decimal form.
     #[must_use]
-    pub fn stats_json(&self, quantiles: &[f64]) -> Json {
+    pub(crate) fn stats_json(&self, quantiles: &[f64]) -> Json {
         let opt = |v: Option<f64>| shard::f64_to_wire(v.unwrap_or(f64::NAN));
         let q_pairs: Vec<(String, Json)> = quantiles
             .iter()
@@ -668,7 +643,7 @@ impl CellSketch {
     }
 
     /// Folds one episode in.
-    pub fn record(&mut self, report: &EpisodeReport) {
+    pub(crate) fn record(&mut self, report: &EpisodeReport) {
         self.episodes += 1;
         self.successes += u64::from(report.is_success());
         self.unsafe_steps += report.unsafe_steps as u64;
@@ -686,7 +661,7 @@ impl CellSketch {
     /// # Errors
     ///
     /// [`ShardError::Wire`] when the fragments describe different cells.
-    pub fn merge(&mut self, other: &Self) -> Result<(), ShardError> {
+    pub(crate) fn merge(&mut self, other: &Self) -> Result<(), ShardError> {
         if self.cell != other.cell {
             return Err(wire_err(format!(
                 "cannot merge sketch for cell {} into cell {}",
@@ -712,7 +687,7 @@ impl CellSketch {
     /// Encodes the exact state (the merge-safe wire form shipped in
     /// summary frames and worker summary lines).
     #[must_use]
-    pub fn to_json(&self) -> Json {
+    pub(crate) fn to_json(&self) -> Json {
         Json::obj(vec![
             ("cell", self.cell.into()),
             ("episodes", shard::u64_to_wire(self.episodes)),
@@ -731,7 +706,7 @@ impl CellSketch {
     /// # Errors
     ///
     /// [`ShardError::Wire`] on missing or mistyped fields.
-    pub fn from_json(json: &Json) -> Result<Self, ShardError> {
+    pub(crate) fn from_json(json: &Json) -> Result<Self, ShardError> {
         let field = |name: &str| {
             json.get(name)
                 .ok_or_else(|| wire_err(format!("cell sketch: missing field '{name}'")))
@@ -756,7 +731,7 @@ impl CellSketch {
     /// Renders the derived per-cell summary object (what the summary
     /// NDJSON line carries under `"cell"`).
     #[must_use]
-    pub fn stats_json(&self, quantiles: &[f64]) -> Json {
+    pub(crate) fn stats_json(&self, quantiles: &[f64]) -> Json {
         let delta_q: Vec<(String, Json)> = quantiles
             .iter()
             .map(|&q| {
@@ -792,7 +767,7 @@ impl CellSketch {
 /// Encodes a fragment (the sketches one shard/lease produced) as a JSON
 /// array, in ascending cell order as produced by the fold.
 #[must_use]
-pub fn cells_to_json(cells: &[CellSketch]) -> Json {
+pub(crate) fn cells_to_json(cells: &[CellSketch]) -> Json {
     Json::Arr(cells.iter().map(CellSketch::to_json).collect())
 }
 
@@ -801,7 +776,7 @@ pub fn cells_to_json(cells: &[CellSketch]) -> Json {
 /// # Errors
 ///
 /// [`ShardError::Wire`] on malformed cells.
-pub fn cells_from_json(json: &Json) -> Result<Vec<CellSketch>, ShardError> {
+pub(crate) fn cells_from_json(json: &Json) -> Result<Vec<CellSketch>, ShardError> {
     json.as_arr()
         .ok_or_else(|| wire_err("cells: expected an array"))?
         .iter()
@@ -875,7 +850,7 @@ impl RunSummary {
     /// An empty summary for a grid of `n_cells` cells of `specs_per_cell`
     /// specs each (cell-major spec indexing, as the plan enumerates it).
     #[must_use]
-    pub fn new(n_cells: usize, specs_per_cell: usize) -> Self {
+    pub(crate) fn new(n_cells: usize, specs_per_cell: usize) -> Self {
         Self {
             cells: (0..n_cells).map(CellSketch::new).collect(),
             specs_per_cell: specs_per_cell.max(1),
@@ -1290,17 +1265,14 @@ mod tests {
             assert_eq!(ReportMode::parse(mode.name()).expect("round trip"), mode);
         }
         assert!(ReportMode::parse("nope").is_err());
-        assert!(ReportMode::Summary.includes_summary());
-        assert!(!ReportMode::Summary.includes_episodes());
-        assert!(ReportMode::Episodes.includes_episodes());
-        assert!(!ReportMode::Episodes.includes_summary());
     }
 
     #[test]
     fn report_spec_json_round_trip() {
-        let spec = ReportSpec::new()
-            .with_mode(ReportMode::Episodes)
-            .with_book("results/results.md");
+        let spec = ReportSpec {
+            book: Some("results/results.md".to_owned()),
+            ..ReportSpec::new().with_mode(ReportMode::Episodes)
+        };
         let mut problems = Vec::new();
         let back = ReportSpec::parse_into(&spec.to_json(), &mut |field, message| {
             problems.push(format!("{field}: {message}"));
@@ -1336,7 +1308,10 @@ mod tests {
 
     #[test]
     fn report_spec_display_is_the_resolved_line() {
-        let spec = ReportSpec::new().with_book("results/results.md");
+        let spec = ReportSpec {
+            book: Some("results/results.md".to_owned()),
+            ..ReportSpec::new()
+        };
         assert_eq!(
             spec.to_string(),
             "mode=summary quantiles=[0.5, 0.99] book=results/results.md"

@@ -119,15 +119,8 @@ impl SeoConfig {
     /// 80 ms cap discretizes to δmax ≤ 3, which is exactly why Table I's
     /// gains shrink relative to τ = 20 ms.
     #[must_use]
-    pub fn with_tau(mut self, tau: Seconds) -> Self {
+    pub(crate) fn with_tau(mut self, tau: Seconds) -> Self {
         self.tau = tau;
-        self
-    }
-
-    /// Sets the deadline cap Δcap (builder style).
-    #[must_use]
-    pub fn with_delta_cap(mut self, delta_cap: Seconds) -> Self {
-        self.delta_cap = delta_cap;
         self
     }
 
@@ -164,7 +157,7 @@ impl SeoConfig {
     ///
     /// Returns [`SeoError::InvalidConfig`] on a non-positive τ or Δcap, a
     /// Δcap smaller than τ, or a gating level outside `[0, 1]`.
-    pub fn validate(&self) -> Result<(), SeoError> {
+    pub(crate) fn validate(&self) -> Result<(), SeoError> {
         if !(self.tau.as_secs().is_finite() && self.tau.as_secs() > 0.0) {
             return Err(SeoError::InvalidConfig {
                 field: "tau",
@@ -233,7 +226,10 @@ mod tests {
         let c = SeoConfig::paper_defaults().with_tau(Seconds::from_millis(25.0));
         assert_eq!(c.delta_cap.as_millis(), 80.0);
         assert_eq!(c.delta_max_cap(), 3, "80 ms / 25 ms floors to 3 slots");
-        let c = c.with_delta_cap(Seconds::from_millis(100.0));
+        let c = SeoConfig {
+            delta_cap: Seconds::from_millis(100.0),
+            ..c
+        };
         assert_eq!(c.delta_max_cap(), 4);
     }
 

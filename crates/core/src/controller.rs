@@ -12,7 +12,7 @@
 //! SEO itself is agnostic: it schedules the *perception* models around π,
 //! whichever family π belongs to.
 
-use seo_nn::kernel::{Kernel, ScalarKernel};
+use seo_nn::kernel::Kernel;
 use seo_nn::policy::{DrivingPolicy, PolicyFeatures, PotentialFieldController};
 use seo_sim::vehicle::Control;
 use std::fmt;
@@ -56,32 +56,12 @@ impl Controller {
         Self::Neural(DrivingPolicy::new(&mut rng).expect("fixed topology"))
     }
 
-    /// Computes the control action for the given features.
-    #[must_use]
-    pub fn act(&self, features: &PolicyFeatures) -> Control {
-        match self {
-            Self::PotentialField(pf) => pf.act(features),
-            Self::Neural(policy) => policy.act(features),
-        }
-    }
-
-    /// Allocation-free [`Self::act`]: neural inference runs inside the
-    /// reused `scratch` workspace (the potential-field controller never
-    /// allocates either way). Bit-identical to `act`.
-    #[must_use]
-    pub fn act_scratch(
-        &self,
-        features: &PolicyFeatures,
-        scratch: &mut seo_nn::InferenceScratch,
-    ) -> Control {
-        self.act_scratch_with::<ScalarKernel>(features, scratch)
-    }
-
-    /// [`Self::act_scratch`] over an explicit [`Kernel`] backend — what the
-    /// runtime's monomorphized episode loop calls. Bit-identical across
-    /// backends by the kernel contract (`seo_nn::kernel`); the
-    /// potential-field controller contains no dense kernels, so the backend
-    /// only matters for the neural policy.
+    /// Computes the control action for the given features on the [`Kernel`]
+    /// backend `K` — what the runtime's monomorphized episode loop calls.
+    /// Neural inference runs inside the reused `scratch` workspace; the
+    /// potential-field controller contains no dense kernels, so it neither
+    /// allocates nor depends on the backend. Bit-identical across backends
+    /// by the kernel contract (`seo_nn::kernel`).
     #[must_use]
     pub fn act_scratch_with<K: Kernel>(
         &self,
@@ -92,12 +72,6 @@ impl Controller {
             Self::PotentialField(pf) => pf.act(features),
             Self::Neural(policy) => policy.act_scratch_with::<K>(features, scratch),
         }
-    }
-
-    /// Whether this is a neural controller.
-    #[must_use]
-    pub fn is_neural(&self) -> bool {
-        matches!(self, Self::Neural(_))
     }
 }
 
@@ -133,6 +107,8 @@ mod tests {
     use super::*;
     use rand::rngs::StdRng;
     use rand::SeedableRng;
+    use seo_nn::kernel::ScalarKernel;
+    use seo_nn::InferenceScratch;
 
     fn features() -> PolicyFeatures {
         PolicyFeatures {
@@ -146,6 +122,10 @@ mod tests {
         }
     }
 
+    fn act(c: &Controller) -> Control {
+        c.act_scratch_with::<ScalarKernel>(&features(), &mut InferenceScratch::new())
+    }
+
     #[test]
     fn both_variants_produce_bounded_controls() {
         let mut rng = StdRng::seed_from_u64(1);
@@ -155,7 +135,7 @@ mod tests {
             Controller::Neural(DrivingPolicy::new(&mut rng).expect("fixed topology")),
         ];
         for c in &controllers {
-            let u = c.act(&features());
+            let u = act(c);
             assert!(u.steering.abs() <= 1.0, "{c}: steering out of range");
             assert!(u.throttle.abs() <= 1.0, "{c}: throttle out of range");
         }
@@ -164,10 +144,10 @@ mod tests {
     #[test]
     fn conversions_and_flags() {
         let pf: Controller = PotentialFieldController::default().into();
-        assert!(!pf.is_neural());
+        assert!(matches!(pf, Controller::PotentialField(_)));
         let mut rng = StdRng::seed_from_u64(2);
         let nn: Controller = DrivingPolicy::new(&mut rng).expect("fixed topology").into();
-        assert!(nn.is_neural());
+        assert!(matches!(nn, Controller::Neural(_)));
         assert_eq!(pf.to_string(), "potential-field");
         assert_eq!(nn.to_string(), "neural-policy");
     }
@@ -176,7 +156,7 @@ mod tests {
     fn neural_controller_is_deterministic() {
         let mut rng = StdRng::seed_from_u64(3);
         let c = Controller::Neural(DrivingPolicy::new(&mut rng).expect("fixed topology"));
-        assert_eq!(c.act(&features()), c.act(&features()));
+        assert_eq!(act(&c), act(&c));
     }
 
     #[test]

@@ -229,7 +229,7 @@ impl DaemonServer {
                     }
                     let server = Arc::clone(self);
                     std::thread::spawn(move || {
-                        if let Err(e) = server.handle_connection(stream, conn_index) {
+                        if let Err(e) = server.handle_connection(stream) {
                             eprintln!("seo-sweepd: connection from {peer}: {e}");
                         }
                     });
@@ -282,11 +282,7 @@ impl DaemonServer {
 
     /// One connection end to end: timeouts, first-frame dispatch,
     /// admission control, then the job/health/shutdown path.
-    fn handle_connection(
-        &self,
-        mut stream: TcpStream,
-        conn_index: u64,
-    ) -> Result<(), TransportError> {
+    fn handle_connection(&self, mut stream: TcpStream) -> Result<(), TransportError> {
         stream
             .set_read_timeout(Some(self.config.timeout))
             .and_then(|()| stream.set_write_timeout(Some(self.config.timeout)))
@@ -311,19 +307,14 @@ impl DaemonServer {
                 self.request_drain();
                 Ok(())
             }
-            DaemonRequest::Job(job) => self.handle_job(&mut stream, &job, conn_index),
+            DaemonRequest::Job(job) => self.handle_job(&mut stream, &job),
         }
     }
 
     /// Admission control plus the episode loop. The active-jobs slot is
     /// claimed under the health record's lock, so the `--jobs` cap holds
     /// under concurrent connections.
-    fn handle_job(
-        &self,
-        stream: &mut TcpStream,
-        job: &JobRequest,
-        conn_index: u64,
-    ) -> Result<(), TransportError> {
+    fn handle_job(&self, stream: &mut TcpStream, job: &JobRequest) -> Result<(), TransportError> {
         let cap = self.config.jobs.max(1);
         let mut record = self.record();
         let health = self.served(&record);
@@ -335,7 +326,7 @@ impl DaemonServer {
         record.jobs_active += 1;
         drop(record);
         let mut injector = match &self.config.faults {
-            Some(plan) => plan.injector(conn_index),
+            Some(plan) => plan.injector(),
             None => FaultInjector::none(),
         };
         let served = serve_job(stream, job, &mut injector);

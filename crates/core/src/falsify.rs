@@ -104,7 +104,7 @@ impl Objective {
 
     /// The canonical plan-file name.
     #[must_use]
-    pub fn name(&self) -> &'static str {
+    pub(crate) fn name(&self) -> &'static str {
         match self {
             Self::MinBarrier => "min-barrier",
             Self::GatingMargin => "gating-margin",
@@ -117,7 +117,7 @@ impl Objective {
     /// # Errors
     ///
     /// Returns a human-readable message listing the valid names.
-    pub fn parse(value: &str) -> Result<Self, String> {
+    pub(crate) fn parse(value: &str) -> Result<Self, String> {
         Self::ALL
             .into_iter()
             .find(|o| o.name() == value)
@@ -131,7 +131,7 @@ impl Objective {
     /// `min-barrier` < 0 is a barrier violation, the margin/slack
     /// objectives flag anything below one half.
     #[must_use]
-    pub fn default_threshold(&self) -> f64 {
+    pub(crate) fn default_threshold(&self) -> f64 {
         match self {
             Self::MinBarrier => 0.0,
             Self::GatingMargin | Self::OffloadDeadlineSlack => 0.5,
@@ -189,7 +189,7 @@ impl FalsifySpec {
     /// A spec for `objective` with the default budget (256), search seed 0,
     /// and the objective's default threshold.
     #[must_use]
-    pub fn new(objective: Objective) -> Self {
+    pub(crate) fn new(objective: Objective) -> Self {
         Self {
             objective,
             budget: 256,
@@ -200,7 +200,7 @@ impl FalsifySpec {
 
     /// Encodes the section for a plan file.
     #[must_use]
-    pub fn to_json(&self) -> Json {
+    pub(crate) fn to_json(self) -> Json {
         Json::obj(vec![
             ("objective", self.objective.name().into()),
             ("budget", self.budget.into()),

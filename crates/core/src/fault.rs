@@ -5,9 +5,8 @@
 //! debuggable if every exercised failure is **reproducible**. A
 //! [`FaultPlan`] is a small, parseable description of which faults a daemon
 //! injects and when, as a pure function of the plan and a connection
-//! counter. No randomness leaks
-//! in at injection time; the `seed` field only keys the garble keystream,
-//! so two runs with the same fault plan misbehave byte-for-byte alike.
+//! counter. No randomness leaks in at injection time, so two runs with the
+//! same fault plan misbehave byte-for-byte alike.
 //!
 //! The four fault shapes map one-to-one onto the coordinator's fault
 //! taxonomy (see `ARCHITECTURE.md`):
@@ -20,17 +19,17 @@
 //! | `garble=K`     | corrupt report frame K into guaranteed non-UTF-8  | **fatal** (frame error) |
 //!
 //! A plan is spelled as comma-separated `key=value` pairs, e.g.
-//! `refuse=2,drop-after=5,seed=7`.
+//! `refuse=2,drop-after=5`.
 //!
 //! # Example
 //!
 //! ```
 //! use seo_core::fault::{FaultAction, FaultPlan};
 //!
-//! let plan: FaultPlan = "refuse=2,drop-after=1,seed=9".parse()?;
+//! let plan: FaultPlan = "refuse=2,drop-after=1".parse()?;
 //! assert!(plan.refuses_connection(0) && plan.refuses_connection(1));
 //! assert!(!plan.refuses_connection(2));
-//! let mut inj = plan.injector(2);
+//! let mut inj = plan.injector();
 //! assert_eq!(inj.before_report(), FaultAction::Continue);
 //! inj.after_report();
 //! assert_eq!(inj.before_report(), FaultAction::Drop); // drop-after=1
@@ -45,16 +44,6 @@ fn parse_err(message: impl Into<String>) -> TransportError {
     TransportError::Config {
         message: format!("fault plan: {}", message.into()),
     }
-}
-
-/// SplitMix64 — the tiny, well-mixed generator seeding the garble
-/// keystream. Self-contained so the fault layer stays dependency-free.
-fn splitmix64(state: &mut u64) -> u64 {
-    *state = state.wrapping_add(0x9E37_79B9_7F4A_7C15);
-    let mut z = *state;
-    z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
-    z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
-    z ^ (z >> 31)
 }
 
 /// A deterministic description of the faults a daemon (or an in-process
@@ -78,22 +67,9 @@ pub struct FaultPlan {
     /// is guaranteed invalid UTF-8 — a protocol violation the coordinator
     /// must classify as fatal, not retry.
     pub garble_at: Option<usize>,
-    /// Keys the garble keystream; has no effect on *when* faults fire.
-    pub seed: u64,
 }
 
 impl FaultPlan {
-    /// True when the plan injects nothing.
-    #[must_use]
-    pub fn is_noop(&self) -> bool {
-        *self == Self::default()
-            || *self
-                == Self {
-                    seed: self.seed,
-                    ..Self::default()
-                }
-    }
-
     /// Whether connection number `conn_index` (0-based, counted from
     /// daemon start) should be accepted and immediately closed.
     #[must_use]
@@ -101,14 +77,11 @@ impl FaultPlan {
         conn_index < self.refuse_connects
     }
 
-    /// A fresh per-connection injection state machine. `conn_index` keys
-    /// the garble keystream so distinct connections garble distinctly but
-    /// reproducibly.
+    /// A fresh per-connection injection state machine.
     #[must_use]
-    pub fn injector(&self, conn_index: u64) -> FaultInjector<'_> {
+    pub fn injector(&self) -> FaultInjector<'_> {
         FaultInjector {
             plan: Some(self),
-            conn_index,
             emitted: 0,
             injected: 0,
         }
@@ -145,11 +118,9 @@ impl FromStr for FaultPlan {
                 "drop-after" => plan.drop_after = Some(number("drop-after")? as usize),
                 "stall-ms" => plan.stall_ms = Some(number("stall-ms")?),
                 "garble" => plan.garble_at = Some(number("garble")? as usize),
-                "seed" => plan.seed = number("seed")?,
                 other => {
                     return Err(parse_err(format!(
-                        "unknown key '{other}' (valid: refuse, drop-after, stall-ms, \
-                         garble, seed)"
+                        "unknown key '{other}' (valid: refuse, drop-after, stall-ms, garble)"
                     )))
                 }
             }
@@ -161,7 +132,7 @@ impl FromStr for FaultPlan {
 
 impl fmt::Display for FaultPlan {
     /// Renders the plan back to its grammar, in canonical key order
-    /// (round-trips through [`FromStr`]). A no-op plan renders as `seed=S`.
+    /// (round-trips through [`FromStr`]). A no-op plan renders as `refuse=0`.
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         let mut clauses: Vec<String> = Vec::new();
         if self.refuse_connects > 0 {
@@ -176,7 +147,9 @@ impl fmt::Display for FaultPlan {
         if let Some(k) = self.garble_at {
             clauses.push(format!("garble={k}"));
         }
-        clauses.push(format!("seed={}", self.seed));
+        if clauses.is_empty() {
+            clauses.push("refuse=0".to_owned());
+        }
         write!(f, "{}", clauses.join(","))
     }
 }
@@ -198,7 +171,6 @@ pub enum FaultAction {
 #[derive(Debug)]
 pub struct FaultInjector<'a> {
     plan: Option<&'a FaultPlan>,
-    conn_index: u64,
     emitted: usize,
     injected: u64,
 }
@@ -209,7 +181,6 @@ impl FaultInjector<'_> {
     pub fn none() -> Self {
         FaultInjector {
             plan: None,
-            conn_index: 0,
             emitted: 0,
             injected: 0,
         }
@@ -234,12 +205,13 @@ impl FaultInjector<'_> {
     }
 
     /// Transforms an outgoing report payload: when this report is the
-    /// configured garble target, the payload is replaced by a corrupted
-    /// one that is **guaranteed** invalid UTF-8 (it starts with `0xFF`),
-    /// so the coordinator's frame parser must reject it — a deterministic
-    /// protocol violation. Other reports pass through untouched.
+    /// configured garble target, the payload is prefixed with `0xFF 0xFE`,
+    /// which makes it **guaranteed** invalid UTF-8 (`0xFF` never occurs in
+    /// UTF-8), so the coordinator's frame parser must reject it — a
+    /// deterministic protocol violation. Other reports pass through
+    /// untouched.
     #[must_use]
-    pub fn garble(&mut self, payload: Vec<u8>) -> Vec<u8> {
+    pub(crate) fn garble(&mut self, payload: Vec<u8>) -> Vec<u8> {
         let Some(plan) = self.plan else {
             return payload;
         };
@@ -247,17 +219,9 @@ impl FaultInjector<'_> {
             return payload;
         }
         self.injected += 1;
-        // 0xFF is never valid in UTF-8, so the corruption cannot be
-        // mistaken for a well-formed frame; the rest of the payload is
-        // XOR-scrambled with a seed-keyed splitmix64 stream so the bytes
-        // are reproducible garbage, not a recognizable report.
-        let mut state = plan.seed ^ self.conn_index.wrapping_mul(0x9E37_79B9_7F4A_7C15);
         let mut out = Vec::with_capacity(payload.len() + 2);
         out.extend_from_slice(&[0xFF, 0xFE]);
-        for chunk in payload.chunks(8) {
-            let word = splitmix64(&mut state).to_le_bytes();
-            out.extend(chunk.iter().zip(word.iter()).map(|(b, k)| b ^ k));
-        }
+        out.extend_from_slice(&payload);
         out
     }
 
@@ -269,7 +233,7 @@ impl FaultInjector<'_> {
     /// How many faults this connection has injected so far (stalls, drops,
     /// garbles — refusals are counted by the accept loop, not here).
     #[must_use]
-    pub fn injected(&self) -> u64 {
+    pub(crate) fn injected(&self) -> u64 {
         self.injected
     }
 }
@@ -281,9 +245,9 @@ mod tests {
     #[test]
     fn grammar_round_trips() {
         for text in [
-            "refuse=2,drop-after=5,stall-ms=100,garble=3,seed=9",
-            "drop-after=0,seed=0",
-            "seed=42",
+            "refuse=2,drop-after=5,stall-ms=100,garble=3",
+            "drop-after=0",
+            "refuse=0",
         ] {
             let plan: FaultPlan = text.parse().expect(text);
             let rendered = plan.to_string();
@@ -299,7 +263,8 @@ mod tests {
             "refuse",
             "refuse=x",
             "refuse=1,refuse=2",
-            "refuse=1,,seed=2",
+            "refuse=1,,garble=2",
+            "seed=7",
             "",
         ] {
             assert!(text.parse::<FaultPlan>().is_err(), "{text:?} should fail");
@@ -318,7 +283,7 @@ mod tests {
     #[test]
     fn drop_fires_at_exact_report() {
         let plan: FaultPlan = "drop-after=2".parse().unwrap();
-        let mut inj = plan.injector(0);
+        let mut inj = plan.injector();
         assert_eq!(inj.before_report(), FaultAction::Continue);
         inj.after_report();
         assert_eq!(inj.before_report(), FaultAction::Continue);
@@ -329,10 +294,10 @@ mod tests {
 
     #[test]
     fn garble_is_deterministic_and_invalid_utf8() {
-        let plan: FaultPlan = "garble=1,seed=7".parse().unwrap();
+        let plan: FaultPlan = "garble=1".parse().unwrap();
         let payload = b"{\"i\":4,\"ok\":true}".to_vec();
-        let mut a = plan.injector(3);
-        let mut b = plan.injector(3);
+        let mut a = plan.injector();
+        let mut b = plan.injector();
         // Report 0 passes through untouched.
         assert_eq!(a.garble(payload.clone()), payload);
         a.after_report();
@@ -340,22 +305,9 @@ mod tests {
         b.after_report();
         let ga = a.garble(payload.clone());
         let gb = b.garble(payload.clone());
-        assert_eq!(ga, gb, "same plan + connection must garble identically");
+        assert_eq!(ga, gb, "same plan must garble identically");
         assert_ne!(ga, payload);
+        assert_eq!(ga[0], 0xFF);
         assert!(std::str::from_utf8(&ga).is_err(), "garble must break UTF-8");
-        // A different connection garbles differently (but still invalidly).
-        let mut c = plan.injector(4);
-        let _ = c.garble(payload.clone());
-        c.after_report();
-        let gc = c.garble(payload);
-        assert_ne!(ga, gc);
-        assert!(std::str::from_utf8(&gc).is_err());
-    }
-
-    #[test]
-    fn noop_detection() {
-        assert!(FaultPlan::default().is_noop());
-        assert!("seed=5".parse::<FaultPlan>().unwrap().is_noop());
-        assert!(!"drop-after=0".parse::<FaultPlan>().unwrap().is_noop());
     }
 }

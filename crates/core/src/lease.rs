@@ -89,7 +89,7 @@ impl ChunkPolicy {
     /// # Errors
     ///
     /// A plain message when a fixed chunk is zero.
-    pub fn validate(&self) -> Result<(), String> {
+    pub(crate) fn validate(&self) -> Result<(), String> {
         match *self {
             Self::Fixed(0) => Err("chunk must be at least 1 spec per lease".to_owned()),
             _ => Ok(()),
@@ -102,7 +102,7 @@ impl ChunkPolicy {
     /// # Errors
     ///
     /// A plain message naming the expected forms.
-    pub fn from_json(json: &Json) -> Result<Self, String> {
+    pub(crate) fn from_json(json: &Json) -> Result<Self, String> {
         if json.as_str() == Some("auto") {
             return Ok(Self::Auto);
         }
@@ -118,8 +118,8 @@ impl ChunkPolicy {
 
     /// Renders the policy to its JSON value form.
     #[must_use]
-    pub fn to_json(&self) -> Json {
-        match *self {
+    pub(crate) fn to_json(self) -> Json {
+        match self {
             Self::Auto => "auto".into(),
             Self::Fixed(chunk) => chunk.into(),
         }
@@ -262,7 +262,7 @@ impl LeaseQueue {
     /// Specs still sitting in the queue (outstanding leases not counted) —
     /// the stranded-work figure when every host has exited.
     #[must_use]
-    pub fn remaining_specs(&self) -> usize {
+    pub(crate) fn remaining_specs(&self) -> usize {
         let state = self.inner.lock().expect("lease queue poisoned");
         state.pending.iter().map(|l| l.shard.len()).sum()
     }

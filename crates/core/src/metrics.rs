@@ -69,7 +69,7 @@ impl DeltaMaxHistogram {
 
     /// Count for one δmax value.
     #[must_use]
-    pub fn count(&self, delta_max: u32) -> usize {
+    pub(crate) fn count(&self, delta_max: u32) -> usize {
         self.counts.get(delta_max as usize).copied().unwrap_or(0)
     }
 
@@ -139,7 +139,7 @@ impl DeltaMaxHistogram {
     /// associative and commutative — the property [`crate::agg`] relies on
     /// to keep merged summary output bit-identical regardless of how the
     /// grid was fragmented across shards, leases, or hosts.
-    pub fn merge(&mut self, other: &Self) {
+    pub(crate) fn merge(&mut self, other: &Self) {
         for (v, c) in other.iter() {
             let idx = v.min(Self::SATURATION) as usize;
             if idx >= self.counts.len() {
@@ -199,15 +199,6 @@ impl ModelEnergyReport {
     /// Returns [`SeoError::Platform`] when the baseline consumed no energy.
     pub fn gain(&self) -> Result<f64, SeoError> {
         Ok(self.optimized.gain_over(&self.baseline)?)
-    }
-
-    /// Normalized energy (`optimized / baseline`, Fig. 1's vertical axis).
-    ///
-    /// # Errors
-    ///
-    /// Returns [`SeoError::Platform`] when the baseline consumed no energy.
-    pub fn normalized_energy(&self) -> Result<f64, SeoError> {
-        Ok(self.optimized.normalized_against(&self.baseline)?)
     }
 }
 
@@ -556,7 +547,8 @@ mod tests {
     fn model_gain_and_normalized_energy() {
         let r = model_report("m", 0.25, 1.0);
         assert!((r.gain().expect("nonzero baseline") - 0.75).abs() < 1e-12);
-        assert!((r.normalized_energy().expect("ok") - 0.25).abs() < 1e-12);
+        let normalized = r.optimized.normalized_against(&r.baseline).expect("ok");
+        assert!((normalized - 0.25).abs() < 1e-12);
         let zero = model_report("z", 0.0, 0.0);
         assert!(zero.gain().is_err());
     }

@@ -58,7 +58,7 @@ impl PipelineModel {
     /// # Errors
     ///
     /// Returns [`SeoError::InvalidConfig`] for a non-positive period.
-    pub fn new(
+    pub(crate) fn new(
         name: impl Into<String>,
         period: Seconds,
         compute: ComputeProfile,
@@ -107,7 +107,7 @@ impl PipelineModel {
 
     /// Model name.
     #[must_use]
-    pub fn name(&self) -> &str {
+    pub(crate) fn name(&self) -> &str {
         &self.name
     }
 
@@ -119,7 +119,7 @@ impl PipelineModel {
 
     /// Compute characterization (`T_N`, `P_N`).
     #[must_use]
-    pub fn compute(&self) -> &ComputeProfile {
+    pub(crate) fn compute(&self) -> &ComputeProfile {
         &self.compute
     }
 
@@ -131,7 +131,7 @@ impl PipelineModel {
 
     /// Λ′ or Λ″ membership.
     #[must_use]
-    pub fn criticality(&self) -> Criticality {
+    pub(crate) fn criticality(&self) -> Criticality {
         self.criticality
     }
 
@@ -177,7 +177,7 @@ pub struct ModelSet {
 impl ModelSet {
     /// Creates a set from descriptors.
     #[must_use]
-    pub fn new(models: Vec<PipelineModel>) -> Self {
+    pub(crate) fn new(models: Vec<PipelineModel>) -> Self {
         Self { models }
     }
 
@@ -228,14 +228,8 @@ impl ModelSet {
 
     /// Number of models (`N` in the paper).
     #[must_use]
-    pub fn len(&self) -> usize {
+    pub(crate) fn len(&self) -> usize {
         self.models.len()
-    }
-
-    /// Whether the set is empty.
-    #[must_use]
-    pub fn is_empty(&self) -> bool {
-        self.models.is_empty()
     }
 
     /// Looks up a model by id.
@@ -245,7 +239,7 @@ impl ModelSet {
     }
 
     /// Iterates over all `(id, model)` pairs.
-    pub fn iter(&self) -> impl Iterator<Item = (ModelId, &PipelineModel)> {
+    pub(crate) fn iter(&self) -> impl Iterator<Item = (ModelId, &PipelineModel)> {
         self.models.iter().enumerate().map(|(i, m)| (ModelId(i), m))
     }
 

@@ -47,7 +47,7 @@
 //! # Ok::<(), Box<dyn std::error::Error>>(())
 //! ```
 
-use crate::agg::{ReportSpec, RunSummary};
+use crate::agg::{ReportMode, ReportSpec, RunSummary};
 use crate::batch::{self, ScenarioSpec};
 use crate::config::{ControlMode, SeoConfig};
 use crate::controller::Controller;
@@ -190,7 +190,7 @@ impl ControllerKind {
     /// The canonical plan-file name (`potential-field`, `tight-margin`,
     /// `neural:SEED`).
     #[must_use]
-    pub fn name(&self) -> String {
+    pub(crate) fn name(&self) -> String {
         match self {
             Self::PotentialField => "potential-field".to_owned(),
             Self::TightMargin => "tight-margin".to_owned(),
@@ -203,7 +203,7 @@ impl ControllerKind {
     /// # Errors
     ///
     /// Returns a human-readable message listing the valid grammar.
-    pub fn parse(value: &str) -> Result<Self, String> {
+    pub(crate) fn parse(value: &str) -> Result<Self, String> {
         match value {
             "potential-field" => Ok(Self::PotentialField),
             "tight-margin" => Ok(Self::TightMargin),
@@ -251,7 +251,7 @@ impl ChannelKind {
     /// # Errors
     ///
     /// Any link-construction error (never fails in practice).
-    pub fn link(&self) -> Result<WirelessLink, SeoError> {
+    pub(crate) fn link(&self) -> Result<WirelessLink, SeoError> {
         Ok(match self {
             Self::Clean => WirelessLink::paper_default()?,
             Self::Bursty => WirelessLink::bursty_default()?,
@@ -260,7 +260,7 @@ impl ChannelKind {
 
     /// The canonical plan-file name (`clean`, `bursty`).
     #[must_use]
-    pub fn name(&self) -> String {
+    pub(crate) fn name(&self) -> String {
         match self {
             Self::Clean => "clean".to_owned(),
             Self::Bursty => "bursty".to_owned(),
@@ -272,7 +272,7 @@ impl ChannelKind {
     /// # Errors
     ///
     /// Returns a human-readable message listing the valid names.
-    pub fn parse(value: &str) -> Result<Self, String> {
+    pub(crate) fn parse(value: &str) -> Result<Self, String> {
         match value {
             "clean" => Ok(Self::Clean),
             "bursty" => Ok(Self::Bursty),
@@ -338,7 +338,7 @@ impl TrafficKind {
     /// `oncoming:COUNT:SPEED`). `SPEED` renders through `f64`'s shortest
     /// round-trip form, so names are lossless.
     #[must_use]
-    pub fn name(&self) -> String {
+    pub(crate) fn name(&self) -> String {
         match *self {
             Self::Static => "static".to_owned(),
             Self::Crossing { count, speed_mps } => format!("crossing:{count}:{speed_mps}"),
@@ -351,7 +351,7 @@ impl TrafficKind {
     /// # Errors
     ///
     /// Returns a human-readable message listing the valid grammar.
-    pub fn parse(value: &str) -> Result<Self, String> {
+    pub(crate) fn parse(value: &str) -> Result<Self, String> {
         if value == "static" {
             return Ok(Self::Static);
         }
@@ -513,7 +513,7 @@ impl GridAxes {
 
     /// Total grid points.
     #[must_use]
-    pub fn n_specs(&self) -> usize {
+    pub(crate) fn n_specs(&self) -> usize {
         self.n_cells() * self.specs_per_cell()
     }
 }
@@ -599,7 +599,7 @@ impl CellConfig {
     /// `cell` field, and tooling that must say which grid point produced a
     /// result).
     #[must_use]
-    pub fn to_json(&self) -> Json {
+    pub(crate) fn to_json(self) -> Json {
         Json::obj(vec![
             ("tau_ms", self.tau_ms.into()),
             ("gating_level", self.gating_level.into()),
@@ -717,7 +717,7 @@ impl SweepPlan {
     /// A serial plan over the given axes with default execution knobs
     /// (scalar kernel, 30 s timeout, no verify).
     #[must_use]
-    pub fn new(axes: GridAxes) -> Self {
+    pub(crate) fn new(axes: GridAxes) -> Self {
         Self {
             axes,
             mode: ExecMode::Serial,
@@ -843,23 +843,15 @@ impl SweepPlan {
     }
 
     /// Whether this plan emits the per-episode NDJSON stream (true for
-    /// plans without a `report` section).
+    /// plans without a `report` section). Otherwise it is in `summary`
+    /// mode and emits the per-cell summary block: workers and daemons fold
+    /// sketches locally and no per-episode line crosses a process or host
+    /// boundary.
     #[must_use]
     pub fn emits_episodes(&self) -> bool {
         self.report
             .as_ref()
-            .is_none_or(|r| r.mode.includes_episodes())
-    }
-
-    /// Whether this plan emits the per-cell summary block. In pure
-    /// `summary` mode (`emits_episodes()` false) workers and daemons fold
-    /// sketches locally and no per-episode line crosses a process or host
-    /// boundary.
-    #[must_use]
-    pub fn emits_summary(&self) -> bool {
-        self.report
-            .as_ref()
-            .is_some_and(|r| r.mode.includes_summary())
+            .is_none_or(|r| r.mode == ReportMode::Episodes)
     }
 
     /// An empty [`RunSummary`] shaped for this plan's grid (one sketch per
@@ -1171,7 +1163,7 @@ impl SweepPlan {
     ///
     /// Same as [`Self::parse`].
     #[allow(clippy::too_many_lines)]
-    pub fn from_json(json: &Json) -> Result<Self, PlanError> {
+    pub(crate) fn from_json(json: &Json) -> Result<Self, PlanError> {
         let mut problems = Problems::default();
         let mut plan = Self::paper(60, 2023);
 
@@ -1228,8 +1220,9 @@ impl SweepPlan {
     /// --worker`, the `seo-sweepd` daemon, and [`Self::run_serial`] all
     /// execute through here, which is why every mode is bit-identical.
     ///
-    /// A runtime is built once per cell the range overlaps; `kernel`
-    /// overrides the plan's backend (daemons run their own). The sink's
+    /// A runtime is built once per cell the range overlaps, on the `kernel`
+    /// backend; every engine, daemons included, passes the plan's own
+    /// (`exec.kernel`). The sink's
     /// return value is a stop signal: returning `false` abandons the rest
     /// of the range (a worker whose output pipe broke must not keep
     /// burning CPU on episodes nobody will read).
@@ -1630,16 +1623,13 @@ mod tests {
         };
         let runtime = cell.runtime(KernelBackend::Blocked).expect("valid cell");
         let tau = Seconds::from_millis(25.0);
-        assert_eq!(runtime.config().tau, tau);
-        assert_eq!(runtime.config().gating_level, 0.25);
-        assert_eq!(runtime.config().control_mode, ControlMode::Unfiltered);
-        assert_eq!(runtime.optimizer(), OptimizerKind::ModelGating);
-        assert_eq!(runtime.kernel(), KernelBackend::Blocked);
+        assert_eq!(runtime.config.tau, tau);
+        assert_eq!(runtime.config.gating_level, 0.25);
+        assert_eq!(runtime.config.control_mode, ControlMode::Unfiltered);
+        assert_eq!(runtime.optimizer, OptimizerKind::ModelGating);
+        assert_eq!(runtime.kernel, KernelBackend::Blocked);
         // The model set is rebuilt on the cell's tau, not the paper's.
-        assert_eq!(
-            *runtime.models(),
-            ModelSet::paper_setup(tau).expect("models")
-        );
+        assert_eq!(runtime.models, ModelSet::paper_setup(tau).expect("models"));
     }
 
     #[test]
@@ -2001,7 +1991,7 @@ mod tests {
                 for within in 0..range.end - range.start {
                     let _ = cell.run_spec(&runtime, plan.spec_within_cell(within), &mut scratch);
                 }
-                let table = runtime.deadline_table();
+                let table = &runtime.table;
                 (table.evaluated(), table.len())
             })
             .collect()

@@ -90,16 +90,16 @@ struct ModelState {
 /// together.
 #[derive(Debug, Clone)]
 pub struct RuntimeLoop {
-    config: SeoConfig,
-    models: ModelSet,
-    optimizer: OptimizerKind,
+    pub(crate) config: SeoConfig,
+    pub(crate) models: ModelSet,
+    pub(crate) optimizer: OptimizerKind,
     controller: Controller,
     filter: SafetyFilter,
     evaluator: SafeIntervalEvaluator,
-    table: DeadlineTable,
+    pub(crate) table: DeadlineTable,
     link: WirelessLink,
     server: EdgeServer,
-    kernel: KernelBackend,
+    pub(crate) kernel: KernelBackend,
 }
 
 /// Where episode worlds come from: a fixed snapshot or a moving-obstacle
@@ -195,36 +195,6 @@ impl RuntimeLoop {
     pub fn with_link(mut self, link: WirelessLink) -> Self {
         self.link = link;
         self
-    }
-
-    /// The framework configuration.
-    #[must_use]
-    pub fn config(&self) -> &SeoConfig {
-        &self.config
-    }
-
-    /// The model partition.
-    #[must_use]
-    pub fn models(&self) -> &ModelSet {
-        &self.models
-    }
-
-    /// The active Ω instantiation.
-    #[must_use]
-    pub fn optimizer(&self) -> OptimizerKind {
-        self.optimizer
-    }
-
-    /// The deadline lookup table.
-    #[must_use]
-    pub fn deadline_table(&self) -> &DeadlineTable {
-        &self.table
-    }
-
-    /// The selected inference kernel backend.
-    #[must_use]
-    pub fn kernel(&self) -> KernelBackend {
-        self.kernel
     }
 
     /// Runs one closed-loop episode in `world` (borrowed — no clone),
@@ -731,13 +701,13 @@ mod tests {
     #[test]
     fn accessors_expose_configuration() {
         let rt = runtime(OptimizerKind::SensorGating);
-        assert_eq!(rt.optimizer(), OptimizerKind::SensorGating);
-        assert_eq!(rt.config().tau.as_millis(), 20.0);
-        assert_eq!(rt.models().normal().count(), 2);
-        assert!(!rt.deadline_table().is_empty());
-        assert_eq!(rt.kernel(), KernelBackend::Scalar);
+        assert_eq!(rt.optimizer, OptimizerKind::SensorGating);
+        assert_eq!(rt.config.tau.as_millis(), 20.0);
+        assert_eq!(rt.models.normal().count(), 2);
+        assert!(!rt.table.is_empty());
+        assert_eq!(rt.kernel, KernelBackend::Scalar);
         assert_eq!(
-            rt.with_kernel(KernelBackend::Blocked).kernel(),
+            rt.with_kernel(KernelBackend::Blocked).kernel,
             KernelBackend::Blocked
         );
     }

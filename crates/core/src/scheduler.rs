@@ -191,12 +191,6 @@ impl SafeScheduler {
         self.delta_max
     }
 
-    /// Whether the next step will begin a new interval.
-    #[must_use]
-    pub fn interval_expired(&self) -> bool {
-        self.new_delta
-    }
-
     /// Discretized period of a registered model.
     #[must_use]
     pub fn delta_i(&self, id: ModelId) -> Option<u32> {
@@ -401,7 +395,7 @@ mod tests {
         // First interval with delta_max = 2: slots 0 (opt), 1 (full).
         assert_eq!(s.plan_step(|| 2).slots[0].1, SlotKind::Optimized);
         assert_eq!(s.plan_step(|| 99).slots[0].1, SlotKind::FullDeadline);
-        assert!(s.interval_expired());
+        assert!(s.new_delta);
         // Next interval samples fresh: delta_max = 3.
         let plan = s.plan_step(|| 3);
         assert!(plan.interval_started);

@@ -321,7 +321,7 @@ impl ShardPlan {
 
     /// Size of the grid this plan covers.
     #[must_use]
-    pub fn n_specs(&self) -> usize {
+    pub(crate) fn n_specs(&self) -> usize {
         self.n_specs
     }
 }
@@ -350,12 +350,6 @@ impl ShardPlanner {
         Self {
             workers: workers.max(1),
         }
-    }
-
-    /// The worker count shards are planned for.
-    #[must_use]
-    pub fn workers(&self) -> usize {
-        self.workers
     }
 
     /// Plans shards over a grid of `n_specs` specs: one non-empty contiguous
@@ -618,7 +612,7 @@ pub(crate) fn histogram_from_json(json: &Json) -> Result<DeltaMaxHistogram, Shar
 
 /// Encodes a report as a wire object.
 #[must_use]
-pub fn report_to_json(report: &EpisodeReport) -> Json {
+pub(crate) fn report_to_json(report: &EpisodeReport) -> Json {
     Json::obj(vec![
         ("status", status_to_str(report.status).into()),
         ("steps", report.steps.into()),
@@ -639,7 +633,7 @@ pub fn report_to_json(report: &EpisodeReport) -> Json {
 /// # Errors
 ///
 /// [`ShardError::Wire`] on missing or mistyped fields.
-pub fn report_from_json(json: &Json) -> Result<EpisodeReport, ShardError> {
+pub(crate) fn report_from_json(json: &Json) -> Result<EpisodeReport, ShardError> {
     let models = get(json, "models")?
         .as_arr()
         .ok_or_else(|| wire_err("models: expected an array"))?
@@ -863,22 +857,10 @@ impl StreamingMerge {
         }
     }
 
-    /// Grid size this merge expects.
-    #[must_use]
-    pub fn total(&self) -> usize {
-        self.slots.len()
-    }
-
     /// Reports accepted so far.
     #[must_use]
     pub fn received(&self) -> usize {
         self.received
-    }
-
-    /// Whether every spec index has reported.
-    #[must_use]
-    pub fn is_complete(&self) -> bool {
-        self.received == self.slots.len()
     }
 
     /// Accepts one report.
@@ -909,7 +891,7 @@ impl StreamingMerge {
     /// # Errors
     ///
     /// Same as [`Self::accept`]; nothing is released on error.
-    pub fn accept_into(
+    pub(crate) fn accept_into(
         &mut self,
         index: usize,
         report: EpisodeReport,
@@ -966,7 +948,7 @@ impl StreamingMerge {
 ///
 /// The worker command line is `<program> <common_args>… --worker START..END`;
 /// workers print [`serve_shard`]'s payloads for exactly their shard to
-/// stdout, one per line: a [`report_line`] per spec index, or in pure
+/// stdout, one per line: a [`report_line`] per spec index, or in
 /// `summary` report mode one [`summary_line`]. Both modes run through one
 /// spawn–read–wait loop per worker. Worker stderr is captured and attached
 /// to failures.
@@ -1374,7 +1356,7 @@ mod tests {
         merge.accept(0, a.clone()).expect("ok");
         assert_eq!(merge.drain_ready(), vec![a], "prefix releases immediately");
         merge.accept(1, b.clone()).expect("ok");
-        assert!(merge.is_complete());
+        assert_eq!(merge.received(), 3);
         assert_eq!(merge.finish().expect("complete"), vec![b, c]);
     }
 

@@ -406,8 +406,8 @@ pub enum WorkerMsg {
         cap: usize,
     },
     /// The whole job shard folded into per-cell sketches — the one frame a
-    /// worker sends (before `done`) when the job's plan runs in pure
-    /// `summary` report mode; the payload is byte-for-byte a
+    /// worker sends (before `done`) when the job's plan runs in `summary`
+    /// report mode; the payload is byte-for-byte a
     /// [`crate::shard::summary_line`]. All-or-nothing per connection
     /// attempt: a worker that dies mid-shard has shipped *nothing*, so the
     /// coordinator re-issues the full remainder and each episode is folded
@@ -693,7 +693,7 @@ impl RetryPolicy {
     ///
     /// A plain message (`attempts must be at least 1`) for the caller to
     /// prefix with its own field path.
-    pub fn validate(&self) -> Result<(), String> {
+    pub(crate) fn validate(&self) -> Result<(), String> {
         if self.attempts == 0 {
             return Err("attempts must be at least 1 (it counts the first try)".to_owned());
         }
@@ -707,7 +707,7 @@ impl RetryPolicy {
     ///
     /// [`TransportError::Config`] on malformed JSON or a zero attempt
     /// budget.
-    pub fn from_json(json: &Json) -> Result<Self, TransportError> {
+    pub(crate) fn from_json(json: &Json) -> Result<Self, TransportError> {
         let Json::Obj(pairs) = json else {
             return Err(config_err("retry: expected an object"));
         };
@@ -741,7 +741,7 @@ impl RetryPolicy {
 
     /// Renders the policy to its JSON form.
     #[must_use]
-    pub fn to_json(&self) -> Json {
+    pub(crate) fn to_json(&self) -> Json {
         Json::obj(vec![
             ("attempts", self.attempts.into()),
             ("base_delay_ms", shard::u64_to_wire(self.base_delay_ms)),
@@ -845,7 +845,7 @@ impl HostPool {
     /// # Errors
     ///
     /// Same as [`Self::parse`].
-    pub fn from_json(json: &Json) -> Result<Self, TransportError> {
+    pub(crate) fn from_json(json: &Json) -> Result<Self, TransportError> {
         let version = json
             .get("v")
             .ok_or_else(|| config_err("missing field 'v'"))?
@@ -1239,8 +1239,8 @@ impl RemoteCoordinator {
     ///
     /// # Errors
     ///
-    /// [`TransportError::Config`] when the plan's report mode is pure
-    /// `summary` (use [`Self::run_plan_summary`]);
+    /// [`TransportError::Config`] when the plan's report mode is `summary`
+    /// (use [`Self::run_plan_summary`]);
     /// [`TransportError::NoSurvivors`] when every host died with work
     /// outstanding; [`TransportError::Merge`] on an unfillable hole (a
     /// protocol violation the lease re-issue could not paper over).
@@ -1256,7 +1256,7 @@ impl RemoteCoordinator {
     /// Like [`Self::run_plan`], but delivers each report to `sink` while
     /// hosts are still streaming: `sink(spec_index, report)` is invoked
     /// strictly in spec order as soon as the contiguous prefix up to that
-    /// index is complete. A pure-`summary` plan is refused before any
+    /// index is complete. A `summary`-mode plan is refused before any
     /// connection is opened, as [`Self::run_plan_summary`] refuses a plan
     /// that streams episodes.
     ///
@@ -1271,7 +1271,7 @@ impl RemoteCoordinator {
         if !plan.emits_episodes() {
             return Err(config_err(
                 "run_plan_streaming needs a report mode that streams episodes; this plan \
-                 is pure 'summary' — use run_plan_summary instead",
+                 is in 'summary' mode — use run_plan_summary instead",
             ));
         }
         let merge = StreamingMerge::new(plan.n_specs());
@@ -1279,7 +1279,7 @@ impl RemoteCoordinator {
             .map(|(stats, _)| stats)
     }
 
-    /// Runs a pure-`summary` plan across the pool: each lease comes back
+    /// Runs a `summary`-mode plan across the pool: each lease comes back
     /// as one all-or-nothing `summary` frame ([`shard::summary_line`]) — no
     /// per-episode NDJSON crosses the host boundary — and the fragments
     /// are folded into the plan's [`RunSummary`] in spec-index order. The

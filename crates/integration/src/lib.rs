@@ -12,6 +12,44 @@ use seo_core::shard::{
 use std::net::SocketAddr;
 use std::sync::Arc;
 
+/// Scenarios per obstacle count in the wire tests' paper grid.
+pub const SCENARIOS: usize = 6;
+/// Base seed of the wire tests' paper grid.
+pub const SEED: u64 = 2023;
+
+/// The paper-preset plan over [`SCENARIOS`] scenarios from [`SEED`]: the
+/// grid [`serial_reports`] runs.
+#[must_use]
+pub fn paper() -> SweepPlan {
+    SweepPlan::paper(SCENARIOS, SEED)
+}
+
+/// [`serial_reference`] over [`paper`]'s grid.
+#[must_use]
+pub fn serial_reports() -> Vec<EpisodeReport> {
+    serial_reference(&paper_runtime(), &ScenarioSpec::paper_grid(SCENARIOS, SEED))
+}
+
+/// A pool of `(address, capacity)` hosts with the default retry and chunk
+/// policies.
+///
+/// # Panics
+///
+/// Panics when the pool is invalid (empty, or an address repeated).
+#[must_use]
+pub fn pool_of(hosts: &[(SocketAddr, u64)]) -> HostPool {
+    HostPool::new(
+        hosts
+            .iter()
+            .map(|&(addr, capacity)| HostSpec {
+                addr: addr.to_string(),
+                capacity,
+            })
+            .collect(),
+    )
+    .expect("valid pool")
+}
+
 /// The runtime of the paper preset's single cell: paper defaults with the
 /// offloading optimizer.
 ///
@@ -215,7 +253,7 @@ pub fn assert_all_engines_bit_identical(plan: &SweepPlan) -> Vec<EpisodeReport> 
 ///
 /// # Panics
 ///
-/// Panics when the plan does not carry a pure-`summary` report section,
+/// Panics when the plan does not carry a `summary`-mode report section,
 /// when any engine fails to run, or when any fold's bytes diverge.
 pub fn assert_summary_bit_identical(plan: &SweepPlan) -> Vec<String> {
     let report = plan

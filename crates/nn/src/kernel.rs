@@ -306,7 +306,7 @@ impl KernelBackend {
     /// Comma-separated list of valid names, for error messages:
     /// `"scalar, blocked"`.
     #[must_use]
-    pub fn valid_names() -> String {
+    pub(crate) fn valid_names() -> String {
         Self::ALL
             .iter()
             .map(|b| b.name())

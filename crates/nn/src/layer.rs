@@ -1,7 +1,7 @@
 //! Dense layers and activations: forward inference and flat parameters.
 
 use crate::error::NnError;
-use crate::kernel::{Kernel, ScalarKernel};
+use crate::kernel::Kernel;
 use crate::tensor::Matrix;
 use rand::Rng;
 
@@ -46,7 +46,7 @@ impl Dense {
     /// # Errors
     ///
     /// Returns [`NnError::ShapeMismatch`] if either dimension is zero.
-    pub fn new<R: Rng>(
+    pub(crate) fn new<R: Rng>(
         input_dim: usize,
         output_dim: usize,
         activation: Activation,
@@ -80,55 +80,25 @@ impl Dense {
 
     /// Input dimension.
     #[must_use]
-    pub fn input_dim(&self) -> usize {
+    pub(crate) fn input_dim(&self) -> usize {
         self.weights.cols()
     }
 
     /// Output dimension.
     #[must_use]
-    pub fn output_dim(&self) -> usize {
+    pub(crate) fn output_dim(&self) -> usize {
         self.weights.rows()
-    }
-
-    /// The layer's activation.
-    #[must_use]
-    pub fn activation(&self) -> Activation {
-        self.activation
     }
 
     /// Total number of trainable parameters.
     #[must_use]
-    pub fn param_count(&self) -> usize {
+    pub(crate) fn param_count(&self) -> usize {
         self.weights.rows() * self.weights.cols() + self.biases.len()
     }
 
-    /// Forward pass.
-    ///
-    /// Allocates the output; inference hot paths use [`Self::forward_into`]
-    /// with a reused buffer instead.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `input.len() != input_dim` (callers validate at the
-    /// network boundary).
-    #[must_use]
-    pub fn forward(&self, input: &[f64]) -> Vec<f64> {
-        let mut out = vec![0.0; self.output_dim()];
-        self.forward_into(input, &mut out);
-        out
-    }
-
-    /// Forward pass written into a caller-provided buffer — allocation-free.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `input.len() != input_dim` or `out.len() != output_dim`.
-    pub fn forward_into(&self, input: &[f64], out: &mut [f64]) {
-        self.forward_into_with::<ScalarKernel>(input, out);
-    }
-
-    /// [`Self::forward_into`] over an explicit [`Kernel`] backend, running
-    /// the backend's **fused** matvec + bias + activation primitive. All
+    /// Forward pass written into a caller-provided buffer (allocation-free)
+    /// over an explicit [`Kernel`] backend, running the backend's **fused**
+    /// matvec + bias + activation primitive. All
     /// backends are bit-identical by contract (see [`crate::kernel`]).
     ///
     /// # Panics
@@ -161,7 +131,7 @@ impl Dense {
     /// # Panics
     ///
     /// Panics if `out` is shorter than [`Self::param_count`].
-    pub fn write_params(&self, out: &mut [f64]) -> usize {
+    pub(crate) fn write_params(&self, out: &mut [f64]) -> usize {
         let n = self.param_count();
         let w = self.weights.as_slice();
         out[..w.len()].copy_from_slice(w);
@@ -175,7 +145,7 @@ impl Dense {
     /// # Panics
     ///
     /// Panics if `params` is shorter than [`Self::param_count`].
-    pub fn read_params(&mut self, params: &[f64]) -> usize {
+    pub(crate) fn read_params(&mut self, params: &[f64]) -> usize {
         let n = self.param_count();
         let w_len = self.weights.rows() * self.weights.cols();
         self.weights
@@ -189,11 +159,18 @@ impl Dense {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::kernel::ScalarKernel;
     use rand::rngs::StdRng;
     use rand::SeedableRng;
 
     fn rng() -> StdRng {
         StdRng::seed_from_u64(42)
+    }
+
+    fn forward(layer: &Dense, input: &[f64]) -> Vec<f64> {
+        let mut out = vec![0.0; layer.output_dim()];
+        layer.forward_into_with::<ScalarKernel>(input, &mut out);
+        out
     }
 
     #[test]
@@ -208,9 +185,9 @@ mod tests {
     #[test]
     fn forward_shape_and_determinism() {
         let layer = Dense::new(3, 5, Activation::Relu, &mut rng()).expect("valid dims");
-        let out = layer.forward(&[0.1, 0.2, 0.3]);
+        let out = forward(&layer, &[0.1, 0.2, 0.3]);
         assert_eq!(out.len(), 5);
-        assert_eq!(out, layer.forward(&[0.1, 0.2, 0.3]));
+        assert_eq!(out, forward(&layer, &[0.1, 0.2, 0.3]));
         assert!(out.iter().all(|&v| v >= 0.0), "relu output is non-negative");
     }
 
@@ -227,9 +204,9 @@ mod tests {
         let mut buf = vec![0.0; layer.param_count()];
         assert_eq!(layer.write_params(&mut buf), 15);
         let mut other = Dense::new(4, 3, Activation::Tanh, &mut shared_rng).expect("valid dims");
-        assert_ne!(other.forward(&[1.0; 4]), layer.forward(&[1.0; 4]));
+        assert_ne!(forward(&other, &[1.0; 4]), forward(&layer, &[1.0; 4]));
         other.read_params(&buf);
-        assert_eq!(other.forward(&[1.0; 4]), layer.forward(&[1.0; 4]));
+        assert_eq!(forward(&other, &[1.0; 4]), forward(&layer, &[1.0; 4]));
     }
 
     #[test]

@@ -51,22 +51,6 @@ impl InferenceScratch {
             nxt: Vec::with_capacity(width),
         }
     }
-
-    /// Pre-reserves both buffers for layers up to `width` wide.
-    pub fn reserve(&mut self, width: usize) {
-        if self.cur.capacity() < width {
-            self.cur.reserve(width - self.cur.len());
-        }
-        if self.nxt.capacity() < width {
-            self.nxt.reserve(width - self.nxt.len());
-        }
-    }
-
-    /// The output slice of the most recent forward pass.
-    #[must_use]
-    pub fn output(&self) -> &[f64] {
-        &self.cur
-    }
 }
 
 impl Mlp {
@@ -95,13 +79,13 @@ impl Mlp {
 
     /// Input dimension.
     #[must_use]
-    pub fn input_dim(&self) -> usize {
+    pub(crate) fn input_dim(&self) -> usize {
         self.layers[0].input_dim()
     }
 
     /// Output dimension.
     #[must_use]
-    pub fn output_dim(&self) -> usize {
+    pub(crate) fn output_dim(&self) -> usize {
         self.layers.last().expect("mlp has layers").output_dim()
     }
 
@@ -113,14 +97,14 @@ impl Mlp {
 
     /// Number of layers.
     #[must_use]
-    pub fn layer_count(&self) -> usize {
+    pub(crate) fn layer_count(&self) -> usize {
         self.layers.len()
     }
 
     /// The widest activation any layer produces or consumes (sizes the
     /// scratch buffers).
     #[must_use]
-    pub fn max_width(&self) -> usize {
+    pub(crate) fn max_width(&self) -> usize {
         self.layers
             .iter()
             .map(|l| l.input_dim().max(l.output_dim()))

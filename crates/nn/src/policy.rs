@@ -82,17 +82,11 @@ impl PolicyFeatures {
         }
     }
 
-    /// Flattens into the MLP input layout.
-    #[must_use]
-    pub fn to_vec(&self) -> Vec<f64> {
-        self.to_array().to_vec()
-    }
-
     /// Flattens into the MLP input layout on the stack — no heap traffic,
     /// the form the control-loop hot path feeds to
     /// [`DrivingPolicy::act_scratch`].
     #[must_use]
-    pub fn to_array(&self) -> [f64; Self::DIM] {
+    pub(crate) fn to_array(self) -> [f64; Self::DIM] {
         [
             self.lateral,
             self.heading,
@@ -130,15 +124,9 @@ impl DrivingPolicy {
         Ok(Self { net })
     }
 
-    /// The underlying network.
-    #[must_use]
-    pub fn network(&self) -> &Mlp {
-        &self.net
-    }
-
     /// Flat parameter vector (for CEM).
     #[must_use]
-    pub fn to_params(&self) -> Vec<f64> {
+    pub(crate) fn to_params(&self) -> Vec<f64> {
         self.net.to_params()
     }
 
@@ -147,7 +135,7 @@ impl DrivingPolicy {
     /// # Errors
     ///
     /// Returns [`NnError::ShapeMismatch`] on length mismatch.
-    pub fn set_params(&mut self, params: &[f64]) -> Result<(), NnError> {
+    pub(crate) fn set_params(&mut self, params: &[f64]) -> Result<(), NnError> {
         self.net.set_params(params)
     }
 
@@ -300,7 +288,11 @@ pub struct TrainingReport {
 /// Episode-reward shaping mirroring the paper's setup (progress with
 /// penalties for collision and leaving the route).
 #[must_use]
-pub fn episode_reward(final_state: &VehicleState, status: EpisodeStatus, steps: usize) -> f64 {
+pub(crate) fn episode_reward(
+    final_state: &VehicleState,
+    status: EpisodeStatus,
+    steps: usize,
+) -> f64 {
     let progress = final_state.x.clamp(0.0, 150.0);
     let terminal = match status {
         EpisodeStatus::Completed => 100.0,
@@ -408,7 +400,6 @@ mod tests {
         assert!(f.obstacle_lateral > f.lateral);
         assert!((f.progress - 0.5).abs() < 1e-12);
         assert!((f.obstacle_proximity - 10.0 / 30.0).abs() < 1e-12);
-        assert_eq!(f.to_vec().len(), PolicyFeatures::DIM);
     }
 
     #[test]

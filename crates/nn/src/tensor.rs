@@ -34,7 +34,7 @@ impl Matrix {
     ///
     /// Panics if either dimension is zero.
     #[must_use]
-    pub fn zeros(rows: usize, cols: usize) -> Self {
+    pub(crate) fn zeros(rows: usize, cols: usize) -> Self {
         assert!(rows > 0 && cols > 0, "matrix dimensions must be positive");
         Self {
             rows,
@@ -79,52 +79,25 @@ impl Matrix {
 
     /// Number of rows.
     #[must_use]
-    pub fn rows(&self) -> usize {
+    pub(crate) fn rows(&self) -> usize {
         self.rows
     }
 
     /// Number of columns.
     #[must_use]
-    pub fn cols(&self) -> usize {
+    pub(crate) fn cols(&self) -> usize {
         self.cols
     }
 
     /// Borrow of the flat row-major data.
     #[must_use]
-    pub fn as_slice(&self) -> &[f64] {
+    pub(crate) fn as_slice(&self) -> &[f64] {
         &self.data
     }
 
     /// Mutable borrow of the flat row-major data.
-    pub fn as_mut_slice(&mut self) -> &mut [f64] {
+    pub(crate) fn as_mut_slice(&mut self) -> &mut [f64] {
         &mut self.data
-    }
-
-    /// Element access.
-    ///
-    /// # Panics
-    ///
-    /// Panics when out of bounds.
-    #[must_use]
-    pub fn get(&self, r: usize, c: usize) -> f64 {
-        assert!(
-            r < self.rows && c < self.cols,
-            "index ({r}, {c}) out of bounds"
-        );
-        self.data[r * self.cols + c]
-    }
-
-    /// Element assignment.
-    ///
-    /// # Panics
-    ///
-    /// Panics when out of bounds.
-    pub fn set(&mut self, r: usize, c: usize, value: f64) {
-        assert!(
-            r < self.rows && c < self.cols,
-            "index ({r}, {c}) out of bounds"
-        );
-        self.data[r * self.cols + c] = value;
     }
 
     /// Matrix–vector product `M * x`.
@@ -191,22 +164,6 @@ mod tests {
     }
 
     #[test]
-    fn get_set_roundtrip() {
-        let mut m = Matrix::zeros(2, 2);
-        m.set(1, 0, 7.0);
-        assert_eq!(m.get(1, 0), 7.0);
-        assert_eq!(m.as_slice()[2], 7.0);
-        m.as_mut_slice()[3] = 9.0;
-        assert_eq!(m.get(1, 1), 9.0);
-    }
-
-    #[test]
-    #[should_panic(expected = "out of bounds")]
-    fn get_out_of_bounds_panics() {
-        let _ = Matrix::zeros(2, 2).get(2, 0);
-    }
-
-    #[test]
     #[should_panic(expected = "dimension mismatch")]
     fn matvec_wrong_len_panics() {
         let _ = Matrix::zeros(2, 3).matvec(&[1.0, 2.0]);
@@ -221,8 +178,8 @@ mod tests {
     #[test]
     fn from_flat_roundtrip() {
         let m = Matrix::from_flat(2, 2, vec![1.0, 2.0, 3.0, 4.0]);
-        assert_eq!(m.get(0, 1), 2.0);
-        assert_eq!(m.get(1, 0), 3.0);
+        assert_eq!(m.matvec(&[1.0, 0.0]), vec![1.0, 3.0]);
+        assert_eq!(m.matvec(&[0.0, 1.0]), vec![2.0, 4.0]);
     }
 
     #[test]

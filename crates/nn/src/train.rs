@@ -43,7 +43,7 @@ impl CemConfig {
     ///
     /// Returns [`NnError::InvalidTraining`] when the population is empty,
     /// there are zero elites, or elites exceed the population.
-    pub fn validate(&self) -> Result<(), NnError> {
+    pub(crate) fn validate(&self) -> Result<(), NnError> {
         if self.population == 0 {
             return Err(NnError::InvalidTraining {
                 reason: "population must be positive",
@@ -140,20 +140,14 @@ impl CemTrainer {
 
     /// Best-scoring parameters seen so far.
     #[must_use]
-    pub fn best_params(&self) -> &[f64] {
+    pub(crate) fn best_params(&self) -> &[f64] {
         &self.best_params
     }
 
     /// Best score seen so far (`-inf` before the first step).
     #[must_use]
-    pub fn best_score(&self) -> f64 {
+    pub(crate) fn best_score(&self) -> f64 {
         self.best_score
-    }
-
-    /// Completed generations.
-    #[must_use]
-    pub fn generation(&self) -> usize {
-        self.generation
     }
 
     /// Runs one generation: sample, score with `objective` (higher is
@@ -275,7 +269,7 @@ mod tests {
             assert!((m - t).abs() < 0.15, "mean {m} far from target {t}");
         }
         assert!(trainer.best_score() > -0.05);
-        assert_eq!(trainer.generation(), 80);
+        assert_eq!(trainer.generation, 80);
     }
 
     #[test]

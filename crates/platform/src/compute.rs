@@ -75,12 +75,6 @@ impl ComputeProfile {
         }
     }
 
-    /// Model name.
-    #[must_use]
-    pub fn name(&self) -> &str {
-        &self.name
-    }
-
     /// Execution latency `T_N` of one full inference.
     #[must_use]
     pub fn latency(&self) -> Seconds {
@@ -116,17 +110,6 @@ impl ComputeProfile {
             "gating level {level} outside [0, 1]"
         );
         self.energy_per_inference() * level
-    }
-
-    /// Returns a copy with latency scaled by `factor` (e.g. to model a
-    /// faster accelerator or a larger model variant).
-    ///
-    /// # Errors
-    ///
-    /// Returns [`PlatformError::InvalidQuantity`] if the scaled latency is
-    /// invalid.
-    pub fn with_latency_scaled(&self, factor: f64) -> Result<Self, PlatformError> {
-        Self::new(self.name.clone(), self.latency * factor, self.power)
     }
 }
 
@@ -189,17 +172,6 @@ mod tests {
     #[should_panic(expected = "gating level")]
     fn gating_level_out_of_range_panics() {
         let _ = ComputeProfile::px2_resnet152().energy_at_gating_level(1.5);
-    }
-
-    #[test]
-    fn latency_scaling() {
-        let p = ComputeProfile::px2_resnet152()
-            .with_latency_scaled(0.5)
-            .expect("valid");
-        assert_eq!(p.latency(), Seconds::from_millis(8.5));
-        assert!(ComputeProfile::px2_resnet152()
-            .with_latency_scaled(-1.0)
-            .is_err());
     }
 
     #[test]

@@ -6,8 +6,7 @@
 //! keep running because of inertia. The three industry sensors the paper
 //! characterizes are provided as presets.
 
-use crate::error::PlatformError;
-use crate::units::{Joules, Seconds, Watts};
+use crate::units::Watts;
 use std::fmt;
 
 /// Power specification of one physical sensor.
@@ -29,36 +28,6 @@ pub struct SensorSpec {
 }
 
 impl SensorSpec {
-    /// Creates a sensor specification.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`PlatformError::InvalidQuantity`] if either power is negative
-    /// or non-finite.
-    pub fn new(
-        name: impl Into<String>,
-        measurement_power: Watts,
-        mechanical_power: Watts,
-    ) -> Result<Self, PlatformError> {
-        if !measurement_power.is_valid() {
-            return Err(PlatformError::InvalidQuantity {
-                field: "measurement_power",
-                value: measurement_power.as_watts(),
-            });
-        }
-        if !mechanical_power.is_valid() {
-            return Err(PlatformError::InvalidQuantity {
-                field: "mechanical_power",
-                value: mechanical_power.as_watts(),
-            });
-        }
-        Ok(Self {
-            name: name.into(),
-            measurement_power,
-            mechanical_power,
-        })
-    }
-
     /// An idealized sensor that draws no power (useful when experiments only
     /// account for compute energy, as in the paper's Figures 5–6).
     #[must_use]
@@ -126,21 +95,6 @@ impl SensorSpec {
     pub fn active_power(&self) -> Watts {
         self.measurement_power + self.mechanical_power
     }
-
-    /// Sensor energy drawn over one base window `tau` while **gated**
-    /// (paper eq. 8): only the mechanical component keeps running,
-    /// `E_Ω = τ · P_mech`.
-    #[must_use]
-    pub fn gated_window_energy(&self, tau: Seconds) -> Joules {
-        tau * self.mechanical_power
-    }
-
-    /// Sensor energy drawn over one base window `tau` while **measuring**
-    /// (paper eq. 8, sensor part): `τ · (P_mech + P_meas)`.
-    #[must_use]
-    pub fn active_window_energy(&self, tau: Seconds) -> Joules {
-        tau * self.active_power()
-    }
 }
 
 impl fmt::Display for SensorSpec {
@@ -175,35 +129,9 @@ mod tests {
     }
 
     #[test]
-    fn window_energies_follow_eq8() {
-        let tau = Seconds::from_millis(20.0);
-        let lidar = SensorSpec::velodyne_hdl32e();
-        // Gated: only the rotation motor draws power.
-        assert!((lidar.gated_window_energy(tau).as_joules() - 0.02 * 2.4).abs() < 1e-12);
-        // Active: motor + measurement.
-        assert!((lidar.active_window_energy(tau).as_joules() - 0.02 * 12.0).abs() < 1e-12);
-    }
-
-    #[test]
-    fn camera_gated_energy_is_zero() {
-        let cam = SensorSpec::zed_camera();
-        assert_eq!(
-            cam.gated_window_energy(Seconds::from_millis(20.0)),
-            Joules::ZERO
-        );
-    }
-
-    #[test]
     fn zero_power_sensor() {
         let s = SensorSpec::zero_power("ideal");
         assert_eq!(s.active_power(), Watts::ZERO);
-        assert_eq!(s.active_window_energy(Seconds::new(1.0)), Joules::ZERO);
-    }
-
-    #[test]
-    fn rejects_invalid_powers() {
-        assert!(SensorSpec::new("s", Watts::new(-1.0), Watts::ZERO).is_err());
-        assert!(SensorSpec::new("s", Watts::ZERO, Watts::new(f64::INFINITY)).is_err());
     }
 
     #[test]

@@ -66,12 +66,6 @@ macro_rules! unit_newtype {
             pub fn clamp(self, lo: Self, hi: Self) -> Self {
                 Self(self.0.clamp(lo.0, hi.0))
             }
-
-            /// Absolute value.
-            #[must_use]
-            pub fn abs(self) -> Self {
-                Self(self.0.abs())
-            }
         }
 
         impl Add for $name {
@@ -208,14 +202,6 @@ impl Seconds {
     pub fn as_millis(self) -> f64 {
         self.as_secs() * 1e3
     }
-
-    /// The reciprocal frequency `1 / t`.
-    ///
-    /// Returns [`Hertz`] of `f64::INFINITY` when the duration is zero.
-    #[must_use]
-    pub fn to_frequency(self) -> Hertz {
-        Hertz::new(1.0 / self.as_secs())
-    }
 }
 
 impl Hertz {
@@ -234,7 +220,7 @@ impl Hertz {
 impl Bits {
     /// Creates a data quantity from bytes.
     #[must_use]
-    pub fn from_bytes(bytes: f64) -> Self {
+    pub(crate) fn from_bytes(bytes: f64) -> Self {
         Self::new(bytes * 8.0)
     }
 
@@ -242,12 +228,6 @@ impl Bits {
     #[must_use]
     pub fn from_kilobytes(kb: f64) -> Self {
         Self::from_bytes(kb * 1e3)
-    }
-
-    /// Returns the quantity in bytes.
-    #[must_use]
-    pub fn as_bytes(self) -> f64 {
-        self.as_bits() / 8.0
     }
 }
 
@@ -364,7 +344,6 @@ mod tests {
     fn frequency_period_roundtrip() {
         let f = Hertz::new(50.0);
         assert_eq!(f.to_period(), Seconds::from_millis(20.0));
-        assert!((f.to_period().to_frequency().as_hertz() - 50.0).abs() < 1e-12);
     }
 
     #[test]
@@ -406,7 +385,6 @@ mod tests {
         assert_eq!(w.clamp(Watts::ZERO, Watts::new(2.0)), Watts::new(2.0));
         assert_eq!(w.max(Watts::new(7.0)), Watts::new(7.0));
         assert_eq!(w.min(Watts::new(2.0)), Watts::new(2.0));
-        assert_eq!(Watts::new(-3.0).abs(), Watts::new(3.0));
     }
 
     #[test]
@@ -426,6 +404,6 @@ mod tests {
     #[test]
     fn bytes_conversion() {
         assert_eq!(Bits::from_bytes(1.0).as_bits(), 8.0);
-        assert_eq!(Bits::from_kilobytes(1.0).as_bytes(), 1000.0);
+        assert_eq!(Bits::from_kilobytes(1.0).as_bits(), 8000.0);
     }
 }

@@ -36,7 +36,6 @@
 //! it is non-negative. A caller that reads the value of a non-negative `h`
 //! must use [`DistanceBarrier::value_in_world`].
 
-use crate::error::SafetyError;
 use seo_platform::units::Seconds;
 use seo_sim::sensing::RelativeObservation;
 use seo_sim::vehicle::{BicycleModel, Control, VehicleState};
@@ -102,34 +101,6 @@ impl Default for DistanceBarrier {
 }
 
 impl DistanceBarrier {
-    /// Validates the parameterization.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`SafetyError::InvalidConfig`] for non-positive clearance or
-    /// braking, or a negative kinetic gain.
-    pub fn validate(&self) -> Result<(), SafetyError> {
-        if !(self.safe_radius.is_finite() && self.safe_radius > 0.0) {
-            return Err(SafetyError::InvalidConfig {
-                field: "safe_radius",
-                constraint: "be finite and positive",
-            });
-        }
-        if !(self.max_braking.is_finite() && self.max_braking > 0.0) {
-            return Err(SafetyError::InvalidConfig {
-                field: "max_braking",
-                constraint: "be finite and positive",
-            });
-        }
-        if !(self.kinetic_gain.is_finite() && self.kinetic_gain >= 0.0) {
-            return Err(SafetyError::InvalidConfig {
-                field: "kinetic_gain",
-                constraint: "be finite and non-negative",
-            });
-        }
-        Ok(())
-    }
-
     /// Evaluates `h` on a safety-state observation.
     ///
     /// Returns `f64::INFINITY` when no obstacle is in the world — there is
@@ -242,12 +213,6 @@ impl DistanceBarrier {
         Some(nearest.map_or(f64::INFINITY, |(obstacle, distance)| {
             self.screened_value(obstacle.x, obstacle.y, distance, state)
         }))
-    }
-
-    /// The binary safety state `S` of eq. (1): `true` iff `h >= 0`.
-    #[must_use]
-    pub fn is_safe(&self, observation: &RelativeObservation) -> bool {
-        self.value(observation) >= 0.0
     }
 
     /// Proves, without a rollout, that `h > 0` at every state `model` can
@@ -444,8 +409,8 @@ mod tests {
     #[test]
     fn far_is_safe_near_is_unsafe() {
         let b = DistanceBarrier::default();
-        assert!(b.is_safe(&obs(50.0, 0.0, 10.0)));
-        assert!(!b.is_safe(&obs(1.0, 0.0, 10.0)));
+        assert!(b.value(&obs(50.0, 0.0, 10.0)) >= 0.0);
+        assert!(b.value(&obs(1.0, 0.0, 10.0)) < 0.0);
     }
 
     #[test]
@@ -455,8 +420,8 @@ mod tests {
         let head_on = obs(5.0, 0.0, 12.0);
         let away = obs(5.0, PI, 12.0);
         assert!(b.value(&head_on) < b.value(&away));
-        assert!(!b.is_safe(&head_on));
-        assert!(b.is_safe(&away));
+        assert!(b.value(&head_on) < 0.0);
+        assert!(b.value(&away) >= 0.0);
     }
 
     #[test]
@@ -469,7 +434,6 @@ mod tests {
     fn no_obstacle_is_infinitely_safe() {
         let b = DistanceBarrier::default();
         assert_eq!(b.value(&obs(f64::INFINITY, 0.0, 10.0)), f64::INFINITY);
-        assert!(b.is_safe(&obs(f64::INFINITY, 0.0, 10.0)));
         let empty = World::empty();
         assert_eq!(
             b.value_in_world(&empty, &VehicleState::route_start()),
@@ -483,8 +447,8 @@ mod tests {
         let speed = 10.0;
         let d = b.critical_distance(speed);
         assert!((b.value(&obs(d, 0.0, speed))).abs() < 1e-12);
-        assert!(b.is_safe(&obs(d + 0.01, 0.0, speed)));
-        assert!(!b.is_safe(&obs(d - 0.01, 0.0, speed)));
+        assert!(b.value(&obs(d + 0.01, 0.0, speed)) >= 0.0);
+        assert!(b.value(&obs(d - 0.01, 0.0, speed)) < 0.0);
     }
 
     #[test]
@@ -498,35 +462,6 @@ mod tests {
         // Distance to nearest surface = 19.
         let expected = b.value(&obs(19.0, 0.0, 5.0));
         assert!((b.value_in_world(&world, &state) - expected).abs() < 1e-9);
-    }
-
-    #[test]
-    fn validation() {
-        assert!(DistanceBarrier::default().validate().is_ok());
-        assert!(DistanceBarrier {
-            safe_radius: 0.0,
-            ..Default::default()
-        }
-        .validate()
-        .is_err());
-        assert!(DistanceBarrier {
-            max_braking: -1.0,
-            ..Default::default()
-        }
-        .validate()
-        .is_err());
-        assert!(DistanceBarrier {
-            kinetic_gain: -0.1,
-            ..Default::default()
-        }
-        .validate()
-        .is_err());
-        assert!(DistanceBarrier {
-            kinetic_gain: 0.0,
-            ..Default::default()
-        }
-        .validate()
-        .is_ok());
     }
 
     #[test]

@@ -197,18 +197,6 @@ impl SafetyFilter {
         &self.barrier
     }
 
-    /// Returns a copy with a different look-ahead (builder style).
-    ///
-    /// # Panics
-    ///
-    /// Panics if `lookahead` is non-positive.
-    #[must_use]
-    pub fn with_lookahead(mut self, lookahead: Seconds) -> Self {
-        assert!(lookahead.as_secs() > 0.0, "lookahead must be positive");
-        self.lookahead = lookahead;
-        self
-    }
-
     /// Returns a copy that integrates the look-ahead at `step` (builder
     /// style). Set it to the plant's control period, so Ψ certifies the
     /// states the plant actually visits.
@@ -1071,11 +1059,5 @@ mod tests {
         assert!(set.iter().any(|c| c.throttle == -1.0));
         assert!(set.iter().any(|c| c.steering == 1.0));
         assert!(set.iter().any(|c| c.steering == -1.0));
-    }
-
-    #[test]
-    #[should_panic(expected = "lookahead must be positive")]
-    fn zero_lookahead_panics() {
-        let _ = SafetyFilter::default().with_lookahead(Seconds::ZERO);
     }
 }

@@ -116,12 +116,6 @@ impl SafeIntervalEvaluator {
         }
     }
 
-    /// The barrier in use.
-    #[must_use]
-    pub fn barrier(&self) -> &DistanceBarrier {
-        &self.barrier
-    }
-
     /// The cap on returned intervals.
     #[must_use]
     pub fn horizon(&self) -> Seconds {
@@ -138,12 +132,6 @@ impl SafeIntervalEvaluator {
         assert!(horizon.as_secs() > 0.0, "horizon must be positive");
         self.horizon = horizon;
         self
-    }
-
-    /// The conservatism divisor κ (see the type-level docs).
-    #[must_use]
-    pub fn conservatism(&self) -> f64 {
-        self.conservatism
     }
 
     /// Returns a copy with a different conservatism divisor (builder

@@ -73,7 +73,7 @@ impl Axis {
 
     /// Index of the grid point at or below `v` (clamped into range).
     #[must_use]
-    pub fn floor_index(&self, v: f64) -> usize {
+    pub(crate) fn floor_index(&self, v: f64) -> usize {
         if !v.is_finite() {
             return if v > 0.0 { self.points - 1 } else { 0 };
         }

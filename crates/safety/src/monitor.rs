@@ -51,12 +51,6 @@ impl SafetyMonitor {
         h
     }
 
-    /// Total recorded periods.
-    #[must_use]
-    pub fn steps(&self) -> usize {
-        self.steps
-    }
-
     /// Periods with `S = 0`.
     #[must_use]
     pub fn unsafe_steps(&self) -> usize {
@@ -79,22 +73,6 @@ impl SafetyMonitor {
     #[must_use]
     pub fn min_distance(&self) -> f64 {
         self.min_distance
-    }
-
-    /// Whether `S = 1` held on every recorded period.
-    #[must_use]
-    pub fn always_safe(&self) -> bool {
-        self.unsafe_steps == 0
-    }
-
-    /// Fraction of periods spent unsafe (0 when nothing was recorded).
-    #[must_use]
-    pub fn unsafe_fraction(&self) -> f64 {
-        if self.steps == 0 {
-            0.0
-        } else {
-            self.unsafe_steps as f64 / self.steps as f64
-        }
     }
 }
 
@@ -123,9 +101,7 @@ mod tests {
     #[test]
     fn fresh_monitor_is_trivially_safe() {
         let m = SafetyMonitor::new(DistanceBarrier::default());
-        assert!(m.always_safe());
-        assert_eq!(m.steps(), 0);
-        assert_eq!(m.unsafe_fraction(), 0.0);
+        assert_eq!(m.unsafe_steps(), 0);
         assert_eq!(m.min_barrier(), f64::INFINITY);
     }
 
@@ -136,11 +112,11 @@ mod tests {
         assert!(h1 > 0.0);
         let h2 = m.record(&obs(1.0, 10.0), true);
         assert!(h2 < 0.0);
-        assert_eq!(m.steps(), 2);
         assert_eq!(m.unsafe_steps(), 1);
         assert_eq!(m.corrections(), 1);
-        assert!(!m.always_safe());
-        assert!((m.unsafe_fraction() - 0.5).abs() < 1e-12);
+        assert!(m
+            .to_string()
+            .starts_with("2 steps, 1 unsafe, 1 corrections"));
     }
 
     #[test]

@@ -175,12 +175,6 @@ impl<'w> Episode<'w> {
         Seconds::new(self.steps as f64 * self.config.dt.as_secs())
     }
 
-    /// The episode configuration.
-    #[must_use]
-    pub fn config(&self) -> &EpisodeConfig {
-        &self.config
-    }
-
     /// Mutates the world in place (allocation-free snapshot advancement for
     /// dynamic scenarios: `episode.update_world(|w| dynamic.snapshot_into(now, w))`)
     /// and re-evaluates the termination conditions.

@@ -60,20 +60,6 @@ impl ScenarioConfig {
         self
     }
 
-    /// Sets the road (builder style).
-    #[must_use]
-    pub fn with_road(mut self, road: Road) -> Self {
-        self.road = road;
-        self
-    }
-
-    /// Sets the obstacle radius (builder style).
-    #[must_use]
-    pub fn with_obstacle_radius(mut self, radius: f64) -> Self {
-        self.obstacle_radius = radius.max(0.0);
-        self
-    }
-
     /// Generates the world deterministically from the seed.
     ///
     /// Obstacles are spread across the obstacle zone (final third by
@@ -177,12 +163,11 @@ mod tests {
 
     #[test]
     fn builder_setters() {
-        let cfg = ScenarioConfig::new(1)
-            .with_seed(3)
-            .with_road(Road::new(50.0, 6.0))
-            .with_obstacle_radius(0.5);
-        assert_eq!(cfg.road.length, 50.0);
-        assert_eq!(cfg.obstacle_radius, 0.5);
+        let cfg = ScenarioConfig {
+            road: Road::new(50.0, 6.0),
+            ..ScenarioConfig::new(1).with_seed(3)
+        };
+        assert_eq!(cfg.seed, 3);
         let w = cfg.generate();
         assert!(w.obstacles()[0].x >= 50.0 * 2.0 / 3.0);
     }

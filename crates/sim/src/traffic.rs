@@ -81,7 +81,7 @@ impl TrafficProfile {
     ///   (left) half of the road, driving back toward the vehicle at
     ///   `-speed` longitudinally.
     #[must_use]
-    pub fn movers(&self, world: &World) -> Vec<MovingObstacle> {
+    pub(crate) fn movers(&self, world: &World) -> Vec<MovingObstacle> {
         let road = world.road();
         let n = self.count.max(1) as f64;
         (0..self.count)

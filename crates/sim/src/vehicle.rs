@@ -6,7 +6,6 @@
 //! bicycle model satisfies that and is the standard low-fidelity stand-in for
 //! CARLA's vehicle physics.
 
-use crate::error::SimError;
 use seo_platform::units::Seconds;
 use std::fmt;
 
@@ -177,37 +176,6 @@ impl Default for BicycleModel {
 }
 
 impl BicycleModel {
-    /// Validates the parameterization.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`SimError::InvalidConfig`] when any physical parameter is
-    /// non-positive or non-finite (drag may be zero).
-    pub fn validate(&self) -> Result<(), SimError> {
-        let positive: [(&'static str, f64); 5] = [
-            ("wheelbase", self.wheelbase),
-            ("max_steering_angle", self.max_steering_angle),
-            ("max_acceleration", self.max_acceleration),
-            ("max_braking", self.max_braking),
-            ("max_speed", self.max_speed),
-        ];
-        for (field, value) in positive {
-            if !(value.is_finite() && value > 0.0) {
-                return Err(SimError::InvalidConfig {
-                    field,
-                    constraint: "be finite and positive",
-                });
-            }
-        }
-        if !(self.drag.is_finite() && self.drag >= 0.0) {
-            return Err(SimError::InvalidConfig {
-                field: "drag",
-                constraint: "be finite and non-negative",
-            });
-        }
-        Ok(())
-    }
-
     /// The steering tangent and acceleration of `control`: all a step
     /// needs of it, so a rollout derives them once.
     fn frozen(&self, control: Control) -> Frozen {
@@ -392,24 +360,6 @@ mod tests {
             count < 3
         });
         assert_eq!(count, 3);
-    }
-
-    #[test]
-    fn validate_rejects_bad_params() {
-        let mut m = BicycleModel::default();
-        assert!(m.validate().is_ok());
-        m.wheelbase = 0.0;
-        assert!(m.validate().is_err());
-        let m = BicycleModel {
-            drag: -0.1,
-            ..Default::default()
-        };
-        assert!(m.validate().is_err());
-        let m = BicycleModel {
-            max_speed: f64::NAN,
-            ..Default::default()
-        };
-        assert!(m.validate().is_err());
     }
 
     #[test]

@@ -73,13 +73,13 @@ impl Road {
 
     /// Whether the lateral position is within the drivable surface.
     #[must_use]
-    pub fn contains_lateral(&self, y: f64) -> bool {
+    pub(crate) fn contains_lateral(&self, y: f64) -> bool {
         y.abs() <= self.width / 2.0
     }
 
     /// Whether the longitudinal position has passed the route end.
     #[must_use]
-    pub fn is_past_end(&self, x: f64) -> bool {
+    pub(crate) fn is_past_end(&self, x: f64) -> bool {
         x >= self.length
     }
 }
@@ -160,7 +160,7 @@ impl World {
     /// Whether the vehicle (treated as a point with `margin` radius) overlaps
     /// any obstacle.
     #[must_use]
-    pub fn is_collision(&self, vehicle: &VehicleState, margin: f64) -> bool {
+    pub(crate) fn is_collision(&self, vehicle: &VehicleState, margin: f64) -> bool {
         self.obstacles
             .iter()
             .any(|o| o.surface_distance(vehicle.x, vehicle.y) <= margin)
@@ -168,13 +168,13 @@ impl World {
 
     /// Whether the vehicle has left the drivable surface.
     #[must_use]
-    pub fn is_off_road(&self, vehicle: &VehicleState) -> bool {
+    pub(crate) fn is_off_road(&self, vehicle: &VehicleState) -> bool {
         !self.road.contains_lateral(vehicle.y)
     }
 
     /// Whether the vehicle has completed the route.
     #[must_use]
-    pub fn is_route_complete(&self, vehicle: &VehicleState) -> bool {
+    pub(crate) fn is_route_complete(&self, vehicle: &VehicleState) -> bool {
         self.road.is_past_end(vehicle.x)
     }
 }

@@ -56,7 +56,7 @@ impl GilbertElliottChannel {
     ///
     /// Returns [`WirelessError::InvalidConfig`] when either transition
     /// probability lies outside `(0, 1]`.
-    pub fn new(
+    pub(crate) fn new(
         good: RayleighChannel,
         bad: RayleighChannel,
         p_gb: f64,
@@ -104,13 +104,13 @@ impl GilbertElliottChannel {
     /// Stationary probability of being in the bad state,
     /// `p_gb / (p_gb + p_bg)`.
     #[must_use]
-    pub fn stationary_bad_fraction(&self) -> f64 {
+    pub(crate) fn stationary_bad_fraction(&self) -> f64 {
         self.p_gb / (self.p_gb + self.p_bg)
     }
 
     /// Long-run mean data rate across both states.
     #[must_use]
-    pub fn mean_rate(&self) -> BitsPerSecond {
+    pub(crate) fn mean_rate(&self) -> BitsPerSecond {
         let bad = self.stationary_bad_fraction();
         self.good.mean_rate() * (1.0 - bad) + self.bad.mean_rate() * bad
     }

@@ -60,15 +60,9 @@ impl RayleighChannel {
         Self::new(BitsPerSecond::from_mbps(20.0))
     }
 
-    /// The Rayleigh scale σ.
-    #[must_use]
-    pub fn scale(&self) -> BitsPerSecond {
-        self.scale
-    }
-
     /// Mean of the distribution, `σ sqrt(π/2)`.
     #[must_use]
-    pub fn mean_rate(&self) -> BitsPerSecond {
+    pub(crate) fn mean_rate(&self) -> BitsPerSecond {
         self.scale * (std::f64::consts::PI / 2.0).sqrt()
     }
 
@@ -96,7 +90,7 @@ mod tests {
     #[test]
     fn paper_default_scale_is_20_mbps() {
         let c = RayleighChannel::paper_default().expect("valid");
-        assert_eq!(c.scale().as_mbps(), 20.0);
+        assert_eq!(c.scale.as_mbps(), 20.0);
         assert!(
             (c.mean_rate().as_mbps() - 20.0 * (std::f64::consts::PI / 2.0).sqrt()).abs() < 1e-9
         );

@@ -49,7 +49,7 @@ impl FadingChannel {
 
     /// Draws one effective data rate, advancing the Markov chain in the
     /// bursty case.
-    pub fn sample_rate<R: Rng>(&mut self, rng: &mut R) -> BitsPerSecond {
+    pub(crate) fn sample_rate<R: Rng>(&mut self, rng: &mut R) -> BitsPerSecond {
         match self {
             Self::Rayleigh(c) => c.sample_rate(rng),
             Self::Bursty(c) => c.sample_rate(rng),
@@ -168,27 +168,9 @@ impl WirelessLink {
 
     /// Returns a copy with a different fading channel (builder style).
     #[must_use]
-    pub fn with_channel(mut self, channel: FadingChannel) -> Self {
+    pub(crate) fn with_channel(mut self, channel: FadingChannel) -> Self {
         self.channel = channel;
         self
-    }
-
-    /// The fading channel.
-    #[must_use]
-    pub fn channel(&self) -> &FadingChannel {
-        &self.channel
-    }
-
-    /// Offload payload size.
-    #[must_use]
-    pub fn payload(&self) -> Bits {
-        self.payload
-    }
-
-    /// Radio power `P_tx`.
-    #[must_use]
-    pub fn tx_power(&self) -> Watts {
-        self.tx_power
     }
 
     /// Returns a copy with a different payload (builder style).
@@ -208,7 +190,7 @@ impl WirelessLink {
 
     /// Expected transmission latency at the channel's mean rate.
     #[must_use]
-    pub fn expected_latency(&self) -> Seconds {
+    pub(crate) fn expected_latency(&self) -> Seconds {
         self.payload / self.channel.mean_rate() + self.protocol_overhead
     }
 
@@ -248,7 +230,7 @@ mod tests {
         let mut rng = StdRng::seed_from_u64(1);
         for _ in 0..100 {
             let tx = link.transmit(&mut rng);
-            let expected = tx.latency * link.tx_power();
+            let expected = tx.latency * link.tx_power;
             assert!((tx.energy.as_joules() - expected.as_joules()).abs() < 1e-15);
         }
     }

@@ -24,7 +24,7 @@ impl EdgeServer {
     ///
     /// Returns [`WirelessError::InvalidConfig`] for negative or non-finite
     /// latencies.
-    pub fn new(base_latency: Seconds, jitter: Seconds) -> Result<Self, WirelessError> {
+    pub(crate) fn new(base_latency: Seconds, jitter: Seconds) -> Result<Self, WirelessError> {
         if !base_latency.is_valid() {
             return Err(WirelessError::InvalidConfig {
                 field: "base_latency",
@@ -54,20 +54,14 @@ impl EdgeServer {
         Self::new(Seconds::from_millis(4.0), Seconds::from_millis(3.0))
     }
 
-    /// Deterministic base latency.
-    #[must_use]
-    pub fn base_latency(&self) -> Seconds {
-        self.base_latency
-    }
-
     /// Expected processing latency (base + jitter/2).
     #[must_use]
-    pub fn expected_latency(&self) -> Seconds {
+    pub(crate) fn expected_latency(&self) -> Seconds {
         self.base_latency + self.jitter * 0.5
     }
 
     /// Samples one server-side processing latency.
-    pub fn sample_latency<R: Rng>(&self, rng: &mut R) -> Seconds {
+    pub(crate) fn sample_latency<R: Rng>(&self, rng: &mut R) -> Seconds {
         if self.jitter.as_secs() == 0.0 {
             return self.base_latency;
         }
@@ -87,7 +81,7 @@ mod tests {
         let mut rng = StdRng::seed_from_u64(1);
         for _ in 0..1000 {
             let t = s.sample_latency(&mut rng);
-            assert!(t >= s.base_latency());
+            assert!(t >= s.base_latency);
             assert!(t.as_millis() < 7.0 + 1e-9);
         }
     }

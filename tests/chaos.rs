@@ -12,29 +12,16 @@
 //! flag or a `shutdown` frame, never [`seo_core::daemon::request_drain`]
 //! (which is process-global and would drain the other tests' daemons).
 
-use seo_core::batch::ScenarioSpec;
 use seo_core::prelude::*;
 use seo_core::shard::{report_line, summary_line};
 use seo_core::transport::{
     done_frame, exchange, health_request_frame, parse_worker_frame, read_frame,
     shutdown_request_frame, write_frame, JobRequest, WorkerMsg,
 };
-use seo_integration::{paper_runtime, serial_reference};
+use seo_integration::{paper, paper_runtime, pool_of, serial_reports, SCENARIOS, SEED};
 use std::net::{SocketAddr, TcpListener, TcpStream};
 use std::sync::{mpsc, Arc};
 use std::time::{Duration, Instant};
-
-const SCENARIOS: usize = 6;
-const SEED: u64 = 2023;
-
-fn serial_reports() -> Vec<EpisodeReport> {
-    serial_reference(&paper_runtime(), &ScenarioSpec::paper_grid(SCENARIOS, SEED))
-}
-
-/// The paper-preset plan over the legacy grid `serial_reports` runs.
-fn paper() -> SweepPlan {
-    SweepPlan::paper(SCENARIOS, SEED)
-}
 
 /// An in-process daemon plus the channel its `serve` result arrives on
 /// (so drain tests can assert the loop actually returned, and cleanly).
@@ -69,20 +56,6 @@ fn faulty(spec: &str) -> DaemonConfig {
         faults: Some(spec.parse().expect("fault grammar")),
         ..DaemonConfig::default()
     }
-}
-
-fn pool_of(hosts: &[(SocketAddr, u64)], retry: RetryPolicy) -> HostPool {
-    HostPool::new(
-        hosts
-            .iter()
-            .map(|&(addr, capacity)| HostSpec {
-                addr: addr.to_string(),
-                capacity,
-            })
-            .collect(),
-    )
-    .expect("valid pool")
-    .with_retry(retry)
 }
 
 fn episodes_on(stats: &RemoteRunStats, addr: SocketAddr) -> usize {
@@ -148,7 +121,7 @@ fn assert_drained(daemon: &Daemon) {
 fn daemon_serves_consecutive_jobs_answers_health_and_drains() {
     let serial = serial_reports();
     let daemon = spawn_daemon(DaemonConfig::default());
-    let coordinator = RemoteCoordinator::new(pool_of(&[(daemon.addr, 1)], RetryPolicy::default()));
+    let coordinator = RemoteCoordinator::new(pool_of(&[(daemon.addr, 1)]));
     for run in 0..3 {
         let (merged, stats) = coordinator.run_plan(&paper()).expect("daemon serves");
         assert_eq!(merged, serial, "run {run} must be bit-identical");
@@ -273,8 +246,9 @@ fn dead_on_arrival_daemon_recovering_within_budget_finishes_its_lease() {
         attempts: 6,
         base_delay_ms: 50,
     };
-    let coordinator = RemoteCoordinator::new(pool_of(&[(late_addr, 1), (healthy.addr, 1)], retry))
-        .with_timeout(Duration::from_secs(5));
+    let coordinator =
+        RemoteCoordinator::new(pool_of(&[(late_addr, 1), (healthy.addr, 1)]).with_retry(retry))
+            .with_timeout(Duration::from_secs(5));
     let (merged, stats) = coordinator.run_plan(&paper()).expect("recovers in budget");
     assert_eq!(merged, serial);
     assert!(
@@ -314,7 +288,8 @@ fn quarantined_daemon_is_probed_and_readmitted_mid_run() {
         attempts: 2,
         base_delay_ms: 50,
     };
-    let coordinator = RemoteCoordinator::new(pool_of(&[(flaky.addr, 1), (healthy.addr, 1)], retry));
+    let coordinator =
+        RemoteCoordinator::new(pool_of(&[(flaky.addr, 1), (healthy.addr, 1)]).with_retry(retry));
     let (merged, stats) = coordinator.run_plan(&paper()).expect("readmission run");
     assert_eq!(merged, serial);
     assert!(stats.retries >= 1, "the refusals must burn retries");
@@ -337,11 +312,8 @@ fn quarantined_daemon_is_probed_and_readmitted_mid_run() {
     let stalling = spawn_daemon(faulty("stall-ms=100"));
     let dropping = spawn_daemon(faulty("drop-after=1"));
     let healthy = spawn_daemon(DaemonConfig::default());
-    let pool = pool_of(
-        &[(stalling.addr, 1), (dropping.addr, 1), (healthy.addr, 1)],
-        RetryPolicy::default(),
-    )
-    .with_chunk(ChunkPolicy::Fixed(2));
+    let pool = pool_of(&[(stalling.addr, 1), (dropping.addr, 1), (healthy.addr, 1)])
+        .with_chunk(ChunkPolicy::Fixed(2));
     let (merged, stats) = RemoteCoordinator::new(pool)
         .run_plan(&plan)
         .expect("survivable chaos");
@@ -449,7 +421,7 @@ fn summary_fragment_that_skips_its_episodes_is_fatal() {
     // The honest daemon stalls every connection, so the liar is sure to
     // pull a lease before the grid is done.
     let honest = spawn_daemon(faulty("stall-ms=50"));
-    let pool = pool_of(&[(liar, 1), (honest.addr, 1)], RetryPolicy::default());
+    let pool = pool_of(&[(liar, 1), (honest.addr, 1)]);
     let (summary, stats) = RemoteCoordinator::new(pool)
         .run_plan_summary(&plan)
         .expect("the honest host finishes the grid");
@@ -467,7 +439,7 @@ fn summary_fragment_that_skips_its_episodes_is_fatal() {
     assert_eq!(episodes_on(&stats, liar), 0);
     assert_eq!(episodes_on(&stats, honest.addr), plan.n_specs());
 
-    let alone = pool_of(&[(liar, 1)], RetryPolicy::default());
+    let alone = pool_of(&[(liar, 1)]);
     match RemoteCoordinator::new(alone).run_plan_summary(&plan) {
         Err(TransportError::NoSurvivors {
             remaining,
@@ -488,17 +460,13 @@ fn summary_fragment_that_skips_its_episodes_is_fatal() {
 fn garbled_report_is_fatal_and_never_retried() {
     for plan in [paper(), paper().with_channels(vec![ChannelKind::Bursty])] {
         let serial = plan.run_serial().expect("serial baseline");
-        // Garble the second report of every job; the seed keys the
-        // keystream. Leases are pinned to 2 specs so every lease reaches a
-        // second report (the auto chunk would resolve to 1 and never trip
-        // the fault).
-        let corrupt = spawn_daemon(faulty("garble=1,seed=7"));
+        // Garble the second report of every job. Leases are pinned to 2
+        // specs so every lease reaches a second report (the auto chunk
+        // would resolve to 1 and never trip the fault).
+        let corrupt = spawn_daemon(faulty("garble=1"));
         let healthy = spawn_daemon(DaemonConfig::default());
-        let pool = pool_of(
-            &[(corrupt.addr, 2), (healthy.addr, 1)],
-            RetryPolicy::default(),
-        )
-        .with_chunk(ChunkPolicy::Fixed(2));
+        let pool =
+            pool_of(&[(corrupt.addr, 2), (healthy.addr, 1)]).with_chunk(ChunkPolicy::Fixed(2));
         let coordinator = RemoteCoordinator::new(pool);
         let (merged, stats) = coordinator.run_plan(&plan).expect("survives the garble");
         assert_eq!(merged, serial);

@@ -9,11 +9,8 @@ use seo_core::transport::{
     parse_worker_frame, read_frame, write_frame, HostPool, HostSpec, JobRequest, RemoteCoordinator,
     TransportError, WorkerMsg,
 };
-use seo_integration::{assert_summary_bit_identical, spawn_loopback_worker};
+use seo_integration::{assert_summary_bit_identical, spawn_loopback_worker, SCENARIOS, SEED};
 use std::net::{TcpListener, TcpStream};
-
-const SCENARIOS: usize = 6;
-const SEED: u64 = 2023;
 
 /// A two-cell grid (τ = 20 ms and 25 ms) so the fold order across cells
 /// matters, in summary mode.
@@ -169,7 +166,7 @@ fn report_section_round_trips_and_validates() {
     assert_eq!(report.mode, ReportMode::Summary);
     assert_eq!(report.quantiles, vec![0.5, 0.9, 0.99]);
     assert_eq!(report.book.as_deref(), Some("results/results.md"));
-    assert!(!plan.emits_episodes() && plan.emits_summary());
+    assert!(!plan.emits_episodes());
     // The resolved one-line form `--plan --check` prints.
     assert_eq!(
         report.to_string(),
@@ -181,7 +178,7 @@ fn report_section_round_trips_and_validates() {
 
     // A plan without the section keeps the classic episodes-only behavior.
     let classic = SweepPlan::paper(3, SEED);
-    assert!(classic.emits_episodes() && !classic.emits_summary());
+    assert!(classic.emits_episodes());
 
     // Problems are named `report.FIELD`.
     for (body, field) in [

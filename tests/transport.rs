@@ -5,7 +5,6 @@
 //! hosts, every chunk size, and injected mid-stream host failures (kills,
 //! dead hosts, stalls).
 
-use seo_core::batch::ScenarioSpec;
 use seo_core::prelude::*;
 use seo_core::shard::{parse_summary_line, report_line, summary_line};
 use seo_core::transport::{
@@ -14,36 +13,12 @@ use seo_core::transport::{
     RemoteCoordinator, TransportError, WorkerMsg,
 };
 use seo_integration::{
-    paper_runtime, serial_reference, spawn_failing_loopback_worker, spawn_loopback_worker,
+    paper, paper_runtime, pool_of, serial_reports, spawn_failing_loopback_worker,
+    spawn_loopback_worker, SCENARIOS, SEED,
 };
 use std::io::Cursor;
 use std::net::{SocketAddr, TcpListener};
 use std::time::Duration;
-
-const SCENARIOS: usize = 6;
-const SEED: u64 = 2023;
-
-fn serial_reports() -> Vec<EpisodeReport> {
-    serial_reference(&paper_runtime(), &ScenarioSpec::paper_grid(SCENARIOS, SEED))
-}
-
-/// The paper-preset plan over the legacy grid `serial_reports` runs.
-fn paper() -> SweepPlan {
-    SweepPlan::paper(SCENARIOS, SEED)
-}
-
-fn pool_of(hosts: &[(SocketAddr, u64)]) -> HostPool {
-    HostPool::new(
-        hosts
-            .iter()
-            .map(|&(addr, capacity)| HostSpec {
-                addr: addr.to_string(),
-                capacity,
-            })
-            .collect(),
-    )
-    .expect("valid pool")
-}
 
 #[test]
 fn host_pool_rejects_misconfigurations_before_any_connection() {
