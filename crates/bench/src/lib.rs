@@ -7,9 +7,6 @@
 //! `all_experiments`, prints every table and dumps them all to
 //! `seo_experiments.json`. The `sensitivity` binary prints the channel,
 //! payload and gating-level series around the paper's operating point.
-//! The benches under `benches/` (`hot_path`, `ablations`) are std-timing
-//! `harness = false` binaries that time the control loop's primitives and
-//! the design ablations.
 //!
 //! Run counts default to the paper's 25 successful runs per cell; set
 //! `SEO_RUNS` to a positive integer to trade fidelity for speed (both
@@ -44,6 +41,5 @@
 pub mod book;
 pub mod cells;
 pub mod report;
-pub mod timing;
 
 pub use report::{runs_from_env, Table};

@@ -142,7 +142,7 @@ mod tests {
     }
 
     #[test]
-    fn conversions_and_flags() {
+    fn conversions_and_display() {
         let pf: Controller = PotentialFieldController::default().into();
         assert!(matches!(pf, Controller::PotentialField(_)));
         let mut rng = StdRng::seed_from_u64(2);

@@ -699,7 +699,7 @@ mod tests {
     }
 
     #[test]
-    fn accessors_expose_configuration() {
+    fn new_and_with_kernel_store_the_configuration() {
         let rt = runtime(OptimizerKind::SensorGating);
         assert_eq!(rt.optimizer, OptimizerKind::SensorGating);
         assert_eq!(rt.config.tau.as_millis(), 20.0);

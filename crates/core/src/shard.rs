@@ -23,9 +23,9 @@
 //! 4. [`Coordinator`] spawns one OS process per shard
 //!    (`std::process::Command`), streams each child's stdout into the merge,
 //!    and turns a crashed / non-zero-exit / protocol-violating worker into a
-//!    [`ShardError`] naming the offending shard. Shard configs are validated
-//!    (empty shards, overlaps, gaps, more workers than specs) **before**
-//!    anything is spawned.
+//!    [`ShardError`] naming the offending shard. A planned partition tiles
+//!    the grid by construction, and more workers than specs is rejected
+//!    **before** anything is spawned.
 //! 5. [`serve_shard`] is the worker side: it runs one shard and hands each
 //!    payload — a [`report_line`] per episode, or in `summary` report
 //!    mode one [`summary_line`] for the whole shard — to a writer its
@@ -85,27 +85,6 @@ pub const WIRE_VERSION: u64 = 1;
 #[derive(Debug, Clone, PartialEq, Eq)]
 #[non_exhaustive]
 pub enum ShardError {
-    /// A shard covers zero specs.
-    EmptyShard {
-        /// Position of the offending shard in the plan.
-        index: usize,
-    },
-    /// A shard starts before the previous shard ended (overlap) or shards
-    /// are out of order.
-    ShardOverlap {
-        /// Position of the offending shard in the plan.
-        index: usize,
-    },
-    /// Shards leave part of the grid uncovered (or run past its end).
-    ShardGap {
-        /// Position where coverage broke (== plan length when the tail of
-        /// the grid is uncovered).
-        index: usize,
-        /// Where the next shard was expected to start.
-        expected_start: usize,
-        /// Where it actually started (== grid length for a missing tail).
-        found: usize,
-    },
     /// More workers requested than there are specs to run.
     TooManyWorkers {
         /// Requested worker count.
@@ -161,18 +140,6 @@ pub enum ShardError {
 impl fmt::Display for ShardError {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         match self {
-            Self::EmptyShard { index } => write!(f, "shard {index} is empty"),
-            Self::ShardOverlap { index } => {
-                write!(f, "shard {index} overlaps the preceding shard")
-            }
-            Self::ShardGap {
-                index,
-                expected_start,
-                found,
-            } => write!(
-                f,
-                "shard coverage gap at shard {index}: expected start {expected_start}, found {found}"
-            ),
             Self::TooManyWorkers { workers, specs } => {
                 write!(f, "{workers} workers requested for {specs} spec(s)")
             }
@@ -187,7 +154,10 @@ impl fmt::Display for ShardError {
                 write!(f, "no report received for spec index {index}")
             }
             Self::FragmentMismatch { shard, message } => {
-                write!(f, "summary fragment for shard {shard} does not account for it: {message}")
+                write!(
+                    f,
+                    "summary fragment for shard {shard} does not account for it: {message}"
+                )
             }
             Self::WorkerFailed {
                 shard_index,
@@ -269,7 +239,9 @@ impl FromStr for Shard {
     }
 }
 
-/// A validated partition of a spec grid into contiguous shards.
+/// A partition of a spec grid into contiguous, non-empty shards that
+/// cover `[0, n_specs)` exactly, in order. Only [`ShardPlanner::plan`]
+/// makes one, so every plan is valid by construction.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct ShardPlan {
     shards: Vec<Shard>,
@@ -277,42 +249,6 @@ pub struct ShardPlan {
 }
 
 impl ShardPlan {
-    /// Validates an explicit shard list against a grid of `n_specs` specs:
-    /// no empty shards, no overlaps, no gaps, exact coverage of
-    /// `[0, n_specs)`. An empty grid must have an empty shard list.
-    ///
-    /// # Errors
-    ///
-    /// [`ShardError::EmptyShard`], [`ShardError::ShardOverlap`], or
-    /// [`ShardError::ShardGap`] identifying the first offending shard.
-    pub fn from_shards(shards: Vec<Shard>, n_specs: usize) -> Result<Self, ShardError> {
-        let mut expected_start = 0usize;
-        for (index, shard) in shards.iter().enumerate() {
-            if shard.is_empty() {
-                return Err(ShardError::EmptyShard { index });
-            }
-            if shard.start < expected_start {
-                return Err(ShardError::ShardOverlap { index });
-            }
-            if shard.start > expected_start {
-                return Err(ShardError::ShardGap {
-                    index,
-                    expected_start,
-                    found: shard.start,
-                });
-            }
-            expected_start = shard.end;
-        }
-        if expected_start != n_specs {
-            return Err(ShardError::ShardGap {
-                index: shards.len(),
-                expected_start,
-                found: n_specs,
-            });
-        }
-        Ok(Self { shards, n_specs })
-    }
-
     /// The shards, in grid order.
     #[must_use]
     pub fn shards(&self) -> &[Shard] {
@@ -359,15 +295,19 @@ impl ShardPlanner {
     ///
     /// An empty grid yields an empty plan. Requesting more workers than
     /// specs is a configuration error — a misconfigured fleet should fail
-    /// loudly before any process is spawned, not silently idle workers (use
-    /// [`Self::plan_clamped`] to shrink instead).
+    /// loudly before any process is spawned, not silently idle workers
+    /// (plan with `ShardPlanner::new(workers.min(n_specs))` to shrink
+    /// instead).
     ///
     /// # Errors
     ///
     /// [`ShardError::TooManyWorkers`] when `workers > n_specs > 0`.
     pub fn plan(&self, n_specs: usize) -> Result<ShardPlan, ShardError> {
         if n_specs == 0 {
-            return ShardPlan::from_shards(Vec::new(), 0);
+            return Ok(ShardPlan {
+                shards: Vec::new(),
+                n_specs,
+            });
         }
         if self.workers > n_specs {
             return Err(ShardError::TooManyWorkers {
@@ -384,17 +324,7 @@ impl ShardPlanner {
             shards.push(Shard::new(start, start + len));
             start += len;
         }
-        ShardPlan::from_shards(shards, n_specs)
-    }
-
-    /// Like [`Self::plan`] but shrinks the worker count to the grid instead
-    /// of erroring, so tiny grids still run (possibly on fewer processes).
-    ///
-    /// # Errors
-    ///
-    /// None in practice; kept fallible for symmetry with [`Self::plan`].
-    pub fn plan_clamped(&self, n_specs: usize) -> Result<ShardPlan, ShardError> {
-        Self::new(self.workers.min(n_specs.max(1))).plan(n_specs)
+        Ok(ShardPlan { shards, n_specs })
     }
 }
 
@@ -1079,19 +1009,15 @@ impl Coordinator {
         Ok(fragments)
     }
 
-    /// Re-validates the plan, runs one [`Self::drive_worker`] per shard on
-    /// its own thread (so slow shards never block fast ones), and returns
-    /// the first failure in shard order once every worker is reaped.
+    /// Runs one [`Self::drive_worker`] per shard on its own thread (so slow
+    /// shards never block fast ones), and returns the first failure in shard
+    /// order once every worker is reaped.
     fn drive_workers(
         &self,
         plan: &ShardPlan,
         expected_lines: impl Fn(&Shard) -> usize + Sync,
         handle: impl Fn(Shard, &str) -> Result<(), String> + Sync,
     ) -> Result<(), ShardError> {
-        // Defense in depth: `ShardPlan` construction already validated this,
-        // but the plan may have been built by different code than is about
-        // to fan out processes.
-        ShardPlan::from_shards(plan.shards().to_vec(), plan.n_specs())?;
         let (expected_lines, handle) = (&expected_lines, &handle);
         std::thread::scope(|scope| {
             let workers: Vec<_> = plan
@@ -1255,44 +1181,12 @@ mod tests {
                 specs: 3
             })
         );
-        // The clamped variant shrinks to single-spec shards instead.
-        let plan = ShardPlanner::new(5).plan_clamped(3).expect("clamps");
-        assert_eq!(plan.shards().len(), 3);
-        assert!(plan.shards().iter().all(|s| s.len() == 1));
     }
 
     #[test]
     fn planner_zero_workers_clamps_to_one() {
         let plan = ShardPlanner::new(0).plan(4).expect("valid");
         assert_eq!(plan.shards(), [Shard::new(0, 4)]);
-    }
-
-    #[test]
-    fn plan_validation_rejects_bad_configs() {
-        // Empty shard.
-        assert_eq!(
-            ShardPlan::from_shards(vec![Shard::new(0, 0), Shard::new(0, 2)], 2),
-            Err(ShardError::EmptyShard { index: 0 })
-        );
-        // Overlap.
-        assert_eq!(
-            ShardPlan::from_shards(vec![Shard::new(0, 2), Shard::new(1, 3)], 3),
-            Err(ShardError::ShardOverlap { index: 1 })
-        );
-        // Gap in the middle.
-        assert!(matches!(
-            ShardPlan::from_shards(vec![Shard::new(0, 1), Shard::new(2, 3)], 3),
-            Err(ShardError::ShardGap { index: 1, .. })
-        ));
-        // Uncovered tail.
-        assert!(matches!(
-            ShardPlan::from_shards(vec![Shard::new(0, 2)], 3),
-            Err(ShardError::ShardGap { .. })
-        ));
-        // Non-empty shard list on an empty grid.
-        assert!(ShardPlan::from_shards(vec![Shard::new(0, 1)], 0).is_err());
-        // Exact cover is accepted.
-        assert!(ShardPlan::from_shards(vec![Shard::new(0, 2), Shard::new(2, 3)], 3).is_ok());
     }
 
     #[test]

@@ -754,8 +754,8 @@ impl RetryPolicy {
 /// Construction rejects misconfigurations — an empty pool, a blank or
 /// duplicate address, a zero capacity — so a bad fleet fails loudly before
 /// any connection is attempted, mirroring how
-/// [`crate::shard::ShardPlan::from_shards`] validates before any process
-/// spawns.
+/// [`crate::shard::ShardPlanner::plan`] rejects more workers than specs
+/// before any process spawns.
 ///
 /// The pool also carries the fleet's [`RetryPolicy`] (default: 3 attempts,
 /// 100 ms base delay) and its [`ChunkPolicy`] (default: auto); `"retry"`

@@ -197,7 +197,7 @@ pub fn assert_all_engines_bit_identical(plan: &SweepPlan) -> Vec<EpisodeReport> 
     // Engine 3: the sharded worker path — every shard rendered to wire
     // lines, fed to the streaming merge in worst-case (reversed) order.
     let n = plan.n_specs();
-    let shard_plan = ShardPlanner::new(3).plan_clamped(n).expect("shard plan");
+    let shard_plan = ShardPlanner::new(3.min(n)).plan(n).expect("shard plan");
     let mut merge = StreamingMerge::new(n);
     let mut drained = Vec::new();
     for &shard in shard_plan.shards().iter().rev() {
@@ -290,7 +290,7 @@ pub fn assert_summary_bit_identical(plan: &SweepPlan) -> Vec<String> {
     // crosses the summary wire line and the fragments fold in worst-case
     // (reversed) arrival order; fold_fragments re-sorts by spec index.
     let n = plan.n_specs();
-    let shard_plan = ShardPlanner::new(3).plan_clamped(n).expect("shard plan");
+    let shard_plan = ShardPlanner::new(3.min(n)).plan(n).expect("shard plan");
     let mut fragments = Vec::new();
     for &shard in shard_plan.shards().iter().rev() {
         let mut fold = plan.run_summary();

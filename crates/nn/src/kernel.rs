@@ -1,5 +1,5 @@
 //! Pluggable inference kernel backends — the compute layer under every
-//! `*_into` hot path.
+//! inference hot path.
 //!
 //! A neural controller spends its per-control-step inference in two dense
 //! primitives: the matrix–vector product and the fused dense layer
@@ -41,7 +41,7 @@
 //! optimizer sees is branch-free and inlinable.
 //!
 //! The backend book — contract, dispatch design, how to add a third backend,
-//! and measured scalar-vs-blocked numbers — is `docs/kernels.md` at the
+//! and what is (not) measured of the two — is `docs/kernels.md` at the
 //! repository root.
 //!
 //! # Example
@@ -94,8 +94,7 @@ pub const NR: usize = 4;
 /// `debug_assert!` here and by the `assert!`s of the public `Matrix`/`Dense`
 /// wrappers above this layer.
 pub trait Kernel: Copy + Default + Send + Sync + 'static {
-    /// Backend name as it appears in plan files (`exec.kernel`) and bench
-    /// labels.
+    /// Backend name as it appears in plan files (`exec.kernel`).
     const NAME: &'static str;
 
     /// Dense matrix–vector product: `out[r] = Σ_k data[r·cols + k] · x[k]`,
@@ -107,11 +106,10 @@ pub trait Kernel: Copy + Default + Send + Sync + 'static {
     /// the row sum accumulated exactly as in [`Self::matvec`].
     ///
     /// The default runs [`Self::matvec`] and then the bias + activation
-    /// sweep — the exact arithmetic of the historical two-pass
-    /// `Dense::forward_into`, so any backend whose `matvec` honors the
-    /// ordering contract gets a correct fused form for free. Override only
-    /// for a genuinely fused backend, and keep this order: row sum, plus
-    /// bias, then activation.
+    /// sweep — the exact arithmetic of the original two-pass dense layer,
+    /// so any backend whose `matvec` honors the ordering contract gets a
+    /// correct fused form for free. Override only for a genuinely fused
+    /// backend, and keep this order: row sum, plus bias, then activation.
     fn matvec_bias_act(
         cols: usize,
         data: &[f64],
@@ -277,8 +275,8 @@ impl Kernel for BlockedKernel {
 /// implementations, used at API boundaries (plan files,
 /// `RuntimeLoop::with_kernel`).
 ///
-/// Hot loops never branch on this: callers `match` once (per episode, per
-/// bench cell) and enter a monomorphized path.
+/// Hot loops never branch on this: callers `match` once per episode and
+/// enter a monomorphized path.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default)]
 pub enum KernelBackend {
     /// [`ScalarKernel`] — the reference loops (the default).
@@ -289,9 +287,8 @@ pub enum KernelBackend {
 }
 
 impl KernelBackend {
-    /// Every available backend, in the order they are documented and
-    /// benchmarked. Tests iterate this to hold all backends to the
-    /// bit-exactness contract.
+    /// Every available backend, in the order they are documented. Tests
+    /// iterate this to hold all backends to the bit-exactness contract.
     pub const ALL: [Self; 2] = [Self::Scalar, Self::Blocked];
 
     /// The backend's canonical name (what [`Self::parse`] accepts).

@@ -19,7 +19,7 @@
 //!
 //! * [`tensor`] — a dense row-major matrix with the matrix–vector product
 //!   an MLP needs.
-//! * [`kernel`] — pluggable compute backends under every `*_into` hot path:
+//! * [`kernel`] — pluggable compute backends under every inference hot path:
 //!   the [`Kernel`] trait, the scalar reference, and the
 //!   blocked/unrolled backend, all bit-identical by contract (the backend
 //!   book is `docs/kernels.md`).
@@ -32,14 +32,16 @@
 //! # Example
 //!
 //! ```
-//! use seo_nn::mlp::Mlp;
+//! use seo_nn::mlp::{InferenceScratch, Mlp};
+//! use seo_nn::kernel::ScalarKernel;
 //! use seo_nn::layer::Activation;
 //! use rand::rngs::StdRng;
 //! use rand::SeedableRng;
 //!
 //! let mut rng = StdRng::seed_from_u64(7);
 //! let net = Mlp::new(&[4, 8, 2], Activation::Tanh, Activation::Identity, &mut rng)?;
-//! let out = net.forward(&[0.1, -0.2, 0.3, 0.4]);
+//! let mut scratch = InferenceScratch::for_mlp(&net);
+//! let out = net.forward_into_with::<ScalarKernel>(&[0.1, -0.2, 0.3, 0.4], &mut scratch);
 //! assert_eq!(out.len(), 2);
 //! # Ok::<(), seo_nn::NnError>(())
 //! ```

@@ -3,7 +3,7 @@
 //! trainer).
 
 use crate::error::NnError;
-use crate::kernel::{Kernel, ScalarKernel};
+use crate::kernel::Kernel;
 use crate::layer::{Activation, Dense};
 use rand::Rng;
 use std::fmt;
@@ -22,10 +22,10 @@ pub struct Mlp {
 /// the widest layer a network presents.
 ///
 /// Construct once (per thread / per episode runner), then every
-/// [`Mlp::forward_into`] call runs without touching the heap — the buffers
-/// are grown to their high-water mark on first use and reused afterwards.
-/// One scratch can serve networks of any width as long as calls do not
-/// overlap.
+/// [`Mlp::forward_into_with`] call runs without touching the heap — the
+/// buffers are grown to their high-water mark on first use and reused
+/// afterwards. One scratch can serve networks of any width as long as calls
+/// do not overlap.
 #[derive(Debug, Clone, Default)]
 pub struct InferenceScratch {
     /// Buffer holding the current activation (output lands here).
@@ -112,38 +112,13 @@ impl Mlp {
             .unwrap_or(0)
     }
 
-    /// Forward inference.
-    ///
-    /// Allocates the output; control-loop hot paths use
-    /// [`Self::forward_into`] with a reused [`InferenceScratch`] instead.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `input.len() != input_dim()`.
-    #[must_use]
-    pub fn forward(&self, input: &[f64]) -> Vec<f64> {
-        let mut scratch = InferenceScratch::for_mlp(self);
-        self.forward_into(input, &mut scratch).to_vec()
-    }
-
-    /// Forward inference entirely inside `scratch`, returning the output
-    /// slice. After the scratch buffers reach their high-water mark this
-    /// performs **zero heap allocations** per call — the property the SEO
-    /// runtime loop relies on for its per-control-step inference.
-    ///
-    /// Produces bit-identical results to [`Self::forward`] (same operations
-    /// in the same order; only the storage differs).
-    ///
-    /// # Panics
-    ///
-    /// Panics if `input.len() != input_dim()`.
-    pub fn forward_into<'s>(&self, input: &[f64], scratch: &'s mut InferenceScratch) -> &'s [f64] {
-        self.forward_into_with::<ScalarKernel>(input, scratch)
-    }
-
-    /// [`Self::forward_into`] over an explicit [`Kernel`] backend. All
-    /// backends produce bit-identical output by contract (see
-    /// [`crate::kernel`]); the backend only changes how fast each dense
+    /// Forward inference on the [`Kernel`] backend `K`, entirely inside
+    /// `scratch`, returning the output slice. After the scratch buffers
+    /// reach their high-water mark this performs **zero heap allocations**
+    /// per call — the property the SEO runtime loop relies on for its
+    /// per-control-step inference. A reused scratch gives the bytes a fresh
+    /// one gives, and all backends produce bit-identical output by contract
+    /// (see [`crate::kernel`]); the backend only changes how fast each dense
     /// layer's fused matvec + bias + activation runs.
     ///
     /// # Panics
@@ -219,11 +194,17 @@ impl fmt::Display for Mlp {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::kernel::ScalarKernel;
     use rand::rngs::StdRng;
     use rand::SeedableRng;
 
     fn rng() -> StdRng {
         StdRng::seed_from_u64(7)
+    }
+
+    fn forward(net: &Mlp, input: &[f64]) -> Vec<f64> {
+        net.forward_into_with::<ScalarKernel>(input, &mut InferenceScratch::new())
+            .to_vec()
     }
 
     #[test]
@@ -265,8 +246,8 @@ mod tests {
     fn forward_is_deterministic_and_bounded_with_tanh_head() {
         let net =
             Mlp::new(&[3, 8, 2], Activation::Relu, Activation::Tanh, &mut rng()).expect("valid");
-        let out = net.forward(&[0.5, -1.0, 2.0]);
-        assert_eq!(out, net.forward(&[0.5, -1.0, 2.0]));
+        let out = forward(&net, &[0.5, -1.0, 2.0]);
+        assert_eq!(out, forward(&net, &[0.5, -1.0, 2.0]));
         assert!(out.iter().all(|v| v.abs() <= 1.0));
     }
 
@@ -289,7 +270,7 @@ mod tests {
         .expect("valid");
         other.set_params(&params).expect("matching count");
         let x = [0.1, 0.2, 0.3, 0.4, 0.5];
-        assert_eq!(net.forward(&x), other.forward(&x));
+        assert_eq!(forward(&net, &x), forward(&other, &x));
     }
 
     #[test]

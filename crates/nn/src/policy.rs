@@ -84,7 +84,7 @@ impl PolicyFeatures {
 
     /// Flattens into the MLP input layout on the stack — no heap traffic,
     /// the form the control-loop hot path feeds to
-    /// [`DrivingPolicy::act_scratch`].
+    /// [`DrivingPolicy::act_scratch_with`].
     #[must_use]
     pub(crate) fn to_array(self) -> [f64; Self::DIM] {
         [
@@ -139,28 +139,11 @@ impl DrivingPolicy {
         self.net.set_params(params)
     }
 
-    /// Maps features to a control action. Outputs are already in `[-1, 1]`
-    /// thanks to the `tanh` head; throttle is re-biased toward forward
-    /// motion so an untrained policy still explores.
-    #[must_use]
-    pub fn act(&self, features: &PolicyFeatures) -> Control {
-        let mut scratch = InferenceScratch::for_mlp(&self.net);
-        self.act_scratch(features, &mut scratch)
-    }
-
-    /// Allocation-free [`Self::act`]: inference runs inside the reused
-    /// `scratch` workspace. Bit-identical to `act`.
-    #[must_use]
-    pub fn act_scratch(
-        &self,
-        features: &PolicyFeatures,
-        scratch: &mut InferenceScratch,
-    ) -> Control {
-        self.act_scratch_with::<ScalarKernel>(features, scratch)
-    }
-
-    /// [`Self::act_scratch`] over an explicit [`Kernel`] backend — the form
-    /// the SEO runtime's monomorphized episode loop calls. Bit-identical
+    /// Maps features to a control action on the [`Kernel`] backend `K`,
+    /// with inference inside the reused `scratch` workspace — the form the
+    /// SEO runtime's monomorphized episode loop calls. Outputs are already
+    /// in `[-1, 1]` thanks to the `tanh` head; throttle is re-biased toward
+    /// forward motion so an untrained policy still explores. Bit-identical
     /// across backends by the kernel contract (see [`crate::kernel`]).
     #[must_use]
     pub fn act_scratch_with<K: Kernel>(
@@ -311,6 +294,7 @@ fn evaluate_policy(
     seeds: &[u64],
     episode_config: &EpisodeConfig,
 ) -> f64 {
+    let mut scratch = InferenceScratch::for_mlp(&policy.net);
     let mut total = 0.0;
     for &seed in seeds {
         let world = ScenarioConfig::new(n_obstacles).with_seed(seed).generate();
@@ -320,7 +304,7 @@ fn evaluate_policy(
             let obs = RelativeObservation::observe_ahead(ep.world(), &ep.state());
             let features =
                 PolicyFeatures::from_observation(&ep.state(), &obs, road.length, road.width);
-            ep.step(policy.act(&features));
+            ep.step(policy.act_scratch_with::<ScalarKernel>(&features, &mut scratch));
         }
         total += episode_reward(&ep.state(), ep.status(), ep.steps());
     }
@@ -352,14 +336,14 @@ pub fn train_driving_policy(
     let episodes_per_gen = cem.population * eval_seeds.len();
     let generations_budget = episode_budget / episodes_per_gen.max(1);
     let mut generations = Vec::with_capacity(generations_budget);
-    let mut scratch = policy.clone();
+    let mut candidate = policy.clone();
     for _ in 0..generations_budget {
         let report = trainer.step(
             |params| {
-                scratch
+                candidate
                     .set_params(params)
                     .expect("trainer preserves dimension");
-                evaluate_policy(&scratch, n_obstacles, &eval_seeds, &episode_config)
+                evaluate_policy(&candidate, n_obstacles, &eval_seeds, &episode_config)
             },
             &mut rng,
         );
@@ -381,6 +365,10 @@ pub fn train_driving_policy(
 mod tests {
     use super::*;
     use seo_sim::world::World;
+
+    fn act(policy: &DrivingPolicy, features: &PolicyFeatures) -> Control {
+        policy.act_scratch_with::<ScalarKernel>(features, &mut InferenceScratch::new())
+    }
 
     fn features_at(x: f64, y: f64, distance: f64, bearing: f64) -> PolicyFeatures {
         let state = VehicleState::new(x, y, 0.0, 8.0);
@@ -414,7 +402,7 @@ mod tests {
         let policy = DrivingPolicy::new(&mut rng).expect("fixed topology");
         for i in 0..20 {
             let f = features_at(f64::from(i) * 5.0, -1.0, 8.0, -0.4);
-            let c = policy.act(&f);
+            let c = act(&policy, &f);
             assert!(c.steering.abs() <= 1.0);
             assert!((-1.0..=1.0).contains(&c.throttle));
         }
@@ -427,7 +415,7 @@ mod tests {
         let mut b = DrivingPolicy::new(&mut rng).expect("fixed topology");
         b.set_params(&a.to_params()).expect("same dimension");
         let f = features_at(10.0, 0.5, 12.0, 0.2);
-        assert_eq!(a.act(&f), b.act(&f));
+        assert_eq!(act(&a, &f), act(&b, &f));
     }
 
     #[test]
@@ -525,7 +513,7 @@ mod tests {
             elites: 3,
             ..Default::default()
         };
-        let (_policy, report) = train_driving_policy(0, 8 * 3 * 6, cem, 99).expect("training runs");
+        let (policy, report) = train_driving_policy(0, 8 * 3 * 6, cem, 99).expect("training runs");
         assert_eq!(report.generations.len(), 6);
         assert_eq!(report.episodes, 8 * 3 * 6);
         let first = report.generations.first().expect("nonempty").best_score;
@@ -534,6 +522,19 @@ mod tests {
             "best ({}) should be at least the first generation ({first})",
             report.best_reward
         );
+        // The trained weights and reward, bit for bit: an FNV-1a fold of
+        // every parameter's bits. A change to inference or to the episode
+        // loop the trainer scores must keep both.
+        let mut weights: u64 = 0xcbf2_9ce4_8422_2325;
+        for byte in policy
+            .to_params()
+            .iter()
+            .flat_map(|p| p.to_bits().to_le_bytes())
+        {
+            weights = (weights ^ u64::from(byte)).wrapping_mul(0x0000_0100_0000_01b3);
+        }
+        assert_eq!(weights, 0x63f8_a53b_3bde_ba4a);
+        assert_eq!(report.best_reward.to_bits(), 0x4068_1a25_f271_1f01);
     }
 
     #[test]

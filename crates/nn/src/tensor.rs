@@ -5,9 +5,8 @@
 //! needs.
 //!
 //! The compute itself lives one layer down in [`crate::kernel`]: the
-//! `*_with::<K>` variants here are generic over a [`Kernel`] backend, and the
-//! plain forms are shorthands for the scalar reference backend.
-use crate::kernel::{Kernel, ScalarKernel};
+//! product is generic over a [`Kernel`] backend, which every caller names.
+use crate::kernel::Kernel;
 use std::fmt;
 
 /// A row-major dense matrix of `f64`.
@@ -15,10 +14,13 @@ use std::fmt;
 /// # Example
 ///
 /// ```
+/// use seo_nn::kernel::ScalarKernel;
 /// use seo_nn::tensor::Matrix;
 ///
 /// let m = Matrix::from_rows(&[&[1.0, 2.0], &[3.0, 4.0]]);
-/// assert_eq!(m.matvec(&[1.0, 1.0]), vec![3.0, 7.0]);
+/// let mut out = [0.0; 2];
+/// m.matvec_into_with::<ScalarKernel>(&[1.0, 1.0], &mut out);
+/// assert_eq!(out, [3.0, 7.0]);
 /// ```
 #[derive(Debug, Clone, PartialEq)]
 pub struct Matrix {
@@ -100,34 +102,10 @@ impl Matrix {
         &mut self.data
     }
 
-    /// Matrix–vector product `M * x`.
-    ///
-    /// Allocates the result; inference hot paths use [`Self::matvec_into`]
-    /// with a reused buffer instead.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `x.len() != cols`.
-    #[must_use]
-    pub fn matvec(&self, x: &[f64]) -> Vec<f64> {
-        let mut out = vec![0.0; self.rows];
-        self.matvec_into(x, &mut out);
-        out
-    }
-
-    /// Matrix–vector product `M * x` written into a caller-provided buffer —
-    /// the allocation-free core of forward inference.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `x.len() != cols` or `out.len() != rows`.
-    pub fn matvec_into(&self, x: &[f64], out: &mut [f64]) {
-        self.matvec_into_with::<ScalarKernel>(x, out);
-    }
-
-    /// [`Self::matvec_into`] over an explicit [`Kernel`] backend. All
-    /// backends are bit-identical by contract (see [`crate::kernel`]); the
-    /// choice only affects speed.
+    /// Matrix–vector product `M * x` on the [`Kernel`] backend `K`, written
+    /// into a caller-provided buffer — the allocation-free core of forward
+    /// inference. All backends are bit-identical by contract (see
+    /// [`crate::kernel`]); the choice only affects speed.
     ///
     /// # Panics
     ///
@@ -148,17 +126,24 @@ impl fmt::Display for Matrix {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::kernel::ScalarKernel;
+
+    fn matvec(m: &Matrix, x: &[f64]) -> Vec<f64> {
+        let mut out = vec![0.0; m.rows()];
+        m.matvec_into_with::<ScalarKernel>(x, &mut out);
+        out
+    }
 
     #[test]
     fn matvec_identity() {
         let m = Matrix::from_rows(&[&[1.0, 0.0], &[0.0, 1.0]]);
-        assert_eq!(m.matvec(&[3.0, 4.0]), vec![3.0, 4.0]);
+        assert_eq!(matvec(&m, &[3.0, 4.0]), vec![3.0, 4.0]);
     }
 
     #[test]
     fn matvec_rectangular() {
         let m = Matrix::from_rows(&[&[1.0, 2.0, 3.0], &[4.0, 5.0, 6.0]]);
-        assert_eq!(m.matvec(&[1.0, 1.0, 1.0]), vec![6.0, 15.0]);
+        assert_eq!(matvec(&m, &[1.0, 1.0, 1.0]), vec![6.0, 15.0]);
         assert_eq!(m.rows(), 2);
         assert_eq!(m.cols(), 3);
     }
@@ -166,7 +151,7 @@ mod tests {
     #[test]
     #[should_panic(expected = "dimension mismatch")]
     fn matvec_wrong_len_panics() {
-        let _ = Matrix::zeros(2, 3).matvec(&[1.0, 2.0]);
+        let _ = matvec(&Matrix::zeros(2, 3), &[1.0, 2.0]);
     }
 
     #[test]
@@ -178,8 +163,8 @@ mod tests {
     #[test]
     fn from_flat_roundtrip() {
         let m = Matrix::from_flat(2, 2, vec![1.0, 2.0, 3.0, 4.0]);
-        assert_eq!(m.matvec(&[1.0, 0.0]), vec![1.0, 3.0]);
-        assert_eq!(m.matvec(&[0.0, 1.0]), vec![2.0, 4.0]);
+        assert_eq!(matvec(&m, &[1.0, 0.0]), vec![1.0, 3.0]);
+        assert_eq!(matvec(&m, &[0.0, 1.0]), vec![2.0, 4.0]);
     }
 
     #[test]

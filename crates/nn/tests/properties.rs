@@ -4,15 +4,28 @@
 
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
+use seo_nn::kernel::ScalarKernel;
 use seo_nn::layer::Activation;
-use seo_nn::mlp::Mlp;
+use seo_nn::mlp::{InferenceScratch, Mlp};
 use seo_nn::policy::{DrivingPolicy, PolicyFeatures};
 use seo_nn::tensor::Matrix;
+use seo_sim::vehicle::Control;
 
 const CASES: usize = 200;
 
 fn small_vec(rng: &mut StdRng, len: usize) -> Vec<f64> {
     (0..len).map(|_| rng.gen_range(-3.0..3.0)).collect()
+}
+
+/// Scalar-reference inference in a fresh scratch.
+fn forward(net: &Mlp, input: &[f64]) -> Vec<f64> {
+    net.forward_into_with::<ScalarKernel>(input, &mut InferenceScratch::new())
+        .to_vec()
+}
+
+/// Scalar-reference action in a fresh scratch.
+fn act(policy: &DrivingPolicy, f: &PolicyFeatures) -> Control {
+    policy.act_scratch_with::<ScalarKernel>(f, &mut InferenceScratch::new())
 }
 
 #[test]
@@ -25,9 +38,14 @@ fn matvec_is_linear() {
         let alpha = rng.gen_range(-2.0..2.0);
         // M(alpha a + b) == alpha M a + M b for a fixed matrix.
         let combined: Vec<f64> = a.iter().zip(&b).map(|(x, y)| alpha * x + y).collect();
-        let left = m.matvec(&combined);
-        let ma = m.matvec(&a);
-        let mb = m.matvec(&b);
+        let matvec = |x: &[f64]| {
+            let mut out = [0.0; 3];
+            m.matvec_into_with::<ScalarKernel>(x, &mut out);
+            out
+        };
+        let left = matvec(&combined);
+        let ma = matvec(&a);
+        let mb = matvec(&b);
         for i in 0..3 {
             let right = alpha * ma[i] + mb[i];
             assert!((left[i] - right).abs() < 1e-9, "{} vs {right}", left[i]);
@@ -73,7 +91,7 @@ fn mlp_params_roundtrip_exactly() {
         )
         .expect("valid topology");
         other.set_params(&net.to_params()).expect("matching shapes");
-        assert_eq!(net.forward(&input), other.forward(&input));
+        assert_eq!(forward(&net, &input), forward(&other, &input));
     }
 }
 
@@ -86,7 +104,7 @@ fn mlp_outputs_are_finite() {
         let mut rng = StdRng::seed_from_u64(seed);
         let net = Mlp::new(&[4, 8, 8, 2], Activation::Relu, Activation::Tanh, &mut rng)
             .expect("valid topology");
-        let out = net.forward(&input);
+        let out = forward(&net, &input);
         assert!(out.iter().all(|v| v.is_finite()));
         assert!(
             out.iter().all(|v| v.abs() <= 1.0),
@@ -112,32 +130,16 @@ fn policy_actions_always_actuatable() {
             obstacle_lateral: lateral * 0.5,
             progress: 0.3,
         };
-        let u = policy.act(&f);
+        let u = act(&policy, &f);
         assert!(u.steering.abs() <= 1.0);
         assert!(u.throttle.abs() <= 1.0);
     }
 }
 
-// --- Zero-allocation fast paths must match the allocating APIs exactly ---
+// --- A reused scratch must give the bytes a fresh one gives ---
 
 #[test]
-fn matvec_into_matches_matvec_exactly() {
-    let mut rng = StdRng::seed_from_u64(0xBEEF);
-    for _ in 0..CASES {
-        let rows = rng.gen_range(1usize..8);
-        let cols = rng.gen_range(1usize..8);
-        let data: Vec<f64> = (0..rows * cols).map(|_| rng.gen_range(-2.0..2.0)).collect();
-        let m = Matrix::from_flat(rows, cols, data);
-        let x = small_vec(&mut rng, cols);
-        let mut out = vec![f64::NAN; rows];
-        m.matvec_into(&x, &mut out);
-        assert_eq!(out, m.matvec(&x), "matvec_into must be bit-identical");
-    }
-}
-
-#[test]
-fn forward_into_matches_forward_exactly() {
-    use seo_nn::mlp::InferenceScratch;
+fn forward_in_a_reused_scratch_matches_a_fresh_one_exactly() {
     let mut case_rng = StdRng::seed_from_u64(0xF00D);
     for case in 0..60 {
         let mut rng = StdRng::seed_from_u64(case);
@@ -146,8 +148,8 @@ fn forward_into_matches_forward_exactly() {
         let mut scratch = InferenceScratch::for_mlp(&net);
         for _ in 0..5 {
             let input = small_vec(&mut case_rng, 5);
-            let expected = net.forward(&input);
-            let got = net.forward_into(&input, &mut scratch);
+            let expected = forward(&net, &input);
+            let got = net.forward_into_with::<ScalarKernel>(&input, &mut scratch);
             assert_eq!(
                 got,
                 expected.as_slice(),
@@ -158,8 +160,7 @@ fn forward_into_matches_forward_exactly() {
 }
 
 #[test]
-fn act_scratch_matches_act_exactly() {
-    use seo_nn::mlp::InferenceScratch;
+fn act_in_a_reused_scratch_matches_a_fresh_one_exactly() {
     let mut case_rng = StdRng::seed_from_u64(0xCAB);
     for case in 0..40 {
         let mut rng = StdRng::seed_from_u64(case);
@@ -175,7 +176,10 @@ fn act_scratch_matches_act_exactly() {
                 obstacle_lateral: case_rng.gen_range(-1.0..1.0),
                 progress: case_rng.gen_range(0.0..1.0),
             };
-            assert_eq!(policy.act_scratch(&f, &mut scratch), policy.act(&f));
+            assert_eq!(
+                policy.act_scratch_with::<ScalarKernel>(&f, &mut scratch),
+                act(&policy, &f)
+            );
         }
     }
 }
@@ -184,7 +188,7 @@ fn act_scratch_matches_act_exactly() {
 
 #[test]
 fn blocked_matvec_is_bit_identical_across_shapes() {
-    use seo_nn::kernel::{BlockedKernel, ScalarKernel};
+    use seo_nn::kernel::BlockedKernel;
     let mut rng = StdRng::seed_from_u64(0xB10C);
     // Deliberate coverage of non-multiple-of-block-width shapes: odd rows
     // and cols, single-row (1xN), single-column (Nx1), every rows % 4 and
@@ -214,14 +218,12 @@ fn blocked_matvec_is_bit_identical_across_shapes() {
         m.matvec_into_with::<ScalarKernel>(&x, &mut scalar);
         m.matvec_into_with::<BlockedKernel>(&x, &mut blocked);
         assert_eq!(scalar, blocked, "{rows}x{cols}: blocked must be exact");
-        // And both must equal the long-standing plain path.
-        assert_eq!(blocked, m.matvec(&x), "{rows}x{cols}: plain path differs");
     }
 }
 
 #[test]
 fn kernel_empty_shapes_are_consistent() {
-    use seo_nn::kernel::{BlockedKernel, Kernel, ScalarKernel};
+    use seo_nn::kernel::{BlockedKernel, Kernel};
     // `Matrix` forbids zero dimensions, so the degenerate shapes are pinned
     // at the kernel layer directly: zero rows writes nothing, zero cols
     // writes the empty sum.
@@ -240,8 +242,7 @@ fn kernel_empty_shapes_are_consistent() {
 
 #[test]
 fn every_backend_reproduces_mlp_and_policy_outputs() {
-    use seo_nn::kernel::{BlockedKernel, KernelBackend, ScalarKernel};
-    use seo_nn::mlp::InferenceScratch;
+    use seo_nn::kernel::{BlockedKernel, KernelBackend};
     // Exercised through the enum so a future backend added to ALL fails
     // here until its generic path is wired up everywhere.
     let mut case_rng = StdRng::seed_from_u64(0xD15);
@@ -254,7 +255,7 @@ fn every_backend_reproduces_mlp_and_policy_outputs() {
                 .expect("valid topology");
             let input = small_vec(&mut case_rng, sizes[0]);
             let mut scratch = InferenceScratch::for_mlp(&net);
-            let reference = net.forward(&input);
+            let reference = forward(&net, &input);
             for backend in KernelBackend::ALL {
                 let got = match backend {
                     KernelBackend::Scalar => {
@@ -278,7 +279,7 @@ fn every_backend_reproduces_mlp_and_policy_outputs() {
             progress: case_rng.gen_range(0.0..1.0),
         };
         let mut scratch = InferenceScratch::new();
-        let reference = policy.act(&f);
+        let reference = act(&policy, &f);
         assert_eq!(
             policy.act_scratch_with::<ScalarKernel>(&f, &mut scratch),
             reference

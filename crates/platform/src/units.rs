@@ -341,7 +341,7 @@ mod tests {
     }
 
     #[test]
-    fn frequency_period_roundtrip() {
+    fn frequency_gives_its_period() {
         let f = Hertz::new(50.0);
         assert_eq!(f.to_period(), Seconds::from_millis(20.0));
     }
@@ -380,7 +380,7 @@ mod tests {
     }
 
     #[test]
-    fn clamp_min_max_abs() {
+    fn clamp_min_max() {
         let w = Watts::new(5.0);
         assert_eq!(w.clamp(Watts::ZERO, Watts::new(2.0)), Watts::new(2.0));
         assert_eq!(w.max(Watts::new(7.0)), Watts::new(7.0));

@@ -38,7 +38,6 @@
 
 pub mod dynamics;
 pub mod episode;
-pub mod error;
 pub mod scenario;
 pub mod sensing;
 pub mod traffic;
@@ -53,5 +52,3 @@ pub mod prelude {
     pub use crate::vehicle::{BicycleModel, Control, VehicleState};
     pub use crate::world::{Obstacle, Road, World};
 }
-
-pub use error::SimError;

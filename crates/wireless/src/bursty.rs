@@ -5,9 +5,10 @@
 //! junction clutter). The Gilbert–Elliott model captures this with a
 //! two-state Markov chain: a **good** state with the nominal Rayleigh
 //! scale and a **bad** state with a degraded scale. SEO's fallback
-//! machinery is stressed much harder under bursts than under i.i.d.
-//! fading at the same average rate, which is exactly what the
-//! `ablations` bench demonstrates.
+//! machinery is stressed harder the longer the link dwells in the bad
+//! state: `tests/extensions.rs::bursty_channel_reduces_offload_success_rate`
+//! checks this at the two stationary extremes, where the bad state's scale
+//! lowers both the offload success rate and the energy gain.
 
 use crate::channel::RayleighChannel;
 use crate::error::WirelessError;

@@ -7,8 +7,8 @@ use seo_core::batch::ScenarioSpec;
 use seo_core::prelude::*;
 use seo_core::runtime::RuntimeLoop;
 use seo_core::shard::{
-    parse_report_line, report_line, summary_line, Coordinator, Shard, ShardError, ShardPlan,
-    ShardPlanner, StreamingMerge,
+    parse_report_line, report_line, summary_line, Coordinator, Shard, ShardError, ShardPlanner,
+    StreamingMerge,
 };
 use seo_integration::serial_reference;
 
@@ -66,7 +66,7 @@ fn planner_edge_cases() {
     // Empty grid: a valid, empty plan.
     let empty = ShardPlanner::new(8).plan(0).expect("empty grid");
     assert!(empty.shards().is_empty());
-    // More workers than specs: rejected up front…
+    // More workers than specs: rejected up front.
     assert!(matches!(
         ShardPlanner::new(8).plan(3),
         Err(ShardError::TooManyWorkers {
@@ -74,34 +74,9 @@ fn planner_edge_cases() {
             specs: 3
         })
     ));
-    // …unless explicitly clamped, which degrades to single-spec shards.
-    let clamped = ShardPlanner::new(8).plan_clamped(3).expect("clamps");
-    assert_eq!(clamped.shards().len(), 3);
-    assert!(clamped.shards().iter().all(|s| s.len() == 1));
     // Single-spec shards at exact parity.
     let singles = ShardPlanner::new(4).plan(4).expect("valid");
     assert!(singles.shards().iter().all(|s| s.len() == 1));
-}
-
-#[test]
-fn explicit_plan_validation_catches_misconfigurations() {
-    let overlap = vec![Shard::new(0, 3), Shard::new(2, 5)];
-    assert!(matches!(
-        ShardPlan::from_shards(overlap, 5),
-        Err(ShardError::ShardOverlap { index: 1 })
-    ));
-    let gap = vec![Shard::new(0, 2), Shard::new(3, 5)];
-    assert!(matches!(
-        ShardPlan::from_shards(gap, 5),
-        Err(ShardError::ShardGap { index: 1, .. })
-    ));
-    let empty = vec![Shard::new(0, 2), Shard::new(2, 2), Shard::new(2, 4)];
-    assert!(matches!(
-        ShardPlan::from_shards(empty, 4),
-        Err(ShardError::EmptyShard { index: 1 })
-    ));
-    let short = vec![Shard::new(0, 2)];
-    assert!(ShardPlan::from_shards(short, 4).is_err(), "uncovered tail");
 }
 
 #[test]
