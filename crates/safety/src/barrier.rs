@@ -148,7 +148,12 @@ impl DistanceBarrier {
     /// Neither stand-in exceeds `h` in floating point: both weights are at
     /// least the towardness [`Self::value`] computes, and every rounding
     /// step of `h` is monotone in it.
+    ///
+    /// Inlined into every rollout: Ψ's look-ahead and φ's crossing tests
+    /// read it at every integration step. A release binary keeps it out of
+    /// line under plain `#[inline]`, and then calls it once a step.
     #[must_use]
+    #[inline(always)]
     pub fn screened_value_in_world(&self, world: &World, state: &VehicleState) -> f64 {
         let Some((obstacle, distance)) = world.nearest_obstacle(state) else {
             return f64::INFINITY;
@@ -158,6 +163,10 @@ impl DistanceBarrier {
 
     /// [`Self::screened_value_in_world`] against an obstacle centered at
     /// `(x, y)` whose surface is `distance` away.
+    ///
+    /// Inlined into every rollout with it. A release binary keeps it out of
+    /// line under plain `#[inline]`, and then calls it once a step.
+    #[inline(always)]
     fn screened_value(&self, x: f64, y: f64, distance: f64, state: &VehicleState) -> f64 {
         let monotone = self.kinetic_gain.is_finite()
             && self.kinetic_gain >= 0.0

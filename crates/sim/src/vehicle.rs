@@ -203,6 +203,12 @@ impl BicycleModel {
     }
 
     /// One step of [`Self::step`] under an already derived control.
+    ///
+    /// Inlined into every rollout: it is the integration step of the
+    /// safety filter's and the safe-interval evaluator's look-aheads, which
+    /// compile in `seo-safety`, and without the attribute a release build
+    /// calls it across the crate boundary at every step.
+    #[inline]
     fn advance(&self, state: VehicleState, control: Frozen, dt: f64) -> VehicleState {
         let speed_dot = control.accel - self.drag * state.speed;
         let new_speed = (state.speed + speed_dot * dt).clamp(0.0, self.max_speed);

@@ -7,8 +7,10 @@
 //! scale and a **bad** state with a degraded scale. SEO's fallback
 //! machinery is stressed harder the longer the link dwells in the bad
 //! state: `tests/extensions.rs::bursty_channel_reduces_offload_success_rate`
-//! checks this at the two stationary extremes, where the bad state's scale
-//! lowers both the offload success rate and the energy gain.
+//! runs [`crate::WirelessLink::bursty_default`] against a memoryless
+//! Rayleigh link of the same stationary mean rate, where over twenty
+//! episodes the bursts alone lower the offload success rate and the energy
+//! gain and raise the local fallbacks.
 
 use crate::channel::RayleighChannel;
 use crate::error::WirelessError;

@@ -105,35 +105,58 @@ fn bursty_channel_reduces_offload_success_rate() {
     use seo_wireless::channel::RayleighChannel;
     use seo_wireless::link::WirelessLink;
 
-    let world = ScenarioConfig::new(0).with_seed(5).generate();
-    let run_with_scale = |mbps: f64| {
-        let link = WirelessLink::new(
-            RayleighChannel::new(BitsPerSecond::from_mbps(mbps)).expect("valid"),
-            Bits::from_kilobytes(25.0),
-            Watts::new(1.3),
-            Seconds::from_millis(1.0),
-        )
-        .expect("valid");
+    // The bursty default spends 1/11 of its samples in a 2 Mbps fade and
+    // the rest at 20 Mbps. A Rayleigh link's mean rate is linear in its
+    // scale, so this memoryless link has the bursty one's stationary mean
+    // rate (and the paper link's payload, power and overhead): only the
+    // bursts differ.
+    let memoryless = WirelessLink::new(
+        RayleighChannel::new(BitsPerSecond::from_mbps(
+            20.0 * 10.0 / 11.0 + 2.0 * 1.0 / 11.0,
+        ))
+        .expect("valid"),
+        Bits::from_kilobytes(25.0),
+        Watts::new(1.3),
+        Seconds::from_millis(1.0),
+    )
+    .expect("valid");
+    let bursty = WirelessLink::bursty_default().expect("valid");
+    // Offloads issued, in time and fallen back, and the mean combined gain
+    // over seeds 0–19 of the obstacle-free scenario: 10 640 issued on both,
+    // 4 148 vs 4 407 in time, 1 152 vs 893 fallbacks, gain 0.757 vs 0.837.
+    // Two of the twenty episodes order the other way, so only the
+    // aggregates are compared.
+    let totals = |link: WirelessLink| {
         let rt = runtime(OptimizerKind::Offloading).with_link(link);
-        rt.run_episode(&world, 5)
+        let (mut issued, mut in_time, mut fallbacks, mut gain) = (0, 0, 0, 0.0);
+        for seed in 0..20 {
+            let report = rt.run_episode(&ScenarioConfig::new(0).with_seed(seed).generate(), seed);
+            for m in &report.models {
+                issued += m.offloads_issued;
+                in_time += m.offload_successes;
+                fallbacks += m.offload_fallbacks;
+            }
+            gain += report.combined_gain().expect("ok") / 20.0;
+        }
+        (issued, in_time, fallbacks, gain)
     };
-    // A Gilbert-Elliott bad state is equivalent to dwelling on a 2 Mbps
-    // Rayleigh scale; compare the two stationary extremes.
-    let good = run_with_scale(20.0);
-    let degraded = run_with_scale(2.0);
-    let rate = |r: &EpisodeReport| {
-        let m = &r.models[0];
-        m.offload_successes as f64 / m.offloads_issued.max(1) as f64
-    };
-    assert!(
-        rate(&degraded) < rate(&good) + 1e-9,
-        "a degraded channel must not improve success rates"
+    let (issued, bursty_in_time, bursty_fallbacks, bursty_gain) = totals(bursty);
+    let (same_issued, in_time, fallbacks, gain) = totals(memoryless);
+    assert_eq!(
+        issued, same_issued,
+        "the channel must not change which slots offload"
     );
-    let g_good = good.combined_gain().expect("ok");
-    let g_bad = degraded.combined_gain().expect("ok");
     assert!(
-        g_bad < g_good,
-        "degraded channel must reduce gains: {g_bad} vs {g_good}"
+        bursty_in_time < in_time,
+        "bursts must lower the offload success rate: {bursty_in_time} vs {in_time} of {issued}"
+    );
+    assert!(
+        bursty_fallbacks > fallbacks,
+        "bursts must raise local fallbacks: {bursty_fallbacks} vs {fallbacks}"
+    );
+    assert!(
+        bursty_gain < gain,
+        "bursts must lower the mean combined gain: {bursty_gain} vs {gain}"
     );
 }
 
