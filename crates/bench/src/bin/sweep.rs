@@ -5,12 +5,12 @@
 //! multi-axis grid (obstacles × τ × gating × control mode × optimizer ×
 //! controller × channel × traffic × seeds) and the execution machinery
 //! (serial / threads / worker processes / TCP hosts), runs it, and streams
-//! the merged NDJSON report lines to stdout. A plan with a `report` section
-//! additionally folds exactly-associative per-cell sketches
-//! (`seo_core::agg`): mode `summary` replaces the episode stream with
-//! per-cell summary NDJSON (byte-identical across all four engines — no
-//! per-episode line crosses a process or host boundary), and `report.book`
-//! upserts a named-run row into the committed results book (see
+//! the merged NDJSON report lines to stdout. A plan whose `report` section
+//! sets mode `summary` folds exactly-associative per-cell sketches
+//! (`seo_core::agg`) instead: per-cell summary NDJSON replaces the episode
+//! stream (byte-identical across all four engines — no per-episode line
+//! crosses a process or host boundary), and `report.book` upserts a
+//! named-run row into the committed results book (see
 //! `docs/reporting.md`). `--check`
 //! validates and summarizes a plan without running anything, `--worker
 //! START..END` runs one shard of it (what a processes plan spawns), and

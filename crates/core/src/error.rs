@@ -1,7 +1,6 @@
 //! Error type for the SEO framework.
 
 use seo_platform::PlatformError;
-use seo_safety::SafetyError;
 use seo_wireless::WirelessError;
 use std::error::Error;
 use std::fmt;
@@ -31,8 +30,6 @@ pub enum SeoError {
     },
     /// A platform-layer error (invalid quantities, zero baselines).
     Platform(PlatformError),
-    /// A safety-layer error.
-    Safety(SafetyError),
     /// A wireless-layer error.
     Wireless(WirelessError),
 }
@@ -55,7 +52,6 @@ impl fmt::Display for SeoError {
                 "collected only {collected}/{requested} successful runs after {attempts} attempts"
             ),
             Self::Platform(e) => write!(f, "platform error: {e}"),
-            Self::Safety(e) => write!(f, "safety error: {e}"),
             Self::Wireless(e) => write!(f, "wireless error: {e}"),
         }
     }
@@ -65,7 +61,6 @@ impl Error for SeoError {
     fn source(&self) -> Option<&(dyn Error + 'static)> {
         match self {
             Self::Platform(e) => Some(e),
-            Self::Safety(e) => Some(e),
             Self::Wireless(e) => Some(e),
             _ => None,
         }
@@ -75,12 +70,6 @@ impl Error for SeoError {
 impl From<PlatformError> for SeoError {
     fn from(e: PlatformError) -> Self {
         Self::Platform(e)
-    }
-}
-
-impl From<SafetyError> for SeoError {
-    fn from(e: SafetyError) -> Self {
-        Self::Safety(e)
     }
 }
 

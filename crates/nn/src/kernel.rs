@@ -1,15 +1,14 @@
 //! Pluggable inference kernel backends — the compute layer under every
 //! inference hot path.
 //!
-//! A neural controller spends its per-control-step inference in two dense
-//! primitives: the matrix–vector product and the fused dense layer
-//! (matvec + bias + activation). This module makes that layer a *seam*:
-//! the [`Kernel`] trait names the two primitives, and every hot
-//! entry point above it ([`Matrix::matvec_into_with`](crate::tensor::Matrix::matvec_into_with),
-//! [`Dense::forward_into_with`](crate::layer::Dense::forward_into_with),
+//! A neural controller spends its per-control-step inference in one dense
+//! primitive: the matrix–vector product. This module makes that primitive a
+//! *seam*: the [`Kernel`] trait names it, and every hot entry point above it
+//! ([`Dense::forward_into_with`](crate::layer::Dense::forward_into_with),
 //! [`Mlp::forward_into_with`](crate::mlp::Mlp::forward_into_with),
 //! [`DrivingPolicy::act_scratch_with`](crate::policy::DrivingPolicy::act_scratch_with))
-//! is generic over an implementation.
+//! is generic over an implementation. The bias and `tanh` each dense layer
+//! applies after the product are the same code on every backend.
 //!
 //! Two backends ship:
 //!
@@ -48,13 +47,13 @@
 //!
 //! ```
 //! use seo_nn::kernel::{BlockedKernel, Kernel, KernelBackend, ScalarKernel};
-//! use seo_nn::tensor::Matrix;
 //!
-//! let m = Matrix::from_rows(&[&[1.0, 2.0, 3.0], &[4.0, 5.0, 6.0]]);
+//! // A row-major 2x3 matrix times a 3-vector.
+//! let data = [1.0, 2.0, 3.0, 4.0, 5.0, 6.0];
 //! let x = [1.0, -1.0, 0.5];
-//! let (mut scalar, mut blocked) = (vec![0.0; 2], vec![0.0; 2]);
-//! m.matvec_into_with::<ScalarKernel>(&x, &mut scalar);
-//! m.matvec_into_with::<BlockedKernel>(&x, &mut blocked);
+//! let (mut scalar, mut blocked) = ([0.0; 2], [0.0; 2]);
+//! ScalarKernel::matvec(3, &data, &x, &mut scalar);
+//! BlockedKernel::matvec(3, &data, &x, &mut blocked);
 //! // The backends are bit-identical, not merely close:
 //! assert_eq!(scalar, blocked);
 //!
@@ -65,7 +64,6 @@
 //! # Ok::<(), seo_nn::kernel::UnknownKernelError>(())
 //! ```
 
-use crate::layer::Activation;
 use std::fmt;
 
 /// Rows per register block in [`BlockedKernel`]: four output elements are
@@ -78,7 +76,7 @@ pub const MR: usize = 4;
 /// inside a group still applied strictly left-to-right.
 pub const NR: usize = 4;
 
-/// The two dense primitives the inference hot path is built from.
+/// The dense primitive the inference hot path is built from.
 ///
 /// Implementations are zero-sized marker types; call sites are generic over
 /// the implementation (`fn f<K: Kernel>(…)`) so the backend monomorphizes
@@ -86,13 +84,12 @@ pub const NR: usize = 4;
 ///
 /// # Contract
 ///
-/// For every method, an implementation must perform the same floating-point
-/// operations **in the same order per output element** as [`ScalarKernel`],
-/// making its output bit-identical. Degenerate shapes are defined, not UB:
-/// zero rows is a no-op, zero columns writes `0.0` into every output
-/// element (the empty sum). Dimension mismatches are caught by
-/// `debug_assert!` here and by the `assert!`s of the public `Matrix`/`Dense`
-/// wrappers above this layer.
+/// An implementation must perform the same floating-point operations **in
+/// the same order per output element** as [`ScalarKernel`], making its
+/// output bit-identical. Degenerate shapes are defined, not UB: zero rows
+/// is a no-op, zero columns writes `0.0` into every output element (the
+/// empty sum). Dimension mismatches are caught by `debug_assert!` here and
+/// by the `assert!`s of [`Dense`](crate::layer::Dense) above this layer.
 pub trait Kernel: Copy + Default + Send + Sync + 'static {
     /// Backend name as it appears in plan files (`exec.kernel`).
     const NAME: &'static str;
@@ -101,28 +98,6 @@ pub trait Kernel: Copy + Default + Send + Sync + 'static {
     /// summed left-to-right per row. `data` is row-major with
     /// `out.len()` rows and `cols` columns.
     fn matvec(cols: usize, data: &[f64], x: &[f64], out: &mut [f64]);
-
-    /// Fused dense layer: `out[r] = act(Σ_k data[r·cols + k] · x[k] + bias[r])`,
-    /// the row sum accumulated exactly as in [`Self::matvec`].
-    ///
-    /// The default runs [`Self::matvec`] and then the bias + activation
-    /// sweep — the exact arithmetic of the original two-pass dense layer,
-    /// so any backend whose `matvec` honors the ordering contract gets a
-    /// correct fused form for free. Override only for a genuinely fused
-    /// backend, and keep this order: row sum, plus bias, then activation.
-    fn matvec_bias_act(
-        cols: usize,
-        data: &[f64],
-        x: &[f64],
-        bias: &[f64],
-        act: Activation,
-        out: &mut [f64],
-    ) {
-        Self::matvec(cols, data, x, out);
-        for (o, b) in out.iter_mut().zip(bias) {
-            *o = act.apply(*o + b);
-        }
-    }
 }
 
 #[inline]
@@ -358,6 +333,9 @@ impl std::error::Error for UnknownKernelError {}
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::layer::Dense;
+    use rand::rngs::StdRng;
+    use rand::SeedableRng;
 
     fn filled(n: usize, f: impl Fn(usize) -> f64) -> Vec<f64> {
         (0..n).map(f).collect()
@@ -411,30 +389,25 @@ mod tests {
 
     #[test]
     fn fused_matches_two_pass() {
-        let data = filled(6 * 5, |i| 0.1 * i as f64 - 1.0);
-        let x = filled(5, |i| 0.3 * i as f64 - 0.5);
+        // A dense layer's one-pass forward (the backend's matvec, then
+        // tanh(sum + bias) in place) equals two passes: `ScalarKernel::matvec`
+        // into a buffer, then tanh(sum + bias) per output.
+        let weights = filled(6 * 5, |i| 0.1 * i as f64 - 1.0);
         let bias = filled(6, |i| 0.05 * i as f64);
-        for act in [
-            Activation::Identity,
-            Activation::Relu,
-            Activation::Tanh,
-            Activation::Sigmoid,
-        ] {
-            let mut two_pass = vec![0.0; 6];
-            ScalarKernel::matvec(5, &data, &x, &mut two_pass);
-            for (o, b) in two_pass.iter_mut().zip(&bias) {
-                *o = act.apply(*o + b);
-            }
-            for (name, fused) in [("scalar", true), ("blocked", false)] {
-                let mut out = vec![f64::NAN; 6];
-                if fused {
-                    ScalarKernel::matvec_bias_act(5, &data, &x, &bias, act, &mut out);
-                } else {
-                    BlockedKernel::matvec_bias_act(5, &data, &x, &bias, act, &mut out);
-                }
-                assert_eq!(out, two_pass, "{name} fused {act:?} diverged");
-            }
+        let x = filled(5, |i| 0.3 * i as f64 - 0.5);
+        let mut layer = Dense::new(5, 6, &mut StdRng::seed_from_u64(0)).expect("valid dims");
+        layer.read_params(&[weights.as_slice(), bias.as_slice()].concat());
+        let mut two_pass = vec![0.0; 6];
+        ScalarKernel::matvec(5, &weights, &x, &mut two_pass);
+        for (o, b) in two_pass.iter_mut().zip(&bias) {
+            *o = (*o + b).tanh();
         }
+        let mut scalar = vec![f64::NAN; 6];
+        let mut blocked = vec![f64::NAN; 6];
+        layer.forward_into_with::<ScalarKernel>(&x, &mut scalar);
+        layer.forward_into_with::<BlockedKernel>(&x, &mut blocked);
+        assert_eq!(scalar, two_pass, "scalar fused forward diverged");
+        assert_eq!(blocked, two_pass, "blocked fused forward diverged");
     }
 
     #[test]

@@ -1,47 +1,21 @@
-//! Dense layers and activations: forward inference and flat parameters.
+//! Dense tanh layers: forward inference and flat parameters.
 
 use crate::error::NnError;
 use crate::kernel::Kernel;
-use crate::tensor::Matrix;
 use rand::Rng;
 
-/// Pointwise nonlinearity applied after a dense layer.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum Activation {
-    /// `f(x) = x`.
-    Identity,
-    /// `f(x) = max(0, x)`.
-    Relu,
-    /// `f(x) = tanh(x)`.
-    Tanh,
-    /// `f(x) = 1 / (1 + e^-x)`.
-    Sigmoid,
-}
-
-impl Activation {
-    /// Applies the activation.
-    #[must_use]
-    pub fn apply(self, x: f64) -> f64 {
-        match self {
-            Self::Identity => x,
-            Self::Relu => x.max(0.0),
-            Self::Tanh => x.tanh(),
-            Self::Sigmoid => 1.0 / (1.0 + (-x).exp()),
-        }
-    }
-}
-
-/// A fully-connected layer `y = f(Wx + b)`.
+/// A fully-connected layer `y = tanh(Wx + b)`.
 #[derive(Debug, Clone, PartialEq)]
 pub struct Dense {
-    weights: Matrix,
+    /// Row-major weights: one row of `cols` per output.
+    weights: Vec<f64>,
+    cols: usize,
     biases: Vec<f64>,
-    activation: Activation,
 }
 
 impl Dense {
-    /// Creates a layer with Xavier/Glorot-uniform initialized weights and
-    /// zero biases.
+    /// Creates a layer with Xavier/Glorot-uniform initialized weights
+    /// (drawn in row-major order) and zero biases.
     ///
     /// # Errors
     ///
@@ -49,7 +23,6 @@ impl Dense {
     pub(crate) fn new<R: Rng>(
         input_dim: usize,
         output_dim: usize,
-        activation: Activation,
         rng: &mut R,
     ) -> Result<Self, NnError> {
         if input_dim == 0 {
@@ -67,39 +40,38 @@ impl Dense {
             });
         }
         let limit = (6.0 / (input_dim + output_dim) as f64).sqrt();
-        let mut weights = Matrix::zeros(output_dim, input_dim);
-        for w in weights.as_mut_slice() {
-            *w = rng.gen_range(-limit..=limit);
-        }
+        let weights = (0..output_dim * input_dim)
+            .map(|_| rng.gen_range(-limit..=limit))
+            .collect();
         Ok(Self {
             weights,
+            cols: input_dim,
             biases: vec![0.0; output_dim],
-            activation,
         })
     }
 
     /// Input dimension.
     #[must_use]
     pub(crate) fn input_dim(&self) -> usize {
-        self.weights.cols()
+        self.cols
     }
 
     /// Output dimension.
     #[must_use]
     pub(crate) fn output_dim(&self) -> usize {
-        self.weights.rows()
+        self.biases.len()
     }
 
     /// Total number of trainable parameters.
     #[must_use]
     pub(crate) fn param_count(&self) -> usize {
-        self.weights.rows() * self.weights.cols() + self.biases.len()
+        self.weights.len() + self.biases.len()
     }
 
     /// Forward pass written into a caller-provided buffer (allocation-free)
-    /// over an explicit [`Kernel`] backend, running the backend's **fused**
-    /// matvec + bias + activation primitive. All
-    /// backends are bit-identical by contract (see [`crate::kernel`]).
+    /// over an explicit [`Kernel`] backend: the backend's matvec, then
+    /// `tanh(row sum + bias)` per output. All backends are bit-identical
+    /// by contract (see [`crate::kernel`]).
     ///
     /// # Panics
     ///
@@ -115,14 +87,10 @@ impl Dense {
             self.output_dim(),
             "dense output dimension mismatch"
         );
-        K::matvec_bias_act(
-            self.weights.cols(),
-            self.weights.as_slice(),
-            input,
-            &self.biases,
-            self.activation,
-            out,
-        );
+        K::matvec(self.cols, &self.weights, input, out);
+        for (o, b) in out.iter_mut().zip(&self.biases) {
+            *o = (*o + b).tanh();
+        }
     }
 
     /// Copies all parameters (weights row-major, then biases) into `out`,
@@ -133,7 +101,7 @@ impl Dense {
     /// Panics if `out` is shorter than [`Self::param_count`].
     pub(crate) fn write_params(&self, out: &mut [f64]) -> usize {
         let n = self.param_count();
-        let w = self.weights.as_slice();
+        let w = &self.weights;
         out[..w.len()].copy_from_slice(w);
         out[w.len()..n].copy_from_slice(&self.biases);
         n
@@ -147,10 +115,8 @@ impl Dense {
     /// Panics if `params` is shorter than [`Self::param_count`].
     pub(crate) fn read_params(&mut self, params: &[f64]) -> usize {
         let n = self.param_count();
-        let w_len = self.weights.rows() * self.weights.cols();
-        self.weights
-            .as_mut_slice()
-            .copy_from_slice(&params[..w_len]);
+        let w_len = self.weights.len();
+        self.weights.copy_from_slice(&params[..w_len]);
         self.biases.copy_from_slice(&params[w_len..n]);
         n
     }
@@ -174,36 +140,46 @@ mod tests {
     }
 
     #[test]
-    fn activations_match_definitions() {
-        assert_eq!(Activation::Identity.apply(-2.0), -2.0);
-        assert_eq!(Activation::Relu.apply(-2.0), 0.0);
-        assert_eq!(Activation::Relu.apply(2.0), 2.0);
-        assert!((Activation::Tanh.apply(0.0)).abs() < 1e-12);
-        assert!((Activation::Sigmoid.apply(0.0) - 0.5).abs() < 1e-12);
-    }
-
-    #[test]
     fn forward_shape_and_determinism() {
-        let layer = Dense::new(3, 5, Activation::Relu, &mut rng()).expect("valid dims");
+        let layer = Dense::new(3, 5, &mut rng()).expect("valid dims");
         let out = forward(&layer, &[0.1, 0.2, 0.3]);
         assert_eq!(out.len(), 5);
         assert_eq!(out, forward(&layer, &[0.1, 0.2, 0.3]));
-        assert!(out.iter().all(|&v| v >= 0.0), "relu output is non-negative");
+        assert!(out.iter().all(|v| v.abs() <= 1.0), "tanh output is bounded");
+    }
+
+    #[test]
+    fn activations_match_definitions() {
+        // The one activation is tanh: with zero weights every output is
+        // tanh(bias), so a zero bias gives 0 and the bias's sign is kept.
+        let mut layer = Dense::new(2, 3, &mut rng()).expect("valid dims");
+        let mut params = vec![0.0; layer.param_count()];
+        params[6..].copy_from_slice(&[-2.0, 0.0, 2.0]);
+        layer.read_params(&params);
+        let out = forward(&layer, &[0.3, -0.7]);
+        assert_eq!(out, [(-2.0f64).tanh(), 0.0, 2.0f64.tanh()]);
+    }
+
+    #[test]
+    #[should_panic(expected = "dense input dimension mismatch")]
+    fn forward_wrong_input_len_panics() {
+        let layer = Dense::new(3, 2, &mut rng()).expect("valid dims");
+        let _ = forward(&layer, &[1.0, 2.0]);
     }
 
     #[test]
     fn zero_dims_rejected() {
-        assert!(Dense::new(0, 5, Activation::Relu, &mut rng()).is_err());
-        assert!(Dense::new(5, 0, Activation::Relu, &mut rng()).is_err());
+        assert!(Dense::new(0, 5, &mut rng()).is_err());
+        assert!(Dense::new(5, 0, &mut rng()).is_err());
     }
 
     #[test]
     fn param_roundtrip() {
         let mut shared_rng = rng();
-        let layer = Dense::new(4, 3, Activation::Tanh, &mut shared_rng).expect("valid dims");
+        let layer = Dense::new(4, 3, &mut shared_rng).expect("valid dims");
         let mut buf = vec![0.0; layer.param_count()];
         assert_eq!(layer.write_params(&mut buf), 15);
-        let mut other = Dense::new(4, 3, Activation::Tanh, &mut shared_rng).expect("valid dims");
+        let mut other = Dense::new(4, 3, &mut shared_rng).expect("valid dims");
         assert_ne!(forward(&other, &[1.0; 4]), forward(&layer, &[1.0; 4]));
         other.read_params(&buf);
         assert_eq!(forward(&other, &[1.0; 4]), forward(&layer, &[1.0; 4]));
@@ -211,7 +187,7 @@ mod tests {
 
     #[test]
     fn clone_roundtrip() {
-        let layer = Dense::new(2, 2, Activation::Sigmoid, &mut rng()).expect("valid dims");
+        let layer = Dense::new(2, 2, &mut rng()).expect("valid dims");
         let back = layer.clone();
         assert_eq!(back, layer);
     }

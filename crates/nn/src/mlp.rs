@@ -4,15 +4,13 @@
 
 use crate::error::NnError;
 use crate::kernel::Kernel;
-use crate::layer::{Activation, Dense};
+use crate::layer::Dense;
 use rand::Rng;
 use std::fmt;
 
-/// A feed-forward network of dense layers.
-///
-/// All hidden layers share one activation; the output layer has its own
-/// (typically [`Activation::Identity`] for regression heads or
-/// [`Activation::Tanh`] for bounded control heads).
+/// A feed-forward network of dense `tanh` layers, so every output lies in
+/// `[-1, 1]`: the shape of the bounded control heads the driving policy
+/// needs.
 #[derive(Debug, Clone, PartialEq)]
 pub struct Mlp {
     layers: Vec<Dense>,
@@ -60,19 +58,13 @@ impl Mlp {
     ///
     /// Returns [`NnError::TopologyTooSmall`] for fewer than two sizes and
     /// [`NnError::ShapeMismatch`] if any size is zero.
-    pub fn new<R: Rng>(
-        sizes: &[usize],
-        hidden: Activation,
-        output: Activation,
-        rng: &mut R,
-    ) -> Result<Self, NnError> {
+    pub fn new<R: Rng>(sizes: &[usize], rng: &mut R) -> Result<Self, NnError> {
         if sizes.len() < 2 {
             return Err(NnError::TopologyTooSmall);
         }
         let mut layers = Vec::with_capacity(sizes.len() - 1);
-        for (i, pair) in sizes.windows(2).enumerate() {
-            let activation = if i + 2 == sizes.len() { output } else { hidden };
-            layers.push(Dense::new(pair[0], pair[1], activation, rng)?);
+        for pair in sizes.windows(2) {
+            layers.push(Dense::new(pair[0], pair[1], rng)?);
         }
         Ok(Self { layers })
     }
@@ -119,7 +111,7 @@ impl Mlp {
     /// per-control-step inference. A reused scratch gives the bytes a fresh
     /// one gives, and all backends produce bit-identical output by contract
     /// (see [`crate::kernel`]); the backend only changes how fast each dense
-    /// layer's fused matvec + bias + activation runs.
+    /// layer's matvec runs.
     ///
     /// # Panics
     ///
@@ -209,13 +201,7 @@ mod tests {
 
     #[test]
     fn topology_and_counts() {
-        let net = Mlp::new(
-            &[4, 8, 2],
-            Activation::Tanh,
-            Activation::Identity,
-            &mut rng(),
-        )
-        .expect("valid");
+        let net = Mlp::new(&[4, 8, 2], &mut rng()).expect("valid");
         assert_eq!(net.input_dim(), 4);
         assert_eq!(net.output_dim(), 2);
         assert_eq!(net.layer_count(), 2);
@@ -225,27 +211,20 @@ mod tests {
     #[test]
     fn too_small_topology_rejected() {
         assert_eq!(
-            Mlp::new(&[4], Activation::Tanh, Activation::Identity, &mut rng()).unwrap_err(),
+            Mlp::new(&[4], &mut rng()).unwrap_err(),
             NnError::TopologyTooSmall
         );
-        assert!(Mlp::new(&[], Activation::Tanh, Activation::Identity, &mut rng()).is_err());
+        assert!(Mlp::new(&[], &mut rng()).is_err());
     }
 
     #[test]
     fn zero_layer_size_rejected() {
-        assert!(Mlp::new(
-            &[4, 0, 2],
-            Activation::Tanh,
-            Activation::Identity,
-            &mut rng()
-        )
-        .is_err());
+        assert!(Mlp::new(&[4, 0, 2], &mut rng()).is_err());
     }
 
     #[test]
     fn forward_is_deterministic_and_bounded_with_tanh_head() {
-        let net =
-            Mlp::new(&[3, 8, 2], Activation::Relu, Activation::Tanh, &mut rng()).expect("valid");
+        let net = Mlp::new(&[3, 8, 2], &mut rng()).expect("valid");
         let out = forward(&net, &[0.5, -1.0, 2.0]);
         assert_eq!(out, forward(&net, &[0.5, -1.0, 2.0]));
         assert!(out.iter().all(|v| v.abs() <= 1.0));
@@ -253,21 +232,9 @@ mod tests {
 
     #[test]
     fn param_roundtrip_preserves_function() {
-        let net = Mlp::new(
-            &[5, 7, 3],
-            Activation::Tanh,
-            Activation::Identity,
-            &mut rng(),
-        )
-        .expect("valid");
+        let net = Mlp::new(&[5, 7, 3], &mut rng()).expect("valid");
         let params = net.to_params();
-        let mut other = Mlp::new(
-            &[5, 7, 3],
-            Activation::Tanh,
-            Activation::Identity,
-            &mut rng(),
-        )
-        .expect("valid");
+        let mut other = Mlp::new(&[5, 7, 3], &mut rng()).expect("valid");
         other.set_params(&params).expect("matching count");
         let x = [0.1, 0.2, 0.3, 0.4, 0.5];
         assert_eq!(forward(&net, &x), forward(&other, &x));
@@ -275,8 +242,7 @@ mod tests {
 
     #[test]
     fn set_params_rejects_wrong_length() {
-        let mut net =
-            Mlp::new(&[2, 2], Activation::Tanh, Activation::Identity, &mut rng()).expect("valid");
+        let mut net = Mlp::new(&[2, 2], &mut rng()).expect("valid");
         let err = net.set_params(&[0.0; 3]).unwrap_err();
         assert!(matches!(
             err,
@@ -289,13 +255,7 @@ mod tests {
 
     #[test]
     fn display_and_clone() {
-        let net = Mlp::new(
-            &[2, 3, 1],
-            Activation::Tanh,
-            Activation::Identity,
-            &mut rng(),
-        )
-        .expect("ok");
+        let net = Mlp::new(&[2, 3, 1], &mut rng()).expect("ok");
         assert!(net.to_string().contains("2->1"));
         let back = net.clone();
         assert_eq!(back, net);

@@ -15,7 +15,6 @@
 
 use crate::error::NnError;
 use crate::kernel::{Kernel, ScalarKernel};
-use crate::layer::Activation;
 use crate::mlp::{InferenceScratch, Mlp};
 use crate::train::{CemConfig, CemTrainer, Generation};
 use rand::rngs::StdRng;
@@ -115,12 +114,7 @@ impl DrivingPolicy {
     /// Propagates [`NnError`] from network construction (cannot fail for
     /// the fixed topology, but kept fallible for API uniformity).
     pub fn new<R: Rng>(rng: &mut R) -> Result<Self, NnError> {
-        let net = Mlp::new(
-            &[PolicyFeatures::DIM, 16, 16, 2],
-            Activation::Tanh,
-            Activation::Tanh,
-            rng,
-        )?;
+        let net = Mlp::new(&[PolicyFeatures::DIM, 16, 16, 2], rng)?;
         Ok(Self { net })
     }
 

@@ -4,11 +4,9 @@
 
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
-use seo_nn::kernel::ScalarKernel;
-use seo_nn::layer::Activation;
+use seo_nn::kernel::{Kernel, ScalarKernel};
 use seo_nn::mlp::{InferenceScratch, Mlp};
 use seo_nn::policy::{DrivingPolicy, PolicyFeatures};
-use seo_nn::tensor::Matrix;
 use seo_sim::vehicle::Control;
 
 const CASES: usize = 200;
@@ -31,16 +29,16 @@ fn act(policy: &DrivingPolicy, f: &PolicyFeatures) -> Control {
 #[test]
 fn matvec_is_linear() {
     let mut rng = StdRng::seed_from_u64(0xA11CE);
-    let m = Matrix::from_flat(3, 6, (0..18).map(|i| (i as f64) * 0.1 - 0.9).collect());
+    let m: Vec<f64> = (0..18).map(|i| (i as f64) * 0.1 - 0.9).collect();
     for _ in 0..CASES {
         let a = small_vec(&mut rng, 6);
         let b = small_vec(&mut rng, 6);
         let alpha = rng.gen_range(-2.0..2.0);
-        // M(alpha a + b) == alpha M a + M b for a fixed matrix.
+        // M(alpha a + b) == alpha M a + M b for a fixed 3x6 matrix.
         let combined: Vec<f64> = a.iter().zip(&b).map(|(x, y)| alpha * x + y).collect();
         let matvec = |x: &[f64]| {
             let mut out = [0.0; 3];
-            m.matvec_into_with::<ScalarKernel>(x, &mut out);
+            ScalarKernel::matvec(6, &m, x, &mut out);
             out
         };
         let left = matvec(&combined);
@@ -55,21 +53,18 @@ fn matvec_is_linear() {
 
 #[test]
 fn activations_are_monotone() {
+    // A one-input tanh layer y = tanh(w x + b) never falls as x rises
+    // while w >= 0.
     let mut rng = StdRng::seed_from_u64(1);
+    let mut net = Mlp::new(&[1, 1], &mut rng).expect("valid topology");
     for _ in 0..CASES {
+        let w = rng.gen_range(0.0..3.0);
+        let b = rng.gen_range(-2.0..2.0);
+        net.set_params(&[w, b]).expect("one weight and one bias");
         let x = rng.gen_range(-10.0..10.0);
         let dx = rng.gen_range(0.0..5.0);
-        for act in [
-            Activation::Identity,
-            Activation::Relu,
-            Activation::Tanh,
-            Activation::Sigmoid,
-        ] {
-            assert!(
-                act.apply(x + dx) >= act.apply(x) - 1e-12,
-                "{act:?} not monotone"
-            );
-        }
+        let (lo, hi) = (forward(&net, &[x])[0], forward(&net, &[x + dx])[0]);
+        assert!(hi >= lo - 1e-12, "tanh layer not monotone: {lo} then {hi}");
     }
 }
 
@@ -80,16 +75,9 @@ fn mlp_params_roundtrip_exactly() {
         let seed = case_rng.gen_range(0u64..1000);
         let input = small_vec(&mut case_rng, 5);
         let mut rng = StdRng::seed_from_u64(seed);
-        let net = Mlp::new(&[5, 9, 3], Activation::Tanh, Activation::Identity, &mut rng)
-            .expect("valid topology");
+        let net = Mlp::new(&[5, 9, 3], &mut rng).expect("valid topology");
         let mut rng2 = StdRng::seed_from_u64(seed.wrapping_add(1));
-        let mut other = Mlp::new(
-            &[5, 9, 3],
-            Activation::Tanh,
-            Activation::Identity,
-            &mut rng2,
-        )
-        .expect("valid topology");
+        let mut other = Mlp::new(&[5, 9, 3], &mut rng2).expect("valid topology");
         other.set_params(&net.to_params()).expect("matching shapes");
         assert_eq!(forward(&net, &input), forward(&other, &input));
     }
@@ -102,8 +90,7 @@ fn mlp_outputs_are_finite() {
         let seed = case_rng.gen_range(0u64..200);
         let input = small_vec(&mut case_rng, 4);
         let mut rng = StdRng::seed_from_u64(seed);
-        let net = Mlp::new(&[4, 8, 8, 2], Activation::Relu, Activation::Tanh, &mut rng)
-            .expect("valid topology");
+        let net = Mlp::new(&[4, 8, 8, 2], &mut rng).expect("valid topology");
         let out = forward(&net, &input);
         assert!(out.iter().all(|v| v.is_finite()));
         assert!(
@@ -143,8 +130,7 @@ fn forward_in_a_reused_scratch_matches_a_fresh_one_exactly() {
     let mut case_rng = StdRng::seed_from_u64(0xF00D);
     for case in 0..60 {
         let mut rng = StdRng::seed_from_u64(case);
-        let net = Mlp::new(&[5, 11, 7, 2], Activation::Relu, Activation::Tanh, &mut rng)
-            .expect("valid topology");
+        let net = Mlp::new(&[5, 11, 7, 2], &mut rng).expect("valid topology");
         let mut scratch = InferenceScratch::for_mlp(&net);
         for _ in 0..5 {
             let input = small_vec(&mut case_rng, 5);
@@ -211,22 +197,21 @@ fn blocked_matvec_is_bit_identical_across_shapes() {
     }
     for (rows, cols) in shapes {
         let data: Vec<f64> = (0..rows * cols).map(|_| rng.gen_range(-2.0..2.0)).collect();
-        let m = Matrix::from_flat(rows, cols, data);
         let x = small_vec(&mut rng, cols);
         let mut scalar = vec![f64::NAN; rows];
         let mut blocked = vec![f64::NAN; rows];
-        m.matvec_into_with::<ScalarKernel>(&x, &mut scalar);
-        m.matvec_into_with::<BlockedKernel>(&x, &mut blocked);
+        ScalarKernel::matvec(cols, &data, &x, &mut scalar);
+        BlockedKernel::matvec(cols, &data, &x, &mut blocked);
         assert_eq!(scalar, blocked, "{rows}x{cols}: blocked must be exact");
     }
 }
 
 #[test]
 fn kernel_empty_shapes_are_consistent() {
-    use seo_nn::kernel::{BlockedKernel, Kernel};
-    // `Matrix` forbids zero dimensions, so the degenerate shapes are pinned
-    // at the kernel layer directly: zero rows writes nothing, zero cols
-    // writes the empty sum.
+    use seo_nn::kernel::BlockedKernel;
+    // A dense layer forbids zero dimensions, so the degenerate shapes are
+    // pinned at the kernel layer directly: zero rows writes nothing, zero
+    // cols writes the empty sum.
     let mut none: [f64; 0] = [];
     ScalarKernel::matvec(3, &[], &[1.0, 2.0, 3.0], &mut none);
     BlockedKernel::matvec(3, &[], &[1.0, 2.0, 3.0], &mut none);
@@ -251,8 +236,7 @@ fn every_backend_reproduces_mlp_and_policy_outputs() {
         // 7 -> 16 -> 16 -> 2 is the paper policy topology; 5 -> 11 -> 3
         // adds odd widths.
         for sizes in [&[7usize, 16, 16, 2][..], &[5, 11, 3][..]] {
-            let net = Mlp::new(sizes, Activation::Tanh, Activation::Tanh, &mut rng)
-                .expect("valid topology");
+            let net = Mlp::new(sizes, &mut rng).expect("valid topology");
             let input = small_vec(&mut case_rng, sizes[0]);
             let mut scratch = InferenceScratch::for_mlp(&net);
             let reference = forward(&net, &input);

@@ -14,11 +14,6 @@ pub enum SafetyError {
         /// Constraint description.
         constraint: &'static str,
     },
-    /// A lookup table was built with an empty axis.
-    EmptyTableAxis {
-        /// Which axis was empty.
-        axis: &'static str,
-    },
 }
 
 impl fmt::Display for SafetyError {
@@ -26,12 +21,6 @@ impl fmt::Display for SafetyError {
         match self {
             Self::InvalidConfig { field, constraint } => {
                 write!(f, "invalid safety config: {field} must {constraint}")
-            }
-            Self::EmptyTableAxis { axis } => {
-                write!(
-                    f,
-                    "deadline table axis {axis} must have at least two grid points"
-                )
             }
         }
     }
@@ -50,8 +39,5 @@ mod tests {
             constraint: "be positive",
         };
         assert!(e.to_string().contains("alpha"));
-        assert!(SafetyError::EmptyTableAxis { axis: "distance" }
-            .to_string()
-            .contains("distance"));
     }
 }

@@ -29,5 +29,5 @@ pub use bursty::GilbertElliottChannel;
 pub use channel::RayleighChannel;
 pub use error::WirelessError;
 pub use link::{FadingChannel, WirelessLink};
-pub use offload::{OffloadOutcome, OffloadTransaction, ResponseEstimator};
+pub use offload::{OffloadTransaction, ResponseEstimator};
 pub use server::EdgeServer;

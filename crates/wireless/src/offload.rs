@@ -94,24 +94,6 @@ impl fmt::Display for OffloadTransaction {
     }
 }
 
-/// Terminal outcome of one offload attempt, for metrics.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-pub enum OffloadOutcome {
-    /// The response arrived before the deadline; local compute was avoided.
-    Succeeded,
-    /// The deadline expired first; the local model was re-invoked.
-    FellBack,
-}
-
-impl fmt::Display for OffloadOutcome {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        match self {
-            Self::Succeeded => f.write_str("succeeded"),
-            Self::FellBack => f.write_str("fell-back"),
-        }
-    }
-}
-
 /// EWMA estimator of server response times (the paper's δ̂).
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct ResponseEstimator {
@@ -265,11 +247,5 @@ mod tests {
         est.observe(Seconds::from_millis(30.0));
         // alpha clamped to 1.0: estimate jumps straight to the observation.
         assert_eq!(est.estimate(), Seconds::from_millis(30.0));
-    }
-
-    #[test]
-    fn outcome_display() {
-        assert_eq!(OffloadOutcome::Succeeded.to_string(), "succeeded");
-        assert_eq!(OffloadOutcome::FellBack.to_string(), "fell-back");
     }
 }

@@ -1,7 +1,8 @@
 //! Workspace-level properties of the falsification engine: the search is a
 //! pure function of its `search_seed`, every emitted counterexample plan
 //! replays bit-identically through the plain sweep path, the committed
-//! regression corpus and the pinned example plans stay pinned to the byte,
+//! regression corpus and the pinned example plans stay pinned to the byte
+//! (the neural one on both kernel backends),
 //! and a bursty-channel grid and a grid of episodes held at rest merge
 //! bit-identically across all four execution engines.
 
@@ -161,11 +162,16 @@ fn committed_counterexample_corpus_replays_to_the_recorded_bytes() {
 /// traffic on the bursty link each replay to the stream recorded before Ψ
 /// and φ gained their fast paths and before the deadline table filled on
 /// first query, dense traffic (up to 10 obstacles a world, τ 20 and 33 ms)
-/// to the stream recorded before the look-ahead culled obstacles, and the
+/// to the stream recorded before the look-ahead culled obstacles, the
 /// standstill grid (14 episodes held at rest until the step cap) to the
-/// stream recorded before Ψ remembered its at-rest answers, serially and
-/// through the threads engine. Engine byte-compare tests compare the code
-/// with itself; these catch a change to what Ψ, φ or the table decide.
+/// stream recorded before Ψ remembered its at-rest answers, and the neural
+/// grid (`neural:0` and `neural:1`, filtered and unfiltered, static and
+/// crossing) to the stream recorded before seo-nn was cut down to the tanh
+/// MLP, serially and through the threads engine. The neural grid's cells
+/// are the only ones that run the inference kernel, so a copy of it on the
+/// blocked backend must print the same recorded bytes. Engine byte-compare
+/// tests compare the code with itself; these catch a change to what Ψ, φ,
+/// the table or the controller network decide.
 #[test]
 fn pinned_example_plans_replay_to_the_recorded_bytes() {
     let dir = Path::new(concat!(env!("CARGO_MANIFEST_DIR"), "/../../examples/plans"));
@@ -178,6 +184,16 @@ fn pinned_example_plans_replay_to_the_recorded_bytes() {
     ] {
         assert_replays_to_recorded_bytes(&dir.join(format!("{name}.json")));
     }
+    let neural = dir.join("neural.json");
+    let mut blocked = assert_replays_to_recorded_bytes(&neural);
+    assert_eq!(blocked.kernel, KernelBackend::Scalar, "pinned on scalar");
+    blocked.kernel = KernelBackend::Blocked;
+    let expected =
+        std::fs::read_to_string(neural.with_extension("expected.ndjson")).expect("recorded stream");
+    assert!(
+        replayed_stream(&blocked, 1) == expected,
+        "{neural:?} must replay to its recorded bytes on the blocked kernel"
+    );
 }
 
 /// The four-engine property with the new axes in play: a grid over the
