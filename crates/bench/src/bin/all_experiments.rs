@@ -313,7 +313,10 @@ fn run(runs: usize) -> Result<usize, Box<dyn std::error::Error>> {
 }
 
 fn main() {
-    let runs = runs_from_env();
+    let runs = runs_from_env().unwrap_or_else(|e| {
+        eprintln!("error: {e}");
+        std::process::exit(2)
+    });
     eprintln!("Running all SEO experiments with {runs} successful runs per cell...");
     match run(runs) {
         Ok(bytes) => eprintln!("all experiments complete -> {RESULTS_FILE} ({bytes} bytes)"),

@@ -34,8 +34,7 @@ fn gains_with_link(link: WirelessLink, runs: usize) -> Result<f64, SeoError> {
         .combined_gain)
 }
 
-fn run() -> Result<(), Box<dyn std::error::Error>> {
-    let runs = runs_from_env().min(10);
+fn run(runs: usize) -> Result<(), Box<dyn std::error::Error>> {
     let mut out = std::io::stdout().lock();
     writeln!(
         out,
@@ -80,7 +79,11 @@ fn run() -> Result<(), Box<dyn std::error::Error>> {
 }
 
 fn main() {
-    if let Err(e) = run() {
+    let runs = runs_from_env().unwrap_or_else(|e| {
+        eprintln!("error: {e}");
+        std::process::exit(2)
+    });
+    if let Err(e) = run(runs.min(10)) {
         eprintln!("sensitivity failed: {e}");
         std::process::exit(1);
     }

@@ -1,10 +1,11 @@
-//! The append-only results book: one timestamped, named-run row per sweep
-//! in a committed markdown table (`results/results.md` by default —
+//! The results book: one timestamped, named-run row per sweep in a
+//! committed markdown table (`results/results.md` by default —
 //! `report.book` in the plan names the file).
 //!
 //! A row is keyed by its **run id** — `plan-stem/engine/kernel` — and
 //! upserted: re-running an unchanged plan replaces its row in place
-//! instead of duplicating it, so the book accumulates one line per named
+//! instead of duplicating it, and a new run id's row goes after the
+//! table's last row, so the book accumulates one line per named
 //! configuration while staying stable under CI re-runs. Everything else
 //! in the file (preamble, other rows, hand-written notes below the table)
 //! is preserved byte-for-byte.
@@ -102,8 +103,10 @@ fn civil_from_days(z: i64) -> (i64, u32, u32) {
 
 /// Upserts `row` into the book at `path`: a fresh (or table-less) file
 /// gets the preamble and header first; an existing row with the same run
-/// id is replaced in place; otherwise the row is appended at the end of
-/// the file. Every other byte of the file is preserved.
+/// id is replaced in place; otherwise the row goes right after the table's
+/// last row (the run of `|` lines that opens with the header), so notes
+/// below the table stay below it. Every other byte of the file is
+/// preserved.
 ///
 /// # Errors
 ///
@@ -123,7 +126,7 @@ pub fn upsert(path: &str, row: &BookRow) -> std::io::Result<()> {
         }
         Err(e) => return Err(e),
     };
-    let mut text = if text.contains(HEADER) {
+    let text = if text.contains(HEADER) {
         text
     } else {
         let mut seeded = text;
@@ -140,26 +143,21 @@ pub fn upsert(path: &str, row: &BookRow) -> std::io::Result<()> {
         seeded.push('\n');
         seeded
     };
+    let line = row.line();
     let key = format!("| {} |", row.run_id);
-    let mut out = String::with_capacity(text.len() + 128);
-    let mut replaced = false;
-    for line in text.lines() {
-        if !replaced && line.starts_with(&key) {
-            out.push_str(&row.line());
-            replaced = true;
-        } else {
-            out.push_str(line);
-        }
-        out.push('\n');
-    }
-    if replaced {
-        text = out;
+    let mut lines: Vec<&str> = text.lines().collect();
+    if let Some(old) = lines.iter_mut().find(|l| l.starts_with(&key)) {
+        *old = &line;
     } else {
-        text = out;
-        text.push_str(&row.line());
-        text.push('\n');
+        let header = lines.iter().position(|l| l.contains(HEADER));
+        let table = header.map_or(lines.len(), |h| {
+            h + lines[h..].iter().take_while(|l| l.starts_with('|')).count()
+        });
+        lines.insert(table, &line);
     }
-    std::fs::write(path, text)
+    let mut out = lines.join("\n");
+    out.push('\n');
+    std::fs::write(path, out)
 }
 
 #[cfg(test)]
@@ -240,6 +238,27 @@ mod tests {
         let text = std::fs::read_to_string(&path).expect("book exists");
         assert_eq!(text.matches("| report/serial/scalar |").count(), 1);
         assert_eq!(text.matches("| report/hosts/scalar |").count(), 1);
+    }
+
+    #[test]
+    fn upsert_inserts_a_new_run_after_the_table_not_after_the_notes() {
+        let path = temp_book("notes");
+        upsert(&path, &sample_row()).expect("create");
+        let mut text = std::fs::read_to_string(&path).expect("book exists");
+        text.push_str("\nA note below the table.\n");
+        std::fs::write(&path, &text).expect("note added");
+        let other = BookRow {
+            run_id: "report/hosts/scalar".to_owned(),
+            ..sample_row()
+        };
+        upsert(&path, &other).expect("insert");
+        let text = std::fs::read_to_string(&path).expect("book exists");
+        let rows = format!(
+            "{}\n{}\n\nA note below the table.\n",
+            sample_row().line(),
+            other.line()
+        );
+        assert!(text.ends_with(&rows), "{text}");
     }
 
     #[test]

@@ -3,20 +3,23 @@
 use std::fmt::Write as _;
 
 /// Reads the per-cell successful-run budget from `SEO_RUNS`; unset means
-/// 25, the paper's protocol. Any other value but a positive integer is an
-/// argument error: the process exits 2 naming the variable and the value.
-#[must_use]
-pub fn runs_from_env() -> usize {
+/// 25, the paper's protocol.
+///
+/// # Errors
+///
+/// Any other value but a positive integer is an argument error, returned
+/// as a message naming the variable and the value (the paper binaries
+/// print it and exit 2).
+pub fn runs_from_env() -> Result<usize, String> {
     let Some(value) = std::env::var_os("SEO_RUNS") else {
-        return 25;
+        return Ok(25);
     };
     let value = value.to_string_lossy();
     match value.parse::<usize>() {
-        Ok(runs) if runs > 0 => runs,
-        _ => {
-            eprintln!("error: SEO_RUNS must be a positive integer, got '{value}'");
-            std::process::exit(2)
-        }
+        Ok(runs) if runs > 0 => Ok(runs),
+        _ => Err(format!(
+            "SEO_RUNS must be a positive integer, got '{value}'"
+        )),
     }
 }
 
@@ -127,7 +130,7 @@ mod tests {
     fn runs_from_env_default() {
         // Do not set the variable here (tests run in parallel); just check
         // the path the test environment takes.
-        let runs = runs_from_env();
+        let runs = runs_from_env().expect("SEO_RUNS unset or valid");
         assert!(runs >= 1);
     }
 }

@@ -3,21 +3,10 @@
 use std::error::Error;
 use std::fmt;
 
-/// Errors raised while building or training networks.
+/// Errors raised while training the policy.
 #[derive(Debug, Clone, PartialEq, Eq)]
 #[non_exhaustive]
 pub enum NnError {
-    /// A layer or network was given inconsistent dimensions.
-    ShapeMismatch {
-        /// What was being constructed or applied.
-        context: &'static str,
-        /// Expected dimension.
-        expected: usize,
-        /// Actual dimension.
-        actual: usize,
-    },
-    /// A network topology had fewer than two layer sizes.
-    TopologyTooSmall,
     /// Training was configured with an empty population or zero elites.
     InvalidTraining {
         /// Description of the broken knob.
@@ -28,22 +17,6 @@ pub enum NnError {
 impl fmt::Display for NnError {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         match self {
-            Self::ShapeMismatch {
-                context,
-                expected,
-                actual,
-            } => {
-                write!(
-                    f,
-                    "shape mismatch in {context}: expected {expected}, got {actual}"
-                )
-            }
-            Self::TopologyTooSmall => {
-                write!(
-                    f,
-                    "network topology needs at least an input and an output size"
-                )
-            }
             Self::InvalidTraining { reason } => write!(f, "invalid training config: {reason}"),
         }
     }
@@ -57,13 +30,6 @@ mod tests {
 
     #[test]
     fn display_messages() {
-        let e = NnError::ShapeMismatch {
-            context: "forward",
-            expected: 4,
-            actual: 3,
-        };
-        assert!(e.to_string().contains("expected 4"));
-        assert!(NnError::TopologyTooSmall.to_string().contains("topology"));
         assert!(NnError::InvalidTraining { reason: "x" }
             .to_string()
             .contains("x"));

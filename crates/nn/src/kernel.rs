@@ -3,12 +3,11 @@
 //!
 //! A neural controller spends its per-control-step inference in one dense
 //! primitive: the matrix–vector product. This module makes that primitive a
-//! *seam*: the [`Kernel`] trait names it, and every hot entry point above it
-//! ([`Dense::forward_into_with`](crate::layer::Dense::forward_into_with),
-//! [`Mlp::forward_into_with`](crate::mlp::Mlp::forward_into_with),
-//! [`DrivingPolicy::act_scratch_with`](crate::policy::DrivingPolicy::act_scratch_with))
-//! is generic over an implementation. The bias and `tanh` each dense layer
-//! applies after the product are the same code on every backend.
+//! *seam*: the [`Kernel`] trait names it, and the hot entry point above it,
+//! [`DrivingPolicy::act_scratch_with`](crate::policy::DrivingPolicy::act_scratch_with),
+//! is generic over an implementation and calls it once per layer. The bias
+//! and `tanh` each layer applies after the product are the same code on
+//! every backend.
 //!
 //! Two backends ship:
 //!
@@ -88,8 +87,8 @@ pub const NR: usize = 4;
 /// the same order per output element** as [`ScalarKernel`], making its
 /// output bit-identical. Degenerate shapes are defined, not UB: zero rows
 /// is a no-op, zero columns writes `0.0` into every output element (the
-/// empty sum). Dimension mismatches are caught by `debug_assert!` here and
-/// by the `assert!`s of [`Dense`](crate::layer::Dense) above this layer.
+/// empty sum). Dimension mismatches are caught by `debug_assert!` here;
+/// the policy's layer shapes are fixed.
 pub trait Kernel: Copy + Default + Send + Sync + 'static {
     /// Backend name as it appears in plan files (`exec.kernel`).
     const NAME: &'static str;
@@ -333,9 +332,7 @@ impl std::error::Error for UnknownKernelError {}
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::layer::Dense;
-    use rand::rngs::StdRng;
-    use rand::SeedableRng;
+    use crate::policy::layer;
 
     fn filled(n: usize, f: impl Fn(usize) -> f64) -> Vec<f64> {
         (0..n).map(f).collect()
@@ -389,14 +386,14 @@ mod tests {
 
     #[test]
     fn fused_matches_two_pass() {
-        // A dense layer's one-pass forward (the backend's matvec, then
+        // The policy's per-layer step (the backend's matvec, then
         // tanh(sum + bias) in place) equals two passes: `ScalarKernel::matvec`
         // into a buffer, then tanh(sum + bias) per output.
         let weights = filled(6 * 5, |i| 0.1 * i as f64 - 1.0);
         let bias = filled(6, |i| 0.05 * i as f64);
         let x = filled(5, |i| 0.3 * i as f64 - 0.5);
-        let mut layer = Dense::new(5, 6, &mut StdRng::seed_from_u64(0)).expect("valid dims");
-        layer.read_params(&[weights.as_slice(), bias.as_slice()].concat());
+        // The trailing 7.0 stands for the next layer's parameters.
+        let params = [weights.as_slice(), bias.as_slice(), &[7.0]].concat();
         let mut two_pass = vec![0.0; 6];
         ScalarKernel::matvec(5, &weights, &x, &mut two_pass);
         for (o, b) in two_pass.iter_mut().zip(&bias) {
@@ -404,8 +401,8 @@ mod tests {
         }
         let mut scalar = vec![f64::NAN; 6];
         let mut blocked = vec![f64::NAN; 6];
-        layer.forward_into_with::<ScalarKernel>(&x, &mut scalar);
-        layer.forward_into_with::<BlockedKernel>(&x, &mut blocked);
+        assert_eq!(layer::<ScalarKernel>(&params, &x, &mut scalar), [7.0]);
+        assert_eq!(layer::<BlockedKernel>(&params, &x, &mut blocked), [7.0]);
         assert_eq!(scalar, two_pass, "scalar fused forward diverged");
         assert_eq!(blocked, two_pass, "blocked fused forward diverged");
     }

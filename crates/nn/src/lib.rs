@@ -15,33 +15,32 @@
 //! outputs, so those models are `seo_core::model::PipelineModel`s carrying
 //! the paper's Drive PX2 characterization. The one network an episode
 //! actually runs is the controller, a fixed `7 -> 16 -> 16 -> 2` `tanh`
-//! MLP, and this crate provides it on a small dependency-free NN stack:
+//! MLP, which this crate provides with its kernels and trainer:
 //!
-//! * [`kernel`] — the matrix–vector product under every inference hot
-//!   path: the [`Kernel`] trait, the scalar reference, and the
+//! * [`kernel`] — the matrix–vector product under the controller's
+//!   inference: the [`Kernel`] trait, the scalar reference, and the
 //!   blocked/unrolled backend, all bit-identical by contract (the backend
 //!   book is `docs/kernels.md`).
-//! * [`layer`] / [`mlp`] — fully-connected `tanh` layers over row-major
-//!   weights, forward inference, and flat parameter (de)serialization.
+//! * [`policy`] — the driving policy: its 434 parameters and forward pass,
+//!   observation featurization, action decoding, and CEM training against
+//!   `seo-sim` episodes.
 //! * [`train`] — the Cross-Entropy Method trainer for the policy.
-//! * [`policy`] — the driving policy: observation featurization, action
-//!   decoding, and CEM training against `seo-sim` episodes.
 //!
 //! # Example
 //!
 //! ```
-//! use seo_nn::mlp::{InferenceScratch, Mlp};
 //! use seo_nn::kernel::ScalarKernel;
+//! use seo_nn::policy::PolicyFeatures;
+//! use seo_nn::{DrivingPolicy, InferenceScratch};
 //! use rand::rngs::StdRng;
 //! use rand::SeedableRng;
 //!
-//! let mut rng = StdRng::seed_from_u64(7);
-//! let net = Mlp::new(&[4, 8, 2], &mut rng)?;
-//! let mut scratch = InferenceScratch::for_mlp(&net);
-//! let out = net.forward_into_with::<ScalarKernel>(&[0.1, -0.2, 0.3, 0.4], &mut scratch);
-//! assert_eq!(out.len(), 2);
-//! assert!(out.iter().all(|y| y.abs() <= 1.0)); // every layer is tanh
-//! # Ok::<(), seo_nn::NnError>(())
+//! let policy = DrivingPolicy::new(&mut StdRng::seed_from_u64(7));
+//! let mut scratch = InferenceScratch::new();
+//! let features = PolicyFeatures { speed: 0.5, obstacle_proximity: 1.0, ..Default::default() };
+//! let u = policy.act_scratch_with::<ScalarKernel>(&features, &mut scratch);
+//! // Every layer is tanh, so both controls are bounded.
+//! assert!(u.steering.abs() <= 1.0 && u.throttle.abs() <= 1.0);
 //! ```
 
 #![forbid(unsafe_code)]
@@ -49,12 +48,9 @@
 
 pub mod error;
 pub mod kernel;
-pub mod layer;
-pub mod mlp;
 pub mod policy;
 pub mod train;
 
 pub use error::NnError;
 pub use kernel::{BlockedKernel, Kernel, KernelBackend, ScalarKernel};
-pub use mlp::{InferenceScratch, Mlp};
-pub use policy::DrivingPolicy;
+pub use policy::{DrivingPolicy, InferenceScratch};

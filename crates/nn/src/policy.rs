@@ -4,9 +4,9 @@
 //! The paper's controller is an RL agent trained in CARLA for 2000 episodes
 //! that outputs steering and throttle. Here the same role is filled by:
 //!
-//! * [`DrivingPolicy`] — a small MLP over a fixed feature vector, trained
-//!   with the Cross-Entropy Method against `seo-sim` episodes via
-//!   [`train_driving_policy`]; and
+//! * [`DrivingPolicy`] — a `7 -> 16 -> 16 -> 2` `tanh` MLP over a fixed
+//!   feature vector, trained with the Cross-Entropy Method against
+//!   `seo-sim` episodes via [`train_driving_policy`]; and
 //! * [`PotentialFieldController`] — a deterministic obstacle-repulsion
 //!   controller used by the experiment harness when a reproducible,
 //!   guaranteed-to-complete agent is preferable to a stochastic training
@@ -15,7 +15,6 @@
 
 use crate::error::NnError;
 use crate::kernel::{Kernel, ScalarKernel};
-use crate::mlp::{InferenceScratch, Mlp};
 use crate::train::{CemConfig, CemTrainer, Generation};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
@@ -98,58 +97,105 @@ impl PolicyFeatures {
     }
 }
 
-/// An MLP steering/throttle policy.
+/// Width of the policy network's two hidden layers.
+const HIDDEN: usize = 16;
+
+/// The policy network's parameter count: per layer, `out × in` weights and
+/// `out` biases (`7 -> 16 -> 16 -> 2`: 128 + 272 + 34).
+const PARAMS: usize = (PolicyFeatures::DIM + 1) * HIDDEN + (HIDDEN + 1) * HIDDEN + (HIDDEN + 1) * 2;
+
+/// The steering/throttle policy: a fixed `7 -> 16 -> 16 -> 2` MLP whose
+/// every layer is `tanh` (bounded actions).
+///
+/// It owns the network's 434 parameters as one flat vector: layer by
+/// layer, the weights row-major (one row of inputs per output), then the
+/// biases.
 #[derive(Debug, Clone, PartialEq)]
 pub struct DrivingPolicy {
-    net: Mlp,
+    params: Vec<f64>,
 }
 
 impl DrivingPolicy {
-    /// Creates a randomly initialized policy with the default
-    /// `7 -> 16 -> 16 -> 2` topology ([`PolicyFeatures::DIM`] inputs) and
-    /// `tanh` heads (bounded actions).
-    ///
-    /// # Errors
-    ///
-    /// Propagates [`NnError`] from network construction (cannot fail for
-    /// the fixed topology, but kept fallible for API uniformity).
-    pub fn new<R: Rng>(rng: &mut R) -> Result<Self, NnError> {
-        let net = Mlp::new(&[PolicyFeatures::DIM, 16, 16, 2], rng)?;
-        Ok(Self { net })
-    }
-
-    /// Flat parameter vector (for CEM).
+    /// Creates a randomly initialized policy ([`PolicyFeatures::DIM`]
+    /// inputs): per layer, Xavier/Glorot-uniform weights drawn in row-major
+    /// order from `±√(6 / (in + out))`, then zero biases.
     #[must_use]
-    pub(crate) fn to_params(&self) -> Vec<f64> {
-        self.net.to_params()
-    }
-
-    /// Loads a flat parameter vector.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`NnError::ShapeMismatch`] on length mismatch.
-    pub(crate) fn set_params(&mut self, params: &[f64]) -> Result<(), NnError> {
-        self.net.set_params(params)
+    pub fn new<R: Rng>(rng: &mut R) -> Self {
+        let mut params = Vec::with_capacity(PARAMS);
+        for (inputs, outputs) in [(PolicyFeatures::DIM, HIDDEN), (HIDDEN, HIDDEN), (HIDDEN, 2)] {
+            let limit = (6.0 / (inputs + outputs) as f64).sqrt();
+            params.extend((0..outputs * inputs).map(|_| rng.gen_range(-limit..=limit)));
+            params.resize(params.len() + outputs, 0.0);
+        }
+        Self { params }
     }
 
     /// Maps features to a control action on the [`Kernel`] backend `K`,
-    /// with inference inside the reused `scratch` workspace — the form the
-    /// SEO runtime's monomorphized episode loop calls. Outputs are already
-    /// in `[-1, 1]` thanks to the `tanh` head; throttle is re-biased toward
-    /// forward motion so an untrained policy still explores. Bit-identical
-    /// across backends by the kernel contract (see [`crate::kernel`]).
+    /// with the hidden activations in the reused `scratch` workspace — the
+    /// form the SEO runtime's monomorphized episode loop calls. Outputs are
+    /// already in `[-1, 1]` thanks to the `tanh` head; throttle is re-biased
+    /// toward forward motion so an untrained policy still explores.
+    /// Bit-identical across backends by the kernel contract (see
+    /// [`crate::kernel`]).
     #[must_use]
     pub fn act_scratch_with<K: Kernel>(
         &self,
         features: &PolicyFeatures,
         scratch: &mut InferenceScratch,
     ) -> Control {
-        let out = self
-            .net
-            .forward_into_with::<K>(&features.to_array(), scratch);
-        Control::new(out[0], 0.5 + 0.5 * out[1])
+        act_with::<K>(&self.params, features, scratch)
     }
+}
+
+/// Reusable inference workspace: the policy network's two hidden
+/// activations.
+///
+/// [`DrivingPolicy::act_scratch_with`] writes both hidden layers here and
+/// never touches the heap. Nothing carries over from one call to the next,
+/// so a reused scratch gives the bytes a fresh one gives, whichever policy
+/// used it last.
+#[derive(Debug, Clone, Default)]
+pub struct InferenceScratch {
+    hidden: [[f64; HIDDEN]; 2],
+}
+
+impl InferenceScratch {
+    /// Creates a zeroed scratch.
+    #[must_use]
+    pub fn new() -> Self {
+        Self::default()
+    }
+}
+
+/// The policy's forward pass over `params`, laid out as in
+/// [`DrivingPolicy`]: what a policy runs, and what the CEM trainer scores
+/// each candidate slice with.
+fn act_with<K: Kernel>(
+    params: &[f64],
+    features: &PolicyFeatures,
+    scratch: &mut InferenceScratch,
+) -> Control {
+    debug_assert_eq!(params.len(), PARAMS, "policy parameter count");
+    let [h1, h2] = &mut scratch.hidden;
+    let mut head = [0.0; 2];
+    let rest = layer::<K>(params, &features.to_array(), h1);
+    let rest = layer::<K>(rest, h1, h2);
+    layer::<K>(rest, h2, &mut head);
+    Control::new(head[0], 0.5 + 0.5 * head[1])
+}
+
+/// One `tanh` layer. `params` opens with the layer's `out.len() ×
+/// input.len()` row-major weights and its `out.len()` biases: the backend's
+/// matvec fills `out`, then each output becomes `tanh(sum + bias)`, the
+/// same code on every backend. Returns the parameters after the layer's.
+pub(crate) fn layer<'p, K: Kernel>(params: &'p [f64], input: &[f64], out: &mut [f64]) -> &'p [f64] {
+    let (weights, rest) = params.split_at(out.len() * input.len());
+    let (biases, rest) = rest.split_at(out.len());
+    K::matvec(input.len(), weights, input, out);
+    for (o, b) in out.iter_mut().zip(biases) {
+        *o = (*o + b).tanh();
+    }
+    rest
 }
 
 /// Deterministic obstacle-repulsion controller.
@@ -281,14 +327,15 @@ pub(crate) fn episode_reward(
     progress + terminal - 0.01 * steps as f64
 }
 
-/// Scores one policy over a batch of seeded scenarios; higher is better.
+/// Scores one candidate parameter vector over a batch of seeded
+/// scenarios; higher is better.
 fn evaluate_policy(
-    policy: &DrivingPolicy,
+    params: &[f64],
     n_obstacles: usize,
     seeds: &[u64],
     episode_config: &EpisodeConfig,
 ) -> f64 {
-    let mut scratch = InferenceScratch::for_mlp(&policy.net);
+    let mut scratch = InferenceScratch::new();
     let mut total = 0.0;
     for &seed in seeds {
         let world = ScenarioConfig::new(n_obstacles).with_seed(seed).generate();
@@ -298,7 +345,7 @@ fn evaluate_policy(
             let obs = RelativeObservation::observe_ahead(ep.world(), &ep.state());
             let features =
                 PolicyFeatures::from_observation(&ep.state(), &obs, road.length, road.width);
-            ep.step(policy.act_scratch_with::<ScalarKernel>(&features, &mut scratch));
+            ep.step(act_with::<ScalarKernel>(params, &features, &mut scratch));
         }
         total += episode_reward(&ep.state(), ep.status(), ep.steps());
     }
@@ -313,8 +360,7 @@ fn evaluate_policy(
 ///
 /// # Errors
 ///
-/// Propagates [`NnError`] from policy construction or an invalid
-/// [`CemConfig`].
+/// Returns [`NnError::InvalidTraining`] for an invalid [`CemConfig`].
 pub fn train_driving_policy(
     n_obstacles: usize,
     episode_budget: usize,
@@ -322,28 +368,23 @@ pub fn train_driving_policy(
     seed: u64,
 ) -> Result<(DrivingPolicy, TrainingReport), NnError> {
     let mut rng = StdRng::seed_from_u64(seed);
-    let mut policy = DrivingPolicy::new(&mut rng)?;
-    let mut trainer = CemTrainer::new(policy.to_params(), cem)?;
+    let mut trainer = CemTrainer::new(DrivingPolicy::new(&mut rng).params, cem)?;
     let episode_config = EpisodeConfig::default().with_max_steps(1500);
     let eval_seeds: Vec<u64> = (0..3).map(|i| seed.wrapping_add(i * 1009)).collect();
 
     let episodes_per_gen = cem.population * eval_seeds.len();
     let generations_budget = episode_budget / episodes_per_gen.max(1);
     let mut generations = Vec::with_capacity(generations_budget);
-    let mut candidate = policy.clone();
     for _ in 0..generations_budget {
         let report = trainer.step(
-            |params| {
-                candidate
-                    .set_params(params)
-                    .expect("trainer preserves dimension");
-                evaluate_policy(&candidate, n_obstacles, &eval_seeds, &episode_config)
-            },
+            |params| evaluate_policy(params, n_obstacles, &eval_seeds, &episode_config),
             &mut rng,
         );
         generations.push(report);
     }
-    policy.set_params(trainer.best_params())?;
+    let policy = DrivingPolicy {
+        params: trainer.best_params().to_vec(),
+    };
     let episodes = generations.len() * episodes_per_gen;
     Ok((
         policy,
@@ -393,7 +434,7 @@ mod tests {
     #[test]
     fn policy_outputs_bounded_controls() {
         let mut rng = StdRng::seed_from_u64(1);
-        let policy = DrivingPolicy::new(&mut rng).expect("fixed topology");
+        let policy = DrivingPolicy::new(&mut rng);
         for i in 0..20 {
             let f = features_at(f64::from(i) * 5.0, -1.0, 8.0, -0.4);
             let c = act(&policy, &f);
@@ -404,12 +445,18 @@ mod tests {
 
     #[test]
     fn policy_param_roundtrip_preserves_actions() {
+        // The trainer scores a candidate straight from its slice and returns
+        // the best one as a policy: both must act alike.
         let mut rng = StdRng::seed_from_u64(2);
-        let a = DrivingPolicy::new(&mut rng).expect("fixed topology");
-        let mut b = DrivingPolicy::new(&mut rng).expect("fixed topology");
-        b.set_params(&a.to_params()).expect("same dimension");
+        let a = DrivingPolicy::new(&mut rng);
+        assert_eq!(a.params.len(), 434);
+        let b = DrivingPolicy {
+            params: a.params.clone(),
+        };
         let f = features_at(10.0, 0.5, 12.0, 0.2);
-        assert_eq!(act(&a, &f), act(&b, &f));
+        let scored = act_with::<ScalarKernel>(&a.params, &f, &mut InferenceScratch::new());
+        assert_eq!(act(&b, &f), scored);
+        assert_ne!(act(&DrivingPolicy::new(&mut rng), &f), scored);
     }
 
     #[test]
@@ -520,11 +567,7 @@ mod tests {
         // every parameter's bits. A change to inference or to the episode
         // loop the trainer scores must keep both.
         let mut weights: u64 = 0xcbf2_9ce4_8422_2325;
-        for byte in policy
-            .to_params()
-            .iter()
-            .flat_map(|p| p.to_bits().to_le_bytes())
-        {
+        for byte in policy.params.iter().flat_map(|p| p.to_bits().to_le_bytes()) {
             weights = (weights ^ u64::from(byte)).wrapping_mul(0x0000_0100_0000_01b3);
         }
         assert_eq!(weights, 0x63f8_a53b_3bde_ba4a);

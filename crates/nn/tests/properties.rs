@@ -1,12 +1,12 @@
-//! Property-based tests for the neural network substrate, driven by a
+//! Property-based tests for the kernels and the driving policy, driven by a
 //! seeded generator loop (the build has no crates.io access, so no
 //! proptest; each case count is high enough to exercise the input space).
 
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use seo_nn::kernel::{Kernel, ScalarKernel};
-use seo_nn::mlp::{InferenceScratch, Mlp};
 use seo_nn::policy::{DrivingPolicy, PolicyFeatures};
+use seo_nn::InferenceScratch;
 use seo_sim::vehicle::Control;
 
 const CASES: usize = 200;
@@ -15,15 +15,22 @@ fn small_vec(rng: &mut StdRng, len: usize) -> Vec<f64> {
     (0..len).map(|_| rng.gen_range(-3.0..3.0)).collect()
 }
 
-/// Scalar-reference inference in a fresh scratch.
-fn forward(net: &Mlp, input: &[f64]) -> Vec<f64> {
-    net.forward_into_with::<ScalarKernel>(input, &mut InferenceScratch::new())
-        .to_vec()
-}
-
 /// Scalar-reference action in a fresh scratch.
 fn act(policy: &DrivingPolicy, f: &PolicyFeatures) -> Control {
     policy.act_scratch_with::<ScalarKernel>(f, &mut InferenceScratch::new())
+}
+
+/// Features drawn across (and a little beyond) their normal ranges.
+fn random_features(rng: &mut StdRng) -> PolicyFeatures {
+    PolicyFeatures {
+        lateral: rng.gen_range(-1.5..1.5),
+        heading: rng.gen_range(-1.5..1.5),
+        speed: rng.gen_range(0.0..1.0),
+        obstacle_proximity: rng.gen_range(0.0..1.0),
+        obstacle_bearing: rng.gen_range(-3.0..3.0),
+        obstacle_lateral: rng.gen_range(-1.0..1.0),
+        progress: rng.gen_range(0.0..1.0),
+    }
 }
 
 #[test]
@@ -52,51 +59,25 @@ fn matvec_is_linear() {
 }
 
 #[test]
-fn activations_are_monotone() {
-    // A one-input tanh layer y = tanh(w x + b) never falls as x rises
-    // while w >= 0.
-    let mut rng = StdRng::seed_from_u64(1);
-    let mut net = Mlp::new(&[1, 1], &mut rng).expect("valid topology");
-    for _ in 0..CASES {
-        let w = rng.gen_range(0.0..3.0);
-        let b = rng.gen_range(-2.0..2.0);
-        net.set_params(&[w, b]).expect("one weight and one bias");
-        let x = rng.gen_range(-10.0..10.0);
-        let dx = rng.gen_range(0.0..5.0);
-        let (lo, hi) = (forward(&net, &[x])[0], forward(&net, &[x + dx])[0]);
-        assert!(hi >= lo - 1e-12, "tanh layer not monotone: {lo} then {hi}");
-    }
-}
-
-#[test]
-fn mlp_params_roundtrip_exactly() {
-    let mut case_rng = StdRng::seed_from_u64(3);
-    for _ in 0..40 {
-        let seed = case_rng.gen_range(0u64..1000);
-        let input = small_vec(&mut case_rng, 5);
-        let mut rng = StdRng::seed_from_u64(seed);
-        let net = Mlp::new(&[5, 9, 3], &mut rng).expect("valid topology");
-        let mut rng2 = StdRng::seed_from_u64(seed.wrapping_add(1));
-        let mut other = Mlp::new(&[5, 9, 3], &mut rng2).expect("valid topology");
-        other.set_params(&net.to_params()).expect("matching shapes");
-        assert_eq!(forward(&net, &input), forward(&other, &input));
-    }
-}
-
-#[test]
 fn mlp_outputs_are_finite() {
+    // Features far outside their normal ranges saturate the tanh layers
+    // instead of overflowing into a NaN control.
     let mut case_rng = StdRng::seed_from_u64(4);
     for _ in 0..40 {
         let seed = case_rng.gen_range(0u64..200);
-        let input = small_vec(&mut case_rng, 4);
-        let mut rng = StdRng::seed_from_u64(seed);
-        let net = Mlp::new(&[4, 8, 8, 2], &mut rng).expect("valid topology");
-        let out = forward(&net, &input);
-        assert!(out.iter().all(|v| v.is_finite()));
-        assert!(
-            out.iter().all(|v| v.abs() <= 1.0),
-            "tanh head bounds outputs"
-        );
+        let policy = DrivingPolicy::new(&mut StdRng::seed_from_u64(seed));
+        let x = small_vec(&mut case_rng, PolicyFeatures::DIM);
+        let f = PolicyFeatures {
+            lateral: x[0] * 1e6,
+            heading: x[1] * 1e6,
+            speed: x[2] * 1e6,
+            obstacle_proximity: x[3] * 1e6,
+            obstacle_bearing: x[4] * 1e6,
+            obstacle_lateral: x[5] * 1e6,
+            progress: x[6] * 1e6,
+        };
+        let u = act(&policy, &f);
+        assert!(u.steering.is_finite() && u.throttle.is_finite(), "{u}");
     }
 }
 
@@ -107,7 +88,7 @@ fn policy_actions_always_actuatable() {
         let seed = case_rng.gen_range(0u64..100);
         let lateral = case_rng.gen_range(-1.5..1.5);
         let mut rng = StdRng::seed_from_u64(seed);
-        let policy = DrivingPolicy::new(&mut rng).expect("fixed topology");
+        let policy = DrivingPolicy::new(&mut rng);
         let f = PolicyFeatures {
             lateral,
             heading: case_rng.gen_range(-1.5..1.5),
@@ -127,21 +108,21 @@ fn policy_actions_always_actuatable() {
 
 #[test]
 fn forward_in_a_reused_scratch_matches_a_fresh_one_exactly() {
+    // One scratch shared by many policies, as a worker's episode scratch is
+    // across cells: the last policy to use it leaves nothing behind.
     let mut case_rng = StdRng::seed_from_u64(0xF00D);
-    for case in 0..60 {
-        let mut rng = StdRng::seed_from_u64(case);
-        let net = Mlp::new(&[5, 11, 7, 2], &mut rng).expect("valid topology");
-        let mut scratch = InferenceScratch::for_mlp(&net);
-        for _ in 0..5 {
-            let input = small_vec(&mut case_rng, 5);
-            let expected = forward(&net, &input);
-            let got = net.forward_into_with::<ScalarKernel>(&input, &mut scratch);
-            assert_eq!(
-                got,
-                expected.as_slice(),
-                "scratch inference must be bit-identical"
-            );
-        }
+    let policies: Vec<DrivingPolicy> = (0..6)
+        .map(|seed| DrivingPolicy::new(&mut StdRng::seed_from_u64(seed)))
+        .collect();
+    let mut scratch = InferenceScratch::new();
+    for case in 0..120 {
+        let policy = &policies[case % policies.len()];
+        let f = random_features(&mut case_rng);
+        assert_eq!(
+            policy.act_scratch_with::<ScalarKernel>(&f, &mut scratch),
+            act(policy, &f),
+            "scratch inference must be bit-identical"
+        );
     }
 }
 
@@ -150,18 +131,10 @@ fn act_in_a_reused_scratch_matches_a_fresh_one_exactly() {
     let mut case_rng = StdRng::seed_from_u64(0xCAB);
     for case in 0..40 {
         let mut rng = StdRng::seed_from_u64(case);
-        let policy = DrivingPolicy::new(&mut rng).expect("fixed topology");
+        let policy = DrivingPolicy::new(&mut rng);
         let mut scratch = InferenceScratch::new();
         for _ in 0..8 {
-            let f = PolicyFeatures {
-                lateral: case_rng.gen_range(-1.5..1.5),
-                heading: case_rng.gen_range(-1.5..1.5),
-                speed: case_rng.gen_range(0.0..1.0),
-                obstacle_proximity: case_rng.gen_range(0.0..1.0),
-                obstacle_bearing: case_rng.gen_range(-3.0..3.0),
-                obstacle_lateral: case_rng.gen_range(-1.0..1.0),
-                progress: case_rng.gen_range(0.0..1.0),
-            };
+            let f = random_features(&mut case_rng);
             assert_eq!(
                 policy.act_scratch_with::<ScalarKernel>(&f, &mut scratch),
                 act(&policy, &f)
@@ -209,9 +182,9 @@ fn blocked_matvec_is_bit_identical_across_shapes() {
 #[test]
 fn kernel_empty_shapes_are_consistent() {
     use seo_nn::kernel::BlockedKernel;
-    // A dense layer forbids zero dimensions, so the degenerate shapes are
-    // pinned at the kernel layer directly: zero rows writes nothing, zero
-    // cols writes the empty sum.
+    // The policy's layers have no zero dimension, so the degenerate shapes
+    // are pinned at the kernel layer directly: zero rows writes nothing,
+    // zero cols writes the empty sum.
     let mut none: [f64; 0] = [];
     ScalarKernel::matvec(3, &[], &[1.0, 2.0, 3.0], &mut none);
     BlockedKernel::matvec(3, &[], &[1.0, 2.0, 3.0], &mut none);
@@ -232,45 +205,22 @@ fn every_backend_reproduces_mlp_and_policy_outputs() {
     // here until its generic path is wired up everywhere.
     let mut case_rng = StdRng::seed_from_u64(0xD15);
     for case in 0..30 {
-        let mut rng = StdRng::seed_from_u64(case);
-        // 7 -> 16 -> 16 -> 2 is the paper policy topology; 5 -> 11 -> 3
-        // adds odd widths.
-        for sizes in [&[7usize, 16, 16, 2][..], &[5, 11, 3][..]] {
-            let net = Mlp::new(sizes, &mut rng).expect("valid topology");
-            let input = small_vec(&mut case_rng, sizes[0]);
-            let mut scratch = InferenceScratch::for_mlp(&net);
-            let reference = forward(&net, &input);
+        let policy = DrivingPolicy::new(&mut StdRng::seed_from_u64(case));
+        let mut scratch = InferenceScratch::new();
+        for _ in 0..4 {
+            let f = random_features(&mut case_rng);
+            let reference = act(&policy, &f);
             for backend in KernelBackend::ALL {
                 let got = match backend {
                     KernelBackend::Scalar => {
-                        net.forward_into_with::<ScalarKernel>(&input, &mut scratch)
+                        policy.act_scratch_with::<ScalarKernel>(&f, &mut scratch)
                     }
                     KernelBackend::Blocked => {
-                        net.forward_into_with::<BlockedKernel>(&input, &mut scratch)
+                        policy.act_scratch_with::<BlockedKernel>(&f, &mut scratch)
                     }
                 };
-                assert_eq!(got, reference.as_slice(), "{backend} diverged on mlp");
+                assert_eq!(got, reference, "{backend} diverged on the policy");
             }
         }
-        let policy = DrivingPolicy::new(&mut rng).expect("fixed topology");
-        let f = PolicyFeatures {
-            lateral: case_rng.gen_range(-1.5..1.5),
-            heading: case_rng.gen_range(-1.5..1.5),
-            speed: case_rng.gen_range(0.0..1.0),
-            obstacle_proximity: case_rng.gen_range(0.0..1.0),
-            obstacle_bearing: case_rng.gen_range(-3.0..3.0),
-            obstacle_lateral: case_rng.gen_range(-1.0..1.0),
-            progress: case_rng.gen_range(0.0..1.0),
-        };
-        let mut scratch = InferenceScratch::new();
-        let reference = act(&policy, &f);
-        assert_eq!(
-            policy.act_scratch_with::<ScalarKernel>(&f, &mut scratch),
-            reference
-        );
-        assert_eq!(
-            policy.act_scratch_with::<BlockedKernel>(&f, &mut scratch),
-            reference
-        );
     }
 }

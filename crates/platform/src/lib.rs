@@ -8,7 +8,7 @@
 //! heterogeneous edge platform:
 //!
 //! * [`units`] — dimension-safe newtypes ([`Seconds`], [`Watts`], [`Joules`],
-//!   [`Hertz`], [`Bits`], [`BitsPerSecond`]) with checked arithmetic, so that
+//!   [`Bits`], [`BitsPerSecond`]) with checked arithmetic, so that
 //!   latency/power/energy bookkeeping cannot silently mix units.
 //! * [`compute`] — per-model compute characterizations (execution latency and
 //!   power), including the Nvidia Drive PX2 + TensorRT ResNet-152 preset the
@@ -46,4 +46,4 @@ pub use compute::ComputeProfile;
 pub use energy::{EnergyCategory, EnergyLedger};
 pub use error::PlatformError;
 pub use sensor::SensorSpec;
-pub use units::{Bits, BitsPerSecond, Hertz, Joules, Seconds, Watts};
+pub use units::{Bits, BitsPerSecond, Joules, Seconds, Watts};

@@ -167,12 +167,6 @@ unit_newtype!(
     as_joules
 );
 unit_newtype!(
-    /// A frequency, in hertz.
-    Hertz,
-    "Hz",
-    as_hertz
-);
-unit_newtype!(
     /// A data quantity, in bits.
     Bits,
     "b",
@@ -201,19 +195,6 @@ impl Seconds {
     #[must_use]
     pub fn as_millis(self) -> f64 {
         self.as_secs() * 1e3
-    }
-}
-
-impl Hertz {
-    /// The reciprocal period `1 / f`.
-    ///
-    /// ```
-    /// use seo_platform::units::{Hertz, Seconds};
-    /// assert_eq!(Hertz::new(50.0).to_period(), Seconds::from_millis(20.0));
-    /// ```
-    #[must_use]
-    pub fn to_period(self) -> Seconds {
-        Seconds::new(1.0 / self.as_hertz())
     }
 }
 
@@ -338,12 +319,6 @@ mod tests {
     fn rate_times_time_is_volume() {
         let v = BitsPerSecond::from_mbps(20.0) * Seconds::from_millis(10.0);
         assert!((v.as_bits() - 2.0e5).abs() < 1e-6);
-    }
-
-    #[test]
-    fn frequency_gives_its_period() {
-        let f = Hertz::new(50.0);
-        assert_eq!(f.to_period(), Seconds::from_millis(20.0));
     }
 
     #[test]

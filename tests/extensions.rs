@@ -170,7 +170,7 @@ fn neural_controller_runs_inside_the_loop() {
     // An untrained policy will not complete routes, but the loop must run
     // it safely to termination under the shield.
     let mut rng = StdRng::seed_from_u64(8);
-    let policy = DrivingPolicy::new(&mut rng).expect("fixed topology");
+    let policy = DrivingPolicy::new(&mut rng);
     let config = SeoConfig::paper_defaults();
     let models = ModelSet::paper_setup(config.tau).expect("valid");
     let rt = RuntimeLoop::new(config, models, OptimizerKind::Offloading)
