@@ -3,20 +3,22 @@
 //! `seo_experiments.json` in the current directory for downstream analysis.
 //!
 //! Each figure or table is one entry of [`OUTPUTS`]: a function that runs
-//! its `seo_bench::cells` row function and renders the rows once for stdout
-//! and once for the dump. Stdout shows the outputs in run order, each a
-//! title, a table and a note followed by one blank line; the dump lists
-//! them by key. Progress goes to stderr. `SEO_RUNS` sets the successful
-//! runs per cell (default 25, the paper's protocol).
+//! its committed plan through `seo_bench::cells::run_plan` and renders each
+//! cell result once, as a table row for stdout and as an entry of the
+//! dump. Stdout shows the outputs in run order, each a title, a table and
+//! a note followed by one blank line; the dump lists them by key. Progress
+//! goes to stderr. `SEO_RUNS` sets the successful runs per cell (default
+//! 25, the paper's protocol).
 //!
 //! ```sh
 //! SEO_RUNS=5 cargo run --release -p seo-bench --bin all_experiments
 //! ```
 
-use seo_bench::cells::{fig1_rows, fig5_rows, fig6_rows, table1_rows, table2_rows, table3_rows};
+use seo_bench::cells::{four_tau_sensor_gain, paper_plan, plans, run_plan, CellResult};
 use seo_bench::report::{pct, runs_from_env, Table};
-use seo_core::error::SeoError;
 use seo_core::json::Json;
+use seo_core::prelude::*;
+use seo_platform::sensor::SensorSpec;
 use std::io::Write as _;
 
 /// Where the dump goes, relative to the current directory.
@@ -50,37 +52,58 @@ const OUTPUTS: [(&str, &str, Render); 6] = [
 /// safety-aware gating. Both rise toward full operation with risk, the
 /// 50 Hz model below the 25 Hz one.
 fn fig1(runs: usize) -> Result<Output, SeoError> {
-    let rows = fig1_rows(runs)?;
     let mut table = Table::new(vec![
         "#obstacles",
         "50 Hz (p=tau) normalized E",
         "25 Hz (p=2tau) normalized E",
     ]);
     let mut json = Vec::new();
-    for r in &rows {
+    let mut empty_road = None;
+    for c in run_plan(&paper_plan(plans::FIG1), runs)? {
+        let normalized_50hz = 1.0 - c.result.gain_for_model(0)?;
+        let normalized_25hz = 1.0 - c.result.gain_for_model(1)?;
         table.push_row(vec![
-            r.n_obstacles.to_string(),
-            format!("{:.3}", r.normalized_50hz),
-            format!("{:.3}", r.normalized_25hz),
+            c.n_obstacles.to_string(),
+            format!("{normalized_50hz:.3}"),
+            format!("{normalized_25hz:.3}"),
         ]);
         json.push(Json::obj(vec![
-            ("n_obstacles", r.n_obstacles.into()),
-            ("normalized_50hz", r.normalized_50hz.into()),
-            ("normalized_25hz", r.normalized_25hz.into()),
+            ("n_obstacles", c.n_obstacles.into()),
+            ("normalized_50hz", normalized_50hz.into()),
+            ("normalized_25hz", normalized_25hz.into()),
         ]));
+        // The plan's obstacle counts start at 0.
+        empty_road.get_or_insert((normalized_50hz, normalized_25hz));
     }
+    let (normalized_50hz, normalized_25hz) = empty_road.expect("the plan has cells");
     Ok(Output {
         title: format!(
             "Figure 1 — safety-aware gating energy vs risk ({runs} successful runs/point)"
         ),
         note: format!(
             "gating saves {} (50 Hz) / {} (25 Hz) on the empty road, shrinking with risk",
-            pct(1.0 - rows[0].normalized_50hz),
-            pct(1.0 - rows[0].normalized_25hz)
+            pct(1.0 - normalized_50hz),
+            pct(1.0 - normalized_25hz)
         ),
         table,
         json: Json::Arr(json),
     })
+}
+
+/// The cells of a plan that varies the control mode outside the optimizer,
+/// regrouped by optimizer in the plan's optimizer order, as Fig. 5 and
+/// Table I list them. The sort is stable: each optimizer's cells keep the
+/// plan's order.
+fn by_optimizer(plan: &str, runs: usize) -> Result<Vec<CellResult>, SeoError> {
+    let plan = paper_plan(plan);
+    let mut cells = run_plan(&plan, runs)?;
+    cells.sort_by_key(|c| {
+        plan.axes
+            .optimizers
+            .iter()
+            .position(|&o| o == c.cell.optimizer)
+    });
+    Ok(cells)
 }
 
 /// Fig. 5: detector gains over local execution at τ = 20 ms. The shapes to
@@ -88,18 +111,22 @@ fn fig1(runs: usize) -> Result<Output, SeoError> {
 fn fig5(runs: usize) -> Result<Output, SeoError> {
     let mut table = Table::new(vec!["optimizer", "control", "p=tau gain", "p=2tau gain"]);
     let mut json = Vec::new();
-    for r in fig5_rows(runs)? {
+    for c in by_optimizer(plans::FIG5, runs)? {
+        let optimizer = c.cell.optimizer.to_string();
+        let control = c.cell.control_mode.to_string();
+        let gain_p1 = c.result.gain_for_model(0)?;
+        let gain_p2 = c.result.gain_for_model(1)?;
         table.push_row(vec![
-            r.optimizer.to_string(),
-            r.control.to_string(),
-            pct(r.gain_p1),
-            pct(r.gain_p2),
+            optimizer.clone(),
+            control.clone(),
+            pct(gain_p1),
+            pct(gain_p2),
         ]);
         json.push(Json::obj(vec![
-            ("optimizer", r.optimizer.to_string().into()),
-            ("control", r.control.to_string().into()),
-            ("gain_p1", r.gain_p1.into()),
-            ("gain_p2", r.gain_p2.into()),
+            ("optimizer", optimizer.into()),
+            ("control", control.into()),
+            ("gain_p1", gain_p1.into()),
+            ("gain_p2", gain_p2.into()),
         ]));
     }
     Ok(Output {
@@ -125,20 +152,26 @@ fn table1(runs: usize) -> Result<Output, SeoError> {
         "average gains",
     ]);
     let mut json = Vec::new();
-    for r in table1_rows(runs)? {
+    for c in by_optimizer(plans::TABLE1, runs)? {
+        let optimizer = c.cell.optimizer.to_string();
+        let control = c.cell.control_mode.to_string();
+        let gain_p1 = c.result.gain_for_model(0)?;
+        let gain_p2 = c.result.gain_for_model(1)?;
+        // The paper's "Average gains": the unweighted mean of the two.
+        let average = (gain_p1 + gain_p2) / 2.0;
         table.push_row(vec![
-            r.optimizer.to_string(),
-            r.control.to_string(),
-            pct(r.gain_p1),
-            pct(r.gain_p2),
-            pct(r.average),
+            optimizer.clone(),
+            control.clone(),
+            pct(gain_p1),
+            pct(gain_p2),
+            pct(average),
         ]);
         json.push(Json::obj(vec![
-            ("optimizer", r.optimizer.to_string().into()),
-            ("control", r.control.to_string().into()),
-            ("gain_p1", r.gain_p1.into()),
-            ("gain_p2", r.gain_p2.into()),
-            ("average", r.average.into()),
+            ("optimizer", optimizer.into()),
+            ("control", control.into()),
+            ("gain_p1", gain_p1.into()),
+            ("gain_p2", gain_p2.into()),
+            ("average", average.into()),
         ]));
     }
     Ok(Output {
@@ -165,38 +198,48 @@ fn fig6(runs: usize) -> Result<Output, SeoError> {
         "avg gain",
     ]);
     let mut json = Vec::new();
-    for r in fig6_rows(runs)? {
+    for c in run_plan(&paper_plan(plans::FIG6), runs)? {
+        let optimizer = c.cell.optimizer.to_string();
+        let histogram = &c.result.summary.histogram;
+        // `(δmax value, occurrence frequency)` for each sampled value,
+        // ascending.
+        let frequencies: Vec<(u32, f64)> = histogram
+            .iter()
+            .map(|(v, _)| (v, histogram.frequency(v)))
+            .collect();
         let freq = |d: u32| {
-            r.frequencies
+            frequencies
                 .iter()
                 .find(|(v, _)| *v == d)
                 .map_or_else(|| "0.0%".to_owned(), |(_, f)| pct(*f))
         };
+        let mean_delta_max = c.result.mean_delta_max();
+        let avg_gain = c.result.summary.combined_gain;
         table.push_row(vec![
-            r.optimizer.to_string(),
-            r.n_obstacles.to_string(),
+            optimizer.clone(),
+            c.n_obstacles.to_string(),
             freq(0),
             freq(1),
             freq(2),
             freq(3),
             freq(4),
-            format!("{:.2}", r.mean_delta_max),
-            pct(r.avg_gain),
+            format!("{mean_delta_max:.2}"),
+            pct(avg_gain),
         ]);
         json.push(Json::obj(vec![
-            ("optimizer", r.optimizer.to_string().into()),
-            ("n_obstacles", r.n_obstacles.into()),
+            ("optimizer", optimizer.into()),
+            ("n_obstacles", c.n_obstacles.into()),
             (
                 "frequencies",
                 Json::Arr(
-                    r.frequencies
+                    frequencies
                         .iter()
                         .map(|&(v, f)| Json::Arr(vec![v.into(), f.into()]))
                         .collect(),
                 ),
             ),
-            ("mean_delta_max", r.mean_delta_max.into()),
-            ("avg_gain", r.avg_gain.into()),
+            ("mean_delta_max", mean_delta_max.into()),
+            ("avg_gain", avg_gain.into()),
         ]));
     }
     Ok(Output {
@@ -221,22 +264,37 @@ fn table2(runs: usize) -> Result<Output, SeoError> {
     ]);
     let mut json = Vec::new();
     let mut headline = f64::NEG_INFINITY;
-    for r in table2_rows(runs)? {
+    let cells = run_plan(&paper_plan(plans::TABLE2), runs)?;
+    // Each half keeps the plan's order (control mode, then obstacle count),
+    // so the offloading and gating halves pair up row by row.
+    let (offloading, gating): (Vec<&CellResult>, Vec<&CellResult>) = cells
+        .iter()
+        .partition(|c| c.cell.optimizer == OptimizerKind::Offloading);
+    for (offload, gate) in offloading.iter().zip(&gating) {
+        debug_assert_eq!(
+            (offload.cell.control_mode, offload.n_obstacles),
+            (gate.cell.control_mode, gate.n_obstacles)
+        );
+        let control = offload.cell.control_mode.to_string();
+        let offloading_gain = offload.result.summary.combined_gain;
+        let gating_gain = gate.result.summary.combined_gain;
+        // δmax from the offloading runs, as a representative.
+        let mean_delta_max = offload.result.mean_delta_max();
         table.push_row(vec![
-            r.control.to_string(),
-            r.n_obstacles.to_string(),
-            pct(r.offloading_gain),
-            pct(r.gating_gain),
-            format!("{:.2}", r.mean_delta_max),
+            control.clone(),
+            offload.n_obstacles.to_string(),
+            pct(offloading_gain),
+            pct(gating_gain),
+            format!("{mean_delta_max:.2}"),
         ]);
         json.push(Json::obj(vec![
-            ("control", r.control.to_string().into()),
-            ("n_obstacles", r.n_obstacles.into()),
-            ("offloading_gain", r.offloading_gain.into()),
-            ("gating_gain", r.gating_gain.into()),
-            ("mean_delta_max", r.mean_delta_max.into()),
+            ("control", control.into()),
+            ("n_obstacles", offload.n_obstacles.into()),
+            ("offloading_gain", offloading_gain.into()),
+            ("gating_gain", gating_gain.into()),
+            ("mean_delta_max", mean_delta_max.into()),
         ]));
-        headline = headline.max(r.offloading_gain);
+        headline = headline.max(offloading_gain);
     }
     Ok(Output {
         title: format!("Table II — gains + delta_max under obstacle variation ({runs} runs/cell)"),
@@ -262,23 +320,46 @@ fn table3(runs: usize) -> Result<Output, SeoError> {
         "4tau gains",
     ]);
     let mut json = Vec::new();
-    for r in table3_rows(runs)? {
-        table.push_row(vec![
-            r.sensor.clone(),
-            format!("{:.1} W", r.p_meas),
-            format!("{:.1} W", r.p_mech),
-            format!("p={}tau", r.p_multiple),
-            pct(r.avg_gain),
-            pct(r.four_tau_gain),
-        ]);
-        json.push(Json::obj(vec![
-            ("sensor", r.sensor.into()),
-            ("p_meas", r.p_meas.into()),
-            ("p_mech", r.p_mech.into()),
-            ("p_multiple", r.p_multiple.into()),
-            ("avg_gain", r.avg_gain.into()),
-            ("four_tau_gain", r.four_tau_gain.into()),
-        ]));
+    // No plan axis carries a sensor model set or sensor accounting, so the
+    // runtimes are built by hand, on the paper plans' controller and seeds.
+    let seo = SeoConfig::paper_defaults().with_accounting(EnergyAccounting::WithSensor);
+    let seeds = SeedRange {
+        base: 2023,
+        runs: 200,
+    };
+    for sensor in [
+        SensorSpec::zed_camera(),
+        SensorSpec::navtech_cts350x(),
+        SensorSpec::velodyne_hdl32e(),
+    ] {
+        let models = ModelSet::sensor_setup(&sensor, seo.tau)?;
+        let runtime = RuntimeLoop::new(seo, models, OptimizerKind::SensorGating)?
+            .with_controller(Controller::tight_margin_potential_field());
+        let result = first_successes(&runtime, 2, seeds, runs)?;
+        let p_meas = sensor.measurement_power().as_watts();
+        let p_mech = sensor.mechanical_power().as_watts();
+        for (index, p_multiple) in [(0usize, 1u32), (1, 2)] {
+            // The measured gain over the filtered run, beside the
+            // closed-form gain of one full δmax = 4 interval.
+            let avg_gain = result.gain_for_model(index)?;
+            let four_tau_gain = four_tau_sensor_gain(&sensor, p_multiple, &seo);
+            table.push_row(vec![
+                sensor.name().to_owned(),
+                format!("{p_meas:.1} W"),
+                format!("{p_mech:.1} W"),
+                format!("p={p_multiple}tau"),
+                pct(avg_gain),
+                pct(four_tau_gain),
+            ]);
+            json.push(Json::obj(vec![
+                ("sensor", sensor.name().into()),
+                ("p_meas", p_meas.into()),
+                ("p_mech", p_mech.into()),
+                ("p_multiple", p_multiple.into()),
+                ("avg_gain", avg_gain.into()),
+                ("four_tau_gain", four_tau_gain.into()),
+            ]));
+        }
     }
     Ok(Output {
         title: format!("Table III — sensor gating, filtered, tau = 20 ms ({runs} runs/sensor)"),

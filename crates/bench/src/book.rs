@@ -176,10 +176,27 @@ mod tests {
         }
     }
 
-    fn temp_book(tag: &str) -> String {
-        let dir = std::env::temp_dir().join(format!("seo-book-{tag}-{}", std::process::id()));
-        let _ = std::fs::remove_dir_all(&dir);
-        dir.join("results.md").to_string_lossy().into_owned()
+    /// A directory unique to this test process and `tag`, for a book that
+    /// `upsert` creates; removed again on drop.
+    struct TempBook(std::path::PathBuf);
+
+    impl TempBook {
+        fn new(tag: &str) -> Self {
+            let dir = std::env::temp_dir().join(format!("seo-book-{tag}-{}", std::process::id()));
+            let _ = std::fs::remove_dir_all(&dir);
+            Self(dir)
+        }
+
+        /// The book's path, as `upsert` takes it.
+        fn path(&self) -> String {
+            self.0.join("results.md").to_string_lossy().into_owned()
+        }
+    }
+
+    impl Drop for TempBook {
+        fn drop(&mut self) {
+            let _ = std::fs::remove_dir_all(&self.0);
+        }
     }
 
     #[test]
@@ -210,7 +227,8 @@ mod tests {
 
     #[test]
     fn upsert_creates_then_replaces_then_appends() {
-        let path = temp_book("upsert");
+        let book = TempBook::new("upsert");
+        let path = book.path();
         let row = sample_row();
         upsert(&path, &row).expect("create");
         let text = std::fs::read_to_string(&path).expect("book exists");
@@ -242,7 +260,8 @@ mod tests {
 
     #[test]
     fn upsert_inserts_a_new_run_after_the_table_not_after_the_notes() {
-        let path = temp_book("notes");
+        let book = TempBook::new("notes");
+        let path = book.path();
         upsert(&path, &sample_row()).expect("create");
         let mut text = std::fs::read_to_string(&path).expect("book exists");
         text.push_str("\nA note below the table.\n");
@@ -263,7 +282,8 @@ mod tests {
 
     #[test]
     fn upsert_preserves_foreign_text() {
-        let path = temp_book("foreign");
+        let book = TempBook::new("foreign");
+        let path = book.path();
         std::fs::create_dir_all(Path::new(&path).parent().expect("parent")).expect("mkdir");
         std::fs::write(&path, "hand-written notes\n").expect("seed");
         upsert(&path, &sample_row()).expect("upsert");

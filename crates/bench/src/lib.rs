@@ -2,11 +2,12 @@
 //!
 //! Runners that regenerate **every table and figure** of the SEO paper
 //! (DAC 2023, arXiv:2302.12493). Each figure and table is a committed plan
-//! under `examples/plans/paper/`, scored by the paper's first-successes
-//! protocol into rows ([`cells`]); the one paper binary,
-//! `all_experiments`, prints every table and dumps them all to
-//! `seo_experiments.json`. The `sensitivity` binary prints the channel,
-//! payload and gating-level series around the paper's operating point.
+//! under `examples/plans/paper/`, scored cell by cell by the paper's
+//! first-successes protocol ([`cells`]); the one paper binary,
+//! `all_experiments`, renders each cell's result as a row of a printed
+//! table and as an entry of `seo_experiments.json`. The `sensitivity`
+//! binary prints the channel, payload and gating-level series around the
+//! paper's operating point.
 //!
 //! Run counts default to the paper's 25 successful runs per cell; set
 //! `SEO_RUNS` to a positive integer to trade fidelity for speed (both

@@ -4,7 +4,10 @@
 //! name instead of being guessed at or panicking. The closed-stdout check
 //! covers `sweep` and `seo-sweepd` too.
 
-use std::path::{Path, PathBuf};
+mod common;
+
+use common::TempDir;
+use std::path::Path;
 use std::process::{Command, Output, Stdio};
 
 const ALL_EXPERIMENTS_BIN: &str = env!("CARGO_BIN_EXE_all_experiments");
@@ -13,26 +16,6 @@ const SWEEP_BIN: &str = env!("CARGO_BIN_EXE_sweep");
 const SWEEPD_BIN: &str = env!("CARGO_BIN_EXE_sweepd");
 
 const PINS: &str = concat!(env!("CARGO_MANIFEST_DIR"), "/../../examples/plans/paper");
-
-/// An empty directory unique to this test process and `name`, removed
-/// again on drop.
-struct TempDir(PathBuf);
-
-impl TempDir {
-    fn new(name: &str) -> Self {
-        let path =
-            std::env::temp_dir().join(format!("seo-paper-outputs-{}-{name}", std::process::id()));
-        let _ = std::fs::remove_dir_all(&path);
-        std::fs::create_dir_all(&path).expect("temp dir created");
-        Self(path)
-    }
-}
-
-impl Drop for TempDir {
-    fn drop(&mut self) {
-        let _ = std::fs::remove_dir_all(&self.0);
-    }
-}
 
 fn run(bin: &str, runs: &str, cwd: &Path) -> Output {
     Command::new(bin)
@@ -52,11 +35,16 @@ fn assert_same_bytes(actual: &[u8], pin: &str) {
 }
 
 /// Every figure and table at the paper's 25 successful runs per cell, as
-/// the printed tables and as the `seo_experiments.json` dump.
+/// the printed tables and as the `seo_experiments.json` dump. `SEO_RUNS`
+/// is unset, so the pins also check that 25 is the default.
 #[test]
 fn all_experiments_replays_to_its_recorded_bytes() {
     let dir = TempDir::new("all");
-    let output = run(ALL_EXPERIMENTS_BIN, "25", &dir.0);
+    let output = Command::new(ALL_EXPERIMENTS_BIN)
+        .env_remove("SEO_RUNS")
+        .current_dir(&dir.0)
+        .output()
+        .expect("binary runs");
     assert_eq!(
         output.status.code(),
         Some(0),

@@ -7,7 +7,7 @@
 
 mod common;
 
-use common::PlanFile;
+use common::{PlanFile, TempDir};
 use seo_core::plan::{ExecMode, SweepPlan};
 use seo_core::prelude::*;
 use std::process::Command;
@@ -77,9 +77,8 @@ fn engine_runs_require_a_plan_file() {
 /// one structured line instead.
 #[test]
 fn plan_runs_leave_the_working_directory_alone() {
-    let dir = std::env::temp_dir().join(format!("seo-sweep-cli-{}-cwd", std::process::id()));
-    let _ = std::fs::remove_dir_all(&dir);
-    std::fs::create_dir_all(&dir).expect("temp dir");
+    let temp = TempDir::new("cwd");
+    let dir = &temp.0;
     let sentinel = "{\"sentinel\": \"this file is not the sweep's\"}\n";
     std::fs::write(dir.join("BENCH_sweep.json"), sentinel).expect("sentinel written");
     std::fs::write(
@@ -102,7 +101,7 @@ fn plan_runs_leave_the_working_directory_alone() {
     ] {
         let output = Command::new(SWEEP_BIN)
             .args(args)
-            .current_dir(&dir)
+            .current_dir(dir)
             .output()
             .expect("sweep runs");
         let stderr = String::from_utf8_lossy(&output.stderr);
@@ -121,7 +120,7 @@ fn plan_runs_leave_the_working_directory_alone() {
         }
     }
 
-    let mut entries: Vec<String> = std::fs::read_dir(&dir)
+    let mut entries: Vec<String> = std::fs::read_dir(dir)
         .expect("temp dir")
         .map(|e| {
             e.expect("dir entry")
@@ -135,7 +134,6 @@ fn plan_runs_leave_the_working_directory_alone() {
         entries,
         ["BENCH_sweep.json", "cx", "search.json", "summary.json"]
     );
-    let _ = std::fs::remove_dir_all(&dir);
 }
 
 #[test]

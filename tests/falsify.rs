@@ -11,7 +11,7 @@ use seo_core::prelude::*;
 use seo_core::shard::report_line;
 use seo_integration::assert_all_engines_bit_identical;
 use seo_sim::episode::EpisodeStatus;
-use std::path::Path;
+use std::path::{Path, PathBuf};
 
 /// The committed falsify preset, with the search budget overridden so test
 /// runs stay cheap.
@@ -131,21 +131,26 @@ fn assert_replays_to_recorded_bytes(path: &Path) -> SweepPlan {
     plan
 }
 
+/// Every `*.json` plan in `dir`, sorted by path.
+fn plans_in(dir: &Path) -> Vec<PathBuf> {
+    let mut plans: Vec<_> = std::fs::read_dir(dir)
+        .expect("plan directory")
+        .map(|e| e.expect("dir entry").path())
+        .filter(|p| p.extension().is_some_and(|e| e == "json"))
+        .collect();
+    plans.sort();
+    plans
+}
+
 /// The committed regression corpus: each `examples/plans/counterexamples/`
 /// plan replays to exactly the bytes of its `.expected.ndjson` — the
 /// recorded violating metric is pinned to the bit across refactors.
 #[test]
 fn committed_counterexample_corpus_replays_to_the_recorded_bytes() {
-    let dir = Path::new(concat!(
+    let plans = plans_in(Path::new(concat!(
         env!("CARGO_MANIFEST_DIR"),
         "/../../examples/plans/counterexamples"
-    ));
-    let mut plans: Vec<_> = std::fs::read_dir(dir)
-        .expect("corpus directory")
-        .map(|e| e.expect("dir entry").path())
-        .filter(|p| p.extension().is_some_and(|e| e == "json"))
-        .collect();
-    plans.sort();
+    )));
     assert!(
         plans.len() >= 2,
         "the corpus commits at least two counterexamples, found {plans:?}"
@@ -157,7 +162,8 @@ fn committed_counterexample_corpus_replays_to_the_recorded_bytes() {
     }
 }
 
-/// Absolute pins on whole grids: the paper preset, filtered static cells at
+/// Absolute pins on whole grids, one per `examples/plans/*.json` with a
+/// sibling `.expected.ndjson`: the paper preset, filtered static cells at
 /// τ 25 and 33 ms under both driving controllers, and crossing and oncoming
 /// traffic on the bursty link each replay to the stream recorded before Ψ
 /// and φ gained their fast paths and before the deadline table filled on
@@ -175,16 +181,18 @@ fn committed_counterexample_corpus_replays_to_the_recorded_bytes() {
 #[test]
 fn pinned_example_plans_replay_to_the_recorded_bytes() {
     let dir = Path::new(concat!(env!("CARGO_MANIFEST_DIR"), "/../../examples/plans"));
-    for name in [
-        "paper",
-        "tau-controllers",
-        "traffic-bursty",
-        "traffic-dense",
-        "standstill",
-    ] {
-        assert_replays_to_recorded_bytes(&dir.join(format!("{name}.json")));
-    }
     let neural = dir.join("neural.json");
+    let pinned: Vec<_> = plans_in(dir)
+        .into_iter()
+        .filter(|p| p.with_extension("expected.ndjson").exists())
+        .collect();
+    assert!(
+        pinned.len() >= 6,
+        "six whole grids are pinned, found {pinned:?}"
+    );
+    for path in pinned.iter().filter(|&p| *p != neural) {
+        assert_replays_to_recorded_bytes(path);
+    }
     let mut blocked = assert_replays_to_recorded_bytes(&neural);
     assert_eq!(blocked.kernel, KernelBackend::Scalar, "pinned on scalar");
     blocked.kernel = KernelBackend::Blocked;
